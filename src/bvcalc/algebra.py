@@ -475,11 +475,6 @@ def _sort_odd(odds):
     return sign, arr
 
 
-def expr_from_terms(terms) -> Expr:
-    """Public raw constructor: terms are (coefficient-like, factor list)."""
-    return _from_raw([(Coefficient.of(c), tuple(f)) for c, f in terms])
-
-
 def normalize(e: Expr) -> Expr:
     """Re-normalize an expression (idempotent on canonical input)."""
     return _from_raw([(m.coeff, m.factors()) for m in e.monomials()])
@@ -522,31 +517,6 @@ def make_attach(pending, inner: Expr) -> Expr:
         atom = Attach(pending, unit)
         out = out + Expr.from_atom(atom).scale(m.coeff)
     return out
-
-
-def split_monomial(m: Monomial, keep_out) -> Tuple[int, list, list]:
-    """Split a monomial's factors into (kept, wrapped) parts.
-
-    ``keep_out(atom)`` selects the factors that stay outside a new attachment
-    (existing Attach blocks, externally-owned fields).  Returns the Koszul
-    sign of reordering the odd sequence to kept-then-wrapped, together with
-    the two factor lists in their original relative order.
-    """
-    kept = []
-    wrapped = []
-    for a, e in m.even:
-        (kept if keep_out(a) else wrapped).append((a, e))
-    sign = 1
-    wrapped_odd_seen = 0
-    for a in m.odd:
-        if keep_out(a):
-            if wrapped_odd_seen & 1:
-                sign = -sign
-            kept.append((a, 1))
-        else:
-            wrapped.append((a, 1))
-            wrapped_odd_seen += 1
-    return sign, kept, wrapped
 
 
 def collect_channel_labels(e: Expr) -> set:

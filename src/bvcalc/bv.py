@@ -205,13 +205,16 @@ def check_master_equation(S: Functional, mode: str = GEOMETRIC) -> Report:
     i*hbar*Delta(S) = 1/2 [[S, S]] and report the obstruction."""
     model = S.model
     i_hbar = Coefficient.imag_unit() * Coefficient.hbar()
-    lhs = laplacian(S, mode).scale(i_hbar)
-    rhs = schouten(S, S, mode).scale(Coefficient.of(1) / Coefficient.of(2))
-    obstruction = (lhs - rhs).collapse()
+    half = Coefficient.of(1) / Coefficient.of(2)
+    # collapse is linear, so the obstruction is formed from the collapsed
+    # pieces that the summary lines print
+    delta_c = laplacian(S, mode).collapse()
+    bracket_c = schouten(S, S, mode).collapse()
+    obstruction = delta_c.scale(i_hbar) - bracket_c.scale(half)
     passed = functional_equal(obstruction, Functional.zero(model), mode="collapse")
     lines = [
-        f"Delta(S) collapsed: {_summarize(laplacian(S, mode).collapse())}",
-        f"[[S,S]] collapsed:  {_summarize(schouten(S, S, mode).collapse())}",
+        f"Delta(S) collapsed: {_summarize(delta_c)}",
+        f"[[S,S]] collapsed:  {_summarize(bracket_c)}",
         f"QME obstruction i*hbar*Delta(S) - 1/2*[[S,S]] ~ "
         f"{'0' if passed else _summarize(obstruction)}",
     ]
@@ -249,13 +252,14 @@ def check_omega_squared(O: Functional, S: Functional, mode: str = GEOMETRIC) -> 
 
     # the evolutionary-field transition: fix the co-multiple's generating
     # section by collapsing the obstruction before the final bracket
+    qme_c = qme.collapse()
     obstruction_inert = True
-    for blocks, _ in qme.collapse().terms.items():
+    for blocks, _ in qme_c.terms.items():
         for b in blocks:
             for name, dagger in model.variables():
                 if not euler_left(model, b, name, dagger).is_zero():
                     obstruction_inert = False
-    transitioned = schouten(qme.collapse(), O, mode)
+    transitioned = schouten(qme_c, O, mode)
     omega2_zero = _trivial_functional(transitioned) if obstruction_inert else None
 
     passed = agrees and (omega2_zero is not False)

@@ -1,8 +1,10 @@
 """Exact scalar arithmetic: Laurent polynomials in hbar with Gaussian-rational
 coefficients.
 
-A Coefficient is a finite map {hbar-degree: (re, im)} with exact Fraction
-entries.  Zero is the empty map, so equality and the zero test are structural.
+A Coefficient is a finite map {hbar-degree: (re, im)} with exact rational
+entries: an integral entry is an int, any other a Fraction, so the common
+integer products never pay for Fraction arithmetic.  Zero is the empty map,
+so equality and the zero test are structural.
 Negative hbar degrees are allowed (hbar is invertible).
 """
 
@@ -12,12 +14,15 @@ from fractions import Fraction
 from numbers import Rational
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
+def _as_rational(x):
+    """Exact rational entry: an int for an integral value, else a Fraction."""
+    if type(x) is int:
         return x
-    if isinstance(x, Rational):
-        return Fraction(x)
-    raise TypeError(f"not an exact rational: {x!r}")
+    if not isinstance(x, Fraction):
+        if not isinstance(x, Rational):
+            raise TypeError(f"not an exact rational: {x!r}")
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 class Coefficient:
@@ -26,12 +31,12 @@ class Coefficient:
     __slots__ = ("terms", "_hash")
 
     def __init__(self, terms=None):
-        # terms: dict {degree: (Fraction re, Fraction im)} with zero entries dropped
+        # terms: dict {degree: (re, im)} with zero entries dropped
         clean = {}
         if terms:
             for deg, (re, im) in terms.items():
-                re = _as_fraction(re)
-                im = _as_fraction(im)
+                re = _as_rational(re)
+                im = _as_rational(im)
                 if re or im:
                     clean[int(deg)] = (re, im)
         self.terms = clean
@@ -43,7 +48,7 @@ class Coefficient:
     def of(value) -> "Coefficient":
         if isinstance(value, Coefficient):
             return value
-        return Coefficient({0: (_as_fraction(value), Fraction(0))})
+        return Coefficient({0: (_as_rational(value), 0)})
 
     @staticmethod
     def zero() -> "Coefficient":
@@ -55,11 +60,11 @@ class Coefficient:
 
     @staticmethod
     def imag_unit() -> "Coefficient":
-        return Coefficient({0: (Fraction(0), Fraction(1))})
+        return Coefficient({0: (0, 1)})
 
     @staticmethod
     def hbar(degree: int = 1) -> "Coefficient":
-        return Coefficient({degree: (Fraction(1), Fraction(0))})
+        return Coefficient({degree: (1, 0)})
 
     # -- structure ----------------------------------------------------
 
@@ -91,7 +96,7 @@ class Coefficient:
         other = Coefficient.of(other)
         out = dict(self.terms)
         for d, (re, im) in other.terms.items():
-            r0, i0 = out.get(d, (Fraction(0), Fraction(0)))
+            r0, i0 = out.get(d, (0, 0))
             out[d] = (r0 + re, i0 + im)
         return Coefficient(out)
 
@@ -114,7 +119,7 @@ class Coefficient:
                 d = d1 + d2
                 re = r1 * r2 - i1 * i2
                 im = r1 * i2 + i1 * r2
-                r0, i0 = out.get(d, (Fraction(0), Fraction(0)))
+                r0, i0 = out.get(d, (0, 0))
                 out[d] = (r0 + re, i0 + im)
         return Coefficient(out)
 
@@ -130,7 +135,7 @@ class Coefficient:
         if len(self.terms) != 1:
             raise ZeroDivisionError(f"not invertible in Q(i)[hbar,hbar^-1]: {self!r}")
         (d, (re, im)), = self.terms.items()
-        norm = re * re + im * im
+        norm = Fraction(re * re + im * im)
         return Coefficient({-d: (re / norm, -im / norm)})
 
     # -- queries ------------------------------------------------------

@@ -291,45 +291,49 @@ def channel_partial_left(
     raw = []
     for m in e.monomials():
         evens = m.even
-        odds = m.odd
-        # even slots (all preceding factors even: no Koszul sign)
+        rest_odd = tuple((o, 1) for o in m.odd)
+        # even slots (all preceding factors even: no Koszul sign); a factor
+        # that cannot contribute is skipped before any branch is built
         for i, (a, k) in enumerate(evens):
-            rest = list(evens[:i]) + ([(a, k - 1)] if k > 1 else []) + list(evens[i + 1:])
-            rest_odd = tuple((o, 1) for o in odds)
-            cmult = m.coeff * Coefficient.of(k)
-            if _matches(a, v):
-                raw.extend(_wrap_branch(cmult, tuple(rest) + rest_odd, pend, isolate, external))
-            elif isinstance(a, Trig) and a.arg.key == v.key:
-                chain = _trig_chain(a)
-                for dm in chain.monomials():
-                    factors = tuple(rest) + dm.factors() + rest_odd
-                    raw.extend(_wrap_branch(cmult * dm.coeff, factors, pend, isolate, external))
-            elif isinstance(a, Attach):
+            if isinstance(a, Attach):
                 dived = _dive(a, v, pend)
                 if dived.is_zero():
                     continue
+            elif not (_matches(a, v) or (isinstance(a, Trig) and a.arg.key == v.key)):
+                continue
+            rest = evens[:i] + (((a, k - 1),) if k > 1 else ()) + evens[i + 1:]
+            cmult = m.coeff * k if k > 1 else m.coeff
+            if isinstance(a, Attach):
                 for dm in dived.monomials():
-                    factors = tuple(rest) + dm.factors() + rest_odd
+                    factors = rest + dm.factors() + rest_odd
                     raw.extend(_finish_attach_branch(cmult * dm.coeff, factors, isolate, external))
-        # odd slots (Koszul sign for odd v)
+            elif isinstance(a, Trig):
+                for dm in _trig_chain(a).monomials():
+                    factors = rest + dm.factors() + rest_odd
+                    raw.extend(_wrap_branch(cmult * dm.coeff, factors, pend, isolate, external))
+            else:
+                raw.extend(_wrap_branch(cmult, rest + rest_odd, pend, isolate, external))
+        # odd slots (Koszul sign for odd v); every odd factor passed flips the
+        # sign, including the ones skipped below
         sign = 1
-        for j, a in enumerate(odds):
+        for j, a in enumerate(m.odd):
             s = sign if p_v else 1
             if p_v and a.parity:
                 sign = -sign
-            pre = tuple((o, 1) for o in odds[:j])
-            post = tuple((o, 1) for o in odds[j + 1:])
-            cmult = m.coeff if s > 0 else -m.coeff
-            if _matches(a, v):
-                factors = tuple(evens) + pre + post
-                raw.extend(_wrap_branch(cmult, factors, pend, isolate, external))
-            elif isinstance(a, Attach):
+            if isinstance(a, Attach):
                 dived = _dive(a, v, pend)
                 if dived.is_zero():
                     continue
+            elif not _matches(a, v):
+                continue
+            pre, post = rest_odd[:j], rest_odd[j + 1:]
+            cmult = m.coeff if s > 0 else -m.coeff
+            if isinstance(a, Attach):
                 for dm in dived.monomials():
-                    factors = tuple(evens) + pre + dm.factors() + post
+                    factors = evens + pre + dm.factors() + post
                     raw.extend(_finish_attach_branch(cmult * dm.coeff, factors, isolate, external))
+            else:
+                raw.extend(_wrap_branch(cmult, evens + pre + post, pend, isolate, external))
     return _from_raw(raw)
 
 

@@ -320,7 +320,7 @@ def _quadrature(model, density, section, points, shift) -> GrassmannNumber:
                 val = base_jet_value(field, dagger, index)
                 if key in shift_derived:
                     _, eps, _ = shift
-                    val = val + eps * _eval_plain(
+                    val = val + eps * _eval_density_at(
                         model, shift_derived[key], base_jet_value, x
                     )
                 cache[key] = val
@@ -337,10 +337,6 @@ def _collect_jets(a, jets: dict):
     elif isinstance(a, Trig):
         u = a.arg
         jets[(u.field, u.dagger, u.index)] = True
-
-
-def _eval_plain(model, density, jet_value, x) -> GrassmannNumber:
-    return _eval_density_at(model, density, jet_value, x)
 
 
 def _eval_density_at(model, density: Expr, jet_value, x) -> GrassmannNumber:

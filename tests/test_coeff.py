@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bvcalc.coeff import Coefficient
+from bvcalc.grammar import format_coefficient
 
 
 def coeffs():
@@ -59,3 +60,44 @@ def test_as_complex_guards_hbar():
     assert c.as_complex() == 1.5 + 1j
     with pytest.raises(ValueError):
         Coefficient.hbar().as_complex()
+
+
+def test_integral_entries_are_int():
+    two = Coefficient.of(Fraction(6, 3))
+    assert two == Coefficient.of(2)
+    assert two.key() == Coefficient.of(2).key()
+    assert hash(two) == hash(Coefficient.of(2))
+    re, im = two.terms[0]
+    assert type(re) is int and type(im) is int
+    half = Coefficient.of(Fraction(1, 2))
+    re, _ = (half * 2).terms[0]
+    assert type(re) is int
+
+
+def test_inverse_of_integer_is_fraction():
+    re, im = Coefficient.of(2).inverse().terms[0]
+    assert re == Fraction(1, 2) and isinstance(re, Fraction)
+    assert im == 0
+
+
+@pytest.mark.parametrize("value, text", [
+    (Coefficient.of(2), "2"),
+    (Coefficient.of(-3), "-3"),
+    (Coefficient.of(Fraction(6, 3)), "2"),
+    (Coefficient.of(Fraction(-1, 2)), "-1/2"),
+    (Coefficient.imag_unit() * 2 + 3, "(3 + 2*i)"),
+    (Coefficient.imag_unit() * Fraction(-1, 2) + Fraction(1, 3), "(1/3 - 1/2*i)"),
+    ((Coefficient.imag_unit() + 1) * Coefficient.hbar()
+     - Coefficient.hbar(-2) * Fraction(3, 4), "-3/4*hbar^-2 + (1 + i)*hbar"),
+    (-Coefficient.imag_unit(), "-i"),
+    (Coefficient.of(2) * Coefficient.imag_unit() * Coefficient.hbar(), "2*i*hbar"),
+])
+def test_format_coefficient(value, text):
+    assert format_coefficient(value) == text
+
+
+def test_float_rejected():
+    with pytest.raises(TypeError):
+        Coefficient.of(1.5)
+    with pytest.raises(TypeError):
+        Coefficient({0: (1.0, 0)})

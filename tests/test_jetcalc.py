@@ -1,9 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bvcalc import BvModel, Expr
 from bvcalc.algebra import make_attach
+from bvcalc.coeff import Coefficient
 from bvcalc.jetcalc import (
     canonicalize_channels,
     collapse,
@@ -18,7 +20,14 @@ from bvcalc.jetcalc import (
     total_derivative,
 )
 
-from util_random import ghost_model, plane_model, random_expr, random_homogeneous, scalar_model
+from util_random import (
+    ghost_model,
+    plane_model,
+    random_expr,
+    random_homogeneous,
+    random_monomial,
+    scalar_model,
+)
 
 
 @pytest.fixture
@@ -75,6 +84,48 @@ def test_partial_chain_rule(m):
     assert partial_left(m.sin("q"), v) == m.cos("q")
     assert partial_left(m.cos("q"), v) == -m.sin("q")
     assert partial_left(m.exp("q") * m.exp("q"), v) == (m.exp("q") * m.exp("q")).scale(2)
+
+
+_GHOST = ghost_model()
+# jets of q, dag q, c and dag c; the odd ones are c and dag q, and dag q
+# sorts after c, so a dag q derivative passes odd c factors
+_GHOST_VARS = [
+    _GHOST.jet_atom(name, (k,), dagger)
+    for name in ("q", "c") for dagger in (False, True) for k in range(3)
+]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(_GHOST_VARS))
+def test_graded_leibniz(seed, v):
+    # d(AB) = dA*B + (-1)^(|v||A|) A*dB for a single (hence homogeneous)
+    # monomial A; pins the Koszul sign carried past skipped odd factors
+    rng = random.Random(seed)
+    a = random_monomial(_GHOST, rng, with_attach=True)
+    b = random_expr(_GHOST, rng, with_attach=True)
+    sign = -1 if v.parity and a.parity() else 1
+    lhs = partial_left(a * b, v)
+    rhs = partial_left(a, v) * b + (a * partial_left(b, v)).scale(sign)
+    assert lhs == rhs
+
+
+def test_partial_of_absent_variable_multiplies_no_coefficients(monkeypatch):
+    calls = []
+    mul = Coefficient.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(Coefficient, "__mul__", counted)
+    monkeypatch.setattr(Coefficient, "__rmul__", counted)
+    rng = random.Random(27)
+    v = _GHOST.jet_atom("q", (3,))  # random_expr stays below order 3
+    for _ in range(20):
+        e = random_expr(_GHOST, rng, with_attach=True)
+        calls.clear()
+        assert partial_left(e, v).is_zero()
+        assert not calls
 
 
 def test_partials_commute_with_wrappers():
