@@ -512,28 +512,35 @@ def canonicalize_channels(e: Expr) -> Expr:
     Channel labels are bound names (each tags one pending variation), so two
     monomials differing only by a bijective relabelling denote the same
     object; after renaming such monomials merge or cancel.
+
+    Labels are ordered by a renaming-invariant signature (where they occur,
+    with every label erased); only labels whose signatures tie are permuted,
+    and the least relabelled monomial is kept (individualisation-refinement,
+    McKay & Piperno, "Practical graph isomorphism II", 2014).
     """
     out = Expr.zero()
+    erased = {}
     for m in e.monomials():
-        labels = sorted(_monomial_labels(m))
-        if not labels:
+        sigs = _label_signatures(m, erased)
+        if not sigs:
             out = out + Expr({m.atom_key(): m})
             continue
-        if len(labels) > 7:
-            raise ValueError(f"too many channel labels to canonicalize: {labels}")
+        ranked = sorted(sigs, key=sigs.get)
+        groups = [tuple(g) for _, g in itertools.groupby(ranked, key=sigs.get)]
         best = None
         seen = {}
         dead = False
-        for perm in itertools.permutations(range(len(labels))):
-            mapping = {lab: perm[i] for i, lab in enumerate(labels)}
-            candidate = _relabel_monomial(m, mapping)
+        for choice in itertools.product(*(itertools.permutations(g) for g in groups)):
+            order = itertools.chain.from_iterable(choice)
+            candidate = _relabel_monomial(m, {lab: i for i, lab in enumerate(order)})
             ((mk, mono),) = candidate.terms.items()
             prev = seen.get(mk)
             if prev is None:
                 seen[mk] = mono.coeff
             elif prev != mono.coeff:
                 # the monomial is odd under a renaming of its bound channel
-                # labels, hence equal to minus itself: it vanishes
+                # labels, hence equal to minus itself: it vanishes.  Every
+                # such renaming preserves signatures, so it is enumerated.
                 dead = True
                 break
             if best is None or candidate.key() < best.key():
@@ -541,6 +548,43 @@ def canonicalize_channels(e: Expr) -> Expr:
         if not dead:
             out = out + best
     return out
+
+
+def _label_signatures(m: Monomial, erased: dict) -> dict:
+    """Map each channel label of ``m`` to the sorted list of its occurrences
+    (nesting depth, pending multi-index, exponent of the enclosing Attach,
+    that Attach's key with every label erased)."""
+    sigs = {}
+
+    def visit(factors, depth):
+        for a, k in factors:
+            if isinstance(a, Attach):
+                ek = _erased_key(a, erased)
+                for lab, idx in a.pending:
+                    sigs.setdefault(lab, []).append((depth, idx, k, ek))
+                for mm in a.inner.monomials():
+                    visit(mm.factors(), depth + 1)
+
+    visit(m.factors(), 0)
+    for occurrences in sigs.values():
+        occurrences.sort()
+    return sigs
+
+
+def _erased_key(a: Atom, memo: dict):
+    """Atom key with every channel label erased; coefficients and the order of
+    the inner factors (both of which a renaming can change) are dropped too."""
+    if not isinstance(a, Attach):
+        return a.key
+    k = memo.get(a)
+    if k is None:
+        inner = tuple(sorted(
+            (tuple(sorted((_erased_key(b, memo), e) for b, e in mm.even)),
+             tuple(sorted(_erased_key(b, memo) for b in mm.odd)))
+            for mm in a.inner.monomials()
+        ))
+        k = memo[a] = (3, tuple(idx for _, idx in a.pending), inner)
+    return k
 
 
 def _monomial_labels(m: Monomial) -> set:
@@ -560,21 +604,29 @@ def _atom_labels(a: Atom, labels: set):
 
 
 def _relabel_monomial(m: Monomial, mapping) -> Expr:
-    factors = [(_relabel_atom(a, mapping), k) for a, k in m.factors()]
-    return _from_raw([(m.coeff, tuple(factors))])
+    return _from_raw([_relabel_factors(m.coeff, m.factors(), mapping)])
 
 
-def _relabel_atom(a: Atom, mapping) -> Atom:
-    if isinstance(a, Attach):
-        pending = tuple((mapping.get(lab, lab), idx) for lab, idx in a.pending)
-        inner_atoms = list(a.inner.atoms())
-        if any(isinstance(b, Attach) for b in inner_atoms):
-            raw = []
-            for mm in a.inner.monomials():
-                raw.append((mm.coeff, tuple((_relabel_atom(b, mapping), k) for b, k in mm.factors())))
-            return Attach(pending, _from_raw(raw))
-        return Attach(pending, a.inner)
-    return a
+def _relabel_factors(coeff, factors, mapping):
+    """Rename channel labels in a factor list.  Renaming can reorder the odd
+    factors inside a nested block; the sign this costs is pulled out of the
+    block (which keeps a unit coefficient) into ``coeff``."""
+    out = []
+    for a, k in factors:
+        if isinstance(a, Attach):
+            pending = tuple((mapping[lab], idx) for lab, idx in a.pending)
+            inner = a.inner
+            if any(isinstance(b, Attach) for b in inner.atoms()):
+                inner = _from_raw(
+                    [_relabel_factors(mm.coeff, mm.factors(), mapping)
+                     for mm in inner.monomials()])
+                if inner.lead_coefficient() == -1:
+                    inner = -inner
+                    if k & 1:
+                        coeff = -coeff
+            a = Attach(pending, inner)
+        out.append((a, k))
+    return coeff, tuple(out)
 
 
 # ---------------------------------------------------------------------------

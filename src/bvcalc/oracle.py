@@ -252,7 +252,6 @@ def evaluate_density(
     shift_density) replaces every jet of the field by its section value plus
     eps times the matching total derivative of the shift density restricted
     to the section."""
-    n = model.base_dim
     maxdeg = _density_degree(density)
     bound = 2 * maxdeg * max(section.max_frequency(), 1)
     if points < max(bound, 2):

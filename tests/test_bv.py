@@ -4,7 +4,7 @@ import pytest
 
 from bvcalc import Expr
 from bvcalc.coeff import Coefficient
-from bvcalc.algebra import ParityError, make_attach
+from bvcalc.algebra import ParityError, collect_channel_labels, make_attach
 from bvcalc.cohomology import Functional, functional_equal
 from bvcalc.jetcalc import collapse
 from bvcalc.bv import (
@@ -24,7 +24,7 @@ from bvcalc.bv import (
 )
 from bvcalc.models import build_scalar_example, random_functional
 
-from util_random import ghost_model, scalar_model
+from util_random import ghost_model, nested_brackets, scalar_model
 
 
 @pytest.fixture
@@ -100,6 +100,18 @@ def test_skew_symmetry(model_name):
         s, t = schouten(F, G), schouten(G, F)
         tot = s + (t if e == 0 else -t)
         assert functional_equal(tot, zero(model), "structural")
+
+
+def test_skew_symmetry_of_deeply_nested_bracket():
+    # [[S,X]] with X = [[S,[[S,[[S,O]]]]]] carries 8 channel labels per
+    # monomial; there is no limit on the number of labels
+    model, S, X = nested_brackets(3)
+    lhs, rhs = schouten(S, X), schouten(X, S)
+    assert max(len(collect_channel_labels(Expr({k: mono})))
+               for F in (lhs, rhs) for blocks in F.terms for b in blocks
+               for k, mono in b.terms.items()) == 8
+    # both sides are even, so skew-symmetry carries the sign +
+    assert functional_equal(lhs, rhs, "structural")
 
 
 def test_self_bracket_of_odd_functional_vanishes(m):

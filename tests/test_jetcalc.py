@@ -1,10 +1,13 @@
+import functools
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bvcalc import BvModel, Expr
-from bvcalc.algebra import make_attach
+from bvcalc.algebra import collect_channel_labels, make_attach
+from bvcalc.bv import schouten
 from bvcalc.coeff import Coefficient
 from bvcalc.jetcalc import (
     canonicalize_channels,
@@ -18,10 +21,13 @@ from bvcalc.jetcalc import (
     partial_left,
     partial_right,
     total_derivative,
+    _monomial_labels,
+    _relabel_monomial,
 )
 
 from util_random import (
     ghost_model,
+    nested_brackets,
     plane_model,
     random_expr,
     random_homogeneous,
@@ -243,12 +249,89 @@ def test_canonicalize_channels(m):
 
 
 def test_channel_swap_odd_monomial_vanishes(m):
-    # a monomial odd under renaming its own bound channels is zero
+    # a monomial odd under renaming its own bound channels is zero; 3 and 5
+    # have tied signatures, 4 does not, and the swap may act inside a block
     qd = m.jet("q", dagger=True)
     w1 = make_attach(((3, (2,)),), qd)
     w2 = make_attach(((5, (2,)),), qd)
-    assert not (w1 * w2).is_zero()
-    assert canonicalize_channels(w1 * w2).is_zero()
+    w3 = make_attach(((4, (1,)),), m.jet("q"))
+    nested = make_attach(((4, (2,)),), w1 * w2 * m.jet("q"))
+    for mono in (w1 * w2, w1 * w2 * w3, nested):
+        assert not mono.is_zero()
+        assert canonicalize_channels(mono).is_zero()
+        assert _reference_canonical(mono).is_zero()
+
+
+def _reference_canonical(e):
+    """The definition, by brute force: try all k! bijections of a monomial's
+    labels onto 0..k-1 and keep the least result; a monomial that some
+    bijection maps to minus itself vanishes."""
+    out = Expr.zero()
+    for mono in e.monomials():
+        labels = sorted(_monomial_labels(mono))
+        images = [_relabel_monomial(mono, dict(zip(labels, perm)))
+                  for perm in itertools.permutations(range(len(labels)))]
+        distinct = set(images)
+        if any(-x in distinct for x in distinct):
+            continue
+        out = out + min(images, key=Expr.key)
+    return out
+
+
+def _relabel(e, mapping):
+    out = Expr.zero()
+    for mono in e.monomials():
+        out = out + _relabel_monomial(mono, mapping)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _nested_blocks():
+    """The blocks of [[S,X]] and [[X,S]], X = [[S,[[S,O]]]]: up to 6 labels."""
+    model, S, X = nested_brackets(2)
+    return [b for F in (schouten(S, X), schouten(X, S))
+            for blocks in F.terms for b in blocks]
+
+
+@functools.lru_cache(maxsize=None)
+def _small_nested_monomials():
+    """Single monomials of the nested blocks with at most 5 labels."""
+    return [Expr({k: mono}) for b in _nested_blocks()
+            for k, mono in b.terms.items() if len(_monomial_labels(mono)) <= 5]
+
+
+@functools.lru_cache(maxsize=None)
+def _canonical_nested_block(i):
+    return canonicalize_channels(_nested_blocks()[i])
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_canonicalize_channels_ignores_label_names(seed):
+    rng = random.Random(seed)
+    i = rng.randrange(len(_nested_blocks()))
+    b = _nested_blocks()[i]
+    labels = sorted(collect_channel_labels(b))
+    renamed = _relabel(b, dict(zip(labels, rng.sample(range(100, 1000), len(labels)))))
+    assert renamed != b
+    assert repr(canonicalize_channels(renamed)) == repr(_canonical_nested_block(i))
+
+
+def test_canonicalize_channels_agrees_with_reference():
+    monos = _small_nested_monomials()
+    canon = [canonicalize_channels(x) for x in monos]
+    ref = [_reference_canonical(x) for x in monos]
+    assert [c.is_zero() for c in canon] == [r.is_zero() for r in ref]
+    assert any(r.is_zero() for r in ref) and not all(r.is_zero() for r in ref)
+
+    def classes(forms):
+        found = {}
+        for i, f in enumerate(forms):
+            found.setdefault(f.key(), []).append(i)
+        return sorted(found.values())
+
+    assert classes(canon) == classes(ref)
+    assert len(classes(ref)) < len(monos)  # some pairs are equivalent
 
 
 # -- iterated variations ----------------------------------------------------

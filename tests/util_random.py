@@ -84,3 +84,21 @@ def random_homogeneous(model, rng, parity, max_order=2, degree=3,
     from bvcalc.models import random_density
     return random_density(model, max_order, degree, parity, rng,
                           with_trig=with_trig)
+
+
+def nested_brackets(depth: int, seed: int = 20240808):
+    """The scalar model, an odd action S and X = [[S,[[S,...[[S,O]]]]]] with
+    ``depth`` brackets around O = random_functional(m, 1, 1, 0, seed).  Each
+    bracket adds up to two channel labels, so [[S,X]] carries up to
+    2 * depth + 2 labels per monomial."""
+    from bvcalc.bv import schouten
+    from bvcalc.cohomology import Functional
+    from bvcalc.models import random_functional
+    m = scalar_model()
+    q, qx = m.jet("q"), m.jet("q", (1,))
+    qd, qdx, qdxx = (m.jet("q", (k,), dagger=True) for k in (0, 1, 2))
+    S = Functional.from_density(m, qd * qdx * q + qx * qx * q + qd * qdxx * qx)
+    X = random_functional(m, 1, 1, 0, seed)
+    for _ in range(depth):
+        X = schouten(S, X)
+    return m, S, X
