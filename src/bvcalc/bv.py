@@ -22,15 +22,8 @@ from typing import List
 
 from .coeff import Coefficient
 from .algebra import Expr, ParityError
-from .cohomology import Functional, functional_equal
-from .jetcalc import (
-    BvModel,
-    collapse,
-    euler_channelled,
-    euler_left,
-    euler_right,
-    fresh_label,
-)
+from .cohomology import Functional, euler_operators_vanish, functional_equal
+from .jetcalc import BvModel, collapse, euler, fresh_label
 
 GEOMETRIC = "geometric"
 NAIVE = "naive"
@@ -54,17 +47,11 @@ def schouten_density(model: BvModel, f: Expr, g: Expr, mode: str = GEOMETRIC) ->
         g = collapse(g)
     out = Expr.zero()
     for (ev_name, ev_dag), (od_name, od_dag) in model.pairs():
-        if mode == GEOMETRIC:
-            l1, l2 = fresh_label(), fresh_label()
-            er_q = euler_channelled(model, f, ev_name, ev_dag, l1, side="right", isolate=True)
-            el_qd = euler_channelled(model, g, od_name, od_dag, l2, side="left", isolate=True)
-            er_qd = euler_channelled(model, f, od_name, od_dag, l1, side="right", isolate=True)
-            el_q = euler_channelled(model, g, ev_name, ev_dag, l2, side="left", isolate=True)
-        else:
-            er_q = euler_right(model, f, ev_name, ev_dag)
-            el_qd = euler_left(model, g, od_name, od_dag)
-            er_qd = euler_right(model, f, od_name, od_dag)
-            el_q = euler_left(model, g, ev_name, ev_dag)
+        l1, l2 = (fresh_label(), fresh_label()) if mode == GEOMETRIC else (None, None)
+        er_q = euler(model, f, ev_name, ev_dag, "right", l1, isolate=True)
+        el_qd = euler(model, g, od_name, od_dag, "left", l2, isolate=True)
+        er_qd = euler(model, f, od_name, od_dag, "right", l1, isolate=True)
+        el_q = euler(model, g, ev_name, ev_dag, "left", l2, isolate=True)
         out = out + er_q * el_qd - er_qd * el_q
     return out
 
@@ -78,12 +65,9 @@ def laplacian_density(model: BvModel, f: Expr, mode: str = GEOMETRIC) -> Expr:
         f = collapse(f)
     out = Expr.zero()
     for (ev_name, ev_dag), (od_name, od_dag) in model.pairs():
-        if mode == GEOMETRIC:
-            z1, z2 = fresh_label(), fresh_label()
-            step = euler_channelled(model, f, od_name, od_dag, z2, side="left", isolate=False)
-            step = euler_channelled(model, step, ev_name, ev_dag, z1, side="left", isolate=False)
-        else:
-            step = euler_left(model, euler_left(model, f, od_name, od_dag), ev_name, ev_dag)
+        z1, z2 = (fresh_label(), fresh_label()) if mode == GEOMETRIC else (None, None)
+        step = euler(model, f, od_name, od_dag, label=z2)
+        step = euler(model, step, ev_name, ev_dag, label=z1)
         out = out + step
     return out
 
@@ -253,12 +237,7 @@ def check_omega_squared(O: Functional, S: Functional, mode: str = GEOMETRIC) -> 
     # the evolutionary-field transition: fix the co-multiple's generating
     # section by collapsing the obstruction before the final bracket
     qme_c = qme.collapse()
-    obstruction_inert = True
-    for blocks, _ in qme_c.terms.items():
-        for b in blocks:
-            for name, dagger in model.variables():
-                if not euler_left(model, b, name, dagger).is_zero():
-                    obstruction_inert = False
+    obstruction_inert = all(euler_operators_vanish(model, b) for b in qme_c.blocks())
     transitioned = schouten(qme_c, O, mode)
     omega2_zero = _trivial_functional(transitioned) if obstruction_inert else None
 

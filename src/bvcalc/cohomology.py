@@ -47,10 +47,14 @@ def is_trivial(model: BvModel, density: Expr) -> bool:
         raise ValueError("structured density: collapse before cohomological tests")
     if not field_free_part(density).is_zero():
         return False
-    for field, dagger in model.variables():
-        if not euler_left(model, density, field, dagger).is_zero():
-            return False
-    return True
+    return euler_operators_vanish(model, density)
+
+
+def euler_operators_vanish(model: BvModel, density: Expr) -> bool:
+    """True iff the Euler operator of every field and antifield of the model
+    annihilates the density."""
+    return all(euler_left(model, density, field, dagger).is_zero()
+               for field, dagger in model.variables())
 
 
 def densities_equivalent(model: BvModel, a: Expr, b: Expr) -> bool:

@@ -1,8 +1,9 @@
 """Jet-space calculus over a declared BV field table.
 
-Provides the bundle declaration (BvModel), total derivatives, graded left and
-right partial derivatives, plain and channelled Euler operators, collapse of
-pending channel derivatives, canonical renaming of channel labels, and the
+Provides the bundle declaration (BvModel), total derivatives, one walk for the
+graded left and right partial derivatives, one Euler operator (total
+derivatives expanded or kept pending on a channel), collapse of pending
+channel derivatives, canonical renaming of channel labels, and the
 naive/geometric iterated variations.
 """
 
@@ -206,11 +207,7 @@ def total_derivative_multi(e: Expr, index: Sequence[int]) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# graded partial derivatives (with optional channel wrapping)
-
-
-def _matches(a: Atom, v: JetVar) -> bool:
-    return isinstance(a, JetVar) and a.key == v.key
+# graded partial derivatives and the Euler operator
 
 
 def _trig_chain(a: Trig) -> Expr:
@@ -221,8 +218,69 @@ def _trig_chain(a: Trig) -> Expr:
     return Expr.from_atom(Trig("exp", a.arg))
 
 
+def _partials(e, field, dagger, parity, side, label, isolate, external, index=None):
+    """Graded partials of ``e`` by the jet variables q_sigma of (field,
+    dagger), filed by sigma: ``{sigma: Expr}``.  Each monomial is visited once;
+    ``index`` keeps the single sigma ``index``.
+
+    ``side="right"`` gives the right partial, (-1)^(p_v (p_m - 1)) times the
+    left one on each monomial m.  With a ``label`` a branch consumed at home
+    records the pending derivative (label, sigma) for |sigma| > 0 on a new
+    block of its home plains (``_wrap_branch``); a branch consumed inside an
+    Attach wrapper adds it to that wrapper's pending set.
+    """
+    raw = {}
+    for m in e.monomials():
+        factors = m.factors()
+        sign = -1 if side == "right" and parity and not len(m.odd) & 1 else 1
+        for i, (a, k) in enumerate(factors):
+            # Koszul sign for odd v: every odd factor passed flips it,
+            # including the ones skipped below
+            s = sign
+            if parity and a.parity:
+                sign = -sign
+            # decide whether the factor contributes before building a branch
+            if isinstance(a, Attach):
+                # the pending derivative joins the block's own set, so the
+                # branch itself records none
+                pend, hits = None, []
+                inner = _partials(a.inner, field, dagger, parity, "left", None, False, None, index)
+                for sigma, d in inner.items():
+                    pending = a.pending
+                    if label is not None and idx_order(sigma) > 0:
+                        pending += ((label, sigma),)
+                    dived = make_attach(pending, d)
+                    if not dived.is_zero():
+                        hits.append((sigma, dived))
+                if not hits:
+                    continue
+            elif isinstance(a, (JetVar, Trig)):
+                u = a.arg if isinstance(a, Trig) else a
+                if (u.field != field or u.dagger != dagger
+                        or (index is not None and u.index != index)):
+                    continue
+                pend = (label, u.index) if label is not None and idx_order(u.index) > 0 else None
+                hits = ((u.index, _trig_chain(a) if isinstance(a, Trig) else None),)
+            else:
+                continue
+            head = factors[:i] + (((a, k - 1),) if k > 1 else ())
+            tail = factors[i + 1:]
+            cmult = m.coeff * k if k > 1 else m.coeff
+            if s < 0:
+                cmult = -cmult
+            for sigma, chain in hits:
+                out = raw.setdefault(sigma, [])
+                if chain is None:
+                    out.extend(_wrap_branch(cmult, head + tail, pend, isolate, external))
+                    continue
+                for dm in chain.monomials():
+                    out.extend(_wrap_branch(cmult * dm.coeff, head + dm.factors() + tail,
+                                            pend, isolate, external))
+    return {sigma: _from_raw(branches) for sigma, branches in raw.items()}
+
+
 def _wrap_branch(coeff, factors, pend, isolate, external):
-    """Finalize one derivative branch whose consumption happened at home.
+    """Finalize one derivative branch.
 
     ``pend`` is (label, sigma) or None.  Home plains (everything that is not
     an Attach atom or an external field's jet variable) are gathered into a
@@ -230,208 +288,83 @@ def _wrap_branch(coeff, factors, pend, isolate, external):
     when isolating.
     """
     if pend is None and not isolate:
-        return [(coeff, tuple(factors))]
-    keep_out = _keep_out_fn(external)
-    sign, kept, wrapped = _split_factors(factors, keep_out)
-    inner = _from_raw([(Coefficient.one(), tuple(wrapped))])
-    attach = make_attach((pend,) if pend is not None else (), inner)
-    out = []
-    c = coeff if sign > 0 else -coeff
-    for dm in attach.monomials():
-        out.append((c * dm.coeff, tuple(kept) + dm.factors()))
-    return out
-
-
-def _keep_out_fn(external):
-    ext = external or frozenset()
-
-    def keep_out(a: Atom) -> bool:
-        if isinstance(a, Attach):
-            return True
-        if isinstance(a, JetVar) and a.field in ext:
-            return True
-        if isinstance(a, Trig) and a.arg.field in ext:
-            return True
-        return False
-
-    return keep_out
-
-
-def _split_factors(factors, keep_out):
-    kept = []
-    wrapped = []
-    sign = 1
+        return [(coeff, factors)]
+    ext = external or ()
+    kept, wrapped = [], []
     wrapped_odd = 0
-    for a, e in factors:
-        if keep_out(a):
-            if a.parity and (wrapped_odd & 1):
-                sign = -sign
-            kept.append((a, e))
+    for a, k in factors:
+        if (isinstance(a, Attach)
+                or (isinstance(a, JetVar) and a.field in ext)
+                or (isinstance(a, Trig) and a.arg.field in ext)):
+            if a.parity and wrapped_odd & 1:
+                coeff = -coeff
+            kept.append((a, k))
         else:
-            wrapped.append((a, e))
-            if a.parity:
-                wrapped_odd += 1
-    return sign, kept, wrapped
-
-
-def channel_partial_left(
-    e: Expr,
-    v: JetVar,
-    pend: Optional[Tuple[int, Tuple[int, ...]]] = None,
-    isolate: bool = False,
-    external: Optional[frozenset] = None,
-) -> Expr:
-    """Graded left partial d/dv, optionally recording the pending channel
-    derivative ``pend = (label, sigma)`` at the block where v was consumed.
-
-    Partials pass through Attach wrappers; a pending derivative created by
-    consumption inside a wrapper joins that wrapper's pending set.
-    """
-    p_v = v.parity
-    raw = []
-    for m in e.monomials():
-        evens = m.even
-        rest_odd = tuple((o, 1) for o in m.odd)
-        # even slots (all preceding factors even: no Koszul sign); a factor
-        # that cannot contribute is skipped before any branch is built
-        for i, (a, k) in enumerate(evens):
-            if isinstance(a, Attach):
-                dived = _dive(a, v, pend)
-                if dived.is_zero():
-                    continue
-            elif not (_matches(a, v) or (isinstance(a, Trig) and a.arg.key == v.key)):
-                continue
-            rest = evens[:i] + (((a, k - 1),) if k > 1 else ()) + evens[i + 1:]
-            cmult = m.coeff * k if k > 1 else m.coeff
-            if isinstance(a, Attach):
-                for dm in dived.monomials():
-                    factors = rest + dm.factors() + rest_odd
-                    raw.extend(_finish_attach_branch(cmult * dm.coeff, factors, isolate, external))
-            elif isinstance(a, Trig):
-                for dm in _trig_chain(a).monomials():
-                    factors = rest + dm.factors() + rest_odd
-                    raw.extend(_wrap_branch(cmult * dm.coeff, factors, pend, isolate, external))
-            else:
-                raw.extend(_wrap_branch(cmult, rest + rest_odd, pend, isolate, external))
-        # odd slots (Koszul sign for odd v); every odd factor passed flips the
-        # sign, including the ones skipped below
-        sign = 1
-        for j, a in enumerate(m.odd):
-            s = sign if p_v else 1
-            if p_v and a.parity:
-                sign = -sign
-            if isinstance(a, Attach):
-                dived = _dive(a, v, pend)
-                if dived.is_zero():
-                    continue
-            elif not _matches(a, v):
-                continue
-            pre, post = rest_odd[:j], rest_odd[j + 1:]
-            cmult = m.coeff if s > 0 else -m.coeff
-            if isinstance(a, Attach):
-                for dm in dived.monomials():
-                    factors = evens + pre + dm.factors() + post
-                    raw.extend(_finish_attach_branch(cmult * dm.coeff, factors, isolate, external))
-            else:
-                raw.extend(_wrap_branch(cmult, evens + pre + post, pend, isolate, external))
-    return _from_raw(raw)
-
-
-def _dive(a: Attach, v: JetVar, pend) -> Expr:
-    """Derivative of an Attach atom: the partial passes through the wrapper
-    and a new pending derivative joins the wrapper's own set."""
-    d = partial_left(a.inner, v)
-    if d.is_zero():
-        return Expr.zero()
-    pending = a.pending + ((pend,) if pend is not None else ())
-    return make_attach(pending, d)
-
-
-def _finish_attach_branch(coeff, factors, isolate, external):
-    if not isolate:
-        return [(coeff, tuple(factors))]
-    keep_out = _keep_out_fn(external)
-    sign, kept, wrapped = _split_factors(factors, keep_out)
-    if not wrapped:
-        return [(coeff, tuple(factors))]
-    inner = _from_raw([(Coefficient.one(), tuple(wrapped))])
-    attach = make_attach((), inner)
-    out = []
-    c = coeff if sign > 0 else -coeff
-    for dm in attach.monomials():
-        out.append((c * dm.coeff, tuple(kept) + dm.factors()))
-    return out
+            wrapped.append((a, k))
+            wrapped_odd += a.parity
+    if not wrapped and pend is None:
+        return [(coeff, tuple(kept))]  # a bare block of nothing is 1
+    inner = _from_raw([(Coefficient.one(), wrapped)])
+    attach = make_attach((pend,) if pend is not None else (), inner)
+    return [(coeff * dm.coeff, tuple(kept) + dm.factors()) for dm in attach.monomials()]
 
 
 def partial_left(e: Expr, v: JetVar) -> Expr:
     """Graded left partial derivative d->/dv."""
-    return channel_partial_left(e, v)
+    return _partials(e, v.field, v.dagger, v.parity, "left", None, False, None,
+                     v.index).get(v.index, Expr.zero())
 
 
 def partial_right(e: Expr, v: JetVar) -> Expr:
     """Graded right partial derivative; on a parity-homogeneous monomial m,
     right = (-1)^(gh(v) * (gh(m) - 1)) * left."""
-    if v.parity == 0:
-        return partial_left(e, v)
-    raw = []
-    for m in e.monomials():
-        single = Expr({m.atom_key(): m})
-        d = partial_left(single, v)
-        if (m.parity() - 1) & 1:
-            d = -d
-        for dm in d.monomials():
-            raw.append((dm.coeff, dm.factors()))
-    return _from_raw(raw)
+    return _partials(e, v.field, v.dagger, v.parity, "right", None, False, None,
+                     v.index).get(v.index, Expr.zero())
 
 
-# ---------------------------------------------------------------------------
-# Euler operators
+def euler(
+    model: BvModel,
+    e: Expr,
+    field: str,
+    dagger: bool = False,
+    side: str = "left",
+    label: Optional[int] = None,
+    isolate: bool = False,
+    external: Optional[frozenset] = None,
+) -> Expr:
+    """Euler operator sum_sigma (-D)^sigma d/dq_sigma (Olver, Applications of
+    Lie Groups to Differential Equations, 4.1), on the given side.
 
-
-def occurring_indices(e: Expr, field: str, dagger: bool) -> set:
-    found = set()
-    for m in e.monomials():
-        for a, _ in m.even:
-            _collect_indices(a, field, dagger, found)
-        for a in m.odd:
-            _collect_indices(a, field, dagger, found)
-    return found
-
-
-def _collect_indices(a: Atom, field: str, dagger: bool, found: set):
-    if isinstance(a, JetVar):
-        if a.field == field and a.dagger == dagger:
-            found.add(a.index)
-    elif isinstance(a, Trig):
-        u = a.arg
-        if u.field == field and u.dagger == dagger:
-            found.add(u.index)
-    elif isinstance(a, Attach):
-        found.update(occurring_indices(a.inner, field, dagger))
+    Without a ``label`` the total derivatives D^sigma are applied at once
+    (naive or collapsed mode).  With a fresh channel ``label`` they stay
+    pending, recorded against that label (geometric mode); ``isolate`` then
+    also gathers the home plains of a branch without a pending derivative,
+    and ``external`` names fields whose jets stay out of the gathered blocks.
+    """
+    parity = model.parity(field, dagger)
+    if label is not None and label in collect_channel_labels(e):
+        raise ValueError(f"channel label {label!r} already occurs in expression")
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    isolate = isolate and label is not None
+    out = Expr.zero()
+    for sigma, term in _partials(e, field, dagger, parity, side, label, isolate, external).items():
+        if label is None:
+            term = total_derivative_multi(term, sigma)
+        if idx_order(sigma) & 1:
+            term = -term
+        out = out + term
+    return out
 
 
 def euler_left(model: BvModel, e: Expr, field: str, dagger: bool = False) -> Expr:
     """Variational derivative sum_sigma (-D)^sigma (d->/dq_sigma), with the
     pending derivatives expanded immediately (naive / collapsed mode)."""
-    out = Expr.zero()
-    for idx in occurring_indices(e, field, dagger):
-        v = model.jet_atom(field, idx, dagger)
-        term = total_derivative_multi(partial_left(e, v), idx)
-        if idx_order(idx) & 1:
-            term = -term
-        out = out + term
-    return out
+    return euler(model, e, field, dagger)
 
 
 def euler_right(model: BvModel, e: Expr, field: str, dagger: bool = False) -> Expr:
-    out = Expr.zero()
-    for idx in occurring_indices(e, field, dagger):
-        v = model.jet_atom(field, idx, dagger)
-        term = total_derivative_multi(partial_right(e, v), idx)
-        if idx_order(idx) & 1:
-            term = -term
-        out = out + term
-    return out
+    return euler(model, e, field, dagger, side="right")
 
 
 def euler_channelled(
@@ -446,28 +379,7 @@ def euler_channelled(
 ) -> Expr:
     """Channelled Euler operator: pending derivatives are recorded against the
     fresh channel ``label`` instead of being expanded."""
-    if label in collect_channel_labels(e):
-        raise ValueError(f"channel label {label!r} already occurs in expression")
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    out = Expr.zero()
-    for idx in occurring_indices(e, field, dagger):
-        v = model.jet_atom(field, idx, dagger)
-        pend = (label, idx) if idx_order(idx) > 0 else None
-        if side == "left":
-            term = channel_partial_left(e, v, pend, isolate, external)
-        else:
-            term = Expr.zero()
-            for m in e.monomials():
-                single = Expr({m.atom_key(): m})
-                d = channel_partial_left(single, v, pend, isolate, external)
-                if v.parity and ((m.parity() - 1) & 1):
-                    d = -d
-                term = term + d
-        if idx_order(idx) & 1:
-            term = -term
-        out = out + term
-    return out
+    return euler(model, e, field, dagger, side, label, isolate, external)
 
 
 # ---------------------------------------------------------------------------
@@ -660,13 +572,8 @@ def iterated_variation(
     aux_names = frozenset(name for name, _ in aux)
     e = f
     for k, (field, dagger) in enumerate(shifts, start=1):
-        if mode == "naive":
-            e = euler_left(ext, e, field, dagger)
-        else:
-            e = euler_channelled(
-                ext, e, field, dagger, fresh_label(),
-                side="left", isolate=False, external=aux_names,
-            )
+        label = fresh_label() if mode == "geometric" else None
+        e = euler(ext, e, field, dagger, label=label, external=aux_names)
         if include_shifts:
             e = ext.jet(f"sh{k}") * e
     return e, ext

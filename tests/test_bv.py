@@ -226,6 +226,18 @@ def test_naive_mode_violates_derivation_identity():
     assert not (L - R).collapse().is_zero()
 
 
+def test_naive_densities_carry_no_attach_atoms():
+    # naive mode expands every derivative at once, so not even a bare
+    # attachment boundary may appear in its densities
+    model = ghost_model()
+    for seed in range(3100, 3115):
+        f, g = rf(model, seed & 1, seed), rf(model, 0, seed + 50)
+        for a in f.blocks():
+            assert not laplacian_density(model, a, NAIVE).has_attach()
+            for b in g.blocks():
+                assert not schouten_density(model, a, b, NAIVE).has_attach()
+
+
 # -- quantum layer ------------------------------------------------------------
 
 def test_omega_trivial_cases(m):

@@ -147,6 +147,11 @@ def test_cmd_usage_errors(model_file, capsys):
     assert main(["evaluate", model_file, "--expr", "q", "--section", "nope"]) == 2
 
 
+def test_cmd_euler_unknown_field_is_a_usage_error(model_file, capsys):
+    assert main(["euler", model_file, "--expr", "q*q", "--field", "nope"]) == 2
+    assert "unknown field" in capsys.readouterr().err
+
+
 def test_bvcalc_seed_env(model_file, monkeypatch, capsys):
     monkeypatch.setenv("BVCALC_SEED", "21")
     from bvcalc.cli import build_parser

@@ -3,10 +3,10 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from bvcalc import BvModel, Expr
-from bvcalc.algebra import collect_channel_labels, make_attach
+from bvcalc.algebra import Attach, JetVar, Trig, collect_channel_labels, make_attach
 from bvcalc.bv import schouten
 from bvcalc.coeff import Coefficient
 from bvcalc.jetcalc import (
@@ -21,6 +21,7 @@ from bvcalc.jetcalc import (
     partial_left,
     partial_right,
     total_derivative,
+    total_derivative_multi,
     _monomial_labels,
     _relabel_monomial,
 )
@@ -134,6 +135,27 @@ def test_partial_of_absent_variable_multiplies_no_coefficients(monkeypatch):
         assert not calls
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([v for v in _GHOST_VARS if v.parity]))
+def test_right_side_is_the_per_monomial_sign(seed, v):
+    # the definition: right = sum_m (-1)^(p_v (p_m - 1)) left(m), on input
+    # that mixes parities, so no single sign for the whole expression works
+    rng = random.Random(seed)
+    a = random_monomial(_GHOST, rng, with_attach=True)
+    e = random_expr(_GHOST, rng, with_attach=True) + a + _GHOST.jet("c", (rng.randint(0, 2),)) * a
+    assume(not e.is_homogeneous())
+    right, channelled = Expr.zero(), Expr.zero()
+    for k, mono in e.terms.items():
+        single = Expr({k: mono})
+        sign = -1 if (v.parity * (mono.parity() - 1)) & 1 else 1
+        right = right + partial_left(single, v).scale(sign)
+        channelled = channelled + euler_channelled(
+            _GHOST, single, v.field, v.dagger, 1000, isolate=True).scale(sign)
+    assert partial_right(e, v) == right
+    assert euler_channelled(_GHOST, e, v.field, v.dagger, 1000, side="right",
+                            isolate=True) == channelled
+
+
 def test_partials_commute_with_wrappers():
     model = ghost_model()
     rng = random.Random(22)
@@ -179,6 +201,95 @@ def test_euler_right_relation(m):
         if (p - 1) & 1:
             rhs = -rhs
         assert lhs == rhs
+
+
+def test_euler_of_unknown_field_raises(m):
+    with pytest.raises(KeyError):
+        euler_left(m, m.jet("q") * m.jet("q"), "nope")
+
+
+def _occurring_indices(e, field, dagger):
+    """Every multi-index at which a jet of (field, dagger) occurs in ``e``,
+    also as a sin/cos/exp argument or inside an Attach wrapper."""
+    found = set()
+    for a in e.atoms():
+        if isinstance(a, Attach):
+            found |= _occurring_indices(a.inner, field, dagger)
+            continue
+        u = a.arg if isinstance(a, Trig) else a
+        if isinstance(u, JetVar) and u.field == field and u.dagger == dagger:
+            found.add(u.index)
+    return found
+
+
+def _channelled_partial(e, v, label):
+    """The channelled left partial d/dv by the graded Leibniz rule, from
+    partial_left: each monomial is split into its plain factors P and its
+    Attach factors A_1...A_k; the derivative of P is gathered into a block
+    pending (label, sigma), that of A_j adds (label, sigma) to A_j's pending
+    set (nothing is pending at sigma = 0)."""
+    pend = ((label, v.index),) if any(v.index) else ()
+    out = Expr.zero()
+    for k, mono in e.terms.items():
+        plain, blocks = Expr.scalar(mono.coeff), []
+        for a, n in mono.factors():
+            if isinstance(a, Attach):
+                blocks += [a] * n
+            else:
+                plain = plain * Expr.from_atom(a) ** n
+        whole = plain
+        for a in blocks:
+            whole = whole * Expr.from_atom(a)
+        sign = 1 if whole == Expr({k: mono}) else -1
+        assert whole == Expr({k: mono}).scale(sign)
+        dp = partial_left(plain, v)
+        term = make_attach(pend, dp) if pend else dp
+        for a in blocks:
+            term = term * Expr.from_atom(a)
+        passed = plain.parity()
+        for j, a in enumerate(blocks):
+            da = make_attach(a.pending + pend, partial_left(a.inner, v))
+            piece = plain
+            for i, b in enumerate(blocks):
+                piece = piece * (da if i == j else Expr.from_atom(b))
+            term = term + (piece if not (v.parity and passed) else -piece)
+            passed += a.parity
+        out = out + term.scale(sign)
+    return out
+
+
+def _random_wrapped(model, rng):
+    """A random expression with Attach atoms, some nested one level deeper,
+    and sin/cos/exp of a first derivative."""
+    dx = (1,) + (0,) * (model.base_dim - 1)
+    e = random_expr(model, rng, with_attach=True)
+    if rng.random() < 0.5:
+        inner = random_monomial(model, rng, with_attach=True)
+        e = e + make_attach(((60, dx),), inner)
+    if rng.random() < 0.5:  # random_expr's sin/cos/exp take no derivatives
+        tag = rng.choice(("sin", "cos", "exp"))
+        e = e * Expr.from_atom(Trig(tag, model.jet_atom(model.fields[0][0], dx)))
+    return e
+
+
+@pytest.mark.parametrize("model", [ghost_model(), plane_model()], ids=["ghost", "plane"])
+def test_euler_operators_group_the_per_index_partials(model):
+    # one walk files every branch under its multi-index: the Euler operators
+    # equal their definition, one partial_left per occurring index
+    rng = random.Random(28)
+    for _ in range(40):
+        e = _random_wrapped(model, rng)
+        for name, dagger in model.variables():
+            sigmas = _occurring_indices(e, name, dagger)
+            expanded, channelled = Expr.zero(), Expr.zero()
+            for sigma in sigmas:
+                v = model.jet_atom(name, sigma, dagger)
+                sign = -1 if sum(sigma) & 1 else 1
+                d = total_derivative_multi(partial_left(e, v), sigma)
+                expanded = expanded + d.scale(sign)
+                channelled = channelled + _channelled_partial(e, v, 1000).scale(sign)
+            assert euler_left(model, e, name, dagger) == expanded
+            assert euler_channelled(model, e, name, dagger, 1000) == channelled
 
 
 # -- channelled operators ---------------------------------------------------
