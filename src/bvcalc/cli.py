@@ -314,6 +314,8 @@ def _check_1c(model, F, G, mode):
 
 
 def cmd_check(args) -> int:
+    if args.cases < 1:
+        raise ValueError(f"--cases must be at least 1, got {args.cases}")
     t0 = time.time()
     passed, results = run_suite(
         args.suite, args.cases, args.seed, args.max_order,
@@ -321,8 +323,7 @@ def cmd_check(args) -> int:
     )
     structural_rate = None
     if args.suite == "derivation-1c":
-        n = len(results)
-        structural_rate = sum(1 for r in results if r.get("structural")) / n if n else 1.0
+        structural_rate = sum(1 for r in results if r.get("structural")) / len(results)
     payload = {
         "schema": SCHEMA_VERSION,
         "suite": args.suite,

@@ -2,9 +2,12 @@
 
 Provides the bundle declaration (BvModel), total derivatives, one walk for the
 graded left and right partial derivatives, one Euler operator (total
-derivatives expanded or kept pending on a channel), collapse of pending
-channel derivatives, canonical renaming of channel labels, and the
-naive/geometric iterated variations.
+derivatives expanded by Horner's scheme, one coordinate at a time, or kept
+pending on a channel), collapse of pending channel derivatives, canonical
+renaming of channel labels, and the naive/geometric iterated variations.
+
+Total derivatives and collapse work on raw (coefficient, factor list) branches
+and normalise once per call or per monomial, not once per factor.
 """
 
 from __future__ import annotations
@@ -150,51 +153,56 @@ def fresh_label() -> int:
 
 
 def total_derivative(e: Expr, direction: int) -> Expr:
-    """Total derivative D_i; linear, Leibniz, commutes with Attach wrappers."""
+    """Total derivative D_i; linear, Leibniz, commutes with Attach wrappers.
+
+    D_i is an even derivation: the derivative of a factor is spliced in place
+    of one copy of it, so no Koszul sign arises, and every branch of every
+    monomial is normalised in one pass."""
     raw = []
     for m in e.monomials():
-        evens = m.even
-        odds = m.odd
-        for i, (a, k) in enumerate(evens):
-            d = _atom_total_derivative(a, direction)
-            if d is None:
+        factors = m.factors()
+        for i, (a, k) in enumerate(factors):
+            branches = _atom_total_derivative(a, direction)
+            if not branches:
                 continue
-            rest = list(evens[:i]) + ([(a, k - 1)] if k > 1 else []) + list(evens[i + 1:])
-            for dm in d.monomials():
-                factors = tuple(rest) + dm.factors() + tuple((o, 1) for o in odds)
-                raw.append((m.coeff * Coefficient.of(k) * dm.coeff, factors))
-        for j, a in enumerate(odds):
-            d = _atom_total_derivative(a, direction)
-            if d is None:
-                continue
-            pre = tuple((o, 1) for o in odds[:j])
-            post = tuple((o, 1) for o in odds[j + 1:])
-            for dm in d.monomials():
-                factors = tuple(evens) + pre + dm.factors() + post
-                raw.append((m.coeff * dm.coeff, factors))
+            head = factors[:i] + (((a, k - 1),) if k > 1 else ())
+            tail = factors[i + 1:]
+            cmult = m.coeff * k if k > 1 else m.coeff
+            for c, d in branches:
+                raw.append((cmult if c is None else cmult * c, head + d + tail))
     return _from_raw(raw)
 
 
-def _atom_total_derivative(a: Atom, i: int) -> Optional[Expr]:
+_MINUS_ONE = Coefficient.of(-1)
+
+
+def _shift(u: JetVar, i: int) -> JetVar:
+    """u with one more derivative along x_i."""
+    idx = u.index
+    if not 0 <= i < len(idx):
+        raise ValueError(f"coordinate index {i} out of range for base dimension {len(idx)}")
+    return JetVar(u.field, u.dagger, idx[:i] + (idx[i] + 1,) + idx[i + 1:], u.gh)
+
+
+def _atom_total_derivative(a: Atom, i: int):
+    """D_i of one atom as raw branches ``(coefficient or None for 1,
+    factors)``; no branch when the derivative vanishes."""
     if isinstance(a, JetVar):
-        n = len(a.index)
-        return Expr.from_atom(JetVar(a.field, a.dagger, idx_add(a.index, idx_unit(n, i)), a.gh))
+        return ((None, ((_shift(a, i), 1),)),)
     if isinstance(a, BaseVar):
-        return Expr.scalar(1) if a.coord == i else None
+        return ((None, ()),) if a.coord == i else ()
     if isinstance(a, Trig):
-        u = a.arg
-        n = len(u.index)
-        du = Expr.from_atom(JetVar(u.field, u.dagger, idx_add(u.index, idx_unit(n, i)), u.gh))
+        du = (_shift(a.arg, i), 1)
         if a.tag == "sin":
-            return Expr.from_atom(Trig("cos", u)) * du
+            return ((None, ((Trig("cos", a.arg), 1), du)),)
         if a.tag == "cos":
-            return -(Expr.from_atom(Trig("sin", u)) * du)
-        return Expr.from_atom(Trig("exp", u)) * du
+            return ((_MINUS_ONE, ((Trig("sin", a.arg), 1), du)),)
+        return ((None, ((a, 1), du)),)
     if isinstance(a, Attach):
         d = total_derivative(a.inner, i)
         if d.is_zero():
-            return None
-        return make_attach(a.pending, d)
+            return ()
+        return tuple((dm.coeff, dm.factors()) for dm in make_attach(a.pending, d).monomials())
     raise TypeError(f"unknown atom {a!r}")
 
 
@@ -335,11 +343,15 @@ def euler(
     """Euler operator sum_sigma (-D)^sigma d/dq_sigma (Olver, Applications of
     Lie Groups to Differential Equations, 4.1), on the given side.
 
-    Without a ``label`` the total derivatives D^sigma are applied at once
-    (naive or collapsed mode).  With a fresh channel ``label`` they stay
-    pending, recorded against that label (geometric mode); ``isolate`` then
-    also gathers the home plains of a branch without a pending derivative,
-    and ``external`` names fields whose jets stay out of the gathered blocks.
+    Without a ``label`` the total derivatives are applied at once (naive or
+    collapsed mode), by Horner's scheme one coordinate i at a time: the
+    partials Q_k by q_sigma with sigma_i = k are summed as
+    Q_0 - D_i(Q_1 - D_i(Q_2 - ...)), so D_i is applied once per order of x_i
+    rather than once per multi-index and order.  With a fresh channel
+    ``label`` the derivatives stay pending, recorded against that label
+    (geometric mode); ``isolate`` then also gathers the home plains of a
+    branch without a pending derivative, and ``external`` names fields whose
+    jets stay out of the gathered blocks.
     """
     parity = model.parity(field, dagger)
     if label is not None and label in collect_channel_labels(e):
@@ -347,14 +359,31 @@ def euler(
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     isolate = isolate and label is not None
+    terms = _partials(e, field, dagger, parity, side, label, isolate, external)
+    if label is None:
+        return _horner(terms, model.base_dim)
     out = Expr.zero()
-    for sigma, term in _partials(e, field, dagger, parity, side, label, isolate, external).items():
-        if label is None:
-            term = total_derivative_multi(term, sigma)
-        if idx_order(sigma) & 1:
-            term = -term
-        out = out + term
+    for sigma, term in terms.items():
+        out = out + (-term if idx_order(sigma) & 1 else term)
     return out
+
+
+def _horner(terms: dict, n: int) -> Expr:
+    """sum_sigma (-D)^sigma terms[sigma] over multi-indices of length ``n``,
+    eliminating one coordinate at a time by Horner's scheme."""
+    for i in range(n):
+        groups = {}
+        for sigma, term in terms.items():
+            rest = sigma[:i] + (0,) + sigma[i + 1:]
+            groups.setdefault(rest, {})[sigma[i]] = term
+        terms = {}
+        for rest, by_order in groups.items():
+            top = max(by_order)
+            acc = by_order[top]
+            for k in range(top - 1, -1, -1):
+                acc = by_order.get(k, Expr.zero()) - total_derivative(acc, i)
+            terms[rest] = acc
+    return terms.get(idx_zero(n), Expr.zero())
 
 
 def euler_left(model: BvModel, e: Expr, field: str, dagger: bool = False) -> Expr:
@@ -388,30 +417,36 @@ def euler_channelled(
 
 def collapse(e: Expr) -> Expr:
     """Expand every pending channel derivative into genuine total derivatives,
-    innermost first; the result carries no Attach atoms."""
+    innermost first; the result carries no Attach atoms.
+
+    Each monomial's product is built as raw factor lists, the Attach factors
+    expanded in place, and normalised once."""
+    if not e.has_attach():
+        return e
     out = Expr.zero()
     for m in e.monomials():
-        term = Expr.scalar(m.coeff)
+        raw = [(m.coeff, ())]
         for a, k in m.factors():
-            fa = _collapse_atom(a)
+            if not isinstance(a, Attach):
+                raw = [(c, fs + ((a, k),)) for c, fs in raw]
+                continue
+            branches = [(dm.coeff, dm.factors()) for dm in _collapse_attach(a).monomials()]
             for _ in range(k):
-                term = term * fa
-            if term.is_zero():
+                raw = [(c * dc, fs + d) for c, fs in raw for dc, d in branches]
+            if not raw:
                 break
-        out = out + term
+        out = out + _from_raw(raw)
     return out
 
 
-def _collapse_atom(a: Atom) -> Expr:
-    if isinstance(a, Attach):
-        h = collapse(a.inner)
-        total = None
-        for _, idx in a.pending:
-            total = idx if total is None else idx_add(total, idx)
-        if total is not None:
-            h = total_derivative_multi(h, total)
-        return h
-    return Expr.from_atom(a)
+def _collapse_attach(a: Attach) -> Expr:
+    h = collapse(a.inner)
+    total = None
+    for _, idx in a.pending:
+        total = idx if total is None else idx_add(total, idx)
+    if total is not None:
+        h = total_derivative_multi(h, total)
+    return h
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,11 @@ def test_cmd_evaluate(model_file, capsys):
 def test_cmd_usage_errors(model_file, capsys):
     assert main(["euler", model_file, "--expr", "q +* q", "--field", "q"]) == 2
     assert main(["evaluate", model_file, "--expr", "q", "--section", "nope"]) == 2
+    capsys.readouterr()
+    for n in ("0", "-3"):
+        assert main(["check", "skew", "--cases", n, "--json"]) == 2
+        out, err = capsys.readouterr()
+        assert not out and "--cases must be at least 1" in err
 
 
 def test_cmd_euler_unknown_field_is_a_usage_error(model_file, capsys):

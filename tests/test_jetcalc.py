@@ -71,6 +71,27 @@ def test_total_derivative_through_wrapper(m):
     assert lhs == rhs
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["ghost", "plane"]))
+def test_total_derivative_is_an_even_derivation(seed, which):
+    # D_i(a*b) = D_i(a)*b + a*D_i(b) with no Koszul sign: the derivative of a
+    # factor must replace it in place, not move past the odd factors after it
+    model = _GHOST if which == "ghost" else _PLANE
+    rng = random.Random(seed)
+    a, b = _random_wrapped(model, rng), _random_wrapped(model, rng)
+    for i in range(model.base_dim):
+        da, db = total_derivative(a, i), total_derivative(b, i)
+        assert total_derivative(a * b, i) == da * b + a * db
+
+
+def test_total_derivative_out_of_range_raises(m):
+    block = make_attach(((fresh_label(), (1,)),), m.cos("q") * m.x(0))
+    for e in (m.jet("q"), m.jet("q", (1,), dagger=True), m.sin("q"), m.exp("q"), block):
+        for i in (1, -1):
+            with pytest.raises(ValueError):
+                total_derivative(e, i)
+
+
 # -- partial derivatives ----------------------------------------------------
 
 def test_partial_examples(m):
@@ -94,6 +115,7 @@ def test_partial_chain_rule(m):
 
 
 _GHOST = ghost_model()
+_PLANE = plane_model()
 # jets of q, dag q, c and dag c; the odd ones are c and dag q, and dag q
 # sorts after c, so a dag q derivative passes odd c factors
 _GHOST_VARS = [
@@ -330,6 +352,52 @@ def test_collapse_examples(m):
     assert collapse(make_attach(((fresh_label(), (2,)),), Expr.scalar(1))).is_zero()
     assert collapse(qd * qxx) == qd * qxx
     assert collapse(make_attach((), q * qx)) == q * qx
+
+
+def _reference_collapse(e):
+    """collapse by its definition: each monomial is the product, one Expr
+    factor at a time, of its plain atoms and its collapsed Attach blocks."""
+    out = Expr.zero()
+    for mono in e.monomials():
+        term = Expr.scalar(mono.coeff)
+        for a, k in mono.factors():
+            fa = Expr.from_atom(a)
+            if isinstance(a, Attach):
+                fa = _reference_collapse(a.inner)
+                for _, idx in a.pending:
+                    fa = total_derivative_multi(fa, idx)
+            for _ in range(k):
+                term = term * fa
+        out = out + term
+    return out
+
+
+def _nested_twice(model, rng):
+    """A block pending (62, sigma) around a block pending (61, sigma) around
+    a block pending (60, sigma), each beside a random monomial; squared when
+    even, so the outer Attach atom has exponent 2."""
+    n = model.base_dim
+    blk = Expr.scalar(1)
+    for lab in (60, 61, 62):
+        sigma = [0] * n
+        sigma[rng.randrange(n)] = 1
+        blk = make_attach(((lab, tuple(sigma)),),
+                          blk * random_monomial(model, rng, degree=rng.randint(1, 2)))
+    return blk * blk if blk.is_homogeneous() and blk.parity() == 0 else blk
+
+
+@pytest.mark.parametrize("model", [ghost_model(), plane_model()], ids=["ghost", "plane"])
+def test_collapse_agrees_with_the_product_of_collapsed_factors(model):
+    rng = random.Random(29)
+    squared = 0
+    for _ in range(60):
+        nested = _nested_twice(model, rng)
+        squared += any(k == 2 and isinstance(a, Attach)
+                       for mono in nested.monomials() for a, k in mono.even)
+        e = _random_wrapped(model, rng) + nested * random_monomial(model, rng, degree=1)
+        assert collapse(e).key() == _reference_collapse(e).key()
+        assert collapse(nested).key() == _reference_collapse(nested).key()
+    assert squared >= 10
 
 
 def test_collapse_of_channelled_euler_is_plain_euler():
