@@ -212,15 +212,7 @@ class Expr:
             return self
         out = dict(self.terms)
         for k, m in other.terms.items():
-            prev = out.get(k)
-            if prev is None:
-                out[k] = m
-            else:
-                c = prev.coeff + m.coeff
-                if c.is_zero():
-                    del out[k]
-                else:
-                    out[k] = Monomial(c, prev.even, prev.odd)
+            _add_monomial(out, k, m)
         return Expr(out)
 
     __radd__ = __add__
@@ -440,17 +432,22 @@ def _from_raw(raw: Iterable[Tuple[Coefficient, Sequence[Tuple[Atom, int]]]]) -> 
             coeff = -coeff
         even_sorted = tuple(sorted(evens.values(), key=lambda t: t[0].key))
         mono = Monomial(coeff, even_sorted, tuple(odd_sorted))
-        k = mono.atom_key()
-        prev = acc.get(k)
-        if prev is None:
-            acc[k] = mono
-        else:
-            c = prev.coeff + coeff
-            if c.is_zero():
-                del acc[k]
-            else:
-                acc[k] = Monomial(c, prev.even, prev.odd)
+        _add_monomial(acc, mono.atom_key(), mono)
     return Expr(acc) if acc else _EXPR_ZERO
+
+
+def _add_monomial(acc: dict, k, m: Monomial) -> None:
+    """Add the canonical monomial ``m`` with atom key ``k`` into the term map
+    ``acc`` in place: equal atom keys merge, and a zero sum is dropped."""
+    prev = acc.get(k)
+    if prev is None:
+        acc[k] = m
+    else:
+        c = prev.coeff + m.coeff
+        if c.is_zero():
+            del acc[k]
+        else:
+            acc[k] = Monomial(c, prev.even, prev.odd)
 
 
 def _sort_odd(odds):
@@ -493,30 +490,27 @@ def make_attach(pending, inner: Expr) -> Expr:
     labels = [lab for lab, _ in pending]
     if len(set(labels)) != len(labels):
         raise ValueError(f"duplicate channel labels in pending spec {pending!r}")
-    out = _EXPR_ZERO
+    acc = {}
     for m in inner.monomials():
         content = m.factors()
         if not content:
             if pending:
                 continue  # total derivative of a constant block
-            out = out + Expr.scalar(m.coeff)
+            _add_monomial(acc, m.atom_key(), m)
             continue
         if len(content) == 1 and isinstance(content[0][0], Attach) and content[0][1] == 1:
             a = content[0][0]
-            merged = a.pending + pending
-            if not pending:
-                out = out + Expr.from_atom(a).scale(m.coeff)
-                continue
-            labs = [lab for lab, _ in merged]
-            if len(set(labs)) != len(labs):
-                raise ValueError("channel label reused across nested wrappers")
-            atom = Attach(merged, a.inner)
-            out = out + Expr.from_atom(atom).scale(m.coeff)
-            continue
-        unit = _from_raw([(Coefficient.one(), content)])
-        atom = Attach(pending, unit)
-        out = out + Expr.from_atom(atom).scale(m.coeff)
-    return out
+            if pending:
+                merged = a.pending + pending
+                labs = [lab for lab, _ in merged]
+                if len(set(labs)) != len(labs):
+                    raise ValueError("channel label reused across nested wrappers")
+                a = Attach(merged, a.inner)
+        else:
+            a = Attach(pending, _from_raw([(Coefficient.one(), content)]))
+        mono = Monomial(m.coeff, (), (a,)) if a.parity else Monomial(m.coeff, ((a, 1),), ())
+        _add_monomial(acc, mono.atom_key(), mono)
+    return Expr(acc) if acc else _EXPR_ZERO
 
 
 def collect_channel_labels(e: Expr) -> set:

@@ -316,6 +316,8 @@ def _check_1c(model, F, G, mode):
 def cmd_check(args) -> int:
     if args.cases < 1:
         raise ValueError(f"--cases must be at least 1, got {args.cases}")
+    if args.scalar_pair and args.suite != "derivation-1c":
+        raise ValueError(f"--scalar-pair applies only to derivation-1c, not {args.suite}")
     t0 = time.time()
     passed, results = run_suite(
         args.suite, args.cases, args.seed, args.max_order,

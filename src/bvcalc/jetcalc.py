@@ -27,7 +27,9 @@ from .algebra import (
     Trig,
     collect_channel_labels,
     make_attach,
+    _add_monomial,
     _from_raw,
+    _sort_odd,
 )
 
 # ---------------------------------------------------------------------------
@@ -423,7 +425,7 @@ def collapse(e: Expr) -> Expr:
     expanded in place, and normalised once."""
     if not e.has_attach():
         return e
-    out = Expr.zero()
+    acc = {}
     for m in e.monomials():
         raw = [(m.coeff, ())]
         for a, k in m.factors():
@@ -435,8 +437,9 @@ def collapse(e: Expr) -> Expr:
                 raw = [(c * dc, fs + d) for c, fs in raw for dc, d in branches]
             if not raw:
                 break
-        out = out + _from_raw(raw)
-    return out
+        for k, mm in _from_raw(raw).terms.items():
+            _add_monomial(acc, k, mm)
+    return Expr(acc) if acc else Expr.zero()
 
 
 def _collapse_attach(a: Attach) -> Expr:
@@ -464,58 +467,75 @@ def canonicalize_channels(e: Expr) -> Expr:
     with every label erased); only labels whose signatures tie are permuted,
     and the least relabelled monomial is kept (individualisation-refinement,
     McKay & Piperno, "Practical graph isomorphism II", 2014).
+
+    A renaming is a bijection on atoms, so no two factors of a candidate
+    merge and no odd factor repeats: each candidate is built directly as its
+    renamed even factors re-sorted by key and its renamed odd factors sorted
+    with their sign, and candidates are compared by (atom key, coefficient).
+    Renamed Attach atoms, nested ones included, are shared through a memo
+    that lives for one call, keyed by the atom and the images of its own
+    labels (equal sub-objects shared as in hash-consing, Filliâtre &
+    Conchon, 2006).
     """
-    out = Expr.zero()
-    erased = {}
+    acc = {}
+    erased, occurrences, own_labels, renamed = {}, {}, {}, {}
     for m in e.monomials():
-        sigs = _label_signatures(m, erased)
+        sigs = _label_signatures(m, erased, occurrences)
         if not sigs:
-            out = out + Expr({m.atom_key(): m})
+            _add_monomial(acc, m.atom_key(), m)
             continue
         ranked = sorted(sigs, key=sigs.get)
         groups = [tuple(g) for _, g in itertools.groupby(ranked, key=sigs.get)]
-        best = None
+        best = best_key = None
         seen = {}
-        dead = False
         for choice in itertools.product(*(itertools.permutations(g) for g in groups)):
-            order = itertools.chain.from_iterable(choice)
-            candidate = _relabel_monomial(m, {lab: i for i, lab in enumerate(order)})
-            ((mk, mono),) = candidate.terms.items()
-            prev = seen.get(mk)
-            if prev is None:
-                seen[mk] = mono.coeff
-            elif prev != mono.coeff:
+            mapping = {lab: i for i, lab in enumerate(itertools.chain.from_iterable(choice))}
+            candidate = _rename_monomial(m, mapping, own_labels, renamed)
+            mk = candidate.atom_key()
+            prev = seen.setdefault(mk, candidate.coeff)
+            if prev != candidate.coeff:
                 # the monomial is odd under a renaming of its bound channel
                 # labels, hence equal to minus itself: it vanishes.  Every
                 # such renaming preserves signatures, so it is enumerated.
-                dead = True
                 break
-            if best is None or candidate.key() < best.key():
-                best = candidate
-        if not dead:
-            out = out + best
-    return out
+            ck = (mk, candidate.coeff.key())
+            if best is None or ck < best_key:
+                best, best_key = candidate, ck
+        else:
+            _add_monomial(acc, best_key[0], best)
+    return Expr(acc) if acc else Expr.zero()
 
 
-def _label_signatures(m: Monomial, erased: dict) -> dict:
+def _label_signatures(m: Monomial, erased: dict, occurrences: dict) -> dict:
     """Map each channel label of ``m`` to the sorted list of its occurrences
     (nesting depth, pending multi-index, exponent of the enclosing Attach,
-    that Attach's key with every label erased)."""
+    that Attach's key with every label erased).  ``occurrences`` memoises
+    the (label, occurrence) list of each top-level (Attach atom, exponent)
+    for the length of one canonicalisation, beside the ``erased`` keys."""
     sigs = {}
-
-    def visit(factors, depth):
-        for a, k in factors:
-            if isinstance(a, Attach):
-                ek = _erased_key(a, erased)
-                for lab, idx in a.pending:
-                    sigs.setdefault(lab, []).append((depth, idx, k, ek))
-                for mm in a.inner.monomials():
-                    visit(mm.factors(), depth + 1)
-
-    visit(m.factors(), 0)
-    for occurrences in sigs.values():
-        occurrences.sort()
+    for a, k in m.factors():
+        if isinstance(a, Attach):
+            found = occurrences.get((a, k))
+            if found is None:
+                found = occurrences[a, k] = _occurrences(a, k, 0, erased, [])
+            for lab, occurrence in found:
+                sigs.setdefault(lab, []).append(occurrence)
+    for found in sigs.values():
+        found.sort()
     return sigs
+
+
+def _occurrences(a: Attach, k: int, depth: int, erased: dict, out: list) -> list:
+    """Append (label, occurrence) for every pending derivative in ``a`` and
+    in the blocks nested inside it."""
+    ek = _erased_key(a, erased)
+    for lab, idx in a.pending:
+        out.append((lab, (depth, idx, k, ek)))
+    for mm in a.inner.monomials():
+        for b, j in mm.factors():
+            if isinstance(b, Attach):
+                _occurrences(b, j, depth + 1, erased, out)
+    return out
 
 
 def _erased_key(a: Atom, memo: dict):
@@ -550,30 +570,56 @@ def _atom_labels(a: Atom, labels: set):
             _atom_labels(b, labels)
 
 
-def _relabel_monomial(m: Monomial, mapping) -> Expr:
-    return _from_raw([_relabel_factors(m.coeff, m.factors(), mapping)])
-
-
-def _relabel_factors(coeff, factors, mapping):
-    """Rename channel labels in a factor list.  Renaming can reorder the odd
-    factors inside a nested block; the sign this costs is pulled out of the
-    block (which keeps a unit coefficient) into ``coeff``."""
-    out = []
-    for a, k in factors:
+def _rename_monomial(m: Monomial, mapping: dict, own_labels: dict, memo: dict) -> Monomial:
+    """The canonical monomial ``m`` with its channel labels renamed by the
+    bijection ``mapping``; the renamed atoms stay pairwise distinct, so only
+    the sort order and the odd factors' sign change."""
+    coeff = m.coeff
+    even = []
+    for a, k in m.even:
         if isinstance(a, Attach):
-            pending = tuple((mapping[lab], idx) for lab, idx in a.pending)
-            inner = a.inner
-            if any(isinstance(b, Attach) for b in inner.atoms()):
-                inner = _from_raw(
-                    [_relabel_factors(mm.coeff, mm.factors(), mapping)
-                     for mm in inner.monomials()])
-                if inner.lead_coefficient() == -1:
-                    inner = -inner
-                    if k & 1:
-                        coeff = -coeff
-            a = Attach(pending, inner)
-        out.append((a, k))
-    return coeff, tuple(out)
+            flip, a = _rename_atom(a, mapping, own_labels, memo)
+            if flip and k & 1:
+                coeff = -coeff
+        even.append((a, k))
+    odd = []
+    for a in m.odd:
+        if isinstance(a, Attach):
+            flip, a = _rename_atom(a, mapping, own_labels, memo)
+            if flip:
+                coeff = -coeff
+        odd.append(a)
+    even.sort(key=lambda t: t[0].key)
+    sign, odd = _sort_odd(odd)
+    return Monomial(-coeff if sign < 0 else coeff, tuple(even), tuple(odd))
+
+
+def _rename_atom(a: Attach, mapping: dict, own_labels: dict, memo: dict):
+    """(flip, renamed atom) for an Attach atom.  Renaming can reorder the odd
+    factors inside a nested block; the block keeps a unit lead coefficient
+    and ``flip`` says that each copy of it costs a sign.  ``memo`` is keyed
+    by the atom and the images of its own labels, nested ones included."""
+    labs = own_labels.get(a)
+    if labs is None:
+        found = set()
+        _atom_labels(a, found)
+        labs = own_labels[a] = tuple(sorted(found))
+    key = (a, tuple(map(mapping.__getitem__, labs)))
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    inner = a.inner
+    flip = False
+    if any(isinstance(b, Attach) for b in inner.atoms()):
+        terms = {}
+        for mm in inner.monomials():
+            mm = _rename_monomial(mm, mapping, own_labels, memo)
+            terms[mm.atom_key()] = mm
+        inner = Expr(terms)
+        if inner.lead_coefficient() == -1:
+            inner, flip = -inner, True
+    hit = memo[key] = (flip, Attach(((mapping[lab], idx) for lab, idx in a.pending), inner))
+    return hit
 
 
 # ---------------------------------------------------------------------------

@@ -150,6 +150,9 @@ def test_cmd_usage_errors(model_file, capsys):
         assert main(["check", "skew", "--cases", n, "--json"]) == 2
         out, err = capsys.readouterr()
         assert not out and "--cases must be at least 1" in err
+    assert main(["check", "skew", "--cases", "1", "--scalar-pair"]) == 2
+    out, err = capsys.readouterr()
+    assert not out and "--scalar-pair applies only to derivation-1c" in err
 
 
 def test_cmd_euler_unknown_field_is_a_usage_error(model_file, capsys):

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from bvcalc import BvModel, Expr
-from bvcalc.algebra import Attach, JetVar, Trig, collect_channel_labels, make_attach
+from bvcalc.algebra import (
+    Attach,
+    JetVar,
+    Trig,
+    collect_channel_labels,
+    make_attach,
+    _from_raw,
+)
 from bvcalc.bv import schouten
 from bvcalc.coeff import Coefficient
 from bvcalc.jetcalc import (
@@ -23,7 +30,6 @@ from bvcalc.jetcalc import (
     total_derivative,
     total_derivative_multi,
     _monomial_labels,
-    _relabel_monomial,
 )
 
 from util_random import (
@@ -464,6 +470,33 @@ def _relabel(e, mapping):
     return out
 
 
+def _relabel_monomial(m, mapping):
+    """A monomial renamed by ``mapping`` and normalised anew by `_from_raw`."""
+    return _from_raw([_relabel_factors(m.coeff, m.factors(), mapping)])
+
+
+def _relabel_factors(coeff, factors, mapping):
+    """Rename channel labels in a factor list.  Renaming can reorder the odd
+    factors inside a nested block; the sign this costs is pulled out of the
+    block (which keeps a unit coefficient) into ``coeff``."""
+    out = []
+    for a, k in factors:
+        if isinstance(a, Attach):
+            pending = tuple((mapping[lab], idx) for lab, idx in a.pending)
+            inner = a.inner
+            if any(isinstance(b, Attach) for b in inner.atoms()):
+                inner = _from_raw(
+                    [_relabel_factors(mm.coeff, mm.factors(), mapping)
+                     for mm in inner.monomials()])
+                if inner.lead_coefficient() == -1:
+                    inner = -inner
+                    if k & 1:
+                        coeff = -coeff
+            a = Attach(pending, inner)
+        out.append((a, k))
+    return coeff, tuple(out)
+
+
 @functools.lru_cache(maxsize=None)
 def _nested_blocks():
     """The blocks of [[S,X]] and [[X,S]], X = [[S,[[S,O]]]]: up to 6 labels."""
@@ -511,6 +544,42 @@ def test_canonicalize_channels_agrees_with_reference():
 
     assert classes(canon) == classes(ref)
     assert len(classes(ref)) < len(monos)  # some pairs are equivalent
+
+
+def _per_monomial_canonical(e):
+    out = Expr.zero()
+    for k, mono in e.terms.items():
+        out = out + canonicalize_channels(Expr({k: mono}))
+    return out
+
+
+def test_canonicalize_channels_is_per_monomial():
+    # renamed blocks are shared within one call; sharing must not carry one
+    # monomial's renaming or sign over to another monomial
+    for b in _nested_blocks():
+        assert canonicalize_channels(b) == _per_monomial_canonical(b)
+
+
+def test_canonicalize_channels_shares_nested_blocks_across_monomials(m):
+    q, qx, qxx = m.jet("q"), m.jet("q", (1,)), m.jet("q", (2,))
+    qd = m.jet("q", dagger=True)
+    # B carries labels 2 (outer) and 1 (nested); beside W (label 3) they are
+    # renamed 2->0, 1->2, alone 2->0, 1->1
+    B = make_attach(((2, (1,)),), make_attach(((1, (1,)),), q) * qx)
+    W = make_attach(((3, (2,)),), q)
+    # inside N the odd blocks labelled 4 and 3 are renamed 1 and 2, which
+    # swaps their order: N's inner costs a sign, in both monomials alike
+    N = make_attach(((5, (1,)),), make_attach(((4, (1,)),), qd)
+                    * make_attach(((3, (1,)),), qd * q) * q)
+    for e in (B * W + B * qxx, N * qx + N * qxx):
+        assert len(e.terms) == 2
+        canon = canonicalize_channels(e)
+        assert canon == _per_monomial_canonical(e)
+        # the brute-force form is invariant under renaming, signs included
+        assert _reference_canonical(canon) == _reference_canonical(e)
+    canon = canonicalize_channels(N * qx)
+    assert canon == _relabel(N * qx, {5: 0, 4: 1, 3: 2})
+    assert canon.lead_coefficient() == -(N * qx).lead_coefficient()
 
 
 # -- iterated variations ----------------------------------------------------
