@@ -46,12 +46,23 @@ class JetVar(Atom):
     __slots__ = ("field", "dagger", "index", "gh")
 
     def __init__(self, field: str, dagger: bool, index: Tuple[int, ...], gh: int):
+        self._set(field, bool(dagger), tuple(int(k) for k in index), int(gh))
+
+    @classmethod
+    def _from_parts(cls, field: str, dagger: bool, index: Tuple[int, ...], gh: int):
+        """A JetVar from parts that are already a bool, a tuple of ints and an
+        int, as those of another JetVar are; skips the conversion pass."""
+        u = object.__new__(cls)
+        u._set(field, dagger, index, gh)
+        return u
+
+    def _set(self, field, dagger, index, gh):
         self.field = field
-        self.dagger = bool(dagger)
-        self.index = tuple(int(k) for k in index)
-        self.gh = int(gh)
-        self.parity = self.gh & 1
-        self.key = (0, field, self.dagger, self.index)
+        self.dagger = dagger
+        self.index = index
+        self.gh = gh
+        self.parity = gh & 1
+        self.key = (0, field, dagger, index)
         self._hash = hash(self.key)
 
     def __repr__(self):

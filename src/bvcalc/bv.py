@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 from typing import List
 
 from .coeff import Coefficient
-from .algebra import Expr, ParityError
+from .algebra import Expr, ParityError, _add_monomial
 from .cohomology import Functional, euler_operators_vanish, functional_equal
-from .jetcalc import BvModel, collapse, euler, fresh_label
+from .jetcalc import BvModel, collapse, euler, eulers, fresh_label
 
 GEOMETRIC = "geometric"
 NAIVE = "naive"
@@ -45,15 +45,21 @@ def schouten_density(model: BvModel, f: Expr, g: Expr, mode: str = GEOMETRIC) ->
     if mode == NAIVE:
         f = collapse(f)
         g = collapse(g)
-    out = Expr.zero()
-    for (ev_name, ev_dag), (od_name, od_dag) in model.pairs():
+    pairs = list(model.pairs())
+    f_labels, g_labels = {}, {}
+    for ev, od in pairs:
         l1, l2 = (fresh_label(), fresh_label()) if mode == GEOMETRIC else (None, None)
-        er_q = euler(model, f, ev_name, ev_dag, "right", l1, isolate=True)
-        el_qd = euler(model, g, od_name, od_dag, "left", l2, isolate=True)
-        er_qd = euler(model, f, od_name, od_dag, "right", l1, isolate=True)
-        el_q = euler(model, g, ev_name, ev_dag, "left", l2, isolate=True)
-        out = out + er_q * el_qd - er_qd * el_q
-    return out
+        f_labels[ev] = f_labels[od] = l1
+        g_labels[ev] = g_labels[od] = l2
+    # one walk over f and one over g serve every variable of every pair
+    er = eulers(model, f, f_labels, "right", isolate=True)
+    el = eulers(model, g, g_labels, "left", isolate=True)
+    acc = {}
+    for ev, od in pairs:
+        for term in (er[ev] * el[od], -er[od] * el[ev]):
+            for k, m in term.terms.items():
+                _add_monomial(acc, k, m)
+    return Expr(acc) if acc else Expr.zero()
 
 
 def laplacian_density(model: BvModel, f: Expr, mode: str = GEOMETRIC) -> Expr:
@@ -63,13 +69,19 @@ def laplacian_density(model: BvModel, f: Expr, mode: str = GEOMETRIC) -> Expr:
     _check_mode(mode)
     if mode == NAIVE:
         f = collapse(f)
-    out = Expr.zero()
-    for (ev_name, ev_dag), (od_name, od_dag) in model.pairs():
+    pairs = list(model.pairs())
+    first, second = {}, {}
+    for ev, od in pairs:
         z1, z2 = (fresh_label(), fresh_label()) if mode == GEOMETRIC else (None, None)
-        step = euler(model, f, od_name, od_dag, label=z2)
-        step = euler(model, step, ev_name, ev_dag, label=z1)
-        out = out + step
-    return out
+        first[od], second[ev] = z2, z1
+    # the first (antifield) step of every pair in one walk over f
+    steps = eulers(model, f, first)
+    acc = {}
+    for ev, od in pairs:
+        step = euler(model, steps[od], *ev, label=second[ev])
+        for k, m in step.terms.items():
+            _add_monomial(acc, k, m)
+    return Expr(acc) if acc else Expr.zero()
 
 
 # ---------------------------------------------------------------------------

@@ -61,7 +61,8 @@ def _default_seed() -> int:
         try:
             return int(env)
         except ValueError:
-            raise SystemExit(f"bvcalc: invalid BVCALC_SEED {env!r}")
+            print(f"bvcalc: invalid BVCALC_SEED {env!r}", file=sys.stderr)
+            raise SystemExit(2)
     return 0
 
 
@@ -519,9 +520,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        # the parser reads BVCALC_SEED for the default seed: a usage error
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2

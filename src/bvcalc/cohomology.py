@@ -12,7 +12,7 @@ from typing import Tuple
 
 from .coeff import Coefficient
 from .algebra import Attach, Expr, JetVar, Trig
-from .jetcalc import BvModel, canonicalize_channels, collapse, euler_left
+from .jetcalc import BvModel, canonicalize_channels, collapse, eulers, _euler_images
 
 
 # ---------------------------------------------------------------------------
@@ -53,8 +53,8 @@ def is_trivial(model: BvModel, density: Expr) -> bool:
 def euler_operators_vanish(model: BvModel, density: Expr) -> bool:
     """True iff the Euler operator of every field and antifield of the model
     annihilates the density."""
-    return all(euler_left(model, density, field, dagger).is_zero()
-               for field, dagger in model.variables())
+    images = _euler_images(model, density, dict.fromkeys(model.variables()))
+    return all(e.is_zero() for _, e in images)
 
 
 def densities_equivalent(model: BvModel, a: Expr, b: Expr) -> bool:
@@ -206,7 +206,6 @@ class Functional:
         return hash(frozenset((b, c) for b, c in self.terms.items()))
 
     def collapse(self) -> "Functional":
-        out = Functional(self.model)
         acc = {}
         for blocks, c in self.terms.items():
             self._add_term(acc, tuple(collapse(b) for b in blocks), c)
@@ -291,8 +290,7 @@ def _triviality_image(model: BvModel, b: Expr) -> dict:
     exactly the trivial densities: all Euler-operator images together with
     the field-free residue."""
     img = {}
-    for field, dagger in model.variables():
-        e = euler_left(model, b, field, dagger)
+    for (field, dagger), e in eulers(model, b, dict.fromkeys(model.variables())).items():
         for k, mono in e.terms.items():
             img[("E", field, dagger, k)] = mono.coeff
     for k, mono in field_free_part(b).terms.items():

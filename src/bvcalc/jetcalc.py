@@ -1,13 +1,16 @@
 """Jet-space calculus over a declared BV field table.
 
 Provides the bundle declaration (BvModel), total derivatives, one walk for the
-graded left and right partial derivatives, one Euler operator (total
-derivatives expanded by Horner's scheme, one coordinate at a time, or kept
-pending on a channel), collapse of pending channel derivatives, canonical
-renaming of channel labels, and the naive/geometric iterated variations.
+graded left and right partial derivatives by any set of variables at once
+(each monomial visited once, branches filed by variable and multi-index), the
+Euler operators of those variables (total derivatives expanded by Horner's
+scheme, one coordinate at a time, or kept pending on a channel), collapse of
+pending channel derivatives, canonical renaming of channel labels, and the
+naive/geometric iterated variations.
 
 Total derivatives and collapse work on raw (coefficient, factor list) branches
-and normalise once per call or per monomial, not once per factor.
+and normalise once per call or per monomial, not once per factor; collapse
+expands each distinct Attach block once per call.
 """
 
 from __future__ import annotations
@@ -183,7 +186,7 @@ def _shift(u: JetVar, i: int) -> JetVar:
     idx = u.index
     if not 0 <= i < len(idx):
         raise ValueError(f"coordinate index {i} out of range for base dimension {len(idx)}")
-    return JetVar(u.field, u.dagger, idx[:i] + (idx[i] + 1,) + idx[i + 1:], u.gh)
+    return JetVar._from_parts(u.field, u.dagger, idx[:i] + (idx[i] + 1,) + idx[i + 1:], u.gh)
 
 
 def _atom_total_derivative(a: Atom, i: int):
@@ -228,65 +231,82 @@ def _trig_chain(a: Trig) -> Expr:
     return Expr.from_atom(Trig("exp", a.arg))
 
 
-def _partials(e, field, dagger, parity, side, label, isolate, external, index=None):
-    """Graded partials of ``e`` by the jet variables q_sigma of (field,
-    dagger), filed by sigma: ``{sigma: Expr}``.  Each monomial is visited once;
-    ``index`` keeps the single sigma ``index``.
+def _partials(e, variables, side, isolate, external, index=None):
+    """Graded partials of ``e`` by the jet variables q_sigma of every
+    variable in ``variables`` = {(field, dagger): (parity, label or None)},
+    filed by variable and multi-index: ``{(field, dagger): {sigma: Expr}}``.
+    Each monomial is visited once, for all variables together; ``index``
+    keeps the single sigma ``index``.
 
     ``side="right"`` gives the right partial, (-1)^(p_v (p_m - 1)) times the
-    left one on each monomial m.  With a ``label`` a branch consumed at home
+    left one on each monomial m.  With a label a branch consumed at home
     records the pending derivative (label, sigma) for |sigma| > 0 on a new
     block of its home plains (``_wrap_branch``); a branch consumed inside an
-    Attach wrapper adds it to that wrapper's pending set.
+    Attach wrapper adds it to that wrapper's pending set.  ``isolate`` acts
+    on the variables with a label only.
     """
     raw = {}
+    unlabelled = None
+    dives = {}  # Attach atom -> its branches, so each block is entered once
     for m in e.monomials():
         factors = m.factors()
-        sign = -1 if side == "right" and parity and not len(m.odd) & 1 else 1
+        # the sign of an odd variable's branch: the right-side sign of the
+        # monomial, then the Koszul sign of every odd factor passed
+        sign = -1 if side == "right" and not len(m.odd) & 1 else 1
         for i, (a, k) in enumerate(factors):
-            # Koszul sign for odd v: every odd factor passed flips it,
-            # including the ones skipped below
             s = sign
-            if parity and a.parity:
+            if a.parity:
                 sign = -sign
             # decide whether the factor contributes before building a branch
             if isinstance(a, Attach):
                 # the pending derivative joins the block's own set, so the
                 # branch itself records none
-                pend, hits = None, []
-                inner = _partials(a.inner, field, dagger, parity, "left", None, False, None, index)
-                for sigma, d in inner.items():
-                    pending = a.pending
-                    if label is not None and idx_order(sigma) > 0:
-                        pending += ((label, sigma),)
-                    dived = make_attach(pending, d)
-                    if not dived.is_zero():
-                        hits.append((sigma, dived))
+                hits = dives.get(a)
+                if hits is None:
+                    if unlabelled is None:
+                        unlabelled = {v: (p, None) for v, (p, _) in variables.items()}
+                    hits = dives[a] = []
+                    inner = _partials(a.inner, unlabelled, "left", False, None, index)
+                    for v, by_index in inner.items():
+                        parity, label = variables[v]
+                        for sigma, d in by_index.items():
+                            pending = a.pending
+                            if label is not None and idx_order(sigma) > 0:
+                                pending += ((label, sigma),)
+                            dived = make_attach(pending, d)
+                            if not dived.is_zero():
+                                hits.append((v, parity, label, sigma, None, dived))
                 if not hits:
                     continue
             elif isinstance(a, (JetVar, Trig)):
                 u = a.arg if isinstance(a, Trig) else a
-                if (u.field != field or u.dagger != dagger
-                        or (index is not None and u.index != index)):
+                v = (u.field, u.dagger)
+                spec = variables.get(v)
+                if spec is None or (index is not None and u.index != index):
                     continue
+                parity, label = spec
                 pend = (label, u.index) if label is not None and idx_order(u.index) > 0 else None
-                hits = ((u.index, _trig_chain(a) if isinstance(a, Trig) else None),)
+                hits = ((v, parity, label, u.index, pend,
+                         _trig_chain(a) if isinstance(a, Trig) else None),)
             else:
                 continue
             head = factors[:i] + (((a, k - 1),) if k > 1 else ())
             tail = factors[i + 1:]
             cmult = m.coeff * k if k > 1 else m.coeff
-            if s < 0:
-                cmult = -cmult
-            for sigma, chain in hits:
-                out = raw.setdefault(sigma, [])
+            for v, parity, label, sigma, pend, chain in hits:
+                c = -cmult if parity and s < 0 else cmult
+                iso = isolate and label is not None
+                out = raw.setdefault((v, sigma), [])
                 if chain is None:
-                    out.extend(_wrap_branch(cmult, head + tail, pend, isolate, external))
+                    out.extend(_wrap_branch(c, head + tail, pend, iso, external))
                     continue
                 for dm in chain.monomials():
-                    out.extend(_wrap_branch(cmult * dm.coeff, head + dm.factors() + tail,
-                                            pend, isolate, external))
-    return {sigma: _from_raw(branches) for sigma, branches in raw.items()}
+                    out.extend(_wrap_branch(c * dm.coeff, head + dm.factors() + tail,
+                                            pend, iso, external))
+    filed = {}
+    for (v, sigma), branches in raw.items():
+        filed.setdefault(v, {})[sigma] = _from_raw(branches)
+    return filed
 
 
 def _wrap_branch(coeff, factors, pend, isolate, external):
@@ -321,15 +341,18 @@ def _wrap_branch(coeff, factors, pend, isolate, external):
 
 def partial_left(e: Expr, v: JetVar) -> Expr:
     """Graded left partial derivative d->/dv."""
-    return _partials(e, v.field, v.dagger, v.parity, "left", None, False, None,
-                     v.index).get(v.index, Expr.zero())
+    return _partial(e, v, "left")
 
 
 def partial_right(e: Expr, v: JetVar) -> Expr:
     """Graded right partial derivative; on a parity-homogeneous monomial m,
     right = (-1)^(gh(v) * (gh(m) - 1)) * left."""
-    return _partials(e, v.field, v.dagger, v.parity, "right", None, False, None,
-                     v.index).get(v.index, Expr.zero())
+    return _partial(e, v, "right")
+
+
+def _partial(e: Expr, v: JetVar, side: str) -> Expr:
+    terms = _partials(e, {(v.field, v.dagger): (v.parity, None)}, side, False, None, v.index)
+    return terms.get((v.field, v.dagger), {}).get(v.index, Expr.zero())
 
 
 def euler(
@@ -355,19 +378,47 @@ def euler(
     branch without a pending derivative, and ``external`` names fields whose
     jets stay out of the gathered blocks.
     """
-    parity = model.parity(field, dagger)
-    if label is not None and label in collect_channel_labels(e):
-        raise ValueError(f"channel label {label!r} already occurs in expression")
+    v = (field, dagger)
+    return eulers(model, e, {v: label}, side, isolate, external)[v]
+
+
+def eulers(
+    model: BvModel,
+    e: Expr,
+    labels: dict,
+    side: str = "left",
+    isolate: bool = False,
+    external: Optional[frozenset] = None,
+) -> dict:
+    """The Euler operators of ``e`` by every variable of ``labels`` =
+    {(field, dagger): channel label or None}, as {(field, dagger): Expr};
+    each is ``euler`` with that variable's label, and one partial-derivative
+    walk serves them all."""
+    return dict(_euler_images(model, e, labels, side, isolate, external))
+
+
+def _euler_images(model, e, labels, side="left", isolate=False, external=None):
+    """Yield ((field, dagger), Euler operator) in the order of ``labels``
+    after one walk; Horner's scheme runs only as far as the caller reads."""
+    variables = {v: (model.parity(*v), label) for v, label in labels.items()}
+    used = {label for label in labels.values() if label is not None}
+    reused = used and used & collect_channel_labels(e)
+    if reused:
+        raise ValueError(f"channel label {min(reused)!r} already occurs in expression")
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    isolate = isolate and label is not None
-    terms = _partials(e, field, dagger, parity, side, label, isolate, external)
-    if label is None:
-        return _horner(terms, model.base_dim)
-    out = Expr.zero()
-    for sigma, term in terms.items():
-        out = out + (-term if idx_order(sigma) & 1 else term)
-    return out
+    terms = _partials(e, variables, side, isolate, external)
+    for v, label in labels.items():
+        by_index = terms.get(v, {})
+        if label is None:
+            yield v, _horner(by_index, model.base_dim)
+            continue
+        acc = {}
+        for sigma, term in by_index.items():
+            odd = idx_order(sigma) & 1
+            for k, mm in term.terms.items():
+                _add_monomial(acc, k, Monomial(-mm.coeff, mm.even, mm.odd) if odd else mm)
+        yield v, Expr(acc) if acc else Expr.zero()
 
 
 def _horner(terms: dict, n: int) -> Expr:
@@ -422,7 +473,14 @@ def collapse(e: Expr) -> Expr:
     innermost first; the result carries no Attach atoms.
 
     Each monomial's product is built as raw factor lists, the Attach factors
-    expanded in place, and normalised once."""
+    expanded in place, and normalised once.  Each distinct Attach atom,
+    nested ones included, is expanded once per call."""
+    return _collapse(e, {})
+
+
+def _collapse(e: Expr, memo: dict) -> Expr:
+    """``collapse`` with ``memo`` mapping each Attach atom already expanded
+    to its raw branches ``(coefficient, factors)``."""
     if not e.has_attach():
         return e
     acc = {}
@@ -432,7 +490,9 @@ def collapse(e: Expr) -> Expr:
             if not isinstance(a, Attach):
                 raw = [(c, fs + ((a, k),)) for c, fs in raw]
                 continue
-            branches = [(dm.coeff, dm.factors()) for dm in _collapse_attach(a).monomials()]
+            branches = memo.get(a)
+            if branches is None:
+                branches = memo[a] = _collapse_attach(a, memo)
             for _ in range(k):
                 raw = [(c * dc, fs + d) for c, fs in raw for dc, d in branches]
             if not raw:
@@ -442,14 +502,14 @@ def collapse(e: Expr) -> Expr:
     return Expr(acc) if acc else Expr.zero()
 
 
-def _collapse_attach(a: Attach) -> Expr:
-    h = collapse(a.inner)
+def _collapse_attach(a: Attach, memo: dict) -> tuple:
+    h = _collapse(a.inner, memo)
     total = None
     for _, idx in a.pending:
         total = idx if total is None else idx_add(total, idx)
     if total is not None:
         h = total_derivative_multi(h, total)
-    return h
+    return tuple((dm.coeff, dm.factors()) for dm in h.monomials())
 
 
 # ---------------------------------------------------------------------------

@@ -165,3 +165,10 @@ def test_bvcalc_seed_env(model_file, monkeypatch, capsys):
     from bvcalc.cli import build_parser
     args = build_parser().parse_args(["check", "skew", "--cases", "1"])
     assert args.seed == 21
+
+
+def test_invalid_bvcalc_seed_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("BVCALC_SEED", "abc")
+    assert main(["check", "skew", "--cases", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert not out and "invalid BVCALC_SEED 'abc'" in err

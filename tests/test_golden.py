@@ -1,0 +1,80 @@
+"""Golden-output regression test.
+
+One SHA-256 over the canonical keys of a fixed set of results: su(2)
+Yang-Mills at n=2 (Delta S, the collapsed [[S,S]], its Euler images and its
+triviality image), [[S,X]] for three nested-bracket observables, and the
+Schouten bracket and BV-Laplacian of seeded two-field functionals on a
+two-dimensional base in both modes.  Channel labels come from a
+process-global counter, so every result is canonicalised before hashing and
+the digest does not depend on which tests ran earlier.
+
+A change that is meant to keep every output unchanged (a performance change)
+must keep this digest.  A change that alters outputs on purpose updates
+``GOLDEN`` and says why.
+"""
+
+import hashlib
+
+from bvcalc import BvModel
+from bvcalc.bv import GEOMETRIC, NAIVE, laplacian, schouten
+from bvcalc.cohomology import _triviality_image
+from bvcalc.jetcalc import euler
+from bvcalc.models import LieAlgebraData, build_yang_mills_bv, random_functional
+
+from util_random import nested_brackets
+
+GOLDEN = "34339d76286e741921d2fff6a2c2b9e98f4560a4b1f9e0d62dc3f4420d19bbc6"
+
+
+def _functional_key(F):
+    F = F.canonicalize()
+    return sorted((tuple(b.key() for b in blocks), c.key()) for blocks, c in F.terms.items())
+
+
+def _image_key(img):
+    return sorted((k, c.key()) for k, c in img.items())
+
+
+def _images(name, model, F):
+    """Left and right Euler images and the triviality image of each block."""
+    for b in F.collapse().blocks():
+        for field, dagger in model.variables():
+            for side in ("left", "right"):
+                e = euler(model, b, field, dagger, side)
+                yield f"{name} E_{side} {field},{dagger}", e.key()
+        yield f"{name} triviality image", _image_key(_triviality_image(model, b))
+
+
+def _golden_items():
+    model, S = build_yang_mills_bv(LieAlgebraData.su2(), 2)
+    yield "ym Delta S", _functional_key(laplacian(S))
+    ss = schouten(S, S).collapse()
+    yield "ym [[S,S]] collapsed", _functional_key(ss)
+    yield from _images("ym [[S,S]]", model, ss)
+    yield from _images("ym S", model, S)
+
+    for seed in (20240808, 20240810, 20240811):
+        _, S1, X = nested_brackets(2, seed)
+        yield f"nested [[S,X]] {seed}", _functional_key(schouten(S1, X))
+
+    plane = BvModel(2, [("u", 0), ("c", 1)])
+    for seed in range(3):
+        F = random_functional(plane, 2, 3, 0, 100 + seed)
+        G = random_functional(plane, 2, 3, 1, 200 + seed)
+        for mode in (GEOMETRIC, NAIVE):
+            FG = schouten(F, G, mode)
+            yield f"plane [[F,G]] {seed} {mode}", _functional_key(FG)
+            yield from _images(f"plane [[F,G]] {seed} {mode}", plane, FG)
+            yield f"plane Delta F {seed} {mode}", _functional_key(laplacian(F, mode))
+            yield f"plane Delta G {seed} {mode}", _functional_key(laplacian(G, mode))
+
+
+def golden_digest() -> str:
+    h = hashlib.sha256()
+    for name, key in _golden_items():
+        h.update(f"{name}: {key!r}\n".encode())
+    return h.hexdigest()
+
+
+def test_golden_outputs():
+    assert golden_digest() == GOLDEN

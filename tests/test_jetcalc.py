@@ -22,6 +22,7 @@ from bvcalc.jetcalc import (
     euler_channelled,
     euler_left,
     euler_right,
+    eulers,
     fresh_label,
     iterated_variation_geometric,
     iterated_variation_naive,
@@ -320,6 +321,47 @@ def test_euler_operators_group_the_per_index_partials(model):
             assert euler_channelled(model, e, name, dagger, 1000) == channelled
 
 
+def _euler_reference(model, e, name, dagger, side, label):
+    """sum_sigma (-D)^sigma d/dq_sigma on ``side``, one monomial at a time
+    from partial_left: expanded without a label, channelled with one; the
+    right side is (-1)^(p_v (p_m - 1)) times the left on each monomial m."""
+    out = Expr.zero()
+    for k, mono in e.terms.items():
+        one = Expr({k: mono})
+        flip = side == "right" and model.parity(name, dagger) and not len(mono.odd) & 1
+        for sigma in _occurring_indices(one, name, dagger):
+            v = model.jet_atom(name, sigma, dagger)
+            if label is None:
+                d = total_derivative_multi(partial_left(one, v), sigma)
+            else:
+                d = _channelled_partial(one, v, label)
+            out = out + d.scale((-1) ** (sum(sigma) + flip))
+    return out
+
+
+@pytest.mark.parametrize("model", [ghost_model(), plane_model()], ids=["ghost", "plane"])
+def test_eulers_are_the_per_variable_euler_operators(model):
+    # one walk serves every variable: each image equals its definition, on
+    # both sides, with no labels, one label per conjugate pair, or a mix
+    variables = list(model.variables())
+    pair_label = {v: 1000 + j for j, pair in enumerate(model.pairs()) for v in pair}
+    label_maps = [
+        dict.fromkeys(variables),
+        {v: pair_label[v] for v in variables},
+        {v: pair_label[v] if j % 2 else None for j, v in enumerate(variables)},
+    ]
+    rng = random.Random(30)
+    for _ in range(25):
+        e = _random_wrapped(model, rng)
+        for labels in label_maps:
+            for side in ("left", "right"):
+                images = eulers(model, e, labels, side)
+                assert list(images) == variables
+                for (name, dagger), label in labels.items():
+                    expected = _euler_reference(model, e, name, dagger, side, label)
+                    assert images[name, dagger] == expected
+
+
 # -- channelled operators ---------------------------------------------------
 
 def test_euler_channelled_examples(m):
@@ -404,6 +446,58 @@ def test_collapse_agrees_with_the_product_of_collapsed_factors(model):
         assert collapse(e).key() == _reference_collapse(e).key()
         assert collapse(nested).key() == _reference_collapse(nested).key()
     assert squared >= 10
+
+
+def _attach_atoms(e, found):
+    """Every distinct Attach atom of ``e``, nested ones included."""
+    for a in e.atoms():
+        if isinstance(a, Attach) and a not in found:
+            found.add(a)
+            _attach_atoms(a.inner, found)
+    return found
+
+
+@pytest.mark.parametrize("model", [ghost_model(), BvModel(2, [("q", 0), ("c", 1)])],
+                         ids=["ghost", "plane"])
+def test_collapse_expands_each_distinct_block_once(model, monkeypatch):
+    # a few blocks (even and odd, nested, with exponents up to 3) shared by
+    # many monomials with different coefficients: collapse expands each
+    # distinct block once per call, and agrees with collapsing the monomials
+    # one at a time (each call with a fresh memo)
+    from bvcalc import jetcalc
+
+    rng = random.Random(31)
+    n = model.base_dim
+    dx = (1,) + (0,) * (n - 1)
+    q, c = model.jet("q"), model.jet("c")
+    inner = make_attach(((60, dx),), q * model.jet("q", dx))
+    even = make_attach(((61, dx),), inner * q)
+    odd = make_attach(((62, dx),), inner * c)
+    bare_odd = make_attach(((63, dx),), c * q)
+    e = Expr.zero()
+    for _ in range(30):
+        term = random_monomial(model, rng, degree=1, with_trig=False)
+        term = term * even ** rng.randint(1, 3)
+        term = term * rng.choice((Expr.scalar(1), odd, bare_odd, inner ** 2))
+        e = e + term
+    assert len(e.terms) >= 10
+
+    calls = []
+    expand = jetcalc._collapse_attach
+
+    def counted(a, memo):
+        calls.append(a)
+        return expand(a, memo)
+
+    monkeypatch.setattr(jetcalc, "_collapse_attach", counted)
+    whole = collapse(e)
+    assert sorted(calls, key=lambda a: a.key) == sorted(_attach_atoms(e, set()),
+                                                        key=lambda a: a.key)
+    one_at_a_time = Expr.zero()
+    for k, mono in e.terms.items():
+        one_at_a_time = one_at_a_time + collapse(Expr({k: mono}))
+    assert whole.key() == one_at_a_time.key()
+    assert whole.key() == _reference_collapse(e).key()
 
 
 def test_collapse_of_channelled_euler_is_plain_euler():
