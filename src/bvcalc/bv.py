@@ -13,10 +13,15 @@ Schouten-surgery terms carry +1 and -1 respectively.  In the bracket the
 first argument is differentiated from the right, the second from the left,
 the antifield derivative acting on the second argument in the + term; the
 Laplacian applies the antifield partial first, then the field partial.
+
+Every identity that ``bvcalc check`` decides is written once, in
+``IDENTITIES``; ``check_identity`` decides one on given arguments, and the
+``check_*`` functions are that routine on fixed entries.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import List
 
@@ -162,11 +167,130 @@ def _laplace_blocks(model, blocks: tuple, mode: str) -> Functional:
 # ---------------------------------------------------------------------------
 # quantum layer
 
+_MINUS_I_HBAR = -(Coefficient.imag_unit() * Coefficient.hbar())
+_HALF = Coefficient.of(1) / Coefficient.of(2)
+
 
 def omega(O: Functional, S: Functional, mode: str = GEOMETRIC) -> Functional:
     """Omega(O) = -i*hbar*Delta(O) + [[S, O]]."""
-    minus_i_hbar = -(Coefficient.imag_unit() * Coefficient.hbar())
-    return laplacian(O, mode).scale(minus_i_hbar) + schouten(S, O, mode)
+    return laplacian(O, mode).scale(_MINUS_I_HBAR) + schouten(S, O, mode)
+
+
+def _qme(delta: Functional, bracket: Functional) -> Functional:
+    """-i*hbar*Delta(S) + 1/2 [[S,S]], from Delta(S) and [[S,S]]."""
+    return delta.scale(_MINUS_I_HBAR) + bracket.scale(_HALF)
+
+
+# ---------------------------------------------------------------------------
+# the identities: each builder returns the (lhs, rhs) pairs it equates
+
+
+def _sign(exponent: int) -> int:
+    return -1 if exponent & 1 else 1
+
+
+def _leibniz_1a(F, G, H, mode):
+    """(1a) [[F, G*H]] = [[F,G]]*H + (-1)^((gh F - 1) gh G) G*[[F,H]]."""
+    sign = _sign((F.parity() - 1) * G.parity())
+    return [(schouten(F, G * H, mode),
+             schouten(F, G, mode) * H + (G * schouten(F, H, mode)).scale(sign))]
+
+
+def _laplacian_1b(F, G, mode):
+    """(1b) Delta(F*G) = Delta(F)*G + (-1)^gh(F) [[F,G]] + (-1)^gh(F) F*Delta(G)."""
+    sign = _sign(F.parity())
+    return [(laplacian(F * G, mode), laplacian(F, mode) * G
+             + (schouten(F, G, mode) + F * laplacian(G, mode)).scale(sign))]
+
+
+def _derivation_1c(F, G, mode):
+    """(1c) Delta[[F,G]] = [[Delta F, G]] + (-1)^(gh F - 1) [[F, Delta G]]."""
+    sign = _sign(F.parity() - 1)
+    return [(laplacian(schouten(F, G, mode), mode), schouten(laplacian(F, mode), G, mode)
+             + schouten(F, laplacian(G, mode), mode).scale(sign))]
+
+
+def _delta_squared_1d(F, mode):
+    """(1d) Delta^2 = 0."""
+    return [(laplacian(laplacian(F, mode), mode), Functional.zero(F.model))]
+
+
+def _jacobi(F, G, H, mode):
+    """(1d) Jacobi: the cyclic sum of (-1)^((gh F-1)(gh H-1)) [[F,[[G,H]]]] is 0."""
+    pF, pG, pH = F.parity(), G.parity(), H.parity()
+    cyclic = (schouten(F, schouten(G, H, mode), mode).scale(_sign((pF - 1) * (pH - 1)))
+              + schouten(G, schouten(H, F, mode), mode).scale(_sign((pF - 1) * (pG - 1)))
+              + schouten(H, schouten(F, G, mode), mode).scale(_sign((pG - 1) * (pH - 1))))
+    return [(cyclic, Functional.zero(F.model))]
+
+
+def _skew(F, G, mode):
+    """[[F, G]] = -(-1)^((gh F - 1)(gh G - 1)) [[G, F]]."""
+    sign = _sign((F.parity() - 1) * (G.parity() - 1))
+    return [(schouten(F, G, mode), schouten(G, F, mode).scale(-sign))]
+
+
+def _powers(F, G, mode, schouten_powers=(1, 2, 3, 4), laplacian_powers=(2, 3, 4)):
+    """For even F: [[G, F^n]] = n [[G,F]] F^(n-1) (n >= 1) and
+    Delta(F^n) = n Delta(F) F^(n-1) + n(n-1)/2 [[F,F]] F^(n-2) (n >= 2)."""
+    if any(n < 1 for n in schouten_powers) or any(n < 2 for n in laplacian_powers):
+        raise ValueError("n must be >= 1 in [[G, F^n]] and >= 2 in Delta(F^n)")
+    pairs = [(schouten(G, F ** n, mode), (schouten(G, F, mode) * F ** (n - 1)).scale(n))
+             for n in schouten_powers]
+    pairs += [(laplacian(F ** n, mode), (laplacian(F, mode) * F ** (n - 1)).scale(n)
+               + (schouten(F, F, mode) * F ** (n - 2)).scale(_HALF * (n * (n - 1))))
+              for n in laplacian_powers]
+    return pairs
+
+
+def _omega_squared(O, S, mode):
+    """(Omega)^2(O) = [[Q, O]] for Q = -i*hbar*Delta S + 1/2 [[S,S]]; and, when
+    every Euler operator of the collapsed Q_c vanishes, [[Q_c, O]] ~ 0 (the
+    collapse fixes the generating section of the field that [[Q, .]] induces)."""
+    omega2 = omega(omega(O, S, mode), S, mode)
+    Q = _qme(laplacian(S, mode), schouten(S, S, mode))
+    pairs = [(omega2, schouten(Q, O, mode))]
+    Qc = Q.collapse()
+    if all(euler_operators_vanish(S.model, b) for b in Qc.blocks()):
+        pairs.append((schouten(Qc, O, mode), Functional.zero(S.model)))
+    return pairs
+
+
+def _gauge_closure(F1, F2, S, mode):
+    """-i*hbar*([[Delta F1, F2]] + [[F1, Delta F2]]) + [[[[S,F1]],F2]]
+    - [[[[S,F2]],F1]] = Omega([[F1, F2]]): gauge symmetries close."""
+    lhs = ((schouten(laplacian(F1, mode), F2, mode)
+            + schouten(F1, laplacian(F2, mode), mode)).scale(_MINUS_I_HBAR)
+           + schouten(schouten(S, F1, mode), F2, mode)
+           - schouten(schouten(S, F2, mode), F1, mode))
+    return [(lhs, omega(schouten(F1, F2, mode), S, mode))]
+
+
+def _cocycles(S, O, F, xi, mode):
+    """Omega([[X,F]]) + [[Omega(F), X]] = [[Omega(X), F]] for an even cocycle
+    X = O and an odd coboundary X = xi; a None argument is left out."""
+    return [(omega(schouten(X, F, mode), S, mode) + schouten(omega(F, S, mode), X, mode),
+             schouten(omega(X, S, mode), F, mode)) for X in (O, xi) if X is not None]
+
+
+# One entry per check suite: the parity each argument must have (None:
+# either), the builder of its (lhs, rhs) pairs, the comparison that decides
+# the verdict, and the comparisons a passing verdict also records.
+Identity = namedtuple("Identity", "name parities build compare records", defaults=((),))
+
+IDENTITIES = {e.name: e for e in (
+    Identity("leibniz-1a", (None, None, None), _leibniz_1a, "structural"),
+    Identity("laplacian-1b", (None, None), _laplacian_1b, "structural"),
+    Identity("derivation-1c", (None, None), _derivation_1c, "collapse",
+             ("structural", "collapse")),
+    Identity("delta-squared-1d", (None,), _delta_squared_1d, "collapse", ("structural",)),
+    Identity("jacobi", (None, None, None), _jacobi, "collapse"),
+    Identity("skew", (None, None), _skew, "structural"),
+    Identity("powers", (0, None), _powers, "structural"),
+    Identity("omega", (None, 0), _omega_squared, "collapse"),
+    Identity("gauge-closure", (1, 1, None), _gauge_closure, "collapse"),
+    Identity("cocycles", (None, 0, 1, 1), _cocycles, "collapse"),
+)}
 
 
 # ---------------------------------------------------------------------------
@@ -183,31 +307,39 @@ class Report:
     def __bool__(self):
         return self.passed
 
-    def render(self) -> str:
-        head = f"[{'PASS' if self.passed else 'FAIL'}] {self.name}"
-        return "\n".join([head] + [f"  {line}" for line in self.lines])
 
-
-def _equiv_mod_collapse(F: Functional, G: Functional) -> bool:
-    return functional_equal(F, G, mode="collapse")
-
-
-def _trivial_functional(F: Functional) -> bool:
-    return functional_equal(F, Functional.zero(F.model), mode="collapse")
+def check_identity(name: str, args, mode: str = GEOMETRIC, **options) -> Report:
+    """Decide ``IDENTITIES[name]`` on ``args`` (None for an argument the
+    builder may leave out; ``options`` go to the builder).  Every pair is
+    compared in order: ``data["agreed"]`` lists the outcomes, and
+    ``data["discrepancy"]`` is the collapsed lhs - rhs of the first that fails."""
+    entry = IDENTITIES[name]
+    for i, (X, parity) in enumerate(zip(args, entry.parities), 1):
+        if parity is not None and X is not None and not X.is_zero() and X.parity() != parity:
+            raise ParityError(f"{name}: argument {i} must be {('even', 'odd')[parity]}")
+    pairs = entry.build(*args, mode, **options)
+    agreed = [functional_equal(lhs, rhs, entry.compare) for lhs, rhs in pairs]
+    passed = all(agreed)
+    data = {"agreed": agreed}
+    if not passed:
+        lhs, rhs = pairs[agreed.index(False)]
+        data["discrepancy"] = (lhs - rhs).collapse()
+    for how in entry.records:
+        data[how] = passed and (how == entry.compare or all(
+            functional_equal(lhs, rhs, how) for lhs, rhs in pairs))
+    return Report(name, passed, [], data)
 
 
 def check_master_equation(S: Functional, mode: str = GEOMETRIC) -> Report:
     """Evaluate both sides of the quantum master-equation
-    i*hbar*Delta(S) = 1/2 [[S, S]] and report the obstruction."""
-    model = S.model
-    i_hbar = Coefficient.imag_unit() * Coefficient.hbar()
-    half = Coefficient.of(1) / Coefficient.of(2)
+    i*hbar*Delta(S) = 1/2 [[S, S]] and report the obstruction; ``data`` also
+    holds the collapsed [[S, S]]."""
     # collapse is linear, so the obstruction is formed from the collapsed
     # pieces that the summary lines print
     delta_c = laplacian(S, mode).collapse()
     bracket_c = schouten(S, S, mode).collapse()
-    obstruction = delta_c.scale(i_hbar) - bracket_c.scale(half)
-    passed = functional_equal(obstruction, Functional.zero(model), mode="collapse")
+    obstruction = -_qme(delta_c, bracket_c)
+    passed = functional_equal(obstruction, Functional.zero(S.model), mode="collapse")
     lines = [
         f"Delta(S) collapsed: {_summarize(delta_c)}",
         f"[[S,S]] collapsed:  {_summarize(bracket_c)}",
@@ -215,7 +347,7 @@ def check_master_equation(S: Functional, mode: str = GEOMETRIC) -> Report:
         f"{'0' if passed else _summarize(obstruction)}",
     ]
     return Report("quantum master-equation", passed, lines,
-                  {"obstruction": obstruction})
+                  {"obstruction": obstruction, "bracket": bracket_c})
 
 
 def _summarize(F: Functional, limit: int = 400) -> str:
@@ -227,115 +359,41 @@ def _summarize(F: Functional, limit: int = 400) -> str:
 
 
 def check_omega_squared(O: Functional, S: Functional, mode: str = GEOMETRIC) -> Report:
-    """Check (Omega)^2(O) against its reduced form [[-i*hbar*Delta S
-    + 1/2 [[S,S]], O]], and against zero when the master-equation obstruction
-    has vanishing Euler operators.
-
-    The reduced form keeps the obstruction as a structured object; its final
-    evaluation replaces the bracket co-multiple by the generating section of
-    the induced evolutionary field, i.e. by the obstruction's collapsed
-    density.  When every Euler operator of that density vanishes the
-    transitioned (Omega)^2(O) is cohomologically trivial."""
-    if not S.is_zero() and S.parity() != 0:
-        raise ParityError("Omega requires an even action functional")
-    model = S.model
-    omega2 = omega(omega(O, S, mode), S, mode)
-    minus_i_hbar = -(Coefficient.imag_unit() * Coefficient.hbar())
-    half = Coefficient.of(1) / Coefficient.of(2)
-    qme = laplacian(S, mode).scale(minus_i_hbar) + schouten(S, S, mode).scale(half)
-    reduced = schouten(qme, O, mode)
-    agrees = _equiv_mod_collapse(omega2, reduced)
-
-    # the evolutionary-field transition: fix the co-multiple's generating
-    # section by collapsing the obstruction before the final bracket
-    qme_c = qme.collapse()
-    obstruction_inert = all(euler_operators_vanish(model, b) for b in qme_c.blocks())
-    transitioned = schouten(qme_c, O, mode)
-    omega2_zero = _trivial_functional(transitioned) if obstruction_inert else None
-
-    passed = agrees and (omega2_zero is not False)
-    lines = [
-        f"(Omega)^2(O) ~ [[-i hbar Delta S + 1/2 [[S,S]], O]]: {agrees}",
-        f"QME obstruction has vanishing Euler operators: {obstruction_inert}",
-    ]
-    if omega2_zero is not None:
-        lines.append(f"(Omega)^2(O) ~ 0 after the generating-section transition: "
-                     f"{omega2_zero}")
-    return Report("(Omega)^2 consistency", passed, lines,
-                  {"agrees": agrees, "omega2_zero": omega2_zero})
+    """The ``omega`` identity for an even S, with its steps as report lines."""
+    rep = check_identity("omega", (O, S), mode)
+    agrees, *zero = rep.data["agreed"]
+    rep.lines = [f"(Omega)^2(O) ~ [[-i hbar Delta S + 1/2 [[S,S]], O]]: {agrees}",
+                 f"QME obstruction has vanishing Euler operators: {bool(zero)}"]
+    rep.lines += [f"(Omega)^2(O) ~ 0 after the generating-section transition: {z}"
+                  for z in zero]
+    rep.data.update(agrees=agrees, omega2_zero=zero[0] if zero else None)
+    return rep
 
 
 def check_gauge_closure(F1: Functional, F2: Functional, S: Functional,
                         mode: str = GEOMETRIC) -> Report:
-    """Closure of infinitesimal gauge symmetries:
-    -i*hbar*([[Delta F1, F2]] + [[F1, Delta F2]])
-      + [[[[S,F1]],F2]] - [[[[S,F2]],F1]]  =  Omega([[F1, F2]])."""
-    for gen in (F1, F2):
-        if not gen.is_zero() and gen.parity() != 1:
-            raise ParityError("gauge symmetry generators must be odd")
-    minus_i_hbar = -(Coefficient.imag_unit() * Coefficient.hbar())
-    lhs = (
-        (schouten(laplacian(F1, mode), F2, mode)
-         + schouten(F1, laplacian(F2, mode), mode)).scale(minus_i_hbar)
-        + schouten(schouten(S, F1, mode), F2, mode)
-        - schouten(schouten(S, F2, mode), F1, mode)
-    )
-    rhs = omega(schouten(F1, F2, mode), S, mode)
-    passed = _equiv_mod_collapse(lhs, rhs)
-    return Report("gauge-symmetry closure", passed,
-                  [f"commutator = Omega([[F1,F2]]) mod collapse+cohomology: {passed}"])
+    """The ``gauge-closure`` identity for odd generators F1, F2."""
+    return check_identity("gauge-closure", (F1, F2, S), mode)
 
 
 def check_cocycle_preservation(O: Functional, F: Functional, S: Functional,
                                mode: str = GEOMETRIC) -> Report:
-    """Omega([[O,F]]) + [[Omega(F), O]] = [[Omega(O), F]] for even O, odd F."""
-    if not O.is_zero() and O.parity() != 0:
-        raise ParityError("cocycle preservation needs an even observable")
-    if not F.is_zero() and F.parity() != 1:
-        raise ParityError("cocycle preservation needs an odd generator")
-    lhs = omega(schouten(O, F, mode), S, mode) + schouten(omega(F, S, mode), O, mode)
-    rhs = schouten(omega(O, S, mode), F, mode)
-    passed = _equiv_mod_collapse(lhs, rhs)
-    return Report("cocycle preservation", passed,
-                  [f"Omega([[O,F]]) + [[Omega(F),O]] ~ [[Omega(O),F]]: {passed}"])
+    """The ``cocycles`` identity for an even observable O and an odd F."""
+    return check_identity("cocycles", (S, O, F, None), mode)
 
 
 def check_coboundary_preservation(xi: Functional, F: Functional, S: Functional,
                                   mode: str = GEOMETRIC) -> Report:
-    """Omega([[xi,F]]) + [[Omega(F), xi]] = [[Omega(xi), F]] for odd xi, F."""
-    for gen in (xi, F):
-        if not gen.is_zero() and gen.parity() != 1:
-            raise ParityError("coboundary preservation needs odd xi and odd F")
-    lhs = omega(schouten(xi, F, mode), S, mode) + schouten(omega(F, S, mode), xi, mode)
-    rhs = schouten(omega(xi, S, mode), F, mode)
-    passed = _equiv_mod_collapse(lhs, rhs)
-    return Report("coboundary preservation", passed,
-                  [f"Omega([[xi,F]]) + [[Omega(F),xi]] ~ [[Omega(xi),F]]: {passed}"])
+    """The ``cocycles`` identity for an odd xi and an odd F."""
+    return check_identity("cocycles", (S, None, F, xi), mode)
 
 
 def check_schouten_power(G: Functional, F: Functional, n: int,
                          mode: str = GEOMETRIC) -> Report:
-    """[[G, F^n]] = n [[G, F]] F^(n-1) for an even integral block F."""
-    if not F.is_zero() and F.parity() != 0:
-        raise ParityError("power lemma requires an even functional")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    lhs = schouten(G, F ** n, mode)
-    rhs = (schouten(G, F, mode) * F ** (n - 1)).scale(n)
-    passed = functional_equal(lhs, rhs, mode="structural")
-    return Report(f"[[G,F^{n}]] = {n}[[G,F]]F^{n - 1}", passed, [])
+    """The bracket half of the ``powers`` identity at one n >= 1, for an even F."""
+    return check_identity("powers", (F, G), mode, schouten_powers=(n,), laplacian_powers=())
 
 
 def check_laplacian_power(F: Functional, n: int, mode: str = GEOMETRIC) -> Report:
-    """Delta(F^n) = n Delta(F) F^(n-1) + n(n-1)/2 [[F,F]] F^(n-2)."""
-    if not F.is_zero() and F.parity() != 0:
-        raise ParityError("power lemma requires an even functional")
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    lhs = laplacian(F ** n, mode)
-    half_count = Coefficient.of(n * (n - 1)) / Coefficient.of(2)
-    rhs = (laplacian(F, mode) * F ** (n - 1)).scale(n) + (
-        schouten(F, F, mode) * F ** (n - 2)
-    ).scale(half_count)
-    passed = functional_equal(lhs, rhs, mode="structural")
-    return Report(f"Delta(F^{n}) power rule", passed, [])
+    """The Laplacian half of the ``powers`` identity at one n >= 2, for an even F."""
+    return check_identity("powers", (F, None), mode, schouten_powers=(), laplacian_powers=(n,))

@@ -14,19 +14,14 @@ import sys
 import time
 from fractions import Fraction
 
-from .algebra import Expr
 from .cohomology import Functional, euler_operators_vanish, functional_equal
 from .jetcalc import BvModel, euler, euler_left
 from .bv import (
     GEOMETRIC,
+    IDENTITIES,
     NAIVE,
-    check_coboundary_preservation,
-    check_cocycle_preservation,
-    check_gauge_closure,
-    check_laplacian_power,
+    check_identity,
     check_master_equation,
-    check_omega_squared,
-    check_schouten_power,
     laplacian,
     schouten,
 )
@@ -39,18 +34,7 @@ from .models import (
 )
 from .oracle import FrequencyError, GrassmannNumber, SectionSpec, evaluate
 
-SUITES = (
-    "leibniz-1a",
-    "laplacian-1b",
-    "derivation-1c",
-    "delta-squared-1d",
-    "jacobi",
-    "skew",
-    "powers",
-    "omega",
-    "gauge-closure",
-    "cocycles",
-)
+SUITES = tuple(IDENTITIES)
 
 SCHEMA_VERSION = 1
 
@@ -80,14 +64,6 @@ def _load_model(path: str):
         raise SystemExit(2)
 
 
-def _parse(text: str, model) -> Expr:
-    try:
-        return parse_expr(text, model)
-    except ParseError as exc:
-        print(f"bvcalc: {exc}", file=sys.stderr)
-        raise SystemExit(2)
-
-
 def _print_functional(F: Functional, do_collapse: bool):
     F = F.collapse() if do_collapse else F.canonicalize()
     if F.is_zero():
@@ -105,7 +81,7 @@ def _print_functional(F: Functional, do_collapse: bool):
 
 def cmd_euler(args) -> int:
     model, _ = _load_model(args.model)
-    e = _parse(args.expr, model)
+    e = parse_expr(args.expr, model)
     result = euler(model, e, args.field, args.dagger, side=args.side)
     print(format_expr(result))
     return 0
@@ -113,8 +89,8 @@ def cmd_euler(args) -> int:
 
 def cmd_schouten(args) -> int:
     model, _ = _load_model(args.model)
-    f = _parse(args.f, model)
-    g = _parse(args.g, model)
+    f = parse_expr(args.f, model)
+    g = parse_expr(args.g, model)
     F = Functional.from_density(model, f)
     G = Functional.from_density(model, g)
     _print_functional(schouten(F, G, args.mode), args.collapse)
@@ -123,7 +99,7 @@ def cmd_schouten(args) -> int:
 
 def cmd_laplacian(args) -> int:
     model, _ = _load_model(args.model)
-    e = _parse(args.expr, model)
+    e = parse_expr(args.expr, model)
     F = Functional.from_density(model, e)
     _print_functional(laplacian(F, args.mode), args.collapse)
     return 0
@@ -131,7 +107,7 @@ def cmd_laplacian(args) -> int:
 
 def cmd_evaluate(args) -> int:
     model, sections = _load_model(args.model)
-    e = _parse(args.expr, model)
+    e = parse_expr(args.expr, model)
     if args.section not in sections:
         print(f"bvcalc: no section {args.section!r} in model file", file=sys.stderr)
         return 2
@@ -191,134 +167,67 @@ def _parse_trig_poly(model, text: str):
 # ---------------------------------------------------------------------------
 # identity suites
 
+COIN = "coin"  # a parity drawn by random.Random(cs).randint(0, 1)
 
-def _suite_model() -> BvModel:
-    return BvModel(1, [("q", 0)])
+# The inputs of each suite's case cs, in the order they are drawn: a random
+# functional (parity, seed offset k) is drawn at seed cs + k, with the number
+# of blocks drawn from a tuple by random.Random(cs).choice when one follows;
+# a string is the density of a fixed functional.
+SCHEDULES = {
+    "leibniz-1a": ((COIN, 1), (COIN, 2), (COIN, 3)),
+    "laplacian-1b": ((COIN, 1), (COIN, 2)),
+    "derivation-1c": ((COIN, 1), (COIN, 2)),
+    "delta-squared-1d": ((COIN, 1, (1, 2)),),
+    "jacobi": ((COIN, 1), (COIN, 2), (COIN, 3)),
+    "skew": ((COIN, 1), (COIN, 2)),
+    "powers": ((0, 1), (COIN, 2)),
+    "omega": ((0, 1), (0, 2)),
+    "gauge-closure": ((1, 1), (1, 2), "dag(q)*q"),
+    "cocycles": ((0, 4), (0, 1), (1, 2), (1, 3)),
+}
 
 
-def _case_result(index, seed, passed, extra=None):
-    out = {"case": index, "seed": seed, "passed": bool(passed)}
-    if extra:
-        out.update(extra)
-    return out
+def _draw(schedule, model, cs: int, max_order: int) -> list:
+    r = random.Random(cs)
+    args = []
+    for item in schedule:
+        if isinstance(item, str):
+            args.append(Functional.from_density(model, parse_expr(item, model)))
+        else:
+            parity, offset, *blocks = item
+            parity = r.randint(0, 1) if parity == COIN else parity
+            args.append(random_functional(model, max_order, 3, parity, cs + offset,
+                                          n_blocks=r.choice(blocks[0]) if blocks else 1))
+    return args
 
 
 def run_suite(suite: str, cases: int, seed: int, max_order: int,
               mode: str = GEOMETRIC, scalar_pair: bool = False):
     """Run one named identity suite; returns (passed, result dicts)."""
-    model = _suite_model()
+    if suite not in IDENTITIES:
+        raise ValueError(f"unknown suite {suite!r}")
+    if cases < 1:
+        raise ValueError(f"--cases must be at least 1, got {cases}")
+    if scalar_pair and suite != "derivation-1c":
+        raise ValueError(f"--scalar-pair applies only to derivation-1c, not {suite}")
+    model = BvModel(1, [("q", 0)])
     results = []
-
-    def rf(parity, case_seed, blocks=1):
-        return random_functional(model, max_order, 3, parity, case_seed,
-                                 n_blocks=blocks)
-
-    if suite == "derivation-1c" and scalar_pair:
-        smodel, F, G = build_scalar_example()
-        res = _check_1c(smodel, F, G, mode)
-        results.append(_case_result(0, seed, res["collapse"], res))
-        return all(r["passed"] for r in results), results
-
-    for i in range(cases):
-        cs = seed * 10_000 + i
-        r = random.Random(cs)
-        if suite == "skew":
-            F = rf(r.randint(0, 1), cs + 1)
-            G = rf(r.randint(0, 1), cs + 2)
-            e = ((F.parity() - 1) * (G.parity() - 1)) & 1
-            s, t = schouten(F, G, mode), schouten(G, F, mode)
-            tot = s + (t if e == 0 else -t)
-            ok = functional_equal(tot, Functional.zero(model), "structural")
-            results.append(_case_result(i, cs, ok))
-        elif suite == "leibniz-1a":
-            F, G, H = rf(r.randint(0, 1), cs + 1), rf(r.randint(0, 1), cs + 2), rf(r.randint(0, 1), cs + 3)
-            pF, pG = F.parity(), G.parity()
-            lhs = schouten(F, G * H, mode)
-            rhs = schouten(F, G, mode) * H + (G * schouten(F, H, mode)).scale(
-                (-1) ** (((pF - 1) * pG) & 1))
-            ok = functional_equal(lhs, rhs, "structural")
-            results.append(_case_result(i, cs, ok))
-        elif suite == "laplacian-1b":
-            F, G = rf(r.randint(0, 1), cs + 1), rf(r.randint(0, 1), cs + 2)
-            pF = F.parity()
-            lhs = laplacian(F * G, mode)
-            sgn = (-1) ** (pF & 1)
-            rhs = laplacian(F, mode) * G + schouten(F, G, mode).scale(sgn) + (
-                F * laplacian(G, mode)).scale(sgn)
-            ok = functional_equal(lhs, rhs, "structural")
-            results.append(_case_result(i, cs, ok))
-        elif suite == "derivation-1c":
-            F, G = rf(r.randint(0, 1), cs + 1), rf(r.randint(0, 1), cs + 2)
-            res = _check_1c(model, F, G, mode)
-            results.append(_case_result(i, cs, res["collapse"], res))
-        elif suite == "delta-squared-1d":
-            F = rf(r.randint(0, 1), cs + 1, blocks=r.choice((1, 2)))
-            d2 = laplacian(laplacian(F, mode), mode)
-            ok = functional_equal(d2, Functional.zero(model), "collapse")
-            structural = ok and functional_equal(
-                d2, Functional.zero(model), "structural")
-            results.append(_case_result(i, cs, ok, {"structural": structural}))
-        elif suite == "jacobi":
-            F, G, H = rf(r.randint(0, 1), cs + 1), rf(r.randint(0, 1), cs + 2), rf(r.randint(0, 1), cs + 3)
-            pF, pG, pH = F.parity(), G.parity(), H.parity()
-            j = (schouten(F, schouten(G, H, mode), mode).scale((-1) ** (((pF - 1) * (pH - 1)) & 1))
-                 + schouten(G, schouten(H, F, mode), mode).scale((-1) ** (((pF - 1) * (pG - 1)) & 1))
-                 + schouten(H, schouten(F, G, mode), mode).scale((-1) ** (((pG - 1) * (pH - 1)) & 1)))
-            ok = functional_equal(j, Functional.zero(model), "collapse")
-            results.append(_case_result(i, cs, ok))
-        elif suite == "powers":
-            F = rf(0, cs + 1)
-            G = rf(r.randint(0, 1), cs + 2)
-            ok = True
-            for n in (1, 2, 3, 4):
-                ok = ok and bool(check_schouten_power(G, F, n, mode))
-            for n in (2, 3, 4):
-                ok = ok and bool(check_laplacian_power(F, n, mode))
-            results.append(_case_result(i, cs, ok))
-        elif suite == "omega":
-            O = rf(0, cs + 1)
-            S = rf(0, cs + 2)
-            rep = check_omega_squared(O, S, mode)
-            results.append(_case_result(i, cs, rep.data["agrees"]))
-        elif suite == "gauge-closure":
-            S = Functional.from_density(
-                model, model.jet("q", dagger=True) * model.jet("q"))
-            F1 = rf(1, cs + 1)
-            F2 = rf(1, cs + 2)
-            rep = check_gauge_closure(F1, F2, S, mode)
-            results.append(_case_result(i, cs, rep.passed))
-        elif suite == "cocycles":
-            S = rf(0, cs + 4)
-            O = rf(0, cs + 1)
-            F = rf(1, cs + 2)
-            xi = rf(1, cs + 3)
-            ok = bool(check_cocycle_preservation(O, F, S, mode)) and bool(
-                check_coboundary_preservation(xi, F, S, mode))
-            results.append(_case_result(i, cs, ok))
+    for i in range(1 if scalar_pair else cases):
+        if scalar_pair:
+            cs, args = seed, build_scalar_example()[1:]
         else:
-            raise SystemExit(f"bvcalc: unknown suite {suite!r}")
+            cs = seed * 10_000 + i
+            args = _draw(SCHEDULES[suite], model, cs, max_order)
+        rep = check_identity(suite, args, mode)
+        result = {"case": i, "seed": cs, "passed": rep.passed}
+        result.update((how, rep.data[how]) for how in IDENTITIES[suite].records)
+        if not rep.passed:
+            result["discrepancy"] = repr(rep.data["discrepancy"])
+        results.append(result)
     return all(r["passed"] for r in results), results
 
 
-def _check_1c(model, F, G, mode):
-    pF = F.parity()
-    L = laplacian(schouten(F, G, mode), mode)
-    R = schouten(laplacian(F, mode), G, mode) + schouten(
-        F, laplacian(G, mode), mode).scale((-1) ** ((pF - 1) & 1))
-    structural = functional_equal(L, R, "structural")
-    collapse_ok = functional_equal(L, R, "collapse")
-    out = {"structural": structural, "collapse": collapse_ok}
-    if not collapse_ok:
-        diff = (L - R).collapse()
-        out["discrepancy"] = repr(diff)
-    return out
-
-
 def cmd_check(args) -> int:
-    if args.cases < 1:
-        raise ValueError(f"--cases must be at least 1, got {args.cases}")
-    if args.scalar_pair and args.suite != "derivation-1c":
-        raise ValueError(f"--scalar-pair applies only to derivation-1c, not {args.suite}")
     t0 = time.time()
     passed, results = run_suite(
         args.suite, args.cases, args.seed, args.max_order,
@@ -352,8 +261,7 @@ def cmd_check(args) -> int:
         for r in results:
             if not r["passed"]:
                 print(f"  FAIL case {r['case']} (seed {r['seed']})")
-                if "discrepancy" in r:
-                    print(f"    discrepancy density: {r['discrepancy']}")
+                print(f"    discrepancy density: {r['discrepancy']}")
     return 0 if passed else 1
 
 
@@ -362,12 +270,17 @@ def cmd_check(args) -> int:
 
 
 def cmd_example(args) -> int:
-    if args.which == "scalar":
-        return _example_scalar(args)
-    return _example_ym(args)
+    ok, lines = _example_scalar() if args.which == "scalar" else _example_ym(args.dim)
+    if args.json:
+        print(json.dumps({"schema": SCHEMA_VERSION, "example": args.which,
+                          "passed": bool(ok), "lines": lines}, indent=2))
+    else:
+        for line in lines:
+            print(line)
+    return 0 if ok else 1
 
 
-def _example_scalar(args) -> int:
+def _example_scalar():
     model, F, G = build_scalar_example()
     fd = next(iter(F.blocks()))
     gd = next(iter(G.blocks()))
@@ -390,8 +303,7 @@ def _example_scalar(args) -> int:
     lines.append(f"[[Delta F, G]] = {repr(bracket_dFG)}")
     ok &= bracket_dFG.is_zero()
 
-    L = laplacian(schouten(F, G))
-    R = schouten(F, dG) + bracket_dFG
+    ((L, R),) = IDENTITIES["derivation-1c"].build(F, G, GEOMETRIC)
     structural = functional_equal(L, R, "structural")
     cohomological = functional_equal(L, R, "collapse")
     ok &= structural and cohomological
@@ -399,31 +311,23 @@ def _example_scalar(args) -> int:
     lines.append(f"[[F,Delta G]] + [[Delta F,G]] (canonical) = {repr(R.canonicalize())}")
     lines.append(f"collapsed common value = {repr(L.collapse())}")
 
-    nL = laplacian(schouten(F, G, NAIVE), NAIVE)
-    nR = schouten(laplacian(F, NAIVE), G, NAIVE) + schouten(F, laplacian(G, NAIVE), NAIVE)
     naive_bracket = schouten(F, laplacian(G, NAIVE), NAIVE)
-    naive_holds = functional_equal(nL, nR, "collapse")
+    naive = check_identity("derivation-1c", (F, G), NAIVE)
+    naive_holds = naive.passed
     lines.append(f"naive [[F,Delta G]] = {repr(naive_bracket)}")
     lines.append(f"naive mode satisfies the derivation identity: {naive_holds}")
     if not naive_holds:
-        lines.append(f"naive discrepancy density = {repr((nL - nR).collapse())}")
+        lines.append(f"naive discrepancy density = {repr(naive.data['discrepancy'])}")
     ok &= (not naive_holds) and naive_bracket.is_zero()
 
     verdict = (f"LHS {'=' if structural else '!='} RHS (structural) ; "
                f"LHS {'~' if cohomological else '!~'} RHS (cohomological)")
     lines.append(verdict)
-    if args.json:
-        print(json.dumps({"schema": SCHEMA_VERSION, "example": "scalar",
-                          "passed": bool(ok), "lines": lines}, indent=2))
-    else:
-        for line in lines:
-            print(line)
-    return 0 if ok else 1
+    return ok, lines
 
 
-def _example_ym(args) -> int:
+def _example_ym(n: int):
     algebra = LieAlgebraData.su2()
-    n = args.dim
     model, S = build_yang_mills_bv(algebra, n)
     lines = [f"su(2) Yang-Mills over a {n}-dimensional base; "
              f"{len(model.fields)} field pairs"]
@@ -438,24 +342,17 @@ def _example_ym(args) -> int:
                  "f^d_dc gam^c and the ghost sector -f^d_db gam^b; both vanish "
                  "for traceless structure constants")
 
-    ss = schouten(S, S).collapse()
-    cme = all(euler_operators_vanish(model, b) for b in ss.blocks())
+    rep = check_master_equation(S)
+    cme = all(euler_operators_vanish(model, b) for b in rep.data["bracket"].blocks())
     lines.append("classical master equation: every Euler operator of the "
                  f"collapsed [[S,S]] vanishes: {cme}")
     ok &= cme
 
-    rep = check_master_equation(S)
     lines.extend("  " + l for l in rep.lines)
     lines.append(f"quantum master-equation report: {'PASS' if rep.passed else 'FAIL'}")
     ok &= rep.passed
 
-    if args.json:
-        print(json.dumps({"schema": SCHEMA_VERSION, "example": "ym-su2",
-                          "passed": bool(ok), "lines": lines}, indent=2))
-    else:
-        for line in lines:
-            print(line)
-    return 0 if ok else 1
+    return ok, lines
 
 
 # ---------------------------------------------------------------------------

@@ -143,11 +143,6 @@ class Coefficient:
     def hbar_degrees(self):
         return sorted(self.terms.keys())
 
-    def is_rational(self) -> bool:
-        return not self.terms or (
-            set(self.terms) == {0} and self.terms[0][1] == 0
-        )
-
     def as_complex(self) -> complex:
         """Numeric value; defined only for hbar-free coefficients."""
         if not self.terms:

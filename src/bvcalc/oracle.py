@@ -87,9 +87,6 @@ class GrassmannNumber:
     def max_abs(self) -> float:
         return max((abs(v) for v in self.coeffs.values()), default=0.0)
 
-    def is_close_to(self, other, tol: float) -> bool:
-        return (self - _as_grassmann(other)).max_abs() <= tol
-
     def __repr__(self):
         if not self.coeffs:
             return "0"
@@ -192,10 +189,6 @@ def _diff_term(term: TrigTerm, i: int) -> Optional[TrigTerm]:
     out = list(factors)
     out[i] = new
     return (coeff.scale(scale), tuple(out))
-
-
-def constant_section_term(model: BvModel, coeff) -> List[TrigTerm]:
-    return [(_as_grassmann(coeff), (("one", 0),) * model.base_dim)]
 
 
 # ---------------------------------------------------------------------------

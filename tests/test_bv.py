@@ -8,7 +8,10 @@ from bvcalc.algebra import ParityError, collect_channel_labels, make_attach
 from bvcalc.cohomology import Functional, functional_equal
 from bvcalc.jetcalc import collapse
 from bvcalc.bv import (
+    IDENTITIES,
     NAIVE,
+    Identity,
+    check_identity,
     check_coboundary_preservation,
     check_cocycle_preservation,
     check_gauge_closure,
@@ -297,6 +300,18 @@ def test_cocycle_and_coboundary_preservation(m):
     one = Functional.constant(m, 1)
     assert check_cocycle_preservation(one, rf(m, 1, 2901), S).passed
     assert check_cocycle_preservation(rf(m, 0, 2902), zero(m), S).passed
+
+
+def test_check_identity_reports_the_first_failing_pair(m, monkeypatch):
+    A, B, C = (rf(m, 0, 4000 + k) for k in range(3))
+    pairs = [(A, A), (B, C), (C, A)]
+    monkeypatch.setitem(IDENTITIES, "probe",
+                        Identity("probe", (0,), lambda X, mode: pairs, "collapse"))
+    rep = check_identity("probe", (A,))
+    assert not rep.passed and rep.data["agreed"] == [True, False, False]
+    assert rep.data["discrepancy"] == (B - C).collapse()
+    with pytest.raises(ParityError):
+        check_identity("probe", (rf(m, 1, 4003),))
 
 
 def test_power_lemmas(m):

@@ -3,8 +3,11 @@ import random
 
 import pytest
 
+import bvcalc.bv as bv
+from bvcalc import BvModel
 from bvcalc.grammar import ParseError, format_expr, parse_expr, parse_model_file
-from bvcalc.cli import main
+from bvcalc.cli import main, run_suite
+from bvcalc.models import random_functional
 
 from util_random import ghost_model, plane_model, random_expr
 
@@ -116,6 +119,47 @@ def test_cmd_check_naive_regression(capsys):
     assert rc == 1
     out = capsys.readouterr().out
     assert "FAIL" in out and "discrepancy density" in out
+
+
+def test_cmd_check_reports_a_discrepancy_on_every_failure(capsys):
+    argv = ["check", "delta-squared-1d", "--mode", "naive", "--cases", "6", "--seed", "9"]
+    assert main(argv) == 1
+    out = capsys.readouterr().out
+    assert "FAIL case 2 (seed 90002)\n    discrepancy density: (1)*<" in out
+    assert main(argv + ["--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["schema"] == 1
+    failed = [r for r in payload["results"] if not r["passed"]]
+    assert [r["case"] for r in failed] == [2] and failed[0]["discrepancy"]
+    assert all("discrepancy" not in r for r in payload["results"] if r["passed"])
+
+
+def test_run_suite_records_structural_agreement_apart_from_the_verdict():
+    # case 0 at seed 4 holds modulo collapse but not structurally; the
+    # failing naive scalar pair records no structural agreement either
+    _, (r,) = run_suite("derivation-1c", 1, 4, 2)
+    assert r["passed"] and r["collapse"] and r["structural"] is False
+    _, (r,) = run_suite("derivation-1c", 1, 0, 2, mode="naive", scalar_pair=True)
+    assert r["passed"] is r["structural"] is r["collapse"] is False
+
+
+def test_run_suite_rejects_bad_input_before_any_case():
+    for suite, cases in (("nope", 0), ("nope", 2), ("skew", 0), ("skew", -3)):
+        with pytest.raises(ValueError):
+            run_suite(suite, cases, 1, 2)
+
+
+def test_omega_suite_decides_on_the_report(monkeypatch):
+    # pretend every master-equation obstruction has vanishing Euler
+    # operators: (Omega)^2(O) still agrees with its reduced form but is not
+    # trivial, so the report fails and the suite must fail with it
+    monkeypatch.setattr(bv, "euler_operators_vanish", lambda model, b: True)
+    passed, results = run_suite("omega", cases=1, seed=2, max_order=2)
+    m = BvModel(1, [("q", 0)])
+    O, S = (random_functional(m, 2, 3, 0, 20_000 + k) for k in (1, 2))
+    rep = bv.check_omega_squared(O, S)
+    assert rep.data["agrees"] and rep.data["omega2_zero"] is False and not rep.passed
+    assert not passed and results[0]["discrepancy"]
 
 
 def test_cmd_check_seed_determinism(capsys):

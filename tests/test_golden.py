@@ -8,15 +8,20 @@ two-dimensional base in both modes.  Channel labels come from a
 process-global counter, so every result is canonicalised before hashing and
 the digest does not depend on which tests ran earlier.
 
+A second SHA-256, ``VERDICTS``, pins the verdicts of every check suite in
+both modes: (suite, mode, case, seed, passed, structural) for two cases at
+seed 9.
+
 A change that is meant to keep every output unchanged (a performance change)
-must keep this digest.  A change that alters outputs on purpose updates
-``GOLDEN`` and says why.
+must keep these digests.  A change that alters outputs on purpose updates
+``GOLDEN`` or ``VERDICTS`` and says why.
 """
 
 import hashlib
 
 from bvcalc import BvModel
 from bvcalc.bv import GEOMETRIC, NAIVE, laplacian, schouten
+from bvcalc.cli import run_suite
 from bvcalc.cohomology import _triviality_image
 from bvcalc.jetcalc import euler
 from bvcalc.models import LieAlgebraData, build_yang_mills_bv, random_functional
@@ -24,6 +29,10 @@ from bvcalc.models import LieAlgebraData, build_yang_mills_bv, random_functional
 from util_random import nested_brackets
 
 GOLDEN = "34339d76286e741921d2fff6a2c2b9e98f4560a4b1f9e0d62dc3f4420d19bbc6"
+VERDICTS = "1a8ed26d3e954364951fa7455701b299b036e989fcf0659fc73631da597bff99"
+
+SUITES = ("leibniz-1a", "laplacian-1b", "derivation-1c", "delta-squared-1d",
+          "jacobi", "skew", "powers", "omega", "gauge-closure", "cocycles")
 
 
 def _functional_key(F):
@@ -78,3 +87,18 @@ def golden_digest() -> str:
 
 def test_golden_outputs():
     assert golden_digest() == GOLDEN
+
+
+def verdict_digest() -> str:
+    h = hashlib.sha256()
+    for suite in SUITES:
+        for mode in (GEOMETRIC, NAIVE):
+            _, results = run_suite(suite, cases=2, seed=9, max_order=2, mode=mode)
+            for r in results:
+                h.update(f"{suite} {mode} {r['case']} {r['seed']} {r['passed']} "
+                         f"{r.get('structural')}\n".encode())
+    return h.hexdigest()
+
+
+def test_golden_verdicts():
+    assert verdict_digest() == VERDICTS
