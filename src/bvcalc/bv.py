@@ -27,7 +27,7 @@ from typing import List
 
 from .coeff import Coefficient
 from .algebra import Expr, ParityError, _add_monomial
-from .cohomology import Functional, euler_operators_vanish, functional_equal
+from .cohomology import Functional, _accumulate, euler_operators_vanish, functional_equal
 from .jetcalc import BvModel, collapse, euler, eulers, fresh_label
 
 GEOMETRIC = "geometric"
@@ -104,11 +104,13 @@ def schouten(F: Functional, G: Functional, mode: str = GEOMETRIC) -> Functional:
     _check_mode(mode)
     model = F.model
     pF, pG = F.parity(), G.parity()  # raises on heterogeneous input
-    out = Functional.zero(model)
+    acc = {}
     for bf, cf in F.terms.items():
         for bg, cg in G.terms.items():
-            out = out + _bracket_blocks(model, bf, bg, mode).scale(cf * cg)
-    return out
+            c0 = cf * cg
+            for blocks, c in _bracket_blocks(model, bf, bg, mode).terms.items():
+                _accumulate(acc, blocks, c0 * c)
+    return Functional(model, acc)
 
 
 def _bracket_blocks(model, bf: tuple, bg: tuple, mode: str) -> Functional:
@@ -140,10 +142,11 @@ def laplacian(F: Functional, mode: str = GEOMETRIC) -> Functional:
     _check_mode(mode)
     model = F.model
     F.parity()
-    out = Functional.zero(model)
-    for blocks, c in F.terms.items():
-        out = out + _laplace_blocks(model, blocks, mode).scale(c)
-    return out
+    acc = {}
+    for blocks, c0 in F.terms.items():
+        for key, c in _laplace_blocks(model, blocks, mode).terms.items():
+            _accumulate(acc, key, c0 * c)
+    return Functional(model, acc)
 
 
 def _laplace_blocks(model, blocks: tuple, mode: str) -> Functional:
@@ -323,11 +326,24 @@ def check_identity(name: str, args, mode: str = GEOMETRIC, **options) -> Report:
     data = {"agreed": agreed}
     if not passed:
         lhs, rhs = pairs[agreed.index(False)]
-        data["discrepancy"] = (lhs - rhs).collapse()
+        data["discrepancy"] = _one_integral((lhs - rhs).collapse())
     for how in entry.records:
         data[how] = passed and (how == entry.compare or all(
             functional_equal(lhs, rhs, how) for lhs, rhs in pairs))
     return Report(name, passed, [], data)
+
+
+def _one_integral(F: Functional) -> Functional:
+    """F with its single-block terms summed into one block, since
+    int A + int B = int (A + B); products of blocks stay as they are."""
+    density, products = {}, {}
+    for blocks, c in F.terms.items():
+        if len(blocks) == 1:
+            for k, m in blocks[0].scale(c).terms.items():
+                _add_monomial(density, k, m)
+        else:
+            products[blocks] = c
+    return Functional(F.model, products) + Functional.from_density(F.model, Expr(density))
 
 
 def check_master_equation(S: Functional, mode: str = GEOMETRIC) -> Report:

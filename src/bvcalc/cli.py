@@ -14,7 +14,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .cohomology import Functional, euler_operators_vanish, functional_equal
+from .cohomology import Functional, _blocks_key, euler_operators_vanish, functional_equal
 from .jetcalc import BvModel, euler, euler_left
 from .bv import (
     GEOMETRIC,
@@ -69,7 +69,7 @@ def _print_functional(F: Functional, do_collapse: bool):
     if F.is_zero():
         print("0")
         return
-    for blocks in sorted(F.terms, key=lambda bs: tuple(b.key() for b in bs)):
+    for blocks in sorted(F.terms, key=_blocks_key):
         cs = format_coefficient(F.terms[blocks])
         body = " * ".join(f"<{format_expr(b)}>" for b in blocks) or "<vol>"
         print(f"  ({cs}) {body}")
@@ -262,7 +262,16 @@ def cmd_check(args) -> int:
             if not r["passed"]:
                 print(f"  FAIL case {r['case']} (seed {r['seed']})")
                 print(f"    discrepancy density: {r['discrepancy']}")
+                print(f"    reproduce: {_reproducer(args, r['case'])}")
     return 0 if passed else 1
+
+
+def _reproducer(args, case: int) -> str:
+    """The bvcalc command whose last case is the given failing case."""
+    if args.scalar_pair:
+        return f"bvcalc check {args.suite} --scalar-pair --mode {args.mode}"
+    return (f"bvcalc check {args.suite} --mode {args.mode} --seed {args.seed} "
+            f"--cases {case + 1} --max-order {args.max_order}")
 
 
 # ---------------------------------------------------------------------------

@@ -132,34 +132,11 @@ class Functional:
 
     # -- algebra ----------------------------------------------------------
 
-    def _add_term(self, acc, blocks, coeff):
-        if coeff.is_zero():
-            return
-        if any(b.is_zero() for b in blocks):
-            return
-        sorted_blocks = _sort_blocks(blocks)
-        if sorted_blocks is None:
-            return
-        sign, key = sorted_blocks
-        if sign < 0:
-            coeff = -coeff
-        prev = acc.get(key)
-        c = coeff if prev is None else prev + coeff
-        if c.is_zero():
-            acc.pop(key, None)
-        else:
-            acc[key] = c
-
     def __add__(self, other):
         _check_model(self, other)
         acc = dict(self.terms)
         for blocks, c in other.terms.items():
-            prev = acc.get(blocks)
-            s = c if prev is None else prev + c
-            if s.is_zero():
-                acc.pop(blocks, None)
-            else:
-                acc[blocks] = s
+            _accumulate(acc, blocks, c)
         return Functional(self.model, acc)
 
     def __neg__(self):
@@ -181,7 +158,7 @@ class Functional:
         acc = {}
         for b1, c1 in self.terms.items():
             for b2, c2 in other.terms.items():
-                self._add_term(acc, b1 + b2, c1 * c2)
+                _add_product(acc, b1 + b2, c1 * c2)
         return Functional(self.model, acc)
 
     def __rmul__(self, other):
@@ -206,15 +183,15 @@ class Functional:
         return hash(frozenset((b, c) for b, c in self.terms.items()))
 
     def collapse(self) -> "Functional":
-        acc = {}
-        for blocks, c in self.terms.items():
-            self._add_term(acc, tuple(collapse(b) for b in blocks), c)
-        return Functional(self.model, acc)
+        return self._map_blocks(collapse)
 
     def canonicalize(self) -> "Functional":
+        return self._map_blocks(canonicalize_channels)
+
+    def _map_blocks(self, f) -> "Functional":
         acc = {}
         for blocks, c in self.terms.items():
-            self._add_term(acc, tuple(canonicalize_channels(b) for b in blocks), c)
+            _add_product(acc, tuple(f(b) for b in blocks), c)
         return Functional(self.model, acc)
 
     def __repr__(self):
@@ -233,26 +210,46 @@ def _blocks_key(blocks):
     return tuple(b.key() for b in blocks)
 
 
-def _sort_blocks(blocks):
-    """Sort blocks by canonical key, tracking the Koszul sign; a repeated odd
-    block makes the product vanish (returns None)."""
-    arr = list(blocks)
+def _add_product(acc, blocks, c):
+    """Add c times the graded product of ``blocks`` into the term map ``acc``."""
+    if any(b.is_zero() for b in blocks):
+        return
+    graded = _graded_sort(blocks, Expr.key, Expr.parity)
+    if graded is not None:
+        sign, key = graded
+        _accumulate(acc, key, c if sign > 0 else -c)
+
+
+def _graded_sort(items, key, parity):
+    """Sort graded-commuting items by key, absorbing the Koszul sign: returns
+    (sign, sorted tuple), or None when an odd item repeats (the product
+    vanishes)."""
+    arr = [(key(x), parity(x), x) for x in items]
     sign = 1
     for i in range(1, len(arr)):
-        b = arr[i]
-        bk = b.key()
-        bp = b.parity()
+        cur = arr[i]
         j = i - 1
-        while j >= 0 and arr[j].key() > bk:
-            if bp and arr[j].parity():
+        while j >= 0 and arr[j][0] > cur[0]:
+            if cur[1] and arr[j][1]:
                 sign = -sign
             arr[j + 1] = arr[j]
             j -= 1
-        arr[j + 1] = b
-    for i in range(len(arr) - 1):
-        if arr[i].parity() and arr[i].key() == arr[i + 1].key():
+        arr[j + 1] = cur
+    for (k, p, _), (k2, _, _) in zip(arr, arr[1:]):
+        if p and k == k2:
             return None
-    return sign, tuple(arr)
+    return sign, tuple(x for _, _, x in arr)
+
+
+def _accumulate(acc, key, c):
+    """Add the coefficient c to ``acc[key]`` in place; a zero sum is dropped."""
+    prev = acc.get(key)
+    if prev is not None:
+        c = prev + c
+    if c.is_zero():
+        acc.pop(key, None)
+    else:
+        acc[key] = c
 
 
 def _check_model(a: Functional, b: Functional):
@@ -319,16 +316,12 @@ class _ClassBasis:
             if p != parity:
                 continue
             lam = v.get(pivot)
-            if lam is None or lam.is_zero():
+            if lam is None:
                 continue
+            neg = -lam
             for coord, c in row.items():
-                cur = v.get(coord, Coefficient.zero()) - lam * c
-                if cur.is_zero():
-                    v.pop(coord, None)
-                else:
-                    v[coord] = cur
+                _accumulate(v, coord, neg * c)
             expansion.append((idx, lam))
-        v = {k: c for k, c in v.items() if not c.is_zero()}
         if v:
             pivot = min(v)
             scale = v[pivot].inverse()
@@ -338,61 +331,29 @@ class _ClassBasis:
         return expansion
 
 
-def _graded_expand(terms, factors_expansions, parities, seed=None):
-    """Multiply out a product of linear combinations of graded symbols.
+def _graded_expand(terms, factors_expansions, parities, seed):
+    """Multiply out ``seed`` times a product of linear combinations of graded
+    symbols, adding the result into ``terms``.
 
     ``factors_expansions`` is a list of [(symbol, Coefficient)] expansions;
-    symbols multiply graded-commutatively with parities from ``parities``.
-    ``terms`` maps sorted symbol tuples to Coefficients and is updated."""
-    acc = {(): seed if seed is not None else Coefficient.one()}
+    symbols multiply graded-commutatively with parities from ``parities``,
+    and ``terms`` maps sorted symbol tuples to Coefficients."""
+    acc = {(): seed}
     for expansion in factors_expansions:
         nxt = {}
         for key, c in acc.items():
             for sym, lam in expansion:
-                sign, new_key = _insert_symbol(key, sym, parities)
-                if sign == 0:
-                    continue
-                add = c * lam
-                if sign < 0:
-                    add = -add
-                prev = nxt.get(new_key)
-                s = add if prev is None else prev + add
-                if s.is_zero():
-                    nxt.pop(new_key, None)
-                else:
-                    nxt[new_key] = s
+                graded = _graded_sort(key + (sym,), _itself, parities.__getitem__)
+                if graded is not None:
+                    sign, new_key = graded
+                    _accumulate(nxt, new_key, c * lam if sign > 0 else -(c * lam))
         acc = nxt
-        if not acc:
-            return
     for key, c in acc.items():
-        prev = terms.get(key)
-        s = c if prev is None else prev + c
-        if s.is_zero():
-            terms.pop(key, None)
-        else:
-            terms[key] = s
+        _accumulate(terms, key, c)
 
 
-def _insert_symbol(key, sym, parities):
-    """Insert a graded symbol into a sorted product key; returns (sign, key).
-
-    Odd symbols anticommute and square to zero."""
-    p = parities[sym]
-    sign = 1
-    out = list(key)
-    pos = len(out)
-    for i, s in enumerate(out):
-        if sym < s:
-            pos = i
-            break
-    if p:
-        for s in out[pos:]:
-            if parities[s]:
-                sign = -sign
-        if any(s == sym and parities[s] for s in out):
-            return 0, ()
-    out.insert(pos, sym)
-    return sign, tuple(out)
+def _itself(x):
+    return x
 
 
 def _reduce_functional(H: Functional, mode: str) -> dict:

@@ -309,7 +309,9 @@ def test_check_identity_reports_the_first_failing_pair(m, monkeypatch):
                         Identity("probe", (0,), lambda X, mode: pairs, "collapse"))
     rep = check_identity("probe", (A,))
     assert not rep.passed and rep.data["agreed"] == [True, False, False]
-    assert rep.data["discrepancy"] == (B - C).collapse()
+    # the discrepancy int B - int C is reported as the one integral int (B - C)
+    (b,), (c,) = B.blocks(), C.blocks()
+    assert rep.data["discrepancy"] == Functional.from_density(m, collapse(b) - collapse(c))
     with pytest.raises(ParityError):
         check_identity("probe", (rf(m, 1, 4003),))
 

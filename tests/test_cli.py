@@ -134,6 +134,27 @@ def test_cmd_check_reports_a_discrepancy_on_every_failure(capsys):
     assert all("discrepancy" not in r for r in payload["results"] if r["passed"])
 
 
+def test_cmd_check_prints_one_integral_and_a_reproducer(capsys):
+    # the two integrals of the discrepancy are printed as one, and each
+    # printed command fails again, on its last case
+    pinned = ("  FAIL case 2 (seed 90002)\n"
+              "    discrepancy density: (1)*<8*q*dag(q)_x - 8*q_x*dag(q)>\n"
+              "    reproduce: bvcalc check delta-squared-1d --mode naive --seed 9 --cases 3"
+              " --max-order 2\n")
+    for argv, expected in (
+            (["check", "delta-squared-1d", "--mode", "naive", "--cases", "6", "--seed", "9"],
+             pinned),
+            (["check", "derivation-1c", "--scalar-pair", "--mode", "naive"],
+             "    reproduce: bvcalc check derivation-1c --scalar-pair --mode naive\n")):
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        assert expected in out
+        (line,) = [l for l in out.splitlines() if "reproduce:" in l]
+        assert main(line.split("reproduce: bvcalc ")[1].split()) == 1
+        rerun = capsys.readouterr().out.splitlines()
+        assert rerun[-3].startswith("  FAIL case") and rerun[-1] == line
+
+
 def test_run_suite_records_structural_agreement_apart_from_the_verdict():
     # case 0 at seed 4 holds modulo collapse but not structurally; the
     # failing naive scalar pair records no structural agreement either
