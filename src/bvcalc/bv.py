@@ -27,7 +27,8 @@ from typing import List
 
 from .coeff import Coefficient
 from .algebra import Expr, ParityError, _add_monomial
-from .cohomology import Functional, _accumulate, euler_operators_vanish, functional_equal
+from .cohomology import (Functional, _accumulate, _one_integral, euler_operators_vanish,
+                         functional_equal)
 from .jetcalc import BvModel, collapse, euler, eulers, fresh_label
 
 GEOMETRIC = "geometric"
@@ -315,7 +316,8 @@ def check_identity(name: str, args, mode: str = GEOMETRIC, **options) -> Report:
     """Decide ``IDENTITIES[name]`` on ``args`` (None for an argument the
     builder may leave out; ``options`` go to the builder).  Every pair is
     compared in order: ``data["agreed"]`` lists the outcomes, and
-    ``data["discrepancy"]`` is the collapsed lhs - rhs of the first that fails."""
+    ``data["discrepancy"]`` is the collapsed lhs - rhs of the first that
+    fails, its single-block terms summed into one integral."""
     entry = IDENTITIES[name]
     for i, (X, parity) in enumerate(zip(args, entry.parities), 1):
         if parity is not None and X is not None and not X.is_zero() and X.parity() != parity:
@@ -326,24 +328,15 @@ def check_identity(name: str, args, mode: str = GEOMETRIC, **options) -> Report:
     data = {"agreed": agreed}
     if not passed:
         lhs, rhs = pairs[agreed.index(False)]
-        data["discrepancy"] = _one_integral((lhs - rhs).collapse())
+        D = (lhs - rhs).collapse()
+        # reported with its single-block terms as one integral
+        singles = [(blocks[0], c) for blocks, c in D.terms.items() if len(blocks) == 1]
+        products = Functional(D.model, {k: c for k, c in D.terms.items() if len(k) != 1})
+        data["discrepancy"] = products + Functional.from_density(D.model, _one_integral(singles))
     for how in entry.records:
         data[how] = passed and (how == entry.compare or all(
             functional_equal(lhs, rhs, how) for lhs, rhs in pairs))
     return Report(name, passed, [], data)
-
-
-def _one_integral(F: Functional) -> Functional:
-    """F with its single-block terms summed into one block, since
-    int A + int B = int (A + B); products of blocks stay as they are."""
-    density, products = {}, {}
-    for blocks, c in F.terms.items():
-        if len(blocks) == 1:
-            for k, m in blocks[0].scale(c).terms.items():
-                _add_monomial(density, k, m)
-        else:
-            products[blocks] = c
-    return Functional(F.model, products) + Functional.from_density(F.model, Expr(density))
 
 
 def check_master_equation(S: Functional, mode: str = GEOMETRIC) -> Report:

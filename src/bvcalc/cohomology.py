@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Tuple
 
 from .coeff import Coefficient
-from .algebra import Attach, Expr, JetVar, Trig
+from .algebra import Attach, Expr, JetVar, Monomial, Trig, _add_monomial
 from .jetcalc import BvModel, canonicalize_channels, collapse, eulers, _euler_images
 
 
@@ -271,9 +271,11 @@ def functional_equal(
     Blocks of F - G are partitioned into equivalence classes: wrapper-free
     densities by cohomological equivalence, structured blocks either by
     channel-canonical structural equality (mode 'structural') or by collapse
-    followed by cohomological equivalence (mode 'collapse').  Terms containing
-    a block that is a trivial density vanish; the class-representative
-    polynomials are then compared.
+    followed by cohomological equivalence (mode 'collapse').  The integral is
+    linear, so the single wrapper-free blocks of F - G are first summed into
+    one integral per parity (``_one_integral``) and tested as one density.
+    Terms containing a block that is a trivial density vanish; the
+    class-representative polynomials are then compared.
     """
     if mode not in ("structural", "collapse"):
         raise ValueError(f"unknown comparison mode {mode!r}")
@@ -359,18 +361,40 @@ def _itself(x):
 def _reduce_functional(H: Functional, mode: str) -> dict:
     """Reduce a functional to a graded polynomial over independent density
     classes (plain blocks) and canonical structured blocks; the result is the
-    zero functional iff the returned term map is empty."""
+    zero functional iff the returned term map is empty.
+
+    In mode 'collapse' every block is collapsed once, and the blocks of a
+    product only until one of them is zero or trivial.  The single plain
+    blocks of each parity are then one integral (``_one_integral``), so the
+    class basis expands one density per parity, and none when the sum is
+    zero; the only single plain block of its parity is kept as it is.  The
+    verdict is that of a blockwise reduction, since a single block's term
+    holds exactly one class symbol and the class map is linear."""
     model = H.model
+    prepare = collapse if mode == "collapse" else _itself
+    singles = {}
+    pending = []  # (blocks, c); a product's blocks are prepared as they are read
+    for blocks, c in H.terms.items():
+        if len(blocks) != 1:
+            pending.append((map(prepare, blocks), c))
+            continue
+        b = prepare(blocks[0])
+        if b.has_attach():
+            pending.append(((b,), c))
+        else:
+            singles.setdefault(b.parity(), []).append((b, c))
+    for group in singles.values():
+        if len(group) > 1:
+            group = [(_one_integral(group), Coefficient.one())]
+        pending += [((b,), c) for b, c in group]
     basis = _ClassBasis(model)
     parities = {}
     terms = {}
     plain_cache = {}
-    for blocks, c in H.terms.items():
+    for blocks, c in pending:
         expansions = []
         dead = False
         for b in blocks:
-            if mode == "collapse":
-                b = collapse(b)
             if b.has_attach():
                 b = canonicalize_channels(b)
                 if b.is_zero():
@@ -400,6 +424,17 @@ def _reduce_functional(H: Functional, mode: str) -> dict:
             continue
         _graded_expand(terms, expansions, parities, seed=c)
     return terms
+
+
+def _one_integral(singles) -> Expr:
+    """int c1*A1 + int c2*A2 + ... = int (c1*A1 + c2*A2 + ...): the one
+    density whose integral is the sum over the (density, coefficient) pairs
+    of single-block terms."""
+    density = {}
+    for b, c in singles:
+        for k, m in b.terms.items():
+            _add_monomial(density, k, Monomial(c * m.coeff, m.even, m.odd))
+    return Expr(density) if density else Expr.zero()
 
 
 def _scale_canonical(b: Expr) -> Tuple[Expr, Coefficient]:

@@ -7,7 +7,7 @@ from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
 from .coeff import Coefficient
-from .algebra import Expr, Trig
+from .algebra import Expr, Trig, _add_monomial
 from .cohomology import Functional
 from .jetcalc import BvModel, idx_unit
 
@@ -116,41 +116,52 @@ def build_yang_mills_bv(g: LieAlgebraData, n: int) -> Tuple[BvModel, Functional]
         return model.jet(g_names[a], dagger=True)
 
     def strength(a, i, j) -> Expr:
-        out = A(a, j, idx_unit(n, i)) - A(a, i, idx_unit(n, j))
+        out = dict((A(a, j, idx_unit(n, i)) - A(a, i, idx_unit(n, j))).terms)
         for b in range(d):
             for c in range(d):
                 coeff = g.c(a, b, c)
                 if coeff:
-                    out = out + (A(b, i) * A(c, j)).scale(Fraction(coeff))
-        return out
+                    _merge(out, (A(b, i) * A(c, j)).scale(Fraction(coeff)))
+        return _expr(out)
 
-    density = Expr.zero()
+    density = {}
     quarter = Coefficient.of(Fraction(1, 4))
     for a in range(d):
         for i in range(n):
             for j in range(n):
                 Fij = strength(a, i, j)
                 if not Fij.is_zero():
-                    density = density + (Fij * Fij).scale(quarter)
+                    _merge(density, (Fij * Fij).scale(quarter))
     for a in range(d):
         for i in range(n):
-            gauge = gam(a, idx_unit(n, i))
+            gauge = dict(gam(a, idx_unit(n, i)).terms)
             for b in range(d):
                 for c in range(d):
                     coeff = g.c(a, b, c)
                     if coeff:
-                        gauge = gauge + (A(b, i) * gam(c)).scale(Fraction(coeff))
-            density = density + dA(a, i) * gauge
+                        _merge(gauge, (A(b, i) * gam(c)).scale(Fraction(coeff)))
+            _merge(density, dA(a, i) * _expr(gauge))
     minus_half = Coefficient.of(Fraction(-1, 2))
     for c in range(d):
         for a in range(d):
             for b in range(d):
                 coeff = g.c(c, a, b)
                 if coeff:
-                    density = density + (gam(a) * gam(b) * dgam(c)).scale(
+                    _merge(density, (gam(a) * gam(b) * dgam(c)).scale(
                         minus_half * Coefficient.of(Fraction(coeff))
-                    )
-    return model, Functional.from_density(model, density)
+                    ))
+    return model, Functional.from_density(model, _expr(density))
+
+
+def _merge(acc: dict, e: Expr) -> None:
+    """Add the terms of ``e`` into the term map ``acc`` in place, so a sum
+    built piece by piece does not copy itself per piece."""
+    for k, m in e.terms.items():
+        _add_monomial(acc, k, m)
+
+
+def _expr(acc: dict) -> Expr:
+    return Expr(acc) if acc else Expr.zero()
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +198,7 @@ def random_density(
     """
     n = model.base_dim
     names = [name for name, _ in model.fields]
-    out = Expr.zero()
+    out = {}
     count = n_monomials if n_monomials is not None else rng.randint(1, 3)
     attempts = 0
     made = 0
@@ -226,8 +237,9 @@ def random_density(
             mono = mono * extra
             if mono.is_zero() or mono.parity() != parity:
                 continue
-        out = out + mono
+        _merge(out, mono)
         made += 1
+    out = _expr(out)
     if require_field and out.is_zero():
         # guarantee a nonzero density of the requested parity
         name = names[0]

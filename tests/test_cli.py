@@ -155,6 +155,20 @@ def test_cmd_check_prints_one_integral_and_a_reproducer(capsys):
         assert rerun[-3].startswith("  FAIL case") and rerun[-1] == line
 
 
+def test_cmd_check_shortens_a_long_discrepancy_in_text_mode(capsys):
+    # the text line carries the first 400 characters and the size of the
+    # discrepancy; --json keeps it whole
+    argv = ["check", "omega", "--mode", "naive", "--cases", "1", "--seed", "20240808"]
+    assert main(argv + ["--json"]) == 1
+    (failed,) = json.loads(capsys.readouterr().out)["results"]
+    full = failed["discrepancy"]
+    assert len(full) > 5000 and full.startswith("(1)*<") and full.endswith(">")
+    assert main(argv) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2] == f"    discrepancy density: {full[:400]} ... [1 terms, 131 monomials]"
+    assert lines[3].startswith("    reproduce: bvcalc check omega --mode naive")
+
+
 def test_run_suite_records_structural_agreement_apart_from_the_verdict():
     # case 0 at seed 4 holds modulo collapse but not structurally; the
     # failing naive scalar pair records no structural agreement either

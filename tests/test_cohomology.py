@@ -3,15 +3,20 @@ import random
 import pytest
 
 from bvcalc import Expr
+from bvcalc.algebra import make_attach
+from bvcalc.coeff import Coefficient
 from bvcalc.cohomology import (
     Functional,
+    _ClassBasis,
+    _graded_expand,
     _graded_sort,
+    _scale_canonical,
     densities_equivalent,
     field_free_part,
     functional_equal,
     is_trivial,
 )
-from bvcalc.jetcalc import euler_left, total_derivative
+from bvcalc.jetcalc import canonicalize_channels, collapse, euler_left, total_derivative
 from bvcalc.bv import schouten, laplacian
 
 from util_random import plane_model, random_homogeneous, scalar_model
@@ -169,3 +174,127 @@ def test_odd_blocks_in_one_class_multiply_graded_commutatively(m):
         assert functional_equal(F(A) * F(B), Functional.zero(m), mode)
         assert functional_equal(F(A) * F(C), -(F(C2) * F(A)), mode)
         assert not functional_equal(F(A) * F(C), F(C2) * F(A), mode)
+
+
+# -- the single plain blocks of F - G are decided as one integral ---------------
+
+def _blockwise_equal(F, G, mode):
+    """Reference for functional_equal: every block of F - G is expanded over
+    the class basis on its own, with no summing of single blocks."""
+    H = F - G
+    basis = _ClassBasis(H.model)
+    parities, terms = {}, {}
+    for blocks, c in H.terms.items():
+        expansions = []
+        for b in blocks:
+            if mode == "collapse":
+                b = collapse(b)
+            if b.has_attach():
+                b = canonicalize_channels(b)
+                if b.is_zero():
+                    break
+                b, lead = _scale_canonical(b)
+                c = c * lead
+                parities[("s", b.key())] = b.parity()
+                expansions.append([(("s", b.key()), Coefficient.one())])
+            else:
+                raw = [] if b.is_zero() else basis.expand(b)
+                if not raw:
+                    break
+                for i, _ in raw:
+                    parities[("p", i)] = basis.rows[i][0]
+                expansions.append([(("p", i), lam) for i, lam in raw])
+        else:
+            _graded_expand(terms, expansions, parities, seed=c)
+    return not terms
+
+
+def _structured(m, rng, parity, label):
+    """A block with one Attach atom: D_x of a random density at a frozen
+    channel, times a random even density."""
+    inner = random_homogeneous(m, rng, parity, max_order=1, degree=2)
+    return make_attach(((label, (1,)),), inner) * random_homogeneous(m, rng, 0, 1, 2)
+
+
+def _singles_case(m, rng, with_products):
+    """(F, G) with F - G holding single plain blocks of both parities, and
+    G a regrouping of F: its even singles summed into one block plus a
+    divergence, its odd singles split differently.  with_products adds the
+    same product of blocks to both sides, and two structured blocks to F that
+    G holds as one (equal modulo collapse, not structurally)."""
+    F, G = Functional.zero(m), Functional.zero(m)
+    block = lambda d, c=1: Functional.from_density(m, d).scale(c)
+    for parity in (0, 1):
+        parts = [random_homogeneous(m, rng, parity) for _ in range(rng.randint(2, 3))]
+        cs = [rng.choice((1, -1, 2, 3)) for _ in parts]
+        for d, c in zip(parts, cs):
+            F = F + block(d, c)
+        whole = Expr.zero()
+        for d, c in zip(parts, cs):
+            whole = whole + d.scale(c)
+        div = total_derivative(random_homogeneous(m, rng, parity), 0)
+        if parity == 0:
+            G = G + block(whole + div)
+        else:
+            G = G + block(whole - parts[0].scale(cs[0])) + block(parts[0].scale(cs[0]) + div)
+    if with_products:
+        P = block(random_homogeneous(m, rng, 0)) * block(random_homogeneous(m, rng, 1))
+        X, Y = _structured(m, rng, 1, 7), _structured(m, rng, 1, 8)
+        F, G = F + P + block(X) + block(Y), G + P + block(X + Y)
+    return F, G
+
+
+def test_merged_reduction_matches_the_blockwise_reference(m):
+    rng = random.Random(35)
+    outcomes = set()
+    for trial in range(24):
+        F, G = _singles_case(m, rng, with_products=trial % 2 == 1)
+        extra = Functional.from_density(m, random_homogeneous(m, rng, trial % 2))
+        for mode in ("structural", "collapse"):
+            for lhs, rhs in ((F, G), (F + extra, G), (F, G + extra.scale(2) - extra)):
+                expected = _blockwise_equal(lhs, rhs, mode)
+                assert functional_equal(lhs, rhs, mode) == expected, (trial, mode)
+                outcomes.add((mode, expected))
+    assert outcomes == {(mode, v) for mode in ("structural", "collapse") for v in (True, False)}
+
+
+def test_singles_trivial_modulo_a_divergence(m):
+    # int a + int D(h1) = int (a + D(h2)): the two sides differ by a
+    # divergence only once their integrands are summed
+    rng = random.Random(36)
+    for _ in range(10):
+        p = rng.randint(0, 1)
+        a, h1, h2 = (random_homogeneous(m, rng, p) for _ in range(3))
+        F = Functional.from_density(m, a) + Functional.from_density(m, total_derivative(h1, 0))
+        G = Functional.from_density(m, a + total_derivative(h2, 0))
+        for mode in ("structural", "collapse"):
+            assert _blockwise_equal(F, G, mode) and functional_equal(F, G, mode)
+            assert functional_equal(F, G + G, mode) == _blockwise_equal(F, G + G, mode)
+
+
+def test_singles_are_expanded_once_per_parity_and_not_when_they_cancel(m, monkeypatch):
+    calls = []
+    expand = _ClassBasis.expand
+    monkeypatch.setattr(_ClassBasis, "expand", lambda self, b: calls.append(b) or expand(self, b))
+    rng = random.Random(37)
+    a, b = random_homogeneous(m, rng, 0), random_homogeneous(m, rng, 0)
+    c, d = random_homogeneous(m, rng, 1), random_homogeneous(m, rng, 1)
+    block = lambda e: Functional.from_density(m, e)
+    for mode in ("structural", "collapse"):
+        calls.clear()
+        assert functional_equal(block(a) + block(b), block(a + b), mode)
+        assert calls == []  # the integrands cancel exactly
+        assert not functional_equal(block(a) + block(b) + block(c) - block(d), block(a), mode)
+        assert len(calls) == 2 and {e.parity() for e in calls} == {0, 1}
+
+
+def test_structured_singles_stay_blockwise_in_structural_mode(m):
+    # int (X + Y) = int X + int Y modulo collapse, but structurally the
+    # three structured blocks are three different objects
+    rng = random.Random(38)
+    X, Y = _structured(m, rng, 0, 7), _structured(m, rng, 0, 7)
+    F = Functional.from_density(m, X + Y)
+    G = Functional.from_density(m, X) + Functional.from_density(m, Y)
+    assert not _blockwise_equal(F, G, "structural")
+    assert not functional_equal(F, G, "structural")
+    assert functional_equal(F, G, "collapse") and _blockwise_equal(F, G, "collapse")
