@@ -461,6 +461,19 @@ def _add_monomial(acc: dict, k, m: Monomial) -> None:
             acc[k] = Monomial(c, prev.even, prev.odd)
 
 
+def _sum_scaled(pairs) -> Expr:
+    """The sum of c*e over the (Expr, coefficient) pairs, built in one term
+    map: a sum built with + copies itself once per piece."""
+    acc = {}
+    for e, c in pairs:
+        c = Coefficient.of(c)
+        if c.is_zero():
+            continue
+        for k, m in e.terms.items():
+            _add_monomial(acc, k, Monomial(c * m.coeff, m.even, m.odd))
+    return Expr(acc)
+
+
 def _sort_odd(odds):
     """Sort odd atoms by key; return (sign, sorted) with sign 0 on a repeat."""
     arr = list(odds)

@@ -26,9 +26,8 @@ from dataclasses import dataclass, field
 from typing import List
 
 from .coeff import Coefficient
-from .algebra import Expr, ParityError, _add_monomial
-from .cohomology import (Functional, _accumulate, _one_integral, euler_operators_vanish,
-                         functional_equal)
+from .algebra import Expr, ParityError, _add_monomial, _sum_scaled
+from .cohomology import Functional, _accumulate, euler_operators_vanish, functional_equal
 from .jetcalc import BvModel, collapse, euler, eulers, fresh_label
 
 GEOMETRIC = "geometric"
@@ -332,7 +331,7 @@ def check_identity(name: str, args, mode: str = GEOMETRIC, **options) -> Report:
         # reported with its single-block terms as one integral
         singles = [(blocks[0], c) for blocks, c in D.terms.items() if len(blocks) == 1]
         products = Functional(D.model, {k: c for k, c in D.terms.items() if len(k) != 1})
-        data["discrepancy"] = products + Functional.from_density(D.model, _one_integral(singles))
+        data["discrepancy"] = products + Functional.from_density(D.model, _sum_scaled(singles))
     for how in entry.records:
         data[how] = passed and (how == entry.compare or all(
             functional_equal(lhs, rhs, how) for lhs, rhs in pairs))

@@ -203,14 +203,9 @@ def _draw(schedule, model, cs: int, max_order: int) -> list:
 
 
 def run_suite(suite: str, cases: int, seed: int, max_order: int,
-              mode: str = GEOMETRIC, scalar_pair: bool = False):
-    """Run one named identity suite; returns (passed, result dicts)."""
-    results = [r for r, _ in _check_cases(suite, cases, seed, max_order, mode, scalar_pair)]
-    return all(r["passed"] for r in results), results
-
-
-def _check_cases(suite, cases, seed, max_order, mode, scalar_pair):
-    """Decide each case of a suite; returns a list of (result dict, Report)."""
+              mode: str = GEOMETRIC, scalar_pair: bool = False, describe=repr):
+    """Run one named identity suite; returns (passed, result dicts).  A failing
+    case records its discrepancy as ``describe`` renders it."""
     if suite not in IDENTITIES:
         raise ValueError(f"unknown suite {suite!r}")
     if cases < 1:
@@ -218,7 +213,7 @@ def _check_cases(suite, cases, seed, max_order, mode, scalar_pair):
     if scalar_pair and suite != "derivation-1c":
         raise ValueError(f"--scalar-pair applies only to derivation-1c, not {suite}")
     model = BvModel(1, [("q", 0)])
-    checked = []
+    results = []
     for i in range(1 if scalar_pair else cases):
         if scalar_pair:
             cs, args = seed, build_scalar_example()[1:]
@@ -229,17 +224,19 @@ def _check_cases(suite, cases, seed, max_order, mode, scalar_pair):
         result = {"case": i, "seed": cs, "passed": rep.passed}
         result.update((how, rep.data[how]) for how in IDENTITIES[suite].records)
         if not rep.passed:
-            result["discrepancy"] = repr(rep.data["discrepancy"])
-        checked.append((result, rep))
-    return checked
+            result["discrepancy"] = describe(rep.data["discrepancy"])
+        results.append(result)
+    return all(r["passed"] for r in results), results
 
 
 def cmd_check(args) -> int:
     t0 = time.time()
-    checked = _check_cases(args.suite, args.cases, args.seed, args.max_order,
-                           args.mode, args.scalar_pair)
-    results = [r for r, _ in checked]
-    passed = all(r["passed"] for r in results)
+    # text mode prints a discrepancy cut to its first 400 characters
+    passed, results = run_suite(
+        args.suite, args.cases, args.seed, args.max_order,
+        mode=args.mode, scalar_pair=args.scalar_pair,
+        describe=repr if args.json else _summarize,
+    )
     structural_rate = None
     if args.suite == "derivation-1c":
         structural_rate = sum(1 for r in results if r.get("structural")) / len(results)
@@ -265,10 +262,10 @@ def cmd_check(args) -> int:
               f"in {payload['elapsed_s']}s")
         if structural_rate is not None:
             print(f"  structural pass rate: {structural_rate:.2f}")
-        for r, rep in checked:
+        for r in results:
             if not r["passed"]:
                 print(f"  FAIL case {r['case']} (seed {r['seed']})")
-                print(f"    discrepancy density: {_summarize(rep.data['discrepancy'])}")
+                print(f"    discrepancy density: {r['discrepancy']}")
                 print(f"    reproduce: {_reproducer(args, r['case'])}")
     return 0 if passed else 1
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Tuple
 
 from .coeff import Coefficient
-from .algebra import Attach, Expr, JetVar, Monomial, Trig, _add_monomial
+from .algebra import Attach, Expr, JetVar, Monomial, Trig, _sum_scaled
 from .jetcalc import BvModel, canonicalize_channels, collapse, eulers, _euler_images
 
 
@@ -273,7 +273,7 @@ def functional_equal(
     channel-canonical structural equality (mode 'structural') or by collapse
     followed by cohomological equivalence (mode 'collapse').  The integral is
     linear, so the single wrapper-free blocks of F - G are first summed into
-    one integral per parity (``_one_integral``) and tested as one density.
+    one integral per parity, and tested as one density.
     Terms containing a block that is a trivial density vanish; the
     class-representative polynomials are then compared.
     """
@@ -301,8 +301,11 @@ class _ClassBasis:
     """Greedy exact basis of density classes modulo total divergences.
 
     Blocks are reduced against the basis of their triviality images by
-    Gaussian elimination over the exact coefficient field; each block gets an
-    expansion as a linear combination of independent basis classes.
+    Gaussian elimination over Q(i); each block gets an expansion as a linear
+    combination of independent basis classes, with coefficients in
+    Q(i)[hbar, hbar^-1].  That ring is not a field (1 + hbar has no inverse),
+    so an image is eliminated one power of hbar at a time: hbar is a formal
+    variable and the Euler operators do not touch it.
     """
 
     def __init__(self, model: BvModel):
@@ -312,7 +315,16 @@ class _ClassBasis:
     def expand(self, b: Expr):
         """Expansion of [b] over the basis: list of (basis_index, Coefficient)."""
         parity = b.parity()
-        v = _triviality_image(self.model, b)
+        expansion = {}
+        for k, v in _hbar_parts(_triviality_image(self.model, b)).items():
+            unit = Coefficient.hbar(k)
+            for idx, lam in self._eliminate(parity, v):
+                _accumulate(expansion, idx, lam if k == 0 else unit * lam)
+        return list(expansion.items())
+
+    def _eliminate(self, parity: int, v: dict):
+        """Expansion of an image with entries in Q(i); a remainder becomes a
+        new row, normalised by its pivot."""
         expansion = []
         for idx, (p, pivot, row) in enumerate(self.rows):
             if p != parity:
@@ -331,6 +343,19 @@ class _ClassBasis:
             self.rows.append((parity, pivot, row))
             expansion.append((len(self.rows) - 1, v[pivot]))
         return expansion
+
+
+def _hbar_parts(v: dict) -> dict:
+    """{k: v_k} with v = sum over k of hbar^k * v_k and every entry of every
+    v_k in Q(i)."""
+    parts = {}
+    for coord, c in v.items():
+        if len(c.terms) == 1 and 0 in c.terms:
+            parts.setdefault(0, {})[coord] = c
+        else:
+            for k, entry in c.terms.items():
+                parts.setdefault(k, {})[coord] = Coefficient({0: entry})
+    return parts
 
 
 def _graded_expand(terms, factors_expansions, parities, seed):
@@ -365,11 +390,12 @@ def _reduce_functional(H: Functional, mode: str) -> dict:
 
     In mode 'collapse' every block is collapsed once, and the blocks of a
     product only until one of them is zero or trivial.  The single plain
-    blocks of each parity are then one integral (``_one_integral``), so the
-    class basis expands one density per parity, and none when the sum is
-    zero; the only single plain block of its parity is kept as it is.  The
-    verdict is that of a blockwise reduction, since a single block's term
-    holds exactly one class symbol and the class map is linear."""
+    blocks of each parity are then one integral, their densities scaled by
+    their coefficients and summed, so the class basis expands one density
+    per parity, and none when the sum is zero; the only single plain block
+    of its parity is kept as it is.  The verdict is that of a blockwise
+    reduction, since a single block's term holds exactly one class symbol
+    and the class map is linear over Q(i)[hbar, hbar^-1]."""
     model = H.model
     prepare = collapse if mode == "collapse" else _itself
     singles = {}
@@ -385,7 +411,7 @@ def _reduce_functional(H: Functional, mode: str) -> dict:
             singles.setdefault(b.parity(), []).append((b, c))
     for group in singles.values():
         if len(group) > 1:
-            group = [(_one_integral(group), Coefficient.one())]
+            group = [(_sum_scaled(group), Coefficient.one())]
         pending += [((b,), c) for b, c in group]
     basis = _ClassBasis(model)
     parities = {}
@@ -424,17 +450,6 @@ def _reduce_functional(H: Functional, mode: str) -> dict:
             continue
         _graded_expand(terms, expansions, parities, seed=c)
     return terms
-
-
-def _one_integral(singles) -> Expr:
-    """int c1*A1 + int c2*A2 + ... = int (c1*A1 + c2*A2 + ...): the one
-    density whose integral is the sum over the (density, coefficient) pairs
-    of single-block terms."""
-    density = {}
-    for b, c in singles:
-        for k, m in b.terms.items():
-            _add_monomial(density, k, Monomial(c * m.coeff, m.even, m.odd))
-    return Expr(density) if density else Expr.zero()
 
 
 def _scale_canonical(b: Expr) -> Tuple[Expr, Coefficient]:

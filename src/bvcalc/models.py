@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import chain
 from typing import Dict, Optional, Tuple
 
 from .coeff import Coefficient
-from .algebra import Expr, Trig, _add_monomial
+from .algebra import Expr, Trig, _sum_scaled
 from .cohomology import Functional
 from .jetcalc import BvModel, idx_unit
 
@@ -116,52 +117,26 @@ def build_yang_mills_bv(g: LieAlgebraData, n: int) -> Tuple[BvModel, Functional]
         return model.jet(g_names[a], dagger=True)
 
     def strength(a, i, j) -> Expr:
-        out = dict((A(a, j, idx_unit(n, i)) - A(a, i, idx_unit(n, j))).terms)
-        for b in range(d):
-            for c in range(d):
-                coeff = g.c(a, b, c)
-                if coeff:
-                    _merge(out, (A(b, i) * A(c, j)).scale(Fraction(coeff)))
-        return _expr(out)
+        return _sum_scaled(chain(
+            [(A(a, j, idx_unit(n, i)), 1), (A(a, i, idx_unit(n, j)), -1)],
+            ((A(b, i) * A(c, j), Fraction(g.c(a, b, c)))
+             for b in range(d) for c in range(d) if g.c(a, b, c))))
 
-    density = {}
+    def gauge(a, i) -> Expr:
+        return _sum_scaled(chain(
+            [(gam(a, idx_unit(n, i)), 1)],
+            ((A(b, i) * gam(c), Fraction(g.c(a, b, c)))
+             for b in range(d) for c in range(d) if g.c(a, b, c))))
+
     quarter = Coefficient.of(Fraction(1, 4))
-    for a in range(d):
-        for i in range(n):
-            for j in range(n):
-                Fij = strength(a, i, j)
-                if not Fij.is_zero():
-                    _merge(density, (Fij * Fij).scale(quarter))
-    for a in range(d):
-        for i in range(n):
-            gauge = dict(gam(a, idx_unit(n, i)).terms)
-            for b in range(d):
-                for c in range(d):
-                    coeff = g.c(a, b, c)
-                    if coeff:
-                        _merge(gauge, (A(b, i) * gam(c)).scale(Fraction(coeff)))
-            _merge(density, dA(a, i) * _expr(gauge))
     minus_half = Coefficient.of(Fraction(-1, 2))
-    for c in range(d):
-        for a in range(d):
-            for b in range(d):
-                coeff = g.c(c, a, b)
-                if coeff:
-                    _merge(density, (gam(a) * gam(b) * dgam(c)).scale(
-                        minus_half * Coefficient.of(Fraction(coeff))
-                    ))
-    return model, Functional.from_density(model, _expr(density))
-
-
-def _merge(acc: dict, e: Expr) -> None:
-    """Add the terms of ``e`` into the term map ``acc`` in place, so a sum
-    built piece by piece does not copy itself per piece."""
-    for k, m in e.terms.items():
-        _add_monomial(acc, k, m)
-
-
-def _expr(acc: dict) -> Expr:
-    return Expr(acc) if acc else Expr.zero()
+    strengths = (strength(a, i, j) for a in range(d) for i in range(n) for j in range(n))
+    density = _sum_scaled(chain(
+        ((Fij * Fij, quarter) for Fij in strengths if not Fij.is_zero()),
+        ((dA(a, i) * gauge(a, i), 1) for a in range(d) for i in range(n)),
+        ((gam(a) * gam(b) * dgam(c), minus_half * Coefficient.of(Fraction(g.c(c, a, b))))
+         for c in range(d) for a in range(d) for b in range(d) if g.c(c, a, b))))
+    return model, Functional.from_density(model, density)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +173,7 @@ def random_density(
     """
     n = model.base_dim
     names = [name for name, _ in model.fields]
-    out = {}
+    monos = []
     count = n_monomials if n_monomials is not None else rng.randint(1, 3)
     attempts = 0
     made = 0
@@ -237,9 +212,9 @@ def random_density(
             mono = mono * extra
             if mono.is_zero() or mono.parity() != parity:
                 continue
-        _merge(out, mono)
+        monos.append((mono, 1))
         made += 1
-    out = _expr(out)
+    out = _sum_scaled(monos)
     if require_field and out.is_zero():
         # guarantee a nonzero density of the requested parity
         name = names[0]

@@ -8,6 +8,7 @@ from bvcalc.algebra import ParityError, collect_channel_labels, make_attach
 from bvcalc.cohomology import Functional, functional_equal
 from bvcalc.jetcalc import collapse
 from bvcalc.bv import (
+    GEOMETRIC,
     IDENTITIES,
     NAIVE,
     Identity,
@@ -25,6 +26,7 @@ from bvcalc.bv import (
     schouten,
     schouten_density,
 )
+from bvcalc.grammar import parse_expr
 from bvcalc.models import build_scalar_example, random_functional
 
 from util_random import ghost_model, nested_brackets, scalar_model
@@ -262,6 +264,19 @@ def test_check_master_equation_scalar(m):
     assert blocks == (Expr.scalar(1),) and c == Coefficient.one()
     assert schouten(S, S).is_zero()
     assert check_master_equation(zero(m)).passed
+
+
+def test_check_master_equation_with_both_sides_nontrivial(m):
+    # Delta S and [[S,S]] are both nontrivial and share Euler-image
+    # coordinates, so the obstruction i*hbar*Delta(S) - 1/2 [[S,S]] mixes
+    # powers of hbar in one integral
+    S = Functional.from_density(m, parse_expr("-q + q*dag(q)*dag(q)_x - 2*q^2*dag(q)*dag(q)_x", m))
+    for mode in (GEOMETRIC, NAIVE):
+        rep = check_master_equation(S, mode)
+        assert not rep.passed
+        assert not functional_equal(laplacian(S, mode), zero(m), "collapse")
+        assert not functional_equal(schouten(S, S, mode), zero(m), "collapse")
+        assert not functional_equal(rep.data["obstruction"], zero(m), "structural")
 
 
 def test_check_omega_squared_reports(m):

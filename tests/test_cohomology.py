@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -216,27 +217,37 @@ def _structured(m, rng, parity, label):
     return make_attach(((label, (1,)),), inner) * random_homogeneous(m, rng, 0, 1, 2)
 
 
+HBAR = Coefficient.hbar()
+_COEFFICIENTS = (1, -1, 2, Fraction(1, 2), HBAR, -(Coefficient.imag_unit() * HBAR), 1 + HBAR)
+
+
 def _singles_case(m, rng, with_products):
     """(F, G) with F - G holding single plain blocks of both parities, and
-    G a regrouping of F: its even singles summed into one block plus a
-    divergence, its odd singles split differently.  with_products adds the
-    same product of blocks to both sides, and two structured blocks to F that
-    G holds as one (equal modulo collapse, not structurally)."""
+    G a regrouping of F: per power of hbar, its even singles summed into one
+    block plus a divergence, its odd singles split differently.
+    with_products adds the same product of blocks to both sides, and two
+    structured blocks to F that G holds as one (equal modulo collapse, not
+    structurally)."""
     F, G = Functional.zero(m), Functional.zero(m)
     block = lambda d, c=1: Functional.from_density(m, d).scale(c)
     for parity in (0, 1):
         parts = [random_homogeneous(m, rng, parity) for _ in range(rng.randint(2, 3))]
-        cs = [rng.choice((1, -1, 2, 3)) for _ in parts]
+        cs = [Coefficient.of(rng.choice(_COEFFICIENTS)) for _ in parts]
         for d, c in zip(parts, cs):
             F = F + block(d, c)
-        whole = Expr.zero()
-        for d, c in zip(parts, cs):
-            whole = whole + d.scale(c)
-        div = total_derivative(random_homogeneous(m, rng, parity), 0)
-        if parity == 0:
-            G = G + block(whole + div)
-        else:
-            G = G + block(whole - parts[0].scale(cs[0])) + block(parts[0].scale(cs[0]) + div)
+        for k in {k for c in cs for k in c.terms}:
+            # the hbar^k parts of the coefficients, each in Q(i)
+            qs = [Coefficient({0: c.terms[k]}) if k in c.terms else 0 for c in cs]
+            whole = Expr.zero()
+            for d, q in zip(parts, qs):
+                whole = whole + d.scale(q)
+            div = total_derivative(random_homogeneous(m, rng, parity), 0)
+            unit = Coefficient.hbar(k)
+            if parity == 0:
+                G = G + block(whole + div, unit)
+            else:
+                first = parts[0].scale(qs[0])
+                G = G + block(whole - first, unit) + block(first + div, unit)
     if with_products:
         P = block(random_homogeneous(m, rng, 0)) * block(random_homogeneous(m, rng, 1))
         X, Y = _structured(m, rng, 1, 7), _structured(m, rng, 1, 8)
@@ -250,8 +261,10 @@ def test_merged_reduction_matches_the_blockwise_reference(m):
     for trial in range(24):
         F, G = _singles_case(m, rng, with_products=trial % 2 == 1)
         extra = Functional.from_density(m, random_homogeneous(m, rng, trial % 2))
+        mixed = extra.scale(rng.choice(_COEFFICIENTS[4:]))
         for mode in ("structural", "collapse"):
-            for lhs, rhs in ((F, G), (F + extra, G), (F, G + extra.scale(2) - extra)):
+            for lhs, rhs in ((F, G), (F + extra, G), (F, G + extra.scale(2) - extra),
+                             (F + mixed, G)):
                 expected = _blockwise_equal(lhs, rhs, mode)
                 assert functional_equal(lhs, rhs, mode) == expected, (trial, mode)
                 outcomes.add((mode, expected))
@@ -298,3 +311,23 @@ def test_structured_singles_stay_blockwise_in_structural_mode(m):
     assert not _blockwise_equal(F, G, "structural")
     assert not functional_equal(F, G, "structural")
     assert functional_equal(F, G, "collapse") and _blockwise_equal(F, G, "collapse")
+
+
+def test_singles_with_mixed_powers_of_hbar_are_decided_per_power(m):
+    # int A + hbar int 2A sums to int (1 + 2*hbar) A: no entry of its
+    # Euler image is a unit of Q(i)[hbar, hbar^-1], yet the verdict is exact
+    rng = random.Random(39)
+    A = random_homogeneous(m, rng, 0)
+    block = lambda d, c=1: Functional.from_density(m, d).scale(c)
+    F = block(A) + block(A.scale(2), HBAR)
+    div = total_derivative(random_homogeneous(m, rng, 0), 0)
+    for mode in ("structural", "collapse"):
+        assert not functional_equal(F, Functional.zero(m), mode)
+        assert not functional_equal(block(A) + block(A.scale(2), 1 + HBAR),
+                                    block(A) + block(A.scale(2)), mode)
+        assert not functional_equal(F, block(A.scale(1 + HBAR)), mode)
+        assert functional_equal(F, block(A.scale(1 + 2 * HBAR)), mode)
+        assert functional_equal(F, block(A.scale(1 + 2 * HBAR) + div.scale(1 - HBAR)), mode)
+        # a lone block with hbar inside its density
+        assert not functional_equal(block(A.scale(1 + HBAR)), Functional.zero(m), mode)
+        assert functional_equal(block(div.scale(1 + HBAR)), Functional.zero(m), mode)
