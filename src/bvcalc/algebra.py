@@ -17,10 +17,19 @@ into the coefficient), sin(u)^2 is rewritten to 1 - cos(u)^2, monomials with
 equal atom content are merged, and zero coefficients are dropped.  The zero
 expression is the empty sum.  All operations return canonical expressions;
 Expr values are immutable.
+
+Atoms are interned: equal live atoms are one object, so they hash and compare
+by identity, and only their ``key`` (a nested tuple) orders them.  A term map
+``Expr.terms`` is keyed by each monomial's own ``(even, odd)`` tuples of
+atoms, which hash in one shallow pass and sort as the nested keys do; Expr
+equality and hashing read these term maps too.  ``Monomial.atom_key()``
+spells the nested keys out only where a value leaves the program
+(``Expr.key()`` and the triviality images of the class basis).
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Iterable, Sequence, Tuple
 
 from .coeff import Coefficient
@@ -29,14 +38,19 @@ from .coeff import Coefficient
 # atoms
 
 
+# Every live atom, by what makes it that atom: equal atoms are built once and
+# shared (hash-consing, Filliâtre & Conchon, "Type-safe modular
+# hash-consing", 2006), so atoms hash and compare by identity, in C.  An
+# entry lasts as long as its atom.
+_INTERNED = weakref.WeakValueDictionary()
+
+
 class Atom:
-    __slots__ = ("key", "parity", "_hash")
+    """An interned factor.  ``key`` is a nested tuple that orders atoms and
+    leaves the program in ``Expr.key()``; two live atoms with equal keys are
+    the same object (given one ghost number per field name)."""
 
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return self is other or (isinstance(other, Atom) and self.key == other.key)
+    __slots__ = ("key", "parity", "__weakref__")
 
     def __lt__(self, other):
         return self.key < other.key
@@ -45,25 +59,25 @@ class Atom:
 class JetVar(Atom):
     __slots__ = ("field", "dagger", "index", "gh")
 
-    def __init__(self, field: str, dagger: bool, index: Tuple[int, ...], gh: int):
-        self._set(field, bool(dagger), tuple(int(k) for k in index), int(gh))
+    def __new__(cls, field: str, dagger: bool, index: Tuple[int, ...], gh: int):
+        return cls._from_parts(field, bool(dagger), tuple(int(k) for k in index), int(gh))
 
     @classmethod
     def _from_parts(cls, field: str, dagger: bool, index: Tuple[int, ...], gh: int):
-        """A JetVar from parts that are already a bool, a tuple of ints and an
-        int, as those of another JetVar are; skips the conversion pass."""
-        u = object.__new__(cls)
-        u._set(field, dagger, index, gh)
+        """The JetVar of parts that are already a bool, a tuple of ints and an
+        int, as those of another JetVar are; skips the conversion pass.  The
+        ghost number is part of its identity, not of its key."""
+        ident = (0, field, dagger, index, gh)
+        u = _INTERNED.get(ident)
+        if u is None:
+            u = _INTERNED[ident] = object.__new__(cls)
+            u.field = field
+            u.dagger = dagger
+            u.index = index
+            u.gh = gh
+            u.parity = gh & 1
+            u.key = (0, field, dagger, index)
         return u
-
-    def _set(self, field, dagger, index, gh):
-        self.field = field
-        self.dagger = dagger
-        self.index = index
-        self.gh = gh
-        self.parity = gh & 1
-        self.key = (0, field, dagger, index)
-        self._hash = hash(self.key)
 
     def __repr__(self):
         d = "dag " if self.dagger else ""
@@ -73,11 +87,15 @@ class JetVar(Atom):
 class BaseVar(Atom):
     __slots__ = ("coord",)
 
-    def __init__(self, coord: int):
-        self.coord = int(coord)
-        self.parity = 0
-        self.key = (1, self.coord)
-        self._hash = hash(self.key)
+    def __new__(cls, coord: int):
+        key = (1, int(coord))
+        a = _INTERNED.get(key)
+        if a is None:
+            a = _INTERNED[key] = object.__new__(cls)
+            a.coord = key[1]
+            a.parity = 0
+            a.key = key
+        return a
 
     def __repr__(self):
         return f"BaseVar(x{self.coord + 1})"
@@ -89,18 +107,22 @@ TRIG_TAGS = ("sin", "cos", "exp")
 class Trig(Atom):
     __slots__ = ("tag", "arg")
 
-    def __init__(self, tag: str, arg: JetVar):
+    def __new__(cls, tag: str, arg: JetVar):
         if tag not in TRIG_TAGS:
             raise ValueError(f"unsupported function tag {tag!r}")
         if not isinstance(arg, JetVar) or arg.parity != 0:
             raise ValueError(
                 f"{tag} argument must be a single parity-even jet variable, got {arg!r}"
             )
-        self.tag = tag
-        self.arg = arg
-        self.parity = 0
-        self.key = (2, tag, arg.key)
-        self._hash = hash(self.key)
+        ident = (2, tag, arg)
+        a = _INTERNED.get(ident)
+        if a is None:
+            a = _INTERNED[ident] = object.__new__(cls)
+            a.tag = tag
+            a.arg = arg
+            a.parity = 0
+            a.key = (2, tag, arg.key)
+        return a
 
     def __repr__(self):
         return f"Trig({self.tag}, {self.arg!r})"
@@ -112,18 +134,24 @@ class Attach(Atom):
     ``pending`` is a tuple of (channel label, multi-index) pairs, each a total
     derivative waiting to be expanded at collapse; an empty tuple marks a bare
     attachment boundary.  ``inner`` is a canonical single-monomial expression
-    with unit coefficient.
+    with unit coefficient.  The block is looked up by its pending set and the
+    interned content of ``inner``, so its nested key is built only once.
     """
 
     __slots__ = ("pending", "inner")
 
-    def __init__(self, pending, inner: "Expr"):
-        self.pending = tuple(sorted((tuple(idx), int(lab)) for lab, idx in pending))
-        self.pending = tuple((lab, idx) for idx, lab in self.pending)
-        self.inner = inner
-        self.parity = inner.parity()
-        self.key = (3, tuple((idx, lab) for lab, idx in self.pending), inner.key())
-        self._hash = hash(self.key)
+    def __new__(cls, pending, inner: "Expr"):
+        by_index = tuple(sorted((tuple(idx), int(lab)) for lab, idx in pending))
+        ident = (3, by_index, frozenset((k, m.coeff) for k, m in inner.terms.items()))
+        a = _INTERNED.get(ident)
+        if a is None:
+            parity = inner.parity()
+            a = _INTERNED[ident] = object.__new__(cls)
+            a.pending = tuple((lab, idx) for idx, lab in by_index)
+            a.inner = inner
+            a.parity = parity
+            a.key = (3, by_index, inner.key())
+        return a
 
     def __repr__(self):
         return f"Attach({self.pending!r}, {self.inner!r})"
@@ -142,6 +170,8 @@ class Monomial:
         self.odd = odd    # tuple of Atom, sorted by key, pairwise distinct
 
     def atom_key(self):
+        """The nested keys of the term key (even, odd); only for values that
+        leave the program."""
         return (
             tuple((a.key, e) for a, e in self.even),
             tuple(a.key for a in self.odd),
@@ -170,7 +200,8 @@ class Expr:
     __slots__ = ("terms", "_key", "_hash", "_parity", "_gh")
 
     def __init__(self, terms):
-        # terms: dict atom_key -> Monomial; canonical by construction
+        # terms: dict (even, odd) -> Monomial, keyed by the monomial's own
+        # tuples of interned atoms; canonical by construction
         self.terms = terms
         self._key = None
         self._hash = None
@@ -197,21 +228,34 @@ class Expr:
     # -- canonical key ----------------------------------------------------
 
     def key(self):
+        """The nested canonical key: orders expressions, and is the form in
+        which an expression leaves the program."""
         if self._key is None:
             self._key = tuple(
-                sorted((k, m.coeff.key()) for k, m in self.terms.items())
+                sorted((m.atom_key(), m.coeff.key()) for m in self.terms.values())
             )
         return self._key
 
     def __hash__(self):
+        # by the term keys alone, which hash by atom identity: equal
+        # expressions have equal term keys, and the nested key is not built
         if self._hash is None:
-            self._hash = hash(self.key())
+            self._hash = hash(frozenset(self.terms))
         return self._hash
 
     def __eq__(self, other):
         if not isinstance(other, Expr):
             return NotImplemented
-        return self is other or self.key() == other.key()
+        if self is other:
+            return True
+        if len(self.terms) != len(other.terms):
+            return False
+        theirs = other.terms
+        for k, m in self.terms.items():
+            o = theirs.get(k)
+            if o is None or o.coeff != m.coeff:
+                return False
+        return True
 
     # -- ring operations --------------------------------------------------
 
@@ -406,11 +450,8 @@ def _from_raw(raw: Iterable[Tuple[Coefficient, Sequence[Tuple[Atom, int]]]]) -> 
             if exp < 0:
                 raise ValueError("negative atom exponent")
             if atom.parity == 0:
-                prev = evens.get(atom.key)
-                if prev is None:
-                    evens[atom.key] = (atom, exp)
-                else:
-                    evens[atom.key] = (atom, prev[1] + exp)
+                prev = evens.get(atom)
+                evens[atom] = (atom, exp if prev is None else prev[1] + exp)
             else:
                 if exp > 1:
                     dead = True
@@ -420,14 +461,14 @@ def _from_raw(raw: Iterable[Tuple[Coefficient, Sequence[Tuple[Atom, int]]]]) -> 
             continue
 
         # sin^2 -> 1 - cos^2 (restores canonical sin-degree <= 1)
-        sin_key = None
-        for k, (a, e) in evens.items():
+        sin_atom = None
+        for a, e in evens.values():
             if e >= 2 and isinstance(a, Trig) and a.tag == "sin":
-                sin_key = k
+                sin_atom = a
                 break
-        if sin_key is not None:
-            a, e = evens[sin_key]
-            rest = [(atom, exp) for k2, (atom, exp) in evens.items() if k2 != sin_key]
+        if sin_atom is not None:
+            a, e = evens[sin_atom]
+            rest = [(atom, exp) for atom, exp in evens.values() if atom is not a]
             if e > 2:
                 rest.append((a, e - 2))
             rest_odd = [(o, 1) for o in odds]
@@ -442,14 +483,15 @@ def _from_raw(raw: Iterable[Tuple[Coefficient, Sequence[Tuple[Atom, int]]]]) -> 
         if sign < 0:
             coeff = -coeff
         even_sorted = tuple(sorted(evens.values(), key=lambda t: t[0].key))
-        mono = Monomial(coeff, even_sorted, tuple(odd_sorted))
-        _add_monomial(acc, mono.atom_key(), mono)
+        odd_sorted = tuple(odd_sorted)
+        _add_monomial(acc, (even_sorted, odd_sorted), Monomial(coeff, even_sorted, odd_sorted))
     return Expr(acc) if acc else _EXPR_ZERO
 
 
 def _add_monomial(acc: dict, k, m: Monomial) -> None:
-    """Add the canonical monomial ``m`` with atom key ``k`` into the term map
-    ``acc`` in place: equal atom keys merge, and a zero sum is dropped."""
+    """Add the canonical monomial ``m`` with term key ``k`` = (m.even, m.odd)
+    into the term map ``acc`` in place: equal atoms merge, and a zero sum is
+    dropped."""
     prev = acc.get(k)
     if prev is None:
         acc[k] = m
@@ -491,7 +533,7 @@ def _sort_odd(odds):
             j -= 1
         arr[j + 1] = a
     for i in range(n - 1):
-        if arr[i].key == arr[i + 1].key:
+        if arr[i] is arr[i + 1]:
             return 0, arr
     return sign, arr
 
@@ -520,7 +562,7 @@ def make_attach(pending, inner: Expr) -> Expr:
         if not content:
             if pending:
                 continue  # total derivative of a constant block
-            _add_monomial(acc, m.atom_key(), m)
+            _add_monomial(acc, (m.even, m.odd), m)
             continue
         if len(content) == 1 and isinstance(content[0][0], Attach) and content[0][1] == 1:
             a = content[0][0]
@@ -532,8 +574,8 @@ def make_attach(pending, inner: Expr) -> Expr:
                 a = Attach(merged, a.inner)
         else:
             a = Attach(pending, _from_raw([(Coefficient.one(), content)]))
-        mono = Monomial(m.coeff, (), (a,)) if a.parity else Monomial(m.coeff, ((a, 1),), ())
-        _add_monomial(acc, mono.atom_key(), mono)
+        even, odd = ((), (a,)) if a.parity else (((a, 1),), ())
+        _add_monomial(acc, (even, odd), Monomial(m.coeff, even, odd))
     return Expr(acc) if acc else _EXPR_ZERO
 
 

@@ -287,13 +287,13 @@ def functional_equal(
 def _triviality_image(model: BvModel, b: Expr) -> dict:
     """Sparse coordinates of a density under the linear map whose kernel is
     exactly the trivial densities: all Euler-operator images together with
-    the field-free residue."""
+    the field-free residue, keyed by nested atom keys."""
     img = {}
     for (field, dagger), e in eulers(model, b, dict.fromkeys(model.variables())).items():
-        for k, mono in e.terms.items():
-            img[("E", field, dagger, k)] = mono.coeff
-    for k, mono in field_free_part(b).terms.items():
-        img[("c", k)] = mono.coeff
+        for mono in e.terms.values():
+            img[("E", field, dagger, mono.atom_key())] = mono.coeff
+    for mono in field_free_part(b).terms.values():
+        img[("c", mono.atom_key())] = mono.coeff
     return img
 
 

@@ -531,7 +531,9 @@ def canonicalize_channels(e: Expr) -> Expr:
     A renaming is a bijection on atoms, so no two factors of a candidate
     merge and no odd factor repeats: each candidate is built directly as its
     renamed even factors re-sorted by key and its renamed odd factors sorted
-    with their sign, and candidates are compared by (atom key, coefficient).
+    with their sign, and candidates are compared by their term keys, the
+    tuples of interned atoms, alone: two candidates with equal atoms carry
+    equal coefficients, or the monomial is minus itself and vanishes.
     Renamed Attach atoms, nested ones included, are shared through a memo
     that lives for one call, keyed by the atom and the images of its own
     labels (equal sub-objects shared as in hash-consing, Filliâtre &
@@ -542,7 +544,7 @@ def canonicalize_channels(e: Expr) -> Expr:
     for m in e.monomials():
         sigs = _label_signatures(m, erased, occurrences)
         if not sigs:
-            _add_monomial(acc, m.atom_key(), m)
+            _add_monomial(acc, (m.even, m.odd), m)
             continue
         ranked = sorted(sigs, key=sigs.get)
         groups = [tuple(g) for _, g in itertools.groupby(ranked, key=sigs.get)]
@@ -551,18 +553,17 @@ def canonicalize_channels(e: Expr) -> Expr:
         for choice in itertools.product(*(itertools.permutations(g) for g in groups)):
             mapping = {lab: i for i, lab in enumerate(itertools.chain.from_iterable(choice))}
             candidate = _rename_monomial(m, mapping, own_labels, renamed)
-            mk = candidate.atom_key()
+            mk = (candidate.even, candidate.odd)
             prev = seen.setdefault(mk, candidate.coeff)
             if prev != candidate.coeff:
                 # the monomial is odd under a renaming of its bound channel
                 # labels, hence equal to minus itself: it vanishes.  Every
                 # such renaming preserves signatures, so it is enumerated.
                 break
-            ck = (mk, candidate.coeff.key())
-            if best is None or ck < best_key:
-                best, best_key = candidate, ck
+            if best is None or mk < best_key:
+                best, best_key = candidate, mk
         else:
-            _add_monomial(acc, best_key[0], best)
+            _add_monomial(acc, best_key, best)
     return Expr(acc) if acc else Expr.zero()
 
 
@@ -674,7 +675,7 @@ def _rename_atom(a: Attach, mapping: dict, own_labels: dict, memo: dict):
         terms = {}
         for mm in inner.monomials():
             mm = _rename_monomial(mm, mapping, own_labels, memo)
-            terms[mm.atom_key()] = mm
+            terms[mm.even, mm.odd] = mm
         inner = Expr(terms)
         if inner.lead_coefficient() == -1:
             inner, flip = -inner, True

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, product
 from typing import Dict, Optional, Tuple
 
 from .coeff import Coefficient
@@ -95,10 +95,24 @@ def build_yang_mills_bv(g: LieAlgebraData, n: int) -> Tuple[BvModel, Functional]
 
       S = 1/4 int F^a_ij F^a_ij + int dag(A)^ai (D_i gam^a + f^a_bc A^b_i gam^c)
           - 1/2 int f^c_ab gam^a gam^b dag(gam)_c
+
+    The Euclidean contraction is an invariant metric only when f^c_ab is
+    totally antisymmetric (which implies unimodularity, f^a_ab = 0); other
+    structure constants raise ValueError at the first failing (a, b, c).
     """
     if n < 2:
         raise ValueError("Yang-Mills needs base dimension >= 2")
     d = g.dimension
+    # f^c_ab is antisymmetric in (a, b) already; antisymmetry in (c, a)
+    # completes the full permutation group
+    for a, b, c in product(range(d), repeat=3):
+        if g.c(c, a, b) != -g.c(a, c, b):
+            raise ValueError(
+                f"structure constants f^c_ab are not totally antisymmetric at "
+                f"(a, b, c) = ({a}, {b}, {c}): f^{c}_{a}{b} = {g.c(c, a, b)}, "
+                f"f^{a}_{c}{b} = {g.c(a, c, b)}; the Euclidean contraction of "
+                f"Yang-Mills needs an invariant metric"
+            )
     a_names, g_names = _ym_names(d, n)
     fields = [(a_names[a][i], 0) for a in range(d) for i in range(n)]
     fields += [(g_names[a], 1) for a in range(d)]

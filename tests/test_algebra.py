@@ -1,10 +1,22 @@
+import gc
 import random
 
 import pytest
 
 from bvcalc import BvModel, Expr, ParityError
+from bvcalc import algebra
 from bvcalc.coeff import Coefficient
-from bvcalc.algebra import GhostNumberError, Trig, make_attach, normalize
+from bvcalc.algebra import (
+    Atom,
+    Attach,
+    BaseVar,
+    GhostNumberError,
+    JetVar,
+    Trig,
+    make_attach,
+    normalize,
+)
+from bvcalc.jetcalc import _shift
 
 from util_random import ghost_model, random_expr, scalar_model
 
@@ -139,3 +151,93 @@ def test_duplicate_channel_label_rejected(m):
     inner = m.jet("q")
     with pytest.raises(ValueError):
         make_attach(((3, (1,)), (3, (2,))), inner)
+
+
+# ---------------------------------------------------------------------------
+# interned atoms and term keys
+
+
+def test_equal_atoms_built_apart_are_one_object(m):
+    q = m.jet_atom("q")
+    assert JetVar("q", False, (1,), 0) is _shift(q, 0)
+    # the constructor converts its parts before the lookup
+    assert JetVar("q", 0, [2], 0) is _shift(_shift(q, 0), 0)
+    assert BaseVar(0) is BaseVar(0)
+    assert Trig("sin", q) is Trig("sin", JetVar("q", False, (0,), 0))
+    inner = m.jet("q") * m.x(0)
+    again = m.x(0) * m.jet("q")
+    assert inner is not again
+    assert Attach(((5, (1,)), (2, (0,))), inner) is Attach([(2, (0,)), (5, (1,))], again)
+    assert Attach(((5, (1,)),), inner) is not Attach(((5, (2,)),), inner)
+    assert Attach(((5, (1,)),), inner) is not Attach(((6, (1,)),), inner)
+
+
+def test_a_ghost_number_is_part_of_a_jet_variable():
+    # one name with two ghost numbers gives two atoms, never one of the wrong
+    # parity, although their keys agree
+    even, odd = JetVar("s", False, (0,), 0), JetVar("s", False, (0,), 1)
+    assert even is not odd
+    assert (even.parity, odd.parity) == (0, 1)
+    assert even.key == odd.key
+
+
+def test_atoms_hash_and_compare_by_identity():
+    for cls in (Atom, JetVar, BaseVar, Trig, Attach):
+        assert "__eq__" not in vars(cls) and "__hash__" not in vars(cls)
+    # only the ordering reads the nested keys
+    assert JetVar("a", False, (0,), 0) < BaseVar(0) < BaseVar(1)
+    assert sorted([BaseVar(2), BaseVar(0), BaseVar(1)]) == [BaseVar(0), BaseVar(1), BaseVar(2)]
+
+
+def test_intern_table_lets_dead_atoms_go():
+    gc.collect()
+    before = len(algebra._INTERNED)
+    model = BvModel(2, [("interned", 0), ("interned_ghost", 1)])
+    rng = random.Random(41)
+    exprs = [random_expr(model, rng, with_attach=True) for _ in range(30)]
+    assert len(algebra._INTERNED) > before
+    del exprs, model
+    gc.collect()
+    assert len(algebra._INTERNED) == before
+
+
+def _term_key_cases():
+    rng = random.Random(14)
+    for model in (scalar_model(), ghost_model()):
+        for _ in range(100):
+            yield random_expr(model, rng, with_attach=True)
+
+
+def _printed_in_atom_key_order(e: Expr) -> str:
+    """The printed form with the monomials ordered by their nested atom keys."""
+    if e.is_zero():
+        return "0"
+    mons = sorted(e.terms.values(), key=lambda mono: mono.atom_key())
+    pieces = [repr(Expr({(mono.even, mono.odd): mono})) for mono in mons]
+    out = pieces[0]
+    for p in pieces[1:]:
+        out += " - " + p[1:] if p.startswith("-") else " + " + p
+    return out
+
+
+def test_term_maps_are_keyed_by_the_monomials_own_atoms():
+    for e in _term_key_cases():
+        for k, mono in e.terms.items():
+            assert k == (mono.even, mono.odd)
+        ordered = [e.terms[k].atom_key() for k in sorted(e.terms)]
+        assert ordered == sorted(mono.atom_key() for mono in e.terms.values())
+        assert repr(e) == _printed_in_atom_key_order(e)
+
+
+def test_expr_equality_agrees_with_the_nested_key():
+    cases = list(_term_key_cases())
+    rng = random.Random(15)
+    for a in cases[:60]:
+        # the same expression rebuilt in another order, a multiple and a
+        # different expression
+        rebuilt = normalize(Expr(dict(reversed(list(a.terms.items())))))
+        for b in (rebuilt, a.scale(2), rng.choice(cases)):
+            assert (a == b) == (a.key() == b.key())
+            if a == b:
+                assert hash(a) == hash(b)
+        assert a == rebuilt and hash(a) == hash(rebuilt)

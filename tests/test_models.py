@@ -68,6 +68,17 @@ def test_su2_n2_master_equation():
                 assert euler_left(model, b, name, dagger).is_zero()
 
 
+def test_yang_mills_rejects_non_invariant_algebra():
+    # [e1, e2] = e2 satisfies the Jacobi identity but is not unimodular, so
+    # the Euclidean contraction is not invariant: Delta S = -int gam1 at n=2
+    g = LieAlgebraData(2, {(1, 0, 1): Fraction(1), (1, 1, 0): Fraction(-1)})
+    with pytest.raises(ValueError, match=r"totally antisymmetric at \(a, b, c\) = \(0, 1, 1\)"):
+        build_yang_mills_bv(g, 2)
+    for g in (LieAlgebraData.su2(), LieAlgebraData.abelian(3)):
+        model, S = build_yang_mills_bv(g, 2)
+        assert S.parity() == 0
+
+
 def test_yang_mills_requires_dim_two():
     with pytest.raises(ValueError):
         build_yang_mills_bv(LieAlgebraData.su2(), 1)
