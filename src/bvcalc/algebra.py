@@ -48,9 +48,13 @@ _INTERNED = weakref.WeakValueDictionary()
 class Atom:
     """An interned factor.  ``key`` is a nested tuple that orders atoms and
     leaves the program in ``Expr.key()``; two live atoms with equal keys are
-    the same object (given one ghost number per field name)."""
+    the same object (given one ghost number per field name).  ``var`` is the
+    variable (field, dagger) that a JetVar is a jet of, or that a Trig takes
+    its argument from, set once when the atom is interned; it is None for a
+    BaseVar and an Attach, so a derivative walk tests a factor with one
+    attribute read."""
 
-    __slots__ = ("key", "parity", "__weakref__")
+    __slots__ = ("key", "parity", "var", "__weakref__")
 
     def __lt__(self, other):
         return self.key < other.key
@@ -76,6 +80,7 @@ class JetVar(Atom):
             u.index = index
             u.gh = gh
             u.parity = gh & 1
+            u.var = (field, dagger)
             u.key = (0, field, dagger, index)
         return u
 
@@ -94,6 +99,7 @@ class BaseVar(Atom):
             a = _INTERNED[key] = object.__new__(cls)
             a.coord = key[1]
             a.parity = 0
+            a.var = None
             a.key = key
         return a
 
@@ -121,6 +127,7 @@ class Trig(Atom):
             a.tag = tag
             a.arg = arg
             a.parity = 0
+            a.var = arg.var
             a.key = (2, tag, arg.key)
         return a
 
@@ -150,6 +157,7 @@ class Attach(Atom):
             a.pending = tuple((lab, idx) for idx, lab in by_index)
             a.inner = inner
             a.parity = parity
+            a.var = None
             a.key = (3, by_index, inner.key())
         return a
 
@@ -179,7 +187,9 @@ class Monomial:
 
     def factors(self):
         """All factors in canonical order as (atom, exponent) pairs."""
-        return tuple(self.even) + tuple((a, 1) for a in self.odd)
+        if not self.odd:
+            return self.even
+        return self.even + tuple([(a, 1) for a in self.odd])
 
     def parity(self) -> int:
         return len(self.odd) & 1

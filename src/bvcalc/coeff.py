@@ -25,6 +25,12 @@ def _as_rational(x):
     return x.numerator if x.denominator == 1 else x
 
 
+def _tidy(x):
+    """An int or Fraction result of exact arithmetic as a clean entry: an
+    integral Fraction becomes an int."""
+    return x if type(x) is int or x.denominator != 1 else x.numerator
+
+
 class Coefficient:
     """Element of Q(i)[hbar, hbar^-1]."""
 
@@ -42,12 +48,25 @@ class Coefficient:
         self.terms = clean
         self._hash = None
 
+    @classmethod
+    def _clean(cls, terms) -> "Coefficient":
+        """The Coefficient of a {degree: (re, im)} map whose entries are
+        clean already (ints or non-integral Fractions, no zero entry); the
+        arithmetic builds its results here and skips the validation of the
+        public constructor."""
+        c = object.__new__(cls)
+        c.terms = terms
+        c._hash = None
+        return c
+
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def of(value) -> "Coefficient":
         if isinstance(value, Coefficient):
             return value
+        if type(value) is int:
+            return Coefficient._clean({0: (value, 0)} if value else {})
         return Coefficient({0: (_as_rational(value), 0)})
 
     @staticmethod
@@ -93,17 +112,31 @@ class Coefficient:
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):
-        other = Coefficient.of(other)
+        if type(other) is not Coefficient:
+            if type(other) is int and not other:
+                return self
+            other = Coefficient.of(other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         out = dict(self.terms)
         for d, (re, im) in other.terms.items():
-            r0, i0 = out.get(d, (0, 0))
-            out[d] = (r0 + re, i0 + im)
-        return Coefficient(out)
+            prev = out.get(d)
+            if prev is None:
+                out[d] = (re, im)
+                continue
+            re, im = prev[0] + re, prev[1] + im
+            if re or im:
+                out[d] = (_tidy(re), _tidy(im))
+            else:
+                del out[d]
+        return Coefficient._clean(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Coefficient({d: (-re, -im) for d, (re, im) in self.terms.items()})
+        return Coefficient._clean({d: (-re, -im) for d, (re, im) in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-Coefficient.of(other))
@@ -113,15 +146,27 @@ class Coefficient:
 
     def __mul__(self, other):
         other = Coefficient.of(other)
+        mine, theirs = self.terms, other.terms
+        if len(mine) == 1 and len(theirs) == 1:
+            # a product of two nonzero Gaussian rationals is nonzero
+            (d1, (r1, i1)), = mine.items()
+            (d2, (r2, i2)), = theirs.items()
+            if i1 or i2:
+                re, im = _tidy(r1 * r2 - i1 * i2), _tidy(r1 * i2 + i1 * r2)
+            else:
+                re, im = _tidy(r1 * r2), 0
+            return Coefficient._clean({d1 + d2: (re, im)})
         out = {}
-        for d1, (r1, i1) in self.terms.items():
-            for d2, (r2, i2) in other.terms.items():
+        for d1, (r1, i1) in mine.items():
+            for d2, (r2, i2) in theirs.items():
                 d = d1 + d2
                 re = r1 * r2 - i1 * i2
                 im = r1 * i2 + i1 * r2
                 r0, i0 = out.get(d, (0, 0))
                 out[d] = (r0 + re, i0 + im)
-        return Coefficient(out)
+        return Coefficient._clean({
+            d: (_tidy(re), _tidy(im)) for d, (re, im) in out.items() if re or im
+        })
 
     __rmul__ = __mul__
 

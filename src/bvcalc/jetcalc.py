@@ -11,6 +11,12 @@ naive/geometric iterated variations.
 Total derivatives and collapse work on raw (coefficient, factor list) branches
 and normalise once per call or per monomial, not once per factor; collapse
 expands each distinct Attach block once per call.
+
+The partial-derivative walk takes canonical monomials and files canonical
+ones: the branch of a jet variable is its monomial with one copy of that
+factor removed, and a wrapped branch's home plains, already a canonical unit
+monomial, become the inner of the new block as they are.  Only chain-rule
+(sin/cos/exp) and dived-block branches pass through the normaliser, once each.
 """
 
 from __future__ import annotations
@@ -178,6 +184,7 @@ def total_derivative(e: Expr, direction: int) -> Expr:
     return _from_raw(raw)
 
 
+_ONE = Coefficient.one()
 _MINUS_ONE = Coefficient.of(-1)
 
 
@@ -223,12 +230,9 @@ def total_derivative_multi(e: Expr, index: Sequence[int]) -> Expr:
 # graded partial derivatives and the Euler operator
 
 
-def _trig_chain(a: Trig) -> Expr:
-    if a.tag == "sin":
-        return Expr.from_atom(Trig("cos", a.arg))
-    if a.tag == "cos":
-        return -Expr.from_atom(Trig("sin", a.arg))
-    return Expr.from_atom(Trig("exp", a.arg))
+# the chain rule of each function: d f(u) / du = coefficient (None for 1)
+# times the function named
+_CHAIN = {"sin": (None, "cos"), "cos": (_MINUS_ONE, "sin"), "exp": (None, "exp")}
 
 
 def _partials(e, variables, side, isolate, external, index=None):
@@ -244,21 +248,43 @@ def _partials(e, variables, side, isolate, external, index=None):
     block of its home plains (``_wrap_branch``); a branch consumed inside an
     Attach wrapper adds it to that wrapper's pending set.  ``isolate`` acts
     on the variables with a label only.
+
+    A factor is tested by its ``var`` and whether it is an Attach; a
+    monomial none of whose factors can contribute is skipped before anything
+    is built.  The branch of a jet variable is the canonical monomial with
+    one copy of that factor removed, its sign known, and is filed as it is.
+    Only chain-rule (Trig) and dived-Attach branches are raw factor lists;
+    each is normalised once, before it is wrapped.
     """
-    raw = {}
+    acc = {}  # (v, sigma) -> term map of canonical branches
     unlabelled = None
     dives = {}  # Attach atom -> its branches, so each block is entered once
     for m in e.monomials():
-        factors = m.factors()
+        even, odd = m.even, m.odd
+        # most monomials hold none of one variable's jets: one cheap test
+        # per factor, and no index or sign bookkeeping, skips them
+        for a, _ in even:
+            if a.var in variables or type(a) is Attach:
+                break
+        else:
+            for a in odd:
+                if a.var in variables or type(a) is Attach:
+                    break
+            else:
+                continue
         # the sign of an odd variable's branch: the right-side sign of the
         # monomial, then the Koszul sign of every odd factor passed
-        sign = -1 if side == "right" and not len(m.odd) & 1 else 1
-        for i, (a, k) in enumerate(factors):
-            s = sign
-            if a.parity:
-                sign = -sign
-            # decide whether the factor contributes before building a branch
-            if isinstance(a, Attach):
+        sign = -1 if side == "right" and not len(odd) & 1 else 1
+        n = len(even)
+        factors = None  # the raw factor list, for chain-rule and dived branches
+        for i in range(n + len(odd)):
+            if i < n:
+                a, k = even[i]
+                s = sign
+            else:
+                a, k = odd[i - n], 1
+                s = -sign if (i - n) & 1 else sign
+            if type(a) is Attach:
                 # the pending derivative joins the block's own set, so the
                 # branch itself records none
                 hits = dives.get(a)
@@ -271,72 +297,128 @@ def _partials(e, variables, side, isolate, external, index=None):
                         parity, label = variables[v]
                         for sigma, d in by_index.items():
                             pending = a.pending
-                            if label is not None and idx_order(sigma) > 0:
+                            if label is not None and any(sigma):
                                 pending += ((label, sigma),)
                             dived = make_attach(pending, d)
                             if not dived.is_zero():
-                                hits.append((v, parity, label, sigma, None, dived))
+                                hits.append((v, parity, label, sigma, dived))
                 if not hits:
                     continue
-            elif isinstance(a, (JetVar, Trig)):
-                u = a.arg if isinstance(a, Trig) else a
-                v = (u.field, u.dagger)
-                spec = variables.get(v)
-                if spec is None or (index is not None and u.index != index):
-                    continue
-                parity, label = spec
-                pend = (label, u.index) if label is not None and idx_order(u.index) > 0 else None
-                hits = ((v, parity, label, u.index, pend,
-                         _trig_chain(a) if isinstance(a, Trig) else None),)
-            else:
+                if factors is None:
+                    factors = m.factors()
+                head = factors[:i] + (((a, k - 1),) if k > 1 else ())
+                tail = factors[i + 1:]
+                cmult = m.coeff * k if k > 1 else m.coeff
+                for v, parity, label, sigma, dived in hits:
+                    c = -cmult if parity and s < 0 else cmult
+                    wrap = isolate and label is not None
+                    out = acc.setdefault((v, sigma), {})
+                    for dm in dived.monomials():
+                        _file_raw(out, c * dm.coeff, head + dm.factors() + tail,
+                                  None, wrap, external)
                 continue
-            head = factors[:i] + (((a, k - 1),) if k > 1 else ())
-            tail = factors[i + 1:]
+            spec = variables.get(a.var)
+            if spec is None:
+                continue
+            u = a.arg if type(a) is Trig else a
+            sigma = u.index
+            if index is not None and sigma != index:
+                continue
+            parity, label = spec
+            pend = (label, sigma) if label is not None and any(sigma) else None
+            wrap = pend is not None or (isolate and label is not None)
             cmult = m.coeff * k if k > 1 else m.coeff
-            for v, parity, label, sigma, pend, chain in hits:
-                c = -cmult if parity and s < 0 else cmult
-                iso = isolate and label is not None
-                out = raw.setdefault((v, sigma), [])
-                if chain is None:
-                    out.extend(_wrap_branch(c, head + tail, pend, iso, external))
-                    continue
-                for dm in chain.monomials():
-                    out.extend(_wrap_branch(c * dm.coeff, head + dm.factors() + tail,
-                                            pend, iso, external))
+            c = -cmult if parity and s < 0 else cmult
+            out = acc.setdefault((a.var, sigma), {})
+            if u is not a:
+                cc, tag = _CHAIN[a.tag]
+                if factors is None:
+                    factors = m.factors()
+                head = factors[:i] + (((a, k - 1),) if k > 1 else ())
+                _file_raw(out, c if cc is None else c * cc,
+                          head + ((Trig(tag, u), 1),) + factors[i + 1:], pend, wrap, external)
+                continue
+            if i < n:
+                rest_even = even[:i] + (((a, k - 1),) if k > 1 else ()) + even[i + 1:]
+                rest_odd = odd
+            else:
+                rest_even = even
+                rest_odd = odd[:i - n] + odd[i - n + 1:]
+            if wrap:
+                _wrap_branch(out, c, rest_even, rest_odd, pend, external)
+            else:
+                _add_monomial(out, (rest_even, rest_odd), Monomial(c, rest_even, rest_odd))
     filed = {}
-    for (v, sigma), branches in raw.items():
-        filed.setdefault(v, {})[sigma] = _from_raw(branches)
+    for (v, sigma), terms in acc.items():
+        filed.setdefault(v, {})[sigma] = Expr(terms) if terms else Expr.zero()
     return filed
 
 
-def _wrap_branch(coeff, factors, pend, isolate, external):
-    """Finalize one derivative branch.
-
-    ``pend`` is (label, sigma) or None.  Home plains (everything that is not
-    an Attach atom or an external field's jet variable) are gathered into a
-    new Attach carrying ``pend``; without a pending the gather happens only
-    when isolating.
-    """
-    if pend is None and not isolate:
-        return [(coeff, factors)]
-    ext = external or ()
-    kept, wrapped = [], []
-    wrapped_odd = 0
-    for a, k in factors:
-        if (isinstance(a, Attach)
-                or (isinstance(a, JetVar) and a.field in ext)
-                or (isinstance(a, Trig) and a.arg.field in ext)):
-            if a.parity and wrapped_odd & 1:
-                coeff = -coeff
-            kept.append((a, k))
+def _file_raw(acc, coeff, factors, pend, wrap, external):
+    """Normalise one raw branch and add it to the term map ``acc``, each
+    monomial wrapped when ``wrap``."""
+    for mm in _from_raw([(coeff, factors)]).monomials():
+        if wrap:
+            _wrap_branch(acc, mm.coeff, mm.even, mm.odd, pend, external)
         else:
-            wrapped.append((a, k))
-            wrapped_odd += a.parity
-    if not wrapped and pend is None:
-        return [(coeff, tuple(kept))]  # a bare block of nothing is 1
-    inner = _from_raw([(Coefficient.one(), wrapped)])
-    attach = make_attach((pend,) if pend is not None else (), inner)
-    return [(coeff * dm.coeff, tuple(kept) + dm.factors()) for dm in attach.monomials()]
+            _add_monomial(acc, (mm.even, mm.odd), mm)
+
+
+def _wrap_branch(acc, coeff, even, odd, pend, external):
+    """Add one derivative branch, given canonical, to the term map ``acc``
+    with its home plains wrapped.
+
+    The branch is ``coeff`` times the atoms ``even``/``odd`` of a canonical
+    monomial, and ``pend`` is (label, sigma) or None.  Home plains
+    (everything that is not an Attach atom or an external field's jet
+    variable) are gathered into a new Attach carrying ``pend``.  They are a
+    subsequence of canonical atoms, hence already a canonical unit monomial:
+    the block is built from them directly, and only its own place among the
+    kept factors, with the Koszul signs of moving past odd factors, is
+    found.
+    """
+    ext = external or ()
+    kept_even, home_even = [], []
+    for pair in even:
+        a = pair[0]
+        if type(a) is Attach or (a.var is not None and a.var[0] in ext):
+            kept_even.append(pair)
+        else:
+            home_even.append(pair)
+    kept_odd, home_odd = [], []
+    flips = 0
+    for a in odd:
+        if type(a) is Attach or (a.var is not None and a.var[0] in ext):
+            flips += len(home_odd)
+            kept_odd.append(a)
+        else:
+            home_odd.append(a)
+    if not home_even and not home_odd:
+        if pend is None:  # a bare block of nothing is 1
+            _add_monomial(acc, (even, odd), Monomial(coeff, even, odd))
+        return  # a pending derivative of a constant block is 0
+    home_even, home_odd = tuple(home_even), tuple(home_odd)
+    block = Attach((pend,) if pend is not None else (),
+                   Expr({(home_even, home_odd): Monomial(_ONE, home_even, home_odd)}))
+    key = block.key
+    if block.parity:
+        j = len(kept_odd)
+        while j and key < kept_odd[j - 1].key:
+            j -= 1
+        if j and kept_odd[j - 1] is block:
+            return  # an odd factor squared
+        flips += len(kept_odd) - j
+        kept_odd.insert(j, block)
+    else:
+        j = len(kept_even)
+        while j and key < kept_even[j - 1][0].key:
+            j -= 1
+        if j and kept_even[j - 1][0] is block:
+            kept_even[j - 1] = (block, kept_even[j - 1][1] + 1)
+        else:
+            kept_even.insert(j, (block, 1))
+    even, odd = tuple(kept_even), tuple(kept_odd)
+    _add_monomial(acc, (even, odd), Monomial(-coeff if flips & 1 else coeff, even, odd))
 
 
 def partial_left(e: Expr, v: JetVar) -> Expr:

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import random
+import re
 
 import pytest
 
@@ -251,3 +253,29 @@ def test_invalid_bvcalc_seed_is_a_usage_error(monkeypatch, capsys):
     assert main(["check", "skew", "--cases", "1"]) == 2
     out, err = capsys.readouterr()
     assert not out and "invalid BVCALC_SEED 'abc'" in err
+
+
+# -- printed outputs -----------------------------------------------------------
+
+# one SHA-256 over what four commands print, elapsed times stripped: a change
+# meant to keep every output (a performance change) must keep it
+PRINTED = "89c1329ee78c3f85819eacf3ece3a9c40ad582068a908025a6ca01bcd9ad55ae"
+PRINTED_COMMANDS = (
+    (["example", "scalar"], 0),
+    (["example", "ym-su2", "--dim", "2"], 0),
+    (["check", "derivation-1c", "--scalar-pair", "--mode", "naive"], 1),
+    (["check", "jacobi", "--cases", "4", "--seed", "3", "--json"], 0),
+)
+_ELAPSED = re.compile(r'(?<="elapsed_s": )[0-9.]+|(?<= passed in )[0-9.]+(?=s$)', re.M)
+
+
+def printed_digest(capsys) -> str:
+    h = hashlib.sha256()
+    for argv, code in PRINTED_COMMANDS:
+        assert main(argv) == code, argv
+        h.update(_ELAPSED.sub("_", capsys.readouterr().out).encode())
+    return h.hexdigest()
+
+
+def test_printed_outputs(capsys):
+    assert printed_digest(capsys) == PRINTED

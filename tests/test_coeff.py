@@ -101,3 +101,68 @@ def test_float_rejected():
         Coefficient.of(1.5)
     with pytest.raises(TypeError):
         Coefficient({0: (1.0, 0)})
+
+
+# -- the arithmetic's own results --------------------------------------------------
+
+def _entries_are_clean(c):
+    for re, im in c.terms.values():
+        assert re or im
+        for x in (re, im):
+            assert type(x) is int or (type(x) is Fraction and x.denominator != 1)
+
+
+def test_integral_product_is_stored_as_int():
+    half = Coefficient.of(Fraction(1, 2))
+    for product in (half * 2, 2 * half, half * Coefficient.of(2),
+                    half * Coefficient({0: (2, 0)})):
+        assert product.terms == {0: (1, 0)}
+        assert type(product.terms[0][0]) is int
+
+
+def test_imag_unit_squared_is_minus_one():
+    i = Coefficient.imag_unit()
+    assert i * i == -1
+    assert (i * i).terms == {0: (-1, 0)}
+
+
+@given(coeffs(), coeffs())
+def test_results_are_clean_and_key_like_the_public_constructor(a, b):
+    for value in (a * b, a + b, -a, a - b, a * 3, a + 0):
+        _entries_are_clean(value)
+        public = Coefficient(dict(value.terms))
+        assert value == public
+        assert value.key() == public.key()
+        assert hash(value) == hash(public)
+
+
+def test_cancelling_results_are_zero():
+    h = Coefficient.hbar()
+    third = Coefficient({1: (Fraction(1, 3), Fraction(-2, 3))})
+    assert (third - third).is_zero() and not (third - third).terms
+    assert (third + (-third)).is_zero()
+    assert (h * third + h * (-third)).is_zero()
+    # (1 + i)(1 - i) - 2: the product's imaginary parts cancel, then the sum
+    one_plus_i = Coefficient.of(1) + Coefficient.imag_unit()
+    one_minus_i = Coefficient.of(1) - Coefficient.imag_unit()
+    product = one_plus_i * one_minus_i
+    assert product.terms == {0: (2, 0)}
+    assert (product - 2).is_zero()
+    # two hbar degrees whose cross terms cancel in the double loop
+    x = Coefficient.hbar(1) + Coefficient.hbar(-1)
+    y = Coefficient.hbar(1) - Coefficient.hbar(-1)
+    assert (x * y).terms == {2: (1, 0), -2: (-1, 0)}
+
+
+def test_adding_zero_returns_the_coefficient():
+    c = Coefficient({0: (Fraction(1, 2), 1), 2: (3, 0)})
+    assert c + 0 is c
+    assert 0 + c is c
+    assert c + Coefficient.zero() is c
+
+
+def test_public_constructor_still_validates():
+    with pytest.raises(TypeError):
+        Coefficient({0: ("1", 0)})
+    c = Coefficient({0: (Fraction(4, 2), Fraction(0)), 1: (0, 0)})
+    assert c.terms == {0: (2, 0)} and type(c.terms[0][0]) is int

@@ -19,6 +19,7 @@ from bvcalc.coeff import Coefficient
 from bvcalc.jetcalc import (
     canonicalize_channels,
     collapse,
+    euler,
     euler_channelled,
     euler_left,
     euler_right,
@@ -31,6 +32,7 @@ from bvcalc.jetcalc import (
     total_derivative,
     total_derivative_multi,
     _monomial_labels,
+    _partials,
 )
 
 from util_random import (
@@ -360,6 +362,209 @@ def test_eulers_are_the_per_variable_euler_operators(model):
                 for (name, dagger), label in labels.items():
                     expected = _euler_reference(model, e, name, dagger, side, label)
                     assert images[name, dagger] == expected
+
+
+# -- the walk against a raw-branch reference ------------------------------------
+
+def _reference_trig_chain(a):
+    if a.tag == "sin":
+        return Expr.from_atom(Trig("cos", a.arg))
+    if a.tag == "cos":
+        return -Expr.from_atom(Trig("sin", a.arg))
+    return Expr.from_atom(Trig("exp", a.arg))
+
+
+def _reference_partials(e, variables, side, isolate, external, index=None):
+    """The partials walk built from raw factor lists: every branch is the
+    monomial's factor list with one copy of a factor replaced, wrapped by
+    ``make_attach`` and normalised by ``_from_raw``.  Same arguments and
+    result as ``jetcalc._partials``."""
+    raw = {}
+    unlabelled = None
+    dives = {}
+    for m in e.monomials():
+        factors = m.factors()
+        sign = -1 if side == "right" and not len(m.odd) & 1 else 1
+        for i, (a, k) in enumerate(factors):
+            s = sign
+            if a.parity:
+                sign = -sign
+            if isinstance(a, Attach):
+                hits = dives.get(a)
+                if hits is None:
+                    if unlabelled is None:
+                        unlabelled = {v: (p, None) for v, (p, _) in variables.items()}
+                    hits = dives[a] = []
+                    inner = _reference_partials(a.inner, unlabelled, "left", False, None, index)
+                    for v, by_index in inner.items():
+                        parity, label = variables[v]
+                        for sigma, d in by_index.items():
+                            pending = a.pending
+                            if label is not None and sum(sigma) > 0:
+                                pending += ((label, sigma),)
+                            dived = make_attach(pending, d)
+                            if not dived.is_zero():
+                                hits.append((v, parity, label, sigma, None, dived))
+                if not hits:
+                    continue
+            elif isinstance(a, (JetVar, Trig)):
+                u = a.arg if isinstance(a, Trig) else a
+                v = (u.field, u.dagger)
+                spec = variables.get(v)
+                if spec is None or (index is not None and u.index != index):
+                    continue
+                parity, label = spec
+                pend = (label, u.index) if label is not None and sum(u.index) > 0 else None
+                hits = ((v, parity, label, u.index, pend,
+                         _reference_trig_chain(a) if isinstance(a, Trig) else None),)
+            else:
+                continue
+            head = factors[:i] + (((a, k - 1),) if k > 1 else ())
+            tail = factors[i + 1:]
+            cmult = m.coeff * k if k > 1 else m.coeff
+            for v, parity, label, sigma, pend, chain in hits:
+                c = -cmult if parity and s < 0 else cmult
+                iso = isolate and label is not None
+                out = raw.setdefault((v, sigma), [])
+                if chain is None:
+                    out.extend(_reference_wrap_branch(c, head + tail, pend, iso, external))
+                    continue
+                for dm in chain.monomials():
+                    out.extend(_reference_wrap_branch(c * dm.coeff, head + dm.factors() + tail,
+                                                      pend, iso, external))
+    filed = {}
+    for (v, sigma), branches in raw.items():
+        filed.setdefault(v, {})[sigma] = _from_raw(branches)
+    return filed
+
+
+def _reference_wrap_branch(coeff, factors, pend, isolate, external):
+    """One raw branch with its home plains gathered, in their order, into a
+    block made by ``make_attach``; the kept factors are moved in front of
+    them one at a time, each odd one past the odd home plains before it."""
+    if pend is None and not isolate:
+        return [(coeff, factors)]
+    ext = external or ()
+    kept, wrapped = [], []
+    wrapped_odd = 0
+    for a, k in factors:
+        if (isinstance(a, Attach)
+                or (isinstance(a, JetVar) and a.field in ext)
+                or (isinstance(a, Trig) and a.arg.field in ext)):
+            if a.parity and wrapped_odd & 1:
+                coeff = -coeff
+            kept.append((a, k))
+        else:
+            wrapped.append((a, k))
+            wrapped_odd += a.parity
+    if not wrapped and pend is None:
+        return [(coeff, tuple(kept))]
+    inner = _from_raw([(Coefficient.one(), wrapped)])
+    attach = make_attach((pend,) if pend is not None else (), inner)
+    return [(coeff * dm.coeff, tuple(kept) + dm.factors()) for dm in attach.monomials()]
+
+
+def _reference_eulers(model, e, labels, side, isolate, external):
+    """sum_sigma (-D)^sigma of the reference partials: expanded one
+    multi-index at a time without a label, kept pending with one."""
+    variables = {v: (model.parity(*v), label) for v, label in labels.items()}
+    terms = _reference_partials(e, variables, side, isolate, external)
+    out = {}
+    for v, label in labels.items():
+        total = Expr.zero()
+        for sigma, term in terms.get(v, {}).items():
+            if label is None:
+                term = total_derivative_multi(term, sigma)
+            total = total + term.scale((-1) ** sum(sigma))
+        out[v] = total
+    return out
+
+
+def _nonzero(filed):
+    return {v: {sigma: d for sigma, d in by_index.items() if not d.is_zero()}
+            for v, by_index in filed.items()}
+
+
+# fields "s" (even) and "t" (odd) stand for the shift fields of an iterated
+# variation: external, so their jets stay out of every gathered block
+_EXTERNAL = frozenset({"s", "t"})
+_WALK_MODELS = {
+    "ghost": ghost_model().extend([("s", 0), ("t", 1)]),
+    "plane": BvModel(2, [("u", 0), ("c", 1), ("s", 0), ("t", 1)]),
+}
+
+
+def _walk_input(model, rng):
+    """Random input for the walk: sin/cos/exp factors, blocks pending
+    derivatives nested up to three deep, bare blocks, and jets of the
+    external fields both at home and inside blocks."""
+    e = _random_wrapped(model, rng)
+    if rng.random() < 0.4:
+        e = e + _nested_twice(model, rng) * random_monomial(model, rng, degree=1)
+    if rng.random() < 0.3:
+        bare = make_attach((), random_monomial(model, rng, degree=rng.randint(1, 2)))
+        e = e * bare + bare * random_monomial(model, rng, degree=1)
+    if rng.random() < 0.5:
+        e = e * model.jet(rng.choice(sorted(_EXTERNAL)), (0,) * model.base_dim)
+    return e
+
+
+@pytest.mark.parametrize("which", sorted(_WALK_MODELS))
+def test_walk_agrees_with_the_raw_branch_reference(which):
+    model = _WALK_MODELS[which]
+    variables = list(model.variables())
+    rng = random.Random(32)
+    for case in range(110):
+        e = _walk_input(model, rng)
+        labels = {v: 1000 + j if rng.random() < 0.6 else None
+                  for j, v in enumerate(variables)}
+        side = rng.choice(("left", "right"))
+        isolate = rng.random() < 0.5
+        external = _EXTERNAL if rng.random() < 0.7 else None
+        context = (case, labels, side, isolate, external)
+
+        got = eulers(model, e, labels, side, isolate, external)
+        assert got == _reference_eulers(model, e, labels, side, isolate, external), context
+        (name, dagger), label = rng.choice(sorted(labels.items()))
+        assert euler(model, e, name, dagger, side, label, isolate, external) == got[name, dagger]
+
+        # partials filed by variable and multi-index, and the index filter
+        spec = {v: (model.parity(*v), lab) for v, lab in labels.items()}
+        sigmas = sorted(_occurring_indices(e, name, dagger)) or [(0,) * model.base_dim]
+        index = rng.choice(sigmas + [None])
+        walked = _partials(e, spec, side, isolate, external, index)
+        expected = _reference_partials(e, spec, side, isolate, external, index)
+        assert _nonzero(walked) == _nonzero(expected), context
+
+        unlabelled = {v: (p, None) for v, (p, _) in spec.items()}
+        for sigma in sigmas:
+            v = model.jet_atom(name, sigma, dagger)
+            for fn, side_ in ((partial_left, "left"), (partial_right, "right")):
+                ref = _reference_partials(e, unlabelled, side_, False, None, sigma)
+                assert fn(e, v) == ref.get((name, dagger), {}).get(sigma, Expr.zero()), context
+
+
+def test_walk_edge_cases(m):
+    # the channelled Euler operator by q with isolate, on inputs whose only
+    # q-dependence is the one factor named; the kept block holds no q
+    q, qxx, x = m.jet("q"), m.jet("q", (2,)), m.x(0)
+    qd, qdx = m.jet("q", dagger=True), m.jet("q", (1,), dagger=True)
+    block = make_attach(((7, (1,)),), qd * qdx)
+    cases = [
+        # a pending derivative of empty home plains is 0, beside a kept block too
+        (qxx, Expr.zero()),
+        (block * qxx, Expr.zero()),
+        # a bare wrap of nothing keeps the kept factors
+        (block * q, block),
+        # the gathered block meets an equal even block, or an equal odd one
+        (make_attach((), x) * x * q, make_attach((), x) ** 2),
+        (make_attach((), qd) * qd * q, Expr.zero()),
+    ]
+    for e, expected in cases:
+        assert not e.is_zero()
+        got = euler_channelled(m, e, "q", False, 1000, isolate=True)
+        ref = _reference_eulers(m, e, {("q", False): 1000}, "left", True, None)
+        assert got == ref[("q", False)] == expected, e
 
 
 # -- channelled operators ---------------------------------------------------
