@@ -23,7 +23,6 @@ from .jetcalc import (
     euler_channelled,
     euler_left,
     euler_right,
-    fresh_label,
     iterated_variation_geometric,
     iterated_variation_naive,
     partial_left,
@@ -69,7 +68,7 @@ __all__ = [
     "check_gauge_closure", "check_laplacian_power", "check_master_equation",
     "check_omega_squared", "check_schouten_power", "collapse",
     "densities_equivalent", "euler_channelled", "euler_left", "euler_right",
-    "evaluate", "format_expr", "fresh_label", "functional_equal",
+    "evaluate", "format_expr", "functional_equal",
     "is_trivial", "iterated_variation_geometric", "iterated_variation_naive",
     "laplacian", "make_attach", "normalize", "omega", "parse_expr",
     "parse_model_file", "partial_left", "partial_right", "random_functional",

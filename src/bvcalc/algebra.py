@@ -143,9 +143,14 @@ class Attach(Atom):
     attachment boundary.  ``inner`` is a canonical single-monomial expression
     with unit coefficient.  The block is looked up by its pending set and the
     interned content of ``inner``, so its nested key is built only once.
+    ``labels`` is the frozenset of every channel label in the block, its own
+    and those of the blocks nested inside it.  It is found the first time it
+    is read and then stored on the atom, so a block whose labels nothing
+    asks for (most blocks of a bracket of plain densities) never pays for
+    them.
     """
 
-    __slots__ = ("pending", "inner")
+    __slots__ = ("pending", "inner", "labels")
 
     def __new__(cls, pending, inner: "Expr"):
         by_index = tuple(sorted((tuple(idx), int(lab)) for lab, idx in pending))
@@ -160,6 +165,15 @@ class Attach(Atom):
             a.var = None
             a.key = (3, by_index, inner.key())
         return a
+
+    def __getattr__(self, name):
+        # called only when normal lookup fails: for ``labels``, while its
+        # slot is still unset
+        if name != "labels":
+            raise AttributeError(name)
+        labels = self.labels = frozenset([lab for lab, _ in self.pending]).union(
+            collect_channel_labels(self.inner))
+        return labels
 
     def __repr__(self):
         return f"Attach({self.pending!r}, {self.inner!r})"
@@ -590,9 +604,14 @@ def make_attach(pending, inner: Expr) -> Expr:
 
 
 def collect_channel_labels(e: Expr) -> set:
+    """Every channel label in ``e``: the union of its Attach factors' label
+    sets, nested blocks included."""
     labels = set()
-    for a in e.atoms():
-        if isinstance(a, Attach):
-            labels.update(lab for lab, _ in a.pending)
-            labels.update(collect_channel_labels(a.inner))
+    for m in e.terms.values():
+        for a, _ in m.even:
+            if type(a) is Attach:
+                labels |= a.labels
+        for a in m.odd:
+            if type(a) is Attach:
+                labels |= a.labels
     return labels

@@ -26,9 +26,9 @@ from dataclasses import dataclass, field
 from typing import List
 
 from .coeff import Coefficient
-from .algebra import Expr, ParityError, _add_monomial, _sum_scaled
+from .algebra import Expr, ParityError, _add_monomial, _sum_scaled, collect_channel_labels
 from .cohomology import Functional, _accumulate, euler_operators_vanish, functional_equal
-from .jetcalc import BvModel, collapse, euler, eulers, fresh_label
+from .jetcalc import BvModel, canonicalize_channels, collapse, euler, eulers, label_after
 
 GEOMETRIC = "geometric"
 NAIVE = "naive"
@@ -45,20 +45,38 @@ def _check_mode(mode: str):
 
 
 def schouten_density(model: BvModel, f: Expr, g: Expr, mode: str = GEOMETRIC) -> Expr:
-    """Density of [[F, G]] for integral blocks with densities f, g."""
+    """Density of [[F, G]] for integral blocks with densities f, g.
+
+    In geometric mode the variations of f are recorded against one new
+    channel label and those of g against another.  The Euler images of an
+    operand that carries labels are filed in canonical label form, so that
+    images equal up to renaming their bound labels merge before they are
+    multiplied: f's on the labels 0..a-1 and g's on a..a+b-1, where a (b)
+    is one more than the number of labels of f (g).  The two ranges are
+    disjoint, so each product is a renaming of the raw product and needs no
+    renaming of its own, and the bracket's labels lie in range(a + b).  A
+    plain operand's images carry only its new label, which is then 0 for f
+    and a for g: they are canonical as they are."""
     _check_mode(mode)
     if mode == NAIVE:
-        f = collapse(f)
-        g = collapse(g)
+        f, g = collapse(f), collapse(g)
+        f_own = g_own = ()
+        l1 = l2 = None
+    else:
+        f_own, g_own = collect_channel_labels(f), collect_channel_labels(g)
+        a = len(f_own) + 1
+        l1 = max(f_own) + 1 if f_own else 0
+        l2 = max(g_own) + 1 if g_own else a
     pairs = list(model.pairs())
-    f_labels, g_labels = {}, {}
-    for ev, od in pairs:
-        l1, l2 = (fresh_label(), fresh_label()) if mode == GEOMETRIC else (None, None)
-        f_labels[ev] = f_labels[od] = l1
-        g_labels[ev] = g_labels[od] = l2
+    f_labels = {v: l1 for pair in pairs for v in pair}
+    g_labels = {v: l2 for pair in pairs for v in pair}
     # one walk over f and one over g serve every variable of every pair
     er = eulers(model, f, f_labels, "right", isolate=True)
     el = eulers(model, g, g_labels, "left", isolate=True)
+    if f_own:
+        er = _canonical_images(er, 0)
+    if g_own:
+        el = _canonical_images(el, a)
     acc = {}
     for ev, od in pairs:
         for term in (er[ev] * el[od], -er[od] * el[ev]):
@@ -67,23 +85,32 @@ def schouten_density(model: BvModel, f: Expr, g: Expr, mode: str = GEOMETRIC) ->
     return Expr(acc) if acc else Expr.zero()
 
 
+def _canonical_images(images: dict, first: int) -> dict:
+    """The Euler images of one operand with their channel labels in canonical
+    form from ``first`` on, in one pass that shares the canonicaliser's
+    memos."""
+    memos = ({}, {}, {})
+    return {v: canonicalize_channels(e, first, memos) for v, e in images.items()}
+
+
 def laplacian_density(model: BvModel, f: Expr, mode: str = GEOMETRIC) -> Expr:
     """Density of Delta F for an integral block with density f; the antifield
     partial is applied first, then the field partial, each with its own
-    channel of pending derivatives."""
+    channel of pending derivatives: in geometric mode the labels one and two
+    more than the largest label of f."""
     _check_mode(mode)
     if mode == NAIVE:
         f = collapse(f)
+        z1 = z2 = None
+    else:
+        z2 = label_after(f)
+        z1 = z2 + 1
     pairs = list(model.pairs())
-    first, second = {}, {}
-    for ev, od in pairs:
-        z1, z2 = (fresh_label(), fresh_label()) if mode == GEOMETRIC else (None, None)
-        first[od], second[ev] = z2, z1
     # the first (antifield) step of every pair in one walk over f
-    steps = eulers(model, f, first)
+    steps = eulers(model, f, {od: z2 for _, od in pairs})
     acc = {}
     for ev, od in pairs:
-        step = euler(model, steps[od], *ev, label=second[ev])
+        step = euler(model, steps[od], *ev, label=z1)
         for k, m in step.terms.items():
             _add_monomial(acc, k, m)
     return Expr(acc) if acc else Expr.zero()

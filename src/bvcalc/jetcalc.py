@@ -22,7 +22,6 @@ monomial, become the inner of the new block as they are.  Only chain-rule
 from __future__ import annotations
 
 import itertools
-import threading
 from typing import Optional, Sequence, Tuple
 
 from .coeff import Coefficient
@@ -148,15 +147,14 @@ class BvModel:
 
 
 # ---------------------------------------------------------------------------
-# fresh channel labels
-
-_label_counter = itertools.count(1)
-_label_lock = threading.Lock()
+# channel labels
 
 
-def fresh_label() -> int:
-    with _label_lock:
-        return next(_label_counter)
+def label_after(e: Expr) -> int:
+    """One more than the largest channel label in ``e``, 0 when it has none:
+    a label no block of ``e`` uses, chosen from ``e`` alone."""
+    labels = collect_channel_labels(e)
+    return max(labels) + 1 if labels else 0
 
 
 # ---------------------------------------------------------------------------
@@ -598,8 +596,9 @@ def _collapse_attach(a: Attach, memo: dict) -> tuple:
 # canonical channel labels
 
 
-def canonicalize_channels(e: Expr) -> Expr:
-    """Rename channel labels per monomial to the canonical sequence 0,1,2,...
+def canonicalize_channels(e: Expr, first: int = 0, memos: Optional[tuple] = None) -> Expr:
+    """Rename channel labels per monomial to the canonical sequence
+    first, first+1, ... (0, 1, 2, ... by default).
 
     Channel labels are bound names (each tags one pending variation), so two
     monomials differing only by a bijective relabelling denote the same
@@ -608,7 +607,10 @@ def canonicalize_channels(e: Expr) -> Expr:
     Labels are ordered by a renaming-invariant signature (where they occur,
     with every label erased); only labels whose signatures tie are permuted,
     and the least relabelled monomial is kept (individualisation-refinement,
-    McKay & Piperno, "Practical graph isomorphism II", 2014).
+    McKay & Piperno, "Practical graph isomorphism II", 2014).  When no two
+    signatures tie, the signature order is the one renaming tried, and a
+    monomial whose labels already run first, first+1, ... in that order is
+    kept as it is.
 
     A renaming is a bijection on atoms, so no two factors of a candidate
     merge and no odd factor repeats: each candidate is built directly as its
@@ -617,12 +619,14 @@ def canonicalize_channels(e: Expr) -> Expr:
     tuples of interned atoms, alone: two candidates with equal atoms carry
     equal coefficients, or the monomial is minus itself and vanishes.
     Renamed Attach atoms, nested ones included, are shared through a memo
-    that lives for one call, keyed by the atom and the images of its own
-    labels (equal sub-objects shared as in hash-consing, Filliâtre &
-    Conchon, 2006).
+    keyed by the atom and the images of its labels (equal sub-objects shared
+    as in hash-consing, Filliâtre & Conchon, 2006).  The memos hold nothing
+    that depends on the call: ``memos``, a tuple of three dicts, shares them
+    across the calls of one pass (the Euler images of one bracket operand);
+    by default they live for one call.
     """
+    erased, occurrences, renamed = memos if memos is not None else ({}, {}, {})
     acc = {}
-    erased, occurrences, own_labels, renamed = {}, {}, {}, {}
     for m in e.monomials():
         sigs = _label_signatures(m, erased, occurrences)
         if not sigs:
@@ -630,11 +634,18 @@ def canonicalize_channels(e: Expr) -> Expr:
             continue
         ranked = sorted(sigs, key=sigs.get)
         groups = [tuple(g) for _, g in itertools.groupby(ranked, key=sigs.get)]
+        if len(groups) == len(ranked):
+            # no ties: one renaming, and none at all when it is the identity
+            if any(lab != i for i, lab in enumerate(ranked, first)):
+                m = _rename_monomial(m, {lab: i for i, lab in enumerate(ranked, first)},
+                                     renamed)
+            _add_monomial(acc, (m.even, m.odd), m)
+            continue
         best = best_key = None
         seen = {}
         for choice in itertools.product(*(itertools.permutations(g) for g in groups)):
-            mapping = {lab: i for i, lab in enumerate(itertools.chain.from_iterable(choice))}
-            candidate = _rename_monomial(m, mapping, own_labels, renamed)
+            mapping = {lab: i for i, lab in enumerate(itertools.chain.from_iterable(choice), first)}
+            candidate = _rename_monomial(m, mapping, renamed)
             mk = (candidate.even, candidate.odd)
             prev = seen.setdefault(mk, candidate.coeff)
             if prev != candidate.coeff:
@@ -698,37 +709,33 @@ def _erased_key(a: Atom, memo: dict):
 
 
 def _monomial_labels(m: Monomial) -> set:
+    """Every channel label of the monomial ``m``, nested ones included."""
     labels = set()
     for a, _ in m.even:
-        _atom_labels(a, labels)
+        if type(a) is Attach:
+            labels |= a.labels
     for a in m.odd:
-        _atom_labels(a, labels)
+        if type(a) is Attach:
+            labels |= a.labels
     return labels
 
 
-def _atom_labels(a: Atom, labels: set):
-    if isinstance(a, Attach):
-        labels.update(lab for lab, _ in a.pending)
-        for b in a.inner.atoms():
-            _atom_labels(b, labels)
-
-
-def _rename_monomial(m: Monomial, mapping: dict, own_labels: dict, memo: dict) -> Monomial:
+def _rename_monomial(m: Monomial, mapping: dict, memo: dict) -> Monomial:
     """The canonical monomial ``m`` with its channel labels renamed by the
     bijection ``mapping``; the renamed atoms stay pairwise distinct, so only
     the sort order and the odd factors' sign change."""
     coeff = m.coeff
     even = []
     for a, k in m.even:
-        if isinstance(a, Attach):
-            flip, a = _rename_atom(a, mapping, own_labels, memo)
+        if type(a) is Attach:
+            flip, a = _rename_atom(a, mapping, memo)
             if flip and k & 1:
                 coeff = -coeff
         even.append((a, k))
     odd = []
     for a in m.odd:
-        if isinstance(a, Attach):
-            flip, a = _rename_atom(a, mapping, own_labels, memo)
+        if type(a) is Attach:
+            flip, a = _rename_atom(a, mapping, memo)
             if flip:
                 coeff = -coeff
         odd.append(a)
@@ -737,26 +744,22 @@ def _rename_monomial(m: Monomial, mapping: dict, own_labels: dict, memo: dict) -
     return Monomial(-coeff if sign < 0 else coeff, tuple(even), tuple(odd))
 
 
-def _rename_atom(a: Attach, mapping: dict, own_labels: dict, memo: dict):
+def _rename_atom(a: Attach, mapping: dict, memo: dict):
     """(flip, renamed atom) for an Attach atom.  Renaming can reorder the odd
     factors inside a nested block; the block keeps a unit lead coefficient
     and ``flip`` says that each copy of it costs a sign.  ``memo`` is keyed
-    by the atom and the images of its own labels, nested ones included."""
-    labs = own_labels.get(a)
-    if labs is None:
-        found = set()
-        _atom_labels(a, found)
-        labs = own_labels[a] = tuple(sorted(found))
-    key = (a, tuple(map(mapping.__getitem__, labs)))
+    by the atom and the images of its labels, nested ones included, read in
+    the order of the atom's own label set."""
+    key = (a, tuple([mapping[lab] for lab in a.labels]))
     hit = memo.get(key)
     if hit is not None:
         return hit
     inner = a.inner
     flip = False
-    if any(isinstance(b, Attach) for b in inner.atoms()):
+    if any(type(b) is Attach for b in inner.atoms()):
         terms = {}
         for mm in inner.monomials():
-            mm = _rename_monomial(mm, mapping, own_labels, memo)
+            mm = _rename_monomial(mm, mapping, memo)
             terms[mm.even, mm.odd] = mm
         inner = Expr(terms)
         if inner.lead_coefficient() == -1:
@@ -780,7 +783,8 @@ def iterated_variation(
     directions, first entry applied first.
 
     Naive mode composes fully expanded Euler operators step by step; geometric
-    mode records each step's derivatives against a fresh channel.  With
+    mode records each step's derivatives against a fresh channel, one more
+    than the largest label so far (0, 1, 2, ... for a plain density).  With
     ``include_shifts`` each step multiplies in a formal shift field sh<k>
     carrying the parity of its target; the shift fields live in the returned
     extended model.
@@ -796,7 +800,7 @@ def iterated_variation(
     aux_names = frozenset(name for name, _ in aux)
     e = f
     for k, (field, dagger) in enumerate(shifts, start=1):
-        label = fresh_label() if mode == "geometric" else None
+        label = label_after(e) if mode == "geometric" else None
         e = euler(ext, e, field, dagger, label=label, external=aux_names)
         if include_shifts:
             e = ext.jet(f"sh{k}") * e

@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -6,7 +7,7 @@ from bvcalc import Expr
 from bvcalc.coeff import Coefficient
 from bvcalc.algebra import ParityError, collect_channel_labels, make_attach
 from bvcalc.cohomology import Functional, functional_equal
-from bvcalc.jetcalc import collapse
+from bvcalc.jetcalc import _monomial_labels, canonicalize_channels, collapse
 from bvcalc.bv import (
     GEOMETRIC,
     IDENTITIES,
@@ -29,7 +30,13 @@ from bvcalc.bv import (
 from bvcalc.grammar import parse_expr
 from bvcalc.models import build_scalar_example, random_functional
 
-from util_random import ghost_model, nested_brackets, scalar_model
+from util_random import (
+    ghost_model,
+    nested_brackets,
+    raw_nested_densities,
+    reference_schouten_density,
+    scalar_model,
+)
 
 
 @pytest.fixture
@@ -108,15 +115,103 @@ def test_skew_symmetry(model_name):
 
 
 def test_skew_symmetry_of_deeply_nested_bracket():
-    # [[S,X]] with X = [[S,[[S,[[S,O]]]]]] carries 8 channel labels per
-    # monomial; there is no limit on the number of labels
-    model, S, X = nested_brackets(3)
-    lhs, rhs = schouten(S, X), schouten(X, S)
-    assert max(len(collect_channel_labels(Expr({k: mono})))
-               for F in (lhs, rhs) for blocks in F.terms for b in blocks
-               for k, mono in b.terms.items()) == 8
+    # [[S,X]] and [[X,S]] with X = [[S,[[S,[[S,O]]]]]], every bracket a raw
+    # product of Euler images, carry 8 channel labels per monomial; there is
+    # no limit on the number of labels.  Both vanish up to renaming labels.
+    model, s, x = raw_nested_densities(3)
+    lhs, rhs = reference_schouten_density(model, s, x), reference_schouten_density(model, x, s)
+    assert max(len(_monomial_labels(mono)) for e in (lhs, rhs) for mono in e.monomials()) == 8
     # both sides are even, so skew-symmetry carries the sign +
-    assert functional_equal(lhs, rhs, "structural")
+    canon = canonicalize_channels(lhs)
+    assert canon.is_zero() and canonicalize_channels(rhs) == canon
+    _, S, X = nested_brackets(3)
+    assert functional_equal(schouten(S, X), schouten(X, S), "structural")
+
+
+def _density(F):
+    """The density of a functional that is one block with coefficient 1."""
+    ((b,), c), = F.terms.items()
+    assert c == Coefficient.one()
+    return b
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_operands():
+    """Operand pairs {name: (model, f, g)} for the geometric bracket: plain
+    and labelled, X at depth 1-3, odd and even, two operands sharing the
+    labels of one ancestor, and parsed frozen blocks."""
+    return {name: (model, f, g) for name, model, f, g in _reference_pairs()}
+
+
+def _reference_pairs():
+    model, S, X1 = nested_brackets(1)
+    s = _density(S)
+    x = [_density(X1)]
+    for _ in range(2):
+        x.append(schouten_density(model, s, x[-1]))
+    o = _density(random_functional(model, 1, 1, 0, 20240808))
+    odd = schouten_density(model, s, _density(random_functional(model, 1, 1, 1, 7)))
+    yield "plain", model, s, o
+    for depth, xd in enumerate(x, start=1):
+        yield f"[[S, X{depth}]]", model, s, xd
+        yield f"[[X{depth}, S]]", model, xd, s
+    yield "[[X2, X1]]", model, x[1], x[0]
+    yield "[[X1, X1]]", model, x[0], x[0]
+    yield "odd", model, odd, x[0]
+    yield "odd, odd", model, odd, odd
+    yield "[[X, [[S,X]]]]", model, x[0], schouten_density(model, s, x[0])
+    parsed = parse_expr("frz[1:x1](q)*dag(q)*q_x + frz[4:x1 x1](q*dag(q))*q", model)
+    yield "parsed", model, parsed, s
+    yield "parsed, labelled", model, x[0], parsed
+    ghost = ghost_model()
+    f, g = _density(rf(ghost, 1, 31)), _density(rf(ghost, 0, 131))
+    fg = schouten_density(ghost, f, g)
+    yield "ghost", ghost, fg, g
+    yield "ghost, odd", ghost, f, fg
+    yield "ghost, same", ghost, fg, fg
+
+
+@pytest.mark.parametrize("name", [
+    "plain", "[[S, X1]]", "[[X1, S]]", "[[S, X2]]", "[[X2, S]]", "[[S, X3]]",
+    "[[X3, S]]", "[[X2, X1]]", "[[X1, X1]]", "odd", "odd, odd", "[[X, [[S,X]]]]",
+    "parsed", "parsed, labelled", "ghost", "ghost, odd", "ghost, same"])
+def test_bracket_agrees_with_raw_image_products(name):
+    # the bracket on canonical images equals the raw products of the images
+    # up to renaming labels, and after collapse
+    model, f, g = _reference_operands()[name]
+    new = schouten_density(model, f, g)
+    ref = reference_schouten_density(model, f, g)
+    assert canonicalize_channels(new) == canonicalize_channels(ref)
+    assert collapse(new) == collapse(ref)
+    assert len(new.terms) <= len(ref.terms)
+
+
+def test_raw_results_do_not_depend_on_call_history():
+    # labels are allocated from the operands alone, so two identical calls
+    # give equal raw results, with nothing canonicalised
+    model, S, X = nested_brackets(2)
+    O = rf(model, 0, 5)
+    for F, G in ((S, X), (X, S), (O, X), (S, O)):
+        first = schouten(F, G)
+        assert not first.is_zero()
+        assert first == schouten(F, G)
+    for F in (O, schouten(O, O), schouten(S, O)):
+        first = laplacian(F)
+        assert not first.is_zero()
+        assert first == laplacian(F)
+    for F in (S, X):
+        assert omega(X, F) == omega(X, F)
+
+
+def test_bracket_labels_lie_in_the_two_operand_ranges():
+    # f's images take the labels 0..a-1, g's a..a+b-1
+    for name, (model, f, g) in _reference_operands().items():
+        a = len(collect_channel_labels(f)) + 1
+        b = len(collect_channel_labels(g)) + 1
+        bracket = schouten_density(model, f, g)
+        labels = collect_channel_labels(bracket)
+        assert labels <= set(range(a + b)), name
+        assert bool(labels) == (not bracket.is_zero()), name
 
 
 def test_self_bracket_of_odd_functional_vanishes(m):

@@ -4,9 +4,11 @@ One SHA-256 over the canonical keys of a fixed set of results: su(2)
 Yang-Mills at n=2 (Delta S, the collapsed [[S,S]], its Euler images and its
 triviality image), [[S,X]] for three nested-bracket observables, and the
 Schouten bracket and BV-Laplacian of seeded two-field functionals on a
-two-dimensional base in both modes.  Channel labels come from a
-process-global counter, so every result is canonicalised before hashing and
-the digest does not depend on which tests ran earlier.
+two-dimensional base in both modes.  Every result is canonicalised before
+hashing, so the digest pins results up to renaming their bound channel
+labels: how an operation allocates its labels (today one more than its
+operands' largest, so a raw result depends on its inputs alone) does not
+enter the digest.
 
 A second SHA-256, ``VERDICTS``, pins the verdicts of every check suite in
 both modes: (suite, mode, case, seed, passed, structural) for two cases at

@@ -14,7 +14,6 @@ from bvcalc.algebra import (
     make_attach,
     _from_raw,
 )
-from bvcalc.bv import schouten
 from bvcalc.coeff import Coefficient
 from bvcalc.jetcalc import (
     canonicalize_channels,
@@ -24,7 +23,6 @@ from bvcalc.jetcalc import (
     euler_left,
     euler_right,
     eulers,
-    fresh_label,
     iterated_variation_geometric,
     iterated_variation_naive,
     partial_left,
@@ -37,11 +35,14 @@ from bvcalc.jetcalc import (
 
 from util_random import (
     ghost_model,
-    nested_brackets,
     plane_model,
     random_expr,
     random_homogeneous,
     random_monomial,
+    raw_nested_densities,
+    reference_schouten_density,
+    relabel,
+    relabel_monomial,
     scalar_model,
 )
 
@@ -73,7 +74,7 @@ def test_total_derivatives_commute():
 
 
 def test_total_derivative_through_wrapper(m):
-    pending = ((fresh_label(), (2,)),)
+    pending = ((7, (2,)),)
     w = make_attach(pending, m.cos("q"))
     lhs = total_derivative(w, 0)
     rhs = make_attach(pending, total_derivative(m.cos("q"), 0))
@@ -94,7 +95,7 @@ def test_total_derivative_is_an_even_derivation(seed, which):
 
 
 def test_total_derivative_out_of_range_raises(m):
-    block = make_attach(((fresh_label(), (1,)),), m.cos("q") * m.x(0))
+    block = make_attach(((3, (1,)),), m.cos("q") * m.x(0))
     for e in (m.jet("q"), m.jet("q", (1,), dagger=True), m.sin("q"), m.exp("q"), block):
         for i in (1, -1):
             with pytest.raises(ValueError):
@@ -193,7 +194,7 @@ def test_partials_commute_with_wrappers():
     for _ in range(40):
         h = random_homogeneous(model, rng, rng.randint(0, 1))
         v = model.jet_atom("q", (1,))
-        pending = ((fresh_label(), (1,)),)
+        pending = ((1, (1,)),)
         lhs = partial_left(make_attach(pending, h), v)
         rhs = make_attach(pending, partial_left(h, v))
         assert lhs == rhs
@@ -573,24 +574,24 @@ def test_euler_channelled_examples(m):
     q, qxx = m.jet("q"), m.jet("q", (2,))
     qd = m.jet("q", dagger=True)
     f = qd * q * qxx
-    lab = fresh_label()
+    lab = 1
     e = euler_channelled(m, f, "q", False, lab)
     expected = qd * qxx + make_attach(((lab, (2,)),), qd * q)
     assert e == expected
 
     # both contributions are pending derivatives of the constant 1
-    w = make_attach(((fresh_label(), (2,)),), q)
-    assert euler_channelled(m, qxx + w, "q", False, fresh_label()).is_zero()
+    w = make_attach(((2, (2,)),), q)
+    assert euler_channelled(m, qxx + w, "q", False, 3).is_zero()
 
     # a partial passing through an existing wrapper
-    z2 = fresh_label()
+    z2 = 4
     w2 = make_attach(((z2, (2,)),), -m.sin("q"))
-    out = euler_channelled(m, w2, "q", False, fresh_label())
+    out = euler_channelled(m, w2, "q", False, 5)
     assert out == make_attach(((z2, (2,)),), -m.cos("q"))
 
 
 def test_euler_channelled_label_reuse_rejected(m):
-    lab = fresh_label()
+    lab = 1
     w = make_attach(((lab, (1,)),), m.jet("q"))
     with pytest.raises(ValueError):
         euler_channelled(m, w, "q", False, lab)
@@ -600,9 +601,9 @@ def test_collapse_examples(m):
     q = m.jet("q")
     qx, qxx = m.jet("q", (1,)), m.jet("q", (2,))
     qd = m.jet("q", dagger=True)
-    w = make_attach(((fresh_label(), (2,)),), -m.sin("q"))
+    w = make_attach(((1, (2,)),), -m.sin("q"))
     assert collapse(w) == m.sin("q") * qx * qx - m.cos("q") * qxx
-    assert collapse(make_attach(((fresh_label(), (2,)),), Expr.scalar(1))).is_zero()
+    assert collapse(make_attach(((2, (2,)),), Expr.scalar(1))).is_zero()
     assert collapse(qd * qxx) == qd * qxx
     assert collapse(make_attach((), q * qx)) == q * qx
 
@@ -711,7 +712,7 @@ def test_collapse_of_channelled_euler_is_plain_euler():
     for _ in range(50):
         e = random_homogeneous(model, rng, rng.randint(0, 1))
         for name, dagger in (("q", False), ("q", True), ("c", False)):
-            lab = fresh_label()
+            lab = 1
             chan = euler_channelled(model, e, name, dagger, lab, isolate=True)
             assert collapse(chan) == euler_left(model, e, name, dagger)
 
@@ -753,7 +754,7 @@ def _reference_canonical(e):
     out = Expr.zero()
     for mono in e.monomials():
         labels = sorted(_monomial_labels(mono))
-        images = [_relabel_monomial(mono, dict(zip(labels, perm)))
+        images = [relabel_monomial(mono, dict(zip(labels, perm)))
                   for perm in itertools.permutations(range(len(labels)))]
         distinct = set(images)
         if any(-x in distinct for x in distinct):
@@ -762,46 +763,13 @@ def _reference_canonical(e):
     return out
 
 
-def _relabel(e, mapping):
-    out = Expr.zero()
-    for mono in e.monomials():
-        out = out + _relabel_monomial(mono, mapping)
-    return out
-
-
-def _relabel_monomial(m, mapping):
-    """A monomial renamed by ``mapping`` and normalised anew by `_from_raw`."""
-    return _from_raw([_relabel_factors(m.coeff, m.factors(), mapping)])
-
-
-def _relabel_factors(coeff, factors, mapping):
-    """Rename channel labels in a factor list.  Renaming can reorder the odd
-    factors inside a nested block; the sign this costs is pulled out of the
-    block (which keeps a unit coefficient) into ``coeff``."""
-    out = []
-    for a, k in factors:
-        if isinstance(a, Attach):
-            pending = tuple((mapping[lab], idx) for lab, idx in a.pending)
-            inner = a.inner
-            if any(isinstance(b, Attach) for b in inner.atoms()):
-                inner = _from_raw(
-                    [_relabel_factors(mm.coeff, mm.factors(), mapping)
-                     for mm in inner.monomials()])
-                if inner.lead_coefficient() == -1:
-                    inner = -inner
-                    if k & 1:
-                        coeff = -coeff
-            a = Attach(pending, inner)
-        out.append((a, k))
-    return coeff, tuple(out)
-
-
 @functools.lru_cache(maxsize=None)
 def _nested_blocks():
-    """The blocks of [[S,X]] and [[X,S]], X = [[S,[[S,O]]]]: up to 6 labels."""
-    model, S, X = nested_brackets(2)
-    return [b for F in (schouten(S, X), schouten(X, S))
-            for blocks in F.terms for b in blocks]
+    """The densities of [[S,X]] and [[X,S]], X = [[S,[[S,O]]]], every bracket
+    a raw product of Euler images: up to 6 labels, and monomials equal up to
+    renaming their labels, some of them zero by the vanishing rule."""
+    model, s, x = raw_nested_densities(2)
+    return [reference_schouten_density(model, s, x), reference_schouten_density(model, x, s)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -823,7 +791,7 @@ def test_canonicalize_channels_ignores_label_names(seed):
     i = rng.randrange(len(_nested_blocks()))
     b = _nested_blocks()[i]
     labels = sorted(collect_channel_labels(b))
-    renamed = _relabel(b, dict(zip(labels, rng.sample(range(100, 1000), len(labels)))))
+    renamed = relabel(b, dict(zip(labels, rng.sample(range(100, 1000), len(labels)))))
     assert renamed != b
     assert repr(canonicalize_channels(renamed)) == repr(_canonical_nested_block(i))
 
@@ -877,8 +845,45 @@ def test_canonicalize_channels_shares_nested_blocks_across_monomials(m):
         # the brute-force form is invariant under renaming, signs included
         assert _reference_canonical(canon) == _reference_canonical(e)
     canon = canonicalize_channels(N * qx)
-    assert canon == _relabel(N * qx, {5: 0, 4: 1, 3: 2})
+    assert canon == relabel(N * qx, {5: 0, 4: 1, 3: 2})
     assert canon.lead_coefficient() == -(N * qx).lead_coefficient()
+
+
+def test_canonicalize_channels_from_an_offset():
+    # canonical labels from ``first`` on: the form from 0, every label moved
+    # up by ``first`` (a shift keeps every comparison of labels)
+    for i, b in enumerate(_nested_blocks()):
+        canon = _canonical_nested_block(i)
+        shift = {lab: lab + 10 for lab in collect_channel_labels(canon)}
+        assert canonicalize_channels(b, 10) == relabel(canon, shift)
+        assert canonicalize_channels(canon, 10) == relabel(canon, shift)
+
+
+def test_canonicalize_channels_renames_untied_labels_into_signature_order(m):
+    q = m.jet("q")
+    # label 0 sits on the second derivative, 1 on the first: the signature
+    # order is 1, 0, so the labels are swapped although they are 0 and 1
+    e = make_attach(((0, (2,)),), q) * make_attach(((1, (1,)),), q)
+    swapped = make_attach(((1, (2,)),), q) * make_attach(((0, (1,)),), q)
+    assert canonicalize_channels(e) == swapped
+    assert canonicalize_channels(swapped) == swapped
+    # labels first, first+1 in signature order are kept, and others are not
+    at5 = relabel(swapped, {0: 5, 1: 6})
+    assert canonicalize_channels(at5, 5) == at5
+    assert canonicalize_channels(swapped, 5) == at5
+    assert canonicalize_channels(e, 5) == at5
+
+
+def test_tied_labels_already_in_range_are_still_searched(m):
+    # labels 0 and 1 tie and already run 0, 1: the swap maps the odd product
+    # to minus itself, so it vanishes from any offset, and the even product
+    # of the same blocks is kept
+    qd = m.jet("q", dagger=True)
+    for first in (0, 3):
+        w1 = make_attach(((first, (2,)),), qd)
+        w2 = make_attach(((first + 1, (2,)),), qd)
+        assert canonicalize_channels(w1 * w2, first).is_zero()
+        assert canonicalize_channels(w1 * w1 * w2 * w2, first) == w1 * w1 * w2 * w2
 
 
 # -- iterated variations ----------------------------------------------------
@@ -899,6 +904,24 @@ def test_single_variation_agrees_with_euler(m):
     geo, ext_g = iterated_variation_geometric(m, f, [("q", False)])
     assert naive == ext.jet("sh1") * euler_left(ext, f, "q")
     assert collapse(geo) == naive
+
+
+def test_iterated_variation_labels_are_local(m):
+    # each step takes one more than the largest label so far, so the raw
+    # results of two identical calls are equal, and a plain density's
+    # variations carry the labels 0, 1, ...
+    qd = m.jet("q", dagger=True)
+    f = qd * m.jet("q") * m.jet("q", (2,)) + m.sin("q") * m.jet("q", (1,)) * qd
+    shifts = [("q", False), ("q", True), ("q", False)]
+    first, _ = iterated_variation_geometric(m, f, shifts)
+    again, _ = iterated_variation_geometric(m, f, shifts)
+    assert not first.is_zero()
+    assert first == again
+    assert collect_channel_labels(first) <= {0, 1, 2}
+    # a labelled density's steps start past its own labels
+    w = make_attach(((7, (1,)),), m.jet("q") * m.jet("q")) * m.jet("q", (2,)) * m.jet("q")
+    out, _ = iterated_variation_geometric(m, w, [("q", False)], include_shifts=False)
+    assert collect_channel_labels(out) == {7, 8}
 
 
 def test_geometric_variations_graded_commute(m):

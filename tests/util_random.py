@@ -5,7 +5,7 @@ from fractions import Fraction
 
 from bvcalc import BvModel, Expr
 from bvcalc.coeff import Coefficient
-from bvcalc.algebra import Trig, make_attach
+from bvcalc.algebra import Attach, Trig, collect_channel_labels, make_attach, _from_raw
 
 
 def scalar_model() -> BvModel:
@@ -102,3 +102,72 @@ def nested_brackets(depth: int, seed: int = 20240808):
     for _ in range(depth):
         X = schouten(S, X)
     return m, S, X
+
+
+# -- channel labels -----------------------------------------------------------
+
+
+def relabel(e, mapping):
+    """``e`` with its channel labels renamed by ``mapping``, each monomial
+    normalised anew."""
+    out = Expr.zero()
+    for mono in e.monomials():
+        out = out + relabel_monomial(mono, mapping)
+    return out
+
+
+def relabel_monomial(m, mapping):
+    """A monomial renamed by ``mapping`` and normalised anew by `_from_raw`."""
+    return _from_raw([_relabel_factors(m.coeff, m.factors(), mapping)])
+
+
+def _relabel_factors(coeff, factors, mapping):
+    """Rename channel labels in a factor list.  Renaming can reorder the odd
+    factors inside a nested block; the sign this costs is pulled out of the
+    block (which keeps a unit coefficient) into ``coeff``."""
+    out = []
+    for a, k in factors:
+        if isinstance(a, Attach):
+            pending = tuple((mapping[lab], idx) for lab, idx in a.pending)
+            inner = a.inner
+            if any(isinstance(b, Attach) for b in inner.atoms()):
+                inner = _from_raw(
+                    [_relabel_factors(mm.coeff, mm.factors(), mapping)
+                     for mm in inner.monomials()])
+                if inner.lead_coefficient() == -1:
+                    inner = -inner
+                    if k & 1:
+                        coeff = -coeff
+            a = Attach(pending, inner)
+        out.append((a, k))
+    return coeff, tuple(out)
+
+
+def reference_schouten_density(model, f, g):
+    """The geometric density of [[f, g]] as the raw products of the Euler
+    images of f and g, with nothing merged up to renaming labels.  g's labels
+    are first shifted past f's, since the two may share the labels of one
+    ancestor, and the two new labels lie past both."""
+    from bvcalc.jetcalc import eulers
+    f_labels = collect_channel_labels(f)
+    shift = max(f_labels) + 1 if f_labels else 0
+    g = relabel(g, {lab: lab + shift for lab in collect_channel_labels(g)})
+    top = max(f_labels | collect_channel_labels(g), default=-1) + 1
+    pairs = list(model.pairs())
+    er = eulers(model, f, {v: top for pair in pairs for v in pair}, "right", isolate=True)
+    el = eulers(model, g, {v: top + 1 for pair in pairs for v in pair}, "left", isolate=True)
+    out = Expr.zero()
+    for ev, od in pairs:
+        out = out + er[ev] * el[od] - er[od] * el[ev]
+    return out
+
+
+def raw_nested_densities(depth: int, seed: int = 20240808):
+    """The model and the densities s of S and x of X as in ``nested_brackets``,
+    every bracket of X taken by ``reference_schouten_density``, so that X
+    keeps every monomial that differs from another only by its labels."""
+    m, S, O = nested_brackets(0, seed)
+    ((s,),), ((x,),) = S.terms, O.terms
+    for _ in range(depth):
+        x = reference_schouten_density(m, s, x)
+    return m, s, x
