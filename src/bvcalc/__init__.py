@@ -20,19 +20,16 @@ from .jetcalc import (
     BvModel,
     canonicalize_channels,
     collapse,
-    euler_channelled,
+    euler,
     euler_left,
-    euler_right,
     iterated_variation_geometric,
     iterated_variation_naive,
-    partial_left,
-    partial_right,
+    partial,
     total_derivative,
 )
 from .grammar import ParseError, format_expr, parse_expr, parse_model_file
 from .cohomology import (
     Functional,
-    densities_equivalent,
     functional_equal,
     is_trivial,
 )
@@ -67,11 +64,10 @@ __all__ = [
     "check_coboundary_preservation", "check_cocycle_preservation",
     "check_gauge_closure", "check_laplacian_power", "check_master_equation",
     "check_omega_squared", "check_schouten_power", "collapse",
-    "densities_equivalent", "euler_channelled", "euler_left", "euler_right",
-    "evaluate", "format_expr", "functional_equal",
+    "euler", "euler_left", "evaluate", "format_expr", "functional_equal",
     "is_trivial", "iterated_variation_geometric", "iterated_variation_naive",
     "laplacian", "make_attach", "normalize", "omega", "parse_expr",
-    "parse_model_file", "partial_left", "partial_right", "random_functional",
+    "parse_model_file", "partial", "random_functional",
     "schouten", "total_derivative",
 ]
 

@@ -415,6 +415,7 @@ class Expr:
 
 
 _EXPR_ZERO = Expr({})
+_ONE = Coefficient.one()
 
 
 def _coerce(x) -> Expr:
@@ -597,7 +598,7 @@ def make_attach(pending, inner: Expr) -> Expr:
                     raise ValueError("channel label reused across nested wrappers")
                 a = Attach(merged, a.inner)
         else:
-            a = Attach(pending, _from_raw([(Coefficient.one(), content)]))
+            a = Attach(pending, Expr({(m.even, m.odd): Monomial(_ONE, m.even, m.odd)}))
         even, odd = ((), (a,)) if a.parity else (((a, 1),), ())
         _add_monomial(acc, (even, odd), Monomial(m.coeff, even, odd))
     return Expr(acc) if acc else _EXPR_ZERO

@@ -436,11 +436,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    except ParseError as exc:
-        print(f"bvcalc: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, KeyError) as exc:
-        print(f"bvcalc: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message: print the message
+        msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"bvcalc: {msg}", file=sys.stderr)
         return 2
 
 

@@ -199,9 +199,3 @@ class Coefficient:
 
     def __repr__(self):
         return f"Coefficient({self.terms!r})"
-
-
-ZERO = Coefficient.zero()
-ONE = Coefficient.one()
-I = Coefficient.imag_unit()
-HBAR = Coefficient.hbar()

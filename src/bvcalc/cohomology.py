@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Tuple
 
 from .coeff import Coefficient
-from .algebra import Attach, Expr, JetVar, Monomial, Trig, _sum_scaled
+from .algebra import Attach, Expr, _sum_scaled
 from .jetcalc import BvModel, canonicalize_channels, collapse, eulers, _euler_images
 
 
@@ -31,34 +31,25 @@ def field_free_part(e: Expr) -> Expr:
 
 
 def _has_fields(a) -> bool:
-    if isinstance(a, JetVar):
-        return True
-    if isinstance(a, Trig):
-        return True
-    if isinstance(a, Attach):
+    if type(a) is Attach:
         return any(_has_fields(b) for b in a.inner.atoms())
-    return False
+    return a.var is not None
 
 
 def is_trivial(model: BvModel, density: Expr) -> bool:
-    """True iff the density is a total divergence: all Euler operators vanish
-    and the field-free residue is zero.  Expects a wrapper-free density."""
+    """True iff the density is a total divergence: its triviality image (all
+    Euler operators and the field-free residue) is zero.  Expects a
+    wrapper-free density."""
     if density.has_attach():
         raise ValueError("structured density: collapse before cohomological tests")
-    if not field_free_part(density).is_zero():
-        return False
-    return euler_operators_vanish(model, density)
+    return not _triviality_image(model, density)
 
 
 def euler_operators_vanish(model: BvModel, density: Expr) -> bool:
     """True iff the Euler operator of every field and antifield of the model
-    annihilates the density."""
+    annihilates the density; stops at the first nonzero image."""
     images = _euler_images(model, density, dict.fromkeys(model.variables()))
     return all(e.is_zero() for _, e in images)
-
-
-def densities_equivalent(model: BvModel, a: Expr, b: Expr) -> bool:
-    return is_trivial(model, a - b)
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,11 @@ def format_coefficient(c: Coefficient) -> str:
             parts.append(f"-{h}")
         else:
             parts.append(f"{g}*{h}")
+    return _join_signed(parts)
+
+
+def _join_signed(parts: List[str]) -> str:
+    """Join terms with ' + ', writing a leading minus as ' - '."""
     out = parts[0]
     for p in parts[1:]:
         if p.startswith("-"):
@@ -149,13 +154,7 @@ def format_expr(e: Expr) -> str:
             s = format_coefficient(m.coeff)
             body = f"({s})" if " " in s else s
         pieces.append(body)
-    out = pieces[0]
-    for p in pieces[1:]:
-        if p.startswith("-"):
-            out += " - " + p[1:]
-        else:
-            out += " + " + p
-    return out
+    return _join_signed(pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +259,7 @@ class _Parser:
                 if len(e.terms) != 1 or next(iter(e.monomials())).factors():
                     raise ParseError("negative exponent on a non-scalar", pos)
                 c = next(iter(e.monomials())).coeff
-                return Expr.scalar(_coeff_pow(c.inverse(), n))
+                return Expr.scalar(c.inverse()) ** n
             return e ** n
         return e
 
@@ -283,20 +282,12 @@ class _Parser:
             return Expr.scalar(Coefficient.hbar())
         if val in ("sin", "cos", "exp"):
             self.expect("(")
-            arg = self.jetvar_atom()
+            arg = self.jetvar_atom(*self.next())
             self.expect(")")
             try:
                 return Expr.from_atom(Trig(val, arg))
             except ValueError as exc:
                 raise ParseError(str(exc), pos)
-        if val == "dag":
-            self.expect("(")
-            kind2, name, pos2 = self.next()
-            if kind2 != "ident":
-                raise ParseError("expected field name in dag(...)", pos2)
-            self.expect(")")
-            index = self.opt_suffix()
-            return self.model.jet(name, index, dagger=True)
         if val == "D":
             self.expect("[")
             kind2, num, pos2 = self.next()
@@ -327,20 +318,24 @@ class _Parser:
             e = self.expr()
             self.expect(")")
             return make_attach(tuple(pending), e)
-        if re.fullmatch(r"x\d+", val):
-            j = int(val[1:])
-            if not 1 <= j <= self.model.base_dim:
-                raise ParseError(f"coordinate {val} out of range", pos)
-            return self.model.x(j - 1)
-        # jet variable
-        index = self.opt_suffix()
-        try:
-            return self.model.jet(val, index)
-        except KeyError:
-            raise ParseError(f"unknown field {val!r}", pos)
+        j = self.coordinate(val, pos)
+        if j is not None:
+            return self.model.x(j)
+        return Expr.from_atom(self.jetvar_atom(kind, val, pos))
 
-    def jetvar_atom(self) -> JetVar:
-        kind, val, pos = self.next()
+    def coordinate(self, val: str, pos: int):
+        """The 0-based coordinate named by a token 'x<j>', or None for any
+        other token."""
+        if not re.fullmatch(r"x\d+", val):
+            return None
+        j = int(val[1:])
+        if not 1 <= j <= self.model.base_dim:
+            raise ParseError(f"coordinate {val} out of range", pos)
+        return j - 1
+
+    def jetvar_atom(self, kind: str, val: str, pos: int) -> JetVar:
+        """A jet variable, 'name' or 'dag(name)' with an optional suffix,
+        from its first token on."""
         dagger = False
         if val == "dag":
             self.expect("(")
@@ -363,19 +358,10 @@ class _Parser:
             raise ParseError("expected channel label", pos)
         self.expect(":")
         idx = [0] * self.model.base_dim
-        saw = False
-        while True:
-            kind2, val2, pos2 = self.peek()
-            if kind2 == "ident" and re.fullmatch(r"x\d+", val2):
-                self.next()
-                j = int(val2[1:])
-                if not 1 <= j <= self.model.base_dim:
-                    raise ParseError(f"coordinate {val2} out of range", pos2)
-                idx[j - 1] += 1
-                saw = True
-            else:
-                break
-        if not saw:
+        while (j := self.coordinate(*self.peek()[1:])) is not None:
+            self.next()
+            idx[j] += 1
+        if not any(idx):
             raise ParseError("empty multi-index in frz[...]", pos)
         return (int(val), tuple(idx))
 
@@ -392,19 +378,15 @@ class _Parser:
         self.next()
         kind, val, pos = self.next()
         if val == "{":
-            saw = False
             while True:
-                kind2, val2, pos2 = self.next()
+                _, val2, pos2 = self.next()
                 if val2 == "}":
                     break
-                if kind2 != "ident" or not re.fullmatch(r"x\d+", val2):
+                j = self.coordinate(val2, pos2)
+                if j is None:
                     raise ParseError(f"expected coordinate in index, found {val2!r}", pos2)
-                j = int(val2[1:])
-                if not 1 <= j <= n:
-                    raise ParseError(f"coordinate {val2} out of range", pos2)
-                idx[j - 1] += 1
-                saw = True
-            if not saw:
+                idx[j] += 1
+            if not any(idx):
                 raise ParseError("empty multi-index", pos)
             return tuple(idx)
         if kind == "ident" and re.fullmatch(r"x+", val):
@@ -413,13 +395,6 @@ class _Parser:
             idx[0] = len(val)
             return tuple(idx)
         raise ParseError(f"malformed derivative suffix at {val!r}", pos)
-
-
-def _coeff_pow(c: Coefficient, n: int) -> Coefficient:
-    out = Coefficient.one()
-    for _ in range(n):
-        out = out * c
-    return out
 
 
 def parse_expr(text: str, model) -> Expr:

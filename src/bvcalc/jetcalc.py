@@ -35,6 +35,7 @@ from .algebra import (
     Trig,
     collect_channel_labels,
     make_attach,
+    _ONE,
     _add_monomial,
     _from_raw,
     _sort_odd,
@@ -52,14 +53,6 @@ def idx_unit(n: int, i: int) -> Tuple[int, ...]:
     if not 0 <= i < n:
         raise ValueError(f"coordinate index {i} out of range for base dimension {n}")
     return tuple(1 if j == i else 0 for j in range(n))
-
-
-def idx_add(a: Sequence[int], b: Sequence[int]) -> Tuple[int, ...]:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def idx_order(a: Sequence[int]) -> int:
-    return sum(a)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +175,6 @@ def total_derivative(e: Expr, direction: int) -> Expr:
     return _from_raw(raw)
 
 
-_ONE = Coefficient.one()
 _MINUS_ONE = Coefficient.of(-1)
 
 
@@ -254,6 +246,8 @@ def _partials(e, variables, side, isolate, external, index=None):
     Only chain-rule (Trig) and dived-Attach branches are raw factor lists;
     each is normalised once, before it is wrapped.
     """
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     acc = {}  # (v, sigma) -> term map of canonical branches
     unlabelled = None
     dives = {}  # Attach atom -> its branches, so each block is entered once
@@ -419,20 +413,11 @@ def _wrap_branch(acc, coeff, even, odd, pend, external):
     _add_monomial(acc, (even, odd), Monomial(-coeff if flips & 1 else coeff, even, odd))
 
 
-def partial_left(e: Expr, v: JetVar) -> Expr:
-    """Graded left partial derivative d->/dv."""
-    return _partial(e, v, "left")
-
-
-def partial_right(e: Expr, v: JetVar) -> Expr:
-    """Graded right partial derivative; on a parity-homogeneous monomial m,
-    right = (-1)^(gh(v) * (gh(m) - 1)) * left."""
-    return _partial(e, v, "right")
-
-
-def _partial(e: Expr, v: JetVar, side: str) -> Expr:
-    terms = _partials(e, {(v.field, v.dagger): (v.parity, None)}, side, False, None, v.index)
-    return terms.get((v.field, v.dagger), {}).get(v.index, Expr.zero())
+def partial(e: Expr, v: JetVar, side: str = "left") -> Expr:
+    """Graded partial derivative by ``v`` on the given side; on a
+    parity-homogeneous monomial m, right = (-1)^(gh(v) * (gh(m) - 1)) * left."""
+    terms = _partials(e, {v.var: (v.parity, None)}, side, False, None, v.index)
+    return terms.get(v.var, {}).get(v.index, Expr.zero())
 
 
 def euler(
@@ -485,8 +470,6 @@ def _euler_images(model, e, labels, side="left", isolate=False, external=None):
     reused = used and used & collect_channel_labels(e)
     if reused:
         raise ValueError(f"channel label {min(reused)!r} already occurs in expression")
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     terms = _partials(e, variables, side, isolate, external)
     for v, label in labels.items():
         by_index = terms.get(v, {})
@@ -495,7 +478,7 @@ def _euler_images(model, e, labels, side="left", isolate=False, external=None):
             continue
         acc = {}
         for sigma, term in by_index.items():
-            odd = idx_order(sigma) & 1
+            odd = sum(sigma) & 1
             for k, mm in term.terms.items():
                 _add_monomial(acc, k, Monomial(-mm.coeff, mm.even, mm.odd) if odd else mm)
         yield v, Expr(acc) if acc else Expr.zero()
@@ -523,25 +506,6 @@ def euler_left(model: BvModel, e: Expr, field: str, dagger: bool = False) -> Exp
     """Variational derivative sum_sigma (-D)^sigma (d->/dq_sigma), with the
     pending derivatives expanded immediately (naive / collapsed mode)."""
     return euler(model, e, field, dagger)
-
-
-def euler_right(model: BvModel, e: Expr, field: str, dagger: bool = False) -> Expr:
-    return euler(model, e, field, dagger, side="right")
-
-
-def euler_channelled(
-    model: BvModel,
-    e: Expr,
-    field: str,
-    dagger: bool,
-    label: int,
-    side: str = "left",
-    isolate: bool = False,
-    external: Optional[frozenset] = None,
-) -> Expr:
-    """Channelled Euler operator: pending derivatives are recorded against the
-    fresh channel ``label`` instead of being expanded."""
-    return euler(model, e, field, dagger, side, label, isolate, external)
 
 
 # ---------------------------------------------------------------------------
@@ -586,7 +550,7 @@ def _collapse_attach(a: Attach, memo: dict) -> tuple:
     h = _collapse(a.inner, memo)
     total = None
     for _, idx in a.pending:
-        total = idx if total is None else idx_add(total, idx)
+        total = idx if total is None else tuple([x + y for x, y in zip(total, idx)])
     if total is not None:
         h = total_derivative_multi(h, total)
     return tuple((dm.coeff, dm.factors()) for dm in h.monomials())

@@ -71,6 +71,10 @@ def test_parse_errors_have_positions():
         parse_expr("sin(dag(q))", m)  # odd argument rejected
     with pytest.raises(ParseError):
         parse_expr("q_{x9}", m)
+    # every form of a jet variable is read by one rule, with one field check
+    for text, column in (("r", 1), ("dag(r)", 5), ("sin(dag(r))", 9), ("q * r_x", 5)):
+        with pytest.raises(ParseError, match=rf"^unknown field 'r' \(column {column}\)$"):
+            parse_expr(text, m)
 
 
 def test_model_file_parsing():
@@ -238,7 +242,12 @@ def test_cmd_usage_errors(model_file, capsys):
 
 def test_cmd_euler_unknown_field_is_a_usage_error(model_file, capsys):
     assert main(["euler", model_file, "--expr", "q*q", "--field", "nope"]) == 2
-    assert "unknown field" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "unknown field" in err
+    # the message itself, not the repr a KeyError's str() gives
+    assert err == "bvcalc: unknown field 'nope'\n"
+    assert main(["euler", model_file, "--expr", "dag(r)", "--field", "q"]) == 2
+    assert capsys.readouterr().err == "bvcalc: unknown field 'r' (column 5)\n"
 
 
 def test_bvcalc_seed_env(model_file, monkeypatch, capsys):

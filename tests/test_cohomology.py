@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import bvcalc
 from bvcalc import Expr
 from bvcalc.algebra import make_attach
 from bvcalc.coeff import Coefficient
@@ -12,7 +13,7 @@ from bvcalc.cohomology import (
     _graded_expand,
     _graded_sort,
     _scale_canonical,
-    densities_equivalent,
+    euler_operators_vanish,
     field_free_part,
     functional_equal,
     is_trivial,
@@ -53,10 +54,10 @@ def test_divergences_trivial_in_two_dimensions():
 def test_densities_equivalent_examples(m):
     q = m.jet("q")
     qx, qxx = m.jet("q", (1,)), m.jet("q", (2,))
-    assert densities_equivalent(m, qxx.scale(2), Expr.zero())
-    assert densities_equivalent(m, q * qx, Expr.zero())
-    assert densities_equivalent(m, qx * qx, -(q * qxx))
-    assert not densities_equivalent(m, qx * qx, q * qxx)
+    assert is_trivial(m, qxx.scale(2) - Expr.zero())
+    assert is_trivial(m, q * qx - Expr.zero())
+    assert is_trivial(m, qx * qx - (-(q * qxx)))
+    assert not is_trivial(m, qx * qx - q * qxx)
 
 
 def test_equivalence_relation(m):
@@ -65,9 +66,33 @@ def test_equivalence_relation(m):
         a = random_homogeneous(m, rng, 0)
         b = a + total_derivative(random_homogeneous(m, rng, 0), 0)
         c = b + total_derivative(random_homogeneous(m, rng, 0), 0)
-        assert densities_equivalent(m, a, a)
-        assert densities_equivalent(m, a, b) and densities_equivalent(m, b, a)
-        assert densities_equivalent(m, a, c)
+        assert is_trivial(m, a - a)
+        assert is_trivial(m, a - b) and is_trivial(m, b - a)
+        assert is_trivial(m, a - c)
+
+
+@pytest.mark.parametrize("model", [scalar_model(), plane_model()], ids=["scalar", "plane"])
+def test_is_trivial_agrees_with_the_two_step_rule(model):
+    # the rule is_trivial replaced: no field-free part, then every Euler
+    # operator vanishes
+    rng = random.Random(34)
+    verdicts = []
+    for i in range(50):
+        h = random_homogeneous(model, rng, rng.randint(0, 1), with_trig=i % 3 == 0)
+        d = total_derivative(h, rng.randrange(model.base_dim))
+        if i % 2:
+            d = d + random_homogeneous(model, rng, h.parity())
+        if i % 5 == 0:
+            d = d + Expr.scalar(rng.randint(1, 3))
+        expected = field_free_part(d).is_zero() and euler_operators_vanish(model, d)
+        assert is_trivial(model, d) == expected, d
+        verdicts.append(expected)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_every_exported_name_resolves():
+    for name in bvcalc.__all__:
+        assert hasattr(bvcalc, name), name
 
 
 def test_functional_graded_commutativity(m):

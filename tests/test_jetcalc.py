@@ -19,14 +19,11 @@ from bvcalc.jetcalc import (
     canonicalize_channels,
     collapse,
     euler,
-    euler_channelled,
     euler_left,
-    euler_right,
     eulers,
     iterated_variation_geometric,
     iterated_variation_naive,
-    partial_left,
-    partial_right,
+    partial,
     total_derivative,
     total_derivative_multi,
     _monomial_labels,
@@ -108,20 +105,22 @@ def test_partial_examples(m):
     q, qxx = m.jet("q"), m.jet("q", (2,))
     qd = m.jet("q", dagger=True)
     f = qd * q * qxx
-    assert partial_left(f, m.jet_atom("q", dagger=True)) == q * qxx
-    assert partial_left(f, m.jet_atom("q", (2,))) == qd * q
+    assert partial(f, m.jet_atom("q", dagger=True)) == q * qxx
+    assert partial(f, m.jet_atom("q", (2,))) == qd * q
     qdx = m.jet("q", (1,), dagger=True)
     g = qd * qdx
-    assert partial_left(g, m.jet_atom("q", dagger=True)) == qdx
-    assert partial_left(g, m.jet_atom("q", (1,), dagger=True)) == -qd
-    assert partial_right(g, m.jet_atom("q", (1,), dagger=True)) == qd
+    assert partial(g, m.jet_atom("q", dagger=True)) == qdx
+    assert partial(g, m.jet_atom("q", (1,), dagger=True)) == -qd
+    assert partial(g, m.jet_atom("q", (1,), dagger=True), "right") == qd
+    with pytest.raises(ValueError):
+        partial(g, m.jet_atom("q", dagger=True), "up")
 
 
 def test_partial_chain_rule(m):
     v = m.jet_atom("q")
-    assert partial_left(m.sin("q"), v) == m.cos("q")
-    assert partial_left(m.cos("q"), v) == -m.sin("q")
-    assert partial_left(m.exp("q") * m.exp("q"), v) == (m.exp("q") * m.exp("q")).scale(2)
+    assert partial(m.sin("q"), v) == m.cos("q")
+    assert partial(m.cos("q"), v) == -m.sin("q")
+    assert partial(m.exp("q") * m.exp("q"), v) == (m.exp("q") * m.exp("q")).scale(2)
 
 
 _GHOST = ghost_model()
@@ -143,8 +142,8 @@ def test_graded_leibniz(seed, v):
     a = random_monomial(_GHOST, rng, with_attach=True)
     b = random_expr(_GHOST, rng, with_attach=True)
     sign = -1 if v.parity and a.parity() else 1
-    lhs = partial_left(a * b, v)
-    rhs = partial_left(a, v) * b + (a * partial_left(b, v)).scale(sign)
+    lhs = partial(a * b, v)
+    rhs = partial(a, v) * b + (a * partial(b, v)).scale(sign)
     assert lhs == rhs
 
 
@@ -163,7 +162,7 @@ def test_partial_of_absent_variable_multiplies_no_coefficients(monkeypatch):
     for _ in range(20):
         e = random_expr(_GHOST, rng, with_attach=True)
         calls.clear()
-        assert partial_left(e, v).is_zero()
+        assert partial(e, v).is_zero()
         assert not calls
 
 
@@ -180,12 +179,12 @@ def test_right_side_is_the_per_monomial_sign(seed, v):
     for k, mono in e.terms.items():
         single = Expr({k: mono})
         sign = -1 if (v.parity * (mono.parity() - 1)) & 1 else 1
-        right = right + partial_left(single, v).scale(sign)
-        channelled = channelled + euler_channelled(
-            _GHOST, single, v.field, v.dagger, 1000, isolate=True).scale(sign)
-    assert partial_right(e, v) == right
-    assert euler_channelled(_GHOST, e, v.field, v.dagger, 1000, side="right",
-                            isolate=True) == channelled
+        right = right + partial(single, v).scale(sign)
+        channelled = channelled + euler(
+            _GHOST, single, v.field, v.dagger, label=1000, isolate=True).scale(sign)
+    assert partial(e, v, "right") == right
+    assert euler(_GHOST, e, v.field, v.dagger, side="right", label=1000,
+                 isolate=True) == channelled
 
 
 def test_partials_commute_with_wrappers():
@@ -195,8 +194,8 @@ def test_partials_commute_with_wrappers():
         h = random_homogeneous(model, rng, rng.randint(0, 1))
         v = model.jet_atom("q", (1,))
         pending = ((1, (1,)),)
-        lhs = partial_left(make_attach(pending, h), v)
-        rhs = make_attach(pending, partial_left(h, v))
+        lhs = partial(make_attach(pending, h), v)
+        rhs = make_attach(pending, partial(h, v))
         assert lhs == rhs
 
 
@@ -228,7 +227,7 @@ def test_euler_right_relation(m):
     for _ in range(30):
         h = random_homogeneous(m, rng, rng.randint(0, 1))
         p = h.parity()
-        lhs = euler_right(m, h, "q", True)
+        lhs = euler(m, h, "q", True, side="right")
         rhs = euler_left(m, h, "q", True)
         if (p - 1) & 1:
             rhs = -rhs
@@ -256,7 +255,7 @@ def _occurring_indices(e, field, dagger):
 
 def _channelled_partial(e, v, label):
     """The channelled left partial d/dv by the graded Leibniz rule, from
-    partial_left: each monomial is split into its plain factors P and its
+    ``partial``: each monomial is split into its plain factors P and its
     Attach factors A_1...A_k; the derivative of P is gathered into a block
     pending (label, sigma), that of A_j adds (label, sigma) to A_j's pending
     set (nothing is pending at sigma = 0)."""
@@ -274,13 +273,13 @@ def _channelled_partial(e, v, label):
             whole = whole * Expr.from_atom(a)
         sign = 1 if whole == Expr({k: mono}) else -1
         assert whole == Expr({k: mono}).scale(sign)
-        dp = partial_left(plain, v)
+        dp = partial(plain, v)
         term = make_attach(pend, dp) if pend else dp
         for a in blocks:
             term = term * Expr.from_atom(a)
         passed = plain.parity()
         for j, a in enumerate(blocks):
-            da = make_attach(a.pending + pend, partial_left(a.inner, v))
+            da = make_attach(a.pending + pend, partial(a.inner, v))
             piece = plain
             for i, b in enumerate(blocks):
                 piece = piece * (da if i == j else Expr.from_atom(b))
@@ -307,7 +306,7 @@ def _random_wrapped(model, rng):
 @pytest.mark.parametrize("model", [ghost_model(), plane_model()], ids=["ghost", "plane"])
 def test_euler_operators_group_the_per_index_partials(model):
     # one walk files every branch under its multi-index: the Euler operators
-    # equal their definition, one partial_left per occurring index
+    # equal their definition, one partial per occurring index
     rng = random.Random(28)
     for _ in range(40):
         e = _random_wrapped(model, rng)
@@ -317,16 +316,16 @@ def test_euler_operators_group_the_per_index_partials(model):
             for sigma in sigmas:
                 v = model.jet_atom(name, sigma, dagger)
                 sign = -1 if sum(sigma) & 1 else 1
-                d = total_derivative_multi(partial_left(e, v), sigma)
+                d = total_derivative_multi(partial(e, v), sigma)
                 expanded = expanded + d.scale(sign)
                 channelled = channelled + _channelled_partial(e, v, 1000).scale(sign)
             assert euler_left(model, e, name, dagger) == expanded
-            assert euler_channelled(model, e, name, dagger, 1000) == channelled
+            assert euler(model, e, name, dagger, label=1000) == channelled
 
 
 def _euler_reference(model, e, name, dagger, side, label):
     """sum_sigma (-D)^sigma d/dq_sigma on ``side``, one monomial at a time
-    from partial_left: expanded without a label, channelled with one; the
+    from ``partial``: expanded without a label, channelled with one; the
     right side is (-1)^(p_v (p_m - 1)) times the left on each monomial m."""
     out = Expr.zero()
     for k, mono in e.terms.items():
@@ -335,7 +334,7 @@ def _euler_reference(model, e, name, dagger, side, label):
         for sigma in _occurring_indices(one, name, dagger):
             v = model.jet_atom(name, sigma, dagger)
             if label is None:
-                d = total_derivative_multi(partial_left(one, v), sigma)
+                d = total_derivative_multi(partial(one, v), sigma)
             else:
                 d = _channelled_partial(one, v, label)
             out = out + d.scale((-1) ** (sum(sigma) + flip))
@@ -540,9 +539,9 @@ def test_walk_agrees_with_the_raw_branch_reference(which):
         unlabelled = {v: (p, None) for v, (p, _) in spec.items()}
         for sigma in sigmas:
             v = model.jet_atom(name, sigma, dagger)
-            for fn, side_ in ((partial_left, "left"), (partial_right, "right")):
+            for side_ in ("left", "right"):
                 ref = _reference_partials(e, unlabelled, side_, False, None, sigma)
-                assert fn(e, v) == ref.get((name, dagger), {}).get(sigma, Expr.zero()), context
+                assert partial(e, v, side_) == ref.get((name, dagger), {}).get(sigma, Expr.zero()), context
 
 
 def test_walk_edge_cases(m):
@@ -563,7 +562,7 @@ def test_walk_edge_cases(m):
     ]
     for e, expected in cases:
         assert not e.is_zero()
-        got = euler_channelled(m, e, "q", False, 1000, isolate=True)
+        got = euler(m, e, "q", False, label=1000, isolate=True)
         ref = _reference_eulers(m, e, {("q", False): 1000}, "left", True, None)
         assert got == ref[("q", False)] == expected, e
 
@@ -575,18 +574,18 @@ def test_euler_channelled_examples(m):
     qd = m.jet("q", dagger=True)
     f = qd * q * qxx
     lab = 1
-    e = euler_channelled(m, f, "q", False, lab)
+    e = euler(m, f, "q", False, label=lab)
     expected = qd * qxx + make_attach(((lab, (2,)),), qd * q)
     assert e == expected
 
     # both contributions are pending derivatives of the constant 1
     w = make_attach(((2, (2,)),), q)
-    assert euler_channelled(m, qxx + w, "q", False, 3).is_zero()
+    assert euler(m, qxx + w, "q", False, label=3).is_zero()
 
     # a partial passing through an existing wrapper
     z2 = 4
     w2 = make_attach(((z2, (2,)),), -m.sin("q"))
-    out = euler_channelled(m, w2, "q", False, 5)
+    out = euler(m, w2, "q", False, label=5)
     assert out == make_attach(((z2, (2,)),), -m.cos("q"))
 
 
@@ -594,7 +593,7 @@ def test_euler_channelled_label_reuse_rejected(m):
     lab = 1
     w = make_attach(((lab, (1,)),), m.jet("q"))
     with pytest.raises(ValueError):
-        euler_channelled(m, w, "q", False, lab)
+        euler(m, w, "q", False, label=lab)
 
 
 def test_collapse_examples(m):
@@ -713,7 +712,7 @@ def test_collapse_of_channelled_euler_is_plain_euler():
         e = random_homogeneous(model, rng, rng.randint(0, 1))
         for name, dagger in (("q", False), ("q", True), ("c", False)):
             lab = 1
-            chan = euler_channelled(model, e, name, dagger, lab, isolate=True)
+            chan = euler(model, e, name, dagger, label=lab, isolate=True)
             assert collapse(chan) == euler_left(model, e, name, dagger)
 
 
