@@ -22,9 +22,9 @@ Atoms are interned: equal live atoms are one object, so they hash and compare
 by identity, and only their ``key`` (a nested tuple) orders them.  A term map
 ``Expr.terms`` is keyed by each monomial's own ``(even, odd)`` tuples of
 atoms, which hash in one shallow pass and sort as the nested keys do; Expr
-equality and hashing read these term maps too.  ``Monomial.atom_key()``
-spells the nested keys out only where a value leaves the program
-(``Expr.key()`` and the triviality images of the class basis).
+equality and hashing read these term maps too, and so do the triviality
+images of the class basis.  ``Monomial.atom_key()`` spells the nested keys
+out only where a value leaves the program, in ``Expr.key()``.
 """
 
 from __future__ import annotations

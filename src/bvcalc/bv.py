@@ -28,16 +28,8 @@ from typing import List
 from .coeff import Coefficient
 from .algebra import Expr, ParityError, _add_monomial, _sum_scaled, collect_channel_labels
 from .cohomology import Functional, _accumulate, euler_operators_vanish, functional_equal
-from .jetcalc import BvModel, canonicalize_channels, collapse, euler, eulers, label_after
-
-GEOMETRIC = "geometric"
-NAIVE = "naive"
-_MODES = (GEOMETRIC, NAIVE)
-
-
-def _check_mode(mode: str):
-    if mode not in _MODES:
-        raise ValueError(f"unknown mode {mode!r}")
+from .jetcalc import (GEOMETRIC, NAIVE, BvModel, _check_mode, canonicalize_channels, collapse,
+                      euler, eulers, label_after)
 
 
 # ---------------------------------------------------------------------------

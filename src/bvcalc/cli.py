@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import random
+import re
 import sys
 import time
 from fractions import Fraction
@@ -132,8 +133,6 @@ def _build_section(model, raw: dict) -> SectionSpec:
 
 def _parse_trig_poly(model, text: str):
     """Parse 'c * sin(k x1) * cos(m x2) + ...' with float or g<k> coefficients."""
-    import re
-
     terms = []
     for chunk in re.split(r"(?=[+-])", text.replace(" ", "")):
         if not chunk or chunk in "+-":

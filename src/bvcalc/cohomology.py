@@ -11,8 +11,9 @@ from __future__ import annotations
 from typing import Tuple
 
 from .coeff import Coefficient
-from .algebra import Attach, Expr, _sum_scaled
-from .jetcalc import BvModel, canonicalize_channels, collapse, eulers, _euler_images
+from .algebra import Attach, Expr, GhostNumberError, ParityError, _sum_scaled
+from .grammar import format_coefficient, format_expr
+from .jetcalc import BvModel, canonicalize_channels, collapse, eulers
 
 
 # ---------------------------------------------------------------------------
@@ -47,9 +48,9 @@ def is_trivial(model: BvModel, density: Expr) -> bool:
 
 def euler_operators_vanish(model: BvModel, density: Expr) -> bool:
     """True iff the Euler operator of every field and antifield of the model
-    annihilates the density; stops at the first nonzero image."""
-    images = _euler_images(model, density, dict.fromkeys(model.variables()))
-    return all(e.is_zero() for _, e in images)
+    annihilates the density."""
+    images = eulers(model, density, dict.fromkeys(model.variables()))
+    return all(e.is_zero() for e in images.values())
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +103,6 @@ class Functional:
             if p is None:
                 p = bp
             elif bp != p:
-                from .algebra import ParityError
                 raise ParityError("parity-heterogeneous functional")
         return 0 if p is None else p
 
@@ -113,7 +113,6 @@ class Functional:
             if g is None:
                 g = bg
             elif bg != g:
-                from .algebra import GhostNumberError
                 raise GhostNumberError("ghost-number-heterogeneous functional")
         return 0 if g is None else g
 
@@ -186,7 +185,6 @@ class Functional:
         return Functional(self.model, acc)
 
     def __repr__(self):
-        from .grammar import format_coefficient, format_expr
         if not self.terms:
             return "<0>"
         parts = []
@@ -278,13 +276,14 @@ def functional_equal(
 def _triviality_image(model: BvModel, b: Expr) -> dict:
     """Sparse coordinates of a density under the linear map whose kernel is
     exactly the trivial densities: all Euler-operator images together with
-    the field-free residue, keyed by nested atom keys."""
+    the field-free residue, keyed by term keys (which order as the nested
+    keys do)."""
     img = {}
     for (field, dagger), e in eulers(model, b, dict.fromkeys(model.variables())).items():
-        for mono in e.terms.values():
-            img[("E", field, dagger, mono.atom_key())] = mono.coeff
-    for mono in field_free_part(b).terms.values():
-        img[("c", mono.atom_key())] = mono.coeff
+        for k, mono in e.terms.items():
+            img[("E", field, dagger, k)] = mono.coeff
+    for k, mono in field_free_part(b).terms.items():
+        img[("c", k)] = mono.coeff
     return img
 
 

@@ -27,6 +27,7 @@ from typing import List, Tuple
 
 from .coeff import Coefficient
 from .algebra import Atom, Attach, BaseVar, Expr, JetVar, Trig, make_attach
+from .jetcalc import BvModel, total_derivative
 
 
 class ParseError(ValueError):
@@ -300,7 +301,6 @@ class _Parser:
             self.expect("(")
             e = self.expr()
             self.expect(")")
-            from .jetcalc import total_derivative
             return total_derivative(e, j - 1)
         if val == "at":
             self.expect("(")
@@ -408,8 +408,6 @@ def parse_expr(text: str, model) -> Expr:
 def parse_model_file(text: str):
     """Parse a model file; returns (BvModel, sections) where sections maps a
     section name to {(field, dagger): raw trig-polynomial string}."""
-    from .jetcalc import BvModel
-
     base_dim = None
     fields = []
     sections = {}

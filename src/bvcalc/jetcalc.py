@@ -6,7 +6,8 @@ graded left and right partial derivatives by any set of variables at once
 Euler operators of those variables (total derivatives expanded by Horner's
 scheme, one coordinate at a time, or kept pending on a channel), collapse of
 pending channel derivatives, canonical renaming of channel labels, and the
-naive/geometric iterated variations.
+naive/geometric iterated variations.  ``eulers`` is the one Euler entry that
+walks and sums; the iterated variations keep their shift fields outside it.
 
 Total derivatives and collapse work on raw (coefficient, factor list) branches
 and normalise once per call or per monomial, not once per factor; collapse
@@ -225,7 +226,7 @@ def total_derivative_multi(e: Expr, index: Sequence[int]) -> Expr:
 _CHAIN = {"sin": (None, "cos"), "cos": (_MINUS_ONE, "sin"), "exp": (None, "exp")}
 
 
-def _partials(e, variables, side, isolate, external, index=None):
+def _partials(e, variables, side, isolate, index=None):
     """Graded partials of ``e`` by the jet variables q_sigma of every
     variable in ``variables`` = {(field, dagger): (parity, label or None)},
     filed by variable and multi-index: ``{(field, dagger): {sigma: Expr}}``.
@@ -284,7 +285,7 @@ def _partials(e, variables, side, isolate, external, index=None):
                     if unlabelled is None:
                         unlabelled = {v: (p, None) for v, (p, _) in variables.items()}
                     hits = dives[a] = []
-                    inner = _partials(a.inner, unlabelled, "left", False, None, index)
+                    inner = _partials(a.inner, unlabelled, "left", False, index)
                     for v, by_index in inner.items():
                         parity, label = variables[v]
                         for sigma, d in by_index.items():
@@ -306,8 +307,7 @@ def _partials(e, variables, side, isolate, external, index=None):
                     wrap = isolate and label is not None
                     out = acc.setdefault((v, sigma), {})
                     for dm in dived.monomials():
-                        _file_raw(out, c * dm.coeff, head + dm.factors() + tail,
-                                  None, wrap, external)
+                        _file_raw(out, c * dm.coeff, head + dm.factors() + tail, None, wrap)
                 continue
             spec = variables.get(a.var)
             if spec is None:
@@ -328,7 +328,7 @@ def _partials(e, variables, side, isolate, external, index=None):
                     factors = m.factors()
                 head = factors[:i] + (((a, k - 1),) if k > 1 else ())
                 _file_raw(out, c if cc is None else c * cc,
-                          head + ((Trig(tag, u), 1),) + factors[i + 1:], pend, wrap, external)
+                          head + ((Trig(tag, u), 1),) + factors[i + 1:], pend, wrap)
                 continue
             if i < n:
                 rest_even = even[:i] + (((a, k - 1),) if k > 1 else ()) + even[i + 1:]
@@ -337,7 +337,7 @@ def _partials(e, variables, side, isolate, external, index=None):
                 rest_even = even
                 rest_odd = odd[:i - n] + odd[i - n + 1:]
             if wrap:
-                _wrap_branch(out, c, rest_even, rest_odd, pend, external)
+                _wrap_branch(out, c, rest_even, rest_odd, pend)
             else:
                 _add_monomial(out, (rest_even, rest_odd), Monomial(c, rest_even, rest_odd))
     filed = {}
@@ -346,41 +346,38 @@ def _partials(e, variables, side, isolate, external, index=None):
     return filed
 
 
-def _file_raw(acc, coeff, factors, pend, wrap, external):
+def _file_raw(acc, coeff, factors, pend, wrap):
     """Normalise one raw branch and add it to the term map ``acc``, each
     monomial wrapped when ``wrap``."""
     for mm in _from_raw([(coeff, factors)]).monomials():
         if wrap:
-            _wrap_branch(acc, mm.coeff, mm.even, mm.odd, pend, external)
+            _wrap_branch(acc, mm.coeff, mm.even, mm.odd, pend)
         else:
             _add_monomial(acc, (mm.even, mm.odd), mm)
 
 
-def _wrap_branch(acc, coeff, even, odd, pend, external):
+def _wrap_branch(acc, coeff, even, odd, pend):
     """Add one derivative branch, given canonical, to the term map ``acc``
     with its home plains wrapped.
 
     The branch is ``coeff`` times the atoms ``even``/``odd`` of a canonical
     monomial, and ``pend`` is (label, sigma) or None.  Home plains
-    (everything that is not an Attach atom or an external field's jet
-    variable) are gathered into a new Attach carrying ``pend``.  They are a
-    subsequence of canonical atoms, hence already a canonical unit monomial:
-    the block is built from them directly, and only its own place among the
-    kept factors, with the Koszul signs of moving past odd factors, is
-    found.
+    (everything that is not an Attach atom) are gathered into a new Attach
+    carrying ``pend``.  They are a subsequence of canonical atoms, hence
+    already a canonical unit monomial: the block is built from them
+    directly, and only its own place among the kept factors, with the Koszul
+    signs of moving past odd factors, is found.
     """
-    ext = external or ()
     kept_even, home_even = [], []
     for pair in even:
-        a = pair[0]
-        if type(a) is Attach or (a.var is not None and a.var[0] in ext):
+        if type(pair[0]) is Attach:
             kept_even.append(pair)
         else:
             home_even.append(pair)
     kept_odd, home_odd = [], []
     flips = 0
     for a in odd:
-        if type(a) is Attach or (a.var is not None and a.var[0] in ext):
+        if type(a) is Attach:
             flips += len(home_odd)
             kept_odd.append(a)
         else:
@@ -416,7 +413,7 @@ def _wrap_branch(acc, coeff, even, odd, pend, external):
 def partial(e: Expr, v: JetVar, side: str = "left") -> Expr:
     """Graded partial derivative by ``v`` on the given side; on a
     parity-homogeneous monomial m, right = (-1)^(gh(v) * (gh(m) - 1)) * left."""
-    terms = _partials(e, {v.var: (v.parity, None)}, side, False, None, v.index)
+    terms = _partials(e, {v.var: (v.parity, None)}, side, False, v.index)
     return terms.get(v.var, {}).get(v.index, Expr.zero())
 
 
@@ -428,7 +425,6 @@ def euler(
     side: str = "left",
     label: Optional[int] = None,
     isolate: bool = False,
-    external: Optional[frozenset] = None,
 ) -> Expr:
     """Euler operator sum_sigma (-D)^sigma d/dq_sigma (Olver, Applications of
     Lie Groups to Differential Equations, 4.1), on the given side.
@@ -440,11 +436,10 @@ def euler(
     rather than once per multi-index and order.  With a fresh channel
     ``label`` the derivatives stay pending, recorded against that label
     (geometric mode); ``isolate`` then also gathers the home plains of a
-    branch without a pending derivative, and ``external`` names fields whose
-    jets stay out of the gathered blocks.
+    branch without a pending derivative.
     """
     v = (field, dagger)
-    return eulers(model, e, {v: label}, side, isolate, external)[v]
+    return eulers(model, e, {v: label}, side, isolate)[v]
 
 
 def eulers(
@@ -453,35 +448,30 @@ def eulers(
     labels: dict,
     side: str = "left",
     isolate: bool = False,
-    external: Optional[frozenset] = None,
 ) -> dict:
     """The Euler operators of ``e`` by every variable of ``labels`` =
-    {(field, dagger): channel label or None}, as {(field, dagger): Expr};
-    each is ``euler`` with that variable's label, and one partial-derivative
-    walk serves them all."""
-    return dict(_euler_images(model, e, labels, side, isolate, external))
-
-
-def _euler_images(model, e, labels, side="left", isolate=False, external=None):
-    """Yield ((field, dagger), Euler operator) in the order of ``labels``
-    after one walk; Horner's scheme runs only as far as the caller reads."""
+    {(field, dagger): channel label or None}, as {(field, dagger): Expr} in
+    the order of ``labels``; each is ``euler`` with that variable's label,
+    and one partial-derivative walk serves them all."""
     variables = {v: (model.parity(*v), label) for v, label in labels.items()}
     used = {label for label in labels.values() if label is not None}
     reused = used and used & collect_channel_labels(e)
     if reused:
         raise ValueError(f"channel label {min(reused)!r} already occurs in expression")
-    terms = _partials(e, variables, side, isolate, external)
+    terms = _partials(e, variables, side, isolate)
+    images = {}
     for v, label in labels.items():
         by_index = terms.get(v, {})
         if label is None:
-            yield v, _horner(by_index, model.base_dim)
+            images[v] = _horner(by_index, model.base_dim)
             continue
         acc = {}
         for sigma, term in by_index.items():
             odd = sum(sigma) & 1
             for k, mm in term.terms.items():
                 _add_monomial(acc, k, Monomial(-mm.coeff, mm.even, mm.odd) if odd else mm)
-        yield v, Expr(acc) if acc else Expr.zero()
+        images[v] = Expr(acc) if acc else Expr.zero()
+    return images
 
 
 def _horner(terms: dict, n: int) -> Expr:
@@ -736,6 +726,15 @@ def _rename_atom(a: Attach, mapping: dict, memo: dict):
 # iterated variations
 
 
+GEOMETRIC = "geometric"
+NAIVE = "naive"
+
+
+def _check_mode(mode: str):
+    if mode not in (GEOMETRIC, NAIVE):
+        raise ValueError(f"unknown mode {mode!r}")
+
+
 def iterated_variation(
     model: BvModel,
     f: Expr,
@@ -749,31 +748,38 @@ def iterated_variation(
     Naive mode composes fully expanded Euler operators step by step; geometric
     mode records each step's derivatives against a fresh channel, one more
     than the largest label so far (0, 1, 2, ... for a plain density).  With
-    ``include_shifts`` each step multiplies in a formal shift field sh<k>
+    ``include_shifts`` step k multiplies in a formal shift field sh<k>
     carrying the parity of its target; the shift fields live in the returned
-    extended model.
+    extended model.  Naive mode multiplies sh<k> in after step k, so later
+    total derivatives act on it.  Geometric mode holds the shift fields aside
+    and multiplies them in at the end: no pending derivative reaches them, so
+    step k passes those held at the Koszul sign (-1)^(p(sh<k>) p(held)).
     """
     if not shifts:
         raise ValueError("shifts must be non-empty")
-    if mode not in ("naive", "geometric"):
-        raise ValueError(f"unknown mode {mode!r}")
-    aux = []
-    for k, (field, dagger) in enumerate(shifts, start=1):
-        aux.append((f"sh{k}", model.gh(field, dagger)))
+    _check_mode(mode)
+    aux = [(f"sh{k}", model.gh(field, dagger))
+           for k, (field, dagger) in enumerate(shifts, start=1)]
     ext = model.extend(aux) if include_shifts else model
-    aux_names = frozenset(name for name, _ in aux)
-    e = f
+    e, held = f, Expr.scalar(1)
     for k, (field, dagger) in enumerate(shifts, start=1):
-        label = label_after(e) if mode == "geometric" else None
-        e = euler(ext, e, field, dagger, label=label, external=aux_names)
-        if include_shifts:
-            e = ext.jet(f"sh{k}") * e
-    return e, ext
+        label = label_after(e) if mode == GEOMETRIC else None
+        e = euler(ext, e, field, dagger, label=label)
+        if not include_shifts:
+            continue
+        sh = ext.jet(f"sh{k}")
+        if mode == NAIVE:
+            e = sh * e
+        else:
+            if sh.parity() and held.parity():
+                e = -e
+            held = sh * held
+    return held * e, ext
 
 
 def iterated_variation_naive(model, f, shifts, include_shifts=True):
-    return iterated_variation(model, f, shifts, "naive", include_shifts)
+    return iterated_variation(model, f, shifts, NAIVE, include_shifts)
 
 
 def iterated_variation_geometric(model, f, shifts, include_shifts=True):
-    return iterated_variation(model, f, shifts, "geometric", include_shifts)
+    return iterated_variation(model, f, shifts, GEOMETRIC, include_shifts)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import chain, product
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from .coeff import Coefficient
 from .algebra import Expr, Trig, _sum_scaled
@@ -176,9 +176,7 @@ def random_density(
     max_degree: int,
     parity: int,
     rng: random.Random,
-    n_monomials: Optional[int] = None,
     with_trig: bool = False,
-    require_field: bool = True,
 ) -> Expr:
     """Seeded random parity-homogeneous polynomial density.
 
@@ -188,7 +186,7 @@ def random_density(
     n = model.base_dim
     names = [name for name, _ in model.fields]
     monos = []
-    count = n_monomials if n_monomials is not None else rng.randint(1, 3)
+    count = rng.randint(1, 3)
     attempts = 0
     made = 0
     while made < count and attempts < 200:
@@ -229,7 +227,7 @@ def random_density(
         monos.append((mono, 1))
         made += 1
     out = _sum_scaled(monos)
-    if require_field and out.is_zero():
+    if out.is_zero():
         # guarantee a nonzero density of the requested parity
         name = names[0]
         if parity == 0:
@@ -251,7 +249,6 @@ def random_functional(
     parity: int,
     seed: int,
     n_blocks: int = 1,
-    with_trig: bool = False,
 ) -> Functional:
     """Deterministic seeded random functional: a product of ``n_blocks``
     integral blocks with parity-homogeneous polynomial densities whose total
@@ -264,10 +261,9 @@ def random_functional(
     if (sum(parities) & 1) != (parity & 1):
         parities[-1] ^= 1
     for p in parities:
-        d = random_density(model, max_jet_order, max_degree, p, rng,
-                           with_trig=with_trig)
+        d = random_density(model, max_jet_order, max_degree, p, rng)
         out = out * Functional.from_density(model, d)
     if out.is_zero():  # odd block squared collapsed the product; retry shifted
         return random_functional(model, max_jet_order, max_degree, parity,
-                                 seed + 7919, n_blocks, with_trig)
+                                 seed + 7919, n_blocks)
     return out

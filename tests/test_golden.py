@@ -14,24 +14,33 @@ A second SHA-256, ``VERDICTS``, pins the verdicts of every check suite in
 both modes: (suite, mode, case, seed, passed, structural) for two cases at
 seed 9.
 
+A third, ``ITERATED``, pins iterated variations: the extended model's fields
+and the canonicalised result of ``iterated_variation`` on seeded densities
+(with trig factors and pending-derivative blocks) over models with odd
+fields, in both modes, with and without shift fields, for one to three
+shifts.  Odd shift fields meet odd targets there, so the Koszul sign of
+passing a shift field shows.
+
 A change that is meant to keep every output unchanged (a performance change)
 must keep these digests.  A change that alters outputs on purpose updates
-``GOLDEN`` or ``VERDICTS`` and says why.
+``GOLDEN``, ``VERDICTS`` or ``ITERATED`` and says why.
 """
 
 import hashlib
+import random
 
 from bvcalc import BvModel
 from bvcalc.bv import GEOMETRIC, NAIVE, laplacian, schouten
 from bvcalc.cli import run_suite
 from bvcalc.cohomology import _triviality_image
-from bvcalc.jetcalc import euler
+from bvcalc.jetcalc import canonicalize_channels, euler, iterated_variation
 from bvcalc.models import LieAlgebraData, build_yang_mills_bv, random_functional
 
-from util_random import nested_brackets
+from util_random import nested_brackets, random_expr
 
 GOLDEN = "34339d76286e741921d2fff6a2c2b9e98f4560a4b1f9e0d62dc3f4420d19bbc6"
 VERDICTS = "1a8ed26d3e954364951fa7455701b299b036e989fcf0659fc73631da597bff99"
+ITERATED = "5afdf6242f7aa588c6853c31000933814ee22577b44f77b544d9d05096987fc7"
 
 SUITES = ("leibniz-1a", "laplacian-1b", "derivation-1c", "delta-squared-1d",
           "jacobi", "skew", "powers", "omega", "gauge-closure", "cocycles")
@@ -43,7 +52,12 @@ def _functional_key(F):
 
 
 def _image_key(img):
-    return sorted((k, c.key()) for k, c in img.items())
+    """The triviality image with each coordinate's term key (even, odd)
+    spelled out as nested atom keys."""
+    def nested(coord):
+        even, odd = coord[-1]
+        return coord[:-1] + ((tuple((a.key, k) for a, k in even), tuple(a.key for a in odd)),)
+    return sorted((nested(coord), c.key()) for coord, c in img.items())
 
 
 def _images(name, model, F):
@@ -104,3 +118,35 @@ def verdict_digest() -> str:
 
 def test_golden_verdicts():
     assert verdict_digest() == VERDICTS
+
+
+ITERATED_CASES = 40  # seeded densities per model
+ITERATED_MODELS = {
+    "ghost": BvModel(1, [("q", 0), ("c", 1)]),
+    "plane": BvModel(2, [("u", 0), ("c", 1)]),
+    "two-odd": BvModel(1, [("q", 0), ("c", 1), ("b", -1)]),
+}
+
+
+def iterated_digest() -> str:
+    h = hashlib.sha256()
+    for seed, (name, model) in enumerate(ITERATED_MODELS.items(), start=300):
+        variables = list(model.variables())
+        rng = random.Random(seed)
+        for case in range(ITERATED_CASES):
+            f = (random_expr(model, rng, with_attach=True)
+                 * random_expr(model, rng, terms=2, with_attach=True))
+            # shifts along the variables f depends on outside its blocks,
+            # so that most variations are nonzero
+            occurring = sorted({a.var for a in f.atoms() if a.var is not None}) or variables
+            shifts = [rng.choice(occurring) for _ in range(rng.randint(1, 3))]
+            for mode in (GEOMETRIC, NAIVE):
+                for include_shifts in (True, False):
+                    e, ext = iterated_variation(model, f, shifts, mode, include_shifts)
+                    h.update(f"{name} {case} {shifts} {mode} {include_shifts}: {ext.fields!r} "
+                             f"{canonicalize_channels(e).key()!r}\n".encode())
+    return h.hexdigest()
+
+
+def test_golden_iterated_variations():
+    assert iterated_digest() == ITERATED

@@ -374,7 +374,7 @@ def _reference_trig_chain(a):
     return Expr.from_atom(Trig("exp", a.arg))
 
 
-def _reference_partials(e, variables, side, isolate, external, index=None):
+def _reference_partials(e, variables, side, isolate, index=None):
     """The partials walk built from raw factor lists: every branch is the
     monomial's factor list with one copy of a factor replaced, wrapped by
     ``make_attach`` and normalised by ``_from_raw``.  Same arguments and
@@ -395,7 +395,7 @@ def _reference_partials(e, variables, side, isolate, external, index=None):
                     if unlabelled is None:
                         unlabelled = {v: (p, None) for v, (p, _) in variables.items()}
                     hits = dives[a] = []
-                    inner = _reference_partials(a.inner, unlabelled, "left", False, None, index)
+                    inner = _reference_partials(a.inner, unlabelled, "left", False, index)
                     for v, by_index in inner.items():
                         parity, label = variables[v]
                         for sigma, d in by_index.items():
@@ -427,30 +427,27 @@ def _reference_partials(e, variables, side, isolate, external, index=None):
                 iso = isolate and label is not None
                 out = raw.setdefault((v, sigma), [])
                 if chain is None:
-                    out.extend(_reference_wrap_branch(c, head + tail, pend, iso, external))
+                    out.extend(_reference_wrap_branch(c, head + tail, pend, iso))
                     continue
                 for dm in chain.monomials():
                     out.extend(_reference_wrap_branch(c * dm.coeff, head + dm.factors() + tail,
-                                                      pend, iso, external))
+                                                      pend, iso))
     filed = {}
     for (v, sigma), branches in raw.items():
         filed.setdefault(v, {})[sigma] = _from_raw(branches)
     return filed
 
 
-def _reference_wrap_branch(coeff, factors, pend, isolate, external):
+def _reference_wrap_branch(coeff, factors, pend, isolate):
     """One raw branch with its home plains gathered, in their order, into a
     block made by ``make_attach``; the kept factors are moved in front of
     them one at a time, each odd one past the odd home plains before it."""
     if pend is None and not isolate:
         return [(coeff, factors)]
-    ext = external or ()
     kept, wrapped = [], []
     wrapped_odd = 0
     for a, k in factors:
-        if (isinstance(a, Attach)
-                or (isinstance(a, JetVar) and a.field in ext)
-                or (isinstance(a, Trig) and a.arg.field in ext)):
+        if isinstance(a, Attach):
             if a.parity and wrapped_odd & 1:
                 coeff = -coeff
             kept.append((a, k))
@@ -464,11 +461,11 @@ def _reference_wrap_branch(coeff, factors, pend, isolate, external):
     return [(coeff * dm.coeff, tuple(kept) + dm.factors()) for dm in attach.monomials()]
 
 
-def _reference_eulers(model, e, labels, side, isolate, external):
+def _reference_eulers(model, e, labels, side, isolate):
     """sum_sigma (-D)^sigma of the reference partials: expanded one
     multi-index at a time without a label, kept pending with one."""
     variables = {v: (model.parity(*v), label) for v, label in labels.items()}
-    terms = _reference_partials(e, variables, side, isolate, external)
+    terms = _reference_partials(e, variables, side, isolate)
     out = {}
     for v, label in labels.items():
         total = Expr.zero()
@@ -485,9 +482,7 @@ def _nonzero(filed):
             for v, by_index in filed.items()}
 
 
-# fields "s" (even) and "t" (odd) stand for the shift fields of an iterated
-# variation: external, so their jets stay out of every gathered block
-_EXTERNAL = frozenset({"s", "t"})
+# fields "s" (even) and "t" (odd) are ordinary fields, one more of each parity
 _WALK_MODELS = {
     "ghost": ghost_model().extend([("s", 0), ("t", 1)]),
     "plane": BvModel(2, [("u", 0), ("c", 1), ("s", 0), ("t", 1)]),
@@ -497,7 +492,7 @@ _WALK_MODELS = {
 def _walk_input(model, rng):
     """Random input for the walk: sin/cos/exp factors, blocks pending
     derivatives nested up to three deep, bare blocks, and jets of the
-    external fields both at home and inside blocks."""
+    fields s and t both at home and inside blocks."""
     e = _random_wrapped(model, rng)
     if rng.random() < 0.4:
         e = e + _nested_twice(model, rng) * random_monomial(model, rng, degree=1)
@@ -505,7 +500,7 @@ def _walk_input(model, rng):
         bare = make_attach((), random_monomial(model, rng, degree=rng.randint(1, 2)))
         e = e * bare + bare * random_monomial(model, rng, degree=1)
     if rng.random() < 0.5:
-        e = e * model.jet(rng.choice(sorted(_EXTERNAL)), (0,) * model.base_dim)
+        e = e * model.jet(rng.choice(("s", "t")), (0,) * model.base_dim)
     return e
 
 
@@ -520,27 +515,26 @@ def test_walk_agrees_with_the_raw_branch_reference(which):
                   for j, v in enumerate(variables)}
         side = rng.choice(("left", "right"))
         isolate = rng.random() < 0.5
-        external = _EXTERNAL if rng.random() < 0.7 else None
-        context = (case, labels, side, isolate, external)
+        context = (case, labels, side, isolate)
 
-        got = eulers(model, e, labels, side, isolate, external)
-        assert got == _reference_eulers(model, e, labels, side, isolate, external), context
+        got = eulers(model, e, labels, side, isolate)
+        assert got == _reference_eulers(model, e, labels, side, isolate), context
         (name, dagger), label = rng.choice(sorted(labels.items()))
-        assert euler(model, e, name, dagger, side, label, isolate, external) == got[name, dagger]
+        assert euler(model, e, name, dagger, side, label, isolate) == got[name, dagger]
 
         # partials filed by variable and multi-index, and the index filter
         spec = {v: (model.parity(*v), lab) for v, lab in labels.items()}
         sigmas = sorted(_occurring_indices(e, name, dagger)) or [(0,) * model.base_dim]
         index = rng.choice(sigmas + [None])
-        walked = _partials(e, spec, side, isolate, external, index)
-        expected = _reference_partials(e, spec, side, isolate, external, index)
+        walked = _partials(e, spec, side, isolate, index)
+        expected = _reference_partials(e, spec, side, isolate, index)
         assert _nonzero(walked) == _nonzero(expected), context
 
         unlabelled = {v: (p, None) for v, (p, _) in spec.items()}
         for sigma in sigmas:
             v = model.jet_atom(name, sigma, dagger)
             for side_ in ("left", "right"):
-                ref = _reference_partials(e, unlabelled, side_, False, None, sigma)
+                ref = _reference_partials(e, unlabelled, side_, False, sigma)
                 assert partial(e, v, side_) == ref.get((name, dagger), {}).get(sigma, Expr.zero()), context
 
 
@@ -563,7 +557,7 @@ def test_walk_edge_cases(m):
     for e, expected in cases:
         assert not e.is_zero()
         got = euler(m, e, "q", False, label=1000, isolate=True)
-        ref = _reference_eulers(m, e, {("q", False): 1000}, "left", True, None)
+        ref = _reference_eulers(m, e, {("q", False): 1000}, "left", True)
         assert got == ref[("q", False)] == expected, e
 
 
