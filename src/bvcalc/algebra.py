@@ -25,6 +25,13 @@ atoms, which hash in one shallow pass and sort as the nested keys do; Expr
 equality and hashing read these term maps too, and so do the triviality
 images of the class basis.  ``Monomial.atom_key()`` spells the nested keys
 out only where a value leaves the program, in ``Expr.key()``.
+
+Canonical in, canonical out: a product of two canonical monomials is a
+merge of their sorted atoms (``_add_product``), and so are the products
+inside ``jetcalc.collapse``.  The normaliser ``_from_raw``, which sorts an
+arbitrary factor list, is left with the sin(u)^2 rewrite of a product with
+sin(u) on both sides, the chain-rule (sin/cos/exp) branches of derivatives,
+the branches of derivatives that dive into Attach blocks, and ``normalize``.
 """
 
 from __future__ import annotations
@@ -243,11 +250,12 @@ class Expr:
         c = Coefficient.of(value)
         if c.is_zero():
             return _EXPR_ZERO
-        return _from_raw([(c, ())])
+        return Expr({((), ()): Monomial(c, (), ())})
 
     @staticmethod
     def from_atom(atom: Atom) -> "Expr":
-        return _from_raw([(Coefficient.one(), ((atom, 1),))])
+        even, odd = ((), (atom,)) if atom.parity else (((atom, 1),), ())
+        return Expr({(even, odd): Monomial(_ONE, even, odd)})
 
     # -- canonical key ----------------------------------------------------
 
@@ -311,12 +319,11 @@ class Expr:
         other = _coerce(other)
         if not self.terms or not other.terms:
             return _EXPR_ZERO
-        raw = []
+        acc = {}
         for m1 in self.terms.values():
-            f1 = m1.factors()
             for m2 in other.terms.values():
-                raw.append((m1.coeff * m2.coeff, f1 + m2.factors()))
-        return _from_raw(raw)
+                _add_product(acc, m1.coeff * m2.coeff, m1.even, m1.odd, m2.even, m2.odd)
+        return Expr(acc) if acc else _EXPR_ZERO
 
     def __rmul__(self, other):
         return _coerce(other) * self
@@ -526,6 +533,82 @@ def _add_monomial(acc: dict, k, m: Monomial) -> None:
             del acc[k]
         else:
             acc[k] = Monomial(c, prev.even, prev.odd)
+
+
+def _add_product(acc: dict, coeff: Coefficient, e1, o1, e2, o2) -> None:
+    """Add ``coeff`` times the product of the canonical monomials (e1, o1)
+    and (e2, o2), in that order, into the term map ``acc``.
+
+    The odd atoms are merged by key, each atom of the second monomial
+    costing the sign of passing the atoms of the first still unmerged; a
+    repeated odd atom gives zero.  The even atoms are merged by key, and an
+    atom on both sides adds its exponents.  Only a sin atom on both sides,
+    whose square is rewritten, goes to the normaliser."""
+    flips = 0
+    if not o1:
+        odd = o2
+    elif not o2:
+        odd = o1
+    else:
+        merged = []
+        i = j = 0
+        n1, n2 = len(o1), len(o2)
+        a, b = o1[0], o2[0]
+        while True:
+            if a is b:
+                return  # an odd factor squared
+            if b.key < a.key:
+                merged.append(b)
+                flips += n1 - i
+                j += 1
+                if j == n2:
+                    break
+                b = o2[j]
+            else:
+                merged.append(a)
+                i += 1
+                if i == n1:
+                    break
+                a = o1[i]
+        odd = tuple(merged) + o1[i:] + o2[j:]
+    if not e1:
+        even = e2
+    elif not e2:
+        even = e1
+    else:
+        merged = []
+        i = j = 0
+        n1, n2 = len(e1), len(e2)
+        p, q = e1[0], e2[0]
+        while True:
+            a, b = p[0], q[0]
+            if a is b:
+                if type(a) is Trig and a.tag == "sin":
+                    raw = (e1 + tuple([(x, 1) for x in o1])
+                           + e2 + tuple([(x, 1) for x in o2]))
+                    for k, m in _from_raw([(coeff, raw)]).terms.items():
+                        _add_monomial(acc, k, m)
+                    return
+                merged.append((a, p[1] + q[1]))
+                i += 1
+                j += 1
+                if i == n1 or j == n2:
+                    break
+                p, q = e1[i], e2[j]
+            elif b.key < a.key:
+                merged.append(q)
+                j += 1
+                if j == n2:
+                    break
+                q = e2[j]
+            else:
+                merged.append(p)
+                i += 1
+                if i == n1:
+                    break
+                p = e1[i]
+        even = tuple(merged) + e1[i:] + e2[j:]
+    _add_monomial(acc, (even, odd), Monomial(-coeff if flips & 1 else coeff, even, odd))
 
 
 def _sum_scaled(pairs) -> Expr:

@@ -27,7 +27,8 @@ from typing import List
 
 from .coeff import Coefficient
 from .algebra import Expr, ParityError, _add_monomial, _sum_scaled, collect_channel_labels
-from .cohomology import Functional, _accumulate, euler_operators_vanish, functional_equal
+from .cohomology import (Functional, _accumulate, euler_operators_vanish, functional_equal,
+                         functional_text)
 from .jetcalc import (GEOMETRIC, NAIVE, BvModel, _check_mode, canonicalize_channels, collapse,
                       euler, eulers, label_after)
 
@@ -37,7 +38,21 @@ from .jetcalc import (GEOMETRIC, NAIVE, BvModel, _check_mode, canonicalize_chann
 
 
 def schouten_density(model: BvModel, f: Expr, g: Expr, mode: str = GEOMETRIC) -> Expr:
-    """Density of [[F, G]] for integral blocks with densities f, g.
+    """Density of [[F, G]] for integral blocks with densities f, g: the sum
+    over the conjugate pairs (ev, od) of er[ev] * el[od] - er[od] * el[ev],
+    with the images of ``_bracket_images``."""
+    pairs, er, el = _bracket_images(model, f, g, mode)
+    acc = {}
+    for ev, od in pairs:
+        for term in (er[ev] * el[od], -er[od] * el[ev]):
+            for k, m in term.terms.items():
+                _add_monomial(acc, k, m)
+    return Expr(acc) if acc else Expr.zero()
+
+
+def _bracket_images(model: BvModel, f: Expr, g: Expr, mode: str):
+    """The conjugate pairs of the model, the right Euler images er of f and
+    the left Euler images el of g that the bracket [[f, g]] multiplies.
 
     In geometric mode the variations of f are recorded against one new
     channel label and those of g against another.  The Euler images of an
@@ -69,12 +84,7 @@ def schouten_density(model: BvModel, f: Expr, g: Expr, mode: str = GEOMETRIC) ->
         er = _canonical_images(er, 0)
     if g_own:
         el = _canonical_images(el, a)
-    acc = {}
-    for ev, od in pairs:
-        for term in (er[ev] * el[od], -er[od] * el[ev]):
-            for k, m in term.terms.items():
-                _add_monomial(acc, k, m)
-    return Expr(acc) if acc else Expr.zero()
+    return pairs, er, el
 
 
 def _canonical_images(images: dict, first: int) -> dict:
@@ -360,11 +370,20 @@ def check_identity(name: str, args, mode: str = GEOMETRIC, **options) -> Report:
 def check_master_equation(S: Functional, mode: str = GEOMETRIC) -> Report:
     """Evaluate both sides of the quantum master-equation
     i*hbar*Delta(S) = 1/2 [[S, S]] and report the obstruction; ``data`` also
-    holds the collapsed [[S, S]]."""
+    holds the collapsed [[S, S]].
+
+    When S is c times one even integral block s, the collapsed bracket is
+    found from half of it: for even s the two terms of each conjugate pair
+    agree after collapse, (S,S) = 2 d_r S/d phi d_l S/d phi* (Henneaux &
+    Teitelboim, Quantization of Gauge Systems, 1992), so the collapsed
+    density is twice the collapsed sum of er[ev] * el[od] alone, and the
+    term's coefficient is c * c as in ``schouten``.  Before collapse the two
+    halves differ by swapping their channel labels, so ``schouten`` itself
+    keeps both.  Any other S takes the whole bracket."""
     # collapse is linear, so the obstruction is formed from the collapsed
     # pieces that the summary lines print
     delta_c = laplacian(S, mode).collapse()
-    bracket_c = schouten(S, S, mode).collapse()
+    bracket_c = _collapsed_self_bracket(S, mode)
     obstruction = -_qme(delta_c, bracket_c)
     passed = functional_equal(obstruction, Functional.zero(S.model), mode="collapse")
     lines = [
@@ -377,12 +396,34 @@ def check_master_equation(S: Functional, mode: str = GEOMETRIC) -> Report:
                   {"obstruction": obstruction, "bracket": bracket_c})
 
 
+def _collapsed_self_bracket(S: Functional, mode: str) -> Functional:
+    """[[S, S]] collapsed; from half of the bracket when S is one even block."""
+    blocks = next(iter(S.terms)) if len(S.terms) == 1 else ()
+    if len(blocks) != 1 or blocks[0].parity():
+        return schouten(S, S, mode).collapse()
+    pairs, er, el = _bracket_images(S.model, blocks[0], blocks[0], mode)
+    half = {}
+    for ev, od in pairs:
+        for k, m in (er[ev] * el[od]).terms.items():
+            _add_monomial(half, k, m)
+    density = collapse(Expr(half)).scale(2)
+    if density.is_zero():
+        return Functional.zero(S.model)
+    c = S.terms[blocks]
+    return Functional(S.model, {(density,): c * c})
+
+
 def _summarize(F: Functional, limit: int = 400) -> str:
-    text = repr(F)
-    if len(text) <= limit:
-        return text
-    monomials = sum(len(b.terms) for blocks in F.terms for b in blocks)
-    return f"{text[:limit]} ... [{len(F.terms)} terms, {monomials} monomials]"
+    """``repr(F)``, or its first ``limit`` characters and the numbers of
+    terms and monomials when it is longer; formats only what it prints."""
+    text, size = [], 0
+    for piece in functional_text(F):
+        text.append(piece)
+        size += len(piece)
+        if size > limit:
+            monomials = sum(len(b.terms) for blocks in F.terms for b in blocks)
+            return f"{''.join(text)[:limit]} ... [{len(F.terms)} terms, {monomials} monomials]"
+    return "".join(text)
 
 
 def check_omega_squared(O: Functional, S: Functional, mode: str = GEOMETRIC) -> Report:

@@ -12,7 +12,7 @@ from typing import Tuple
 
 from .coeff import Coefficient
 from .algebra import Attach, Expr, GhostNumberError, ParityError, _sum_scaled
-from .grammar import format_coefficient, format_expr
+from .grammar import expr_text, format_coefficient
 from .jetcalc import BvModel, canonicalize_channels, collapse, eulers
 
 
@@ -185,14 +185,26 @@ class Functional:
         return Functional(self.model, acc)
 
     def __repr__(self):
-        if not self.terms:
-            return "<0>"
-        parts = []
-        for blocks in sorted(self.terms, key=_blocks_key):
-            c = self.terms[blocks]
-            body = "*".join(f"<{format_expr(b)}>" for b in blocks) or "<vol>"
-            parts.append(f"({format_coefficient(c)})*{body}")
-        return " + ".join(parts)
+        return "".join(functional_text(self))
+
+
+def functional_text(F: Functional):
+    """The text of ``repr(F)`` in pieces, in order, made as they are read:
+    each term is ``(coefficient)*<block>*...`` (``<vol>`` for no block), the
+    terms in the order of their blocks' keys and joined by " + ".  A single
+    term needs no order, and so no block key."""
+    if not F.terms:
+        yield "<0>"
+        return
+    order = F.terms if len(F.terms) == 1 else sorted(F.terms, key=_blocks_key)
+    for i, blocks in enumerate(order):
+        yield f"{' + ' if i else ''}({format_coefficient(F.terms[blocks])})*"
+        if not blocks:
+            yield "<vol>"
+        for j, b in enumerate(blocks):
+            yield "*<" if j else "<"
+            yield from expr_text(b)
+            yield ">"
 
 
 def _blocks_key(blocks):

@@ -21,6 +21,7 @@ compact run form q_x, q_xx, ...
 
 from __future__ import annotations
 
+import heapq
 import re
 from fractions import Fraction
 from typing import List, Tuple
@@ -140,11 +141,22 @@ def format_atom(a: Atom) -> str:
 
 
 def format_expr(e: Expr) -> str:
+    return "".join(expr_text(e))
+
+
+def expr_text(e: Expr):
+    """The text of ``format_expr(e)`` in pieces, in order, made as they are
+    read: one per monomial with its joining sign, the monomials taken in key
+    order from a heap, so a reader that stops early orders only what it
+    read."""
     if e.is_zero():
-        return "0"
-    pieces = []
-    for key in sorted(e.terms):
-        m = e.terms[key]
+        yield "0"
+        return
+    keys = list(e.terms)
+    heapq.heapify(keys)
+    first = True
+    while keys:
+        m = e.terms[heapq.heappop(keys)]
         factors = []
         for a, k in m.factors():
             s = format_atom(a)
@@ -154,8 +166,13 @@ def format_expr(e: Expr) -> str:
         else:
             s = format_coefficient(m.coeff)
             body = f"({s})" if " " in s else s
-        pieces.append(body)
-    return _join_signed(pieces)
+        if first:
+            yield body
+            first = False
+        elif body.startswith("-"):
+            yield " - " + body[1:]
+        else:
+            yield " + " + body
 
 
 # ---------------------------------------------------------------------------

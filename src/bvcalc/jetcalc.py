@@ -9,15 +9,15 @@ pending channel derivatives, canonical renaming of channel labels, and the
 naive/geometric iterated variations.  ``eulers`` is the one Euler entry that
 walks and sums; the iterated variations keep their shift fields outside it.
 
-Total derivatives and collapse work on raw (coefficient, factor list) branches
-and normalise once per call or per monomial, not once per factor; collapse
-expands each distinct Attach block once per call.
-
-The partial-derivative walk takes canonical monomials and files canonical
-ones: the branch of a jet variable is its monomial with one copy of that
+Total derivatives, collapse and the partial-derivative walk take canonical
+monomials and file canonical ones.  The total derivative of a jet variable
+replaces one copy of it by its shift, put in its sorted place; collapse
+multiplies each Attach block's expansion into the monomial's plain factors
+by the canonical product, and expands each distinct block once per call.
+The partials branch of a jet variable is its monomial with one copy of that
 factor removed, and a wrapped branch's home plains, already a canonical unit
 monomial, become the inner of the new block as they are.  Only chain-rule
-(sin/cos/exp) and dived-block branches pass through the normaliser, once each.
+(sin/cos/exp) and Attach branches pass through the normaliser.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .algebra import (
     make_attach,
     _ONE,
     _add_monomial,
+    _add_product,
     _from_raw,
     _sort_odd,
 )
@@ -159,21 +160,71 @@ def total_derivative(e: Expr, direction: int) -> Expr:
     """Total derivative D_i; linear, Leibniz, commutes with Attach wrappers.
 
     D_i is an even derivation: the derivative of a factor is spliced in place
-    of one copy of it, so no Koszul sign arises, and every branch of every
-    monomial is normalised in one pass."""
+    of one copy of it, so no Koszul sign arises there.  A jet variable's
+    branch is its canonical monomial with one copy of that factor replaced
+    by its shift, the shift put in its sorted place (an odd shift paying the
+    sign of the odd atoms it passes); a base coordinate's branch drops one
+    copy of it.  Only sin/cos/exp and Attach factors give raw branches,
+    normalised together once per call."""
+    acc = {}
     raw = []
-    for m in e.monomials():
-        factors = m.factors()
-        for i, (a, k) in enumerate(factors):
-            branches = _atom_total_derivative(a, direction)
-            if not branches:
+    for m in e.terms.values():
+        even, odd, coeff = m.even, m.odd, m.coeff
+        for j, (a, k) in enumerate(even):
+            t = type(a)
+            if t is BaseVar and a.coord != direction:
                 continue
-            head = factors[:i] + (((a, k - 1),) if k > 1 else ())
-            tail = factors[i + 1:]
-            cmult = m.coeff * k if k > 1 else m.coeff
-            for c, d in branches:
-                raw.append((cmult if c is None else cmult * c, head + d + tail))
-    return _from_raw(raw)
+            c = coeff * k if k > 1 else coeff
+            lowered = ((a, k - 1),) if k > 1 else ()
+            if t is JetVar or t is BaseVar:
+                rest = even[:j] + lowered + even[j + 1:]
+                if t is JetVar:
+                    rest = _insert_even(rest, j, _shift(a, direction))
+                _add_monomial(acc, (rest, odd), Monomial(c, rest, odd))
+                continue
+            branches = _atom_total_derivative(a, direction)
+            if branches:
+                factors = m.factors()
+                head, tail = factors[:j] + lowered, factors[j + 1:]
+                raw.extend([(c if dc is None else c * dc, head + d + tail)
+                            for dc, d in branches])
+        for j, a in enumerate(odd):
+            if type(a) is JetVar:
+                u = _shift(a, direction)
+                key = u.key
+                rest = odd[:j] + odd[j + 1:]
+                p = j
+                while p < len(rest) and rest[p].key < key:
+                    p += 1
+                if p < len(rest) and rest[p] is u:
+                    continue  # an odd factor squared
+                rest = rest[:p] + (u,) + rest[p:]
+                _add_monomial(acc, (even, rest),
+                              Monomial(-coeff if (p - j) & 1 else coeff, even, rest))
+                continue
+            branches = _atom_total_derivative(a, direction)
+            if branches:
+                factors = m.factors()
+                i = len(even) + j
+                raw.extend([(coeff if dc is None else coeff * dc,
+                             factors[:i] + d + factors[i + 1:]) for dc, d in branches])
+    if raw:
+        for k, mm in _from_raw(raw).terms.items():
+            _add_monomial(acc, k, mm)
+    return Expr(acc) if acc else Expr.zero()
+
+
+def _insert_even(even, start, u: JetVar):
+    """The canonical even atoms ``even`` times one more copy of ``u``, whose
+    place is at ``start`` or after it."""
+    key = u.key
+    for j in range(start, len(even)):
+        a = even[j][0]
+        if a is u:
+            return even[:j] + ((u, even[j][1] + 1),) + even[j + 1:]
+        if key < a.key:
+            return even[:j] + ((u, 1),) + even[j:]
+    return even + ((u, 1),)
 
 
 _MINUS_ONE = Coefficient.of(-1)
@@ -188,12 +239,8 @@ def _shift(u: JetVar, i: int) -> JetVar:
 
 
 def _atom_total_derivative(a: Atom, i: int):
-    """D_i of one atom as raw branches ``(coefficient or None for 1,
-    factors)``; no branch when the derivative vanishes."""
-    if isinstance(a, JetVar):
-        return ((None, ((_shift(a, i), 1),)),)
-    if isinstance(a, BaseVar):
-        return ((None, ()),) if a.coord == i else ()
+    """D_i of a sin/cos/exp or Attach atom as raw branches ``(coefficient
+    or None for 1, factors)``; no branch when the derivative vanishes."""
     if isinstance(a, Trig):
         du = (_shift(a.arg, i), 1)
         if a.tag == "sin":
@@ -506,33 +553,40 @@ def collapse(e: Expr) -> Expr:
     """Expand every pending channel derivative into genuine total derivatives,
     innermost first; the result carries no Attach atoms.
 
-    Each monomial's product is built as raw factor lists, the Attach factors
-    expanded in place, and normalised once.  Each distinct Attach atom,
-    nested ones included, is expanded once per call."""
+    Each monomial's plain factors are one canonical monomial, and each
+    Attach factor's expansion is multiplied into it by the canonical
+    product, one block at a time.  Each distinct Attach atom, nested ones
+    included, is expanded once per call."""
     return _collapse(e, {})
 
 
 def _collapse(e: Expr, memo: dict) -> Expr:
     """``collapse`` with ``memo`` mapping each Attach atom already expanded
-    to its raw branches ``(coefficient, factors)``."""
+    to its canonical branches ``(coefficient, even, odd)``."""
     if not e.has_attach():
         return e
     acc = {}
-    for m in e.monomials():
-        raw = [(m.coeff, ())]
-        for a, k in m.factors():
-            if not isinstance(a, Attach):
-                raw = [(c, fs + ((a, k),)) for c, fs in raw]
-                continue
+    for key, m in e.terms.items():
+        # the blocks are multiplied in after the plain factors, in order, at
+        # no sign: an even block expands to even branches, and an odd one
+        # already follows every plain odd factor, as Attach keys sort last
+        blocks = [a for a, k in m.even if type(a) is Attach for _ in range(k)]
+        blocks += [a for a in m.odd if type(a) is Attach]
+        if not blocks:
+            _add_monomial(acc, key, m)
+            continue
+        terms = [(m.coeff, tuple([p for p in m.even if type(p[0]) is not Attach]),
+                  tuple([a for a in m.odd if type(a) is not Attach]))]
+        for i, a in enumerate(blocks):
             branches = memo.get(a)
             if branches is None:
                 branches = memo[a] = _collapse_attach(a, memo)
-            for _ in range(k):
-                raw = [(c * dc, fs + d) for c, fs in raw for dc, d in branches]
-            if not raw:
-                break
-        for k, mm in _from_raw(raw).terms.items():
-            _add_monomial(acc, k, mm)
+            out = acc if i == len(blocks) - 1 else {}
+            for c, even, odd in terms:
+                for dc, de, do in branches:
+                    _add_product(out, c * dc, even, odd, de, do)
+            if out is not acc:
+                terms = [(mm.coeff, mm.even, mm.odd) for mm in out.values()]
     return Expr(acc) if acc else Expr.zero()
 
 
@@ -543,7 +597,7 @@ def _collapse_attach(a: Attach, memo: dict) -> tuple:
         total = idx if total is None else tuple([x + y for x, y in zip(total, idx)])
     if total is not None:
         h = total_derivative_multi(h, total)
-    return tuple((dm.coeff, dm.factors()) for dm in h.monomials())
+    return tuple((dm.coeff, dm.even, dm.odd) for dm in h.monomials())
 
 
 # ---------------------------------------------------------------------------

@@ -41,28 +41,30 @@ class LieAlgebraData:
         return self.f.get((a, b, c), Fraction(0))
 
     def _validate(self):
-        d = self.dimension
-        for a in range(d):
-            for b in range(d):
-                for c in range(d):
-                    if self.c(a, b, c) != -self.c(a, c, b):
-                        raise ValueError(
-                            f"structure constants not antisymmetric at ({a},{b},{c})"
-                        )
-        for a in range(d):
-            for b in range(d):
-                for c in range(d):
-                    for e in range(d):
-                        s = sum(
-                            self.c(a, m, e) * self.c(m, b, c)
-                            + self.c(a, m, b) * self.c(m, c, e)
-                            + self.c(a, m, c) * self.c(m, e, b)
-                            for m in range(d)
-                        )
-                        if s:
-                            raise ValueError(
-                                f"Jacobi identity fails at ({a},{b},{c},{e})"
-                            )
+        """Antisymmetry in (b, c), then the Jacobi identity
+        f^a_{me} f^m_{bc} + f^a_{mb} f^m_{ce} + f^a_{mc} f^m_{eb} = 0 (summed
+        over m), each reported at its lexicographically least failing index.
+        Only nonzero constants are read: with P(a, x, y, z) the sum over m
+        of f^a_{mx} f^m_{yz}, the Jacobi sum at (a, b, c, e) is
+        P(a, e, b, c) + P(a, b, c, e) + P(a, c, e, b), so it can be nonzero
+        only where (b, c, e) is a cyclic rotation of some (x, y, z) of P."""
+        f, c = self.f, self.c
+        bad = [t for a, b, e in f for t in ((a, b, e), (a, e, b)) if c(*t) != -c(t[0], t[2], t[1])]
+        if bad:
+            raise ValueError("structure constants not antisymmetric at (%d,%d,%d)" % min(bad))
+        upper = {}
+        for (m, y, z), v in f.items():
+            upper.setdefault(m, []).append((y, z, v))
+        products = {}
+        for (a, m, x), v in f.items():
+            for y, z, w in upper.get(m, ()):
+                products[a, x, y, z] = products.get((a, x, y, z), 0) + v * w
+        p = products.get
+        bad = [(a, b, cc, e) for a, x, y, z in products
+               for b, cc, e in ((x, y, z), (y, z, x), (z, x, y))
+               if p((a, e, b, cc), 0) + p((a, b, cc, e), 0) + p((a, cc, e, b), 0)]
+        if bad:
+            raise ValueError("Jacobi identity fails at (%d,%d,%d,%d)" % min(bad))
 
     @staticmethod
     def su2() -> "LieAlgebraData":
@@ -73,6 +75,25 @@ class LieAlgebraData:
         ):
             eps[(a, b, c)] = Fraction(s)
         return LieAlgebraData(3, eps)
+
+    @staticmethod
+    def so(n: int) -> "LieAlgebraData":
+        """so(n) in the basis L_ij (i < j, in lexicographic order), with
+        [L_ij, L_kl] = d_jk L_il - d_ik L_jl - d_jl L_ik + d_il L_jk and
+        L_ji = -L_ij."""
+        if n < 2:
+            raise ValueError("so(n) needs n >= 2")
+        basis = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        index = {p: a for a, p in enumerate(basis)}
+        f = {}
+        for a, (i, j) in enumerate(basis):
+            for b, (k, l) in enumerate(basis):
+                for delta, p, q, sign in ((j == k, i, l, 1), (i == k, j, l, -1),
+                                          (j == l, i, k, -1), (i == l, j, k, 1)):
+                    if delta and p != q:
+                        c, s = (index[p, q], sign) if p < q else (index[q, p], -sign)
+                        f[c, a, b] = f.get((c, a, b), 0) + s
+        return LieAlgebraData(len(basis), f)
 
     @staticmethod
     def abelian(dimension: int) -> "LieAlgebraData":

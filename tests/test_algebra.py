@@ -15,10 +15,12 @@ from bvcalc.algebra import (
     Trig,
     make_attach,
     normalize,
+    _add_product,
+    _from_raw,
 )
 from bvcalc.jetcalc import _shift
 
-from util_random import ghost_model, random_expr, scalar_model
+from util_random import ghost_model, random_expr, random_monomial, scalar_model
 
 
 @pytest.fixture
@@ -81,6 +83,43 @@ def test_normalize_idempotent_on_random_trees():
     for _ in range(1000):
         e = random_expr(model, rng, with_attach=True)
         assert normalize(e) == e
+
+
+def _product_input(model, rng):
+    """A nonzero canonical monomial over few atoms, so that two of them
+    often share atoms: jets of order <= 1, sin/cos/exp, base coordinates
+    and blocks."""
+    while True:
+        e = random_monomial(model, rng, max_order=1, degree=rng.randint(1, 4),
+                            with_attach=True)
+        if rng.random() < 0.3:
+            e = e * Expr.from_atom(Trig("sin", model.jet_atom(model.fields[0][0])))
+        if not e.is_zero():
+            return next(iter(e.monomials()))
+
+
+@pytest.mark.parametrize("model", [ghost_model(), BvModel(2, [("u", 0), ("c", 1)])],
+                         ids=["ghost", "plane"])
+def test_product_agrees_with_the_normaliser(model):
+    # the merge of two canonical monomials against _from_raw of their
+    # concatenated factor lists, on the term map it files into
+    rng = random.Random(41)
+    seen = dict.fromkeys(("odd repeat", "sin sin", "exponent", "attach"), 0)
+    for case in range(400):
+        m1, m2 = _product_input(model, rng), _product_input(model, rng)
+        c = m1.coeff * m2.coeff
+        acc = {}
+        _add_product(acc, c, m1.even, m1.odd, m2.even, m2.odd)
+        expected = _from_raw([(c, m1.factors() + m2.factors())])
+        assert Expr(acc).key() == expected.key(), case
+        atoms1 = {a for a, _ in m1.factors()}
+        shared = atoms1 & {a for a, _ in m2.factors()}
+        seen["odd repeat"] += any(a.parity for a in shared)
+        seen["sin sin"] += any(isinstance(a, Trig) and a.tag == "sin" for a in shared)
+        seen["exponent"] += any(k > 1 for mm in (m1, m2) for _, k in mm.even) or any(
+            not a.parity for a in shared)
+        seen["attach"] += any(isinstance(a, Attach) for a, _ in m1.factors() + m2.factors())
+    assert min(seen.values()) >= 20, seen
 
 
 def test_even_odd_commute_freely(m):

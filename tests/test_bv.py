@@ -26,8 +26,16 @@ from bvcalc.bv import (
     omega,
     schouten,
     schouten_density,
+    _collapsed_self_bracket,
+    _summarize,
 )
-from bvcalc.grammar import parse_expr
+from bvcalc.grammar import (
+    _coeff_prefix,
+    _join_signed,
+    format_atom,
+    format_coefficient,
+    parse_expr,
+)
 from bvcalc.models import build_scalar_example, random_functional
 
 from util_random import (
@@ -372,6 +380,87 @@ def test_check_master_equation_with_both_sides_nontrivial(m):
         assert not functional_equal(laplacian(S, mode), zero(m), "collapse")
         assert not functional_equal(schouten(S, S, mode), zero(m), "collapse")
         assert not functional_equal(rep.data["obstruction"], zero(m), "structural")
+
+
+@pytest.mark.parametrize("model", [scalar_model(), ghost_model()], ids=["scalar", "ghost"])
+def test_halved_self_bracket_is_the_collapsed_bracket(model):
+    # one even block takes half of the bracket; its collapse is the whole
+    # bracket's, coefficient and printed form included
+    i_hbar = Coefficient.imag_unit() * Coefficient.hbar()
+    for seed in range(5000, 5030):
+        S = rf(model, 0, seed).scale(random.Random(seed).choice((1, -2, i_hbar)))
+        for mode in (GEOMETRIC, NAIVE):
+            full = schouten(S, S, mode).collapse()
+            got = _collapsed_self_bracket(S, mode)
+            assert got == full and repr(got) == repr(full), (seed, mode)
+    # everything else takes the whole bracket
+    for S in (rf(model, 1, 5100), rf(model, 0, 5101, blocks=2), rf(model, 0, 5102) + rf(model, 0, 5103)):
+        assert _collapsed_self_bracket(S, GEOMETRIC) == schouten(S, S).collapse()
+
+
+def _reference_repr(F):
+    """repr(F) by full sorts: the terms by their blocks' keys and each
+    block's monomials by their term keys, joined at once."""
+    if not F.terms:
+        return "<0>"
+    parts = []
+    for blocks in sorted(F.terms, key=lambda bs: tuple(b.key() for b in bs)):
+        body = "*".join(f"<{_reference_format(b)}>" for b in blocks) or "<vol>"
+        parts.append(f"({format_coefficient(F.terms[blocks])})*{body}")
+    return " + ".join(parts)
+
+
+def _reference_format(e):
+    if e.is_zero():
+        return "0"
+    pieces = []
+    for key in sorted(e.terms):
+        mono = e.terms[key]
+        factors = [format_atom(a) if k == 1 else f"{format_atom(a)}^{k}"
+                   for a, k in mono.factors()]
+        if factors:
+            pieces.append(_coeff_prefix(mono.coeff) + "*".join(factors))
+        else:
+            text = format_coefficient(mono.coeff)
+            pieces.append(f"({text})" if " " in text else text)
+    return _join_signed(pieces)
+
+
+def _reference_summarize(F, limit):
+    text = _reference_repr(F)
+    if len(text) <= limit:
+        return text
+    monomials = sum(len(b.terms) for blocks in F.terms for b in blocks)
+    return f"{text[:limit]} ... [{len(F.terms)} terms, {monomials} monomials]"
+
+
+def test_summarize_agrees_with_the_truncated_repr():
+    # the summary formats only what it prints: it must equal the first
+    # `limit` characters of the whole text, cut anywhere, a " - " join
+    # included, and the whole text when that is short enough
+    model = ghost_model()
+    cases = [zero(model), Functional.constant(model, Coefficient.hbar())]
+    for seed in range(5200, 5212):
+        F = rf(model, seed & 1, seed, blocks=1 + seed % 3)
+        (b, *_), c = next(iter(F.terms.items()))
+        cases += [F, F + rf(model, seed & 1, seed + 1), -F,
+                  Functional.from_density(model, -b) + Functional.constant(model, 2),
+                  schouten(F, rf(model, 0, seed + 2))]
+    seen = dict.fromkeys(("negative lead", "minus join", "multi-term", "long"), 0)
+    for F in cases:
+        text = _reference_repr(F)
+        assert repr(F) == text
+        seen["negative lead"] += "<-" in text
+        seen["minus join"] += " - " in text
+        seen["multi-term"] += len(F.terms) > 1
+        seen["long"] += len(text) > 400
+        limits = {400, len(text), len(text) - 1}
+        for k in range(len(text)):
+            if text.startswith(" - ", k):
+                limits.update(range(k - 1, k + 4))
+        for limit in sorted(limits):
+            assert _summarize(F, limit) == _reference_summarize(F, limit), (text, limit)
+    assert min(seen.values()) >= 5, seen
 
 
 def test_check_omega_squared_reports(m):

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from bvcalc import BvModel, Expr
 from bvcalc.algebra import (
     Attach,
+    BaseVar,
     JetVar,
     Trig,
     collect_channel_labels,
@@ -28,6 +29,7 @@ from bvcalc.jetcalc import (
     total_derivative_multi,
     _monomial_labels,
     _partials,
+    _shift,
 )
 
 from util_random import (
@@ -89,6 +91,51 @@ def test_total_derivative_is_an_even_derivation(seed, which):
     for i in range(model.base_dim):
         da, db = total_derivative(a, i), total_derivative(b, i)
         assert total_derivative(a * b, i) == da * b + a * db
+
+
+def _reference_total_derivative(e, i):
+    """D_i built from raw factor lists: every branch is the monomial's factor
+    list with one copy of a factor replaced by its derivative, and all of
+    them are normalised by ``_from_raw`` at once."""
+    one = Coefficient.one()
+    raw = []
+    for mono in e.monomials():
+        factors = mono.factors()
+        for j, (a, k) in enumerate(factors):
+            if isinstance(a, JetVar):
+                branches = [(one, ((_shift(a, i), 1),))]
+            elif isinstance(a, BaseVar):
+                branches = [(one, ())] if a.coord == i else []
+            elif isinstance(a, Trig):
+                du = ((_shift(a.arg, i), 1),)
+                branches = [(dm.coeff, dm.factors() + du)
+                            for dm in _reference_trig_chain(a).monomials()]
+            else:
+                d = make_attach(a.pending, _reference_total_derivative(a.inner, i))
+                branches = [(dm.coeff, dm.factors()) for dm in d.monomials()]
+            head = factors[:j] + (((a, k - 1),) if k > 1 else ())
+            for c, d in branches:
+                raw.append((mono.coeff * k * c, head + d + factors[j + 1:]))
+    return _from_raw(raw)
+
+
+@pytest.mark.parametrize("model", [ghost_model(), BvModel(2, [("u", 0), ("c", 1)])],
+                         ids=["ghost", "plane"])
+def test_total_derivative_agrees_with_the_raw_branch_reference(model):
+    rng = random.Random(43)
+    seen = dict.fromkeys(("odd jet", "trig", "attach", "exponent"), 0)
+    for case in range(150):
+        e = _random_wrapped(model, rng)
+        if rng.random() < 0.3 and e.is_homogeneous() and not e.parity():
+            e = e * e
+        for i in range(model.base_dim):
+            assert total_derivative(e, i).key() == _reference_total_derivative(e, i).key(), case
+        atoms = [(a, k) for mono in e.monomials() for a, k in mono.factors()]
+        seen["odd jet"] += any(isinstance(a, JetVar) and a.parity for a, _ in atoms)
+        seen["trig"] += any(isinstance(a, Trig) for a, _ in atoms)
+        seen["attach"] += any(isinstance(a, Attach) for a, _ in atoms)
+        seen["exponent"] += any(k > 1 for _, k in atoms)
+    assert min(seen.values()) >= 20, seen
 
 
 def test_total_derivative_out_of_range_raises(m):

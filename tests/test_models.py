@@ -1,11 +1,13 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from bvcalc import BvModel
-from bvcalc.cohomology import functional_equal
+from bvcalc.cohomology import Functional, functional_equal
 from bvcalc.jetcalc import euler_left
-from bvcalc.bv import laplacian, schouten
+from bvcalc.bv import check_master_equation, laplacian, schouten
 from bvcalc.models import (
     LieAlgebraData,
     build_scalar_example,
@@ -28,6 +30,80 @@ def test_perturbed_structure_constants_rejected():
         LieAlgebraData(3, eps)
     with pytest.raises(ValueError, match="antisymmetric"):
         LieAlgebraData(3, {(0, 1, 2): Fraction(1)})
+
+
+def _dense_validation_error(d, f):
+    """The message of the first failure of the dense O(d^5) loops, or None."""
+    def c(a, b, e):
+        return f.get((a, b, e), 0)
+
+    for a, b, e in itertools.product(range(d), repeat=3):
+        if c(a, b, e) != -c(a, e, b):
+            return f"structure constants not antisymmetric at ({a},{b},{e})"
+    for a, b, cc, e in itertools.product(range(d), repeat=4):
+        if sum(c(a, m, e) * c(m, b, cc) + c(a, m, b) * c(m, cc, e) + c(a, m, cc) * c(m, e, b)
+               for m in range(d)):
+            return f"Jacobi identity fails at ({a},{b},{cc},{e})"
+    return None
+
+
+def test_sparse_validation_agrees_with_the_dense_loops():
+    # seeded changes of su(2), so(4) and abelian constants: single entries
+    # (antisymmetry fails), antisymmetric pairs (Jacobi mostly fails), and
+    # a relabelled, rescaled basis (valid) with at most one pair, each
+    # failure reported at the dense loops' first failing index
+    rng = random.Random(47)
+    algebras = [LieAlgebraData.su2(), LieAlgebraData.so(4), LieAlgebraData.abelian(3)]
+    seen = {"antisymmetric": 0, "Jacobi": 0, None: 0}
+    for case in range(90):
+        g = algebras[case % 3]
+        d, f = g.dimension, dict(g.f)
+        how = case // 3 % 3
+        if how == 2:
+            perm, scale = rng.sample(range(d), d), Fraction(rng.choice((-3, 1, 2)))
+            f = {(perm[a], perm[b], perm[e]): scale * v for (a, b, e), v in f.items()}
+        for _ in range(rng.randint(1, 3) if how < 2 else rng.randint(0, 1)):
+            a, b, e = (rng.randrange(d) for _ in range(3))
+            v = Fraction(rng.choice((-2, -1, 1, 2)), rng.choice((1, 2)))
+            f[a, b, e] = f.get((a, b, e), 0) + v
+            if how and b != e:
+                f[a, e, b] = f.get((a, e, b), 0) - v
+        f = {k: v for k, v in f.items() if v}
+        expected = _dense_validation_error(d, f)
+        try:
+            LieAlgebraData(d, f)
+            got = None
+        except ValueError as exc:
+            got = str(exc)
+        assert got == expected, (case, f)
+        kind = None if expected is None else "Jacobi" if "Jacobi" in expected else "antisymmetric"
+        seen[kind] += 1
+    assert min(seen.values()) >= 10, seen
+
+
+def test_so_n_structure_constants():
+    # [L_01, L_12] = L_02 and [L_01, L_02] = -L_12 in so(3), basis
+    # L_01, L_02, L_12; so(n) has dimension n(n-1)/2
+    g = LieAlgebraData.so(3)
+    assert g.dimension == 3
+    assert g.c(1, 0, 2) == 1 and g.c(2, 0, 1) == -1
+    assert [LieAlgebraData.so(n).dimension for n in (2, 4, 5)] == [1, 6, 10]
+
+
+def test_so4_yang_mills_master_equation():
+    # so(4) Yang-Mills on a 4-dimensional base: the sizes of S and of the
+    # collapsed [[S,S]], Delta S = 0, the classical and the quantum master
+    # equations, and the halved bracket of check_master_equation equal to
+    # the whole one
+    model, S = build_yang_mills_bv(LieAlgebraData.so(4), 4)
+    assert [len(b.terms) for b in S.blocks()] == [852]
+    assert laplacian(S).is_zero()
+    rep = check_master_equation(S)
+    assert rep.passed
+    ss = rep.data["bracket"]
+    assert [len(b.terms) for b in ss.blocks()] == [5472]
+    assert ss == schouten(S, S).collapse()
+    assert functional_equal(ss, Functional.zero(model), "collapse")
 
 
 def test_scalar_example_construction():
