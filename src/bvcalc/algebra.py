@@ -27,11 +27,12 @@ images of the class basis.  ``Monomial.atom_key()`` spells the nested keys
 out only where a value leaves the program, in ``Expr.key()``.
 
 Canonical in, canonical out: a product of two canonical monomials is a
-merge of their sorted atoms (``_add_product``), and so are the products
-inside ``jetcalc.collapse``.  The normaliser ``_from_raw``, which sorts an
-arbitrary factor list, is left with the sin(u)^2 rewrite of a product with
-sin(u) on both sides, the chain-rule (sin/cos/exp) branches of derivatives,
-the branches of derivatives that dive into Attach blocks, and ``normalize``.
+merge of their sorted atoms (``_add_product``), sin(u) on both sides
+included, and every product of the engine is one: in ``Expr.__mul__``, in
+``jetcalc.collapse`` and in the branches of total, partial and Euler
+derivatives.  The normaliser ``_from_raw``, which sorts an arbitrary factor
+list, is only the reference behind ``normalize``, which the tests compare
+the merges against.
 """
 
 from __future__ import annotations
@@ -310,7 +311,13 @@ class Expr:
         })
 
     def __sub__(self, other):
-        return self + (-_coerce(other))
+        other = _coerce(other)
+        if not other.terms:
+            return self
+        out = dict(self.terms)
+        for k, m in other.terms.items():
+            _add_monomial(out, k, Monomial(-m.coeff, m.even, m.odd))
+        return Expr(out)
 
     def __rsub__(self, other):
         return _coerce(other) + (-self)
@@ -407,7 +414,12 @@ class Expr:
                 yield a
 
     def has_attach(self) -> bool:
-        return any(isinstance(a, Attach) for a in self.atoms())
+        # Attach keys (tag 3) sort last: only the last atom of each side can be one
+        for m in self.terms.values():
+            if (m.even and type(m.even[-1][0]) is Attach) or (
+                    m.odd and type(m.odd[-1]) is Attach):
+                return True
+        return False
 
     def lead_coefficient(self) -> Coefficient:
         """Coefficient of the canonically least monomial (zero for 0)."""
@@ -542,8 +554,8 @@ def _add_product(acc: dict, coeff: Coefficient, e1, o1, e2, o2) -> None:
     The odd atoms are merged by key, each atom of the second monomial
     costing the sign of passing the atoms of the first still unmerged; a
     repeated odd atom gives zero.  The even atoms are merged by key, and an
-    atom on both sides adds its exponents.  Only a sin atom on both sides,
-    whose square is rewritten, goes to the normaliser."""
+    atom on both sides adds its exponents, except sin(u), whose square is
+    rewritten to 1 - cos(u)^2."""
     flips = 0
     if not o1:
         odd = o2
@@ -584,10 +596,15 @@ def _add_product(acc: dict, coeff: Coefficient, e1, o1, e2, o2) -> None:
             a, b = p[0], q[0]
             if a is b:
                 if type(a) is Trig and a.tag == "sin":
-                    raw = (e1 + tuple([(x, 1) for x in o1])
-                           + e2 + tuple([(x, 1) for x in o2]))
-                    for k, m in _from_raw([(coeff, raw)]).terms.items():
+                    # a canonical monomial holds sin(u) at most once, so this
+                    # is sin(u)^2 = 1 - cos(u)^2 times the product of the rests
+                    rests = {}
+                    _add_product(rests, coeff, e1[:i] + e1[i + 1:], o1,
+                                 e2[:j] + e2[j + 1:], o2)
+                    cos2 = ((Trig("cos", a.arg), 2),)
+                    for k, m in rests.items():
                         _add_monomial(acc, k, m)
+                        _add_product(acc, -m.coeff, m.even, m.odd, cos2, ())
                     return
                 merged.append((a, p[1] + q[1]))
                 i += 1

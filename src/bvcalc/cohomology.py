@@ -157,6 +157,8 @@ class Functional:
         return NotImplemented
 
     def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("negative powers of functionals are not defined")
         out = Functional.constant(self.model, 1)
         for _ in range(n):
             out = out * self

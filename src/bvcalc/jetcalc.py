@@ -16,8 +16,10 @@ multiplies each Attach block's expansion into the monomial's plain factors
 by the canonical product, and expands each distinct block once per call.
 The partials branch of a jet variable is its monomial with one copy of that
 factor removed, and a wrapped branch's home plains, already a canonical unit
-monomial, become the inner of the new block as they are.  Only chain-rule
-(sin/cos/exp) and Attach branches pass through the normaliser.
+monomial, become the inner of the new block as they are.  Every other
+branch -- chain-rule (sin/cos/exp), a block's derivative, a new block among
+the kept ones -- is a derivative times the rest of its monomial, filed by
+the canonical product ``algebra._add_product``; no branch is normalised.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from .algebra import (
     _ONE,
     _add_monomial,
     _add_product,
-    _from_raw,
     _sort_odd,
 )
 
@@ -164,10 +165,11 @@ def total_derivative(e: Expr, direction: int) -> Expr:
     branch is its canonical monomial with one copy of that factor replaced
     by its shift, the shift put in its sorted place (an odd shift paying the
     sign of the odd atoms it passes); a base coordinate's branch drops one
-    copy of it.  Only sin/cos/exp and Attach factors give raw branches,
-    normalised together once per call."""
+    copy of it.  A sin/cos/exp or Attach factor's derivative d is
+    multiplied into the rest of its monomial by the canonical product
+    d * rest, an odd block's derivative paying the sign of the odd factors
+    before it."""
     acc = {}
-    raw = []
     for m in e.terms.values():
         even, odd, coeff = m.even, m.odd, m.coeff
         for j, (a, k) in enumerate(even):
@@ -175,19 +177,14 @@ def total_derivative(e: Expr, direction: int) -> Expr:
             if t is BaseVar and a.coord != direction:
                 continue
             c = coeff * k if k > 1 else coeff
-            lowered = ((a, k - 1),) if k > 1 else ()
+            rest = even[:j] + (((a, k - 1),) if k > 1 else ()) + even[j + 1:]
+            if t is JetVar:
+                rest = _insert_even(rest, j, _shift(a, direction))
             if t is JetVar or t is BaseVar:
-                rest = even[:j] + lowered + even[j + 1:]
-                if t is JetVar:
-                    rest = _insert_even(rest, j, _shift(a, direction))
                 _add_monomial(acc, (rest, odd), Monomial(c, rest, odd))
                 continue
-            branches = _atom_total_derivative(a, direction)
-            if branches:
-                factors = m.factors()
-                head, tail = factors[:j] + lowered, factors[j + 1:]
-                raw.extend([(c if dc is None else c * dc, head + d + tail)
-                            for dc, d in branches])
+            for dc, de, do in _atom_total_derivative(a, direction):
+                _add_product(acc, c * dc, de, do, rest, odd)
         for j, a in enumerate(odd):
             if type(a) is JetVar:
                 u = _shift(a, direction)
@@ -202,15 +199,10 @@ def total_derivative(e: Expr, direction: int) -> Expr:
                 _add_monomial(acc, (even, rest),
                               Monomial(-coeff if (p - j) & 1 else coeff, even, rest))
                 continue
-            branches = _atom_total_derivative(a, direction)
-            if branches:
-                factors = m.factors()
-                i = len(even) + j
-                raw.extend([(coeff if dc is None else coeff * dc,
-                             factors[:i] + d + factors[i + 1:]) for dc, d in branches])
-    if raw:
-        for k, mm in _from_raw(raw).terms.items():
-            _add_monomial(acc, k, mm)
+            c = -coeff if j & 1 else coeff
+            rest = odd[:j] + odd[j + 1:]
+            for dc, de, do in _atom_total_derivative(a, direction):
+                _add_product(acc, c * dc, de, do, even, rest)
     return Expr(acc) if acc else Expr.zero()
 
 
@@ -229,6 +221,10 @@ def _insert_even(even, start, u: JetVar):
 
 _MINUS_ONE = Coefficient.of(-1)
 
+# the chain rule of each function: d f(u) / du = coefficient times the
+# function named
+_CHAIN = {"sin": (_ONE, "cos"), "cos": (_MINUS_ONE, "sin"), "exp": (_ONE, "exp")}
+
 
 def _shift(u: JetVar, i: int) -> JetVar:
     """u with one more derivative along x_i."""
@@ -239,20 +235,17 @@ def _shift(u: JetVar, i: int) -> JetVar:
 
 
 def _atom_total_derivative(a: Atom, i: int):
-    """D_i of a sin/cos/exp or Attach atom as raw branches ``(coefficient
-    or None for 1, factors)``; no branch when the derivative vanishes."""
+    """D_i of a sin/cos/exp or Attach atom as canonical branches
+    ``(coefficient, even, odd)``; none when the derivative vanishes."""
     if isinstance(a, Trig):
-        du = (_shift(a.arg, i), 1)
-        if a.tag == "sin":
-            return ((None, ((Trig("cos", a.arg), 1), du)),)
-        if a.tag == "cos":
-            return ((_MINUS_ONE, ((Trig("sin", a.arg), 1), du)),)
-        return ((None, ((a, 1), du)),)
+        dc, tag = _CHAIN[a.tag]
+        # a jet variable's key (tag 0) sorts before a function's (tag 2)
+        return ((dc, ((_shift(a.arg, i), 1), (Trig(tag, a.arg), 1)), ()),)
     if isinstance(a, Attach):
         d = total_derivative(a.inner, i)
         if d.is_zero():
             return ()
-        return tuple((dm.coeff, dm.factors()) for dm in make_attach(a.pending, d).monomials())
+        return tuple((dm.coeff, dm.even, dm.odd) for dm in make_attach(a.pending, d).monomials())
     raise TypeError(f"unknown atom {a!r}")
 
 
@@ -266,11 +259,6 @@ def total_derivative_multi(e: Expr, index: Sequence[int]) -> Expr:
 
 # ---------------------------------------------------------------------------
 # graded partial derivatives and the Euler operator
-
-
-# the chain rule of each function: d f(u) / du = coefficient (None for 1)
-# times the function named
-_CHAIN = {"sin": (None, "cos"), "cos": (_MINUS_ONE, "sin"), "exp": (None, "exp")}
 
 
 def _partials(e, variables, side, isolate, index=None):
@@ -290,9 +278,10 @@ def _partials(e, variables, side, isolate, index=None):
     A factor is tested by its ``var`` and whether it is an Attach; a
     monomial none of whose factors can contribute is skipped before anything
     is built.  The branch of a jet variable is the canonical monomial with
-    one copy of that factor removed, its sign known, and is filed as it is.
-    Only chain-rule (Trig) and dived-Attach branches are raw factor lists;
-    each is normalised once, before it is wrapped.
+    one copy of that factor removed (``_without``), its sign known, and is
+    filed as it is.  A chain-rule branch is f'(u) times that rest, and a
+    dived branch dm * rest, the block's derivative dm paying the sign of the
+    odd factors before the block; both are filed by the canonical product.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
@@ -316,7 +305,6 @@ def _partials(e, variables, side, isolate, index=None):
         # monomial, then the Koszul sign of every odd factor passed
         sign = -1 if side == "right" and not len(odd) & 1 else 1
         n = len(even)
-        factors = None  # the raw factor list, for chain-rule and dived branches
         for i in range(n + len(odd)):
             if i < n:
                 a, k = even[i]
@@ -344,17 +332,17 @@ def _partials(e, variables, side, isolate, index=None):
                                 hits.append((v, parity, label, sigma, dived))
                 if not hits:
                     continue
-                if factors is None:
-                    factors = m.factors()
-                head = factors[:i] + (((a, k - 1),) if k > 1 else ())
-                tail = factors[i + 1:]
+                rest_even, rest_odd = _without(even, odd, i, k)
+                passed = max(i - n, 0)  # the odd factors before the block
                 cmult = m.coeff * k if k > 1 else m.coeff
                 for v, parity, label, sigma, dived in hits:
                     c = -cmult if parity and s < 0 else cmult
                     wrap = isolate and label is not None
                     out = acc.setdefault((v, sigma), {})
                     for dm in dived.monomials():
-                        _file_raw(out, c * dm.coeff, head + dm.factors() + tail, None, wrap)
+                        dc = -dm.coeff if passed & len(dm.odd) & 1 else dm.coeff
+                        _file_product(out, c * dc, dm.even, dm.odd, rest_even, rest_odd,
+                                      None, wrap)
                 continue
             spec = variables.get(a.var)
             if spec is None:
@@ -369,20 +357,12 @@ def _partials(e, variables, side, isolate, index=None):
             cmult = m.coeff * k if k > 1 else m.coeff
             c = -cmult if parity and s < 0 else cmult
             out = acc.setdefault((a.var, sigma), {})
+            rest_even, rest_odd = _without(even, odd, i, k)
             if u is not a:
                 cc, tag = _CHAIN[a.tag]
-                if factors is None:
-                    factors = m.factors()
-                head = factors[:i] + (((a, k - 1),) if k > 1 else ())
-                _file_raw(out, c if cc is None else c * cc,
-                          head + ((Trig(tag, u), 1),) + factors[i + 1:], pend, wrap)
+                _file_product(out, c * cc, ((Trig(tag, u), 1),), (), rest_even, rest_odd,
+                              pend, wrap)
                 continue
-            if i < n:
-                rest_even = even[:i] + (((a, k - 1),) if k > 1 else ()) + even[i + 1:]
-                rest_odd = odd
-            else:
-                rest_even = even
-                rest_odd = odd[:i - n] + odd[i - n + 1:]
             if wrap:
                 _wrap_branch(out, c, rest_even, rest_odd, pend)
             else:
@@ -393,14 +373,26 @@ def _partials(e, variables, side, isolate, index=None):
     return filed
 
 
-def _file_raw(acc, coeff, factors, pend, wrap):
-    """Normalise one raw branch and add it to the term map ``acc``, each
-    monomial wrapped when ``wrap``."""
-    for mm in _from_raw([(coeff, factors)]).monomials():
-        if wrap:
-            _wrap_branch(acc, mm.coeff, mm.even, mm.odd, pend)
-        else:
-            _add_monomial(acc, (mm.even, mm.odd), mm)
+def _without(even, odd, i, k):
+    """The canonical atoms (even, odd) with one copy of factor ``i`` of
+    even + odd, whose exponent is ``k``, removed."""
+    n = len(even)
+    if i >= n:
+        return even, odd[:i - n] + odd[i - n + 1:]
+    return even[:i] + (((even[i][0], k - 1),) if k > 1 else ()) + even[i + 1:], odd
+
+
+def _file_product(acc, coeff, e1, o1, e2, o2, pend, wrap):
+    """Add ``coeff`` times the product of the canonical monomials (e1, o1)
+    and (e2, o2) to the term map ``acc``, each monomial wrapped when
+    ``wrap``."""
+    if not wrap:
+        _add_product(acc, coeff, e1, o1, e2, o2)
+        return
+    product = {}
+    _add_product(product, coeff, e1, o1, e2, o2)
+    for mm in product.values():
+        _wrap_branch(acc, mm.coeff, mm.even, mm.odd, pend)
 
 
 def _wrap_branch(acc, coeff, even, odd, pend):
@@ -412,8 +404,9 @@ def _wrap_branch(acc, coeff, even, odd, pend):
     (everything that is not an Attach atom) are gathered into a new Attach
     carrying ``pend``.  They are a subsequence of canonical atoms, hence
     already a canonical unit monomial: the block is built from them
-    directly, and only its own place among the kept factors, with the Koszul
-    signs of moving past odd factors, is found.
+    directly.  The kept blocks are moved in front of the home plains, at the
+    Koszul sign counted in ``flips``, and multiplied by the new block in one
+    canonical product.
     """
     kept_even, home_even = [], []
     for pair in even:
@@ -436,25 +429,9 @@ def _wrap_branch(acc, coeff, even, odd, pend):
     home_even, home_odd = tuple(home_even), tuple(home_odd)
     block = Attach((pend,) if pend is not None else (),
                    Expr({(home_even, home_odd): Monomial(_ONE, home_even, home_odd)}))
-    key = block.key
-    if block.parity:
-        j = len(kept_odd)
-        while j and key < kept_odd[j - 1].key:
-            j -= 1
-        if j and kept_odd[j - 1] is block:
-            return  # an odd factor squared
-        flips += len(kept_odd) - j
-        kept_odd.insert(j, block)
-    else:
-        j = len(kept_even)
-        while j and key < kept_even[j - 1][0].key:
-            j -= 1
-        if j and kept_even[j - 1][0] is block:
-            kept_even[j - 1] = (block, kept_even[j - 1][1] + 1)
-        else:
-            kept_even.insert(j, (block, 1))
-    even, odd = tuple(kept_even), tuple(kept_odd)
-    _add_monomial(acc, (even, odd), Monomial(-coeff if flips & 1 else coeff, even, odd))
+    block_even, block_odd = ((), (block,)) if block.parity else (((block, 1),), ())
+    _add_product(acc, -coeff if flips & 1 else coeff, tuple(kept_even), tuple(kept_odd),
+                 block_even, block_odd)
 
 
 def partial(e: Expr, v: JetVar, side: str = "left") -> Expr:

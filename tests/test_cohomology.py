@@ -167,6 +167,9 @@ def test_constant_blocks(m):
     assert functional_equal(one * F, F, "structural")
     vol = Functional.from_density(m, Expr.scalar(1))
     assert not functional_equal(vol, Functional.zero(m), "collapse")
+    assert functional_equal(F ** 0, one, "structural")
+    with pytest.raises(ValueError, match="negative powers"):
+        F ** -1
 
 
 def test_graded_sort_matches_a_brute_force_reference():

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from bvcalc import BvModel, Expr
+from bvcalc import BvModel, Expr, algebra, jetcalc
 from bvcalc.algebra import (
     Attach,
     BaseVar,
@@ -15,7 +15,9 @@ from bvcalc.algebra import (
     make_attach,
     _from_raw,
 )
+from bvcalc.bv import laplacian, schouten
 from bvcalc.coeff import Coefficient
+from bvcalc.models import build_scalar_example
 from bvcalc.jetcalc import (
     canonicalize_channels,
     collapse,
@@ -606,6 +608,43 @@ def test_walk_edge_cases(m):
         got = euler(m, e, "q", False, label=1000, isolate=True)
         ref = _reference_eulers(m, e, {("q", False): 1000}, "left", True)
         assert got == ref[("q", False)] == expected, e
+
+
+def test_the_engine_never_calls_the_reference_normaliser(m, monkeypatch):
+    # every product, total derivative and Euler branch is a merge of
+    # canonical monomials; _from_raw is only the reference behind normalize
+    assert "_from_raw" not in vars(jetcalc)
+    q, qx, qd = m.jet("q"), m.jet("q", (1,)), m.jet("q", dagger=True)
+    sin, cos = m.sin("q"), m.cos("q")
+    even_block = make_attach(((5, (1,)),), q * qx)
+    odd_block = make_attach(((6, (1,)),), qd * qx)
+    densities = [sin * cos, qd * odd_block * even_block ** 2 * m.exp("q", (1,)),
+                 odd_block * cos * q + even_block * sin * qd]
+    derivatives = [_reference_total_derivative(e, 0) for e in densities]
+    model = _WALK_MODELS["ghost"]
+    labels = {v: 1000 + j for j, v in enumerate(model.variables())}
+    rng = random.Random(17)
+    walked = []
+    for _ in range(12):
+        e = _walk_input(model, rng)
+        for side in ("left", "right"):
+            walked.append((e, side, _reference_eulers(model, e, labels, side, True)))
+    assert any(isinstance(a, Attach) for e, _, _ in walked for a in e.atoms())
+    _, F, G = build_scalar_example()
+
+    def refuse(raw):
+        raise AssertionError("the engine called the reference normaliser")
+
+    monkeypatch.setattr(algebra, "_from_raw", refuse)
+    assert sin * sin == 1 - cos * cos
+    for e, expected in zip(densities, derivatives):
+        assert total_derivative(e, 0) == expected != Expr.zero()
+    for e, side, expected in walked:
+        assert eulers(model, e, labels, side, True) == expected
+        assert euler(model, e, "c", True, side, labels["c", True], True) == expected["c", True]
+    for mode in ("geometric", "naive"):
+        laplacian(G, mode)
+        assert not laplacian(schouten(F, G, mode), mode).is_zero()
 
 
 # -- channelled operators ---------------------------------------------------
