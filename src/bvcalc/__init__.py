@@ -36,13 +36,8 @@ from .cohomology import (
 from .bv import (
     GEOMETRIC,
     NAIVE,
-    check_coboundary_preservation,
-    check_cocycle_preservation,
-    check_gauge_closure,
-    check_laplacian_power,
+    check_identity,
     check_master_equation,
-    check_omega_squared,
-    check_schouten_power,
     laplacian,
     omega,
     schouten,
@@ -61,9 +56,7 @@ __all__ = [
     "JetVar", "LieAlgebraData", "NAIVE", "ParityError", "ParseError",
     "SectionSpec", "Trig",
     "build_scalar_example", "build_yang_mills_bv", "canonicalize_channels",
-    "check_coboundary_preservation", "check_cocycle_preservation",
-    "check_gauge_closure", "check_laplacian_power", "check_master_equation",
-    "check_omega_squared", "check_schouten_power", "collapse",
+    "check_identity", "check_master_equation", "collapse",
     "euler", "euler_left", "evaluate", "format_expr", "functional_equal",
     "is_trivial", "iterated_variation_geometric", "iterated_variation_naive",
     "laplacian", "make_attach", "normalize", "omega", "parse_expr",

@@ -704,15 +704,22 @@ def make_attach(pending, inner: Expr) -> Expr:
     return Expr(acc) if acc else _EXPR_ZERO
 
 
+def _monomial_labels(m: Monomial) -> set:
+    """Every channel label of the monomial ``m``: the union of its Attach
+    factors' label sets, nested blocks included."""
+    labels = set()
+    for a, _ in m.even:
+        if type(a) is Attach:
+            labels |= a.labels
+    for a in m.odd:
+        if type(a) is Attach:
+            labels |= a.labels
+    return labels
+
+
 def collect_channel_labels(e: Expr) -> set:
-    """Every channel label in ``e``: the union of its Attach factors' label
-    sets, nested blocks included."""
+    """Every channel label in ``e``, nested blocks included."""
     labels = set()
     for m in e.terms.values():
-        for a, _ in m.even:
-            if type(a) is Attach:
-                labels |= a.labels
-        for a in m.odd:
-            if type(a) is Attach:
-                labels |= a.labels
+        labels |= _monomial_labels(m)
     return labels

@@ -14,9 +14,9 @@ first argument is differentiated from the right, the second from the left,
 the antifield derivative acting on the second argument in the + term; the
 Laplacian applies the antifield partial first, then the field partial.
 
-Every identity that ``bvcalc check`` decides is written once, in
-``IDENTITIES``; ``check_identity`` decides one on given arguments, and the
-``check_*`` functions are that routine on fixed entries.
+Every identity that ``bvcalc check`` decides is written once, as a row of
+``IDENTITIES`` that also holds the inputs the command draws for it;
+``check_identity`` is the one way to decide an identity on given arguments.
 """
 
 from __future__ import annotations
@@ -262,16 +262,14 @@ def _skew(F, G, mode):
     return [(schouten(F, G, mode), schouten(G, F, mode).scale(-sign))]
 
 
-def _powers(F, G, mode, schouten_powers=(1, 2, 3, 4), laplacian_powers=(2, 3, 4)):
-    """For even F: [[G, F^n]] = n [[G,F]] F^(n-1) (n >= 1) and
-    Delta(F^n) = n Delta(F) F^(n-1) + n(n-1)/2 [[F,F]] F^(n-2) (n >= 2)."""
-    if any(n < 1 for n in schouten_powers) or any(n < 2 for n in laplacian_powers):
-        raise ValueError("n must be >= 1 in [[G, F^n]] and >= 2 in Delta(F^n)")
+def _powers(F, G, mode):
+    """For even F: [[G, F^n]] = n [[G,F]] F^(n-1) for n = 1..4 and
+    Delta(F^n) = n Delta(F) F^(n-1) + n(n-1)/2 [[F,F]] F^(n-2) for n = 2..4."""
     pairs = [(schouten(G, F ** n, mode), (schouten(G, F, mode) * F ** (n - 1)).scale(n))
-             for n in schouten_powers]
+             for n in (1, 2, 3, 4)]
     pairs += [(laplacian(F ** n, mode), (laplacian(F, mode) * F ** (n - 1)).scale(n)
                + (schouten(F, F, mode) * F ** (n - 2)).scale(_HALF * (n * (n - 1))))
-              for n in laplacian_powers]
+              for n in (2, 3, 4)]
     return pairs
 
 
@@ -305,23 +303,40 @@ def _cocycles(S, O, F, xi, mode):
              schouten(omega(X, S, mode), F, mode)) for X in (O, xi) if X is not None]
 
 
-# One entry per check suite: the parity each argument must have (None:
-# either), the builder of its (lhs, rhs) pairs, the comparison that decides
-# the verdict, and the comparisons a passing verdict also records.
-Identity = namedtuple("Identity", "name parities build compare records", defaults=((),))
+COIN = "coin"  # a parity drawn by random.Random(cs).randint(0, 1)
+
+# One row per check suite:
+# - parities: the parity each argument must have (None: either);
+# - build: the builder of its (lhs, rhs) pairs;
+# - compare: the comparison that decides the verdict;
+# - records: the comparisons a passing verdict also records;
+# - draws: the arguments ``bvcalc check`` draws for its case cs, in order: a
+#   random functional (parity, seed offset k) is drawn at seed cs + k, with
+#   the number of blocks drawn from a tuple by random.Random(cs).choice when
+#   one follows; a string is the density of a fixed functional.
+# The parities say what a caller may pass and the draws what the command
+# passes: omega accepts an O of either parity but draws an even one.
+Identity = namedtuple("Identity", "name parities build compare records draws",
+                      defaults=((), ()))
 
 IDENTITIES = {e.name: e for e in (
-    Identity("leibniz-1a", (None, None, None), _leibniz_1a, "structural"),
-    Identity("laplacian-1b", (None, None), _laplacian_1b, "structural"),
+    Identity("leibniz-1a", (None, None, None), _leibniz_1a, "structural",
+             draws=((COIN, 1), (COIN, 2), (COIN, 3))),
+    Identity("laplacian-1b", (None, None), _laplacian_1b, "structural",
+             draws=((COIN, 1), (COIN, 2))),
     Identity("derivation-1c", (None, None), _derivation_1c, "collapse",
-             ("structural", "collapse")),
-    Identity("delta-squared-1d", (None,), _delta_squared_1d, "collapse", ("structural",)),
-    Identity("jacobi", (None, None, None), _jacobi, "collapse"),
-    Identity("skew", (None, None), _skew, "structural"),
-    Identity("powers", (0, None), _powers, "structural"),
-    Identity("omega", (None, 0), _omega_squared, "collapse"),
-    Identity("gauge-closure", (1, 1, None), _gauge_closure, "collapse"),
-    Identity("cocycles", (None, 0, 1, 1), _cocycles, "collapse"),
+             ("structural", "collapse"), draws=((COIN, 1), (COIN, 2))),
+    Identity("delta-squared-1d", (None,), _delta_squared_1d, "collapse", ("structural",),
+             draws=((COIN, 1, (1, 2)),)),
+    Identity("jacobi", (None, None, None), _jacobi, "collapse",
+             draws=((COIN, 1), (COIN, 2), (COIN, 3))),
+    Identity("skew", (None, None), _skew, "structural", draws=((COIN, 1), (COIN, 2))),
+    Identity("powers", (0, None), _powers, "structural", draws=((0, 1), (COIN, 2))),
+    Identity("omega", (None, 0), _omega_squared, "collapse", draws=((0, 1), (0, 2))),
+    Identity("gauge-closure", (1, 1, None), _gauge_closure, "collapse",
+             draws=((1, 1), (1, 2), "dag(q)*q")),
+    Identity("cocycles", (0, 0, 1, 1), _cocycles, "collapse",
+             draws=((0, 4), (0, 1), (1, 2), (1, 3))),
 )}
 
 
@@ -340,9 +355,9 @@ class Report:
         return self.passed
 
 
-def check_identity(name: str, args, mode: str = GEOMETRIC, **options) -> Report:
-    """Decide ``IDENTITIES[name]`` on ``args`` (None for an argument the
-    builder may leave out; ``options`` go to the builder).  Every pair is
+def check_identity(name: str, args, mode: str = GEOMETRIC) -> Report:
+    """Decide ``IDENTITIES[name]`` on ``args``, in the row's argument order
+    (None for an argument the builder may leave out).  Every pair is
     compared in order: ``data["agreed"]`` lists the outcomes, and
     ``data["discrepancy"]`` is the collapsed lhs - rhs of the first that
     fails, its single-block terms summed into one integral."""
@@ -350,7 +365,7 @@ def check_identity(name: str, args, mode: str = GEOMETRIC, **options) -> Report:
     for i, (X, parity) in enumerate(zip(args, entry.parities), 1):
         if parity is not None and X is not None and not X.is_zero() and X.parity() != parity:
             raise ParityError(f"{name}: argument {i} must be {('even', 'odd')[parity]}")
-    pairs = entry.build(*args, mode, **options)
+    pairs = entry.build(*args, mode)
     agreed = [functional_equal(lhs, rhs, entry.compare) for lhs, rhs in pairs]
     passed = all(agreed)
     data = {"agreed": agreed}
@@ -425,43 +440,3 @@ def _summarize(F: Functional, limit: int = 400) -> str:
             return f"{''.join(text)[:limit]} ... [{len(F.terms)} terms, {monomials} monomials]"
     return "".join(text)
 
-
-def check_omega_squared(O: Functional, S: Functional, mode: str = GEOMETRIC) -> Report:
-    """The ``omega`` identity for an even S, with its steps as report lines."""
-    rep = check_identity("omega", (O, S), mode)
-    agrees, *zero = rep.data["agreed"]
-    rep.lines = [f"(Omega)^2(O) ~ [[-i hbar Delta S + 1/2 [[S,S]], O]]: {agrees}",
-                 f"QME obstruction has vanishing Euler operators: {bool(zero)}"]
-    rep.lines += [f"(Omega)^2(O) ~ 0 after the generating-section transition: {z}"
-                  for z in zero]
-    rep.data.update(agrees=agrees, omega2_zero=zero[0] if zero else None)
-    return rep
-
-
-def check_gauge_closure(F1: Functional, F2: Functional, S: Functional,
-                        mode: str = GEOMETRIC) -> Report:
-    """The ``gauge-closure`` identity for odd generators F1, F2."""
-    return check_identity("gauge-closure", (F1, F2, S), mode)
-
-
-def check_cocycle_preservation(O: Functional, F: Functional, S: Functional,
-                               mode: str = GEOMETRIC) -> Report:
-    """The ``cocycles`` identity for an even observable O and an odd F."""
-    return check_identity("cocycles", (S, O, F, None), mode)
-
-
-def check_coboundary_preservation(xi: Functional, F: Functional, S: Functional,
-                                  mode: str = GEOMETRIC) -> Report:
-    """The ``cocycles`` identity for an odd xi and an odd F."""
-    return check_identity("cocycles", (S, None, F, xi), mode)
-
-
-def check_schouten_power(G: Functional, F: Functional, n: int,
-                         mode: str = GEOMETRIC) -> Report:
-    """The bracket half of the ``powers`` identity at one n >= 1, for an even F."""
-    return check_identity("powers", (F, G), mode, schouten_powers=(n,), laplacian_powers=())
-
-
-def check_laplacian_power(F: Functional, n: int, mode: str = GEOMETRIC) -> Report:
-    """The Laplacian half of the ``powers`` identity at one n >= 2, for an even F."""
-    return check_identity("powers", (F, None), mode, schouten_powers=(), laplacian_powers=(n,))

@@ -18,6 +18,7 @@ from fractions import Fraction
 from .cohomology import Functional, _blocks_key, euler_operators_vanish, functional_equal
 from .jetcalc import BvModel, euler, euler_left
 from .bv import (
+    COIN,
     GEOMETRIC,
     IDENTITIES,
     NAIVE,
@@ -167,30 +168,11 @@ def _parse_trig_poly(model, text: str):
 # ---------------------------------------------------------------------------
 # identity suites
 
-COIN = "coin"  # a parity drawn by random.Random(cs).randint(0, 1)
-
-# The inputs of each suite's case cs, in the order they are drawn: a random
-# functional (parity, seed offset k) is drawn at seed cs + k, with the number
-# of blocks drawn from a tuple by random.Random(cs).choice when one follows;
-# a string is the density of a fixed functional.
-SCHEDULES = {
-    "leibniz-1a": ((COIN, 1), (COIN, 2), (COIN, 3)),
-    "laplacian-1b": ((COIN, 1), (COIN, 2)),
-    "derivation-1c": ((COIN, 1), (COIN, 2)),
-    "delta-squared-1d": ((COIN, 1, (1, 2)),),
-    "jacobi": ((COIN, 1), (COIN, 2), (COIN, 3)),
-    "skew": ((COIN, 1), (COIN, 2)),
-    "powers": ((0, 1), (COIN, 2)),
-    "omega": ((0, 1), (0, 2)),
-    "gauge-closure": ((1, 1), (1, 2), "dag(q)*q"),
-    "cocycles": ((0, 4), (0, 1), (1, 2), (1, 3)),
-}
-
-
-def _draw(schedule, model, cs: int, max_order: int) -> list:
+def _draw(suite: str, model, cs: int, max_order: int) -> list:
+    """The arguments of the suite's case cs, drawn as its row's ``draws`` say."""
     r = random.Random(cs)
     args = []
-    for item in schedule:
+    for item in IDENTITIES[suite].draws:
         if isinstance(item, str):
             args.append(Functional.from_density(model, parse_expr(item, model)))
         else:
@@ -218,7 +200,7 @@ def run_suite(suite: str, cases: int, seed: int, max_order: int,
             cs, args = seed, build_scalar_example()[1:]
         else:
             cs = seed * 10_000 + i
-            args = _draw(SCHEDULES[suite], model, cs, max_order)
+            args = _draw(suite, model, cs, max_order)
         rep = check_identity(suite, args, mode)
         result = {"case": i, "seed": cs, "passed": rep.passed}
         result.update((how, rep.data[how]) for how in IDENTITIES[suite].records)

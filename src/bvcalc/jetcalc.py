@@ -41,6 +41,7 @@ from .algebra import (
     _ONE,
     _add_monomial,
     _add_product,
+    _monomial_labels,  # also read through jetcalc by perfbench/layers.py
     _sort_odd,
 )
 
@@ -691,18 +692,6 @@ def _erased_key(a: Atom, memo: dict):
         ))
         k = memo[a] = (3, tuple(idx for _, idx in a.pending), inner)
     return k
-
-
-def _monomial_labels(m: Monomial) -> set:
-    """Every channel label of the monomial ``m``, nested ones included."""
-    labels = set()
-    for a, _ in m.even:
-        if type(a) is Attach:
-            labels |= a.labels
-    for a in m.odd:
-        if type(a) is Attach:
-            labels |= a.labels
-    return labels
 
 
 def _rename_monomial(m: Monomial, mapping: dict, memo: dict) -> Monomial:

@@ -14,13 +14,7 @@ from bvcalc.bv import (
     NAIVE,
     Identity,
     check_identity,
-    check_coboundary_preservation,
-    check_cocycle_preservation,
-    check_gauge_closure,
-    check_laplacian_power,
     check_master_equation,
-    check_omega_squared,
-    check_schouten_power,
     laplacian,
     laplacian_density,
     omega,
@@ -466,11 +460,11 @@ def test_summarize_agrees_with_the_truncated_repr():
 def test_check_omega_squared_reports(m):
     O = rf(m, 0, 2000)
     S = rf(m, 0, 2001)
-    rep = check_omega_squared(O, S)
-    assert rep.data["agrees"]
+    rep = check_identity("omega", (O, S))
+    assert rep.data["agreed"][0]
     one = Functional.constant(m, 1)
-    rep1 = check_omega_squared(one, S)
-    assert rep1.data["agrees"]
+    rep1 = check_identity("omega", (one, S))
+    assert rep1.data["agreed"][0]
 
 
 def test_gauge_closure(m):
@@ -478,12 +472,12 @@ def test_gauge_closure(m):
     for i in range(8):
         F1 = rf(m, 1, 2100 + i, order=1)
         F2 = rf(m, 1, 2200 + i, order=1)
-        assert check_gauge_closure(F1, F2, S).passed
+        assert check_identity("gauge-closure", (F1, F2, S)).passed
     # equal generators: both sides still agree
     F = rf(m, 1, 2300, order=1)
-    assert check_gauge_closure(F, F, S).passed
+    assert check_identity("gauge-closure", (F, F, S)).passed
     # S = 0 reduces to the derivation identity
-    assert check_gauge_closure(rf(m, 1, 2400), rf(m, 1, 2401), zero(m)).passed
+    assert check_identity("gauge-closure", (rf(m, 1, 2400), rf(m, 1, 2401), zero(m))).passed
 
 
 def test_cocycle_and_coboundary_preservation(m):
@@ -492,13 +486,25 @@ def test_cocycle_and_coboundary_preservation(m):
         O = rf(m, 0, 2600 + i, order=1)
         F = rf(m, 1, 2700 + i, order=1)
         xi = rf(m, 1, 2800 + i, order=1)
-        assert check_cocycle_preservation(O, F, S).passed
-        assert check_coboundary_preservation(xi, F, S).passed
+        assert check_identity("cocycles", (S, O, F, None)).passed
+        assert check_identity("cocycles", (S, None, F, xi)).passed
     # degenerate cases
     S = rf(m, 0, 2900)
     one = Functional.constant(m, 1)
-    assert check_cocycle_preservation(one, rf(m, 1, 2901), S).passed
-    assert check_cocycle_preservation(rf(m, 0, 2902), zero(m), S).passed
+    assert check_identity("cocycles", (S, one, rf(m, 1, 2901), None)).passed
+    assert check_identity("cocycles", (S, rf(m, 0, 2902), zero(m), None)).passed
+
+
+def test_cocycles_rejects_an_odd_s(m):
+    # Omega = -i*hbar*Delta + [[S, .]] is parity-homogeneous only for even S:
+    # an odd S is refused up front and named, both where the builder would
+    # have passed (k = 0, 4) and where it failed on a mixed-parity sum
+    for k in range(5):
+        S, O, F = (rf(m, p, seed + k, order=1, degree=2)
+                   for p, seed in ((1, 100), (0, 200), (1, 300)))
+        with pytest.raises(ParityError) as exc:
+            check_identity("cocycles", (S, O, F, None))
+        assert str(exc.value) == "cocycles: argument 1 must be even"
 
 
 def test_check_identity_reports_the_first_failing_pair(m, monkeypatch):
@@ -519,9 +525,7 @@ def test_power_lemmas(m):
     for i in range(5):
         F = rf(m, 0, 3000 + i, order=1, degree=2)
         G = rf(m, random.Random(i).randint(0, 1), 3100 + i, order=1, degree=2)
-        for n in (1, 2, 3, 4):
-            assert check_schouten_power(G, F, n).passed
-        for n in (2, 3, 4):
-            assert check_laplacian_power(F, n).passed
+        # n = 1..4 in [[G, F^n]] and n = 2..4 in Delta(F^n)
+        assert check_identity("powers", (F, G)).passed
     with pytest.raises(ParityError):
-        check_schouten_power(rf(m, 0, 1), rf(m, 1, 2), 2)
+        check_identity("powers", (rf(m, 1, 2), rf(m, 0, 1)))

@@ -184,6 +184,16 @@ def test_run_suite_records_structural_agreement_apart_from_the_verdict():
     assert r["passed"] is r["structural"] is r["collapse"] is False
 
 
+def test_every_suite_draws_one_argument_per_declared_parity():
+    # the draws and the parities of a row are separate columns: a drawn
+    # random functional of fixed parity must have the parity its slot declares
+    for name, row in bv.IDENTITIES.items():
+        assert len(row.draws) == len(row.parities), name
+        for item, parity in zip(row.draws, row.parities):
+            if parity is not None:
+                assert not isinstance(item, str) and item[0] == parity, (name, item)
+
+
 def test_run_suite_rejects_bad_input_before_any_case():
     for suite, cases in (("nope", 0), ("nope", 2), ("skew", 0), ("skew", -3)):
         with pytest.raises(ValueError):
@@ -198,8 +208,8 @@ def test_omega_suite_decides_on_the_report(monkeypatch):
     passed, results = run_suite("omega", cases=1, seed=2, max_order=2)
     m = BvModel(1, [("q", 0)])
     O, S = (random_functional(m, 2, 3, 0, 20_000 + k) for k in (1, 2))
-    rep = bv.check_omega_squared(O, S)
-    assert rep.data["agrees"] and rep.data["omega2_zero"] is False and not rep.passed
+    rep = bv.check_identity("omega", (O, S))
+    assert rep.data["agreed"] == [True, False] and not rep.passed
     assert not passed and results[0]["discrepancy"]
 
 
