@@ -706,14 +706,17 @@ def make_attach(pending, inner: Expr) -> Expr:
 
 def _monomial_labels(m: Monomial) -> set:
     """Every channel label of the monomial ``m``: the union of its Attach
-    factors' label sets, nested blocks included."""
+    factors' label sets, nested blocks included.  Attach keys sort last,
+    so each side is read from its end up to its first other factor."""
     labels = set()
-    for a, _ in m.even:
-        if type(a) is Attach:
-            labels |= a.labels
-    for a in m.odd:
-        if type(a) is Attach:
-            labels |= a.labels
+    for a, _ in reversed(m.even):
+        if type(a) is not Attach:
+            break
+        labels |= a.labels
+    for a in reversed(m.odd):
+        if type(a) is not Attach:
+            break
+        labels |= a.labels
     return labels
 
 

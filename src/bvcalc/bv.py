@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 from typing import List
 
 from .coeff import Coefficient
-from .algebra import Expr, ParityError, _add_monomial, _sum_scaled, collect_channel_labels
+from .algebra import (Expr, ParityError, _add_monomial, _add_product, _sum_scaled,
+                      collect_channel_labels)
 from .cohomology import (Functional, _accumulate, euler_operators_vanish, functional_equal,
                          functional_text)
 from .jetcalc import (GEOMETRIC, NAIVE, BvModel, _check_mode, canonicalize_channels, collapse,
@@ -201,6 +202,7 @@ def _laplace_blocks(model, blocks: tuple, mode: str) -> Functional:
 
 _MINUS_I_HBAR = -(Coefficient.imag_unit() * Coefficient.hbar())
 _HALF = Coefficient.of(1) / Coefficient.of(2)
+_TWO = Coefficient.of(2)
 
 
 def omega(O: Functional, S: Functional, mode: str = GEOMETRIC) -> Functional:
@@ -385,16 +387,7 @@ def check_identity(name: str, args, mode: str = GEOMETRIC) -> Report:
 def check_master_equation(S: Functional, mode: str = GEOMETRIC) -> Report:
     """Evaluate both sides of the quantum master-equation
     i*hbar*Delta(S) = 1/2 [[S, S]] and report the obstruction; ``data`` also
-    holds the collapsed [[S, S]].
-
-    When S is c times one even integral block s, the collapsed bracket is
-    found from half of it: for even s the two terms of each conjugate pair
-    agree after collapse, (S,S) = 2 d_r S/d phi d_l S/d phi* (Henneaux &
-    Teitelboim, Quantization of Gauge Systems, 1992), so the collapsed
-    density is twice the collapsed sum of er[ev] * el[od] alone, and the
-    term's coefficient is c * c as in ``schouten``.  Before collapse the two
-    halves differ by swapping their channel labels, so ``schouten`` itself
-    keeps both.  Any other S takes the whole bracket."""
+    holds the collapsed [[S, S]], found by ``_collapsed_self_bracket``."""
     # collapse is linear, so the obstruction is formed from the collapsed
     # pieces that the summary lines print
     delta_c = laplacian(S, mode).collapse()
@@ -412,20 +405,35 @@ def check_master_equation(S: Functional, mode: str = GEOMETRIC) -> Report:
 
 
 def _collapsed_self_bracket(S: Functional, mode: str) -> Functional:
-    """[[S, S]] collapsed; from half of the bracket when S is one even block."""
+    """[[S, S]] collapsed.  For S = c times one even block s without pending
+    derivatives (any even block in naive mode, which collapses s first),
+    each collapsed Euler image is the expanded one and collapse is
+    multiplicative; for even s the two terms of each conjugate pair agree,
+    (S,S) = 2 d_r S/d phi d_l S/d phi* (Henneaux & Teitelboim, Quantization
+    of Gauge Systems, 1992).  So the density is 2 sum er[ev] * el[od] over
+    the expanded images, with no frozen block, at the coefficient c * c of
+    ``schouten``.  Any other S takes the whole bracket."""
+    _check_mode(mode)
     blocks = next(iter(S.terms)) if len(S.terms) == 1 else ()
-    if len(blocks) != 1 or blocks[0].parity():
+    s = blocks[0] if len(blocks) == 1 else None
+    if s is not None and mode == NAIVE:
+        s = collapse(s)
+    if s is None or s.parity() or s.has_attach():
         return schouten(S, S, mode).collapse()
-    pairs, er, el = _bracket_images(S.model, blocks[0], blocks[0], mode)
-    half = {}
+    pairs = list(S.model.pairs())
+    er = eulers(S.model, s, {ev: None for ev, _ in pairs}, "right")
+    el = eulers(S.model, s, {od: None for _, od in pairs}, "left")
+    acc = {}
     for ev, od in pairs:
-        for k, m in (er[ev] * el[od]).terms.items():
-            _add_monomial(half, k, m)
-    density = collapse(Expr(half)).scale(2)
-    if density.is_zero():
+        left = el[od].monomials()
+        for m1 in er[ev].monomials():
+            c1 = _TWO * m1.coeff
+            for m2 in left:
+                _add_product(acc, c1 * m2.coeff, m1.even, m1.odd, m2.even, m2.odd)
+    if not acc:
         return Functional.zero(S.model)
     c = S.terms[blocks]
-    return Functional(S.model, {(density,): c * c})
+    return Functional(S.model, {(Expr(acc),): c * c})
 
 
 def _summarize(F: Functional, limit: int = 400) -> str:

@@ -171,8 +171,14 @@ def total_derivative(e: Expr, direction: int) -> Expr:
     d * rest, an odd block's derivative paying the sign of the odd factors
     before it."""
     acc = {}
+    _add_total_derivative(acc, e, direction)
+    return Expr(acc) if acc else Expr.zero()
+
+
+def _add_total_derivative(acc: dict, e: Expr, direction: int, negate: bool = False) -> None:
+    """Add D_i e, or -D_i e when ``negate``, into the term map ``acc``."""
     for m in e.terms.values():
-        even, odd, coeff = m.even, m.odd, m.coeff
+        even, odd, coeff = m.even, m.odd, -m.coeff if negate else m.coeff
         for j, (a, k) in enumerate(even):
             t = type(a)
             if t is BaseVar and a.coord != direction:
@@ -204,7 +210,6 @@ def total_derivative(e: Expr, direction: int) -> Expr:
             rest = odd[:j] + odd[j + 1:]
             for dc, de, do in _atom_total_derivative(a, direction):
                 _add_product(acc, c * dc, de, do, even, rest)
-    return Expr(acc) if acc else Expr.zero()
 
 
 def _insert_even(even, start, u: JetVar):
@@ -501,7 +506,8 @@ def eulers(
 
 def _horner(terms: dict, n: int) -> Expr:
     """sum_sigma (-D)^sigma terms[sigma] over multi-indices of length ``n``,
-    eliminating one coordinate at a time by Horner's scheme."""
+    eliminating one coordinate at a time by Horner's scheme; each step files
+    -D_i of the last straight into a copy of the next order's term map."""
     for i in range(n):
         groups = {}
         for sigma, term in terms.items():
@@ -512,7 +518,9 @@ def _horner(terms: dict, n: int) -> Expr:
             top = max(by_order)
             acc = by_order[top]
             for k in range(top - 1, -1, -1):
-                acc = by_order.get(k, Expr.zero()) - total_derivative(acc, i)
+                step = dict(by_order[k].terms) if k in by_order else {}
+                _add_total_derivative(step, acc, i, negate=True)
+                acc = Expr(step) if step else Expr.zero()
             terms[rest] = acc
     return terms.get(idx_zero(n), Expr.zero())
 

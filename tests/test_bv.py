@@ -5,7 +5,7 @@ import pytest
 
 from bvcalc import Expr
 from bvcalc.coeff import Coefficient
-from bvcalc.algebra import ParityError, collect_channel_labels, make_attach
+from bvcalc.algebra import Attach, ParityError, collect_channel_labels, make_attach
 from bvcalc.cohomology import Functional, functional_equal
 from bvcalc.jetcalc import _monomial_labels, canonicalize_channels, collapse
 from bvcalc.bv import (
@@ -30,7 +30,7 @@ from bvcalc.grammar import (
     format_coefficient,
     parse_expr,
 )
-from bvcalc.models import build_scalar_example, random_functional
+from bvcalc.models import LieAlgebraData, build_scalar_example, build_yang_mills_bv, random_functional
 
 from util_random import (
     ghost_model,
@@ -128,6 +128,32 @@ def test_skew_symmetry_of_deeply_nested_bracket():
     assert canon.is_zero() and canonicalize_channels(rhs) == canon
     _, S, X = nested_brackets(3)
     assert functional_equal(schouten(S, X), schouten(X, S), "structural")
+
+
+def _labels_of_every_factor(mono):
+    labels = set()
+    for a in [a for a, _ in mono.even] + list(mono.odd):
+        if isinstance(a, Attach):
+            labels |= a.labels
+    return labels
+
+
+def test_monomial_labels_agree_with_a_walk_over_every_factor():
+    # Attach keys sort last, so reading each side from its end up to its
+    # first other factor finds every label; the inputs hold raw nested
+    # brackets of up to 8 labels, times plain factors that sort before the
+    # blocks on the even and on the odd side
+    model, s, x = raw_nested_densities(3)
+    q, qd, qx = model.jet("q"), model.jet("q", dagger=True), model.jet("q", (1,))
+    exprs = [x * q, x * qd * qx, reference_schouten_density(model, s, x) * qd]
+    exprs += [raw_nested_densities(depth, seed)[2] * qd for seed in (1, 3) for depth in (1, 2)]
+    monos = [mono for e in exprs for mono in e.monomials()]
+    assert max(len(_monomial_labels(mono)) for mono in monos) == 8
+    for side in ("even", "odd"):
+        factors = [[f[0] if side == "even" else f for f in getattr(mono, side)] for mono in monos]
+        assert any(type(fs[0]) is not Attach and type(fs[-1]) is Attach for fs in factors if fs)
+    for mono in monos:
+        assert _monomial_labels(mono) == _labels_of_every_factor(mono)
 
 
 def _density(F):
@@ -378,8 +404,9 @@ def test_check_master_equation_with_both_sides_nontrivial(m):
 
 @pytest.mark.parametrize("model", [scalar_model(), ghost_model()], ids=["scalar", "ghost"])
 def test_halved_self_bracket_is_the_collapsed_bracket(model):
-    # one even block takes half of the bracket; its collapse is the whole
-    # bracket's, coefficient and printed form included
+    # one plain even block takes the products of its expanded Euler images;
+    # the result is the whole bracket's collapse, coefficient and printed
+    # form included
     i_hbar = Coefficient.imag_unit() * Coefficient.hbar()
     for seed in range(5000, 5030):
         S = rf(model, 0, seed).scale(random.Random(seed).choice((1, -2, i_hbar)))
@@ -387,9 +414,44 @@ def test_halved_self_bracket_is_the_collapsed_bracket(model):
             full = schouten(S, S, mode).collapse()
             got = _collapsed_self_bracket(S, mode)
             assert got == full and repr(got) == repr(full), (seed, mode)
-    # everything else takes the whole bracket
-    for S in (rf(model, 1, 5100), rf(model, 0, 5101, blocks=2), rf(model, 0, 5102) + rf(model, 0, 5103)):
-        assert _collapsed_self_bracket(S, GEOMETRIC) == schouten(S, S).collapse()
+    # everything else takes the whole bracket: an even block with channel
+    # labels among them, which naive mode collapses first
+    labelled = schouten(rf(model, 1, 5104), rf(model, 0, 5105))
+    assert len(labelled.terms) == 1 and labelled.parity() == 0
+    assert next(iter(labelled.terms))[0].has_attach()
+    for S in (rf(model, 1, 5100), rf(model, 0, 5101, blocks=2), rf(model, 0, 5102) + rf(model, 0, 5103),
+              labelled):
+        for mode in (GEOMETRIC, NAIVE):
+            assert _collapsed_self_bracket(S, mode) == schouten(S, S, mode).collapse(), mode
+
+
+@pytest.mark.parametrize("model", [scalar_model(), ghost_model()], ids=["scalar", "ghost"])
+def test_collapse_forgets_the_mode_of_a_plain_bracket(model):
+    # the identity behind the self-bracket's expanded images: for plain
+    # single blocks the geometric bracket collapses to the naive one
+    for seed in range(7000, 7030):
+        for pf in (0, 1):
+            for pg in (0, 1):
+                F, G = rf(model, pf, seed), rf(model, pg, seed + 100)
+                assert (schouten(F, G, GEOMETRIC).collapse() == schouten(F, G, NAIVE).collapse()), \
+                    (seed, pf, pg)
+
+
+def test_self_bracket_of_a_plain_action_builds_no_frozen_block(monkeypatch):
+    # a plain even S needs no block wrapped around its home plains
+    model = ghost_model()
+    cases = [rf(model, 0, seed) for seed in range(5200, 5210)]
+    q_x, c_x, qd_x = model.jet("q", (1,)), model.jet("c", (1,)), model.jet("q", (1,), dagger=True)
+    cases.append(Functional.from_density(model, model.cos("q") * qd_x * c_x + model.sin("q") * q_x * q_x))
+    cases.append(build_yang_mills_bv(LieAlgebraData.su2(), 2)[1])
+    expected = [schouten(S, S).collapse() for S in cases]
+
+    def no_wrapping(*args):
+        raise AssertionError("a frozen block was built")
+
+    monkeypatch.setattr("bvcalc.jetcalc._wrap_branch", no_wrapping)
+    for S, full in zip(cases, expected):
+        assert _collapsed_self_bracket(S, GEOMETRIC) == full
 
 
 def _reference_repr(F):
