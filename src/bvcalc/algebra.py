@@ -24,7 +24,11 @@ by identity, and only their ``key`` (a nested tuple) orders them.  A term map
 atoms, which hash in one shallow pass and sort as the nested keys do; Expr
 equality and hashing read these term maps too, and so do the triviality
 images of the class basis.  ``Monomial.atom_key()`` spells the nested keys
-out only where a value leaves the program, in ``Expr.key()``.
+out only where a value leaves the program, in ``Expr.key()``.  Values
+derived from an interned atom or an immutable expression are kept on it
+once found: a JetVar's shifts (``JetVar.shifts``), an Attach block's labels,
+and an expression's key, hash, parity, ghost number and walk index
+(``Expr.var_index()``, the monomials that hold each variable).
 
 Canonical in, canonical out: a product of two canonical monomials is a
 merge of their sorted atoms (``_add_product``), sin(u) on both sides
@@ -69,7 +73,12 @@ class Atom:
 
 
 class JetVar(Atom):
-    __slots__ = ("field", "dagger", "index", "gh")
+    """A jet coordinate.  ``shifts`` maps a coordinate i to the JetVar with
+    one more derivative along x_i; ``jetcalc._shift`` fills it the first time
+    it takes that shift, so a total derivative interns each shift once and
+    then reads it from the atom."""
+
+    __slots__ = ("field", "dagger", "index", "gh", "shifts")
 
     def __new__(cls, field: str, dagger: bool, index: Tuple[int, ...], gh: int):
         return cls._from_parts(field, bool(dagger), tuple(int(k) for k in index), int(gh))
@@ -90,6 +99,7 @@ class JetVar(Atom):
             u.parity = gh & 1
             u.var = (field, dagger)
             u.key = (0, field, dagger, index)
+            u.shifts = {}
         return u
 
     def __repr__(self):
@@ -229,7 +239,7 @@ class GhostNumberError(ValueError):
 
 
 class Expr:
-    __slots__ = ("terms", "_key", "_hash", "_parity", "_gh")
+    __slots__ = ("terms", "_key", "_hash", "_parity", "_gh", "_index")
 
     def __init__(self, terms):
         # terms: dict (even, odd) -> Monomial, keyed by the monomial's own
@@ -239,6 +249,7 @@ class Expr:
         self._hash = None
         self._parity = -2
         self._gh = None
+        self._index = None
 
     # -- construction ---------------------------------------------------
 
@@ -420,6 +431,35 @@ class Expr:
                     m.odd and type(m.odd[-1]) is Attach):
                 return True
         return False
+
+    def var_index(self):
+        """``(holding, blocks)``, built on first use and kept: ``holding``
+        maps each variable (an ``Atom.var``) to the monomials without an
+        Attach factor that hold it, and ``blocks`` lists the monomials that
+        hold an Attach block, whose inner may hold any variable; both in
+        term order.  A walk by one variable visits only these monomials."""
+        if self._index is None:
+            holding, blocks = {}, []
+            for m in self.terms.values():
+                if (m.even and type(m.even[-1][0]) is Attach) or (
+                        m.odd and type(m.odd[-1]) is Attach):
+                    blocks.append(m)
+                    continue
+                for a, _ in m.even:
+                    held = holding.get(a.var)
+                    if held is None:
+                        holding[a.var] = [m]
+                    elif held[-1] is not m:  # one entry per monomial
+                        held.append(m)
+                for a in m.odd:
+                    held = holding.get(a.var)
+                    if held is None:
+                        holding[a.var] = [m]
+                    elif held[-1] is not m:
+                        held.append(m)
+            holding.pop(None, None)  # base coordinates
+            self._index = holding, blocks
+        return self._index
 
     def lead_coefficient(self) -> Coefficient:
         """Coefficient of the canonically least monomial (zero for 0)."""

@@ -31,6 +31,9 @@ def _tidy(x):
     return x if type(x) is int or x.denominator != 1 else x.numerator
 
 
+_UNIT = {0: (1, 0)}  # the terms of 1
+
+
 class Coefficient:
     """Element of Q(i)[hbar, hbar^-1]."""
 
@@ -145,16 +148,24 @@ class Coefficient:
         return Coefficient.of(other) + (-self)
 
     def __mul__(self, other):
-        other = Coefficient.of(other)
+        if type(other) is not Coefficient:
+            other = Coefficient.of(other)
         mine, theirs = self.terms, other.terms
+        # coefficients are immutable, so a product by 1 is the other factor
+        if theirs == _UNIT:
+            return self
+        if mine == _UNIT:
+            return other
         if len(mine) == 1 and len(theirs) == 1:
             # a product of two nonzero Gaussian rationals is nonzero
             (d1, (r1, i1)), = mine.items()
             (d2, (r2, i2)), = theirs.items()
             if i1 or i2:
-                re, im = _tidy(r1 * r2 - i1 * i2), _tidy(r1 * i2 + i1 * r2)
+                re, im = r1 * r2 - i1 * i2, r1 * i2 + i1 * r2
             else:
-                re, im = _tidy(r1 * r2), 0
+                re, im = r1 * r2, 0
+            if type(re) is not int or type(im) is not int:
+                re, im = _tidy(re), _tidy(im)
             return Coefficient._clean({d1 + d2: (re, im)})
         out = {}
         for d1, (r1, i1) in mine.items():

@@ -226,7 +226,10 @@ def _add_product(acc, blocks, c):
 def _graded_sort(items, key, parity):
     """Sort graded-commuting items by key, absorbing the Koszul sign: returns
     (sign, sorted tuple), or None when an odd item repeats (the product
-    vanishes)."""
+    vanishes).  Fewer than two items are in order as they are, and no key
+    is built for them."""
+    if len(items) < 2:
+        return 1, tuple(items)
     arr = [(key(x), parity(x), x) for x in items]
     sign = 1
     for i in range(1, len(arr)):

@@ -11,7 +11,8 @@ walks and sums; the iterated variations keep their shift fields outside it.
 
 Total derivatives, collapse and the partial-derivative walk take canonical
 monomials and file canonical ones.  The total derivative of a jet variable
-replaces one copy of it by its shift, put in its sorted place; collapse
+replaces one copy of it by its shift, put in its sorted place and read from
+the atom's own table once it has been interned (``_shift``); collapse
 multiplies each Attach block's expansion into the monomial's plain factors
 by the canonical product, and expands each distinct block once per call.
 The partials branch of a jet variable is its monomial with one copy of that
@@ -20,6 +21,9 @@ monomial, become the inner of the new block as they are.  Every other
 branch -- chain-rule (sin/cos/exp), a block's derivative, a new block among
 the kept ones -- is a derivative times the rest of its monomial, filed by
 the canonical product ``algebra._add_product``; no branch is normalised.
+A walk by one variable visits only the monomials that the expression's
+index lists for it and those holding a block (``Expr.var_index()``); a
+walk by several variables visits every monomial.
 """
 
 from __future__ import annotations
@@ -233,11 +237,18 @@ _CHAIN = {"sin": (_ONE, "cos"), "cos": (_MINUS_ONE, "sin"), "exp": (_ONE, "exp")
 
 
 def _shift(u: JetVar, i: int) -> JetVar:
-    """u with one more derivative along x_i."""
+    """u with one more derivative along x_i: interned the first time, then
+    read from u's own table."""
+    try:
+        return u.shifts[i]
+    except KeyError:
+        pass
     idx = u.index
     if not 0 <= i < len(idx):
         raise ValueError(f"coordinate index {i} out of range for base dimension {len(idx)}")
-    return JetVar._from_parts(u.field, u.dagger, idx[:i] + (idx[i] + 1,) + idx[i + 1:], u.gh)
+    s = u.shifts[i] = JetVar._from_parts(u.field, u.dagger,
+                                         idx[:i] + (idx[i] + 1,) + idx[i + 1:], u.gh)
+    return s
 
 
 def _atom_total_derivative(a: Atom, i: int):
@@ -271,8 +282,9 @@ def _partials(e, variables, side, isolate, index=None):
     """Graded partials of ``e`` by the jet variables q_sigma of every
     variable in ``variables`` = {(field, dagger): (parity, label or None)},
     filed by variable and multi-index: ``{(field, dagger): {sigma: Expr}}``.
-    Each monomial is visited once, for all variables together; ``index``
-    keeps the single sigma ``index``.
+    Each monomial is visited once, for all variables together; a walk by
+    one variable visits only those that ``e.var_index()`` lists for it or
+    as holding a block.  ``index`` keeps the single sigma ``index``.
 
     ``side="right"`` gives the right partial, (-1)^(p_v (p_m - 1)) times the
     left one on each monomial m.  With a label a branch consumed at home
@@ -294,7 +306,14 @@ def _partials(e, variables, side, isolate, index=None):
     acc = {}  # (v, sigma) -> term map of canonical branches
     unlabelled = None
     dives = {}  # Attach atom -> its branches, so each block is entered once
-    for m in e.monomials():
+    monomials = e.terms.values()
+    if len(variables) == 1 and len(e.terms) > 1:
+        # an index over one monomial would save nothing
+        holding, blocks = e.var_index()
+        monomials = holding.get(next(iter(variables)), ())
+        if blocks:
+            monomials = itertools.chain(monomials, blocks)
+    for m in monomials:
         even, odd = m.even, m.odd
         # most monomials hold none of one variable's jets: one cheap test
         # per factor, and no index or sign bookkeeping, skips them

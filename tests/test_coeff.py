@@ -115,9 +115,39 @@ def _entries_are_clean(c):
 def test_integral_product_is_stored_as_int():
     half = Coefficient.of(Fraction(1, 2))
     for product in (half * 2, 2 * half, half * Coefficient.of(2),
-                    half * Coefficient({0: (2, 0)})):
+                    half * Coefficient({0: (2, 0)}),
+                    Coefficient.of(Fraction(2, 3)) * Coefficient.of(Fraction(3, 2)),
+                    # (1/2 + i/2)(1 - i): both parts of a Gaussian product
+                    Coefficient({0: (Fraction(1, 2), Fraction(1, 2))}) * Coefficient({0: (1, -1)})):
         assert product.terms == {0: (1, 0)}
         assert type(product.terms[0][0]) is int
+
+
+def _reference_product(a, b):
+    """The product by the double loop over hbar degrees."""
+    out = {}
+    for d1, (r1, i1) in a.terms.items():
+        for d2, (r2, i2) in b.terms.items():
+            r0, i0 = out.get(d1 + d2, (0, 0))
+            out[d1 + d2] = (r0 + r1 * r2 - i1 * i2, i0 + r1 * i2 + i1 * r2)
+    return Coefficient(out)
+
+
+def test_a_product_by_one_is_the_other_factor():
+    one = Coefficient.one()
+    values = [
+        one, Coefficient.zero(), Coefficient.of(3), Coefficient.of(-1),
+        Coefficient.of(Fraction(1, 2)), Coefficient.imag_unit(), Coefficient.hbar(2),
+        Coefficient.hbar(-1), Coefficient({1: (Fraction(1, 3), Fraction(-2, 3))}),
+        Coefficient.hbar() + Coefficient.imag_unit(), Coefficient.of(1) + Coefficient.hbar(),
+    ]
+    for c in values:
+        assert c * one is c and one * c is c
+        assert c * 1 is c and 1 * c is c
+        for d in values:
+            product = c * d
+            _entries_are_clean(product)
+            assert product == _reference_product(c, d), (c, d)
 
 
 def test_imag_unit_squared_is_minus_one():

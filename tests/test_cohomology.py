@@ -189,6 +189,29 @@ def test_graded_sort_matches_a_brute_force_reference():
         assert got == ((-1) ** inversions, tuple(sorted(items)))
 
 
+def test_collapsing_one_block_builds_no_key(m, monkeypatch):
+    # one block is in order as it is, so Functional.collapse spells out no
+    # nested key for it; a product of two blocks is still sorted by key,
+    # with its Koszul sign
+    q, qx, qd = m.jet("q"), m.jet("q", (1,)), m.jet("q", dagger=True)
+    density = make_attach(((0, (1,)),), qd * q * qx) * q + qd * qx
+    F = Functional.from_density(m, density)
+    expected = Functional.from_density(m, collapse(density))
+    A = Functional.from_density(m, qd * q)
+    B = Functional.from_density(m, m.jet("q", (1,), dagger=True))
+
+    def no_key(self):
+        raise AssertionError("a nested key was built")
+
+    monkeypatch.setattr(Expr, "key", no_key)
+    assert F.collapse() == expected
+    monkeypatch.undo()
+    AB, BA = A * B, B * A
+    assert not AB.is_zero() and AB == BA.scale(-1)
+    (blocks,) = AB.terms
+    assert [b.key() for b in blocks] == sorted(b.key() for b in blocks)
+
+
 def test_odd_blocks_in_one_class_multiply_graded_commutatively(m):
     # A and B differ by a divergence, so <A>*<B> is an odd class squared; the
     # same holds for C and C', and swapping two odd blocks flips the sign

@@ -36,6 +36,7 @@ from bvcalc.jetcalc import (
 
 from util_random import (
     ghost_model,
+    nested_brackets,
     plane_model,
     random_expr,
     random_homogeneous,
@@ -146,6 +147,30 @@ def test_total_derivative_out_of_range_raises(m):
         for i in (1, -1):
             with pytest.raises(ValueError):
                 total_derivative(e, i)
+
+
+def test_shifts_are_interned_once_and_read_from_the_atom():
+    # the first read of a shift files the interned JetVar with the index
+    # bumped in the atom's own table, and every later read returns it
+    for model in (scalar_model(), ghost_model(), plane_model()):
+        n = model.base_dim
+        for name, dagger in model.variables():
+            u = model.jet_atom(name, (9,) * n, dagger)
+            for i in (-1, n):
+                with pytest.raises(ValueError):
+                    _shift(u, i)
+            for i in range(n):
+                bumped = tuple(k + (j == i) for j, k in enumerate(u.index))
+                expected = JetVar._from_parts(u.field, u.dagger, bumped, u.gh)
+                assert _shift(u, i) is expected
+                assert u.shifts[i] is expected
+                assert _shift(u, i) is expected
+            # a filled table still refuses a coordinate out of range, where a
+            # list indexed by -1 would return the last shift
+            for i in (-1, n):
+                with pytest.raises(ValueError):
+                    _shift(u, i)
+            assert sorted(u.shifts) == list(range(n))
 
 
 # -- partial derivatives ----------------------------------------------------
@@ -585,6 +610,39 @@ def test_walk_agrees_with_the_raw_branch_reference(which):
             for side_ in ("left", "right"):
                 ref = _reference_partials(e, unlabelled, side_, False, sigma)
                 assert partial(e, v, side_) == ref.get((name, dagger), {}).get(sigma, Expr.zero()), context
+
+
+def _walk_index_inputs():
+    for model in (ghost_model(), plane_model()):
+        rng = random.Random(4100 + model.base_dim)
+        for _ in range(30):
+            e = (random_expr(model, rng, terms=rng.randint(2, 5), with_attach=True)
+                 * random_expr(model, rng, terms=2, with_attach=True))
+            yield model, e
+    m, S, X = nested_brackets(2)
+    for blocks in schouten(S, X).terms:
+        for b in blocks:
+            yield m, b
+
+
+def test_a_walk_by_one_variable_is_its_slice_of_the_walk_by_all():
+    # a walk by one variable visits only the monomials that the expression's
+    # index lists for it, and those holding a block; it files what the walk
+    # by every variable files for that variable
+    seen = 0
+    for model, e in _walk_index_inputs():
+        variables = list(model.variables())
+        for side in ("left", "right"):
+            for labelled, isolate in ((False, False), (True, False), (True, True)):
+                spec = {v: (model.parity(*v), 1000 + j if labelled else None)
+                        for j, v in enumerate(variables)}
+                every = _nonzero(_partials(e, spec, side, isolate))
+                for v in variables:
+                    one = _nonzero(_partials(e, {v: spec[v]}, side, isolate))
+                    assert one.get(v, {}) == every.get(v, {}), (e, v, side, labelled, isolate)
+                    seen += bool(one.get(v))
+        assert len(e.terms) < 2 or e._index is not None
+    assert seen > 500, seen
 
 
 def test_walk_edge_cases(m):
