@@ -19,16 +19,16 @@ expression is the empty sum.  All operations return canonical expressions;
 Expr values are immutable.
 
 Atoms are interned: equal live atoms are one object, so they hash and compare
-by identity, and only their ``key`` (a nested tuple) orders them.  A term map
-``Expr.terms`` is keyed by each monomial's own ``(even, odd)`` tuples of
-atoms, which hash in one shallow pass and sort as the nested keys do; Expr
-equality and hashing read these term maps too, and so do the triviality
-images of the class basis.  ``Monomial.atom_key()`` spells the nested keys
-out only where a value leaves the program, in ``Expr.key()``.  Values
-derived from an interned atom or an immutable expression are kept on it
-once found: a JetVar's shifts (``JetVar.shifts``), an Attach block's labels,
-and an expression's key, hash, parity, ghost number and walk index
-(``Expr.var_index()``, the monomials that hold each variable).
+by identity, and only their ``key`` (a nested tuple) orders them.  An Attach
+block is found by its pending spec and the atoms of its inner monomial.  A
+term map ``Expr.terms`` is keyed by each monomial's own ``(even, odd)``
+tuples of atoms, which hash in one shallow pass and sort as the nested keys
+do; Expr equality and hashing read these term maps too, and so do the
+triviality images of the class basis.  Values derived from an interned atom
+or an immutable expression are kept on it once found: a JetVar's shifts
+(``JetVar.shifts``), an Attach block's nested key and labels, built on first
+read, and an expression's key, hash, parity, ghost number and walk index
+(``Expr.var_index()``, built on its second walk by one variable).
 
 Canonical in, canonical out: a product of two canonical monomials is a
 merge of their sorted atoms (``_add_product``), sin(u) on both sides
@@ -159,34 +159,46 @@ class Attach(Atom):
     ``pending`` is a tuple of (channel label, multi-index) pairs, each a total
     derivative waiting to be expanded at collapse; an empty tuple marks a bare
     attachment boundary.  ``inner`` is a canonical single-monomial expression
-    with unit coefficient.  The block is looked up by its pending set and the
-    interned content of ``inner``, so its nested key is built only once.
-    ``labels`` is the frozenset of every channel label in the block, its own
-    and those of the blocks nested inside it.  It is found the first time it
-    is read and then stored on the atom, so a block whose labels nothing
-    asks for (most blocks of a bracket of plain densities) never pays for
-    them.
+    with unit coefficient.  The block is found by its pending spec and the
+    atoms of that monomial (``_of``), so an existing block costs one lookup
+    and no inner is built for it.  ``key`` and ``labels`` (the frozenset of
+    every channel label in the block, its own and those of the blocks nested
+    inside it) are found the first time they are read and then stored on
+    the atom, so a block that is never ordered or relabelled (as no block of
+    the su(2) Yang-Mills ``[[S, S]]`` is) never pays for them.
     """
 
     __slots__ = ("pending", "inner", "labels")
 
     def __new__(cls, pending, inner: "Expr"):
-        by_index = tuple(sorted((tuple(idx), int(lab)) for lab, idx in pending))
-        ident = (3, by_index, frozenset((k, m.coeff) for k, m in inner.terms.items()))
+        if len(inner.terms) != 1 or next(iter(inner.terms.values())).coeff != _ONE:
+            raise ValueError(f"an Attach inner is one monomial of coefficient 1, not {inner!r}")
+        ((even, odd),) = inner.terms
+        return cls._of(tuple(sorted((tuple(idx), int(lab)) for lab, idx in pending)),
+                       even, odd)
+
+    @classmethod
+    def _of(cls, by_index, even, odd):
+        """The block of the sorted pending spec ``by_index`` ((multi-index,
+        label) pairs) and the canonical atoms ``even``/``odd`` of its unit
+        inner monomial."""
+        ident = (3, by_index, even, odd)
         a = _INTERNED.get(ident)
         if a is None:
-            parity = inner.parity()
             a = _INTERNED[ident] = object.__new__(cls)
-            a.pending = tuple((lab, idx) for idx, lab in by_index)
-            a.inner = inner
-            a.parity = parity
+            a.pending = tuple([(lab, idx) for idx, lab in by_index])
+            a.inner = Expr({(even, odd): Monomial(_ONE, even, odd)})
+            a.parity = len(odd) & 1
             a.var = None
-            a.key = (3, by_index, inner.key())
         return a
 
     def __getattr__(self, name):
-        # called only when normal lookup fails: for ``labels``, while its
-        # slot is still unset
+        # called only when normal lookup fails: for ``key`` or ``labels``,
+        # while its slot is still unset
+        if name == "key":
+            key = self.key = (3, tuple([(idx, lab) for lab, idx in self.pending]),
+                              self.inner.key())
+            return key
         if name != "labels":
             raise AttributeError(name)
         labels = self.labels = frozenset([lab for lab, _ in self.pending]).union(
@@ -433,29 +445,26 @@ class Expr:
         return False
 
     def var_index(self):
-        """``(holding, blocks)``, built on first use and kept: ``holding``
-        maps each variable (an ``Atom.var``) to the monomials without an
-        Attach factor that hold it, and ``blocks`` lists the monomials that
-        hold an Attach block, whose inner may hold any variable; both in
-        term order.  A walk by one variable visits only these monomials."""
+        """``(holding, blocks)``, or None the first time it is asked for:
+        ``holding`` maps each variable (an ``Atom.var``) to the monomials
+        without an Attach factor that hold it, and ``blocks`` lists the
+        monomials that hold an Attach block, whose inner may hold any
+        variable; both in term order.  A walk by one variable visits only
+        these monomials.  Most expressions are walked by one variable once,
+        by a scan, so the index is built on the second request and kept."""
         if self._index is None:
+            self._index = False
+            return None
+        if self._index is False:
             holding, blocks = {}, []
             for m in self.terms.values():
                 if (m.even and type(m.even[-1][0]) is Attach) or (
                         m.odd and type(m.odd[-1]) is Attach):
                     blocks.append(m)
                     continue
-                for a, _ in m.even:
-                    held = holding.get(a.var)
-                    if held is None:
-                        holding[a.var] = [m]
-                    elif held[-1] is not m:  # one entry per monomial
-                        held.append(m)
-                for a in m.odd:
-                    held = holding.get(a.var)
-                    if held is None:
-                        holding[a.var] = [m]
-                    elif held[-1] is not m:
+                for a, _ in m.factors():
+                    held = holding.setdefault(a.var, [])
+                    if not held or held[-1] is not m:  # one entry per monomial
                         held.append(m)
             holding.pop(None, None)  # base coordinates
             self._index = holding, blocks
@@ -716,29 +725,31 @@ def make_attach(pending, inner: Expr) -> Expr:
     """Attach ``inner`` at its own base point with the given pending total
     derivatives.  Linear in ``inner``; a pending derivative of a block with no
     atoms is zero, a bare attachment of a constant is that constant, and a
-    bare attachment of a lone Attach atom is the atom itself."""
+    bare attachment of a lone Attach atom is the atom itself.  The pending
+    spec is sorted once, and each monomial's atoms go to ``Attach._of`` as
+    they are."""
     pending = tuple(pending)
-    labels = [lab for lab, _ in pending]
-    if len(set(labels)) != len(labels):
+    by_index = tuple(sorted((tuple(idx), int(lab)) for lab, idx in pending))
+    labels = {lab for _, lab in by_index}
+    if len(labels) != len(by_index):
         raise ValueError(f"duplicate channel labels in pending spec {pending!r}")
     acc = {}
-    for m in inner.monomials():
+    for k, m in inner.terms.items():
         content = m.factors()
-        if not content:
-            if pending:
-                continue  # total derivative of a constant block
-            _add_monomial(acc, (m.even, m.odd), m)
+        if not content:  # a constant is kept bare, and its derivatives are 0
+            if not by_index:
+                _add_monomial(acc, k, m)
             continue
-        if len(content) == 1 and isinstance(content[0][0], Attach) and content[0][1] == 1:
-            a = content[0][0]
-            if pending:
-                merged = a.pending + pending
-                labs = [lab for lab, _ in merged]
-                if len(set(labs)) != len(labs):
-                    raise ValueError("channel label reused across nested wrappers")
-                a = Attach(merged, a.inner)
-        else:
-            a = Attach(pending, Expr({(m.even, m.odd): Monomial(_ONE, m.even, m.odd)}))
+        a = content[0][0]
+        if len(content) > 1 or type(a) is not Attach or content[0][1] > 1:
+            a = Attach._of(by_index, *k)
+        elif by_index:
+            # the pending derivatives join the lone block's own set
+            if any(lab in labels for lab, _ in a.pending):
+                raise ValueError("channel label reused across nested wrappers")
+            (k,) = a.inner.terms
+            merged = [(idx, lab) for lab, idx in a.pending] + list(by_index)
+            a = Attach._of(tuple(sorted(merged)), *k)
         even, odd = ((), (a,)) if a.parity else (((a, 1),), ())
         _add_monomial(acc, (even, odd), Monomial(m.coeff, even, odd))
     return Expr(acc) if acc else _EXPR_ZERO

@@ -396,13 +396,17 @@ def _reduce_functional(H: Functional, mode: str) -> dict:
     zero functional iff the returned term map is empty.
 
     In mode 'collapse' every block is collapsed once, and the blocks of a
-    product only until one of them is zero or trivial.  The single plain
-    blocks of each parity are then one integral, their densities scaled by
-    their coefficients and summed, so the class basis expands one density
-    per parity, and none when the sum is zero; the only single plain block
-    of its parity is kept as it is.  The verdict is that of a blockwise
-    reduction, since a single block's term holds exactly one class symbol
-    and the class map is linear over Q(i)[hbar, hbar^-1]."""
+    product only until one of them is zero or trivial.  The single blocks of
+    each parity (the plain ones only in mode 'structural') are then one
+    integral, their densities scaled by their coefficients and summed, so
+    the class basis expands one density per parity, and none when the sum
+    is zero; the only single block of its parity is kept as it is.  In mode
+    'collapse' the sum is taken before the collapse, which is linear: one
+    call serves every single block of a parity, each distinct frozen block
+    is expanded once for all of them, and equal frozen monomials cancel
+    unexpanded.  The verdict is that of a blockwise reduction, since a
+    single block's term holds exactly one class symbol and the class map is
+    linear over Q(i)[hbar, hbar^-1]."""
     model = H.model
     prepare = collapse if mode == "collapse" else _itself
     singles = {}
@@ -410,16 +414,14 @@ def _reduce_functional(H: Functional, mode: str) -> dict:
     for blocks, c in H.terms.items():
         if len(blocks) != 1:
             pending.append((map(prepare, blocks), c))
-            continue
-        b = prepare(blocks[0])
-        if b.has_attach():
-            pending.append(((b,), c))
+        elif mode != "collapse" and blocks[0].has_attach():
+            pending.append((blocks, c))
         else:
-            singles.setdefault(b.parity(), []).append((b, c))
+            singles.setdefault(blocks[0].parity(), []).append((blocks[0], c))
     for group in singles.values():
         if len(group) > 1:
             group = [(_sum_scaled(group), Coefficient.one())]
-        pending += [((b,), c) for b, c in group]
+        pending += [((prepare(b),), c) for b, c in group]
     basis = _ClassBasis(model)
     parities = {}
     terms = {}

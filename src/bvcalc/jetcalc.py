@@ -21,9 +21,9 @@ monomial, become the inner of the new block as they are.  Every other
 branch -- chain-rule (sin/cos/exp), a block's derivative, a new block among
 the kept ones -- is a derivative times the rest of its monomial, filed by
 the canonical product ``algebra._add_product``; no branch is normalised.
-A walk by one variable visits only the monomials that the expression's
-index lists for it and those holding a block (``Expr.var_index()``); a
-walk by several variables visits every monomial.
+From its second walk by one variable on, an expression's index lists the
+monomials that walk visits: those holding the variable and those holding a
+block (``Expr.var_index()``); any other walk visits every monomial.
 """
 
 from __future__ import annotations
@@ -283,8 +283,9 @@ def _partials(e, variables, side, isolate, index=None):
     variable in ``variables`` = {(field, dagger): (parity, label or None)},
     filed by variable and multi-index: ``{(field, dagger): {sigma: Expr}}``.
     Each monomial is visited once, for all variables together; a walk by
-    one variable visits only those that ``e.var_index()`` lists for it or
-    as holding a block.  ``index`` keeps the single sigma ``index``.
+    one variable visits only those that ``e.var_index()``, once built,
+    lists for it or as holding a block.  ``index`` keeps the single sigma
+    ``index``.
 
     ``side="right"`` gives the right partial, (-1)^(p_v (p_m - 1)) times the
     left one on each monomial m.  With a label a branch consumed at home
@@ -307,9 +308,10 @@ def _partials(e, variables, side, isolate, index=None):
     unlabelled = None
     dives = {}  # Attach atom -> its branches, so each block is entered once
     monomials = e.terms.values()
-    if len(variables) == 1 and len(e.terms) > 1:
-        # an index over one monomial would save nothing
-        holding, blocks = e.var_index()
+    # an index over one monomial would save nothing
+    found = e.var_index() if len(variables) == 1 and len(e.terms) > 1 else None
+    if found is not None:
+        holding, blocks = found
         monomials = holding.get(next(iter(variables)), ())
         if blocks:
             monomials = itertools.chain(monomials, blocks)
@@ -427,36 +429,25 @@ def _wrap_branch(acc, coeff, even, odd, pend):
     The branch is ``coeff`` times the atoms ``even``/``odd`` of a canonical
     monomial, and ``pend`` is (label, sigma) or None.  Home plains
     (everything that is not an Attach atom) are gathered into a new Attach
-    carrying ``pend``.  They are a subsequence of canonical atoms, hence
-    already a canonical unit monomial: the block is built from them
-    directly.  The kept blocks are moved in front of the home plains, at the
-    Koszul sign counted in ``flips``, and multiplied by the new block in one
-    canonical product.
+    carrying ``pend``.  Attach keys sort last, so the kept blocks end each
+    side and the home plains before them are already a canonical unit
+    monomial: the block is found by them directly.  The kept odd blocks are
+    moved in front of the home odd plains, at a Koszul sign, and multiplied
+    by the new block in one canonical product.
     """
-    kept_even, home_even = [], []
-    for pair in even:
-        if type(pair[0]) is Attach:
-            kept_even.append(pair)
-        else:
-            home_even.append(pair)
-    kept_odd, home_odd = [], []
-    flips = 0
-    for a in odd:
-        if type(a) is Attach:
-            flips += len(home_odd)
-            kept_odd.append(a)
-        else:
-            home_odd.append(a)
-    if not home_even and not home_odd:
+    i, j = len(even), len(odd)
+    while i and type(even[i - 1][0]) is Attach:
+        i -= 1
+    while j and type(odd[j - 1]) is Attach:
+        j -= 1
+    if not i and not j:
         if pend is None:  # a bare block of nothing is 1
             _add_monomial(acc, (even, odd), Monomial(coeff, even, odd))
         return  # a pending derivative of a constant block is 0
-    home_even, home_odd = tuple(home_even), tuple(home_odd)
-    block = Attach((pend,) if pend is not None else (),
-                   Expr({(home_even, home_odd): Monomial(_ONE, home_even, home_odd)}))
+    block = Attach._of(((pend[1], pend[0]),) if pend is not None else (), even[:i], odd[:j])
     block_even, block_odd = ((), (block,)) if block.parity else (((block, 1),), ())
-    _add_product(acc, -coeff if flips & 1 else coeff, tuple(kept_even), tuple(kept_odd),
-                 block_even, block_odd)
+    flips = j * (len(odd) - j)
+    _add_product(acc, -coeff if flips & 1 else coeff, even[i:], odd[j:], block_even, block_odd)
 
 
 def partial(e: Expr, v: JetVar, side: str = "left") -> Expr:
@@ -755,17 +746,13 @@ def _rename_atom(a: Attach, mapping: dict, memo: dict):
     hit = memo.get(key)
     if hit is not None:
         return hit
-    inner = a.inner
+    (even, odd), mm = next(iter(a.inner.terms.items()))
     flip = False
-    if any(type(b) is Attach for b in inner.atoms()):
-        terms = {}
-        for mm in inner.monomials():
-            mm = _rename_monomial(mm, mapping, memo)
-            terms[mm.even, mm.odd] = mm
-        inner = Expr(terms)
-        if inner.lead_coefficient() == -1:
-            inner, flip = -inner, True
-    hit = memo[key] = (flip, Attach(((mapping[lab], idx) for lab, idx in a.pending), inner))
+    if a.inner.has_attach():
+        mm = _rename_monomial(mm, mapping, memo)
+        even, odd, flip = mm.even, mm.odd, mm.coeff != _ONE
+    by_index = tuple(sorted([(idx, mapping[lab]) for lab, idx in a.pending]))
+    hit = memo[key] = (flip, Attach._of(by_index, even, odd))
     return hit
 
 

@@ -211,6 +211,89 @@ def test_equal_atoms_built_apart_are_one_object(m):
     assert Attach(((5, (1,)),), inner) is not Attach(((6, (1,)),), inner)
 
 
+# ---------------------------------------------------------------------------
+# frozen blocks: found by their atoms, keyed on first read
+
+
+def _key_is_set(a) -> bool:
+    """Whether ``a.key`` is stored, read through the slot descriptor so that
+    the check builds no key."""
+    try:
+        Atom.key.__get__(a, type(a))
+    except AttributeError:
+        return False
+    return True
+
+
+def _blocks_of(e: Expr, out: list) -> list:
+    """Every Attach atom of ``e``, nested ones included."""
+    for a in e.atoms():
+        if type(a) is Attach:
+            out.append(a)
+            _blocks_of(a.inner, out)
+    return out
+
+
+def test_attach_rejects_an_inner_that_is_not_one_unit_monomial(m):
+    q, qx = m.jet("q"), m.jet("q", (1,))
+    for inner in (q + qx, q.scale(2), q.scale(-1), Expr.zero()):
+        with pytest.raises(ValueError):
+            Attach(((5, (1,)),), inner)
+
+
+def test_public_and_internal_block_constructors_agree(m):
+    rng = random.Random(16)
+    for model in (m, ghost_model()):
+        for _ in range(40):
+            mono = random_monomial(model, rng, with_attach=True)
+            if len(mono.terms) != 1:
+                continue
+            ((even, odd), mono), = mono.terms.items()
+            if not even and not odd:
+                continue
+            inner = Expr({(even, odd): algebra.Monomial(Coefficient.one(), even, odd)})
+            pending = ((rng.randint(60, 69), (rng.randint(0, 2),)),)
+            by_index = tuple(sorted((idx, lab) for lab, idx in pending))
+            a = Attach(pending, inner)
+            assert a is Attach._of(by_index, even, odd)
+            assert a.inner == inner and a.pending == pending
+            assert a.parity == inner.parity()
+
+
+def test_block_keys_are_built_on_first_read_as_the_nested_key():
+    rng = random.Random(17)
+    blocks = []
+    for model in (scalar_model(), ghost_model()):
+        for _ in range(60):
+            e = random_expr(model, rng, with_attach=True)
+            if rng.random() < 0.5:
+                # nest: blocks inside a block, with labels of their own
+                idx = (rng.randint(0, 2),)
+                e = make_attach(((rng.randint(70, 79), idx),), e)
+            _blocks_of(e, blocks)
+    fresh = [a for a in blocks if not _key_is_set(a)]
+    assert len(set(fresh)) > 50
+    expected = {a: (3, tuple(sorted((idx, lab) for lab, idx in a.pending)), a.inner.key())
+                for a in blocks}
+    for a in blocks:
+        assert a.key == expected[a]
+        assert _key_is_set(a)
+    assert sorted(set(blocks)) == sorted(set(blocks), key=expected.__getitem__)
+
+
+def test_the_ym_bracket_and_its_collapse_read_no_block_key():
+    from bvcalc.bv import schouten
+    from bvcalc.models import LieAlgebraData, build_yang_mills_bv
+    old = {a for a in algebra._INTERNED.values() if type(a) is Attach}
+    _, S = build_yang_mills_bv(LieAlgebraData.su2(), 4)
+    SS = schouten(S, S)
+    collapsed = SS.collapse()
+    assert not any(b.has_attach() for b in collapsed.blocks())
+    made = {a for b in SS.blocks() for a in _blocks_of(b, []) if a not in old}
+    assert len(made) > 500
+    assert not any(_key_is_set(a) for a in made)
+
+
 def test_a_ghost_number_is_part_of_a_jet_variable():
     # one name with two ghost numbers gives two atoms, never one of the wrong
     # parity, although their keys agree

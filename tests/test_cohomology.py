@@ -382,3 +382,49 @@ def test_singles_with_mixed_powers_of_hbar_are_decided_per_power(m):
         # a lone block with hbar inside its density
         assert not functional_equal(block(A.scale(1 + HBAR)), Functional.zero(m), mode)
         assert functional_equal(block(div.scale(1 + HBAR)), Functional.zero(m), mode)
+
+
+# -- in mode 'collapse' the single blocks of a parity are collapsed together ---
+
+def _frozen_case(m, rng):
+    """(F, G) with single frozen blocks of both parities and a product
+    holding one: G regroups two of F's frozen blocks and holds a third one
+    collapsed, so F = G modulo collapse."""
+    block = lambda d, c=1: Functional.from_density(m, d).scale(c)
+    F, G = Functional.zero(m), Functional.zero(m)
+    for parity in (0, 1):
+        X, Y = (_structured(m, rng, parity, label) for label in (7, 8))
+        c = rng.choice(_COEFFICIENTS)
+        F = F + block(X, c) + block(Y, c) + block(X.scale(2))
+        G = G + block(X + Y, c) + block(collapse(X).scale(2))
+    P = block(_structured(m, rng, 1, 9)) * block(random_homogeneous(m, rng, 0))
+    return F + P, G + P
+
+
+def test_collapse_once_matches_the_blockwise_reference(m):
+    rng = random.Random(40)
+    outcomes = set()
+    for trial in range(20):
+        F, G = _frozen_case(m, rng)
+        extra = Functional.from_density(m, _structured(m, rng, trial % 2, 7))
+        product = extra * Functional.from_density(m, random_homogeneous(m, rng, 1))
+        for lhs, rhs in ((F, G), (F + extra, G), (F + product, G + product),
+                         (F + product, G), (F, G + extra.scale(2) - extra)):
+            expected = _blockwise_equal(lhs, rhs, "collapse")
+            assert functional_equal(lhs, rhs, "collapse") == expected, trial
+            outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
+def test_single_frozen_blocks_are_collapsed_once_per_parity(m, monkeypatch):
+    import bvcalc.cohomology as cohomology
+    calls = []
+    monkeypatch.setattr(cohomology, "collapse", lambda e: calls.append(e) or collapse(e))
+    rng = random.Random(41)
+    for _ in range(5):
+        F, G = _frozen_case(m, rng)
+        F, G = (Functional(m, {b: c for b, c in H.terms.items() if len(b) == 1})
+                for H in (F, G))
+        calls.clear()
+        assert functional_equal(F, G, "collapse")
+        assert len(calls) == 2 and {e.parity() for e in calls} == {0, 1}

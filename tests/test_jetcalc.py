@@ -645,6 +645,30 @@ def test_a_walk_by_one_variable_is_its_slice_of_the_walk_by_all():
     assert seen > 500, seen
 
 
+def test_the_walk_index_is_built_on_the_second_walk_by_one_variable():
+    # the first walk by one variable scans every monomial and leaves no
+    # index, as a walk by several variables does; the second builds it;
+    # every walk files the same partials
+    checked = 0
+    for model, e in _walk_index_inputs():
+        if len(e.terms) < 2:
+            continue
+        variables = list(model.variables())
+        spec = {v: (model.parity(*v), 1000 + j) for j, v in enumerate(variables)}
+        for v in variables:
+            fresh = Expr(dict(e.terms))
+            _partials(fresh, spec, "left", True)
+            assert not fresh._index
+            walks = [_nonzero(_partials(fresh, {v: spec[v]}, "left", True))]
+            assert not fresh._index
+            walks.append(_nonzero(_partials(fresh, {v: spec[v]}, "left", True)))
+            assert fresh._index
+            walks.append(_nonzero(_partials(fresh, {v: spec[v]}, "left", True)))
+            assert walks[0] == walks[1] == walks[2]
+            checked += bool(walks[0])
+    assert checked > 100, checked
+
+
 def test_walk_edge_cases(m):
     # the channelled Euler operator by q with isolate, on inputs whose only
     # q-dependence is the one factor named; the kept block holds no q
