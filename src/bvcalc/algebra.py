@@ -350,9 +350,7 @@ class Expr:
         if not self.terms or not other.terms:
             return _EXPR_ZERO
         acc = {}
-        for m1 in self.terms.values():
-            for m2 in other.terms.values():
-                _add_product(acc, m1.coeff * m2.coeff, m1.even, m1.odd, m2.even, m2.odd)
+        _add_products(acc, _ONE, self, other)
         return Expr(acc) if acc else _EXPR_ZERO
 
     def __rmul__(self, other):
@@ -675,6 +673,16 @@ def _add_product(acc: dict, coeff: Coefficient, e1, o1, e2, o2) -> None:
                 p = e1[i]
         even = tuple(merged) + e1[i:] + e2[j:]
     _add_monomial(acc, (even, odd), Monomial(-coeff if flips & 1 else coeff, even, odd))
+
+
+def _add_products(acc: dict, scale: Coefficient, left: Expr, right: Expr) -> None:
+    """Add ``scale`` times the product left * right into the term map ``acc``
+    in place, one canonical product per pair of monomials."""
+    rights = right.terms.values()
+    for m1 in left.terms.values():
+        c1 = scale * m1.coeff
+        for m2 in rights:
+            _add_product(acc, c1 * m2.coeff, m1.even, m1.odd, m2.even, m2.odd)
 
 
 def _sum_scaled(pairs) -> Expr:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import List
 
 from .coeff import Coefficient
-from .algebra import (Expr, ParityError, _add_monomial, _add_product, _sum_scaled,
+from .algebra import (_ONE, Expr, ParityError, _add_monomial, _add_products, _sum_scaled,
                       collect_channel_labels)
 from .cohomology import (Functional, _accumulate, euler_operators_vanish, functional_equal,
                          functional_text)
@@ -45,9 +45,8 @@ def schouten_density(model: BvModel, f: Expr, g: Expr, mode: str = GEOMETRIC) ->
     pairs, er, el = _bracket_images(model, f, g, mode)
     acc = {}
     for ev, od in pairs:
-        for term in (er[ev] * el[od], -er[od] * el[ev]):
-            for k, m in term.terms.items():
-                _add_monomial(acc, k, m)
+        _add_products(acc, _ONE, er[ev], el[od])
+        _add_products(acc, _MINUS_ONE, er[od], el[ev])
     return Expr(acc) if acc else Expr.zero()
 
 
@@ -203,6 +202,7 @@ def _laplace_blocks(model, blocks: tuple, mode: str) -> Functional:
 _MINUS_I_HBAR = -(Coefficient.imag_unit() * Coefficient.hbar())
 _HALF = Coefficient.of(1) / Coefficient.of(2)
 _TWO = Coefficient.of(2)
+_MINUS_ONE = Coefficient.of(-1)
 
 
 def omega(O: Functional, S: Functional, mode: str = GEOMETRIC) -> Functional:
@@ -425,11 +425,7 @@ def _collapsed_self_bracket(S: Functional, mode: str) -> Functional:
     el = eulers(S.model, s, {od: None for _, od in pairs}, "left")
     acc = {}
     for ev, od in pairs:
-        left = el[od].monomials()
-        for m1 in er[ev].monomials():
-            c1 = _TWO * m1.coeff
-            for m2 in left:
-                _add_product(acc, c1 * m2.coeff, m1.even, m1.odd, m2.even, m2.odd)
+        _add_products(acc, _TWO, er[ev], el[od])
     if not acc:
         return Functional.zero(S.model)
     c = S.terms[blocks]

@@ -6,6 +6,15 @@ entries: an integral entry is an int, any other a Fraction, so the common
 integer products never pay for Fraction arithmetic.  Zero is the empty map,
 so equality and the zero test are structural.
 Negative hbar degrees are allowed (hbar is invertible).
+
+Zero and the integers of absolute value at most ``_BOUND`` (256) are shared:
+``of``, ``zero``, ``one`` and every arithmetic result with such a value
+return one instance per integer, made on its first use, and a sum, product
+or negation of shared integers that stays in range builds no object at all.
+Any other value is a new instance each time, as is every value of the public
+constructor.  One instance stands in many monomials at once, so a
+Coefficient must never change after it is made: its ``terms`` map is read,
+never written.
 """
 
 from __future__ import annotations
@@ -33,11 +42,15 @@ def _tidy(x):
 
 _UNIT = {0: (1, 0)}  # the terms of 1
 
+_BOUND = 256  # the shared integers are -_BOUND.._BOUND
+_SHARED = [None] * (2 * _BOUND + 1)  # the shared integer k at k + _BOUND
+
 
 class Coefficient:
     """Element of Q(i)[hbar, hbar^-1]."""
 
-    __slots__ = ("terms", "_hash")
+    # _int: the value of a shared integer, None on every other instance
+    __slots__ = ("terms", "_hash", "_int")
 
     def __init__(self, terms=None):
         # terms: dict {degree: (re, im)} with zero entries dropped
@@ -50,31 +63,47 @@ class Coefficient:
                     clean[int(deg)] = (re, im)
         self.terms = clean
         self._hash = None
+        self._int = None
 
     @classmethod
     def _clean(cls, terms) -> "Coefficient":
         """The Coefficient of a {degree: (re, im)} map whose entries are
-        clean already (ints or non-integral Fractions, no zero entry); the
-        arithmetic builds its results here and skips the validation of the
+        clean already (ints or non-integral Fractions, no zero entry): the
+        shared instance for zero or a shared integer, else a new one.  The
+        arithmetic files its results here and skips the validation of the
         public constructor."""
+        if not terms:
+            return _SHARED[_BOUND] or _share(0)
+        if len(terms) == 1 and 0 in terms:
+            re, im = terms[0]
+            if not im and type(re) is int and -_BOUND <= re <= _BOUND:
+                return _SHARED[re + _BOUND] or _share(re)
+        return cls._new(terms)
+
+    @classmethod
+    def _new(cls, terms) -> "Coefficient":
+        """A new instance on clean terms; with ``__init__``, the only place
+        that builds one."""
         c = object.__new__(cls)
         c.terms = terms
         c._hash = None
+        c._int = None
         return c
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def of(value) -> "Coefficient":
+        if type(value) is int and -_BOUND <= value <= _BOUND:
+            return _SHARED[value + _BOUND] or _share(value)
         if isinstance(value, Coefficient):
             return value
-        if type(value) is int:
-            return Coefficient._clean({0: (value, 0)} if value else {})
-        return Coefficient({0: (_as_rational(value), 0)})
+        value = _as_rational(value)
+        return Coefficient._clean({0: (value, 0)} if value else {})
 
     @staticmethod
     def zero() -> "Coefficient":
-        return Coefficient()
+        return Coefficient.of(0)
 
     @staticmethod
     def one() -> "Coefficient":
@@ -86,7 +115,7 @@ class Coefficient:
 
     @staticmethod
     def hbar(degree: int = 1) -> "Coefficient":
-        return Coefficient({degree: (1, 0)})
+        return Coefficient._clean({int(degree): (1, 0)})
 
     # -- structure ----------------------------------------------------
 
@@ -119,6 +148,13 @@ class Coefficient:
             if type(other) is int and not other:
                 return self
             other = Coefficient.of(other)
+        a = self._int
+        if a is not None:
+            b = other._int
+            if b is not None:
+                v = a + b
+                if -_BOUND <= v <= _BOUND:
+                    return _SHARED[v + _BOUND] or _share(v)
         if not other.terms:
             return self
         if not self.terms:
@@ -139,6 +175,9 @@ class Coefficient:
     __radd__ = __add__
 
     def __neg__(self):
+        a = self._int
+        if a is not None:
+            return _SHARED[_BOUND - a] or _share(-a)
         return Coefficient._clean({d: (-re, -im) for d, (re, im) in self.terms.items()})
 
     def __sub__(self, other):
@@ -150,6 +189,13 @@ class Coefficient:
     def __mul__(self, other):
         if type(other) is not Coefficient:
             other = Coefficient.of(other)
+        a = self._int
+        if a is not None:
+            b = other._int
+            if b is not None:
+                v = a * b
+                if -_BOUND <= v <= _BOUND:
+                    return _SHARED[v + _BOUND] or _share(v)
         mine, theirs = self.terms, other.terms
         # coefficients are immutable, so a product by 1 is the other factor
         if theirs == _UNIT:
@@ -192,7 +238,7 @@ class Coefficient:
             raise ZeroDivisionError(f"not invertible in Q(i)[hbar,hbar^-1]: {self!r}")
         (d, (re, im)), = self.terms.items()
         norm = Fraction(re * re + im * im)
-        return Coefficient({-d: (re / norm, -im / norm)})
+        return Coefficient._clean({-d: (_tidy(re / norm), _tidy(-im / norm))})
 
     # -- queries ------------------------------------------------------
 
@@ -210,3 +256,10 @@ class Coefficient:
 
     def __repr__(self):
         return f"Coefficient({self.terms!r})"
+
+
+def _share(k: int) -> Coefficient:
+    """Make the shared instance of the integer k, on its first use."""
+    c = _SHARED[k + _BOUND] = Coefficient._new({0: (k, 0)} if k else {})
+    c._int = k
+    return c

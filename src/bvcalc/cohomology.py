@@ -361,7 +361,7 @@ def _hbar_parts(v: dict) -> dict:
             parts.setdefault(0, {})[coord] = c
         else:
             for k, entry in c.terms.items():
-                parts.setdefault(k, {})[coord] = Coefficient({0: entry})
+                parts.setdefault(k, {})[coord] = Coefficient._clean({0: entry})
     return parts
 
 

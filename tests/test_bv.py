@@ -454,6 +454,37 @@ def test_self_bracket_of_a_plain_action_builds_no_frozen_block(monkeypatch):
         assert _collapsed_self_bracket(S, GEOMETRIC) == full
 
 
+def test_the_ym_master_equation_builds_no_small_integer_coefficient(monkeypatch):
+    # zero and the small integers are shared: once a run has made each of
+    # them, the bracket, its collapse and the master equation build none
+    from bvcalc.coeff import _BOUND
+    _, S = build_yang_mills_bv(LieAlgebraData.su2(), 4)
+
+    def run():
+        schouten(S, S).collapse()
+        assert check_master_equation(S).passed
+
+    run()
+    built = []
+    new, init = Coefficient._new, Coefficient.__init__
+
+    def counting_new(terms):
+        built.append(terms)
+        return new(terms)
+
+    def counting_init(self, terms=None):
+        init(self, terms)
+        built.append(self.terms)
+
+    monkeypatch.setattr(Coefficient, "_new", counting_new)
+    monkeypatch.setattr(Coefficient, "__init__", counting_init)
+    run()
+    small = [t for t in built if not t or (
+        len(t) == 1 and 0 in t and not t[0][1] and type(t[0][0]) is int
+        and -_BOUND <= t[0][0] <= _BOUND)]
+    assert not small, f"{len(small)} of {len(built)} built coefficients are shared integers"
+
+
 def _reference_repr(F):
     """repr(F) by full sorts: the terms by their blocks' keys and each
     block's monomials by their term keys, joined at once."""

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from bvcalc.coeff import Coefficient
+from bvcalc.coeff import _BOUND, _SHARED, Coefficient
 from bvcalc.grammar import format_coefficient
 
 
@@ -196,3 +196,144 @@ def test_public_constructor_still_validates():
         Coefficient({0: ("1", 0)})
     c = Coefficient({0: (Fraction(4, 2), Fraction(0)), 1: (0, 0)})
     assert c.terms == {0: (2, 0)} and type(c.terms[0][0]) is int
+
+
+# -- the shared integers -----------------------------------------------------------
+
+def _reference_sum(a, b):
+    """The sum by adding the entries of each hbar degree."""
+    out = {}
+    for c in (a, b):
+        for d, (re, im) in c.terms.items():
+            r0, i0 = out.get(d, (0, 0))
+            out[d] = (r0 + re, i0 + im)
+    return Coefficient(out)
+
+
+def _shared_value(c):
+    """The integer that c equals if it is zero or a shared integer, else None."""
+    if not c.terms:
+        return 0
+    if len(c.terms) == 1 and 0 in c.terms:
+        re, im = c.terms[0]
+        if not im and type(re) is int and -_BOUND <= re <= _BOUND:
+            return re
+    return None
+
+
+def integers():
+    """Integers inside the shared range, at its boundary, where sums and
+    products of two of them cross it, and far outside it."""
+    return st.one_of(
+        st.integers(-_BOUND, _BOUND),
+        st.integers(_BOUND - 3, _BOUND + 3).flatmap(lambda k: st.sampled_from((k, -k))),
+        st.integers(-24, 24),
+        st.integers(-10**30, 10**30),
+    )
+
+
+def operands():
+    return st.one_of(
+        integers().map(Coefficient.of),
+        integers(),  # a plain int operand
+        # an integer of the public constructor equals the shared one, but is
+        # not it
+        integers().map(lambda k: Coefficient({0: (k, 0)})),
+        # an integer with an imaginary part or at a nonzero hbar degree
+        st.tuples(st.integers(-2, 2), integers(), st.integers(-3, 3)).map(
+            lambda t: Coefficient({t[0]: (t[1], t[2])})),
+        st.fractions(min_value=-40, max_value=40, max_denominator=6).map(Coefficient.of),
+        coeffs(),
+    )
+
+
+@given(operands(), operands())
+def test_the_integer_branch_agrees_with_the_references(a, b):
+    ca, cb = Coefficient.of(a), Coefficient.of(b)
+    # an unshared small integer operand may be returned as it is (c + 0 is c)
+    unshared = any(_shared_value(c) is not None and c is not Coefficient.of(_shared_value(c))
+                   for c in (ca, cb))
+    if type(a) is int:
+        a = ca  # two plain ints would not meet the Coefficient arithmetic
+    for value, reference in ((a + b, _reference_sum(ca, cb)), (b + a, _reference_sum(ca, cb)),
+                             (a * b, _reference_product(ca, cb)),
+                             (b * a, _reference_product(ca, cb)),
+                             (-ca, _reference_product(ca, Coefficient({0: (-1, 0)})))):
+        _entries_are_clean(value)
+        assert value == reference and value.key() == reference.key()
+        k = _shared_value(reference)
+        if k is not None and not unshared:
+            assert value is Coefficient.of(k)
+        elif k is None:
+            assert value._int is None
+
+
+def test_each_shared_integer_is_one_instance():
+    for k in range(-_BOUND, _BOUND + 1):
+        c = Coefficient.of(k)
+        assert c is Coefficient.of(k)
+        assert c is Coefficient.of(Fraction(2 * k, 2))
+        assert c.terms == ({0: (k, 0)} if k else {}) and c._int == k
+    assert Coefficient.zero() is Coefficient.of(0)
+    assert Coefficient.one() is Coefficient.of(1) and Coefficient.hbar(0) is Coefficient.one()
+    for k in (_BOUND + 1, -_BOUND - 1, 10**20):
+        assert Coefficient.of(k) == Coefficient.of(k) and Coefficient.of(k) is not Coefficient.of(k)
+        assert Coefficient.of(k)._int is None
+    # the public constructor always builds a new instance
+    assert Coefficient({0: (2, 0)}) is not Coefficient.of(2)
+
+
+def test_sums_and_products_of_shared_integers_are_shared():
+    two, three = Coefficient.of(2), Coefficient.of(3)
+    assert two + three is Coefficient.of(5) and two * three is Coefficient.of(6)
+    assert -two is Coefficient.of(-2) and two - three is Coefficient.of(-1)
+    assert Coefficient.of(16) * Coefficient.of(16) is Coefficient.of(_BOUND)
+    assert Coefficient.of(_BOUND) + 1 == _BOUND + 1
+    assert Coefficient.of(_BOUND) * 2 == 2 * _BOUND
+    # an integer left by the general arithmetic is shared too
+    half = Coefficient.of(Fraction(1, 2))
+    assert half * 4 is two and half + half is Coefficient.one()
+    assert Coefficient.of(Fraction(-1, 4)).inverse() is Coefficient.of(-4)
+    assert Coefficient.imag_unit() * Coefficient.imag_unit() is Coefficient.of(-1)
+
+
+def test_a_cancelled_sum_is_the_shared_zero():
+    zero = Coefficient.zero()
+    three = Coefficient.of(3)
+    assert three + (-three) is zero and three - 3 is zero
+    big = Coefficient.of(10**20)
+    assert big - big is zero and big + (-big) is zero
+    third = Coefficient({1: (Fraction(1, 3), Fraction(-2, 3))})
+    assert third - third is zero
+    h = Coefficient.hbar()
+    assert h * third + h * (-third) is zero
+    assert zero * third is zero and third * 0 is zero
+
+
+def test_results_at_the_edges_of_the_shared_range():
+    edges = [k for edge in (_BOUND, -_BOUND) for k in range(edge - 3, edge + 4)]
+    for k in edges:
+        a = Coefficient.of(k)
+        assert (-a).terms == {0: (-k, 0)}
+        for d in range(-3, 4):
+            b = Coefficient.of(d)
+            for value, exact in ((a + b, k + d), (b + a, k + d), (a - b, k - d),
+                                 (a * b, k * d), (b * a, k * d)):
+                assert value.terms == ({0: (exact, 0)} if exact else {}), (k, d)
+                assert (value is Coefficient.of(exact)) == (abs(exact) <= _BOUND), (k, d)
+    for k in edges:
+        assert Coefficient.of(k).terms == {0: (k, 0)}
+
+
+def test_shared_integers_are_unchanged_by_arithmetic():
+    values = [Coefficient.of(k) for k in range(-_BOUND, _BOUND + 1, 7)]
+    values += [Coefficient.of(Fraction(1, 3)), Coefficient.imag_unit(), Coefficient.hbar(-1),
+               Coefficient.of(10**12), Coefficient({0: (5, 0)})]
+    for a in values:
+        for b in values:
+            for value in (a + b, a * b, a - b, -a):
+                _entries_are_clean(value)
+    for k in range(-_BOUND, _BOUND + 1):
+        c = _SHARED[k + _BOUND]
+        if c is not None:
+            assert c.terms == ({0: (k, 0)} if k else {}) and c._int == k

@@ -12,6 +12,7 @@ from bvcalc.cohomology import (
     _ClassBasis,
     _graded_expand,
     _graded_sort,
+    _hbar_parts,
     _scale_canonical,
     euler_operators_vanish,
     field_free_part,
@@ -428,3 +429,18 @@ def test_single_frozen_blocks_are_collapsed_once_per_parity(m, monkeypatch):
         calls.clear()
         assert functional_equal(F, G, "collapse")
         assert len(calls) == 2 and {e.parity() for e in calls} == {0, 1}
+
+
+def test_hbar_parts_are_clean_and_share_their_integers():
+    h, i = Coefficient.hbar(), Coefficient.imag_unit()
+    third = Coefficient.of(Fraction(1, 3))
+    v = {"a": 2 + 3 * h, "b": third * Coefficient.hbar(-1) - i, "c": Coefficient.of(5)}
+    parts = _hbar_parts(v)
+    assert parts == {0: {"a": Coefficient.of(2), "b": -i, "c": Coefficient.of(5)},
+                     1: {"a": Coefficient.of(3)}, -1: {"b": third}}
+    assert parts[0]["a"] is Coefficient.of(2) and parts[1]["a"] is Coefficient.of(3)
+    for part in parts.values():
+        for k, c in part.items():
+            assert c.hbar_degrees() == [0]
+            assert sum((Coefficient.hbar(d) * parts[d].get(k, 0) for d in parts),
+                       Coefficient.zero()) == v[k]
