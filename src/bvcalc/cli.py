@@ -191,6 +191,8 @@ def run_suite(suite: str, cases: int, seed: int, max_order: int,
         raise ValueError(f"unknown suite {suite!r}")
     if cases < 1:
         raise ValueError(f"--cases must be at least 1, got {cases}")
+    if max_order < 0:
+        raise ValueError(f"--max-order must be at least 0, got {max_order}")
     if scalar_pair and suite != "derivation-1c":
         raise ValueError(f"--scalar-pair applies only to derivation-1c, not {suite}")
     model = BvModel(1, [("q", 0)])

@@ -13,8 +13,10 @@ Total derivatives, collapse and the partial-derivative walk take canonical
 monomials and file canonical ones.  The total derivative of a jet variable
 replaces one copy of it by its shift, put in its sorted place and read from
 the atom's own table once it has been interned (``_shift``); collapse
-multiplies each Attach block's expansion into the monomial's plain factors
-by the canonical product, and expands each distinct block once per call.
+sums the monomials by their label-free classes first (a channel label is a
+bound name), then multiplies each block class's expansion into a class's
+plain factors by the canonical product, and expands each block class once
+per call.
 The partials branch of a jet variable is its monomial with one copy of that
 factor removed, and a wrapped branch's home plains, already a canonical unit
 monomial, become the inner of the new block as they are.  Every other
@@ -549,51 +551,146 @@ def collapse(e: Expr) -> Expr:
     """Expand every pending channel derivative into genuine total derivatives,
     innermost first; the result carries no Attach atoms.
 
-    Each monomial's plain factors are one canonical monomial, and each
-    Attach factor's expansion is multiplied into it by the canonical
-    product, one block at a time.  Each distinct Attach atom, nested ones
-    included, is expanded once per call."""
-    return _collapse(e, {})
-
-
-def _collapse(e: Expr, memo: dict) -> Expr:
-    """``collapse`` with ``memo`` mapping each Attach atom already expanded
-    to its canonical branches ``(coefficient, even, odd)``."""
+    A channel label is a bound name, and collapse identifies the channels,
+    so a monomial's collapse depends only on its label-free class
+    (``_Classes``).  The coefficients are summed per class first, so
+    monomials that differ only by their labels merge or cancel before any
+    block is expanded.  Each surviving class is then expanded once, its
+    plain atoms times its blocks' expansions by the canonical product, and
+    each block class once per call, as D^sigma of its inner class's
+    expansion."""
     if not e.has_attach():
         return e
-    acc = {}
-    for key, m in e.terms.items():
-        # the blocks are multiplied in after the plain factors, in order, at
-        # no sign: an even block expands to even branches, and an odd one
-        # already follows every plain odd factor, as Attach keys sort last
-        blocks = [a for a, k in m.even if type(a) is Attach for _ in range(k)]
-        blocks += [a for a in m.odd if type(a) is Attach]
-        if not blocks:
-            _add_monomial(acc, key, m)
+    classes = _Classes()
+    sums = {}
+    for m in e.terms.values():
+        found = classes.of_monomial(m)
+        if found is None:
             continue
-        terms = [(m.coeff, tuple([p for p in m.even if type(p[0]) is not Attach]),
-                  tuple([a for a in m.odd if type(a) is not Attach]))]
-        for i, a in enumerate(blocks):
-            branches = memo.get(a)
-            if branches is None:
-                branches = memo[a] = _collapse_attach(a, memo)
-            out = acc if i == len(blocks) - 1 else {}
-            for c, even, odd in terms:
-                for dc, de, do in branches:
-                    _add_product(out, c * dc, even, odd, de, do)
-            if out is not acc:
-                terms = [(mm.coeff, mm.even, mm.odd) for mm in out.values()]
+        flip, key = found
+        c = -m.coeff if flip else m.coeff
+        prev = sums.get(key)
+        sums[key] = c if prev is None else prev + c
+    acc = {}
+    for key, c in sums.items():
+        if not c.is_zero():
+            classes.expand(acc, c, key)
     return Expr(acc) if acc else Expr.zero()
 
 
-def _collapse_attach(a: Attach, memo: dict) -> tuple:
-    h = _collapse(a.inner, memo)
-    total = None
-    for _, idx in a.pending:
-        total = idx if total is None else tuple([x + y for x, y in zip(total, idx)])
-    if total is not None:
-        h = total_derivative_multi(h, total)
-    return tuple((dm.coeff, dm.even, dm.odd) for dm in h.monomials())
+class _Classes:
+    """The label-free classes of one ``collapse`` call.
+
+    A monomial's class key is ``(even, odd, blocks)``: its plain even and
+    odd atoms as they are, then the class numbers of its blocks, those of
+    its even blocks sorted and each repeated by its exponent, followed by
+    those of its odd blocks in increasing order, with the Koszul sign of
+    putting them there.  A block's class is numbered in the order first met
+    by its key ``(sigma, inner)``: its summed pending multi-index and the
+    class key of its unit inner monomial.  A block has its class's parity,
+    so an odd class met twice in one monomial makes it zero.  ``found`` maps
+    each Attach atom met to (class number, flip) or None, ``numbers`` each
+    block key to its class number, ``keys`` each class number to its key,
+    and ``expansions`` each class number to its expansion as canonical
+    branches ``(coefficient, even, odd)``, made on first use."""
+
+    __slots__ = ("found", "numbers", "keys", "expansions")
+
+    def __init__(self):
+        self.found, self.numbers, self.keys, self.expansions = {}, {}, [], {}
+
+    def of_monomial(self, m: Monomial):
+        """(flip, class key) of the canonical monomial ``m``, or None when it
+        collapses to zero: ``m`` collapses to (-1)^flip times its coefficient
+        times the expansion of its class.  Attach keys sort last, so the
+        blocks end each side."""
+        even, odd = m.even, m.odd
+        j = len(even)
+        while j and type(even[j - 1][0]) is Attach:
+            j -= 1
+        i = len(odd)
+        while i and type(odd[i - 1]) is Attach:
+            i -= 1
+        if j == len(even) and i == len(odd):
+            return 0, (even, odd, ())
+        flip = 0
+        blocks = []
+        for a, k in even[j:]:
+            found = self.of_block(a)
+            if found is None:
+                return None
+            c, f = found
+            flip ^= f & k
+            blocks += [c] * k
+        blocks.sort()
+        n = len(blocks)
+        for a in odd[i:]:
+            found = self.of_block(a)
+            if found is None:
+                return None
+            c, f = found
+            # put c in its place, passing the odd classes after it
+            p = len(blocks)
+            while p > n and blocks[p - 1] > c:
+                p -= 1
+            if p > n and blocks[p - 1] == c:
+                return None  # an odd class squared
+            flip ^= f ^ ((len(blocks) - p) & 1)
+            blocks.insert(p, c)
+        return flip, (even[:j], odd[:i], tuple(blocks))
+
+    def of_block(self, a: Attach):
+        """(class number, flip) of the block ``a``, or None when it collapses
+        to zero: ``a`` collapses to (-1)^flip times its class's expansion."""
+        try:
+            return self.found[a]
+        except KeyError:
+            pass
+        found = self.of_monomial(next(iter(a.inner.terms.values())))
+        if found is not None:
+            flip, inner = found
+            key = (tuple(map(sum, zip(*[idx for _, idx in a.pending]))), inner)
+            c = self.numbers.get(key)
+            if c is None:
+                c = self.numbers[key] = len(self.keys)
+                self.keys.append(key)
+            found = c, flip
+        self.found[a] = found
+        return found
+
+    def expand(self, acc: dict, coeff: Coefficient, key) -> None:
+        """Add ``coeff`` times the expansion of the class ``key`` into the
+        term map ``acc``: its plain atoms times the expansion of each block
+        class, one at a time, by the canonical product.  An odd class
+        follows every plain odd atom and the classes before it, as in the
+        key, so no sign arises."""
+        even, odd, blocks = key
+        if not blocks:
+            _add_monomial(acc, (even, odd), Monomial(coeff, even, odd))
+            return
+        terms = [(coeff, even, odd)]
+        last = len(blocks) - 1
+        for i, c in enumerate(blocks):
+            branches = self.expansions.get(c)
+            if branches is None:
+                branches = self.expansions[c] = self.expand_block(c)
+            out = acc if i == last else {}
+            for tc, te, to in terms:
+                for dc, de, do in branches:
+                    _add_product(out, tc * dc, te, to, de, do)
+            if i < last:
+                terms = [(mm.coeff, mm.even, mm.odd) for mm in out.values()]
+
+    def expand_block(self, c: int) -> tuple:
+        """The expansion of the block class ``c``: D^sigma of its inner
+        class's expansion, as canonical branches."""
+        sigma, inner = self.keys[c]
+        acc = {}
+        self.expand(acc, _ONE, inner)
+        h = Expr(acc)
+        if sigma:
+            h = total_derivative_multi(h, sigma)
+        return tuple([(m.coeff, m.even, m.odd) for m in h.terms.values()])
 
 
 # ---------------------------------------------------------------------------

@@ -245,6 +245,9 @@ def test_cmd_usage_errors(model_file, capsys):
         assert main(["check", "skew", "--cases", n, "--json"]) == 2
         out, err = capsys.readouterr()
         assert not out and "--cases must be at least 1" in err
+    assert main(["check", "skew", "--max-order", "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert not out and err == "bvcalc: --max-order must be at least 0, got -1\n"
     assert main(["check", "skew", "--cases", "1", "--scalar-pair"]) == 2
     out, err = capsys.readouterr()
     assert not out and "--scalar-pair applies only to derivation-1c" in err

@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import random
@@ -827,10 +828,11 @@ def _attach_atoms(e, found):
 @pytest.mark.parametrize("model", [ghost_model(), BvModel(2, [("q", 0), ("c", 1)])],
                          ids=["ghost", "plane"])
 def test_collapse_expands_each_distinct_block_once(model, monkeypatch):
-    # a few blocks (even and odd, nested, with exponents up to 3) shared by
-    # many monomials with different coefficients: collapse expands each
-    # distinct block once per call, and agrees with collapsing the monomials
-    # one at a time (each call with a fresh memo)
+    # four blocks (even and odd, nested, with exponents up to 3) and their
+    # copies under other labels, shared by many monomials with different
+    # coefficients: collapse expands each label-free block class once per
+    # call, a block and its copy sharing one expansion, and agrees with
+    # collapsing the monomials one at a time and with the reference
     from bvcalc import jetcalc
 
     rng = random.Random(31)
@@ -841,30 +843,135 @@ def test_collapse_expands_each_distinct_block_once(model, monkeypatch):
     even = make_attach(((61, dx),), inner * q)
     odd = make_attach(((62, dx),), inner * c)
     bare_odd = make_attach(((63, dx),), c * q)
+    copies = {t: relabel(t, {60: 70, 61: 71, 62: 72, 63: 73})
+              for t in (inner, even, odd, bare_odd)}
+
+    def pick(t):
+        return t if rng.random() < 0.5 else copies[t]
+
     e = Expr.zero()
     for _ in range(30):
         term = random_monomial(model, rng, degree=1, with_trig=False)
-        term = term * even ** rng.randint(1, 3)
-        term = term * rng.choice((Expr.scalar(1), odd, bare_odd, inner ** 2))
+        term = term * pick(even) ** rng.randint(1, 3)
+        term = term * rng.choice((Expr.scalar(1), pick(odd), pick(bare_odd), pick(inner) ** 2))
         e = e + term
     assert len(e.terms) >= 10
+    assert len(_attach_atoms(e, set())) == 8
 
     calls = []
-    expand = jetcalc._collapse_attach
+    expand = jetcalc._Classes.expand_block
 
-    def counted(a, memo):
-        calls.append(a)
-        return expand(a, memo)
+    def counted(self, c):
+        calls.append(self.keys[c])
+        return expand(self, c)
 
-    monkeypatch.setattr(jetcalc, "_collapse_attach", counted)
+    monkeypatch.setattr(jetcalc._Classes, "expand_block", counted)
     whole = collapse(e)
-    assert sorted(calls, key=lambda a: a.key) == sorted(_attach_atoms(e, set()),
-                                                        key=lambda a: a.key)
+    assert len(calls) == len(set(calls)) == 4
     one_at_a_time = Expr.zero()
     for k, mono in e.terms.items():
         one_at_a_time = one_at_a_time + collapse(Expr({k: mono}))
     assert whole.key() == one_at_a_time.key()
     assert whole.key() == _reference_collapse(e).key()
+
+
+def _random_index(model, rng):
+    """A multi-index of order 1 or 2 along one random coordinate."""
+    idx = [0] * model.base_dim
+    idx[rng.randrange(model.base_dim)] = rng.randint(1, 2)
+    return tuple(idx)
+
+
+def _odd_block(model, rng, label, sigma):
+    """An odd block pending (label, sigma): dag(f) f of the model's first
+    field f, an even one, with random derivatives."""
+    f = model.fields[0][0]
+    inner = (model.jet(f, _random_index(model, rng), dagger=True)
+             * model.jet(f, _random_index(model, rng)))
+    return make_attach(((label, sigma),), inner)
+
+
+def _relabelled_copies(model, rng):
+    """A sum of two to four copies of one random expression with blocks,
+    each with its channel labels renamed by a random bijection and with a
+    random sign; and the kinds of block it was built with.  Beside
+    ``random_expr``'s blocks, the expression may hold a block nested twice
+    (squared when even); a block times a copy of it under another label:
+    its class squared when even, twice when odd; and two odd blocks pending
+    the same derivative, whose order a renaming can swap, alone and inside
+    a block pending two derivatives."""
+    e = random_expr(model, rng, with_attach=True)
+    kinds = set()
+    if rng.random() < 0.5:
+        sigma = _random_index(model, rng)
+        pair = _odd_block(model, rng, 52, sigma) * _odd_block(model, rng, 53, sigma)
+        outer = make_attach(((54, sigma), (55, _random_index(model, rng))),
+                            pair * random_monomial(model, rng, degree=1, with_trig=False))
+        e = (e + pair * random_monomial(model, rng, degree=1)
+             + outer * random_monomial(model, rng, degree=1))
+        kinds.add("odd pair")
+    if rng.random() < 0.4:
+        e = e + _nested_twice(model, rng) * random_monomial(model, rng, degree=1)
+        kinds.add("nested")
+    if rng.random() < 0.5:
+        w = make_attach(((50, _random_index(model, rng)),),
+                        random_monomial(model, rng, degree=rng.randint(1, 2), with_trig=False))
+        e = e + w * relabel(w, {50: 51}) * random_monomial(model, rng, degree=1)
+        kinds.add("odd twice" if w.parity() else "even squared")
+    kinds.update("odd" for mono in e.monomials() for a in mono.odd if isinstance(a, Attach))
+    labels = sorted(collect_channel_labels(e))
+    out = Expr.zero()
+    for _ in range(rng.randint(2, 4)):
+        copy = relabel(e, dict(zip(labels, rng.sample(range(100, 200), len(labels)))))
+        out = out + (copy if rng.random() < 0.5 else -copy)
+    return out, kinds
+
+
+@pytest.mark.parametrize("model", [scalar_model(), ghost_model(),
+                                   BvModel(2, [("u", 0), ("c", 1)])],
+                         ids=["scalar", "ghost", "plane"])
+def test_collapse_of_relabelled_copies_agrees_with_the_reference(model):
+    # copies equal up to labels fall into one class and merge or cancel
+    # there; the result is the collapse of their sum by its definition
+    rng = random.Random(37)
+    seen = collections.Counter()
+    for case in range(60):
+        e, kinds = _relabelled_copies(model, rng)
+        seen.update(kinds)
+        assert collapse(e).key() == _reference_collapse(e).key(), case
+    for kind in ("nested", "odd", "even squared", "odd twice", "odd pair"):
+        assert seen[kind] >= 5, (kind, seen)
+
+
+def test_copies_equal_up_to_labels_cancel_before_any_expansion(monkeypatch):
+    # a nested block, odd blocks and an even block squared, minus the same
+    # under other labels: the difference is not zero as an expression, and
+    # collapses to zero with no total derivative and no product taken; so
+    # does an odd block times a copy of it under another label
+    from bvcalc import jetcalc
+
+    model = ghost_model()
+    q, c, qd = model.jet("q"), model.jet("c"), model.jet("q", dagger=True)
+    inner = make_attach(((60, (1,)),), q * model.jet("q", (1,)))
+    e = (make_attach(((61, (2,)),), inner * c) * make_attach(((62, (1,)),), qd * q) * q
+         + inner ** 2 * make_attach(((63, (1,)),), c))
+    copy = relabel(e, {60: 5, 61: 3, 62: 9, 63: 4})
+    assert not (e - copy).is_zero()
+    w = make_attach(((64, (1,)),), qd * q)
+    twice = w * relabel(w, {64: 65}) * q
+    assert w.parity() == 1 and not twice.is_zero()
+
+    calls = []
+    for name in ("total_derivative", "_add_total_derivative", "_add_product"):
+        def counted(*args, _f=getattr(jetcalc, name), _name=name):
+            calls.append(_name)
+            return _f(*args)
+        monkeypatch.setattr(jetcalc, name, counted)
+    assert collapse(e - copy).is_zero()
+    assert collapse(twice).is_zero()
+    assert calls == []
+    assert collapse(e) == collapse(copy) != Expr.zero()
+    assert "total_derivative" in calls and "_add_product" in calls
 
 
 def test_collapse_of_channelled_euler_is_plain_euler():
