@@ -3,8 +3,11 @@
 Geometric mode keeps every variation's pending derivatives frozen against a
 fresh channel (multi-base geometry); naive mode expands them immediately on
 collapsed densities.  Both structures extend to products of integral blocks
-by their graded Leibniz rules, and the quantum layer combines them into the
-differential Omega = -i*hbar*Delta + [S, .].
+as closed sums over blocks and block pairs, (1a) and (1b) summed out (see
+``schouten`` and ``laplacian``).  A first argument of several blocks takes
+the densities [[B_i, C_j]] as they stand, not through skew-symmetry, so the
+``skew`` suite tests skew-symmetry rather than restating it.  The quantum
+layer combines the two into the differential Omega = -i*hbar*Delta + [S, .].
 
 Sign conventions (fixed constants of the construction): the two couplings
 pair as <e, dag e> = +1 and <dag e, e> = -1; normalized variations couple to
@@ -28,7 +31,7 @@ from typing import List
 from .coeff import Coefficient
 from .algebra import (_ONE, Expr, ParityError, _add_monomial, _add_products, _sum_scaled,
                       collect_channel_labels)
-from .cohomology import (Functional, _accumulate, euler_operators_vanish, functional_equal,
+from .cohomology import (Functional, _add_product, euler_operators_vanish, functional_equal,
                          functional_text)
 from .jetcalc import (GEOMETRIC, NAIVE, BvModel, _check_mode, canonicalize_channels, collapse,
                       euler, eulers, label_after)
@@ -122,78 +125,71 @@ def laplacian_density(model: BvModel, f: Expr, mode: str = GEOMETRIC) -> Expr:
 # extension to products of blocks
 
 
-def _blocks_parity(blocks) -> int:
-    return sum(b.parity() for b in blocks) & 1
-
-
 def schouten(F: Functional, G: Functional, mode: str = GEOMETRIC) -> Functional:
-    """Variational Schouten bracket, extended to products by
-    [[F, G*H]] = [[F,G]]*H + (-1)^((gh F - 1) gh G) G*[[F,H]] and to products
-    in the first slot through shifted-graded skew-symmetry."""
+    """Variational Schouten bracket, extended to products of blocks by the
+    closed sum over block pairs, with p the parity of a run of blocks:
+    [[B_1...B_k, C_1...C_l]] = sum_(i,j) (-1)^((p(B) - 1) p(C_<j) + (p(C_j) - 1) p(B_>i))
+                               C_<j B_<i [[B_i, C_j]] B_>i C_>j.
+    Each distinct block pair takes its density once per call, and each
+    product is filed by ``_add_product``, which absorbs the Koszul sign of
+    sorting its blocks.  Constants are bracket-inert."""
     _check_mode(mode)
-    model = F.model
-    pF, pG = F.parity(), G.parity()  # raises on heterogeneous input
-    acc = {}
+    pF, _ = F.parity(), G.parity()  # raises on heterogeneous input
+    acc, densities = {}, {}
     for bf, cf in F.terms.items():
+        before_b = _parities_before(bf)
         for bg, cg in G.terms.items():
             c0 = cf * cg
-            for blocks, c in _bracket_blocks(model, bf, bg, mode).terms.items():
-                _accumulate(acc, blocks, c0 * c)
-    return Functional(model, acc)
-
-
-def _bracket_blocks(model, bf: tuple, bg: tuple, mode: str) -> Functional:
-    if not bf or not bg:
-        return Functional.zero(model)  # constants are bracket-inert
-    if len(bg) > 1:
-        C, rest = bg[0], bg[1:]
-        pF = _blocks_parity(bf)
-        pC = C.parity()
-        left = _bracket_blocks(model, bf, (C,), mode) * Functional(model, {rest: Coefficient.one()})
-        right = Functional(model, {(C,): Coefficient.one()}) * _bracket_blocks(model, bf, rest, mode)
-        if ((pF - 1) * pC) & 1:
-            right = -right
-        return left + right
-    if len(bf) > 1:
-        pF = _blocks_parity(bf)
-        pG = _blocks_parity(bg)
-        flipped = _bracket_blocks(model, bg, bf, mode)
-        if (((pF - 1) * (pG - 1)) & 1) == 0:
-            flipped = -flipped
-        return flipped
-    density = schouten_density(model, bf[0], bg[0], mode)
-    return Functional.from_density(model, density)
+            before_c = _parities_before(bg)
+            for j, C in enumerate(bg):
+                for i, B in enumerate(bf):
+                    d = _density(densities, F.model, mode, B, C)
+                    sign = ((pF - 1) * before_c[j] + (C.parity() - 1) * (pF ^ before_b[i + 1])) & 1
+                    _add_product(acc, bg[:j] + bf[:i] + (d,) + bf[i + 1:] + bg[j + 1:],
+                                 -c0 if sign else c0)
+    return Functional(F.model, acc)
 
 
 def laplacian(F: Functional, mode: str = GEOMETRIC) -> Functional:
-    """BV-Laplacian, extended to products by
-    Delta(F*G) = Delta(F)*G + (-1)^gh(F) [[F,G]] + (-1)^gh(F) F*Delta(G)."""
+    """BV-Laplacian, extended to products of blocks as the second-order
+    operator whose failure to be a derivation is the bracket, with p the
+    parity of a run of blocks:
+    Delta(B_1...B_k) = sum_j (-1)^p(B_<j) B_<j Delta(B_j) B_>j
+        + sum_(i<j) (-1)^(p(B_<=i) + (p(B_i) - 1) p(B_i<.<j)) B_<i B_i<.<j [[B_i, B_j]] B_>j.
+    Each distinct block and each distinct block pair takes its density once
+    per call."""
     _check_mode(mode)
-    model = F.model
     F.parity()
-    acc = {}
+    acc, densities = {}, {}
     for blocks, c0 in F.terms.items():
-        for key, c in _laplace_blocks(model, blocks, mode).terms.items():
-            _accumulate(acc, key, c0 * c)
-    return Functional(model, acc)
+        before = _parities_before(blocks)
+        for j, B in enumerate(blocks):
+            d = _density(densities, F.model, mode, B)
+            _add_product(acc, blocks[:j] + (d,) + blocks[j + 1:], -c0 if before[j] else c0)
+            for i, A in enumerate(blocks[:j]):
+                d = _density(densities, F.model, mode, A, B)
+                sign = (before[i + 1] + (A.parity() - 1) * (before[j] ^ before[i + 1])) & 1
+                _add_product(acc, blocks[:i] + blocks[i + 1:j] + (d,) + blocks[j + 1:],
+                             -c0 if sign else c0)
+    return Functional(F.model, acc)
 
 
-def _laplace_blocks(model, blocks: tuple, mode: str) -> Functional:
-    if not blocks:
-        return Functional.zero(model)
-    if len(blocks) == 1:
-        return Functional.from_density(model, laplacian_density(model, blocks[0], mode))
-    B, rest = blocks[0], blocks[1:]
-    pB = B.parity()
-    restF = Functional(model, {rest: Coefficient.one()})
-    BF = Functional(model, {(B,): Coefficient.one()})
-    out = _laplace_blocks(model, (B,), mode) * restF
-    cross = _bracket_blocks(model, (B,), rest, mode)
-    tail = BF * _laplace_blocks(model, rest, mode)
-    if pB & 1:
-        cross = -cross
-        tail = -tail
-    return out + cross + tail
+def _parities_before(blocks) -> list:
+    """The parities of blocks[:i] for i = 0..len(blocks)."""
+    out = [0]
+    for b in blocks:
+        out.append(out[-1] ^ b.parity())
+    return out
+
+
+def _density(densities: dict, model: BvModel, mode: str, *blocks) -> Expr:
+    """The Laplacian density of one block or the bracket density of two,
+    computed once per ``densities``, the table of one call."""
+    d = densities.get(blocks)
+    if d is None:
+        density = laplacian_density if len(blocks) == 1 else schouten_density
+        d = densities[blocks] = density(model, *blocks, mode)
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -267,11 +263,13 @@ def _skew(F, G, mode):
 def _powers(F, G, mode):
     """For even F: [[G, F^n]] = n [[G,F]] F^(n-1) for n = 1..4 and
     Delta(F^n) = n Delta(F) F^(n-1) + n(n-1)/2 [[F,F]] F^(n-2) for n = 2..4."""
-    pairs = [(schouten(G, F ** n, mode), (schouten(G, F, mode) * F ** (n - 1)).scale(n))
-             for n in (1, 2, 3, 4)]
-    pairs += [(laplacian(F ** n, mode), (laplacian(F, mode) * F ** (n - 1)).scale(n)
-               + (schouten(F, F, mode) * F ** (n - 2)).scale(_HALF * (n * (n - 1))))
-              for n in (2, 3, 4)]
+    powers = [F ** 0]
+    for _ in range(4):
+        powers.append(powers[-1] * F)
+    GF, dF, FF = schouten(G, F, mode), laplacian(F, mode), schouten(F, F, mode)
+    pairs = [(schouten(G, powers[n], mode), (GF * powers[n - 1]).scale(n)) for n in (1, 2, 3, 4)]
+    pairs += [(laplacian(powers[n], mode), (dF * powers[n - 1]).scale(n)
+               + (FF * powers[n - 2]).scale(_HALF * (n * (n - 1)))) for n in (2, 3, 4)]
     return pairs
 
 
@@ -301,7 +299,8 @@ def _gauge_closure(F1, F2, S, mode):
 def _cocycles(S, O, F, xi, mode):
     """Omega([[X,F]]) + [[Omega(F), X]] = [[Omega(X), F]] for an even cocycle
     X = O and an odd coboundary X = xi; a None argument is left out."""
-    return [(omega(schouten(X, F, mode), S, mode) + schouten(omega(F, S, mode), X, mode),
+    omega_F = omega(F, S, mode)
+    return [(omega(schouten(X, F, mode), S, mode) + schouten(omega_F, X, mode),
              schouten(omega(X, S, mode), F, mode)) for X in (O, xi) if X is not None]
 
 

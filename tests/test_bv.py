@@ -8,6 +8,7 @@ from bvcalc.coeff import Coefficient
 from bvcalc.algebra import Attach, ParityError, collect_channel_labels, make_attach
 from bvcalc.cohomology import Functional, functional_equal
 from bvcalc.jetcalc import _monomial_labels, canonicalize_channels, collapse
+from bvcalc import bv
 from bvcalc.bv import (
     GEOMETRIC,
     IDENTITIES,
@@ -36,6 +37,8 @@ from util_random import (
     ghost_model,
     nested_brackets,
     raw_nested_densities,
+    reference_laplacian,
+    reference_schouten,
     reference_schouten_density,
     scalar_model,
 )
@@ -270,6 +273,64 @@ def test_laplacian_1b_product_rule(m):
         lhs = laplacian(F * G)
         rhs = laplacian(F) * G + schouten(F, G).scale(sgn) + (F * laplacian(G)).scale(sgn)
         assert functional_equal(lhs, rhs, "structural")
+
+
+def _block_products(model, seed):
+    """Seeded products of 1-4 blocks of mixed parity, drawn from a pool of
+    eight blocks so that block pairs with a nonzero bracket recur, then
+    powers of an even block, alone and times an odd one."""
+    rng = random.Random(seed)
+    pool = [rf(model, k % 2, seed + k, order=1, degree=2) for k in range(8)]
+    out = [functools.reduce(Functional.__mul__, rng.sample(pool, rng.randint(1, 4)))
+           for _ in range(10)]
+    return out + [pool[0] ** 2, pool[2] ** 3 * pool[1]]
+
+
+@pytest.mark.parametrize("mode", [GEOMETRIC, NAIVE])
+@pytest.mark.parametrize("model_name", ["scalar", "ghost"])
+def test_leibniz_sums_agree_with_the_recursions(model_name, mode):
+    # the closed sums give the recursions' term maps, except that a first
+    # argument of several blocks takes [[B_i, C_j]] where the recursion flips
+    # to [[C_j, B_i]] by skew-symmetry: equal there as functionals
+    model = scalar_model() if model_name == "scalar" else ghost_model()
+    products = _block_products(model, 6100)
+    for k, F in enumerate(products):
+        assert laplacian(F, mode) == reference_laplacian(F, mode), k
+        for G in products[k:k + 3] + products[:1]:
+            new, ref = schouten(F, G, mode), reference_schouten(F, G, mode)
+            if all(len(blocks) == 1 for blocks in F.terms):
+                assert new == ref, k
+            else:
+                assert functional_equal(new, ref, "structural"), k
+                assert functional_equal(new, ref, "collapse"), k
+
+
+def test_leibniz_sums_take_each_density_once(m, monkeypatch):
+    # F**4 is one even block four times: one pair for the bracket, one block
+    # and one pair for the Laplacian, whatever the number of terms in the sums
+    calls = {"schouten_density": 0, "laplacian_density": 0}
+
+    def counted(name):
+        density = getattr(bv, name)
+
+        def count(*args):
+            calls[name] += 1
+            return density(*args)
+        return count
+
+    for name in calls:
+        monkeypatch.setattr(bv, name, counted(name))
+    q, qd = m.jet("q"), m.jet("q", dagger=True)
+    F = Functional.from_density(m, qd * m.jet("q", (1,), dagger=True) * q * m.jet("q", (1,)))
+    G = rf(m, 1, 6201, order=1, degree=2)
+    assert not schouten(G, F ** 4).is_zero()
+    assert calls == {"schouten_density": 1, "laplacian_density": 0}
+    assert not laplacian(F ** 4).is_zero()
+    assert calls == {"schouten_density": 2, "laplacian_density": 1}
+    # the powers builder takes [[G,F]], Delta F and [[F,F]] once: 13 densities
+    calls.update(dict.fromkeys(calls, 0))
+    assert check_identity("powers", (F, G)).passed
+    assert sum(calls.values()) == 13
 
 
 @pytest.mark.parametrize("model_name", ["scalar", "ghost"])

@@ -3,9 +3,11 @@
 import random
 from fractions import Fraction
 
-from bvcalc import BvModel, Expr
+from bvcalc import BvModel, Expr, bv
 from bvcalc.coeff import Coefficient
 from bvcalc.algebra import Attach, Trig, collect_channel_labels, make_attach, _from_raw
+from bvcalc.cohomology import Functional, _accumulate
+from bvcalc.jetcalc import GEOMETRIC, _check_mode
 
 
 def scalar_model() -> BvModel:
@@ -171,3 +173,84 @@ def raw_nested_densities(depth: int, seed: int = 20240808):
     for _ in range(depth):
         x = reference_schouten_density(m, s, x)
     return m, s, x
+
+
+# -- the Leibniz extensions by recursion ----------------------------------------
+# The extensions of the bracket and the Laplacian to products of blocks, built
+# by recursion over the blocks and, for a bracket whose first argument has
+# several blocks, through skew-symmetry: the reference for the closed sums of
+# ``bv.schouten`` and ``bv.laplacian``.
+
+
+def _blocks_parity(blocks) -> int:
+    return sum(b.parity() for b in blocks) & 1
+
+
+def reference_schouten(F: Functional, G: Functional, mode: str = GEOMETRIC) -> Functional:
+    """Variational Schouten bracket, extended to products by
+    [[F, G*H]] = [[F,G]]*H + (-1)^((gh F - 1) gh G) G*[[F,H]] and to products
+    in the first slot through shifted-graded skew-symmetry."""
+    _check_mode(mode)
+    model = F.model
+    pF, pG = F.parity(), G.parity()  # raises on heterogeneous input
+    acc = {}
+    for bf, cf in F.terms.items():
+        for bg, cg in G.terms.items():
+            c0 = cf * cg
+            for blocks, c in _bracket_blocks(model, bf, bg, mode).terms.items():
+                _accumulate(acc, blocks, c0 * c)
+    return Functional(model, acc)
+
+
+def _bracket_blocks(model, bf: tuple, bg: tuple, mode: str) -> Functional:
+    if not bf or not bg:
+        return Functional.zero(model)  # constants are bracket-inert
+    if len(bg) > 1:
+        C, rest = bg[0], bg[1:]
+        pF = _blocks_parity(bf)
+        pC = C.parity()
+        left = _bracket_blocks(model, bf, (C,), mode) * Functional(model, {rest: Coefficient.one()})
+        right = Functional(model, {(C,): Coefficient.one()}) * _bracket_blocks(model, bf, rest, mode)
+        if ((pF - 1) * pC) & 1:
+            right = -right
+        return left + right
+    if len(bf) > 1:
+        pF = _blocks_parity(bf)
+        pG = _blocks_parity(bg)
+        flipped = _bracket_blocks(model, bg, bf, mode)
+        if (((pF - 1) * (pG - 1)) & 1) == 0:
+            flipped = -flipped
+        return flipped
+    density = bv.schouten_density(model, bf[0], bg[0], mode)
+    return Functional.from_density(model, density)
+
+
+def reference_laplacian(F: Functional, mode: str = GEOMETRIC) -> Functional:
+    """BV-Laplacian, extended to products by
+    Delta(F*G) = Delta(F)*G + (-1)^gh(F) [[F,G]] + (-1)^gh(F) F*Delta(G)."""
+    _check_mode(mode)
+    model = F.model
+    F.parity()
+    acc = {}
+    for blocks, c0 in F.terms.items():
+        for key, c in _laplace_blocks(model, blocks, mode).terms.items():
+            _accumulate(acc, key, c0 * c)
+    return Functional(model, acc)
+
+
+def _laplace_blocks(model, blocks: tuple, mode: str) -> Functional:
+    if not blocks:
+        return Functional.zero(model)
+    if len(blocks) == 1:
+        return Functional.from_density(model, bv.laplacian_density(model, blocks[0], mode))
+    B, rest = blocks[0], blocks[1:]
+    pB = B.parity()
+    restF = Functional(model, {rest: Coefficient.one()})
+    BF = Functional(model, {(B,): Coefficient.one()})
+    out = _laplace_blocks(model, (B,), mode) * restF
+    cross = _bracket_blocks(model, (B,), rest, mode)
+    tail = BF * _laplace_blocks(model, rest, mode)
+    if pB & 1:
+        cross = -cross
+        tail = -tail
+    return out + cross + tail
