@@ -31,8 +31,8 @@ from typing import List
 from .coeff import Coefficient
 from .algebra import (_ONE, Expr, ParityError, _add_monomial, _add_products, _sum_scaled,
                       collect_channel_labels)
-from .cohomology import (Functional, _add_product, euler_operators_vanish, functional_equal,
-                         functional_text)
+from .cohomology import (Functional, _add_blocks, _reduce_functional, functional_equal,
+                         functional_text, is_trivial)
 from .jetcalc import (GEOMETRIC, NAIVE, BvModel, _check_mode, canonicalize_channels, collapse,
                       euler, eulers, label_after)
 
@@ -131,7 +131,7 @@ def schouten(F: Functional, G: Functional, mode: str = GEOMETRIC) -> Functional:
     [[B_1...B_k, C_1...C_l]] = sum_(i,j) (-1)^((p(B) - 1) p(C_<j) + (p(C_j) - 1) p(B_>i))
                                C_<j B_<i [[B_i, C_j]] B_>i C_>j.
     Each distinct block pair takes its density once per call, and each
-    product is filed by ``_add_product``, which absorbs the Koszul sign of
+    product is filed by ``_add_blocks``, which absorbs the Koszul sign of
     sorting its blocks.  Constants are bracket-inert."""
     _check_mode(mode)
     pF, _ = F.parity(), G.parity()  # raises on heterogeneous input
@@ -145,8 +145,8 @@ def schouten(F: Functional, G: Functional, mode: str = GEOMETRIC) -> Functional:
                 for i, B in enumerate(bf):
                     d = _density(densities, F.model, mode, B, C)
                     sign = ((pF - 1) * before_c[j] + (C.parity() - 1) * (pF ^ before_b[i + 1])) & 1
-                    _add_product(acc, bg[:j] + bf[:i] + (d,) + bf[i + 1:] + bg[j + 1:],
-                                 -c0 if sign else c0)
+                    _add_blocks(acc, bg[:j] + bf[:i] + (d,) + bf[i + 1:] + bg[j + 1:],
+                                -c0 if sign else c0)
     return Functional(F.model, acc)
 
 
@@ -165,12 +165,12 @@ def laplacian(F: Functional, mode: str = GEOMETRIC) -> Functional:
         before = _parities_before(blocks)
         for j, B in enumerate(blocks):
             d = _density(densities, F.model, mode, B)
-            _add_product(acc, blocks[:j] + (d,) + blocks[j + 1:], -c0 if before[j] else c0)
+            _add_blocks(acc, blocks[:j] + (d,) + blocks[j + 1:], -c0 if before[j] else c0)
             for i, A in enumerate(blocks[:j]):
                 d = _density(densities, F.model, mode, A, B)
                 sign = (before[i + 1] + (A.parity() - 1) * (before[j] ^ before[i + 1])) & 1
-                _add_product(acc, blocks[:i] + blocks[i + 1:j] + (d,) + blocks[j + 1:],
-                             -c0 if sign else c0)
+                _add_blocks(acc, blocks[:i] + blocks[i + 1:j] + (d,) + blocks[j + 1:],
+                            -c0 if sign else c0)
     return Functional(F.model, acc)
 
 
@@ -275,13 +275,13 @@ def _powers(F, G, mode):
 
 def _omega_squared(O, S, mode):
     """(Omega)^2(O) = [[Q, O]] for Q = -i*hbar*Delta S + 1/2 [[S,S]]; and, when
-    every Euler operator of the collapsed Q_c vanishes, [[Q_c, O]] ~ 0 (the
+    every block of the collapsed Q_c is trivial, [[Q_c, O]] ~ 0 (the
     collapse fixes the generating section of the field that [[Q, .]] induces)."""
     omega2 = omega(omega(O, S, mode), S, mode)
     Q = _qme(laplacian(S, mode), schouten(S, S, mode))
     pairs = [(omega2, schouten(Q, O, mode))]
     Qc = Q.collapse()
-    if all(euler_operators_vanish(S.model, b) for b in Qc.blocks()):
+    if all(is_trivial(S.model, b) for b in Qc.blocks()):
         pairs.append((schouten(Qc, O, mode), Functional.zero(S.model)))
     return pairs
 
@@ -314,9 +314,10 @@ COIN = "coin"  # a parity drawn by random.Random(cs).randint(0, 1)
 # - draws: the arguments ``bvcalc check`` draws for its case cs, in order: a
 #   random functional (parity, seed offset k) is drawn at seed cs + k, with
 #   the number of blocks drawn from a tuple by random.Random(cs).choice when
-#   one follows; a string is the density of a fixed functional.
+#   one follows.
 # The parities say what a caller may pass and the draws what the command
-# passes: omega accepts an O of either parity but draws an even one.
+# passes: omega accepts an O, and gauge-closure an S, of either parity, and
+# each draws an even one.
 Identity = namedtuple("Identity", "name parities build compare records draws",
                       defaults=((), ()))
 
@@ -335,7 +336,7 @@ IDENTITIES = {e.name: e for e in (
     Identity("powers", (0, None), _powers, "structural", draws=((0, 1), (COIN, 2))),
     Identity("omega", (None, 0), _omega_squared, "collapse", draws=((0, 1), (0, 2))),
     Identity("gauge-closure", (1, 1, None), _gauge_closure, "collapse",
-             draws=((1, 1), (1, 2), "dag(q)*q")),
+             draws=((1, 1), (1, 2), (0, 3))),
     Identity("cocycles", (0, 0, 1, 1), _cocycles, "collapse",
              draws=((0, 4), (0, 1), (1, 2), (1, 3))),
 )}
@@ -385,14 +386,22 @@ def check_identity(name: str, args, mode: str = GEOMETRIC) -> Report:
 
 def check_master_equation(S: Functional, mode: str = GEOMETRIC) -> Report:
     """Evaluate both sides of the quantum master-equation
-    i*hbar*Delta(S) = 1/2 [[S, S]] and report the obstruction; ``data`` also
-    holds the collapsed [[S, S]], found by ``_collapsed_self_bracket``."""
+    i*hbar*Delta(S) = 1/2 [[S, S]] and reduce the obstruction once, to its
+    class polynomial: the QME holds iff that polynomial is empty.  For S in
+    Q(i)[hbar] the hbar^0 order of the obstruction is -1/2 [[S_0, S_0]],
+    with S_0 = S at hbar = 0, so the classical master equation holds iff no
+    coefficient of the polynomial has an hbar^0 term (Henneaux & Teitelboim,
+    1992).  ``data`` holds the obstruction, the exact Delta(S) ("delta"),
+    the collapsed [[S, S]] found by ``_collapsed_self_bracket`` ("bracket")
+    and that CME verdict ("cme")."""
     # collapse is linear, so the obstruction is formed from the collapsed
     # pieces that the summary lines print
-    delta_c = laplacian(S, mode).collapse()
+    delta = laplacian(S, mode)
+    delta_c = delta.collapse()
     bracket_c = _collapsed_self_bracket(S, mode)
     obstruction = -_qme(delta_c, bracket_c)
-    passed = functional_equal(obstruction, Functional.zero(S.model), mode="collapse")
+    classes = _reduce_functional(obstruction, "collapse")
+    passed = not classes
     lines = [
         f"Delta(S) collapsed: {_summarize(delta_c)}",
         f"[[S,S]] collapsed:  {_summarize(bracket_c)}",
@@ -400,7 +409,8 @@ def check_master_equation(S: Functional, mode: str = GEOMETRIC) -> Report:
         f"{'0' if passed else _summarize(obstruction)}",
     ]
     return Report("quantum master-equation", passed, lines,
-                  {"obstruction": obstruction, "bracket": bracket_c})
+                  {"obstruction": obstruction, "delta": delta, "bracket": bracket_c,
+                   "cme": not any(0 in c.terms for c in classes.values())})
 
 
 def _collapsed_self_bracket(S: Functional, mode: str) -> Functional:

@@ -46,13 +46,6 @@ def is_trivial(model: BvModel, density: Expr) -> bool:
     return not _triviality_image(model, density)
 
 
-def euler_operators_vanish(model: BvModel, density: Expr) -> bool:
-    """True iff the Euler operator of every field and antifield of the model
-    annihilates the density."""
-    images = eulers(model, density, dict.fromkeys(model.variables()))
-    return all(e.is_zero() for e in images.values())
-
-
 # ---------------------------------------------------------------------------
 # functionals
 
@@ -148,7 +141,7 @@ class Functional:
         acc = {}
         for b1, c1 in self.terms.items():
             for b2, c2 in other.terms.items():
-                _add_product(acc, b1 + b2, c1 * c2)
+                _add_blocks(acc, b1 + b2, c1 * c2)
         return Functional(self.model, acc)
 
     def __rmul__(self, other):
@@ -183,7 +176,7 @@ class Functional:
     def _map_blocks(self, f) -> "Functional":
         acc = {}
         for blocks, c in self.terms.items():
-            _add_product(acc, tuple(f(b) for b in blocks), c)
+            _add_blocks(acc, tuple(f(b) for b in blocks), c)
         return Functional(self.model, acc)
 
     def __repr__(self):
@@ -213,7 +206,7 @@ def _blocks_key(blocks):
     return tuple(b.key() for b in blocks)
 
 
-def _add_product(acc, blocks, c):
+def _add_blocks(acc, blocks, c):
     """Add c times the graded product of ``blocks`` into the term map ``acc``."""
     if any(b.is_zero() for b in blocks):
         return

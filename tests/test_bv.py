@@ -442,7 +442,10 @@ def test_omega_trivial_cases(m):
 def test_check_master_equation_scalar(m):
     S = Functional.from_density(m, m.jet("q", dagger=True) * m.jet("q"))
     rep = check_master_equation(S)
-    assert not rep.passed  # Delta S is the volume block, [[S,S]] vanishes
+    # Delta S is the volume block and [[S,S]] vanishes: the QME fails at
+    # order hbar^1 and the CME, its order hbar^0, holds
+    assert not rep.passed and rep.data["cme"]
+    assert rep.data["delta"] == laplacian(S)
     dS = laplacian(S).collapse()
     ((blocks, c),) = dS.terms.items()
     assert blocks == (Expr.scalar(1),) and c == Coefficient.one()
@@ -457,10 +460,29 @@ def test_check_master_equation_with_both_sides_nontrivial(m):
     S = Functional.from_density(m, parse_expr("-q + q*dag(q)*dag(q)_x - 2*q^2*dag(q)*dag(q)_x", m))
     for mode in (GEOMETRIC, NAIVE):
         rep = check_master_equation(S, mode)
-        assert not rep.passed
+        assert not rep.passed and not rep.data["cme"]
         assert not functional_equal(laplacian(S, mode), zero(m), "collapse")
         assert not functional_equal(schouten(S, S, mode), zero(m), "collapse")
         assert not functional_equal(rep.data["obstruction"], zero(m), "structural")
+
+
+@pytest.mark.parametrize("model", [scalar_model(), ghost_model()], ids=["scalar", "ghost"])
+def test_cme_is_the_hbar0_order_of_the_reduced_obstruction(model):
+    # the report's CME verdict, read from the one reduction of the QME
+    # obstruction, is [[S_0, S_0]]_c ~ 0 for the classical action S_0, on
+    # actions of one and two blocks, with and without an hbar^1 term
+    hbar = Coefficient.hbar()
+    verdicts = set()
+    for seed in range(12):
+        S1 = rf(model, 0, 8000 + seed)
+        for blocks in (1, 2):
+            S0 = rf(model, 0, 7000 + seed, blocks=blocks)
+            for mode in (GEOMETRIC, NAIVE):
+                cme = functional_equal(_collapsed_self_bracket(S0, mode), zero(model), "collapse")
+                for S in (S0, S0 + S1.scale(hbar)):
+                    assert check_master_equation(S, mode).data["cme"] == cme, (seed, blocks)
+                verdicts.add(cme)
+    assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize("model", [scalar_model(), ghost_model()], ids=["scalar", "ghost"])

@@ -6,10 +6,12 @@ import re
 import pytest
 
 import bvcalc.bv as bv
-from bvcalc import BvModel
+import bvcalc.cli as cli
+import bvcalc.cohomology as cohomology
+from bvcalc import BvModel, Expr, Functional
 from bvcalc.grammar import ParseError, format_expr, parse_expr, parse_model_file
 from bvcalc.cli import main, run_suite
-from bvcalc.models import random_functional
+from bvcalc.models import build_yang_mills_bv, random_functional
 
 from util_random import ghost_model, plane_model, random_expr
 
@@ -191,7 +193,16 @@ def test_every_suite_draws_one_argument_per_declared_parity():
         assert len(row.draws) == len(row.parities), name
         for item, parity in zip(row.draws, row.parities):
             if parity is not None:
-                assert not isinstance(item, str) and item[0] == parity, (name, item)
+                assert item[0] == parity, (name, item)
+
+
+def test_gauge_closure_draws_an_even_action_per_case():
+    # the row declares S of either parity, for callers that pass an odd one,
+    # but draws a random even S, a different one for each case
+    m = BvModel(1, [("q", 0)])
+    actions = [cli._draw("gauge-closure", m, cs, 2)[2] for cs in range(10)]
+    assert all(not S.is_zero() and S.parity() == 0 for S in actions)
+    assert len(set(actions)) == len(actions)
 
 
 def test_run_suite_rejects_bad_input_before_any_case():
@@ -201,10 +212,10 @@ def test_run_suite_rejects_bad_input_before_any_case():
 
 
 def test_omega_suite_decides_on_the_report(monkeypatch):
-    # pretend every master-equation obstruction has vanishing Euler
-    # operators: (Omega)^2(O) still agrees with its reduced form but is not
+    # pretend every block of the master-equation obstruction is trivial:
+    # (Omega)^2(O) still agrees with its reduced form but [[Q_c, O]] is not
     # trivial, so the report fails and the suite must fail with it
-    monkeypatch.setattr(bv, "euler_operators_vanish", lambda model, b: True)
+    monkeypatch.setattr(bv, "is_trivial", lambda model, b: True)
     passed, results = run_suite("omega", cases=1, seed=2, max_order=2)
     m = BvModel(1, [("q", 0)])
     O, S = (random_functional(m, 2, 3, 0, 20_000 + k) for k in (1, 2))
@@ -264,10 +275,12 @@ def test_cmd_euler_unknown_field_is_a_usage_error(model_file, capsys):
 
 
 def test_bvcalc_seed_env(model_file, monkeypatch, capsys):
+    # the effective seed of a check without --seed is BVCALC_SEED's
     monkeypatch.setenv("BVCALC_SEED", "21")
-    from bvcalc.cli import build_parser
-    args = build_parser().parse_args(["check", "skew", "--cases", "1"])
-    assert args.seed == 21
+    assert main(["check", "skew", "--cases", "1", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 21
+    assert main(["check", "skew", "--cases", "1", "--seed", "3", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 3
 
 
 def test_invalid_bvcalc_seed_is_a_usage_error(monkeypatch, capsys):
@@ -275,6 +288,58 @@ def test_invalid_bvcalc_seed_is_a_usage_error(monkeypatch, capsys):
     assert main(["check", "skew", "--cases", "1"]) == 2
     out, err = capsys.readouterr()
     assert not out and "invalid BVCALC_SEED 'abc'" in err
+    # it is read only by a check that gets no --seed
+    assert main(["example", "scalar"]) == 0
+    assert main(["check", "skew", "--cases", "1", "--seed", "3"]) == 0
+    assert not capsys.readouterr().err
+
+
+# -- the Yang-Mills example ----------------------------------------------------
+
+def test_ym_example_takes_one_laplacian_and_one_euler_pass(monkeypatch, capsys):
+    # Delta S and the CME are read from the master-equation report: one
+    # Laplacian density of S, and one Euler pass, the one that reduces the
+    # obstruction
+    calls = {"eulers": 0, "laplacian_density": 0}
+
+    def counted(module, name):
+        f = getattr(module, name)
+
+        def count(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        monkeypatch.setattr(module, name, count)
+
+    counted(cohomology, "eulers")
+    counted(bv, "laplacian_density")
+    assert main(["example", "ym-su2", "--dim", "2"]) == 0
+    assert calls == {"eulers": 1, "laplacian_density": 1}
+
+
+def test_ym_example_fails_the_cme_without_the_ghost_term(monkeypatch, capsys):
+    # with its gam*gam*dag(gam) monomials dropped the action no longer
+    # closes: the example prints a failing CME and exits 1
+    def without_ghost_term(algebra, n):
+        model, S = build_yang_mills_bv(algebra, n)
+        ((s,), c), = S.terms.items()
+        kept = {k: mono for k, mono in s.terms.items()
+                if not any(a.dagger for a, _ in mono.even)}
+        assert 0 < len(kept) < len(s.terms)
+        return model, Functional.from_density(model, Expr(kept).scale(c))
+
+    monkeypatch.setattr(cli, "build_yang_mills_bv", without_ghost_term)
+    assert main(["example", "ym-su2", "--dim", "2"]) == 1
+    out = capsys.readouterr().out
+    assert "collapsed [[S,S]] vanishes: False\n" in out
+
+
+def test_ym_example_json_carries_the_text_lines(capsys):
+    assert main(["example", "ym-su2", "--dim", "2"]) == 0
+    text = capsys.readouterr().out
+    assert main(["example", "ym-su2", "--dim", "2", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["passed"] is True and payload["example"] == "ym-su2"
+    assert "\n".join(payload["lines"]) + "\n" == text
 
 
 # -- printed outputs -----------------------------------------------------------
