@@ -28,7 +28,8 @@ triviality images of the class basis.  Values derived from an interned atom
 or an immutable expression are kept on it once found: a JetVar's shifts
 (``JetVar.shifts``), an Attach block's nested key and labels, built on first
 read, and an expression's key, hash, parity, ghost number and walk index
-(``Expr.var_index()``, built on its second walk by one variable).
+(``Expr.var_index()``, built on its second walk by one variable), and a
+labelled block's canonical Euler images, per model (``bv._images``).
 
 Canonical in, canonical out: a product of two canonical monomials is a
 merge of their sorted atoms (``_add_product``), sin(u) on both sides
@@ -251,7 +252,7 @@ class GhostNumberError(ValueError):
 
 
 class Expr:
-    __slots__ = ("terms", "_key", "_hash", "_parity", "_gh", "_index")
+    __slots__ = ("terms", "_key", "_hash", "_parity", "_gh", "_index", "_images")
 
     def __init__(self, terms):
         # terms: dict (even, odd) -> Monomial, keyed by the monomial's own

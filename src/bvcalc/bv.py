@@ -6,8 +6,9 @@ collapsed densities.  Both structures extend to products of integral blocks
 as closed sums over blocks and block pairs, (1a) and (1b) summed out (see
 ``schouten`` and ``laplacian``).  A first argument of several blocks takes
 the densities [[B_i, C_j]] as they stand, not through skew-symmetry, so the
-``skew`` suite tests skew-symmetry rather than restating it.  The quantum
-layer combines the two into the differential Omega = -i*hbar*Delta + [S, .].
+``skew`` suite tests skew-symmetry rather than restating it.  A labelled
+block keeps the Euler images its first bracket made.  The quantum layer
+combines the two into the differential Omega = -i*hbar*Delta + [S, .].
 
 Sign conventions (fixed constants of the construction): the two couplings
 pair as <e, dag e> = +1 and <dag e, e> = -1; normalized variations couple to
@@ -34,7 +35,7 @@ from .algebra import (_ONE, Expr, ParityError, _add_monomial, _add_products, _su
 from .cohomology import (Functional, _add_blocks, _reduce_functional, functional_equal,
                          functional_text, is_trivial)
 from .jetcalc import (GEOMETRIC, NAIVE, BvModel, _check_mode, canonicalize_channels, collapse,
-                      euler, eulers, label_after)
+                      euler, eulers, label_after, shift_channels)
 
 
 # ---------------------------------------------------------------------------
@@ -43,59 +44,55 @@ from .jetcalc import (GEOMETRIC, NAIVE, BvModel, _check_mode, canonicalize_chann
 
 def schouten_density(model: BvModel, f: Expr, g: Expr, mode: str = GEOMETRIC) -> Expr:
     """Density of [[F, G]] for integral blocks with densities f, g: the sum
-    over the conjugate pairs (ev, od) of er[ev] * el[od] - er[od] * el[ev],
-    with the images of ``_bracket_images``."""
-    pairs, er, el = _bracket_images(model, f, g, mode)
-    acc = {}
-    for ev, od in pairs:
-        _add_products(acc, _ONE, er[ev], el[od])
-        _add_products(acc, _MINUS_ONE, er[od], el[ev])
-    return Expr(acc) if acc else Expr.zero()
+    over the conjugate pairs (ev, od) of er[ev] * el[od] - er[od] * el[ev].
+    Only left images are taken (``_images``): on a parity-homogeneous f,
+    er[v] = (-1)^(p_v (p_f - 1)) el[v], a sign folded into the products, so
+    a heterogeneous f raises ParityError (g may be of any parity).
 
-
-def _bracket_images(model: BvModel, f: Expr, g: Expr, mode: str):
-    """The conjugate pairs of the model, the right Euler images er of f and
-    the left Euler images el of g that the bracket [[f, g]] multiplies.
-
-    In geometric mode the variations of f are recorded against one new
-    channel label and those of g against another.  The Euler images of an
-    operand that carries labels are filed in canonical label form, so that
-    images equal up to renaming their bound labels merge before they are
-    multiplied: f's on the labels 0..a-1 and g's on a..a+b-1, where a (b)
-    is one more than the number of labels of f (g).  The two ranges are
-    disjoint, so each product is a renaming of the raw product and needs no
-    renaming of its own, and the bracket's labels lie in range(a + b).  A
-    plain operand's images carry only its new label, which is then 0 for f
-    and a for g: they are canonical as they are."""
+    In geometric mode each operand's variations are recorded against a new
+    channel label.  The images of a labelled operand are in canonical label
+    form, so that images equal up to renaming merge before they are
+    multiplied: f's on the labels 0..a-1 and g's on a..a+b-1, where a (b) is
+    one more than the number of labels of f (g).  The ranges are disjoint, so
+    each product is a renaming of the raw product, and the bracket's labels
+    lie in range(a + b)."""
     _check_mode(mode)
     if mode == NAIVE:
         f, g = collapse(f), collapse(g)
-        f_own = g_own = ()
-        l1 = l2 = None
-    else:
-        f_own, g_own = collect_channel_labels(f), collect_channel_labels(g)
-        a = len(f_own) + 1
-        l1 = max(f_own) + 1 if f_own else 0
-        l2 = max(g_own) + 1 if g_own else a
-    pairs = list(model.pairs())
-    f_labels = {v: l1 for pair in pairs for v in pair}
-    g_labels = {v: l2 for pair in pairs for v in pair}
-    # one walk over f and one over g serve every variable of every pair
-    er = eulers(model, f, f_labels, "right", isolate=True)
-    el = eulers(model, g, g_labels, "left", isolate=True)
-    if f_own:
-        er = _canonical_images(er, 0)
-    if g_own:
-        el = _canonical_images(el, a)
-    return pairs, er, el
+    f_own = collect_channel_labels(f)
+    sign = _MINUS_ONE if f.parity() else _ONE  # raises on heterogeneous f
+    ef = _images(model, f, f_own, 0, mode)
+    eg = _images(model, g, collect_channel_labels(g), len(f_own) + 1, mode)
+    acc = {}
+    for ev, od in model.pairs():
+        _add_products(acc, _ONE, ef[ev], eg[od])
+        _add_products(acc, sign, ef[od], eg[ev])
+    return Expr(acc) if acc else Expr.zero()
 
 
-def _canonical_images(images: dict, first: int) -> dict:
-    """The Euler images of one operand with their channel labels in canonical
-    form from ``first`` on, in one pass that shares the canonicaliser's
-    memos."""
-    memos = ({}, {}, {})
-    return {v: canonicalize_channels(e, first, memos) for v, e in images.items()}
+def _images(model: BvModel, e: Expr, own: set, first: int, mode: str) -> dict:
+    """The left isolated Euler images of the operand ``e`` (labels ``own``)
+    by every variable of ``model``.  A plain operand is walked with the new
+    label ``first`` (none in naive mode); a labelled one once per model, with
+    the new label max(own) + 1, its images kept on it (``Expr._images``, a
+    slot unset until then) in canonical form from the ``first`` of that use,
+    and shifted for a use from another ``first`` (``shift_channels``)."""
+    variables = [v for pair in model.pairs() for v in pair]
+    if not own:
+        label = None if mode == NAIVE else first
+        return eulers(model, e, dict.fromkeys(variables, label), "left", isolate=True)
+    memo = getattr(e, "_images", {})
+    at, images = memo.get(model, (first, None))
+    if images is None:
+        raw = eulers(model, e, dict.fromkeys(variables, max(own) + 1), "left", isolate=True)
+        memos = ({}, {}, {})  # the canonicaliser's memos, shared by the images
+        images = {v: canonicalize_channels(x, first, memos) for v, x in raw.items()}
+        memo[model] = (first, images)
+        e._images = memo
+    if at == first:
+        return images
+    shifted = {}
+    return {v: shift_channels(x, first - at, shifted) for v, x in images.items()}
 
 
 def laplacian_density(model: BvModel, f: Expr, mode: str = GEOMETRIC) -> Expr:
@@ -316,8 +313,7 @@ COIN = "coin"  # a parity drawn by random.Random(cs).randint(0, 1)
 #   the number of blocks drawn from a tuple by random.Random(cs).choice when
 #   one follows.
 # The parities say what a caller may pass and the draws what the command
-# passes: omega accepts an O, and gauge-closure an S, of either parity, and
-# each draws an even one.
+# passes: omega accepts an O of either parity and draws an even one.
 Identity = namedtuple("Identity", "name parities build compare records draws",
                       defaults=((), ()))
 
@@ -335,7 +331,7 @@ IDENTITIES = {e.name: e for e in (
     Identity("skew", (None, None), _skew, "structural", draws=((COIN, 1), (COIN, 2))),
     Identity("powers", (0, None), _powers, "structural", draws=((0, 1), (COIN, 2))),
     Identity("omega", (None, 0), _omega_squared, "collapse", draws=((0, 1), (0, 2))),
-    Identity("gauge-closure", (1, 1, None), _gauge_closure, "collapse",
+    Identity("gauge-closure", (1, 1, 0), _gauge_closure, "collapse",
              draws=((1, 1), (1, 2), (0, 3))),
     Identity("cocycles", (0, 0, 1, 1), _cocycles, "collapse",
              draws=((0, 4), (0, 1), (1, 2), (1, 3))),
@@ -430,11 +426,11 @@ def _collapsed_self_bracket(S: Functional, mode: str) -> Functional:
     if s is None or s.parity() or s.has_attach():
         return schouten(S, S, mode).collapse()
     pairs = list(S.model.pairs())
-    er = eulers(S.model, s, {ev: None for ev, _ in pairs}, "right")
-    el = eulers(S.model, s, {od: None for _, od in pairs}, "left")
+    # right images of the even members are their left ones
+    images = eulers(S.model, s, {v: None for pair in pairs for v in pair})
     acc = {}
     for ev, od in pairs:
-        _add_products(acc, _TWO, er[ev], el[od])
+        _add_products(acc, _TWO, images[ev], images[od])
     if not acc:
         return Functional.zero(S.model)
     c = S.terms[blocks]

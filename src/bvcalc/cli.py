@@ -335,8 +335,7 @@ def _example_ym(n: int):
                  "f^d_dc gam^c and the ghost sector -f^d_db gam^b; both vanish "
                  "for traceless structure constants")
 
-    lines.append("classical master equation: every Euler operator of the "
-                 f"collapsed [[S,S]] vanishes: {rep.data['cme']}")
+    lines.append(f"classical master equation: the collapsed [[S,S]] is trivial: {rep.data['cme']}")
     ok &= rep.data["cme"]
 
     lines.extend("  " + l for l in rep.lines)

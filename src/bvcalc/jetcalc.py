@@ -853,6 +853,34 @@ def _rename_atom(a: Attach, mapping: dict, memo: dict):
     return hit
 
 
+def shift_channels(e: Expr, by: int, memo: dict) -> Expr:
+    """``e`` with every channel label raised by ``by``; for e canonical from
+    ``first``, its canonical form from ``first + by`` in the same term order.
+    A monotone renaming keeps every key order, so each block is mapped in
+    place by ``Attach._of``: no sort, no sign, no block key read.  ``memo``
+    maps blocks to their images."""
+    acc = {}
+    for m in e.terms.values():
+        k = _shift_atoms(m.even, m.odd, by, memo)
+        acc[k] = Monomial(m.coeff, *k)
+    return Expr(acc) if acc else Expr.zero()
+
+
+def _shift_atoms(even, odd, by, memo):
+    return (tuple([(_shift_block(a, by, memo), k) if type(a) is Attach else (a, k)
+                   for a, k in even]),
+            tuple([_shift_block(a, by, memo) if type(a) is Attach else a for a in odd]))
+
+
+def _shift_block(a: Attach, by: int, memo: dict) -> Attach:
+    b = memo.get(a)
+    if b is None:
+        ((even, odd),) = a.inner.terms
+        b = memo[a] = Attach._of(tuple([(idx, lab + by) for lab, idx in a.pending]),
+                                 *_shift_atoms(even, odd, by, memo))
+    return b
+
+
 # ---------------------------------------------------------------------------
 # iterated variations
 

@@ -6,6 +6,7 @@ lines and timings.
 
 import random
 import time
+from fractions import Fraction
 
 from bvcalc import BvModel, Expr
 from bvcalc.algebra import make_attach
@@ -176,7 +177,9 @@ def test_criterion_7_quantum_layer():
         ok &= rep.passed and rep.data["agreed"] == [True, True]
 
     m = BvModel(1, [("q", 0)])
-    S = Functional.from_density(m, m.jet("q", dagger=True) * m.jet("q"))
+    # an even action, the KdV Hamiltonian int (q^3 - q_x^2/2)
+    q, qx = m.jet("q"), m.jet("q", (1,))
+    S = Functional.from_density(m, q * q * q - (qx * qx).scale(Fraction(1, 2)))
     for i in range(50):
         F1 = random_functional(m, 1, 2, 1, SEED + 400 + i)
         F2 = random_functional(m, 1, 2, 1, SEED + 500 + i)

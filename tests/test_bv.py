@@ -1,13 +1,15 @@
 import functools
 import random
+from fractions import Fraction
 
 import pytest
 
 from bvcalc import Expr
 from bvcalc.coeff import Coefficient
-from bvcalc.algebra import Attach, ParityError, collect_channel_labels, make_attach
+from bvcalc.algebra import Atom, Attach, ParityError, collect_channel_labels, make_attach
 from bvcalc.cohomology import Functional, functional_equal
-from bvcalc.jetcalc import _monomial_labels, canonicalize_channels, collapse
+from bvcalc.jetcalc import (_monomial_labels, canonicalize_channels, collapse, eulers,
+                            shift_channels)
 from bvcalc import bv
 from bvcalc.bv import (
     GEOMETRIC,
@@ -35,13 +37,18 @@ from bvcalc.models import LieAlgebraData, build_scalar_example, build_yang_mills
 
 from util_random import (
     ghost_model,
+    labelled_operands,
     nested_brackets,
+    plane_model,
     raw_nested_densities,
     reference_laplacian,
     reference_schouten,
+    reference_bracket_density,
     reference_schouten_density,
     scalar_model,
 )
+
+MODELS = {"scalar": scalar_model, "ghost": ghost_model, "plane": plane_model}
 
 
 @pytest.fixture
@@ -243,6 +250,160 @@ def test_bracket_labels_lie_in_the_two_operand_ranges():
         labels = collect_channel_labels(bracket)
         assert labels <= set(range(a + b)), name
         assert bool(labels) == (not bracket.is_zero()), name
+
+
+# -- a labelled block's Euler images, kept on the block -------------------------
+
+
+def _raw(e):
+    """The term map of ``e`` as a list, labels and term order included."""
+    return [(k, m.coeff) for k, m in e.terms.items()]
+
+
+def _fresh(e):
+    """A copy of ``e`` that carries none of its memos."""
+    return Expr(dict(e.terms))
+
+
+def _operands(model_name, seeds=(0, 1, 2)):
+    """Seeded operands of both parities, plain, labelled and nested, and
+    their ordered pairs; [[z, z]] is left out for its size."""
+    model = MODELS[model_name]()
+    for seed in seeds:
+        ops = labelled_operands(model, seed)
+        yield model, ops, [(fn, gn) for fn in ops for gn in ops if not fn == gn == "z"]
+
+
+@pytest.mark.parametrize("mode", [GEOMETRIC, NAIVE])
+@pytest.mark.parametrize("model_name", list(MODELS))
+def test_bracket_density_agrees_with_the_image_reference(model_name, mode):
+    # the raw term maps, labels and term order included, equal those of the
+    # bracket that walks both operands and canonicalises their images in
+    # every call: on fresh operands (the images are made) and on operands
+    # bracketed before, in the other order and on other label ranges (the
+    # images are read, or shifted); naive mode collapses the nested z into
+    # large plain densities first, and leaves it out
+    labelled = 0
+    for model, ops, pairs in _operands(model_name):
+        labelled += sum(bool(collect_channel_labels(e)) for e in ops.values())
+        for fn, gn in pairs:
+            if mode == NAIVE and "z" in (fn, gn):
+                continue
+            f, g = ops[fn], ops[gn]
+            ref = _raw(reference_bracket_density(model, f, g, mode))
+            assert _raw(schouten_density(model, _fresh(f), _fresh(g), mode)) == ref, (fn, gn)
+            assert _raw(schouten_density(model, f, g, mode)) == ref, (fn, gn)
+    assert labelled >= 8
+
+
+def test_bracket_of_functionals_agrees_with_the_image_reference(monkeypatch):
+    # raw schouten, on products of blocks that carry labels, equals schouten
+    # with every density taken by the reference
+    def raw(F):
+        return [(tuple(_raw(b) for b in blocks), c) for blocks, c in F.terms.items()]
+
+    cases = []
+    for model_name in MODELS:
+        for model, ops, _ in _operands(model_name, seeds=(0,)):
+            one = {k: Functional.from_density(model, e) for k, e in ops.items()}
+            cases += [(one["x"], one["y"]), (one["y"], one["x"] * one["p1"]),
+                      (one["x"] * one["y"], one["p0"]), (one["z"], one["y"])]
+    _, S, X = nested_brackets(2)
+    cases += [(S, X), (X, S), (X, X)]
+    new = [raw(schouten(F, G)) for F, G in cases]
+    monkeypatch.setattr(bv, "schouten_density", reference_bracket_density)
+    assert new == [raw(schouten(F, G)) for F, G in cases]
+
+
+@pytest.mark.parametrize("model_name", list(MODELS))
+def test_right_images_are_signed_left_images(model_name):
+    # on a parity-homogeneous operand e, the right image by v is
+    # (-1)^(p_v (p_e - 1)) times the left one, term order included, with a
+    # label (frozen, isolated) and without (expanded)
+    for model, ops, _ in _operands(model_name):
+        for name, e in ops.items():
+            own = collect_channel_labels(e)
+            for label in (max(own, default=-1) + 1, None):
+                labels = {v: label for pair in model.pairs() for v in pair}
+                left = eulers(model, e, labels, "left", isolate=True)
+                right = eulers(model, e, labels, "right", isolate=True)
+                for v, image in left.items():
+                    sign = -1 if model.parity(*v) and not e.parity() else 1
+                    assert _raw(right[v]) == _raw(image.scale(sign)), (name, v, label)
+
+
+def test_shifted_images_are_the_canonical_images_from_a_later_label(monkeypatch):
+    # canonicalize_channels(e, a) is canonicalize_channels(e, 0) with every
+    # label raised by a, in the same term order, and the shift reads no key
+    exprs = []
+    for model_name in MODELS:
+        for model, ops, _ in _operands(model_name):
+            for e in (ops["x"], ops["y"], ops["z"]):
+                own = collect_channel_labels(e)
+                labels = {v: max(own, default=-1) + 1 for pair in model.pairs() for v in pair}
+                exprs += eulers(model, e, labels, "left", isolate=True).values()
+            exprs.append(reference_schouten_density(model, ops["x"], ops["y"]))
+    slot, reads = Atom.__dict__["key"], []
+    counted = property(lambda a: reads.append(a) or slot.__get__(a, type(a)), slot.__set__)
+    shifted = 0
+    for e in exprs:
+        base = canonicalize_channels(e, 0)
+        for a in range(1, 6):
+            with monkeypatch.context() as patched:
+                patched.setattr(Atom, "key", counted)
+                out = shift_channels(base, a, {})
+            assert not reads
+            assert _raw(out) == _raw(canonicalize_channels(e, a))
+            shifted += bool(collect_channel_labels(out))
+    assert shifted >= 100
+
+
+def test_one_walk_of_a_labelled_block_serves_both_brackets(monkeypatch):
+    # X = [[S,[[S,O]]]] is walked once for [[S,X]] and [[X,S]] together
+    walked = []
+
+    def counted(model, e, *args, **kwargs):
+        walked.append(e)
+        return eulers(model, e, *args, **kwargs)
+
+    monkeypatch.setattr(bv, "eulers", counted)
+    model, S, X = nested_brackets(2)
+    ((x,),) = X.terms
+    assert collect_channel_labels(x)
+    assert not schouten(S, X).is_zero() and not schouten(X, S).is_zero()
+    assert sum(e is x for e in walked) == 1
+    assert list(x._images) == [model]
+
+
+def test_a_plain_block_keeps_no_images():
+    _, S = build_yang_mills_bv(LieAlgebraData.su2(), 2)
+    assert not schouten(S, S).is_zero()
+    assert not any(hasattr(b, "_images") for b in S.blocks())
+
+
+def test_a_labelled_block_keeps_images_per_model():
+    model, S, X = nested_brackets(1)
+    ((s,),), ((x,),) = S.terms, X.terms
+    wider = model.extend([("c", 1)])
+    for m_ in (model, wider, model):
+        assert _raw(schouten_density(m_, s, x)) == _raw(reference_bracket_density(m_, s, x))
+        assert _raw(schouten_density(m_, x, s)) == _raw(reference_bracket_density(m_, x, s))
+    assert list(x._images) == [model, wider]
+    assert len(x._images[wider][1]) == len(x._images[model][1]) + 2
+
+
+def test_a_heterogeneous_first_operand_is_refused(m):
+    # right images are signed left images only on a parity-homogeneous f:
+    # a heterogeneous f, labelled or plain, raises and keeps no images; a
+    # heterogeneous g is bracketed as the reference brackets it
+    ops = labelled_operands(m, 0)
+    s = ops["p1"]
+    for het in (ops["x"] + ops["y"], ops["p0"] + ops["p1"]):
+        assert not het.is_homogeneous()
+        with pytest.raises(ParityError, match="parity-heterogeneous expression"):
+            schouten_density(m, het, s)
+        assert not hasattr(het, "_images")
+        assert _raw(schouten_density(m, s, het)) == _raw(reference_bracket_density(m, s, het))
 
 
 def test_self_bracket_of_odd_functional_vanishes(m):
@@ -643,8 +804,14 @@ def test_check_omega_squared_reports(m):
     assert rep1.data["agreed"][0]
 
 
+def _kdv_hamiltonian(m):
+    """The even action int (q^3 - q_x^2/2), the KdV Hamiltonian."""
+    q, qx = m.jet("q"), m.jet("q", (1,))
+    return Functional.from_density(m, q * q * q - (qx * qx).scale(Fraction(1, 2)))
+
+
 def test_gauge_closure(m):
-    S = Functional.from_density(m, m.jet("q", dagger=True) * m.jet("q"))
+    S = _kdv_hamiltonian(m)
     for i in range(8):
         F1 = rf(m, 1, 2100 + i, order=1)
         F2 = rf(m, 1, 2200 + i, order=1)
@@ -654,6 +821,11 @@ def test_gauge_closure(m):
     assert check_identity("gauge-closure", (F, F, S)).passed
     # S = 0 reduces to the derivation identity
     assert check_identity("gauge-closure", (rf(m, 1, 2400), rf(m, 1, 2401), zero(m))).passed
+    # the row declares S even: an odd action is refused and named
+    odd = Functional.from_density(m, m.jet("q", dagger=True) * m.jet("q"))
+    with pytest.raises(ParityError) as exc:
+        check_identity("gauge-closure", (rf(m, 1, 2400), rf(m, 1, 2401), odd))
+    assert str(exc.value) == "gauge-closure: argument 3 must be even"
 
 
 def test_cocycle_and_coboundary_preservation(m):

@@ -197,8 +197,8 @@ def test_every_suite_draws_one_argument_per_declared_parity():
 
 
 def test_gauge_closure_draws_an_even_action_per_case():
-    # the row declares S of either parity, for callers that pass an odd one,
-    # but draws a random even S, a different one for each case
+    # the row declares S even and draws a random even S, a different one for
+    # each case
     m = BvModel(1, [("q", 0)])
     actions = [cli._draw("gauge-closure", m, cs, 2)[2] for cs in range(10)]
     assert all(not S.is_zero() and S.parity() == 0 for S in actions)
@@ -330,7 +330,7 @@ def test_ym_example_fails_the_cme_without_the_ghost_term(monkeypatch, capsys):
     monkeypatch.setattr(cli, "build_yang_mills_bv", without_ghost_term)
     assert main(["example", "ym-su2", "--dim", "2"]) == 1
     out = capsys.readouterr().out
-    assert "collapsed [[S,S]] vanishes: False\n" in out
+    assert "classical master equation: the collapsed [[S,S]] is trivial: False\n" in out
 
 
 def test_ym_example_json_carries_the_text_lines(capsys):
@@ -346,7 +346,7 @@ def test_ym_example_json_carries_the_text_lines(capsys):
 
 # one SHA-256 over what four commands print, elapsed times stripped: a change
 # meant to keep every output (a performance change) must keep it
-PRINTED = "89c1329ee78c3f85819eacf3ece3a9c40ad582068a908025a6ca01bcd9ad55ae"
+PRINTED = "f8e6805cdf58259c32ca1471ceef1e04c35cc919fb7217e018dc788d0eedfbe9"
 PRINTED_COMMANDS = (
     (["example", "scalar"], 0),
     (["example", "ym-su2", "--dim", "2"], 0),

@@ -5,9 +5,10 @@ from fractions import Fraction
 
 from bvcalc import BvModel, Expr, bv
 from bvcalc.coeff import Coefficient
-from bvcalc.algebra import Attach, Trig, collect_channel_labels, make_attach, _from_raw
+from bvcalc.algebra import (_ONE, Attach, Trig, _add_products, _from_raw, collect_channel_labels,
+                            make_attach)
 from bvcalc.cohomology import Functional, _accumulate
-from bvcalc.jetcalc import GEOMETRIC, _check_mode
+from bvcalc.jetcalc import GEOMETRIC, NAIVE, _check_mode, canonicalize_channels, collapse, eulers
 
 
 def scalar_model() -> BvModel:
@@ -173,6 +174,77 @@ def raw_nested_densities(depth: int, seed: int = 20240808):
     for _ in range(depth):
         x = reference_schouten_density(m, s, x)
     return m, s, x
+
+
+# -- the bracket density with its images taken afresh --------------------------
+# Both operands walked in every call, f from the right and g from the left, and
+# a labelled operand's images put in canonical label form in every call: the
+# reference for ``bv.schouten_density``, which keeps a labelled block's images
+# on the block and takes only left images.
+
+_MINUS_ONE = Coefficient.of(-1)
+
+
+def reference_bracket_density(model, f, g, mode=GEOMETRIC):
+    """The density of [[f, g]]: the sum over the conjugate pairs (ev, od) of
+    er[ev] * el[od] - er[od] * el[ev], with the images of
+    ``reference_bracket_images``."""
+    pairs, er, el = reference_bracket_images(model, f, g, mode)
+    acc = {}
+    for ev, od in pairs:
+        _add_products(acc, _ONE, er[ev], el[od])
+        _add_products(acc, _MINUS_ONE, er[od], el[ev])
+    return Expr(acc) if acc else Expr.zero()
+
+
+def reference_bracket_images(model, f, g, mode=GEOMETRIC):
+    """The conjugate pairs of the model, the right Euler images er of f and
+    the left Euler images el of g.  In geometric mode f's variations are
+    recorded against the new label max(labels of f) + 1 (0 for a plain f)
+    and g's against max(labels of g) + 1 (a for a plain g); a labelled
+    operand's images are put in canonical label form, f's from 0 and g's
+    from a, where a is one more than the number of labels of f."""
+    _check_mode(mode)
+    if mode == NAIVE:
+        f, g = collapse(f), collapse(g)
+        f_own = g_own = ()
+        l1 = l2 = None
+    else:
+        f_own, g_own = collect_channel_labels(f), collect_channel_labels(g)
+        a = len(f_own) + 1
+        l1 = max(f_own) + 1 if f_own else 0
+        l2 = max(g_own) + 1 if g_own else a
+    pairs = list(model.pairs())
+    er = eulers(model, f, {v: l1 for pair in pairs for v in pair}, "right", isolate=True)
+    el = eulers(model, g, {v: l2 for pair in pairs for v in pair}, "left", isolate=True)
+    if f_own:
+        er = reference_canonical_images(er, 0)
+    if g_own:
+        el = reference_canonical_images(el, a)
+    return pairs, er, el
+
+
+def reference_canonical_images(images: dict, first: int) -> dict:
+    """Each Euler image in canonical label form from ``first`` on, in one pass
+    that shares the canonicaliser's memos."""
+    memos = ({}, {}, {})
+    return {v: canonicalize_channels(e, first, memos) for v, e in images.items()}
+
+
+def labelled_operands(model, seed: int) -> dict:
+    """Seeded bracket operands {name: density} in ``model``: plain densities
+    p0 (even, with sin/cos factors when the model has an even field), e
+    (even) and p1 (odd); the labelled brackets x = [[p1, p0]] (even) and
+    y = [[p0, e]] (odd); and z = [[x, y]] (even), whose blocks nest.  Every
+    bracket is taken by ``reference_bracket_density``."""
+    from bvcalc.models import random_density
+    rng = random.Random(seed)
+    p0 = random_density(model, 2, 3, 0, rng, with_trig=True)
+    e = random_density(model, 2, 3, 0, rng)
+    p1 = random_density(model, 2, 3, 1, rng)
+    x = reference_bracket_density(model, p1, p0)
+    y = reference_bracket_density(model, p0, e)
+    return {"p0": p0, "p1": p1, "x": x, "y": y, "z": reference_bracket_density(model, x, y)}
 
 
 # -- the Leibniz extensions by recursion ----------------------------------------
