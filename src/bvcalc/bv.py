@@ -7,8 +7,9 @@ as closed sums over blocks and block pairs, (1a) and (1b) summed out (see
 ``schouten`` and ``laplacian``).  A first argument of several blocks takes
 the densities [[B_i, C_j]] as they stand, not through skew-symmetry, so the
 ``skew`` suite tests skew-symmetry rather than restating it.  A labelled
-block keeps the Euler images its first bracket made.  The quantum layer
-combines the two into the differential Omega = -i*hbar*Delta + [S, .].
+block keeps the Euler images its first bracket made; a block bracketed with
+itself in naive mode is walked once.  The quantum layer combines the two
+into the differential Omega = -i*hbar*Delta + [S, .].
 
 Sign conventions (fixed constants of the construction): the two couplings
 pair as <e, dag e> = +1 and <dag e, e> = -1; normalized variations couple to
@@ -55,18 +56,28 @@ def schouten_density(model: BvModel, f: Expr, g: Expr, mode: str = GEOMETRIC) ->
     multiplied: f's on the labels 0..a-1 and g's on a..a+b-1, where a (b) is
     one more than the number of labels of f (g).  The ranges are disjoint, so
     each product is a renaming of the raw product, and the bracket's labels
-    lie in range(a + b)."""
+    lie in range(a + b).
+
+    In naive mode the images are plain, so they graded-commute: for g is f
+    the two terms of a pair agree for even f and cancel for odd f, and f is
+    walked once for 2 sum el[ev] * el[od] (Henneaux & Teitelboim,
+    Quantization of Gauge Systems, 1992), or not at all."""
     _check_mode(mode)
+    fold = mode == NAIVE and g is f
     if mode == NAIVE:
         f, g = collapse(f), collapse(g)
     f_own = collect_channel_labels(f)
-    sign = _MINUS_ONE if f.parity() else _ONE  # raises on heterogeneous f
+    odd = f.parity()  # raises on heterogeneous f
+    if fold and odd:
+        return Expr.zero()
     ef = _images(model, f, f_own, 0, mode)
-    eg = _images(model, g, collect_channel_labels(g), len(f_own) + 1, mode)
+    eg = ef if fold else _images(model, g, collect_channel_labels(g), len(f_own) + 1, mode)
+    lead, sign = (_TWO if fold else _ONE), (_MINUS_ONE if odd else _ONE)
     acc = {}
     for ev, od in model.pairs():
-        _add_products(acc, _ONE, ef[ev], eg[od])
-        _add_products(acc, sign, ef[od], eg[ev])
+        _add_products(acc, lead, ef[ev], eg[od])
+        if not fold:
+            _add_products(acc, sign, ef[od], eg[ev])
     return Expr(acc) if acc else Expr.zero()
 
 
@@ -80,11 +91,11 @@ def _images(model: BvModel, e: Expr, own: set, first: int, mode: str) -> dict:
     variables = [v for pair in model.pairs() for v in pair]
     if not own:
         label = None if mode == NAIVE else first
-        return eulers(model, e, dict.fromkeys(variables, label), "left", isolate=True)
+        return eulers(model, e, dict.fromkeys(variables, label), isolate=True)
     memo = getattr(e, "_images", {})
     at, images = memo.get(model, (first, None))
     if images is None:
-        raw = eulers(model, e, dict.fromkeys(variables, max(own) + 1), "left", isolate=True)
+        raw = eulers(model, e, dict.fromkeys(variables, max(own) + 1), isolate=True)
         memos = ({}, {}, {})  # the canonicaliser's memos, shared by the images
         images = {v: canonicalize_channels(x, first, memos) for v, x in raw.items()}
         memo[model] = (first, images)
@@ -388,13 +399,16 @@ def check_master_equation(S: Functional, mode: str = GEOMETRIC) -> Report:
     with S_0 = S at hbar = 0, so the classical master equation holds iff no
     coefficient of the polynomial has an hbar^0 term (Henneaux & Teitelboim,
     1992).  ``data`` holds the obstruction, the exact Delta(S) ("delta"),
-    the collapsed [[S, S]] found by ``_collapsed_self_bracket`` ("bracket")
-    and that CME verdict ("cme")."""
+    the collapsed [[S, S]] ("bracket") and that CME verdict ("cme").  The
+    geometric bracket of operands without frozen blocks collapses to the
+    naive one, so such an S takes the naive bracket, whose self-pairs are
+    folded (``schouten_density``)."""
     # collapse is linear, so the obstruction is formed from the collapsed
     # pieces that the summary lines print
     delta = laplacian(S, mode)
     delta_c = delta.collapse()
-    bracket_c = _collapsed_self_bracket(S, mode)
+    frozen = any(b.has_attach() for b in S.blocks())
+    bracket_c = schouten(S, S, mode if frozen else NAIVE).collapse()
     obstruction = -_qme(delta_c, bracket_c)
     classes = _reduce_functional(obstruction, "collapse")
     passed = not classes
@@ -407,34 +421,6 @@ def check_master_equation(S: Functional, mode: str = GEOMETRIC) -> Report:
     return Report("quantum master-equation", passed, lines,
                   {"obstruction": obstruction, "delta": delta, "bracket": bracket_c,
                    "cme": not any(0 in c.terms for c in classes.values())})
-
-
-def _collapsed_self_bracket(S: Functional, mode: str) -> Functional:
-    """[[S, S]] collapsed.  For S = c times one even block s without pending
-    derivatives (any even block in naive mode, which collapses s first),
-    each collapsed Euler image is the expanded one and collapse is
-    multiplicative; for even s the two terms of each conjugate pair agree,
-    (S,S) = 2 d_r S/d phi d_l S/d phi* (Henneaux & Teitelboim, Quantization
-    of Gauge Systems, 1992).  So the density is 2 sum er[ev] * el[od] over
-    the expanded images, with no frozen block, at the coefficient c * c of
-    ``schouten``.  Any other S takes the whole bracket."""
-    _check_mode(mode)
-    blocks = next(iter(S.terms)) if len(S.terms) == 1 else ()
-    s = blocks[0] if len(blocks) == 1 else None
-    if s is not None and mode == NAIVE:
-        s = collapse(s)
-    if s is None or s.parity() or s.has_attach():
-        return schouten(S, S, mode).collapse()
-    pairs = list(S.model.pairs())
-    # right images of the even members are their left ones
-    images = eulers(S.model, s, {v: None for pair in pairs for v in pair})
-    acc = {}
-    for ev, od in pairs:
-        _add_products(acc, _TWO, images[ev], images[od])
-    if not acc:
-        return Functional.zero(S.model)
-    c = S.terms[blocks]
-    return Functional(S.model, {(Expr(acc),): c * c})
 
 
 def _summarize(F: Functional, limit: int = 400) -> str:

@@ -1,13 +1,15 @@
 """Jet-space calculus over a declared BV field table.
 
 Provides the bundle declaration (BvModel), total derivatives, one walk for the
-graded left and right partial derivatives by any set of variables at once
-(each monomial visited once, branches filed by variable and multi-index), the
+graded left partial derivatives by any set of variables at once (each
+monomial visited once, branches filed by variable and multi-index), the
 Euler operators of those variables (total derivatives expanded by Horner's
 scheme, one coordinate at a time, or kept pending on a channel), collapse of
 pending channel derivatives, canonical renaming of channel labels, and the
 naive/geometric iterated variations.  ``eulers`` is the one Euler entry that
 walks and sums; the iterated variations keep their shift fields outside it.
+The walk and ``eulers`` take left partials only: the public ``partial`` and
+``euler`` sign a left image into a right one (``_right``).
 
 Total derivatives, collapse and the partial-derivative walk take canonical
 monomials and file canonical ones.  The total derivative of a jet variable
@@ -280,21 +282,20 @@ def total_derivative_multi(e: Expr, index: Sequence[int]) -> Expr:
 # graded partial derivatives and the Euler operator
 
 
-def _partials(e, variables, side, isolate, index=None):
-    """Graded partials of ``e`` by the jet variables q_sigma of every
+def _partials(e, variables, isolate):
+    """Graded left partials of ``e`` by the jet variables q_sigma of every
     variable in ``variables`` = {(field, dagger): (parity, label or None)},
     filed by variable and multi-index: ``{(field, dagger): {sigma: Expr}}``.
     Each monomial is visited once, for all variables together; a walk by
     one variable visits only those that ``e.var_index()``, once built,
-    lists for it or as holding a block.  ``index`` keeps the single sigma
-    ``index``.
+    lists for it or as holding a block.  Right partials are signed left
+    ones (``_right``).
 
-    ``side="right"`` gives the right partial, (-1)^(p_v (p_m - 1)) times the
-    left one on each monomial m.  With a label a branch consumed at home
-    records the pending derivative (label, sigma) for |sigma| > 0 on a new
-    block of its home plains (``_wrap_branch``); a branch consumed inside an
-    Attach wrapper adds it to that wrapper's pending set.  ``isolate`` acts
-    on the variables with a label only.
+    With a label a branch consumed at home records the pending derivative
+    (label, sigma) for |sigma| > 0 on a new block of its home plains
+    (``_wrap_branch``); a branch consumed inside an Attach wrapper adds it
+    to that wrapper's pending set.  ``isolate`` acts on the variables with
+    a label only.
 
     A factor is tested by its ``var`` and whether it is an Attach; a
     monomial none of whose factors can contribute is skipped before anything
@@ -304,8 +305,6 @@ def _partials(e, variables, side, isolate, index=None):
     dived branch dm * rest, the block's derivative dm paying the sign of the
     odd factors before the block; both are filed by the canonical product.
     """
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     acc = {}  # (v, sigma) -> term map of canonical branches
     unlabelled = None
     dives = {}  # Attach atom -> its branches, so each block is entered once
@@ -330,17 +329,10 @@ def _partials(e, variables, side, isolate, index=None):
                     break
             else:
                 continue
-        # the sign of an odd variable's branch: the right-side sign of the
-        # monomial, then the Koszul sign of every odd factor passed
-        sign = -1 if side == "right" and not len(odd) & 1 else 1
         n = len(even)
         for i in range(n + len(odd)):
-            if i < n:
-                a, k = even[i]
-                s = sign
-            else:
-                a, k = odd[i - n], 1
-                s = -sign if (i - n) & 1 else sign
+            a, k = even[i] if i < n else (odd[i - n], 1)
+            flip = i > n and (i - n) & 1  # an odd variable's Koszul sign
             if type(a) is Attach:
                 # the pending derivative joins the block's own set, so the
                 # branch itself records none
@@ -349,7 +341,7 @@ def _partials(e, variables, side, isolate, index=None):
                     if unlabelled is None:
                         unlabelled = {v: (p, None) for v, (p, _) in variables.items()}
                     hits = dives[a] = []
-                    inner = _partials(a.inner, unlabelled, "left", False, index)
+                    inner = _partials(a.inner, unlabelled, False)
                     for v, by_index in inner.items():
                         parity, label = variables[v]
                         for sigma, d in by_index.items():
@@ -365,7 +357,7 @@ def _partials(e, variables, side, isolate, index=None):
                 passed = max(i - n, 0)  # the odd factors before the block
                 cmult = m.coeff * k if k > 1 else m.coeff
                 for v, parity, label, sigma, dived in hits:
-                    c = -cmult if parity and s < 0 else cmult
+                    c = -cmult if parity and flip else cmult
                     wrap = isolate and label is not None
                     out = acc.setdefault((v, sigma), {})
                     for dm in dived.monomials():
@@ -378,13 +370,11 @@ def _partials(e, variables, side, isolate, index=None):
                 continue
             u = a.arg if type(a) is Trig else a
             sigma = u.index
-            if index is not None and sigma != index:
-                continue
             parity, label = spec
             pend = (label, sigma) if label is not None and any(sigma) else None
             wrap = pend is not None or (isolate and label is not None)
             cmult = m.coeff * k if k > 1 else m.coeff
-            c = -cmult if parity and s < 0 else cmult
+            c = -cmult if parity and flip else cmult
             out = acc.setdefault((a.var, sigma), {})
             rest_even, rest_odd = _without(even, odd, i, k)
             if u is not a:
@@ -455,8 +445,17 @@ def _wrap_branch(acc, coeff, even, odd, pend):
 def partial(e: Expr, v: JetVar, side: str = "left") -> Expr:
     """Graded partial derivative by ``v`` on the given side; on a
     parity-homogeneous monomial m, right = (-1)^(gh(v) * (gh(m) - 1)) * left."""
-    terms = _partials(e, {v.var: (v.parity, None)}, side, False, v.index)
-    return terms.get(v.var, {}).get(v.index, Expr.zero())
+    _check_side(side)
+    if not _holds(e, v):  # the walk would take every multi-index of v's field
+        return Expr.zero()
+    d = _partials(e, {v.var: (v.parity, None)}, False).get(v.var, {}).get(v.index, Expr.zero())
+    return _right(d, v.parity) if side == "right" else d
+
+
+def _holds(e: Expr, v: JetVar) -> bool:
+    """Whether ``v`` occurs in ``e``: as a factor, an argument or in a block."""
+    return any(a is v or (type(a) is Trig and a.arg is v)
+               or (type(a) is Attach and _holds(a.inner, v)) for a in e.atoms())
 
 
 def euler(
@@ -480,18 +479,14 @@ def euler(
     (geometric mode); ``isolate`` then also gathers the home plains of a
     branch without a pending derivative.
     """
+    _check_side(side)
     v = (field, dagger)
-    return eulers(model, e, {v: label}, side, isolate)[v]
+    image = eulers(model, e, {v: label}, isolate)[v]
+    return _right(image, model.parity(*v)) if side == "right" else image
 
 
-def eulers(
-    model: BvModel,
-    e: Expr,
-    labels: dict,
-    side: str = "left",
-    isolate: bool = False,
-) -> dict:
-    """The Euler operators of ``e`` by every variable of ``labels`` =
+def eulers(model: BvModel, e: Expr, labels: dict, isolate: bool = False) -> dict:
+    """The left Euler operators of ``e`` by every variable of ``labels`` =
     {(field, dagger): channel label or None}, as {(field, dagger): Expr} in
     the order of ``labels``; each is ``euler`` with that variable's label,
     and one partial-derivative walk serves them all."""
@@ -500,7 +495,7 @@ def eulers(
     reused = used and used & collect_channel_labels(e)
     if reused:
         raise ValueError(f"channel label {min(reused)!r} already occurs in expression")
-    terms = _partials(e, variables, side, isolate)
+    terms = _partials(e, variables, isolate)
     images = {}
     for v, label in labels.items():
         by_index = terms.get(v, {})
@@ -514,6 +509,22 @@ def eulers(
                 _add_monomial(acc, k, Monomial(-mm.coeff, mm.even, mm.odd) if odd else mm)
         images[v] = Expr(acc) if acc else Expr.zero()
     return images
+
+
+def _check_side(side: str):
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+
+
+def _right(e: Expr, parity: int) -> Expr:
+    """The right image from the left image ``e`` by a variable of ``parity``:
+    (-1)^(p_v (p_m - 1)) times it on each monomial m, and an image of m has
+    parity p_m + p_v, so by an odd v its odd monomials change sign."""
+    if not parity:
+        return e
+    terms = {k: Monomial(-m.coeff, m.even, m.odd) if len(m.odd) & 1 else m
+             for k, m in e.terms.items()}
+    return Expr(terms) if terms else Expr.zero()
 
 
 def _horner(terms: dict, n: int) -> Expr:

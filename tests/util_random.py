@@ -8,7 +8,8 @@ from bvcalc.coeff import Coefficient
 from bvcalc.algebra import (_ONE, Attach, Trig, _add_products, _from_raw, collect_channel_labels,
                             make_attach)
 from bvcalc.cohomology import Functional, _accumulate
-from bvcalc.jetcalc import GEOMETRIC, NAIVE, _check_mode, canonicalize_channels, collapse, eulers
+from bvcalc.jetcalc import (GEOMETRIC, NAIVE, _check_mode, canonicalize_channels, collapse, euler,
+                            eulers)
 
 
 def scalar_model() -> BvModel:
@@ -151,18 +152,24 @@ def reference_schouten_density(model, f, g):
     images of f and g, with nothing merged up to renaming labels.  g's labels
     are first shifted past f's, since the two may share the labels of one
     ancestor, and the two new labels lie past both."""
-    from bvcalc.jetcalc import eulers
     f_labels = collect_channel_labels(f)
     shift = max(f_labels) + 1 if f_labels else 0
     g = relabel(g, {lab: lab + shift for lab in collect_channel_labels(g)})
     top = max(f_labels | collect_channel_labels(g), default=-1) + 1
     pairs = list(model.pairs())
-    er = eulers(model, f, {v: top for pair in pairs for v in pair}, "right", isolate=True)
-    el = eulers(model, g, {v: top + 1 for pair in pairs for v in pair}, "left", isolate=True)
+    er = right_images(model, f, top)
+    el = eulers(model, g, {v: top + 1 for pair in pairs for v in pair}, isolate=True)
     out = Expr.zero()
     for ev, od in pairs:
         out = out + er[ev] * el[od] - er[od] * el[ev]
     return out
+
+
+def right_images(model, e, label):
+    """The right isolated Euler images of ``e`` by every variable of
+    ``model``, one public ``euler`` call per variable, all at ``label``."""
+    return {v: euler(model, e, *v, side="right", label=label, isolate=True)
+            for pair in model.pairs() for v in pair}
 
 
 def raw_nested_densities(depth: int, seed: int = 20240808):
@@ -215,8 +222,8 @@ def reference_bracket_images(model, f, g, mode=GEOMETRIC):
         l1 = max(f_own) + 1 if f_own else 0
         l2 = max(g_own) + 1 if g_own else a
     pairs = list(model.pairs())
-    er = eulers(model, f, {v: l1 for pair in pairs for v in pair}, "right", isolate=True)
-    el = eulers(model, g, {v: l2 for pair in pairs for v in pair}, "left", isolate=True)
+    er = right_images(model, f, l1)
+    el = eulers(model, g, {v: l2 for pair in pairs for v in pair}, isolate=True)
     if f_own:
         er = reference_canonical_images(er, 0)
     if g_own:
