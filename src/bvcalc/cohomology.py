@@ -8,8 +8,6 @@ such blocks form the space of local functionals.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 from .coeff import Coefficient
 from .algebra import Attach, Expr, GhostNumberError, ParityError, _sum_scaled
 from .grammar import expr_text, format_coefficient
@@ -269,7 +267,8 @@ def functional_equal(
 
     Blocks of F - G are partitioned into equivalence classes: wrapper-free
     densities by cohomological equivalence, structured blocks either by
-    channel-canonical structural equality (mode 'structural') or by collapse
+    channel-canonical structural equality up to a unit scalar, the
+    coefficient at the least term key (mode 'structural'), or by collapse
     followed by cohomological equivalence (mode 'collapse').  The integral is
     linear, so the single wrapper-free blocks of F - G are first summed into
     one integral per parity, and tested as one density.
@@ -399,7 +398,8 @@ def _reduce_functional(H: Functional, mode: str) -> dict:
     is expanded once for all of them, and equal frozen monomials cancel
     unexpanded.  The verdict is that of a blockwise reduction, since a
     single block's term holds exactly one class symbol and the class map is
-    linear over Q(i)[hbar, hbar^-1]."""
+    linear over Q(i)[hbar, hbar^-1].  A canonical structured block is a
+    scalar times the symbol of its class up to scalars (``_block_class``)."""
     model = H.model
     prepare = collapse if mode == "collapse" else _itself
     singles = {}
@@ -419,6 +419,7 @@ def _reduce_functional(H: Functional, mode: str) -> dict:
     parities = {}
     terms = {}
     plain_cache = {}
+    classes = {}
     for blocks, c in pending:
         expansions = []
         dead = False
@@ -428,9 +429,8 @@ def _reduce_functional(H: Functional, mode: str) -> dict:
                 if b.is_zero():
                     dead = True
                     break
-                b, lead = _scale_canonical(b)
+                sym, lead = _block_class(classes, b)
                 c = c * lead
-                sym = ("s", b.key())
                 parities[sym] = b.parity()
                 expansions.append([(sym, Coefficient.one())])
             else:
@@ -454,12 +454,21 @@ def _reduce_functional(H: Functional, mode: str) -> dict:
     return terms
 
 
-def _scale_canonical(b: Expr) -> Tuple[Expr, Coefficient]:
-    """Normalize a block's overall scale: divide by the leading coefficient
-    when it is invertible, returning (representative, factored-out lead)."""
+def _block_class(classes: dict, b: Expr):
+    """``(symbol, lead)`` of a canonical structured block ``b``: its lead is
+    its coefficient at the least term key when that is a unit, else 1, and
+    ``b`` shares a class with a block on the same term keys when
+    ``b[k]*lead(rep) == rep[k]*lead(b)`` at every key k.  These are the
+    classes of ``b/lead``, found with no copy built; a block whose least
+    coefficient is no unit matches only an equal block.  ``classes`` lives
+    for one reduction."""
     lead = b.lead_coefficient()
-    try:
-        inv = lead.inverse()
-    except ZeroDivisionError:
-        return b, Coefficient.one()
-    return b.scale(inv), lead
+    if len(lead.terms) != 1:
+        lead = Coefficient.one()
+    i, reps = classes.setdefault(frozenset(b.terms), (len(classes), []))
+    for j, (rep, rep_lead) in enumerate(reps):
+        theirs = rep.terms
+        if all(m.coeff * rep_lead == theirs[k].coeff * lead for k, m in b.terms.items()):
+            return ("s", i, j), lead
+    reps.append((b, lead))
+    return ("s", i, len(reps) - 1), lead

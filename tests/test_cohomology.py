@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import bvcalc
-from bvcalc import Expr
+from bvcalc import Expr, cohomology
 from bvcalc.algebra import make_attach
 from bvcalc.coeff import Coefficient
 from bvcalc.cohomology import (
@@ -13,7 +13,6 @@ from bvcalc.cohomology import (
     _graded_expand,
     _graded_sort,
     _hbar_parts,
-    _scale_canonical,
     field_free_part,
     functional_equal,
     is_trivial,
@@ -21,7 +20,7 @@ from bvcalc.cohomology import (
 from bvcalc.jetcalc import canonicalize_channels, collapse, euler_left, eulers, total_derivative
 from bvcalc.bv import schouten, laplacian
 
-from util_random import plane_model, random_homogeneous, scalar_model
+from util_random import nested_brackets, plane_model, random_homogeneous, scalar_model
 
 
 @pytest.fixture
@@ -231,6 +230,18 @@ def test_odd_blocks_in_one_class_multiply_graded_commutatively(m):
 
 # -- the single plain blocks of F - G are decided as one integral ---------------
 
+def _scale_canonical(b):
+    """Reference normalisation of a block's overall scale: divide by the
+    leading coefficient when it is invertible, returning (representative,
+    factored-out lead)."""
+    lead = b.lead_coefficient()
+    try:
+        inv = lead.inverse()
+    except ZeroDivisionError:
+        return b, Coefficient.one()
+    return b.scale(inv), lead
+
+
 def _blockwise_equal(F, G, mode):
     """Reference for functional_equal: every block of F - G is expanded over
     the class basis on its own, with no summing of single blocks."""
@@ -363,6 +374,59 @@ def test_structured_singles_stay_blockwise_in_structural_mode(m):
     assert not _blockwise_equal(F, G, "structural")
     assert not functional_equal(F, G, "structural")
     assert functional_equal(F, G, "collapse") and _blockwise_equal(F, G, "collapse")
+
+
+_SCALARS = (2, Fraction(1, 2), -1, -(Coefficient.imag_unit() * HBAR), 1 + HBAR)
+
+
+def test_proportional_blocks_share_a_class_as_in_the_blockwise_reference(m):
+    # a structured block counts once up to a scalar, its coefficient at the
+    # least term key when that is a unit, and only as itself otherwise.  The
+    # blocks X + Y and Y + X are equal with their terms in two orders, so
+    # the scalar must not depend on which one is met first; X + 2*Y has the
+    # term keys of X + Y and is not proportional to it
+    rng = random.Random(41)
+    block = lambda d, c=1: Functional.from_density(m, d).scale(c)
+    lead = lambda d: canonicalize_channels(d).lead_coefficient()
+    outcomes = set()
+    for trial in range(4):
+        X, Y = (_structured(m, rng, 0, 7) for _ in range(2))
+        U, V = (_structured(m, rng, 1, 8) for _ in range(2))
+        even, odd, uneven = (X + Y, Y + X), (U + V, V + U), X + Y.scale(2)
+        assert list(even[0].terms) != list(even[1].terms)
+        assert set(uneven.terms) == set(even[0].terms)
+        cases = [(block(even[0], lead(uneven)), block(uneven, lead(even[0])))]
+        for s in _SCALARS:
+            cases += [
+                (block(even[0], s), block(even[1].scale(s))),
+                (block(even[0].scale(1 + HBAR), s), block(even[1].scale(s * (1 + HBAR)))),
+                (block(even[0], s) * block(odd[0]), block(even[1].scale(s)) * block(odd[1])),
+                # one odd class twice: the product vanishes
+                (block(odd[0]) * block(odd[1].scale(s)), Functional.zero(m)),
+            ]
+        for F, G in cases:
+            for lhs, rhs in ((F, G), (G, F)):
+                expected = _blockwise_equal(lhs, rhs, "structural")
+                assert functional_equal(lhs, rhs, "structural") == expected, trial
+                outcomes.add((max(map(len, (lhs - rhs).terms)), expected))
+    assert outcomes == {(n, v) for n in (1, 2) for v in (True, False)}
+
+
+def test_a_structural_verdict_scales_no_block_and_reads_no_canonical_key(monkeypatch):
+    # [[S,X]] = [[X,S]] with X = [[S,[[S,O]]]], the nested-brackets shape: a
+    # canonical structured block is filed by its term keys and the
+    # coefficient at the least one, with no scaled copy and no nested key
+    _, S, X = nested_brackets(2)
+    lhs, rhs = schouten(S, X), schouten(X, S)
+    canonical, keyed, scaled = [], [], []
+    canonicalize, key, scale = cohomology.canonicalize_channels, Expr.key, Expr.scale
+    monkeypatch.setattr(cohomology, "canonicalize_channels",
+                        lambda e: canonical.append(canonicalize(e)) or canonical[-1])
+    monkeypatch.setattr(Expr, "key", lambda self: keyed.append(self) or key(self))
+    monkeypatch.setattr(Expr, "scale", lambda self, c: scaled.append(self) or scale(self, c))
+    assert functional_equal(lhs, rhs, "structural")
+    assert canonical and scaled == []
+    assert not {id(e) for e in keyed} & {id(e) for e in canonical}
 
 
 def test_singles_with_mixed_powers_of_hbar_are_decided_per_power(m):
