@@ -719,10 +719,12 @@ def canonicalize_channels(e: Expr, first: int = 0, memos: Optional[tuple] = None
     Labels are ordered by a renaming-invariant signature (where they occur,
     with every label erased); only labels whose signatures tie are permuted,
     and the least relabelled monomial is kept (individualisation-refinement,
-    McKay & Piperno, "Practical graph isomorphism II", 2014).  When no two
-    signatures tie, the signature order is the one renaming tried, and a
-    monomial whose labels already run first, first+1, ... in that order is
-    kept as it is.
+    McKay & Piperno, "Practical graph isomorphism II", 2014).  A tie is fixed
+    when its labels share one home (``_label_signatures``), an Attach atom
+    naming each of them once: every permutation of them maps the monomial to
+    itself, so a fixed tie is never permuted.  When every tie is fixed, the
+    signature order is the one renaming tried, and a monomial whose labels
+    already run first, first+1, ... in that order is kept as it is.
 
     A renaming is a bijection on atoms, so no two factors of a candidate
     merge and no odd factor repeats: each candidate is built directly as its
@@ -740,22 +742,25 @@ def canonicalize_channels(e: Expr, first: int = 0, memos: Optional[tuple] = None
     erased, occurrences, renamed = memos if memos is not None else ({}, {}, {})
     acc = {}
     for m in e.monomials():
-        sigs = _label_signatures(m, erased, occurrences)
+        sigs, homes = _label_signatures(m, erased, occurrences)
         if not sigs:
             _add_monomial(acc, (m.even, m.odd), m)
             continue
         ranked = sorted(sigs, key=sigs.get)
-        groups = [tuple(g) for _, g in itertools.groupby(ranked, key=sigs.get)]
-        if len(groups) == len(ranked):
-            # no ties: one renaming, and none at all when it is the identity
+        if all(homes[a] is homes[b] or sigs[a] != sigs[b] for a, b in zip(ranked, ranked[1:])):
+            # no tie that a permutation can move: one renaming, and none at
+            # all when it is the identity
             if any(lab != i for i, lab in enumerate(ranked, first)):
                 m = _rename_monomial(m, {lab: i for i, lab in enumerate(ranked, first)},
                                      renamed)
             _add_monomial(acc, (m.even, m.odd), m)
             continue
+        groups = [tuple(g) for _, g in itertools.groupby(ranked, key=sigs.get)]
         best = best_key = None
         seen = {}
-        for choice in itertools.product(*(itertools.permutations(g) for g in groups)):
+        for choice in itertools.product(*(
+                itertools.permutations(g) if any(homes[lab] is not homes[g[0]] for lab in g)
+                else (g,) for g in groups)):
             mapping = {lab: i for i, lab in enumerate(itertools.chain.from_iterable(choice), first)}
             candidate = _rename_monomial(m, mapping, renamed)
             mk = (candidate.even, candidate.odd)
@@ -772,35 +777,44 @@ def canonicalize_channels(e: Expr, first: int = 0, memos: Optional[tuple] = None
     return Expr(acc) if acc else Expr.zero()
 
 
-def _label_signatures(m: Monomial, erased: dict, occurrences: dict) -> dict:
-    """Map each channel label of ``m`` to the sorted list of its occurrences
-    (nesting depth, pending multi-index, exponent of the enclosing Attach,
-    that Attach's key with every label erased).  ``occurrences`` memoises
-    the (label, occurrence) list of each top-level (Attach atom, exponent)
-    for the length of one canonicalisation, beside the ``erased`` keys."""
+def _label_signatures(m: Monomial, erased: dict, occurrences: dict) -> tuple:
+    """(signatures, homes) of the channel labels of ``m``.  The signature of
+    a label is the sorted list of its occurrences (nesting depth, pending
+    multi-index, exponent of the enclosing Attach, that Attach's key with
+    every label erased).  Its home is the Attach atom whose pending set names
+    it when that is its one occurrence (the atom and every block around it of
+    exponent 1), and the label itself otherwise.  Permuting labels of equal
+    signature and one home maps that atom, hence ``m``, to itself, signs
+    included.  ``occurrences`` memoises the (label, occurrence, home) list of
+    each top-level (Attach atom, exponent) for the length of one
+    canonicalisation, beside the ``erased`` keys."""
     sigs = {}
+    homes = {}
     for a, k in m.factors():
         if isinstance(a, Attach):
             found = occurrences.get((a, k))
             if found is None:
-                found = occurrences[a, k] = _occurrences(a, k, 0, erased, [])
-            for lab, occurrence in found:
+                found = occurrences[a, k] = _occurrences(a, k, 0, erased, [], True)
+            for lab, occurrence, home in found:
                 sigs.setdefault(lab, []).append(occurrence)
+                homes[lab] = lab if lab in homes else home
     for found in sigs.values():
         found.sort()
-    return sigs
+    return sigs, homes
 
 
-def _occurrences(a: Attach, k: int, depth: int, erased: dict, out: list) -> list:
-    """Append (label, occurrence) for every pending derivative in ``a`` and
-    in the blocks nested inside it."""
+def _occurrences(a: Attach, k: int, depth: int, erased: dict, out: list, alone: bool) -> list:
+    """Append (label, occurrence, home) for every pending derivative in ``a``
+    and in the blocks nested inside it; the home is ``a`` while ``a`` and the
+    blocks around it have exponent 1 (``alone``), and the label otherwise."""
     ek = _erased_key(a, erased)
+    alone = alone and k == 1
     for lab, idx in a.pending:
-        out.append((lab, (depth, idx, k, ek)))
+        out.append((lab, (depth, idx, k, ek), a if alone else lab))
     for mm in a.inner.monomials():
         for b, j in mm.factors():
             if isinstance(b, Attach):
-                _occurrences(b, j, depth + 1, erased, out)
+                _occurrences(b, j, depth + 1, erased, out, alone)
     return out
 
 

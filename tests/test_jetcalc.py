@@ -30,6 +30,7 @@ from bvcalc.jetcalc import (
     partial,
     total_derivative,
     total_derivative_multi,
+    _label_signatures,
     _monomial_labels,
     _partials,
     _shift,
@@ -43,6 +44,7 @@ from util_random import (
     random_homogeneous,
     random_monomial,
     raw_nested_densities,
+    reference_canonicalize_channels,
     reference_schouten_density,
     relabel,
     relabel_monomial,
@@ -1196,6 +1198,90 @@ def test_tied_labels_already_in_range_are_still_searched(m):
         w2 = make_attach(((first + 1, (2,)),), qd)
         assert canonicalize_channels(w1 * w2, first).is_zero()
         assert canonicalize_channels(w1 * w1 * w2 * w2, first) == w1 * w1 * w2 * w2
+
+
+def _tie_cases(m):
+    """Labelled monomials around the fixed-tie rule: ties fixed by one block,
+    ties across equal blocks, labels that occur twice, nested blocks."""
+    q, qx = m.jet("q"), m.jet("q", (1,))
+    qd = m.jet("q", dagger=True)
+    one, two = (1,), (2,)
+    out = []
+    for inner in (q, qd, q * qd):
+        # two or three labels at one multi-index in one block, alone, beside
+        # a block of their own signature, or nested in another block
+        pair = make_attach(((0, one), (1, one)), inner)
+        triple = make_attach(((0, one), (1, one), (2, one)), inner)
+        out += [pair * qx, triple, pair * make_attach(((2, two),), inner),
+                triple * make_attach(((3, one), (4, one)), q * qx),
+                make_attach(((5, two),), pair * q), make_attach(((5, one),), triple * qx)]
+    for inner in (q, qd):
+        # equal blocks on different labels: even ones are kept, odd ones vanish
+        w = [make_attach(((lab, two),), inner) for lab in (0, 1, 2)]
+        out += [w[0] * w[1], w[0] * w[1] * w[2], make_attach(((3, one),), w[0] * w[1] * q)]
+    # a label that occurs twice: tied to a label whose copies sit in other
+    # blocks, before or after the block they share; and under an exponent
+    for shared, apart in ((one, two), (two, one)):
+        a = make_attach(((0, shared), (1, shared)), qd)
+        out.append(a * make_attach(((0, apart),), qd) * make_attach(((1, apart),), qd))
+    w0, w1 = make_attach(((0, two),), qd), make_attach(((1, two),), qd)
+    out += [make_attach(((0, one), (1, one)), w0 * w1 * q) * qx,
+            make_attach(((0, one), (1, one)), q * q) * make_attach(((0, one), (1, one)), q * q),
+            make_attach(((2, one),), make_attach(((0, one), (1, one)), q) * q) * qx]
+    b = make_attach(((0, one),), q)
+    out.append(make_attach(((1, one),), b * q) * make_attach(((2, one),), b * qx))
+    return out
+
+
+def test_canonical_forms_agree_with_the_enumerating_reference(m):
+    # the one-renaming branch for fixed ties gives the enumerated form byte
+    # for byte, term order included, from any first label and with memos
+    # shared across the calls of one pass
+    rng = random.Random(8)
+    cases = list(_nested_blocks())
+    for e in _tie_cases(m):
+        labels = sorted(collect_channel_labels(e))
+        cases.append(e)
+        cases.append(relabel(e, dict(zip(labels, rng.sample(range(12), len(labels))))))
+    vanish = [e for e in cases if reference_canonicalize_channels(e).is_zero()]
+    assert len(vanish) >= 6 and len(vanish) < len(cases) - 20
+    for first in (0, 1, 5):
+        memos, ref_memos = ({}, {}, {}), ({}, {}, {})
+        for e in cases:
+            assert repr(canonicalize_channels(e, first, memos)) == \
+                repr(reference_canonicalize_channels(e, first, ref_memos))
+
+
+def test_fixed_ties_take_one_renaming(monkeypatch):
+    # a monomial whose tied labels are all fixed by their block is renamed
+    # at most once; nested blocks are renamed inside that one call
+    calls = []
+    depth = [0]
+    rename = jetcalc._rename_monomial
+
+    def counting(mono, mapping, memo):
+        if not depth[0]:
+            calls.append(mono)
+        depth[0] += 1
+        try:
+            return rename(mono, mapping, memo)
+        finally:
+            depth[0] -= 1
+
+    fixed = []
+    for b in _nested_blocks():
+        for mono in b.monomials():
+            sigs, homes = _label_signatures(mono, {}, {})
+            ranked = sorted(sigs, key=sigs.get)
+            ties = [(x, y) for x, y in zip(ranked, ranked[1:]) if sigs[x] == sigs[y]]
+            if ties and all(homes[x] is homes[y] for x, y in ties):
+                fixed.append(mono)
+    assert len(fixed) >= 10
+    monkeypatch.setattr(jetcalc, "_rename_monomial", counting)
+    for mono in fixed:
+        calls.clear()
+        canonicalize_channels(Expr({(mono.even, mono.odd): mono}))
+        assert len(calls) <= 1
 
 
 # -- iterated variations ----------------------------------------------------

@@ -1,15 +1,16 @@
 """Seeded random generators shared by the test modules."""
 
+import itertools
 import random
 from fractions import Fraction
 
 from bvcalc import BvModel, Expr, bv
 from bvcalc.coeff import Coefficient
-from bvcalc.algebra import (_ONE, Attach, Trig, _add_products, _from_raw, collect_channel_labels,
-                            make_attach)
+from bvcalc.algebra import (_ONE, Attach, Trig, _add_monomial, _add_products, _from_raw,
+                            collect_channel_labels, make_attach)
 from bvcalc.cohomology import Functional, _accumulate
-from bvcalc.jetcalc import (GEOMETRIC, NAIVE, _check_mode, canonicalize_channels, collapse, euler,
-                            eulers)
+from bvcalc.jetcalc import (GEOMETRIC, NAIVE, _check_mode, _label_signatures, _rename_monomial,
+                            canonicalize_channels, collapse, euler, eulers)
 
 
 def scalar_model() -> BvModel:
@@ -145,6 +146,42 @@ def _relabel_factors(coeff, factors, mapping):
             a = Attach(pending, inner)
         out.append((a, k))
     return coeff, tuple(out)
+
+
+def reference_canonicalize_channels(e: Expr, first: int = 0, memos=None) -> Expr:
+    """``canonicalize_channels`` by enumeration: every permutation of every
+    group of labels with equal signatures is tried, fixed ties included, and
+    the least renamed monomial is kept; a monomial that some renaming maps to
+    minus itself vanishes.  With no ties the signature order is the one
+    renaming, skipped when it is the identity."""
+    erased, occurrences, renamed = memos if memos is not None else ({}, {}, {})
+    acc = {}
+    for m in e.monomials():
+        sigs = _label_signatures(m, erased, occurrences)[0]
+        if not sigs:
+            _add_monomial(acc, (m.even, m.odd), m)
+            continue
+        ranked = sorted(sigs, key=sigs.get)
+        groups = [tuple(g) for _, g in itertools.groupby(ranked, key=sigs.get)]
+        if len(groups) == len(ranked):
+            if any(lab != i for i, lab in enumerate(ranked, first)):
+                m = _rename_monomial(m, {lab: i for i, lab in enumerate(ranked, first)},
+                                     renamed)
+            _add_monomial(acc, (m.even, m.odd), m)
+            continue
+        best = best_key = None
+        seen = {}
+        for choice in itertools.product(*(itertools.permutations(g) for g in groups)):
+            mapping = {lab: i for i, lab in enumerate(itertools.chain.from_iterable(choice), first)}
+            candidate = _rename_monomial(m, mapping, renamed)
+            mk = (candidate.even, candidate.odd)
+            if seen.setdefault(mk, candidate.coeff) != candidate.coeff:
+                break
+            if best is None or mk < best_key:
+                best, best_key = candidate, mk
+        else:
+            _add_monomial(acc, best_key, best)
+    return Expr(acc) if acc else Expr.zero()
 
 
 def reference_schouten_density(model, f, g):
