@@ -33,6 +33,7 @@ block (``Expr.var_index()``); any other walk visits every monomial.
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Optional, Sequence, Tuple
 
 from .coeff import Coefficient
@@ -50,7 +51,6 @@ from .algebra import (
     _add_monomial,
     _add_product,
     _monomial_labels,  # also read through jetcalc by perfbench/layers.py
-    _sort_odd,
 )
 
 # ---------------------------------------------------------------------------
@@ -716,15 +716,19 @@ def canonicalize_channels(e: Expr, first: int = 0, memos: Optional[tuple] = None
     monomials differing only by a bijective relabelling denote the same
     object; after renaming such monomials merge or cancel.
 
-    Labels are ordered by a renaming-invariant signature (where they occur,
-    with every label erased); only labels whose signatures tie are permuted,
-    and the least relabelled monomial is kept (individualisation-refinement,
-    McKay & Piperno, "Practical graph isomorphism II", 2014).  A tie is fixed
-    when its labels share one home (``_label_signatures``), an Attach atom
-    naming each of them once: every permutation of them maps the monomial to
-    itself, so a fixed tie is never permuted.  When every tie is fixed, the
-    signature order is the one renaming tried, and a monomial whose labels
-    already run first, first+1, ... in that order is kept as it is.
+    A monomial's labels are ranked by one sort of its (label, occurrence,
+    home) list (``_sorted_occurrences``), where an occurrence is where a
+    label sits with every label erased.  A tie (equal occurrences) is an
+    automorphism, not searched, when its labels share one home or sit alone
+    in top-level blocks of exponent 1: a swap exchanges two blocks equal up
+    to their labels, so the monomial is itself when they are even and minus
+    itself, hence zero, when they are odd.  With no other tie the sorted
+    order is the one renaming, none when the labels already run first,
+    first+1, ...  Ties across blocks of several labels, or of a label that
+    occurs twice, are searched (``_tie_groups``): each permutation of their
+    labels is tried and the least relabelled monomial kept
+    (individualisation-refinement, McKay & Piperno, "Practical graph
+    isomorphism II", 2014, where automorphisms are pruned, not enumerated).
 
     A renaming is a bijection on atoms, so no two factors of a candidate
     merge and no odd factor repeats: each candidate is built directly as its
@@ -742,65 +746,81 @@ def canonicalize_channels(e: Expr, first: int = 0, memos: Optional[tuple] = None
     erased, occurrences, renamed = memos if memos is not None else ({}, {}, {})
     acc = {}
     for m in e.monomials():
-        sigs, homes = _label_signatures(m, erased, occurrences)
-        if not sigs:
-            _add_monomial(acc, (m.even, m.odd), m)
-            continue
-        ranked = sorted(sigs, key=sigs.get)
-        if all(homes[a] is homes[b] or sigs[a] != sigs[b] for a, b in zip(ranked, ranked[1:])):
-            # no tie that a permutation can move: one renaming, and none at
-            # all when it is the identity
-            if any(lab != i for i, lab in enumerate(ranked, first)):
-                m = _rename_monomial(m, {lab: i for i, lab in enumerate(ranked, first)},
-                                     renamed)
-            _add_monomial(acc, (m.even, m.odd), m)
-            continue
-        groups = [tuple(g) for _, g in itertools.groupby(ranked, key=sigs.get)]
-        best = best_key = None
-        seen = {}
-        for choice in itertools.product(*(
-                itertools.permutations(g) if any(homes[lab] is not homes[g[0]] for lab in g)
-                else (g,) for g in groups)):
-            mapping = {lab: i for i, lab in enumerate(itertools.chain.from_iterable(choice), first)}
-            candidate = _rename_monomial(m, mapping, renamed)
-            mk = (candidate.even, candidate.odd)
-            prev = seen.setdefault(mk, candidate.coeff)
-            if prev != candidate.coeff:
-                # the monomial is odd under a renaming of its bound channel
-                # labels, hence equal to minus itself: it vanishes.  Every
-                # such renaming preserves signatures, so it is enumerated.
+        found = _sorted_occurrences(m, erased, occurrences)
+        ranked = [lab for lab, _, _ in found]
+        tied = len(set(ranked)) < len(ranked)
+        for (_, o, h), (_, p, g) in zip(found, found[1:]):
+            if tied or h is not g and o == p:
+                tied = True
                 break
-            if best is None or mk < best_key:
-                best, best_key = candidate, mk
-        else:
-            _add_monomial(acc, best_key, best)
+        if tied:
+            groups = _tie_groups(found)
+            if groups is None:
+                continue  # a swap of two odd blocks: the monomial is minus itself
+            ranked = [lab for g in groups for lab in g]
+        if tied and len(ranked) > len(groups):
+            best = best_key = None
+            seen = {}
+            for choice in itertools.product(*map(itertools.permutations, groups)):
+                candidate = _rename_monomial(m, dict(zip(itertools.chain.from_iterable(choice),
+                                                         itertools.count(first))), renamed)
+                mk = (candidate.even, candidate.odd)
+                if seen.setdefault(mk, candidate.coeff) != candidate.coeff:
+                    break  # a renaming maps the monomial to minus itself
+                if best is None or mk < best_key:
+                    best, best_key = candidate, mk
+            else:
+                _add_monomial(acc, best_key, best)
+            continue
+        if ranked != list(range(first, first + len(ranked))):
+            m = _rename_monomial(m, dict(zip(ranked, itertools.count(first))), renamed)
+        _add_monomial(acc, (m.even, m.odd), m)
     return Expr(acc) if acc else Expr.zero()
 
 
-def _label_signatures(m: Monomial, erased: dict, occurrences: dict) -> tuple:
-    """(signatures, homes) of the channel labels of ``m``.  The signature of
-    a label is the sorted list of its occurrences (nesting depth, pending
-    multi-index, exponent of the enclosing Attach, that Attach's key with
-    every label erased).  Its home is the Attach atom whose pending set names
-    it when that is its one occurrence (the atom and every block around it of
-    exponent 1), and the label itself otherwise.  Permuting labels of equal
-    signature and one home maps that atom, hence ``m``, to itself, signs
-    included.  ``occurrences`` memoises the (label, occurrence, home) list of
-    each top-level (Attach atom, exponent) for the length of one
-    canonicalisation, beside the ``erased`` keys."""
-    sigs = {}
-    homes = {}
+def _sorted_occurrences(m: Monomial, erased: dict, occurrences: dict) -> list:
+    """The (label, occurrence, home) entries of the Attach factors of ``m``
+    sorted by occurrence: (nesting depth, pending multi-index, exponent of
+    the enclosing Attach, its key with every label erased), a nested key
+    that holds no atom.  The home is the Attach atom whose pending set names
+    the label, while it and every block around it have exponent 1, and the
+    label itself otherwise.  ``occurrences`` memoises the entries of each
+    top-level (Attach atom, exponent), ``erased`` the erased keys."""
+    found = []
     for a, k in m.factors():
-        if isinstance(a, Attach):
-            found = occurrences.get((a, k))
-            if found is None:
-                found = occurrences[a, k] = _occurrences(a, k, 0, erased, [], True)
-            for lab, occurrence, home in found:
-                sigs.setdefault(lab, []).append(occurrence)
-                homes[lab] = lab if lab in homes else home
-    for found in sigs.values():
-        found.sort()
-    return sigs, homes
+        if type(a) is Attach:
+            got = occurrences.get((a, k))
+            if got is None:
+                got = occurrences[a, k] = _occurrences(a, k, 0, erased, [], True)
+            found += got
+    found.sort(key=_OCCURRENCE)
+    return found
+
+
+_OCCURRENCE = operator.itemgetter(1)
+
+
+def _tie_groups(found: list):
+    """The labels of the sorted list ``found`` in signature order (a label's
+    signature is the list of its occurrences), in groups whose permutations
+    are searched; a label that no search moves is a group of its own.  None
+    when a swap of two odd blocks maps the monomial to minus itself."""
+    sigs, homes = {}, {}
+    for lab, occurrence, home in found:
+        sigs.setdefault(lab, []).append(occurrence)
+        homes[lab] = lab if lab in homes else home  # a label met twice is its own home
+    groups = []
+    for sig, g in itertools.groupby(sorted(sigs, key=sigs.get), key=sigs.get):
+        g = tuple(g)
+        if any(homes[lab] is not homes[g[0]] for lab in g):
+            depth, _, k, _ = sig[0]
+            if len(sig) > 1 or depth or k != 1 or any(len(homes[lab].labels) > 1 for lab in g):
+                groups.append(g)
+                continue
+            if homes[g[0]].parity:
+                return None
+        groups += [(lab,) for lab in g]
+    return groups
 
 
 def _occurrences(a: Attach, k: int, depth: int, erased: dict, out: list, alone: bool) -> list:
@@ -837,34 +857,47 @@ def _erased_key(a: Atom, memo: dict):
 def _rename_monomial(m: Monomial, mapping: dict, memo: dict) -> Monomial:
     """The canonical monomial ``m`` with its channel labels renamed by the
     bijection ``mapping``; the renamed atoms stay pairwise distinct, so only
-    the sort order and the odd factors' sign change."""
+    the sort order and the odd factors' sign change.  Plain atoms are never
+    renamed and sort first, so only the Attach suffix of each side is
+    renamed and re-sorted, by (pending spec, atom): a block's key is
+    (3, spec, inner key), so a full key is read only for two blocks of one
+    spec."""
     coeff = m.coeff
-    even = []
-    for a, k in m.even:
-        if type(a) is Attach:
-            flip, a = _rename_atom(a, mapping, memo)
-            if flip and k & 1:
-                coeff = -coeff
-        even.append((a, k))
-    odd = []
-    for a in m.odd:
-        if type(a) is Attach:
-            flip, a = _rename_atom(a, mapping, memo)
-            if flip:
-                coeff = -coeff
-        odd.append(a)
-    even.sort(key=lambda t: t[0].key)
-    sign, odd = _sort_odd(odd)
-    return Monomial(-coeff if sign < 0 else coeff, tuple(even), tuple(odd))
+    even, odd = m.even, m.odd
+    i, j = len(even), len(odd)
+    while i and type(even[i - 1][0]) is Attach:
+        i -= 1
+    while j and type(odd[j - 1]) is Attach:
+        j -= 1
+    evens = []
+    for a, k in even[i:]:
+        flip, a, spec = _rename_atom(a, mapping, memo)
+        if flip and k & 1:
+            coeff = -coeff
+        evens.append((spec, a, k))
+    evens.sort()
+    odds = []
+    for a in odd[j:]:
+        flip, a, spec = _rename_atom(a, mapping, memo)
+        t = (spec, a)
+        p = len(odds)
+        while p and odds[p - 1] > t:
+            p -= 1
+        if flip ^ ((len(odds) - p) & 1):  # a sign for each odd block passed
+            coeff = -coeff
+        odds.insert(p, t)
+    return Monomial(coeff, even[:i] + tuple([(a, k) for _, a, k in evens]),
+                    odd[:j] + tuple([a for _, a in odds]))
 
 
 def _rename_atom(a: Attach, mapping: dict, memo: dict):
-    """(flip, renamed atom) for an Attach atom.  Renaming can reorder the odd
-    factors inside a nested block; the block keeps a unit lead coefficient
-    and ``flip`` says that each copy of it costs a sign.  ``memo`` is keyed
-    by the atom and the images of its labels, nested ones included, read in
-    the order of the atom's own label set."""
-    key = (a, tuple([mapping[lab] for lab in a.labels]))
+    """(flip, renamed atom, its pending spec by multi-index) for an Attach
+    atom.  Renaming can reorder the odd factors inside a nested block; the
+    block keeps a unit lead coefficient and ``flip`` says that each copy of
+    it costs a sign.  ``memo`` is keyed by the atom and the images of its
+    labels, nested ones included, read in the order of the atom's own label
+    set."""
+    key = (a, tuple(map(mapping.__getitem__, a.labels)))
     hit = memo.get(key)
     if hit is not None:
         return hit
@@ -874,7 +907,7 @@ def _rename_atom(a: Attach, mapping: dict, memo: dict):
         mm = _rename_monomial(mm, mapping, memo)
         even, odd, flip = mm.even, mm.odd, mm.coeff != _ONE
     by_index = tuple(sorted([(idx, mapping[lab]) for lab, idx in a.pending]))
-    hit = memo[key] = (flip, Attach._of(by_index, even, odd))
+    hit = memo[key] = (flip, Attach._of(by_index, even, odd), by_index)
     return hit
 
 

@@ -8,7 +8,7 @@ from itertools import chain, product
 from typing import Dict, Tuple
 
 from .coeff import Coefficient
-from .algebra import Expr, Trig, _sum_scaled
+from .algebra import Expr, JetVar, Monomial, Trig, _add_monomial, _add_product, _sum_scaled
 from .cohomology import Functional
 from .jetcalc import BvModel, idx_unit
 
@@ -203,17 +203,19 @@ def random_density(
 
     Every monomial contains at least one jet variable (so total derivatives of
     such densities stay inside the class recognised by the triviality test).
+    Each monomial is its coefficient times its drawn atoms, one canonical
+    product per atom; a monomial with an odd atom twice is zero and dropped.
     """
     n = model.base_dim
     names = [name for name, _ in model.fields]
-    monos = []
+    acc = {}
     count = rng.randint(1, 3)
     attempts = 0
     made = 0
     while made < count and attempts < 200:
         attempts += 1
         degree = rng.randint(1, max_degree)
-        factors = []
+        atoms = []
         for _ in range(degree):
             name = rng.choice(names)
             dagger = rng.random() < 0.5
@@ -221,46 +223,56 @@ def random_density(
             idx = [0] * n
             for _ in range(order):
                 idx[rng.randrange(n)] += 1
-            factors.append(model.jet(name, tuple(idx), dagger))
+            atoms.append(JetVar._from_parts(name, dagger, tuple(idx), model.gh(name, dagger)))
         if with_trig and rng.random() < 0.4:
             even_choices = [nm for nm in names if model.parity(nm) == 0]
             if even_choices:
                 nm = rng.choice(even_choices)
                 tag = rng.choice(("sin", "cos"))
-                factors.append(Expr.from_atom(Trig(tag, model.jet_atom(nm))))
-        mono = Expr.scalar(rng.choice([1, -1, 2, -2, 3]))
-        for f in factors:
-            mono = mono * f
-        if mono.is_zero():
+                atoms.append(Trig(tag, model.jet_atom(nm)))
+        mono = _times_atoms(Coefficient.of(rng.choice([1, -1, 2, -2, 3])), atoms)
+        if mono is None:
             continue
-        try:
-            p = mono.parity()
-        except Exception:
-            continue
-        if p != parity:
+        if mono.parity() != parity:
             # append a bare odd variable of a random field to flip parity
             name = rng.choice(names)
             dagger = model.parity(name, False) == 0
-            extra = model.jet(name, (0,) * n, dagger)
-            mono = mono * extra
-            if mono.is_zero() or mono.parity() != parity:
+            extra = JetVar._from_parts(name, dagger, (0,) * n, model.gh(name, dagger))
+            mono = _times_atoms(mono.coeff, [extra], mono.even, mono.odd)
+            if mono is None or mono.parity() != parity:
                 continue
-        monos.append((mono, 1))
+        _add_monomial(acc, (mono.even, mono.odd), mono)
         made += 1
-    out = _sum_scaled(monos)
-    if out.is_zero():
-        # guarantee a nonzero density of the requested parity
-        name = names[0]
-        if parity == 0:
-            out = model.jet(name) * model.jet(name)
-            if model.parity(name) == 1:
-                out = model.jet(name) * model.jet(name, dagger=True)
-        else:
-            dagger = model.parity(name, False) == 0
-            out = model.jet(name, dagger=dagger)
-            if out.parity() != parity:
-                out = model.jet(name)
+    if acc:
+        return Expr(acc)
+    # guarantee a nonzero density of the requested parity
+    name = names[0]
+    if parity == 0:
+        out = model.jet(name) * model.jet(name)
+        if model.parity(name) == 1:
+            out = model.jet(name) * model.jet(name, dagger=True)
+    else:
+        dagger = model.parity(name, False) == 0
+        out = model.jet(name, dagger=dagger)
+        if out.parity() != parity:
+            out = model.jet(name)
     return out
+
+
+def _times_atoms(coeff, atoms, even=(), odd=()):
+    """The monomial coeff * (even, odd) times ``atoms`` in turn, each by the
+    canonical product; None when an odd atom repeats."""
+    for u in atoms:
+        acc = {}
+        if u.parity:
+            _add_product(acc, coeff, even, odd, (), (u,))
+        else:
+            _add_product(acc, coeff, even, odd, ((u, 1),), ())
+        if not acc:
+            return None
+        ((even, odd), m), = acc.items()
+        coeff = m.coeff
+    return Monomial(coeff, even, odd)
 
 
 def random_functional(

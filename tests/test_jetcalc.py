@@ -16,7 +16,7 @@ from bvcalc.algebra import (
     make_attach,
     _from_raw,
 )
-from bvcalc.bv import laplacian, schouten
+from bvcalc.bv import laplacian, laplacian_density, schouten
 from bvcalc.coeff import Coefficient
 from bvcalc.models import build_scalar_example
 from bvcalc.jetcalc import (
@@ -27,17 +27,20 @@ from bvcalc.jetcalc import (
     eulers,
     iterated_variation_geometric,
     iterated_variation_naive,
+    label_after,
     partial,
     total_derivative,
     total_derivative_multi,
-    _label_signatures,
     _monomial_labels,
     _partials,
+    _sorted_occurrences,
     _shift,
 )
 
 from util_random import (
     ghost_model,
+    label_signatures,
+    labelled_operands,
     nested_brackets,
     plane_model,
     random_expr,
@@ -1271,7 +1274,7 @@ def test_fixed_ties_take_one_renaming(monkeypatch):
     fixed = []
     for b in _nested_blocks():
         for mono in b.monomials():
-            sigs, homes = _label_signatures(mono, {}, {})
+            sigs, homes = label_signatures(mono)
             ranked = sorted(sigs, key=sigs.get)
             ties = [(x, y) for x, y in zip(ranked, ranked[1:]) if sigs[x] == sigs[y]]
             if ties and all(homes[x] is homes[y] for x, y in ties):
@@ -1282,6 +1285,152 @@ def test_fixed_ties_take_one_renaming(monkeypatch):
         calls.clear()
         canonicalize_channels(Expr({(mono.even, mono.odd): mono}))
         assert len(calls) <= 1
+
+
+def _count_searches(monkeypatch):
+    """Patch ``jetcalc._tie_groups`` to count the monomials it sees (those
+    with a tie across two homes, or a label met twice) and, among them,
+    those it leaves to the search; the searched groups are recorded with
+    the homes of their labels."""
+    counts = {"tied": 0, "zero": 0, "searched": []}
+    tie_groups = jetcalc._tie_groups
+
+    def counting(found):
+        groups = tie_groups(found)
+        counts["tied"] += 1
+        if groups is None:
+            counts["zero"] += 1
+        elif any(len(g) > 1 for g in groups):
+            homes = {lab: home for lab, _, home in found}
+            counts["searched"].append([[homes[lab] for lab in g] for g in groups if len(g) > 1])
+        return groups
+
+    monkeypatch.setattr(jetcalc, "_tie_groups", counting)
+    return counts
+
+
+def test_engine_monomials_name_each_label_once():
+    # the premise of the flat sort: brackets, Laplacians and Euler images
+    # tag each pending derivative with a label of its own
+    outputs = []
+    for model in (scalar_model(), ghost_model(), plane_model()):
+        ops = labelled_operands(model, 5)
+        for name in ("x", "y", "z"):
+            e = ops[name]
+            labels = dict.fromkeys([v for pair in model.pairs() for v in pair], label_after(e))
+            outputs += [e, laplacian_density(model, e), *eulers(model, e, labels, True).values()]
+    _, S, X = nested_brackets(2)
+    for F in (X, schouten(S, X), schouten(X, S), laplacian(X)):
+        outputs += [b for blocks in F.terms for b in blocks]
+    labelled = 0
+    for e in outputs:
+        for mono in e.monomials():
+            labels = [lab for lab, _, _ in _sorted_occurrences(mono, {}, {})]
+            assert len(set(labels)) == len(labels), mono
+            labelled += bool(labels)
+    assert labelled > 1000
+
+
+def _swap_cases(m):
+    """Monomials whose ties are swaps of top-level blocks of exponent 1 that
+    hold one label each, equal up to it: even ones beside plain factors and
+    other blocks, odd ones, which vanish."""
+    q, qx = m.jet("q"), m.jet("q", (1,))
+    qd, qdx = m.jet("q", dagger=True), m.jet("q", (1,), dagger=True)
+    one, two = (1,), (2,)
+    out = []
+    for inner in (q, q * qx, qd, qd * q, qd * qdx):
+        w = [make_attach(((lab, two),), inner) for lab in (3, 0, 4)]
+        other = make_attach(((1, one),), inner)
+        out += [w[0] * w[1], w[0] * w[1] * w[2] * qx, w[0] * w[1] * other,
+                w[0] * w[1] * make_attach(((2, one),), q * qx) * qd]
+    return out
+
+
+def test_block_swaps_are_symmetries_not_searched(m, monkeypatch):
+    # interchangeable even blocks keep the sorted order as their one
+    # renaming, and odd ones give zero, as the enumeration finds
+    rng = random.Random(30)
+    cases = []
+    for e in _swap_cases(m):
+        labels = sorted(collect_channel_labels(e))
+        cases += [e, relabel(e, dict(zip(labels, rng.sample(range(9), len(labels)))))]
+    zero = [e for e in cases if reference_canonicalize_channels(e).is_zero()]
+    assert 10 <= len(zero) < len(cases) - 10
+    counts = _count_searches(monkeypatch)
+    for first in (0, 2):
+        for e in cases:
+            assert repr(canonicalize_channels(e, first)) == \
+                repr(reference_canonicalize_channels(e, first))
+    assert counts["tied"] == 2 * len(cases) and counts["zero"] == 2 * len(zero)
+    assert counts["searched"] == []
+
+
+def _lookalike_cases(m):
+    """Ties across blocks equal up to their labels that are no swaps of
+    single-label blocks: blocks that also hold a nested label, blocks with
+    two labels each, as frz[0:x1,4:x1x1](dag q)*frz[1:x1,2:x1x1](dag q)."""
+    q, qx = m.jet("q"), m.jet("q", (1,))
+    qd = m.jet("q", dagger=True)
+    one, two = (1,), (2,)
+    out = []
+    for inner in (q, qd):
+        nest = [make_attach(((lab, one),), make_attach(((lab + 2, one),), inner) * qx)
+                for lab in (0, 1)]
+        out += [nest[0] * nest[1], nest[0] * nest[1] * q]
+        out += [make_attach(((0, one), (4, two)), inner) * make_attach(((1, one), (2, two)), inner),
+                make_attach(((0, one), (3, two)), inner) * make_attach(((1, one), (2, two)), inner)
+                * make_attach(((5, one),), inner * q)]
+    return out
+
+
+def test_lookalike_ties_are_searched_and_agree_with_the_reference(m, monkeypatch):
+    rng = random.Random(31)
+    cases = []
+    for e in _lookalike_cases(m):
+        labels = sorted(collect_channel_labels(e))
+        cases += [e, relabel(e, dict(zip(labels, rng.sample(range(12), len(labels)))))]
+    counts = _count_searches(monkeypatch)
+    for e in cases:
+        assert repr(canonicalize_channels(e)) == repr(reference_canonicalize_channels(e))
+    assert len(counts["searched"]) == len(cases)
+    assert any(reference_canonicalize_channels(e).is_zero() for e in cases)
+
+
+def test_a_repeated_label_is_searched_by_signatures(m, monkeypatch):
+    # hand-built: label 0 tags a derivative in two blocks, so no single
+    # occurrence ranks it; its signature is both occurrences, and a label
+    # met twice is its own home
+    q, qx = m.jet("q"), m.jet("q", (1,))
+    qd = m.jet("q", dagger=True)
+    one = (1,)
+    e = make_attach(((0, one),), q) * make_attach(((0, one), (1, one)), qx) \
+        * make_attach(((2, one),), q) * make_attach(((2, one), (3, one)), qx)
+    sigs, homes = label_signatures(next(iter(e.monomials())))
+    assert len(sigs[0]) == 2 and homes[0] == 0 and homes[1] is not homes[3]
+    counts = _count_searches(monkeypatch)
+    renamed = relabel(e, {0: 3, 1: 2, 2: 1, 3: 0})
+    for x in (e, e * qd, renamed):
+        assert repr(canonicalize_channels(x)) == repr(reference_canonicalize_channels(x))
+    assert len(counts["searched"]) == 3
+    assert canonicalize_channels(renamed) == canonicalize_channels(e)
+
+
+def test_only_ties_across_multi_label_blocks_are_searched(monkeypatch):
+    # the image passes and the structural comparison of [[S,X]] and [[X,S]]
+    # for 36 observables, as in the nested-brackets benchmark: 250 monomials
+    # hold a tie across two homes, each searched before the swap rule; 193
+    # are swaps of odd blocks and vanish, and the 57 searched have their
+    # searched ties across blocks of several labels
+    from bvcalc.cohomology import functional_equal
+    counts = _count_searches(monkeypatch)
+    for i in range(36):
+        _, S, X = nested_brackets(2, 20240808 + i)
+        assert functional_equal(schouten(S, X), schouten(X, S), "structural")
+    assert (counts["tied"], counts["zero"], len(counts["searched"])) == (250, 193, 57)
+    for groups in counts["searched"]:
+        for homes in groups:
+            assert all(type(h) is Attach and len(h.labels) > 1 for h in homes)
 
 
 # -- iterated variations ----------------------------------------------------

@@ -7,10 +7,10 @@ from fractions import Fraction
 from bvcalc import BvModel, Expr, bv
 from bvcalc.coeff import Coefficient
 from bvcalc.algebra import (_ONE, Attach, Trig, _add_monomial, _add_products, _from_raw,
-                            collect_channel_labels, make_attach)
+                            _sum_scaled, collect_channel_labels, make_attach)
 from bvcalc.cohomology import Functional, _accumulate
-from bvcalc.jetcalc import (GEOMETRIC, NAIVE, _check_mode, _label_signatures, _rename_monomial,
-                            canonicalize_channels, collapse, euler, eulers)
+from bvcalc.jetcalc import (GEOMETRIC, NAIVE, _check_mode, _rename_monomial,
+                            _sorted_occurrences, canonicalize_channels, collapse, euler, eulers)
 
 
 def scalar_model() -> BvModel:
@@ -91,6 +91,78 @@ def random_homogeneous(model, rng, parity, max_order=2, degree=3,
                           with_trig=with_trig)
 
 
+def reference_random_density(
+    model,
+    max_jet_order: int,
+    max_degree: int,
+    parity: int,
+    rng,
+    with_trig: bool = False,
+):
+    """``models.random_density`` as it was built from Exprs: each drawn
+    factor a one-atom Expr, each monomial their product taken one factor at
+    a time, and the density the sum of the monomials.  It draws from ``rng``
+    in the same sequence."""
+    n = model.base_dim
+    names = [name for name, _ in model.fields]
+    monos = []
+    count = rng.randint(1, 3)
+    attempts = 0
+    made = 0
+    while made < count and attempts < 200:
+        attempts += 1
+        degree = rng.randint(1, max_degree)
+        factors = []
+        for _ in range(degree):
+            name = rng.choice(names)
+            dagger = rng.random() < 0.5
+            order = rng.randint(0, max_jet_order)
+            idx = [0] * n
+            for _ in range(order):
+                idx[rng.randrange(n)] += 1
+            factors.append(model.jet(name, tuple(idx), dagger))
+        if with_trig and rng.random() < 0.4:
+            even_choices = [nm for nm in names if model.parity(nm) == 0]
+            if even_choices:
+                nm = rng.choice(even_choices)
+                tag = rng.choice(("sin", "cos"))
+                factors.append(Expr.from_atom(Trig(tag, model.jet_atom(nm))))
+        mono = Expr.scalar(rng.choice([1, -1, 2, -2, 3]))
+        for f in factors:
+            mono = mono * f
+        if mono.is_zero():
+            continue
+        try:
+            p = mono.parity()
+        except Exception:
+            continue
+        if p != parity:
+            # append a bare odd variable of a random field to flip parity
+            name = rng.choice(names)
+            dagger = model.parity(name, False) == 0
+            extra = model.jet(name, (0,) * n, dagger)
+            mono = mono * extra
+            if mono.is_zero() or mono.parity() != parity:
+                continue
+        monos.append((mono, 1))
+        made += 1
+    out = _sum_scaled(monos)
+    if out.is_zero():
+        # guarantee a nonzero density of the requested parity
+        name = names[0]
+        if parity == 0:
+            out = model.jet(name) * model.jet(name)
+            if model.parity(name) == 1:
+                out = model.jet(name) * model.jet(name, dagger=True)
+        else:
+            dagger = model.parity(name, False) == 0
+            out = model.jet(name, dagger=dagger)
+            if out.parity() != parity:
+                out = model.jet(name)
+    return out
+
+
+
 def nested_brackets(depth: int, seed: int = 20240808):
     """The scalar model, an odd action S and X = [[S,[[S,...[[S,O]]]]]] with
     ``depth`` brackets around O = random_functional(m, 1, 1, 0, seed).  Each
@@ -148,6 +220,20 @@ def _relabel_factors(coeff, factors, mapping):
     return coeff, tuple(out)
 
 
+def label_signatures(m, erased=None, occurrences=None):
+    """(signatures, homes) of the channel labels of ``m``, read off the one
+    sorted occurrence list of ``jetcalc._sorted_occurrences``: a label's
+    signature is the sorted list of its occurrences, its home that of its one
+    occurrence, and a label met twice is its own home."""
+    sigs, homes = {}, {}
+    found = _sorted_occurrences(m, {} if erased is None else erased,
+                                {} if occurrences is None else occurrences)
+    for lab, occurrence, home in found:
+        sigs.setdefault(lab, []).append(occurrence)
+        homes[lab] = lab if lab in homes else home
+    return sigs, homes
+
+
 def reference_canonicalize_channels(e: Expr, first: int = 0, memos=None) -> Expr:
     """``canonicalize_channels`` by enumeration: every permutation of every
     group of labels with equal signatures is tried, fixed ties included, and
@@ -157,7 +243,7 @@ def reference_canonicalize_channels(e: Expr, first: int = 0, memos=None) -> Expr
     erased, occurrences, renamed = memos if memos is not None else ({}, {}, {})
     acc = {}
     for m in e.monomials():
-        sigs = _label_signatures(m, erased, occurrences)[0]
+        sigs = label_signatures(m, erased, occurrences)[0]
         if not sigs:
             _add_monomial(acc, (m.even, m.odd), m)
             continue
