@@ -4,18 +4,17 @@ One SHA-256 over the canonical keys of a fixed set of results: su(2)
 Yang-Mills at n=2 (Delta S, the collapsed [[S,S]], its Euler images and its
 triviality image), [[S,X]] for three nested-bracket observables, and the
 Schouten bracket and BV-Laplacian of seeded two-field functionals on a
-two-dimensional base in both modes.  Every result is canonicalised before
-hashing, so the digest pins results up to renaming their bound channel
-labels: how an operation allocates its labels (today one more than its
-operands' largest, so a raw result depends on its inputs alone) does not
-enter the digest.
+two-dimensional base in both modes.  Every result is hashed with its
+channel labels erased (``util_random.erase_labels``): a label is a bound
+name, so the digest pins results up to renaming them, and how an operation
+names its channels does not enter the digest.
 
 A second SHA-256, ``VERDICTS``, pins the verdicts of every check suite in
 both modes: (suite, mode, case, seed, passed, structural) for two cases at
 seed 9.
 
 A third, ``ITERATED``, pins iterated variations: the extended model's fields
-and the canonicalised result of ``iterated_variation`` on seeded densities
+and the label-erased result of ``iterated_variation`` on seeded densities
 (with trig factors and pending-derivative blocks) over models with odd
 fields, in both modes, with and without shift fields, for one to three
 shifts.  Odd shift fields meet odd targets there, so the Koszul sign of
@@ -33,22 +32,21 @@ from bvcalc import BvModel
 from bvcalc.bv import GEOMETRIC, NAIVE, laplacian, schouten
 from bvcalc.cli import run_suite
 from bvcalc.cohomology import _triviality_image
-from bvcalc.jetcalc import canonicalize_channels, euler, iterated_variation
+from bvcalc.jetcalc import euler, iterated_variation
 from bvcalc.models import LieAlgebraData, build_yang_mills_bv, random_functional
 
-from util_random import nested_brackets, random_expr
+from util_random import erase_labels, nested_brackets, random_expr
 
-GOLDEN = "34339d76286e741921d2fff6a2c2b9e98f4560a4b1f9e0d62dc3f4420d19bbc6"
+GOLDEN = "4c99c9e1cb41bdedf00227807ddf2526c8aba1829057766e26460f4c09e73176"
 VERDICTS = "1a8ed26d3e954364951fa7455701b299b036e989fcf0659fc73631da597bff99"
-ITERATED = "5afdf6242f7aa588c6853c31000933814ee22577b44f77b544d9d05096987fc7"
+ITERATED = "ea4263e99423c1bade5ba100cc1a4612aa43f65f0a28971d450ac33b7adb0842"
 
 SUITES = ("leibniz-1a", "laplacian-1b", "derivation-1c", "delta-squared-1d",
           "jacobi", "skew", "powers", "omega", "gauge-closure", "cocycles")
 
 
 def _functional_key(F):
-    F = F.canonicalize()
-    return sorted((tuple(b.key() for b in blocks), c.key()) for blocks, c in F.terms.items())
+    return erase_labels(F)
 
 
 def _image_key(img):
@@ -144,7 +142,7 @@ def iterated_digest() -> str:
                 for include_shifts in (True, False):
                     e, ext = iterated_variation(model, f, shifts, mode, include_shifts)
                     h.update(f"{name} {case} {shifts} {mode} {include_shifts}: {ext.fields!r} "
-                             f"{canonicalize_channels(e).key()!r}\n".encode())
+                             f"{erase_labels(e)!r}\n".encode())
     return h.hexdigest()
 
 

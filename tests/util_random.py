@@ -8,7 +8,7 @@ from bvcalc import BvModel, Expr, bv
 from bvcalc.coeff import Coefficient
 from bvcalc.algebra import (_ONE, Attach, Trig, _add_monomial, _add_products, _from_raw,
                             _sum_scaled, collect_channel_labels, make_attach)
-from bvcalc.cohomology import Functional, _accumulate
+from bvcalc.cohomology import Functional, _accumulate, _graded_sort
 from bvcalc.jetcalc import (GEOMETRIC, NAIVE, _check_mode, _rename_monomial,
                             _sorted_occurrences, canonicalize_channels, collapse, euler, eulers)
 
@@ -182,6 +182,91 @@ def nested_brackets(depth: int, seed: int = 20240808):
 
 
 # -- channel labels -----------------------------------------------------------
+
+
+def erase_labels(x):
+    """A key of the Functional or Expr ``x`` with every channel label erased.
+
+    A block's key is (3, its sorted pending multi-indices, the erased key of
+    its inner monomial); even atoms with equal keys add their exponents, and
+    odd atoms and odd density blocks are re-sorted by their erased keys at
+    the Koszul sign of the re-sorting.  An odd key met twice drops the term,
+    and equal terms merge.  Erasing is invariant under renaming labels, so
+    it pins results up to their bound channel labels."""
+    memo = {}
+    if isinstance(x, Expr):
+        return _erased_expr(x, memo)
+    acc = {}
+    for blocks, c in x.terms.items():
+        erased = [(_erased_expr(b, memo), b.parity()) for b in blocks]
+        if any(not key for key, _ in erased):
+            continue
+        graded = _graded_sort(erased, _FIRST, _SECOND)
+        if graded is not None:
+            sign, erased = graded
+            _accumulate(acc, tuple(key for key, _ in erased), c if sign > 0 else -c)
+    return sorted((blocks, c.key()) for blocks, c in acc.items())
+
+
+def _FIRST(pair):
+    return pair[0]
+
+
+def _SECOND(pair):
+    return pair[1]
+
+
+def _erased_expr(e, memo):
+    acc = {}
+    for mono in e.monomials():
+        found = _erased_monomial(mono, memo)
+        if found is not None:
+            sign, key = found
+            _accumulate(acc, key, mono.coeff if sign > 0 else -mono.coeff)
+    return tuple(sorted((key, c.key()) for key, c in acc.items()))
+
+
+def _erased_monomial(mono, memo):
+    """(sign, erased key) of a monomial, or None when erasing repeats an
+    odd key."""
+    sign, evens, odds = 1, {}, []
+    for a, k in mono.even:
+        found = _erased_atom(a, memo)
+        if found is None:
+            return None
+        s, key = found
+        sign *= s ** k
+        evens[key] = evens.get(key, 0) + k
+    for a in mono.odd:
+        found = _erased_atom(a, memo)
+        if found is None:
+            return None
+        s, key = found
+        sign *= s
+        odds.append(key)
+    for i in range(1, len(odds)):  # insertion sort, one sign per transposition
+        j = i
+        while j and odds[j - 1] > odds[j]:
+            odds[j - 1], odds[j] = odds[j], odds[j - 1]
+            sign = -sign
+            j -= 1
+    if any(x == y for x, y in zip(odds, odds[1:])):
+        return None
+    return sign, (tuple(sorted(evens.items())), tuple(odds))
+
+
+def _erased_atom(a, memo):
+    """(sign, erased key) of an atom, or None when it erases to zero; a
+    block keeps a unit inner, so a sign of re-sorting inside it comes out."""
+    if not isinstance(a, Attach):
+        return 1, a.key
+    if a not in memo:
+        found = _erased_monomial(next(iter(a.inner.monomials())), memo)
+        if found is not None:
+            sign, inner = found
+            found = sign, (3, tuple(sorted(idx for _, idx in a.pending)), inner)
+        memo[a] = found
+    return memo[a]
 
 
 def relabel(e, mapping):
