@@ -8,8 +8,8 @@ times a product of atoms:
   * BaseVar   -- a base coordinate x_i,
   * Trig      -- sin/cos/exp of a single parity-even jet variable,
   * Attach    -- a factor attached at its own copy of the base, carrying a
-                 (possibly empty) set of pending total derivatives tagged by
-                 channel labels.  Pending derivatives expand only at collapse.
+                 (possibly empty) multiset of pending total derivatives.
+                 Pending derivatives expand only at collapse.
 
 Normal form: even atoms are a sorted multiset with integer exponents, odd
 atoms a sorted sequence (each at most once, with the sorting sign absorbed
@@ -20,16 +20,19 @@ Expr values are immutable.
 
 Atoms are interned: equal live atoms are one object, so they hash and compare
 by identity, and only their ``key`` (a nested tuple) orders them.  An Attach
-block is found by its pending spec and the atoms of its inner monomial.  A
-term map ``Expr.terms`` is keyed by each monomial's own ``(even, odd)``
-tuples of atoms, which hash in one shallow pass and sort as the nested keys
-do; Expr equality and hashing read these term maps too, and so do the
+block is anonymous: it is found by its sorted pending multi-indices and the
+atoms of its inner monomial alone, so two blocks built apart from equal
+parts are one atom, and a product of two equal odd blocks is zero and of two
+equal even blocks a square, as for any atom.  A term map ``Expr.terms`` is
+keyed by each monomial's own ``(even, odd)`` tuples of atoms, which hash in
+one shallow pass and sort as the nested keys do; Expr equality and hashing read these term maps too, and so do the
 triviality images of the class basis.  Values derived from an interned atom
 or an immutable expression are kept on it once found: a JetVar's shifts
-(``JetVar.shifts``), an Attach block's nested key and labels, built on first
-read, and an expression's key, hash, parity, ghost number and walk index
-(``Expr.var_index()``, built on its second walk by one variable), and a
-labelled block's canonical Euler images, per model (``bv._images``).
+(``JetVar.shifts``), an Attach block's nested key, built on first read, an
+expression's key, hash, parity, ghost number and walk index
+(``Expr.var_index()``, built on its second walk by one variable), and the
+Euler images of an expression that holds a block, per model
+(``bv._images``).
 
 Canonical in, canonical out: a product of two canonical monomials is a
 merge of their sorted atoms (``_add_product``), sin(u) on both sides
@@ -157,54 +160,46 @@ class Trig(Atom):
 class Attach(Atom):
     """A factor living at its own attachment point on the base.
 
-    ``pending`` is a tuple of (channel label, multi-index) pairs, each a total
-    derivative waiting to be expanded at collapse; an empty tuple marks a bare
-    attachment boundary.  ``inner`` is a canonical single-monomial expression
-    with unit coefficient.  The block is found by its pending spec and the
-    atoms of that monomial (``_of``), so an existing block costs one lookup
-    and no inner is built for it.  ``key`` and ``labels`` (the frozenset of
-    every channel label in the block, its own and those of the blocks nested
-    inside it) are found the first time they are read and then stored on
-    the atom, so a block that is never ordered or relabelled (as no block of
-    the su(2) Yang-Mills ``[[S, S]]`` is) never pays for them.
+    ``pending`` is the sorted tuple of the multi-indices of its pending total
+    derivatives, each waiting to be expanded at collapse; an empty tuple
+    marks a bare attachment boundary.  ``inner`` is a canonical
+    single-monomial expression with unit coefficient.  A block is found by
+    its pending multi-indices and the atoms of that monomial (``_of``), so
+    an existing block costs one lookup and no inner is built for it; its
+    ``key``, (3, pending, inner key), is found the first time it is read and
+    then stored on the atom, so a block that is never ordered (as no block
+    of the su(2) Yang-Mills ``[[S, S]]`` is) never pays for it.
     """
 
-    __slots__ = ("pending", "inner", "labels")
+    __slots__ = ("pending", "inner")
 
     def __new__(cls, pending, inner: "Expr"):
         if len(inner.terms) != 1 or next(iter(inner.terms.values())).coeff != _ONE:
             raise ValueError(f"an Attach inner is one monomial of coefficient 1, not {inner!r}")
         ((even, odd),) = inner.terms
-        return cls._of(tuple(sorted((tuple(idx), int(lab)) for lab, idx in pending)),
-                       even, odd)
+        return cls._of(tuple(sorted(tuple(int(k) for k in idx) for idx in pending)), even, odd)
 
     @classmethod
-    def _of(cls, by_index, even, odd):
-        """The block of the sorted pending spec ``by_index`` ((multi-index,
-        label) pairs) and the canonical atoms ``even``/``odd`` of its unit
-        inner monomial."""
-        ident = (3, by_index, even, odd)
+    def _of(cls, pending, even, odd):
+        """The block of the sorted multi-indices ``pending`` and the canonical
+        atoms ``even``/``odd`` of its unit inner monomial."""
+        ident = (3, pending, even, odd)
         a = _INTERNED.get(ident)
         if a is None:
             a = _INTERNED[ident] = object.__new__(cls)
-            a.pending = tuple([(lab, idx) for idx, lab in by_index])
+            a.pending = pending
             a.inner = Expr({(even, odd): Monomial(_ONE, even, odd)})
             a.parity = len(odd) & 1
             a.var = None
         return a
 
     def __getattr__(self, name):
-        # called only when normal lookup fails: for ``key`` or ``labels``,
-        # while its slot is still unset
-        if name == "key":
-            key = self.key = (3, tuple([(idx, lab) for lab, idx in self.pending]),
-                              self.inner.key())
-            return key
-        if name != "labels":
+        # called only when normal lookup fails: for ``key`` while its slot
+        # is still unset
+        if name != "key":
             raise AttributeError(name)
-        labels = self.labels = frozenset([lab for lab, _ in self.pending]).union(
-            collect_channel_labels(self.inner))
-        return labels
+        key = self.key = (3, self.pending, self.inner.key())
+        return key
 
     def __repr__(self):
         return f"Attach({self.pending!r}, {self.inner!r})"
@@ -731,58 +726,34 @@ def normalize(e: Expr) -> Expr:
 
 
 def make_attach(pending, inner: Expr) -> Expr:
-    """Attach ``inner`` at its own base point with the given pending total
-    derivatives.  Linear in ``inner``; a pending derivative of a block with no
-    atoms is zero, a bare attachment of a constant is that constant, and a
-    bare attachment of a lone Attach atom is the atom itself.  The pending
-    spec is sorted once, and each monomial's atoms go to ``Attach._of`` as
-    they are."""
-    pending = tuple(pending)
-    by_index = tuple(sorted((tuple(idx), int(lab)) for lab, idx in pending))
-    labels = {lab for _, lab in by_index}
-    if len(labels) != len(by_index):
-        raise ValueError(f"duplicate channel labels in pending spec {pending!r}")
+    """Attach ``inner`` at its own base point with the pending total
+    derivatives ``pending``, (label, multi-index) pairs as a block is written
+    (``frz[l:...]``).  A label only names a channel, and every block is its
+    own channel, so only the multi-indices are kept (``_attach``)."""
+    return _attach(tuple(sorted(tuple(idx) for _, idx in pending)), inner)
+
+
+def _attach(pending: tuple, inner: Expr) -> Expr:
+    """Attach ``inner`` at its own base point with the pending total
+    derivatives of the sorted multi-indices ``pending``.  Linear in
+    ``inner``; a pending derivative of a block with no atoms is zero, a bare
+    attachment of a constant is that constant, and a bare attachment of a
+    lone Attach atom is the atom itself.  Each monomial's atoms go to
+    ``Attach._of`` as they are."""
     acc = {}
     for k, m in inner.terms.items():
         content = m.factors()
         if not content:  # a constant is kept bare, and its derivatives are 0
-            if not by_index:
+            if not pending:
                 _add_monomial(acc, k, m)
             continue
         a = content[0][0]
         if len(content) > 1 or type(a) is not Attach or content[0][1] > 1:
-            a = Attach._of(by_index, *k)
-        elif by_index:
+            a = Attach._of(pending, *k)
+        elif pending:
             # the pending derivatives join the lone block's own set
-            if any(lab in labels for lab, _ in a.pending):
-                raise ValueError("channel label reused across nested wrappers")
             (k,) = a.inner.terms
-            merged = [(idx, lab) for lab, idx in a.pending] + list(by_index)
-            a = Attach._of(tuple(sorted(merged)), *k)
+            a = Attach._of(tuple(sorted(a.pending + pending)), *k)
         even, odd = ((), (a,)) if a.parity else (((a, 1),), ())
         _add_monomial(acc, (even, odd), Monomial(m.coeff, even, odd))
     return Expr(acc) if acc else _EXPR_ZERO
-
-
-def _monomial_labels(m: Monomial) -> set:
-    """Every channel label of the monomial ``m``: the union of its Attach
-    factors' label sets, nested blocks included.  Attach keys sort last,
-    so each side is read from its end up to its first other factor."""
-    labels = set()
-    for a, _ in reversed(m.even):
-        if type(a) is not Attach:
-            break
-        labels |= a.labels
-    for a in reversed(m.odd):
-        if type(a) is not Attach:
-            break
-        labels |= a.labels
-    return labels
-
-
-def collect_channel_labels(e: Expr) -> set:
-    """Every channel label in ``e``, nested blocks included."""
-    labels = set()
-    for m in e.terms.values():
-        labels |= _monomial_labels(m)
-    return labels

@@ -1,15 +1,18 @@
 """The variational Schouten bracket and BV-Laplacian.
 
-Geometric mode keeps every variation's pending derivatives frozen against a
-fresh channel (multi-base geometry); naive mode expands them immediately on
-collapsed densities.  Both structures extend to products of integral blocks
-as closed sums over blocks and block pairs, (1a) and (1b) summed out (see
-``schouten`` and ``laplacian``).  A first argument of several blocks takes
-the densities [[B_i, C_j]] as they stand, not through skew-symmetry, so the
-``skew`` suite tests skew-symmetry rather than restating it.  A labelled
-block keeps the Euler images its first bracket made; a block bracketed with
-itself in naive mode is walked once.  The quantum layer combines the two
-into the differential Omega = -i*hbar*Delta + [S, .].
+Geometric mode keeps every variation's pending derivatives frozen on blocks,
+each at its own copy of the base (multi-base geometry); naive mode expands
+them immediately on collapsed densities.  Blocks are anonymous, so an image
+of one operand and an image of the other that hold the same block multiply
+to a square, or to zero when it is odd.  Both structures extend to products
+of integral blocks as closed sums over blocks and block pairs, (1a) and (1b)
+summed out (see ``schouten`` and ``laplacian``).  A first argument of
+several blocks takes the densities [[B_i, C_j]] as they stand, not through
+skew-symmetry, so the ``skew`` suite tests skew-symmetry rather than
+restating it.  An operand that holds a frozen block keeps the Euler images
+its first bracket made; a block bracketed with itself in naive mode is
+walked once.  The quantum layer combines the two into the differential
+Omega = -i*hbar*Delta + [S, .].
 
 Sign conventions (fixed constants of the construction): the two couplings
 pair as <e, dag e> = +1 and <dag e, e> = -1; normalized variations couple to
@@ -31,12 +34,10 @@ from dataclasses import dataclass, field
 from typing import List
 
 from .coeff import Coefficient
-from .algebra import (_ONE, Expr, ParityError, _add_monomial, _add_products, _sum_scaled,
-                      collect_channel_labels)
+from .algebra import _ONE, Expr, ParityError, _add_monomial, _add_products, _sum_scaled
 from .cohomology import (Functional, _add_blocks, _reduce_functional, functional_equal,
                          functional_text, is_trivial)
-from .jetcalc import (GEOMETRIC, NAIVE, BvModel, _check_mode, canonicalize_channels, collapse,
-                      euler, eulers, label_after, shift_channels)
+from .jetcalc import GEOMETRIC, NAIVE, BvModel, _check_mode, collapse, euler, eulers
 
 
 # ---------------------------------------------------------------------------
@@ -50,13 +51,10 @@ def schouten_density(model: BvModel, f: Expr, g: Expr, mode: str = GEOMETRIC) ->
     er[v] = (-1)^(p_v (p_f - 1)) el[v], a sign folded into the products, so
     a heterogeneous f raises ParityError (g may be of any parity).
 
-    In geometric mode each operand's variations are recorded against a new
-    channel label.  The images of a labelled operand are in canonical label
-    form, so that images equal up to renaming merge before they are
-    multiplied: f's on the labels 0..a-1 and g's on a..a+b-1, where a (b) is
-    one more than the number of labels of f (g).  The ranges are disjoint, so
-    each product is a renaming of the raw product, and the bracket's labels
-    lie in range(a + b).
+    In geometric mode each operand's variations stay pending on frozen
+    blocks.  A product of an image of f and one of g that share a block
+    holds its square, or is zero when that block is odd: each variation acts
+    at its own copy of the base, so two equal blocks are interchangeable.
 
     In naive mode the images are plain, so they graded-commute: for g is f
     the two terms of a pair agree for even f and cancel for odd f, and f is
@@ -66,12 +64,11 @@ def schouten_density(model: BvModel, f: Expr, g: Expr, mode: str = GEOMETRIC) ->
     fold = mode == NAIVE and g is f
     if mode == NAIVE:
         f, g = collapse(f), collapse(g)
-    f_own = collect_channel_labels(f)
     odd = f.parity()  # raises on heterogeneous f
     if fold and odd:
         return Expr.zero()
-    ef = _images(model, f, f_own, 0, mode)
-    eg = ef if fold else _images(model, g, collect_channel_labels(g), len(f_own) + 1, mode)
+    ef = _images(model, f, mode)
+    eg = ef if fold else _images(model, g, mode)
     lead, sign = (_TWO if fold else _ONE), (_MINUS_ONE if odd else _ONE)
     acc = {}
     for ev, od in model.pairs():
@@ -81,49 +78,37 @@ def schouten_density(model: BvModel, f: Expr, g: Expr, mode: str = GEOMETRIC) ->
     return Expr(acc) if acc else Expr.zero()
 
 
-def _images(model: BvModel, e: Expr, own: set, first: int, mode: str) -> dict:
-    """The left isolated Euler images of the operand ``e`` (labels ``own``)
-    by every variable of ``model``.  A plain operand is walked with the new
-    label ``first`` (none in naive mode); a labelled one once per model, with
-    the new label max(own) + 1, its images kept on it (``Expr._images``, a
-    slot unset until then) in canonical form from the ``first`` of that use,
-    and shifted for a use from another ``first`` (``shift_channels``)."""
+def _images(model: BvModel, e: Expr, mode: str) -> dict:
+    """The left isolated Euler images of the operand ``e`` by every variable
+    of ``model``, frozen in geometric mode.  An operand that holds a block
+    (so a bracket result, geometric) is walked once per model, its images
+    kept on it (``Expr._images``, a slot unset until then); a plain operand
+    keeps nothing, so a long-lived action or observable holds no images."""
     variables = [v for pair in model.pairs() for v in pair]
-    if not own:
-        label = None if mode == NAIVE else first
-        return eulers(model, e, dict.fromkeys(variables, label), isolate=True)
+    if not e.has_attach():
+        return eulers(model, e, dict.fromkeys(variables, mode == GEOMETRIC), isolate=True)
     memo = getattr(e, "_images", {})
-    at, images = memo.get(model, (first, None))
+    images = memo.get(model)
     if images is None:
-        raw = eulers(model, e, dict.fromkeys(variables, max(own) + 1), isolate=True)
-        memos = ({}, {}, {})  # the canonicaliser's memos, shared by the images
-        images = {v: canonicalize_channels(x, first, memos) for v, x in raw.items()}
-        memo[model] = (first, images)
+        images = memo[model] = eulers(model, e, dict.fromkeys(variables, True), isolate=True)
         e._images = memo
-    if at == first:
-        return images
-    shifted = {}
-    return {v: shift_channels(x, first - at, shifted) for v, x in images.items()}
+    return images
 
 
 def laplacian_density(model: BvModel, f: Expr, mode: str = GEOMETRIC) -> Expr:
     """Density of Delta F for an integral block with density f; the antifield
-    partial is applied first, then the field partial, each with its own
-    channel of pending derivatives: in geometric mode the labels one and two
-    more than the largest label of f."""
+    partial is applied first, then the field partial, in geometric mode each
+    with its derivatives pending on frozen blocks."""
     _check_mode(mode)
-    if mode == NAIVE:
+    frozen = mode == GEOMETRIC
+    if not frozen:
         f = collapse(f)
-        z1 = z2 = None
-    else:
-        z2 = label_after(f)
-        z1 = z2 + 1
     pairs = list(model.pairs())
     # the first (antifield) step of every pair in one walk over f
-    steps = eulers(model, f, {od: z2 for _, od in pairs})
+    steps = eulers(model, f, {od: frozen for _, od in pairs})
     acc = {}
     for ev, od in pairs:
-        step = euler(model, steps[od], *ev, label=z1)
+        step = euler(model, steps[od], *ev, frozen=frozen)
         for k, m in step.terms.items():
             _add_monomial(acc, k, m)
     return Expr(acc) if acc else Expr.zero()

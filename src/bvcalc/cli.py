@@ -68,7 +68,8 @@ def _load_model(path: str):
 
 
 def _print_functional(F: Functional, do_collapse: bool):
-    F = F.collapse() if do_collapse else F.canonicalize()
+    if do_collapse:
+        F = F.collapse()
     if F.is_zero():
         print("0")
         return
@@ -290,8 +291,8 @@ def _example_scalar():
 
     dF = laplacian(F)
     dG = laplacian(G)
-    lines.append(f"Delta F (structured) = {repr(dF.canonicalize())}")
-    lines.append(f"Delta G (structured) = {repr(dG.canonicalize())}")
+    lines.append(f"Delta F (structured) = {repr(dF)}")
+    lines.append(f"Delta G (structured) = {repr(dG)}")
 
     bracket_dFG = schouten(dF, G)
     lines.append(f"[[Delta F, G]] = {repr(bracket_dFG)}")
@@ -301,8 +302,8 @@ def _example_scalar():
     structural = functional_equal(L, R, "structural")
     cohomological = functional_equal(L, R, "collapse")
     ok &= structural and cohomological
-    lines.append(f"Delta[[F,G]] (canonical) = {repr(L.canonicalize())}")
-    lines.append(f"[[F,Delta G]] + [[Delta F,G]] (canonical) = {repr(R.canonicalize())}")
+    lines.append(f"Delta[[F,G]] (canonical) = {repr(L)}")
+    lines.append(f"[[F,Delta G]] + [[Delta F,G]] (canonical) = {repr(R)}")
     lines.append(f"collapsed common value = {repr(L.collapse())}")
 
     naive_bracket = schouten(F, laplacian(G, NAIVE), NAIVE)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from .coeff import Coefficient
 from .algebra import Attach, Expr, GhostNumberError, ParityError, _sum_scaled
 from .grammar import expr_text, format_coefficient
-from .jetcalc import BvModel, canonicalize_channels, collapse, eulers
+from .jetcalc import BvModel, collapse, eulers
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +169,10 @@ class Functional:
         return self._map_blocks(collapse)
 
     def canonicalize(self) -> "Functional":
-        return self._map_blocks(canonicalize_channels)
+        """The functional itself: its blocks are anonymous, so it is already
+        in the one form that renaming channel labels used to reach; kept for
+        callers of the public API."""
+        return self
 
     def _map_blocks(self, f) -> "Functional":
         acc = {}
@@ -267,7 +270,7 @@ def functional_equal(
 
     Blocks of F - G are partitioned into equivalence classes: wrapper-free
     densities by cohomological equivalence, structured blocks either by
-    channel-canonical structural equality up to a unit scalar, the
+    structural equality up to a unit scalar, the
     coefficient at the least term key (mode 'structural'), or by collapse
     followed by cohomological equivalence (mode 'collapse').  The integral is
     linear, so the single wrapper-free blocks of F - G are first summed into
@@ -384,7 +387,7 @@ def _itself(x):
 
 def _reduce_functional(H: Functional, mode: str) -> dict:
     """Reduce a functional to a graded polynomial over independent density
-    classes (plain blocks) and canonical structured blocks; the result is the
+    classes (plain blocks) and structured blocks; the result is the
     zero functional iff the returned term map is empty.
 
     In mode 'collapse' every block is collapsed once, and the blocks of a
@@ -398,8 +401,9 @@ def _reduce_functional(H: Functional, mode: str) -> dict:
     is expanded once for all of them, and equal frozen monomials cancel
     unexpanded.  The verdict is that of a blockwise reduction, since a
     single block's term holds exactly one class symbol and the class map is
-    linear over Q(i)[hbar, hbar^-1].  A canonical structured block is a
-    scalar times the symbol of its class up to scalars (``_block_class``)."""
+    linear over Q(i)[hbar, hbar^-1].  A structured block, filed as it
+    stands, is a scalar times the symbol of its class up to scalars
+    (``_block_class``)."""
     model = H.model
     prepare = collapse if mode == "collapse" else _itself
     singles = {}
@@ -425,10 +429,6 @@ def _reduce_functional(H: Functional, mode: str) -> dict:
         dead = False
         for b in blocks:
             if b.has_attach():
-                b = canonicalize_channels(b)
-                if b.is_zero():
-                    dead = True
-                    break
                 sym, lead = _block_class(classes, b)
                 c = c * lead
                 parities[sym] = b.parity()
@@ -455,7 +455,7 @@ def _reduce_functional(H: Functional, mode: str) -> dict:
 
 
 def _block_class(classes: dict, b: Expr):
-    """``(symbol, lead)`` of a canonical structured block ``b``: its lead is
+    """``(symbol, lead)`` of a structured block ``b``: its lead is
     its coefficient at the least term key when that is a unit, else 1, and
     ``b`` shares a class with a block on the same term keys when
     ``b[k]*lead(rep) == rep[k]*lead(b)`` at every key k.  These are the

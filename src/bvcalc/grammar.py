@@ -17,11 +17,18 @@ canonical expression.  Grammar sketch:
 
 Coordinates are x1..xn; for a one-dimensional base the printer uses the
 compact run form q_x, q_xx, ...
+
+A channel label in ``frz[l:...]`` is only a name: every block is its own
+channel, so the parser keeps the multi-indices and drops the labels, and a
+label named twice within one monomial (two factors of a product, or a block
+and a block inside it) is a ParseError at its second naming.  The printer
+names the channels of each monomial 0, 1, 2, ... in print order.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import re
 from fractions import Fraction
 from typing import List, Tuple
@@ -122,7 +129,11 @@ def _jet_str(a: JetVar) -> str:
     return base + "_{" + " ".join(_index_tokens(a.index)) + "}"
 
 
-def format_atom(a: Atom) -> str:
+def format_atom(a: Atom, labels=None) -> str:
+    """The text of one atom.  ``labels`` yields the channel labels of the
+    monomial the atom is printed in, from the first not yet named
+    (``itertools.count()`` when None): a block names its own channels, then
+    those of the blocks inside it."""
     if isinstance(a, JetVar):
         return _jet_str(a)
     if isinstance(a, BaseVar):
@@ -130,14 +141,25 @@ def format_atom(a: Atom) -> str:
     if isinstance(a, Trig):
         return f"{a.tag}({_jet_str(a.arg)})"
     if isinstance(a, Attach):
-        inner = format_expr(a.inner)
-        if not a.pending:
-            return f"at({inner})"
-        specs = "; ".join(
-            f"{lab}:{' '.join(_index_tokens(idx))}" for lab, idx in a.pending
-        )
-        return f"frz[{specs}]({inner})"
+        if labels is None:
+            labels = itertools.count()
+        specs = "; ".join(f"{next(labels)}:{' '.join(_index_tokens(idx))}" for idx in a.pending)
+        inner = _monomial_text(next(iter(a.inner.monomials())), labels)
+        return f"frz[{specs}]({inner})" if specs else f"at({inner})"
     raise TypeError(f"unknown atom {a!r}")
+
+
+def _monomial_text(m, labels) -> str:
+    """The text of one monomial, its coefficient leading; its blocks name
+    their channels by the labels that ``labels`` yields."""
+    factors = []
+    for a, k in m.factors():
+        s = format_atom(a, labels)
+        factors.append(s if k == 1 else f"{s}^{k}")
+    if factors:
+        return _coeff_prefix(m.coeff) + "*".join(factors)
+    s = format_coefficient(m.coeff)
+    return f"({s})" if " " in s else s
 
 
 def format_expr(e: Expr) -> str:
@@ -156,16 +178,7 @@ def expr_text(e: Expr):
     heapq.heapify(keys)
     first = True
     while keys:
-        m = e.terms[heapq.heappop(keys)]
-        factors = []
-        for a, k in m.factors():
-            s = format_atom(a)
-            factors.append(s if k == 1 else f"{s}^{k}")
-        if factors:
-            body = _coeff_prefix(m.coeff) + "*".join(factors)
-        else:
-            s = format_coefficient(m.coeff)
-            body = f"({s})" if " " in s else s
+        body = _monomial_text(e.terms[heapq.heappop(keys)], itertools.count())
         if first:
             yield body
             first = False
@@ -229,39 +242,44 @@ class _Parser:
 
     # -- grammar -----------------------------------------------------
 
+    # Each rule returns (Expr, names): ``names`` maps every channel label
+    # named in its text to the column of its first naming.
+
     def parse(self) -> Expr:
-        e = self.expr()
+        e, _ = self.expr()
         kind, val, pos = self.peek()
         if kind != "end":
             raise ParseError(f"trailing input starting at {val!r}", pos)
         return e
 
-    def expr(self) -> Expr:
-        e = self.term()
+    def expr(self):
+        e, names = self.term()
         while self.peek()[1] in ("+", "-"):
             op = self.next()[1]
-            t = self.term()
+            t, more = self.term()
             e = e + t if op == "+" else e - t
-        return e
+            names = {**more, **names}
+        return e, names
 
-    def term(self) -> Expr:
+    def term(self):
         sign = 1
         while self.at("-"):
             self.next()
             sign = -sign
-        e = self.factor()
+        e, names = self.factor()
         while self.at("*"):
             self.next()
             neg = False
             while self.at("-"):
                 self.next()
                 neg = not neg
-            f = self.factor()
+            f, more = self.factor()
+            names = _disjoint(names, more)
             e = e * (-f if neg else f)
-        return e if sign > 0 else -e
+        return (e if sign > 0 else -e), names
 
-    def factor(self) -> Expr:
-        e = self.atom()
+    def factor(self):
+        e, names = self.atom()
         if self.at("^"):
             self.next()
             neg = False
@@ -277,33 +295,33 @@ class _Parser:
                 if len(e.terms) != 1 or next(iter(e.monomials())).factors():
                     raise ParseError("negative exponent on a non-scalar", pos)
                 c = next(iter(e.monomials())).coeff
-                return Expr.scalar(c.inverse()) ** n
-            return e ** n
-        return e
+                return Expr.scalar(c.inverse()) ** n, names
+            return e ** n, names
+        return e, names
 
-    def atom(self) -> Expr:
+    def atom(self):
         kind, val, pos = self.next()
         if kind == "num":
             if "/" in val:
                 a, b = val.split("/")
-                return Expr.scalar(Fraction(int(a), int(b)))
-            return Expr.scalar(int(val))
+                return Expr.scalar(Fraction(int(a), int(b))), {}
+            return Expr.scalar(int(val)), {}
         if val == "(":
-            e = self.expr()
+            found = self.expr()
             self.expect(")")
-            return e
+            return found
         if kind != "ident":
             raise ParseError(f"unexpected token {val!r}", pos)
         if val == "i":
-            return Expr.scalar(Coefficient.imag_unit())
+            return Expr.scalar(Coefficient.imag_unit()), {}
         if val == "hbar":
-            return Expr.scalar(Coefficient.hbar())
+            return Expr.scalar(Coefficient.hbar()), {}
         if val in ("sin", "cos", "exp"):
             self.expect("(")
             arg = self.jetvar_atom(*self.next())
             self.expect(")")
             try:
-                return Expr.from_atom(Trig(val, arg))
+                return Expr.from_atom(Trig(val, arg)), {}
             except ValueError as exc:
                 raise ParseError(str(exc), pos)
         if val == "D":
@@ -316,29 +334,33 @@ class _Parser:
                 raise ParseError(f"coordinate {j} out of range", pos2)
             self.expect("]")
             self.expect("(")
-            e = self.expr()
+            e, names = self.expr()
             self.expect(")")
-            return total_derivative(e, j - 1)
+            return total_derivative(e, j - 1), names
         if val == "at":
             self.expect("(")
-            e = self.expr()
+            e, names = self.expr()
             self.expect(")")
-            return make_attach((), e)
+            return make_attach((), e), names
         if val == "frz":
             self.expect("[")
-            pending = [self.pending_spec()]
-            while self.at(";"):
+            pending, names = [], {}
+            while True:
+                label, idx, label_pos = self.pending_spec()
+                names = _disjoint(names, {label: label_pos})
+                pending.append((label, idx))
+                if not self.at(";"):
+                    break
                 self.next()
-                pending.append(self.pending_spec())
             self.expect("]")
             self.expect("(")
-            e = self.expr()
+            e, inner = self.expr()
             self.expect(")")
-            return make_attach(tuple(pending), e)
+            return make_attach(pending, e), _disjoint(names, inner)
         j = self.coordinate(val, pos)
         if j is not None:
-            return self.model.x(j)
-        return Expr.from_atom(self.jetvar_atom(kind, val, pos))
+            return self.model.x(j), {}
+        return Expr.from_atom(self.jetvar_atom(kind, val, pos)), {}
 
     def coordinate(self, val: str, pos: int):
         """The 0-based coordinate named by a token 'x<j>', or None for any
@@ -380,7 +402,7 @@ class _Parser:
             idx[j] += 1
         if not any(idx):
             raise ParseError("empty multi-index in frz[...]", pos)
-        return (int(val), tuple(idx))
+        return int(val), tuple(idx), pos
 
     def opt_suffix(self) -> Tuple[int, ...]:
         n = self.model.base_dim
@@ -412,6 +434,15 @@ class _Parser:
             idx[0] = len(val)
             return tuple(idx)
         raise ParseError(f"malformed derivative suffix at {val!r}", pos)
+
+
+def _disjoint(names: dict, more: dict) -> dict:
+    """The channel labels ``names`` and ``more``, named in one monomial; a
+    label in both is named twice there."""
+    for label, pos in more.items():
+        if label in names:
+            raise ParseError(f"channel label {label} named twice in one monomial", pos)
+    return {**names, **more}
 
 
 def parse_expr(text: str, model) -> Expr:

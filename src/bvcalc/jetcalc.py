@@ -4,9 +4,9 @@ Provides the bundle declaration (BvModel), total derivatives, one walk for the
 graded left partial derivatives by any set of variables at once (each
 monomial visited once, branches filed by variable and multi-index), the
 Euler operators of those variables (total derivatives expanded by Horner's
-scheme, one coordinate at a time, or kept pending on a channel), collapse of
-pending channel derivatives, canonical renaming of channel labels, and the
-naive/geometric iterated variations.  ``eulers`` is the one Euler entry that
+scheme, one coordinate at a time, or kept pending on a frozen block),
+collapse of pending derivatives, and the naive/geometric iterated
+variations.  ``eulers`` is the one Euler entry that
 walks and sums; the iterated variations keep their shift fields outside it.
 The walk and ``eulers`` take left partials only: the public ``partial`` and
 ``euler`` sign a left image into a right one (``_right``).
@@ -15,10 +15,13 @@ Total derivatives, collapse and the partial-derivative walk take canonical
 monomials and file canonical ones.  The total derivative of a jet variable
 replaces one copy of it by its shift, put in its sorted place and read from
 the atom's own table once it has been interned (``_shift``); collapse
-sums the monomials by their label-free classes first (a channel label is a
-bound name), then multiplies each block class's expansion into a class's
-plain factors by the canonical product, and expands each block class once
-per call.
+sums the monomials by their classes first (a block's class knows only the
+sum of its pending multi-indices), then multiplies each block class's
+expansion into a class's plain factors by the canonical product, and
+expands each block class once per call.
+Blocks are anonymous (``algebra.Attach``): a frozen variation makes new
+blocks and extends the pending set of those it enters, and never reads or
+names a channel, so no walk allocates, checks or renames labels.
 The partials branch of a jet variable is its monomial with one copy of that
 factor removed, and a wrapped branch's home plains, already a canonical unit
 monomial, become the inner of the new block as they are.  Every other
@@ -33,8 +36,7 @@ block (``Expr.var_index()``); any other walk visits every monomial.
 from __future__ import annotations
 
 import itertools
-import operator
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .coeff import Coefficient
 from .algebra import (
@@ -45,12 +47,10 @@ from .algebra import (
     JetVar,
     Monomial,
     Trig,
-    collect_channel_labels,
-    make_attach,
     _ONE,
     _add_monomial,
     _add_product,
-    _monomial_labels,  # also read through jetcalc by perfbench/layers.py
+    _attach,
 )
 
 # ---------------------------------------------------------------------------
@@ -149,17 +149,6 @@ class BvModel:
 
     def __repr__(self):
         return f"BvModel(dim={self.base_dim}, fields={list(self.fields)})"
-
-
-# ---------------------------------------------------------------------------
-# channel labels
-
-
-def label_after(e: Expr) -> int:
-    """One more than the largest channel label in ``e``, 0 when it has none:
-    a label no block of ``e`` uses, chosen from ``e`` alone."""
-    labels = collect_channel_labels(e)
-    return max(labels) + 1 if labels else 0
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +255,7 @@ def _atom_total_derivative(a: Atom, i: int):
         d = total_derivative(a.inner, i)
         if d.is_zero():
             return ()
-        return tuple((dm.coeff, dm.even, dm.odd) for dm in make_attach(a.pending, d).monomials())
+        return tuple((dm.coeff, dm.even, dm.odd) for dm in _attach(a.pending, d).monomials())
     raise TypeError(f"unknown atom {a!r}")
 
 
@@ -284,18 +273,18 @@ def total_derivative_multi(e: Expr, index: Sequence[int]) -> Expr:
 
 def _partials(e, variables, isolate):
     """Graded left partials of ``e`` by the jet variables q_sigma of every
-    variable in ``variables`` = {(field, dagger): (parity, label or None)},
+    variable in ``variables`` = {(field, dagger): (parity, frozen)},
     filed by variable and multi-index: ``{(field, dagger): {sigma: Expr}}``.
     Each monomial is visited once, for all variables together; a walk by
     one variable visits only those that ``e.var_index()``, once built,
     lists for it or as holding a block.  Right partials are signed left
     ones (``_right``).
 
-    With a label a branch consumed at home records the pending derivative
-    (label, sigma) for |sigma| > 0 on a new block of its home plains
+    By a frozen variable a branch consumed at home records the pending
+    derivative sigma for |sigma| > 0 on a new block of its home plains
     (``_wrap_branch``); a branch consumed inside an Attach wrapper adds it
-    to that wrapper's pending set.  ``isolate`` acts on the variables with
-    a label only.
+    to that wrapper's pending set.  ``isolate`` acts on the frozen variables
+    only.
 
     A factor is tested by its ``var`` and whether it is an Attach; a
     monomial none of whose factors can contribute is skipped before anything
@@ -306,7 +295,7 @@ def _partials(e, variables, isolate):
     odd factors before the block; both are filed by the canonical product.
     """
     acc = {}  # (v, sigma) -> term map of canonical branches
-    unlabelled = None
+    expanded = None
     dives = {}  # Attach atom -> its branches, so each block is entered once
     monomials = e.terms.values()
     # an index over one monomial would save nothing
@@ -338,27 +327,27 @@ def _partials(e, variables, isolate):
                 # branch itself records none
                 hits = dives.get(a)
                 if hits is None:
-                    if unlabelled is None:
-                        unlabelled = {v: (p, None) for v, (p, _) in variables.items()}
+                    if expanded is None:
+                        expanded = {v: (p, False) for v, (p, _) in variables.items()}
                     hits = dives[a] = []
-                    inner = _partials(a.inner, unlabelled, False)
+                    inner = _partials(a.inner, expanded, False)
                     for v, by_index in inner.items():
-                        parity, label = variables[v]
+                        parity, frozen = variables[v]
                         for sigma, d in by_index.items():
                             pending = a.pending
-                            if label is not None and any(sigma):
-                                pending += ((label, sigma),)
-                            dived = make_attach(pending, d)
+                            if frozen and any(sigma):
+                                pending = tuple(sorted(pending + (sigma,)))
+                            dived = _attach(pending, d)
                             if not dived.is_zero():
-                                hits.append((v, parity, label, sigma, dived))
+                                hits.append((v, parity, frozen, sigma, dived))
                 if not hits:
                     continue
                 rest_even, rest_odd = _without(even, odd, i, k)
                 passed = max(i - n, 0)  # the odd factors before the block
                 cmult = m.coeff * k if k > 1 else m.coeff
-                for v, parity, label, sigma, dived in hits:
+                for v, parity, frozen, sigma, dived in hits:
                     c = -cmult if parity and flip else cmult
-                    wrap = isolate and label is not None
+                    wrap = isolate and frozen
                     out = acc.setdefault((v, sigma), {})
                     for dm in dived.monomials():
                         dc = -dm.coeff if passed & len(dm.odd) & 1 else dm.coeff
@@ -370,9 +359,9 @@ def _partials(e, variables, isolate):
                 continue
             u = a.arg if type(a) is Trig else a
             sigma = u.index
-            parity, label = spec
-            pend = (label, sigma) if label is not None and any(sigma) else None
-            wrap = pend is not None or (isolate and label is not None)
+            parity, frozen = spec
+            pend = sigma if frozen and any(sigma) else None
+            wrap = pend is not None or (isolate and frozen)
             cmult = m.coeff * k if k > 1 else m.coeff
             c = -cmult if parity and flip else cmult
             out = acc.setdefault((a.var, sigma), {})
@@ -419,13 +408,14 @@ def _wrap_branch(acc, coeff, even, odd, pend):
     with its home plains wrapped.
 
     The branch is ``coeff`` times the atoms ``even``/``odd`` of a canonical
-    monomial, and ``pend`` is (label, sigma) or None.  Home plains
+    monomial, and ``pend`` is a multi-index sigma or None.  Home plains
     (everything that is not an Attach atom) are gathered into a new Attach
     carrying ``pend``.  Attach keys sort last, so the kept blocks end each
     side and the home plains before them are already a canonical unit
     monomial: the block is found by them directly.  The kept odd blocks are
     moved in front of the home odd plains, at a Koszul sign, and multiplied
-    by the new block in one canonical product.
+    by the new block in one canonical product, which squares it, or drops
+    the branch when it is odd, if a kept block is the same block.
     """
     i, j = len(even), len(odd)
     while i and type(even[i - 1][0]) is Attach:
@@ -436,7 +426,7 @@ def _wrap_branch(acc, coeff, even, odd, pend):
         if pend is None:  # a bare block of nothing is 1
             _add_monomial(acc, (even, odd), Monomial(coeff, even, odd))
         return  # a pending derivative of a constant block is 0
-    block = Attach._of(((pend[1], pend[0]),) if pend is not None else (), even[:i], odd[:j])
+    block = Attach._of((pend,) if pend is not None else (), even[:i], odd[:j])
     block_even, block_odd = ((), (block,)) if block.parity else (((block, 1),), ())
     flips = j * (len(odd) - j)
     _add_product(acc, -coeff if flips & 1 else coeff, even[i:], odd[j:], block_even, block_odd)
@@ -448,7 +438,7 @@ def partial(e: Expr, v: JetVar, side: str = "left") -> Expr:
     _check_side(side)
     if not _holds(e, v):  # the walk would take every multi-index of v's field
         return Expr.zero()
-    d = _partials(e, {v.var: (v.parity, None)}, False).get(v.var, {}).get(v.index, Expr.zero())
+    d = _partials(e, {v.var: (v.parity, False)}, False).get(v.var, {}).get(v.index, Expr.zero())
     return _right(d, v.parity) if side == "right" else d
 
 
@@ -464,42 +454,38 @@ def euler(
     field: str,
     dagger: bool = False,
     side: str = "left",
-    label: Optional[int] = None,
+    frozen: bool = False,
     isolate: bool = False,
 ) -> Expr:
     """Euler operator sum_sigma (-D)^sigma d/dq_sigma (Olver, Applications of
     Lie Groups to Differential Equations, 4.1), on the given side.
 
-    Without a ``label`` the total derivatives are applied at once (naive or
+    Unless ``frozen`` the total derivatives are applied at once (naive or
     collapsed mode), by Horner's scheme one coordinate i at a time: the
     partials Q_k by q_sigma with sigma_i = k are summed as
     Q_0 - D_i(Q_1 - D_i(Q_2 - ...)), so D_i is applied once per order of x_i
-    rather than once per multi-index and order.  With a fresh channel
-    ``label`` the derivatives stay pending, recorded against that label
-    (geometric mode); ``isolate`` then also gathers the home plains of a
-    branch without a pending derivative.
+    rather than once per multi-index and order.  ``frozen`` keeps the
+    derivatives pending on blocks (geometric mode); ``isolate`` then also
+    gathers the home plains of a branch without a pending derivative.
     """
     _check_side(side)
     v = (field, dagger)
-    image = eulers(model, e, {v: label}, isolate)[v]
+    image = eulers(model, e, {v: frozen}, isolate)[v]
     return _right(image, model.parity(*v)) if side == "right" else image
 
 
-def eulers(model: BvModel, e: Expr, labels: dict, isolate: bool = False) -> dict:
-    """The left Euler operators of ``e`` by every variable of ``labels`` =
-    {(field, dagger): channel label or None}, as {(field, dagger): Expr} in
-    the order of ``labels``; each is ``euler`` with that variable's label,
-    and one partial-derivative walk serves them all."""
-    variables = {v: (model.parity(*v), label) for v, label in labels.items()}
-    used = {label for label in labels.values() if label is not None}
-    reused = used and used & collect_channel_labels(e)
-    if reused:
-        raise ValueError(f"channel label {min(reused)!r} already occurs in expression")
+def eulers(model: BvModel, e: Expr, frozen: dict, isolate: bool = False) -> dict:
+    """The left Euler operators of ``e`` by every variable of ``frozen`` =
+    {(field, dagger): whether its derivatives stay pending}, as
+    {(field, dagger): Expr} in the order of ``frozen``; each is ``euler``
+    with that variable's ``frozen``, and one partial-derivative walk serves
+    them all."""
+    variables = {v: (model.parity(*v), f) for v, f in frozen.items()}
     terms = _partials(e, variables, isolate)
     images = {}
-    for v, label in labels.items():
+    for v, f in frozen.items():
         by_index = terms.get(v, {})
-        if label is None:
+        if not f:
             images[v] = _horner(by_index, model.base_dim)
             continue
         acc = {}
@@ -562,11 +548,11 @@ def collapse(e: Expr) -> Expr:
     """Expand every pending channel derivative into genuine total derivatives,
     innermost first; the result carries no Attach atoms.
 
-    A channel label is a bound name, and collapse identifies the channels,
-    so a monomial's collapse depends only on its label-free class
-    (``_Classes``).  The coefficients are summed per class first, so
-    monomials that differ only by their labels merge or cancel before any
-    block is expanded.  Each surviving class is then expanded once, its
+    Collapse identifies the channels, so a block's collapse depends only on
+    the sum of its pending multi-indices and its inner, and a monomial's on
+    its class (``_Classes``).  The coefficients are summed per class first,
+    so monomials of one class merge or cancel before any block is
+    expanded.  Each surviving class is then expanded once, its
     plain atoms times its blocks' expansions by the canonical product, and
     each block class once per call, as D^sigma of its inner class's
     expansion."""
@@ -590,7 +576,7 @@ def collapse(e: Expr) -> Expr:
 
 
 class _Classes:
-    """The label-free classes of one ``collapse`` call.
+    """The classes of one ``collapse`` call.
 
     A monomial's class key is ``(even, odd, blocks)``: its plain even and
     odd atoms as they are, then the class numbers of its blocks, those of
@@ -660,7 +646,7 @@ class _Classes:
         found = self.of_monomial(next(iter(a.inner.terms.values())))
         if found is not None:
             flip, inner = found
-            key = (tuple(map(sum, zip(*[idx for _, idx in a.pending]))), inner)
+            key = (tuple(map(sum, zip(*a.pending))), inner)
             c = self.numbers.get(key)
             if c is None:
                 c = self.numbers[key] = len(self.keys)
@@ -705,238 +691,14 @@ class _Classes:
 
 
 # ---------------------------------------------------------------------------
-# canonical channel labels
+# channel labels
 
 
-def canonicalize_channels(e: Expr, first: int = 0, memos: Optional[tuple] = None) -> Expr:
-    """Rename channel labels per monomial to the canonical sequence
-    first, first+1, ... (0, 1, 2, ... by default).
-
-    Channel labels are bound names (each tags one pending variation), so two
-    monomials differing only by a bijective relabelling denote the same
-    object; after renaming such monomials merge or cancel.
-
-    A monomial's labels are ranked by one sort of its (label, occurrence,
-    home) list (``_sorted_occurrences``), where an occurrence is where a
-    label sits with every label erased.  A tie (equal occurrences) is an
-    automorphism, not searched, when its labels share one home or sit alone
-    in top-level blocks of exponent 1: a swap exchanges two blocks equal up
-    to their labels, so the monomial is itself when they are even and minus
-    itself, hence zero, when they are odd.  With no other tie the sorted
-    order is the one renaming, none when the labels already run first,
-    first+1, ...  Ties across blocks of several labels, or of a label that
-    occurs twice, are searched (``_tie_groups``): each permutation of their
-    labels is tried and the least relabelled monomial kept
-    (individualisation-refinement, McKay & Piperno, "Practical graph
-    isomorphism II", 2014, where automorphisms are pruned, not enumerated).
-
-    A renaming is a bijection on atoms, so no two factors of a candidate
-    merge and no odd factor repeats: each candidate is built directly as its
-    renamed even factors re-sorted by key and its renamed odd factors sorted
-    with their sign, and candidates are compared by their term keys, the
-    tuples of interned atoms, alone: two candidates with equal atoms carry
-    equal coefficients, or the monomial is minus itself and vanishes.
-    Renamed Attach atoms, nested ones included, are shared through a memo
-    keyed by the atom and the images of its labels (equal sub-objects shared
-    as in hash-consing, Filliâtre & Conchon, 2006).  The memos hold nothing
-    that depends on the call: ``memos``, a tuple of three dicts, shares them
-    across the calls of one pass (the Euler images of one bracket operand);
-    by default they live for one call.
-    """
-    erased, occurrences, renamed = memos if memos is not None else ({}, {}, {})
-    acc = {}
-    for m in e.monomials():
-        found = _sorted_occurrences(m, erased, occurrences)
-        ranked = [lab for lab, _, _ in found]
-        tied = len(set(ranked)) < len(ranked)
-        for (_, o, h), (_, p, g) in zip(found, found[1:]):
-            if tied or h is not g and o == p:
-                tied = True
-                break
-        if tied:
-            groups = _tie_groups(found)
-            if groups is None:
-                continue  # a swap of two odd blocks: the monomial is minus itself
-            ranked = [lab for g in groups for lab in g]
-        if tied and len(ranked) > len(groups):
-            best = best_key = None
-            seen = {}
-            for choice in itertools.product(*map(itertools.permutations, groups)):
-                candidate = _rename_monomial(m, dict(zip(itertools.chain.from_iterable(choice),
-                                                         itertools.count(first))), renamed)
-                mk = (candidate.even, candidate.odd)
-                if seen.setdefault(mk, candidate.coeff) != candidate.coeff:
-                    break  # a renaming maps the monomial to minus itself
-                if best is None or mk < best_key:
-                    best, best_key = candidate, mk
-            else:
-                _add_monomial(acc, best_key, best)
-            continue
-        if ranked != list(range(first, first + len(ranked))):
-            m = _rename_monomial(m, dict(zip(ranked, itertools.count(first))), renamed)
-        _add_monomial(acc, (m.even, m.odd), m)
-    return Expr(acc) if acc else Expr.zero()
-
-
-def _sorted_occurrences(m: Monomial, erased: dict, occurrences: dict) -> list:
-    """The (label, occurrence, home) entries of the Attach factors of ``m``
-    sorted by occurrence: (nesting depth, pending multi-index, exponent of
-    the enclosing Attach, its key with every label erased), a nested key
-    that holds no atom.  The home is the Attach atom whose pending set names
-    the label, while it and every block around it have exponent 1, and the
-    label itself otherwise.  ``occurrences`` memoises the entries of each
-    top-level (Attach atom, exponent), ``erased`` the erased keys."""
-    found = []
-    for a, k in m.factors():
-        if type(a) is Attach:
-            got = occurrences.get((a, k))
-            if got is None:
-                got = occurrences[a, k] = _occurrences(a, k, 0, erased, [], True)
-            found += got
-    found.sort(key=_OCCURRENCE)
-    return found
-
-
-_OCCURRENCE = operator.itemgetter(1)
-
-
-def _tie_groups(found: list):
-    """The labels of the sorted list ``found`` in signature order (a label's
-    signature is the list of its occurrences), in groups whose permutations
-    are searched; a label that no search moves is a group of its own.  None
-    when a swap of two odd blocks maps the monomial to minus itself."""
-    sigs, homes = {}, {}
-    for lab, occurrence, home in found:
-        sigs.setdefault(lab, []).append(occurrence)
-        homes[lab] = lab if lab in homes else home  # a label met twice is its own home
-    groups = []
-    for sig, g in itertools.groupby(sorted(sigs, key=sigs.get), key=sigs.get):
-        g = tuple(g)
-        if any(homes[lab] is not homes[g[0]] for lab in g):
-            depth, _, k, _ = sig[0]
-            if len(sig) > 1 or depth or k != 1 or any(len(homes[lab].labels) > 1 for lab in g):
-                groups.append(g)
-                continue
-            if homes[g[0]].parity:
-                return None
-        groups += [(lab,) for lab in g]
-    return groups
-
-
-def _occurrences(a: Attach, k: int, depth: int, erased: dict, out: list, alone: bool) -> list:
-    """Append (label, occurrence, home) for every pending derivative in ``a``
-    and in the blocks nested inside it; the home is ``a`` while ``a`` and the
-    blocks around it have exponent 1 (``alone``), and the label otherwise."""
-    ek = _erased_key(a, erased)
-    alone = alone and k == 1
-    for lab, idx in a.pending:
-        out.append((lab, (depth, idx, k, ek), a if alone else lab))
-    for mm in a.inner.monomials():
-        for b, j in mm.factors():
-            if isinstance(b, Attach):
-                _occurrences(b, j, depth + 1, erased, out, alone)
-    return out
-
-
-def _erased_key(a: Atom, memo: dict):
-    """Atom key with every channel label erased; coefficients and the order of
-    the inner factors (both of which a renaming can change) are dropped too."""
-    if not isinstance(a, Attach):
-        return a.key
-    k = memo.get(a)
-    if k is None:
-        inner = tuple(sorted(
-            (tuple(sorted((_erased_key(b, memo), e) for b, e in mm.even)),
-             tuple(sorted(_erased_key(b, memo) for b in mm.odd)))
-            for mm in a.inner.monomials()
-        ))
-        k = memo[a] = (3, tuple(idx for _, idx in a.pending), inner)
-    return k
-
-
-def _rename_monomial(m: Monomial, mapping: dict, memo: dict) -> Monomial:
-    """The canonical monomial ``m`` with its channel labels renamed by the
-    bijection ``mapping``; the renamed atoms stay pairwise distinct, so only
-    the sort order and the odd factors' sign change.  Plain atoms are never
-    renamed and sort first, so only the Attach suffix of each side is
-    renamed and re-sorted, by (pending spec, atom): a block's key is
-    (3, spec, inner key), so a full key is read only for two blocks of one
-    spec."""
-    coeff = m.coeff
-    even, odd = m.even, m.odd
-    i, j = len(even), len(odd)
-    while i and type(even[i - 1][0]) is Attach:
-        i -= 1
-    while j and type(odd[j - 1]) is Attach:
-        j -= 1
-    evens = []
-    for a, k in even[i:]:
-        flip, a, spec = _rename_atom(a, mapping, memo)
-        if flip and k & 1:
-            coeff = -coeff
-        evens.append((spec, a, k))
-    evens.sort()
-    odds = []
-    for a in odd[j:]:
-        flip, a, spec = _rename_atom(a, mapping, memo)
-        t = (spec, a)
-        p = len(odds)
-        while p and odds[p - 1] > t:
-            p -= 1
-        if flip ^ ((len(odds) - p) & 1):  # a sign for each odd block passed
-            coeff = -coeff
-        odds.insert(p, t)
-    return Monomial(coeff, even[:i] + tuple([(a, k) for _, a, k in evens]),
-                    odd[:j] + tuple([a for _, a in odds]))
-
-
-def _rename_atom(a: Attach, mapping: dict, memo: dict):
-    """(flip, renamed atom, its pending spec by multi-index) for an Attach
-    atom.  Renaming can reorder the odd factors inside a nested block; the
-    block keeps a unit lead coefficient and ``flip`` says that each copy of
-    it costs a sign.  ``memo`` is keyed by the atom and the images of its
-    labels, nested ones included, read in the order of the atom's own label
-    set."""
-    key = (a, tuple(map(mapping.__getitem__, a.labels)))
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    (even, odd), mm = next(iter(a.inner.terms.items()))
-    flip = False
-    if a.inner.has_attach():
-        mm = _rename_monomial(mm, mapping, memo)
-        even, odd, flip = mm.even, mm.odd, mm.coeff != _ONE
-    by_index = tuple(sorted([(idx, mapping[lab]) for lab, idx in a.pending]))
-    hit = memo[key] = (flip, Attach._of(by_index, even, odd), by_index)
-    return hit
-
-
-def shift_channels(e: Expr, by: int, memo: dict) -> Expr:
-    """``e`` with every channel label raised by ``by``; for e canonical from
-    ``first``, its canonical form from ``first + by`` in the same term order.
-    A monotone renaming keeps every key order, so each block is mapped in
-    place by ``Attach._of``: no sort, no sign, no block key read.  ``memo``
-    maps blocks to their images."""
-    acc = {}
-    for m in e.terms.values():
-        k = _shift_atoms(m.even, m.odd, by, memo)
-        acc[k] = Monomial(m.coeff, *k)
-    return Expr(acc) if acc else Expr.zero()
-
-
-def _shift_atoms(even, odd, by, memo):
-    return (tuple([(_shift_block(a, by, memo), k) if type(a) is Attach else (a, k)
-                   for a, k in even]),
-            tuple([_shift_block(a, by, memo) if type(a) is Attach else a for a in odd]))
-
-
-def _shift_block(a: Attach, by: int, memo: dict) -> Attach:
-    b = memo.get(a)
-    if b is None:
-        ((even, odd),) = a.inner.terms
-        b = memo[a] = Attach._of(tuple([(idx, lab + by) for lab, idx in a.pending]),
-                                 *_shift_atoms(even, odd, by, memo))
-    return b
+def canonicalize_channels(e: Expr, first: int = 0) -> Expr:
+    """``e`` itself.  Blocks are anonymous, so every expression is already
+    in the one form that renaming channel labels used to reach; kept for
+    callers of the public API."""
+    return e
 
 
 # ---------------------------------------------------------------------------
@@ -963,8 +725,7 @@ def iterated_variation(
     directions, first entry applied first.
 
     Naive mode composes fully expanded Euler operators step by step; geometric
-    mode records each step's derivatives against a fresh channel, one more
-    than the largest label so far (0, 1, 2, ... for a plain density).  With
+    mode keeps each step's derivatives pending on frozen blocks.  With
     ``include_shifts`` step k multiplies in a formal shift field sh<k>
     carrying the parity of its target; the shift fields live in the returned
     extended model.  Naive mode multiplies sh<k> in after step k, so later
@@ -980,8 +741,7 @@ def iterated_variation(
     ext = model.extend(aux) if include_shifts else model
     e, held = f, Expr.scalar(1)
     for k, (field, dagger) in enumerate(shifts, start=1):
-        label = label_after(e) if mode == GEOMETRIC else None
-        e = euler(ext, e, field, dagger, label=label)
+        e = euler(ext, e, field, dagger, frozen=mode == GEOMETRIC)
         if not include_shifts:
             continue
         sh = ext.jet(f"sh{k}")

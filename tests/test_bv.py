@@ -1,4 +1,6 @@
 import functools
+import gc
+import itertools
 import random
 from fractions import Fraction
 
@@ -6,11 +8,10 @@ import pytest
 
 from bvcalc import Expr
 from bvcalc.coeff import Coefficient
-from bvcalc.algebra import Atom, Attach, ParityError, collect_channel_labels, make_attach
+from bvcalc.algebra import ParityError, make_attach
 from bvcalc.cohomology import Functional, functional_equal
-from bvcalc.jetcalc import (_monomial_labels, canonicalize_channels, collapse, euler, eulers,
-                            shift_channels)
-from bvcalc import bv
+from bvcalc.jetcalc import collapse, euler, eulers
+from bvcalc import algebra, bv, jetcalc
 from bvcalc.bv import (
     GEOMETRIC,
     IDENTITIES,
@@ -30,6 +31,7 @@ from bvcalc.grammar import (
     _join_signed,
     format_atom,
     format_coefficient,
+    format_expr,
     parse_expr,
 )
 from bvcalc.models import LieAlgebraData, build_scalar_example, build_yang_mills_bv, random_functional
@@ -39,11 +41,10 @@ from util_random import (
     labelled_operands,
     nested_brackets,
     plane_model,
-    raw_nested_densities,
+    reference_bracket_density,
+    reference_bracket_images,
     reference_laplacian,
     reference_schouten,
-    reference_bracket_density,
-    reference_schouten_density,
     scalar_model,
 )
 
@@ -72,15 +73,9 @@ def test_scalar_example_densities():
     q, qxx = m.jet("q"), m.jet("q", (2,))
     dF = laplacian_density(m, f)
     # structured Delta F = q_xx + pending-D^2(q); Delta G = pending-D^2(-sin q)
-    labs = sorted({lab for mono in dF.monomials() for a, _ in mono.factors()
-                   if hasattr(a, "pending") for lab, _ in a.pending})
-    assert len(labs) == 1
-    expected = qxx + make_attach(((labs[0], (2,)),), q)
-    assert dF == expected
+    assert dF == qxx + make_attach(((0, (2,)),), q)
     dG = laplacian_density(m, g)
-    labs2 = sorted({lab for mono in dG.monomials() for a, _ in mono.factors()
-                    if hasattr(a, "pending") for lab, _ in a.pending})
-    assert dG == make_attach(((labs2[0], (2,)),), -m.sin("q"))
+    assert dG == make_attach(((0, (2,)),), -m.sin("q"))
     # no antifield present: Delta vanishes
     assert laplacian_density(m, m.jet("q") * m.jet("q", (1,))).is_zero()
 
@@ -125,44 +120,24 @@ def test_skew_symmetry(model_name):
         assert functional_equal(tot, zero(model), "structural")
 
 
-def test_skew_symmetry_of_deeply_nested_bracket():
-    # [[S,X]] and [[X,S]] with X = [[S,[[S,[[S,O]]]]]], every bracket a raw
-    # product of Euler images, carry 8 channel labels per monomial; there is
-    # no limit on the number of labels.  Both vanish up to renaming labels.
-    model, s, x = raw_nested_densities(3)
-    lhs, rhs = reference_schouten_density(model, s, x), reference_schouten_density(model, x, s)
-    assert max(len(_monomial_labels(mono)) for e in (lhs, rhs) for mono in e.monomials()) == 8
-    # both sides are even, so skew-symmetry carries the sign +
-    canon = canonicalize_channels(lhs)
-    assert canon.is_zero() and canonicalize_channels(rhs) == canon
-    _, S, X = nested_brackets(3)
-    assert functional_equal(schouten(S, X), schouten(X, S), "structural")
+def test_skew_symmetry_of_deeply_nested_bracket(monkeypatch):
+    # [[S,X]] and [[X,S]] with X = [[S,[[S,[[S,O]]]]]] and one bracket more:
+    # X's monomials name up to six channels, and there is no limit on their
+    # number.  Both sides are even, so skew-symmetry carries the sign +; the
+    # two term maps are equal as built, with no normalising call
+    def refuse(*args):
+        raise AssertionError("normalised")
 
-
-def _labels_of_every_factor(mono):
-    labels = set()
-    for a in [a for a, _ in mono.even] + list(mono.odd):
-        if isinstance(a, Attach):
-            labels |= a.labels
-    return labels
-
-
-def test_monomial_labels_agree_with_a_walk_over_every_factor():
-    # Attach keys sort last, so reading each side from its end up to its
-    # first other factor finds every label; the inputs hold raw nested
-    # brackets of up to 8 labels, times plain factors that sort before the
-    # blocks on the even and on the odd side
-    model, s, x = raw_nested_densities(3)
-    q, qd, qx = model.jet("q"), model.jet("q", dagger=True), model.jet("q", (1,))
-    exprs = [x * q, x * qd * qx, reference_schouten_density(model, s, x) * qd]
-    exprs += [raw_nested_densities(depth, seed)[2] * qd for seed in (1, 3) for depth in (1, 2)]
-    monos = [mono for e in exprs for mono in e.monomials()]
-    assert max(len(_monomial_labels(mono)) for mono in monos) == 8
-    for side in ("even", "odd"):
-        factors = [[f[0] if side == "even" else f for f in getattr(mono, side)] for mono in monos]
-        assert any(type(fs[0]) is not Attach and type(fs[-1]) is Attach for fs in factors if fs)
-    for mono in monos:
-        assert _monomial_labels(mono) == _labels_of_every_factor(mono)
+    monkeypatch.setattr(jetcalc, "canonicalize_channels", refuse)
+    monkeypatch.setattr(algebra, "_from_raw", refuse)
+    monkeypatch.setattr(algebra, "normalize", refuse)
+    for depth in (3, 4):
+        _, S, X = nested_brackets(depth)
+        if depth == 3:
+            assert max(format_expr(Expr({k: mono})).count(":")
+                       for b in X.blocks() for k, mono in b.terms.items()) == 6
+        assert schouten(S, X).terms == schouten(X, S).terms
+        assert functional_equal(schouten(S, X), schouten(X, S), "structural")
 
 
 def _density(F):
@@ -175,8 +150,8 @@ def _density(F):
 @functools.lru_cache(maxsize=None)
 def _reference_operands():
     """Operand pairs {name: (model, f, g)} for the geometric bracket: plain
-    and labelled, X at depth 1-3, odd and even, two operands sharing the
-    labels of one ancestor, and parsed frozen blocks."""
+    and holding blocks, X at depth 1-3, odd and even, two operands sharing
+    the blocks of one ancestor, and parsed frozen blocks."""
     return {name: (model, f, g) for name, model, f, g in _reference_pairs()}
 
 
@@ -213,19 +188,61 @@ def _reference_pairs():
     "[[X3, S]]", "[[X2, X1]]", "[[X1, X1]]", "odd", "odd, odd", "[[X, [[S,X]]]]",
     "parsed", "parsed, labelled", "ghost", "ghost, odd", "ghost, same"])
 def test_bracket_agrees_with_raw_image_products(name):
-    # the bracket on canonical images equals the raw products of the images
-    # up to renaming labels, and after collapse
+    # the bracket on left images equals the products of the right images of
+    # f and the left images of g, and so does its collapse
     model, f, g = _reference_operands()[name]
     new = schouten_density(model, f, g)
-    ref = reference_schouten_density(model, f, g)
-    assert canonicalize_channels(new) == canonicalize_channels(ref)
+    ref = reference_bracket_density(model, f, g)
+    assert new == ref
     assert collapse(new) == collapse(ref)
-    assert len(new.terms) <= len(ref.terms)
+
+
+@pytest.mark.parametrize("inner", ["q^2", "q*q_x", "dag(q)*q_x", "dag(q)_x*q^2"])
+def test_a_block_in_both_images_is_squared_or_vanishes(m, inner):
+    # f = B dag(q) and g = B q hold one block B, which the image of f by
+    # dag(q) and that of g by q keep whole: their product in [[f, g]] holds
+    # B squared when B is even, and vanishes when it is odd.  Collapse is
+    # multiplicative, so the bracket collapses as the products of the
+    # collapsed reference images do, an odd collapsed B squared to zero
+    B = parse_expr(f"frz[0:x1]({inner})", m)
+    ((block,),) = [[a for a in B.atoms()]]
+    f, g = B * m.jet("q", dagger=True), B * m.jet("q")
+    bracket = schouten_density(m, f, g)
+    twice = [mono for mono in bracket.monomials() if (block, 2) in mono.even]
+    assert bool(twice) == (block.parity == 0) and (B * B).is_zero() == bool(block.parity)
+    pairs, er, el = reference_bracket_images(m, f, g)
+    expected = Expr.zero()
+    for ev, od in pairs:
+        expected = (expected + collapse(er[ev]) * collapse(el[od])
+                    - collapse(er[od]) * collapse(el[ev]))
+    assert collapse(bracket) == expected != Expr.zero()
+
+
+def test_a_bracket_leaves_no_block_alive():
+    # blocks are interned weakly, and images are kept only on an operand
+    # that holds a block: once [[S,X]], [[X,S]] and X = [[S,[[S,O]]]] are
+    # gone, the intern table is back to its size before them, and the
+    # long-lived S and O keep nothing alive
+    m, S, _ = nested_brackets(0)
+    O = random_functional(m, 2, 3, 0, 77)  # shares no block with cached operands
+    gc.collect()
+    before = len(algebra._INTERNED)
+
+    def bracket():
+        X = schouten(S, schouten(S, O))
+        lhs, rhs = schouten(S, X), schouten(X, S)
+        assert len(algebra._INTERNED) > before
+        return functional_equal(lhs, rhs, "structural")
+
+    assert bracket()
+    gc.collect()
+    assert len(algebra._INTERNED) == before
+    assert not any(hasattr(b, "_images") for F in (S, O) for b in F.blocks())
 
 
 def test_raw_results_do_not_depend_on_call_history():
-    # labels are allocated from the operands alone, so two identical calls
-    # give equal raw results, with nothing canonicalised
+    # a bracket names no channel, so two identical calls give equal raw
+    # results
     model, S, X = nested_brackets(2)
     O = rf(model, 0, 5)
     for F, G in ((S, X), (X, S), (O, X), (S, O)):
@@ -233,29 +250,17 @@ def test_raw_results_do_not_depend_on_call_history():
         assert not first.is_zero()
         assert first == schouten(F, G)
     for F in (O, schouten(O, O), schouten(S, O)):
-        first = laplacian(F)
-        assert not first.is_zero()
-        assert first == laplacian(F)
+        assert laplacian(F) == laplacian(F)
+    assert not laplacian(O).is_zero()
     for F in (S, X):
         assert omega(X, F) == omega(X, F)
 
 
-def test_bracket_labels_lie_in_the_two_operand_ranges():
-    # f's images take the labels 0..a-1, g's a..a+b-1
-    for name, (model, f, g) in _reference_operands().items():
-        a = len(collect_channel_labels(f)) + 1
-        b = len(collect_channel_labels(g)) + 1
-        bracket = schouten_density(model, f, g)
-        labels = collect_channel_labels(bracket)
-        assert labels <= set(range(a + b)), name
-        assert bool(labels) == (not bracket.is_zero()), name
-
-
-# -- a labelled block's Euler images, kept on the block -------------------------
+# -- the Euler images of an operand that holds a block, kept on it ---------------
 
 
 def _raw(e):
-    """The term map of ``e`` as a list, labels and term order included."""
+    """The term map of ``e`` as a list, term order included."""
     return [(k, m.coeff) for k, m in e.terms.items()]
 
 
@@ -265,8 +270,8 @@ def _fresh(e):
 
 
 def _operands(model_name, seeds=(0, 1, 2)):
-    """Seeded operands of both parities, plain, labelled and nested, and
-    their ordered pairs; [[z, z]] is left out for its size."""
+    """Seeded operands of both parities, plain, holding blocks and nested,
+    and their ordered pairs; [[z, z]] is left out for its size."""
     model = MODELS[model_name]()
     for seed in seeds:
         ops = labelled_operands(model, seed)
@@ -276,15 +281,14 @@ def _operands(model_name, seeds=(0, 1, 2)):
 @pytest.mark.parametrize("mode", [GEOMETRIC, NAIVE])
 @pytest.mark.parametrize("model_name", list(MODELS))
 def test_bracket_density_agrees_with_the_image_reference(model_name, mode):
-    # the raw term maps, labels and term order included, equal those of the
-    # bracket that walks both operands and canonicalises their images in
-    # every call: on fresh copies, never one object (the images are made),
-    # and on operands bracketed before, in the other order and on other
-    # label ranges (the images are read, or shifted); naive mode collapses
-    # the nested z into large plain densities first, and leaves it out
+    # the raw term maps, term order included, equal those of the bracket
+    # that walks both operands in every call: on fresh copies, never one
+    # object (the images are made), and on operands bracketed before and in
+    # the other order (the images are read); naive mode collapses the
+    # nested z into large plain densities first, and leaves it out
     labelled = 0
     for model, ops, pairs in _operands(model_name):
-        labelled += sum(bool(collect_channel_labels(e)) for e in ops.values())
+        labelled += sum(e.has_attach() for e in ops.values())
         for fn, gn in pairs:
             if mode == NAIVE and "z" in (fn, gn):
                 continue
@@ -302,7 +306,7 @@ def test_bracket_density_agrees_with_the_image_reference(model_name, mode):
 
 
 def test_bracket_of_functionals_agrees_with_the_image_reference(monkeypatch):
-    # raw schouten, on products of blocks that carry labels, equals schouten
+    # raw schouten, on products of blocks that hold frozen blocks, equals schouten
     # with every density taken by the reference
     def raw(F):
         return [(tuple(_raw(b) for b in blocks), c) for blocks, c in F.terms.items()]
@@ -323,44 +327,17 @@ def test_bracket_of_functionals_agrees_with_the_image_reference(monkeypatch):
 @pytest.mark.parametrize("model_name", list(MODELS))
 def test_right_images_are_signed_left_images(model_name):
     # on a parity-homogeneous operand e, the right image by v is
-    # (-1)^(p_v (p_e - 1)) times the left one, term order included, with a
-    # label (frozen, isolated) and without (expanded)
+    # (-1)^(p_v (p_e - 1)) times the left one, term order included, frozen
+    # and isolated, or expanded
     for model, ops, _ in _operands(model_name):
         for name, e in ops.items():
-            own = collect_channel_labels(e)
-            for label in (max(own, default=-1) + 1, None):
-                labels = {v: label for pair in model.pairs() for v in pair}
-                left = eulers(model, e, labels, isolate=True)
+            for frozen in (True, False):
+                variables = dict.fromkeys([v for pair in model.pairs() for v in pair], frozen)
+                left = eulers(model, e, variables, isolate=True)
                 for v, image in left.items():
-                    right = euler(model, e, *v, side="right", label=label, isolate=True)
+                    right = euler(model, e, *v, side="right", frozen=frozen, isolate=True)
                     sign = -1 if model.parity(*v) and not e.parity() else 1
-                    assert _raw(right) == _raw(image.scale(sign)), (name, v, label)
-
-
-def test_shifted_images_are_the_canonical_images_from_a_later_label(monkeypatch):
-    # canonicalize_channels(e, a) is canonicalize_channels(e, 0) with every
-    # label raised by a, in the same term order, and the shift reads no key
-    exprs = []
-    for model_name in MODELS:
-        for model, ops, _ in _operands(model_name):
-            for e in (ops["x"], ops["y"], ops["z"]):
-                own = collect_channel_labels(e)
-                labels = {v: max(own, default=-1) + 1 for pair in model.pairs() for v in pair}
-                exprs += eulers(model, e, labels, isolate=True).values()
-            exprs.append(reference_schouten_density(model, ops["x"], ops["y"]))
-    slot, reads = Atom.__dict__["key"], []
-    counted = property(lambda a: reads.append(a) or slot.__get__(a, type(a)), slot.__set__)
-    shifted = 0
-    for e in exprs:
-        base = canonicalize_channels(e, 0)
-        for a in range(1, 6):
-            with monkeypatch.context() as patched:
-                patched.setattr(Atom, "key", counted)
-                out = shift_channels(base, a, {})
-            assert not reads
-            assert _raw(out) == _raw(canonicalize_channels(e, a))
-            shifted += bool(collect_channel_labels(out))
-    assert shifted >= 100
+                    assert _raw(right) == _raw(image.scale(sign)), (name, v, frozen)
 
 
 def test_one_walk_of_a_labelled_block_serves_both_brackets(monkeypatch):
@@ -374,7 +351,7 @@ def test_one_walk_of_a_labelled_block_serves_both_brackets(monkeypatch):
     monkeypatch.setattr(bv, "eulers", counted)
     model, S, X = nested_brackets(2)
     ((x,),) = X.terms
-    assert collect_channel_labels(x)
+    assert x.has_attach()
     assert not schouten(S, X).is_zero() and not schouten(X, S).is_zero()
     assert sum(e is x for e in walked) == 1
     assert list(x._images) == [model]
@@ -394,12 +371,12 @@ def test_a_labelled_block_keeps_images_per_model():
         assert _raw(schouten_density(m_, s, x)) == _raw(reference_bracket_density(m_, s, x))
         assert _raw(schouten_density(m_, x, s)) == _raw(reference_bracket_density(m_, x, s))
     assert list(x._images) == [model, wider]
-    assert len(x._images[wider][1]) == len(x._images[model][1]) + 2
+    assert len(x._images[wider]) == len(x._images[model]) + 2
 
 
 def test_a_heterogeneous_first_operand_is_refused(m):
     # right images are signed left images only on a parity-homogeneous f:
-    # a heterogeneous f, labelled or plain, raises and keeps no images; a
+    # a heterogeneous f, with blocks or plain, raises and keeps no images; a
     # heterogeneous g is bracketed as the reference brackets it
     ops = labelled_operands(m, 0)
     s = ops["p1"]
@@ -664,7 +641,7 @@ def test_master_equation_bracket_is_the_collapsed_bracket(model):
             full = schouten(S, S, mode).collapse()
             got = check_master_equation(S, mode).data["bracket"]
             assert got == full == naive and repr(got) == repr(full), (seed, mode)
-    # an odd S, products, sums, and an even block with channel labels among
+    # an odd S, products, sums, and an even block with frozen blocks among
     # them, which geometric mode brackets as it stands and naive mode
     # collapses first
     labelled = schouten(rf(model, 1, 5104), rf(model, 0, 5105))
@@ -795,7 +772,8 @@ def _reference_format(e):
     pieces = []
     for key in sorted(e.terms):
         mono = e.terms[key]
-        factors = [format_atom(a) if k == 1 else f"{format_atom(a)}^{k}"
+        labels = itertools.count()  # the channels of one monomial
+        factors = [format_atom(a, labels) if k == 1 else f"{format_atom(a, labels)}^{k}"
                    for a, k in mono.factors()]
         if factors:
             pieces.append(_coeff_prefix(mono.coeff) + "*".join(factors))

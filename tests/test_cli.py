@@ -13,7 +13,7 @@ from bvcalc.grammar import ParseError, format_expr, parse_expr, parse_model_file
 from bvcalc.cli import main, run_suite
 from bvcalc.models import build_yang_mills_bv, random_functional
 
-from util_random import ghost_model, plane_model, random_expr
+from util_random import ghost_model, labelled_operands, nested_brackets, plane_model, random_expr
 
 
 MODEL_TEXT = """
@@ -44,6 +44,41 @@ def test_round_trip_on_random_expressions():
         e = random_expr(model, rng, with_attach=True)
         text = format_expr(e)
         assert parse_expr(text, model) == e, text
+    # engine outputs: monomials of several blocks, nested ones, and equal
+    # blocks squared, their channels named 0, 1, ... in print order
+    outputs = []
+    for model in models:
+        ops = labelled_operands(model, 3)
+        outputs += [(model, ops[name]) for name in ("x", "y", "z")]
+    m, S, X = nested_brackets(2)
+    outputs += [(m, b) for F in (X, bv.schouten(S, X), bv.laplacian(X)) for b in F.blocks()]
+    several = 0
+    for model, e in outputs:
+        text = format_expr(e)
+        assert parse_expr(text, model) == e, text
+        several += "; " in text or "frz[1:" in text
+    assert several >= 5
+
+
+def test_a_label_named_twice_in_one_monomial_is_a_parse_error(model_file, capsys):
+    # a label only names a channel, and every block is its own channel: a
+    # label named twice in one monomial (two factors, one spec, or a block
+    # and a block inside it) is refused at its second naming, with exit 2;
+    # in two monomials it is two names
+    m = ghost_model()
+    for text, column in (("frz[0:x1](q)*frz[0:x1](q_x)", 18),
+                         ("frz[3:x1; 3:x1 x1](q)", 11),
+                         ("frz[3:x1](q*frz[3:x1](c))", 17),
+                         ("(frz[2:x1](q) + q)*c*frz[2:x1](c)", 26)):
+        with pytest.raises(ParseError, match=rf"^channel label \d+ named twice in one "
+                                             rf"monomial \(column {column}\)$"):
+            parse_expr(text, m)
+    two = parse_expr("frz[3:x1](q) + frz[3:x1](q_x)", m)
+    assert len(two.terms) == 2
+    assert parse_expr("frz[3:x1](q)*frz[4:x1](q)", m) == parse_expr("frz[0:x1](q)^2", m)
+    assert main(["euler", model_file, "--expr", "frz[0:x1](q)*frz[0:x1](q_x)",
+                 "--field", "q"]) == 2
+    assert "named twice" in capsys.readouterr().err
 
 
 def test_parse_basic_forms():

@@ -17,7 +17,7 @@ from bvcalc.cohomology import (
     functional_equal,
     is_trivial,
 )
-from bvcalc.jetcalc import canonicalize_channels, collapse, euler_left, eulers, total_derivative
+from bvcalc.jetcalc import collapse, euler_left, eulers, total_derivative
 from bvcalc.bv import schouten, laplacian
 
 from util_random import nested_brackets, plane_model, random_homogeneous, scalar_model
@@ -254,9 +254,6 @@ def _blockwise_equal(F, G, mode):
             if mode == "collapse":
                 b = collapse(b)
             if b.has_attach():
-                b = canonicalize_channels(b)
-                if b.is_zero():
-                    break
                 b, lead = _scale_canonical(b)
                 c = c * lead
                 parities[("s", b.key())] = b.parity()
@@ -273,11 +270,11 @@ def _blockwise_equal(F, G, mode):
     return not terms
 
 
-def _structured(m, rng, parity, label):
+def _structured(m, rng, parity):
     """A block with one Attach atom: D_x of a random density at a frozen
     channel, times a random even density."""
     inner = random_homogeneous(m, rng, parity, max_order=1, degree=2)
-    return make_attach(((label, (1,)),), inner) * random_homogeneous(m, rng, 0, 1, 2)
+    return make_attach(((0, (1,)),), inner) * random_homogeneous(m, rng, 0, 1, 2)
 
 
 HBAR = Coefficient.hbar()
@@ -313,7 +310,7 @@ def _singles_case(m, rng, with_products):
                 G = G + block(whole - first, unit) + block(first + div, unit)
     if with_products:
         P = block(random_homogeneous(m, rng, 0)) * block(random_homogeneous(m, rng, 1))
-        X, Y = _structured(m, rng, 1, 7), _structured(m, rng, 1, 8)
+        X, Y = _structured(m, rng, 1), _structured(m, rng, 1)
         F, G = F + P + block(X) + block(Y), G + P + block(X + Y)
     return F, G
 
@@ -368,7 +365,7 @@ def test_structured_singles_stay_blockwise_in_structural_mode(m):
     # int (X + Y) = int X + int Y modulo collapse, but structurally the
     # three structured blocks are three different objects
     rng = random.Random(38)
-    X, Y = _structured(m, rng, 0, 7), _structured(m, rng, 0, 7)
+    X, Y = _structured(m, rng, 0), _structured(m, rng, 0)
     F = Functional.from_density(m, X + Y)
     G = Functional.from_density(m, X) + Functional.from_density(m, Y)
     assert not _blockwise_equal(F, G, "structural")
@@ -387,11 +384,11 @@ def test_proportional_blocks_share_a_class_as_in_the_blockwise_reference(m):
     # term keys of X + Y and is not proportional to it
     rng = random.Random(41)
     block = lambda d, c=1: Functional.from_density(m, d).scale(c)
-    lead = lambda d: canonicalize_channels(d).lead_coefficient()
+    lead = lambda d: d.lead_coefficient()
     outcomes = set()
     for trial in range(4):
-        X, Y = (_structured(m, rng, 0, 7) for _ in range(2))
-        U, V = (_structured(m, rng, 1, 8) for _ in range(2))
+        X, Y = (_structured(m, rng, 0) for _ in range(2))
+        U, V = (_structured(m, rng, 1) for _ in range(2))
         even, odd, uneven = (X + Y, Y + X), (U + V, V + U), X + Y.scale(2)
         assert list(even[0].terms) != list(even[1].terms)
         assert set(uneven.terms) == set(even[0].terms)
@@ -414,19 +411,18 @@ def test_proportional_blocks_share_a_class_as_in_the_blockwise_reference(m):
 
 def test_a_structural_verdict_scales_no_block_and_reads_no_canonical_key(monkeypatch):
     # [[S,X]] = [[X,S]] with X = [[S,[[S,O]]]], the nested-brackets shape: a
-    # canonical structured block is filed by its term keys and the
+    # structured block is filed as it stands, by its term keys and the
     # coefficient at the least one, with no scaled copy and no nested key
     _, S, X = nested_brackets(2)
     lhs, rhs = schouten(S, X), schouten(X, S)
-    canonical, keyed, scaled = [], [], []
-    canonicalize, key, scale = cohomology.canonicalize_channels, Expr.key, Expr.scale
-    monkeypatch.setattr(cohomology, "canonicalize_channels",
-                        lambda e: canonical.append(canonicalize(e)) or canonical[-1])
+    blocks = [b for F in (lhs, rhs) for b in F.blocks()]
+    keyed, scaled = [], []
+    key, scale = Expr.key, Expr.scale
     monkeypatch.setattr(Expr, "key", lambda self: keyed.append(self) or key(self))
     monkeypatch.setattr(Expr, "scale", lambda self, c: scaled.append(self) or scale(self, c))
     assert functional_equal(lhs, rhs, "structural")
-    assert canonical and scaled == []
-    assert not {id(e) for e in keyed} & {id(e) for e in canonical}
+    assert blocks and all(b.has_attach() for b in blocks) and scaled == []
+    assert not {id(e) for e in keyed} & {id(e) for e in blocks}
 
 
 def test_singles_with_mixed_powers_of_hbar_are_decided_per_power(m):
@@ -458,11 +454,11 @@ def _frozen_case(m, rng):
     block = lambda d, c=1: Functional.from_density(m, d).scale(c)
     F, G = Functional.zero(m), Functional.zero(m)
     for parity in (0, 1):
-        X, Y = (_structured(m, rng, parity, label) for label in (7, 8))
+        X, Y = (_structured(m, rng, parity) for _ in range(2))
         c = rng.choice(_COEFFICIENTS)
         F = F + block(X, c) + block(Y, c) + block(X.scale(2))
         G = G + block(X + Y, c) + block(collapse(X).scale(2))
-    P = block(_structured(m, rng, 1, 9)) * block(random_homogeneous(m, rng, 0))
+    P = block(_structured(m, rng, 1)) * block(random_homogeneous(m, rng, 0))
     return F + P, G + P
 
 
@@ -471,7 +467,7 @@ def test_collapse_once_matches_the_blockwise_reference(m):
     outcomes = set()
     for trial in range(20):
         F, G = _frozen_case(m, rng)
-        extra = Functional.from_density(m, _structured(m, rng, trial % 2, 7))
+        extra = Functional.from_density(m, _structured(m, rng, trial % 2))
         product = extra * Functional.from_density(m, random_homogeneous(m, rng, 1))
         for lhs, rhs in ((F, G), (F + extra, G), (F + product, G + product),
                          (F + product, G), (F, G + extra.scale(2) - extra)):

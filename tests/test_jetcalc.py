@@ -2,6 +2,7 @@ import collections
 import functools
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -12,12 +13,13 @@ from bvcalc.algebra import (
     BaseVar,
     JetVar,
     Trig,
-    collect_channel_labels,
     make_attach,
+    _attach,
     _from_raw,
 )
 from bvcalc.bv import laplacian, laplacian_density, schouten
 from bvcalc.coeff import Coefficient
+from bvcalc.grammar import format_expr, parse_expr
 from bvcalc.models import build_scalar_example
 from bvcalc.jetcalc import (
     canonicalize_channels,
@@ -27,30 +29,22 @@ from bvcalc.jetcalc import (
     eulers,
     iterated_variation_geometric,
     iterated_variation_naive,
-    label_after,
     partial,
     total_derivative,
     total_derivative_multi,
-    _monomial_labels,
     _partials,
-    _sorted_occurrences,
     _shift,
 )
 
 from util_random import (
     ghost_model,
-    label_signatures,
     labelled_operands,
     nested_brackets,
     plane_model,
     random_expr,
     random_homogeneous,
     random_monomial,
-    raw_nested_densities,
-    reference_canonicalize_channels,
-    reference_schouten_density,
-    relabel,
-    relabel_monomial,
+    reference_bracket_density,
     scalar_model,
 )
 
@@ -120,7 +114,7 @@ def _reference_total_derivative(e, i):
                 branches = [(dm.coeff, dm.factors() + du)
                             for dm in _reference_trig_chain(a).monomials()]
             else:
-                d = make_attach(a.pending, _reference_total_derivative(a.inner, i))
+                d = _attach(a.pending, _reference_total_derivative(a.inner, i))
                 branches = [(dm.coeff, dm.factors()) for dm in d.monomials()]
             head = factors[:j] + (((a, k - 1),) if k > 1 else ())
             for c, d in branches:
@@ -261,9 +255,9 @@ def test_right_side_is_the_per_monomial_sign(seed, v):
         sign = -1 if (v.parity * (mono.parity() - 1)) & 1 else 1
         right = right + partial(single, v).scale(sign)
         channelled = channelled + euler(
-            _GHOST, single, v.field, v.dagger, label=1000, isolate=True).scale(sign)
+            _GHOST, single, v.field, v.dagger, frozen=True, isolate=True).scale(sign)
     assert partial(e, v, "right") == right
-    assert euler(_GHOST, e, v.field, v.dagger, side="right", label=1000,
+    assert euler(_GHOST, e, v.field, v.dagger, side="right", frozen=True,
                  isolate=True) == channelled
 
 
@@ -333,13 +327,13 @@ def _occurring_indices(e, field, dagger):
     return found
 
 
-def _channelled_partial(e, v, label):
+def _channelled_partial(e, v):
     """The channelled left partial d/dv by the graded Leibniz rule, from
     ``partial``: each monomial is split into its plain factors P and its
     Attach factors A_1...A_k; the derivative of P is gathered into a block
-    pending (label, sigma), that of A_j adds (label, sigma) to A_j's pending
-    set (nothing is pending at sigma = 0)."""
-    pend = ((label, v.index),) if any(v.index) else ()
+    pending sigma, that of A_j adds sigma to A_j's pending set (nothing is
+    pending at sigma = 0)."""
+    pend = (v.index,) if any(v.index) else ()
     out = Expr.zero()
     for k, mono in e.terms.items():
         plain, blocks = Expr.scalar(mono.coeff), []
@@ -354,12 +348,12 @@ def _channelled_partial(e, v, label):
         sign = 1 if whole == Expr({k: mono}) else -1
         assert whole == Expr({k: mono}).scale(sign)
         dp = partial(plain, v)
-        term = make_attach(pend, dp) if pend else dp
+        term = _attach(pend, dp) if pend else dp
         for a in blocks:
             term = term * Expr.from_atom(a)
         passed = plain.parity()
         for j, a in enumerate(blocks):
-            da = make_attach(a.pending + pend, partial(a.inner, v))
+            da = _attach(tuple(sorted(a.pending + pend)), partial(a.inner, v))
             piece = plain
             for i, b in enumerate(blocks):
                 piece = piece * (da if i == j else Expr.from_atom(b))
@@ -398,25 +392,25 @@ def test_euler_operators_group_the_per_index_partials(model):
                 sign = -1 if sum(sigma) & 1 else 1
                 d = total_derivative_multi(partial(e, v), sigma)
                 expanded = expanded + d.scale(sign)
-                channelled = channelled + _channelled_partial(e, v, 1000).scale(sign)
+                channelled = channelled + _channelled_partial(e, v).scale(sign)
             assert euler_left(model, e, name, dagger) == expanded
-            assert euler(model, e, name, dagger, label=1000) == channelled
+            assert euler(model, e, name, dagger, frozen=True) == channelled
 
 
-def _euler_reference(model, e, name, dagger, side, label):
+def _euler_reference(model, e, name, dagger, side, frozen):
     """sum_sigma (-D)^sigma d/dq_sigma on ``side``, one monomial at a time
-    from ``partial``: expanded without a label, channelled with one; the
-    right side is (-1)^(p_v (p_m - 1)) times the left on each monomial m."""
+    from ``partial``: expanded, or channelled when ``frozen``; the right
+    side is (-1)^(p_v (p_m - 1)) times the left on each monomial m."""
     out = Expr.zero()
     for k, mono in e.terms.items():
         one = Expr({k: mono})
         flip = side == "right" and model.parity(name, dagger) and not len(mono.odd) & 1
         for sigma in _occurring_indices(one, name, dagger):
             v = model.jet_atom(name, sigma, dagger)
-            if label is None:
+            if not frozen:
                 d = total_derivative_multi(partial(one, v), sigma)
             else:
-                d = _channelled_partial(one, v, label)
+                d = _channelled_partial(one, v)
             out = out + d.scale((-1) ** (sum(sigma) + flip))
     return out
 
@@ -424,26 +418,25 @@ def _euler_reference(model, e, name, dagger, side, label):
 @pytest.mark.parametrize("model", [ghost_model(), plane_model()], ids=["ghost", "plane"])
 def test_eulers_are_the_per_variable_euler_operators(model):
     # one walk serves every variable: each image equals its definition, with
-    # no labels, one label per conjugate pair, or a mix; the public right
-    # side of each equals its definition too
+    # no variable frozen, every one, or a mix; the public right side of each
+    # equals its definition too
     variables = list(model.variables())
-    pair_label = {v: 1000 + j for j, pair in enumerate(model.pairs()) for v in pair}
-    label_maps = [
-        dict.fromkeys(variables),
-        {v: pair_label[v] for v in variables},
-        {v: pair_label[v] if j % 2 else None for j, v in enumerate(variables)},
+    frozen_maps = [
+        dict.fromkeys(variables, False),
+        dict.fromkeys(variables, True),
+        {v: bool(j % 2) for j, v in enumerate(variables)},
     ]
     rng = random.Random(30)
     for _ in range(25):
         e = _random_wrapped(model, rng)
-        for labels in label_maps:
-            images = eulers(model, e, labels)
+        for frozen in frozen_maps:
+            images = eulers(model, e, frozen)
             assert list(images) == variables
-            for (name, dagger), label in labels.items():
-                expected = _euler_reference(model, e, name, dagger, "left", label)
+            for (name, dagger), f in frozen.items():
+                expected = _euler_reference(model, e, name, dagger, "left", f)
                 assert images[name, dagger] == expected
-                right = euler(model, e, name, dagger, "right", label)
-                assert right == _euler_reference(model, e, name, dagger, "right", label)
+                right = euler(model, e, name, dagger, "right", f)
+                assert right == _euler_reference(model, e, name, dagger, "right", f)
 
 
 # -- the walk against a raw-branch reference ------------------------------------
@@ -462,7 +455,7 @@ def _reference_partials(e, variables, side, isolate, index=None):
     ``make_attach`` and normalised by ``_from_raw``.  Same arguments and
     result as ``jetcalc._partials``."""
     raw = {}
-    unlabelled = None
+    expanded = None
     dives = {}
     for m in e.monomials():
         factors = m.factors()
@@ -474,19 +467,19 @@ def _reference_partials(e, variables, side, isolate, index=None):
             if isinstance(a, Attach):
                 hits = dives.get(a)
                 if hits is None:
-                    if unlabelled is None:
-                        unlabelled = {v: (p, None) for v, (p, _) in variables.items()}
+                    if expanded is None:
+                        expanded = {v: (p, False) for v, (p, _) in variables.items()}
                     hits = dives[a] = []
-                    inner = _reference_partials(a.inner, unlabelled, "left", False, index)
+                    inner = _reference_partials(a.inner, expanded, "left", False, index)
                     for v, by_index in inner.items():
-                        parity, label = variables[v]
+                        parity, frozen = variables[v]
                         for sigma, d in by_index.items():
                             pending = a.pending
-                            if label is not None and sum(sigma) > 0:
-                                pending += ((label, sigma),)
-                            dived = make_attach(pending, d)
+                            if frozen and sum(sigma) > 0:
+                                pending = tuple(sorted(pending + (sigma,)))
+                            dived = _attach(pending, d)
                             if not dived.is_zero():
-                                hits.append((v, parity, label, sigma, None, dived))
+                                hits.append((v, parity, frozen, sigma, None, dived))
                 if not hits:
                     continue
             elif isinstance(a, (JetVar, Trig)):
@@ -495,18 +488,18 @@ def _reference_partials(e, variables, side, isolate, index=None):
                 spec = variables.get(v)
                 if spec is None or (index is not None and u.index != index):
                     continue
-                parity, label = spec
-                pend = (label, u.index) if label is not None and sum(u.index) > 0 else None
-                hits = ((v, parity, label, u.index, pend,
+                parity, frozen = spec
+                pend = u.index if frozen and sum(u.index) > 0 else None
+                hits = ((v, parity, frozen, u.index, pend,
                          _reference_trig_chain(a) if isinstance(a, Trig) else None),)
             else:
                 continue
             head = factors[:i] + (((a, k - 1),) if k > 1 else ())
             tail = factors[i + 1:]
             cmult = m.coeff * k if k > 1 else m.coeff
-            for v, parity, label, sigma, pend, chain in hits:
+            for v, parity, frozen, sigma, pend, chain in hits:
                 c = -cmult if parity and s < 0 else cmult
-                iso = isolate and label is not None
+                iso = isolate and frozen
                 out = raw.setdefault((v, sigma), [])
                 if chain is None:
                     out.extend(_reference_wrap_branch(c, head + tail, pend, iso))
@@ -522,7 +515,7 @@ def _reference_partials(e, variables, side, isolate, index=None):
 
 def _reference_wrap_branch(coeff, factors, pend, isolate):
     """One raw branch with its home plains gathered, in their order, into a
-    block made by ``make_attach``; the kept factors are moved in front of
+    block made by ``_attach``; the kept factors are moved in front of
     them one at a time, each odd one past the odd home plains before it."""
     if pend is None and not isolate:
         return [(coeff, factors)]
@@ -539,20 +532,20 @@ def _reference_wrap_branch(coeff, factors, pend, isolate):
     if not wrapped and pend is None:
         return [(coeff, tuple(kept))]
     inner = _from_raw([(Coefficient.one(), wrapped)])
-    attach = make_attach((pend,) if pend is not None else (), inner)
+    attach = _attach((pend,) if pend is not None else (), inner)
     return [(coeff * dm.coeff, tuple(kept) + dm.factors()) for dm in attach.monomials()]
 
 
-def _reference_eulers(model, e, labels, side, isolate):
+def _reference_eulers(model, e, frozen, side, isolate):
     """sum_sigma (-D)^sigma of the reference partials: expanded one
-    multi-index at a time without a label, kept pending with one."""
-    variables = {v: (model.parity(*v), label) for v, label in labels.items()}
+    multi-index at a time, or kept pending by a frozen variable."""
+    variables = {v: (model.parity(*v), f) for v, f in frozen.items()}
     terms = _reference_partials(e, variables, side, isolate)
     out = {}
-    for v, label in labels.items():
+    for v, f in frozen.items():
         total = Expr.zero()
         for sigma, term in terms.get(v, {}).items():
-            if label is None:
+            if not f:
                 term = total_derivative_multi(term, sigma)
             total = total + term.scale((-1) ** sum(sigma))
         out[v] = total
@@ -593,30 +586,29 @@ def test_walk_agrees_with_the_raw_branch_reference(which):
     rng = random.Random(32)
     for case in range(110):
         e = _walk_input(model, rng)
-        labels = {v: 1000 + j if rng.random() < 0.6 else None
-                  for j, v in enumerate(variables)}
+        frozen = {v: rng.random() < 0.6 for v in variables}
         side = rng.choice(("left", "right"))
         isolate = rng.random() < 0.5
-        context = (case, labels, side, isolate)
+        context = (case, frozen, side, isolate)
 
-        got = eulers(model, e, labels, isolate)
-        assert got == _reference_eulers(model, e, labels, "left", isolate), context
-        (name, dagger), label = rng.choice(sorted(labels.items()))
-        expected = _reference_eulers(model, e, {(name, dagger): label}, side, isolate)
-        assert euler(model, e, name, dagger, side, label, isolate) == expected[name, dagger]
+        got = eulers(model, e, frozen, isolate)
+        assert got == _reference_eulers(model, e, frozen, "left", isolate), context
+        (name, dagger), f = rng.choice(sorted(frozen.items()))
+        expected = _reference_eulers(model, e, {(name, dagger): f}, side, isolate)
+        assert euler(model, e, name, dagger, side, f, isolate) == expected[name, dagger]
 
         # partials filed by variable and multi-index
-        spec = {v: (model.parity(*v), lab) for v, lab in labels.items()}
+        spec = {v: (model.parity(*v), f) for v, f in frozen.items()}
         sigmas = sorted(_occurring_indices(e, name, dagger)) or [(0,) * model.base_dim]
         walked = _partials(e, spec, isolate)
         expected = _reference_partials(e, spec, "left", isolate)
         assert _nonzero(walked) == _nonzero(expected), context
 
-        unlabelled = {v: (p, None) for v, (p, _) in spec.items()}
+        expanded = {v: (p, False) for v, (p, _) in spec.items()}
         for sigma in sigmas:
             v = model.jet_atom(name, sigma, dagger)
             for side_ in ("left", "right"):
-                ref = _reference_partials(e, unlabelled, side_, False, sigma)
+                ref = _reference_partials(e, expanded, side_, False, sigma)
                 assert partial(e, v, side_) == ref.get((name, dagger), {}).get(sigma, Expr.zero()), context
 
 
@@ -626,7 +618,7 @@ def test_the_right_side_agrees_with_the_raw_branch_reference(which):
     # the public right side signs the left image; the reference files every
     # branch at its own monomial's right-side sign; on input that mixes
     # parities no one sign for the whole expression works; by every
-    # variable, plain, labelled and isolated
+    # variable, expanded, frozen and isolated
     model = _WALK_MODELS[which]
     t = model.jet("t", (0,) * model.base_dim)
     rng = random.Random(34)
@@ -638,12 +630,12 @@ def test_the_right_side_agrees_with_the_raw_branch_reference(which):
             continue
         checked += 1
         for v in model.variables():
-            for label, isolate in ((None, False), (1000, False), (1000, True)):
-                right = euler(model, e, *v, "right", label, isolate)
-                expected = _reference_eulers(model, e, {v: label}, "right", isolate)[v]
-                assert right == expected, (case, v, label, isolate)
-                flipped += right != euler(model, e, *v, "left", label, isolate)
-            by_index = _reference_partials(e, {v: (model.parity(*v), None)}, "right", False)
+            for frozen, isolate in ((False, False), (True, False), (True, True)):
+                right = euler(model, e, *v, "right", frozen, isolate)
+                expected = _reference_eulers(model, e, {v: frozen}, "right", isolate)[v]
+                assert right == expected, (case, v, frozen, isolate)
+                flipped += right != euler(model, e, *v, "left", frozen, isolate)
+            by_index = _reference_partials(e, {v: (model.parity(*v), False)}, "right", False)
             for sigma, d in by_index.get(v, {}).items():
                 assert partial(e, model.jet_atom(v[0], sigma, v[1]), "right") == d, (case, v, sigma)
     assert checked >= 30 and flipped >= 100, (checked, flipped)
@@ -657,7 +649,7 @@ def test_an_unknown_side_is_refused_before_any_walk(m, monkeypatch):
     e = m.jet("q") * m.jet("q", (1,), dagger=True)
     calls = (lambda: partial(e, m.jet_atom("q"), "up"),
              lambda: euler(m, e, "q", side="up"),
-             lambda: euler(m, e, "q", True, "up", 3, True))
+             lambda: euler(m, e, "q", True, "up", True, True))
     for call in calls:
         with pytest.raises(ValueError, match="side must be 'left' or 'right', got 'up'"):
             call()
@@ -682,13 +674,12 @@ def test_a_walk_by_one_variable_is_its_slice_of_the_walk_by_all():
     seen = 0
     for model, e in _walk_index_inputs():
         variables = list(model.variables())
-        for labelled, isolate in ((False, False), (True, False), (True, True)):
-            spec = {v: (model.parity(*v), 1000 + j if labelled else None)
-                    for j, v in enumerate(variables)}
+        for frozen, isolate in ((False, False), (True, False), (True, True)):
+            spec = {v: (model.parity(*v), frozen) for v in variables}
             every = _nonzero(_partials(e, spec, isolate))
             for v in variables:
                 one = _nonzero(_partials(e, {v: spec[v]}, isolate))
-                assert one.get(v, {}) == every.get(v, {}), (e, v, labelled, isolate)
+                assert one.get(v, {}) == every.get(v, {}), (e, v, frozen, isolate)
                 seen += bool(one.get(v))
         assert len(e.terms) < 2 or e._index is not None
     assert seen > 250, seen
@@ -703,7 +694,7 @@ def test_the_walk_index_is_built_on_the_second_walk_by_one_variable():
         if len(e.terms) < 2:
             continue
         variables = list(model.variables())
-        spec = {v: (model.parity(*v), 1000 + j) for j, v in enumerate(variables)}
+        spec = {v: (model.parity(*v), True) for v in variables}
         for v in variables:
             fresh = Expr(dict(e.terms))
             _partials(fresh, spec, True)
@@ -736,8 +727,8 @@ def test_walk_edge_cases(m):
     ]
     for e, expected in cases:
         assert not e.is_zero()
-        got = euler(m, e, "q", False, label=1000, isolate=True)
-        ref = _reference_eulers(m, e, {("q", False): 1000}, "left", True)
+        got = euler(m, e, "q", False, frozen=True, isolate=True)
+        ref = _reference_eulers(m, e, {("q", False): True}, "left", True)
         assert got == ref[("q", False)] == expected, e
 
 
@@ -753,13 +744,13 @@ def test_the_engine_never_calls_the_reference_normaliser(m, monkeypatch):
                  odd_block * cos * q + even_block * sin * qd]
     derivatives = [_reference_total_derivative(e, 0) for e in densities]
     model = _WALK_MODELS["ghost"]
-    labels = {v: 1000 + j for j, v in enumerate(model.variables())}
+    frozen = dict.fromkeys(model.variables(), True)
     rng = random.Random(17)
     walked = []
     for _ in range(12):
         e = _walk_input(model, rng)
         for side in ("left", "right"):
-            walked.append((e, side, _reference_eulers(model, e, labels, side, True)))
+            walked.append((e, side, _reference_eulers(model, e, frozen, side, True)))
     assert any(isinstance(a, Attach) for e, _, _ in walked for a in e.atoms())
     _, F, G = build_scalar_example()
 
@@ -772,8 +763,8 @@ def test_the_engine_never_calls_the_reference_normaliser(m, monkeypatch):
         assert total_derivative(e, 0) == expected != Expr.zero()
     for e, side, expected in walked:
         if side == "left":
-            assert eulers(model, e, labels, True) == expected
-        assert euler(model, e, "c", True, side, labels["c", True], True) == expected["c", True]
+            assert eulers(model, e, frozen, True) == expected
+        assert euler(model, e, "c", True, side, True, True) == expected["c", True]
     for mode in ("geometric", "naive"):
         laplacian(G, mode)
         assert not laplacian(schouten(F, G, mode), mode).is_zero()
@@ -785,27 +776,18 @@ def test_euler_channelled_examples(m):
     q, qxx = m.jet("q"), m.jet("q", (2,))
     qd = m.jet("q", dagger=True)
     f = qd * q * qxx
-    lab = 1
-    e = euler(m, f, "q", False, label=lab)
-    expected = qd * qxx + make_attach(((lab, (2,)),), qd * q)
+    e = euler(m, f, "q", False, frozen=True)
+    expected = qd * qxx + make_attach(((0, (2,)),), qd * q)
     assert e == expected
 
     # both contributions are pending derivatives of the constant 1
-    w = make_attach(((2, (2,)),), q)
-    assert euler(m, qxx + w, "q", False, label=3).is_zero()
+    w = make_attach(((0, (2,)),), q)
+    assert euler(m, qxx + w, "q", False, frozen=True).is_zero()
 
     # a partial passing through an existing wrapper
-    z2 = 4
-    w2 = make_attach(((z2, (2,)),), -m.sin("q"))
-    out = euler(m, w2, "q", False, label=5)
-    assert out == make_attach(((z2, (2,)),), -m.cos("q"))
-
-
-def test_euler_channelled_label_reuse_rejected(m):
-    lab = 1
-    w = make_attach(((lab, (1,)),), m.jet("q"))
-    with pytest.raises(ValueError):
-        euler(m, w, "q", False, label=lab)
+    w2 = make_attach(((0, (2,)),), -m.sin("q"))
+    out = euler(m, w2, "q", False, frozen=True)
+    assert out == make_attach(((0, (2,)),), -m.cos("q"))
 
 
 def test_collapse_examples(m):
@@ -829,7 +811,7 @@ def _reference_collapse(e):
             fa = Expr.from_atom(a)
             if isinstance(a, Attach):
                 fa = _reference_collapse(a.inner)
-                for _, idx in a.pending:
+                for idx in a.pending:
                     fa = total_derivative_multi(fa, idx)
             for _ in range(k):
                 term = term * fa
@@ -878,22 +860,22 @@ def _attach_atoms(e, found):
                          ids=["ghost", "plane"])
 def test_collapse_expands_each_distinct_block_once(model, monkeypatch):
     # four blocks (even and odd, nested, with exponents up to 3) and their
-    # copies under other labels, shared by many monomials with different
-    # coefficients: collapse expands each label-free block class once per
-    # call, a block and its copy sharing one expansion, and agrees with
-    # collapsing the monomials one at a time and with the reference
+    # copies with the pending derivatives split (``_split``), shared by many
+    # monomials with different coefficients: collapse expands each block
+    # class once per call, a block and its copy sharing one expansion, and
+    # agrees with collapsing the monomials one at a time and with the
+    # reference
     from bvcalc import jetcalc
 
     rng = random.Random(31)
     n = model.base_dim
-    dx = (1,) + (0,) * (n - 1)
+    dx, ddx = (1,) + (0,) * (n - 1), (2,) + (0,) * (n - 1)
     q, c = model.jet("q"), model.jet("c")
-    inner = make_attach(((60, dx),), q * model.jet("q", dx))
-    even = make_attach(((61, dx),), inner * q)
-    odd = make_attach(((62, dx),), inner * c)
-    bare_odd = make_attach(((63, dx),), c * q)
-    copies = {t: relabel(t, {60: 70, 61: 71, 62: 72, 63: 73})
-              for t in (inner, even, odd, bare_odd)}
+    inner = make_attach(((0, ddx),), q * model.jet("q", dx))
+    even = make_attach(((0, ddx),), inner * q)
+    odd = make_attach(((0, ddx),), inner * c)
+    bare_odd = make_attach(((0, ddx),), c * q)
+    copies = {t: _split(t) for t in (inner, even, odd, bare_odd)}
 
     def pick(t):
         return t if rng.random() < 0.5 else copies[t]
@@ -924,6 +906,28 @@ def test_collapse_expands_each_distinct_block_once(model, monkeypatch):
     assert whole.key() == _reference_collapse(e).key()
 
 
+_LABEL = re.compile(r"(?:(?<=frz\[)|(?<=; ))(\d+)(?=:)")  # a printed channel label
+
+
+def _split(e):
+    """``e`` with the pending derivatives of every block, nested ones
+    included, split into first-order ones: each block keeps its class under
+    collapse, and one pending a derivative of order two or more becomes
+    another atom."""
+    out = Expr.zero()
+    for mono in e.monomials():
+        term = Expr.scalar(mono.coeff)
+        for a, k in mono.factors():
+            f = Expr.from_atom(a)
+            if isinstance(a, Attach):
+                units = sorted(tuple(int(i == j) for j in range(len(idx)))
+                               for idx in a.pending for i, n in enumerate(idx) for _ in range(n))
+                f = _attach(tuple(units), _split(a.inner))
+            term = term * f ** k
+        out = out + term
+    return out
+
+
 def _random_index(model, rng):
     """A multi-index of order 1 or 2 along one random coordinate."""
     idx = [0] * model.base_dim
@@ -931,30 +935,30 @@ def _random_index(model, rng):
     return tuple(idx)
 
 
-def _odd_block(model, rng, label, sigma):
-    """An odd block pending (label, sigma): dag(f) f of the model's first
-    field f, an even one, with random derivatives."""
+def _odd_block(model, rng, sigma):
+    """An odd block pending sigma: dag(f) f of the model's first field f,
+    an even one, with random derivatives."""
     f = model.fields[0][0]
     inner = (model.jet(f, _random_index(model, rng), dagger=True)
              * model.jet(f, _random_index(model, rng)))
-    return make_attach(((label, sigma),), inner)
+    return make_attach(((0, sigma),), inner)
 
 
 def _relabelled_copies(model, rng):
     """A sum of two to four copies of one random expression with blocks,
-    each with its channel labels renamed by a random bijection and with a
-    random sign; and the kinds of block it was built with.  Beside
+    each printed, read back with its channel labels renamed by a random
+    bijection, its pending derivatives split (``_split``) or not, and with
+    a random sign; and the kinds of block it was built with.  Beside
     ``random_expr``'s blocks, the expression may hold a block nested twice
-    (squared when even); a block times a copy of it under another label:
-    its class squared when even, twice when odd; and two odd blocks pending
-    the same derivative, whose order a renaming can swap, alone and inside
-    a block pending two derivatives."""
+    (squared when even); a block times its split copy: its class squared
+    when even, twice when odd; and two odd blocks pending the same
+    derivative, alone and inside a block pending two derivatives."""
     e = random_expr(model, rng, with_attach=True)
     kinds = set()
     if rng.random() < 0.5:
         sigma = _random_index(model, rng)
-        pair = _odd_block(model, rng, 52, sigma) * _odd_block(model, rng, 53, sigma)
-        outer = make_attach(((54, sigma), (55, _random_index(model, rng))),
+        pair = _odd_block(model, rng, sigma) * _odd_block(model, rng, sigma)
+        outer = make_attach(((0, sigma), (1, _random_index(model, rng))),
                             pair * random_monomial(model, rng, degree=1, with_trig=False))
         e = (e + pair * random_monomial(model, rng, degree=1)
              + outer * random_monomial(model, rng, degree=1))
@@ -963,15 +967,19 @@ def _relabelled_copies(model, rng):
         e = e + _nested_twice(model, rng) * random_monomial(model, rng, degree=1)
         kinds.add("nested")
     if rng.random() < 0.5:
-        w = make_attach(((50, _random_index(model, rng)),),
+        w = make_attach(((0, _random_index(model, rng)),),
                         random_monomial(model, rng, degree=rng.randint(1, 2), with_trig=False))
-        e = e + w * relabel(w, {50: 51}) * random_monomial(model, rng, degree=1)
+        e = e + w * _split(w) * random_monomial(model, rng, degree=1)
         kinds.add("odd twice" if w.parity() else "even squared")
     kinds.update("odd" for mono in e.monomials() for a in mono.odd if isinstance(a, Attach))
-    labels = sorted(collect_channel_labels(e))
+    text = format_expr(e)
+    labels = sorted({int(x) for x in _LABEL.findall(text)})
     out = Expr.zero()
     for _ in range(rng.randint(2, 4)):
-        copy = relabel(e, dict(zip(labels, rng.sample(range(100, 200), len(labels)))))
+        names = dict(zip(labels, rng.sample(range(100, 200), len(labels))))
+        copy = parse_expr(_LABEL.sub(lambda mt: str(names[int(mt.group(1))]), text), model)
+        assert copy == e
+        copy = _split(copy) if rng.random() < 0.5 else copy
         out = out + (copy if rng.random() < 0.5 else -copy)
     return out, kinds
 
@@ -980,8 +988,10 @@ def _relabelled_copies(model, rng):
                                    BvModel(2, [("u", 0), ("c", 1)])],
                          ids=["scalar", "ghost", "plane"])
 def test_collapse_of_relabelled_copies_agrees_with_the_reference(model):
-    # copies equal up to labels fall into one class and merge or cancel
-    # there; the result is the collapse of their sum by its definition
+    # copies read back under other labels are the expression itself, and
+    # those with their pending derivatives split fall into one class and
+    # merge or cancel there; the result is the collapse of their sum by its
+    # definition
     rng = random.Random(37)
     seen = collections.Counter()
     for case in range(60):
@@ -992,22 +1002,22 @@ def test_collapse_of_relabelled_copies_agrees_with_the_reference(model):
         assert seen[kind] >= 5, (kind, seen)
 
 
-def test_copies_equal_up_to_labels_cancel_before_any_expansion(monkeypatch):
+def test_copies_with_split_derivatives_cancel_before_any_expansion(monkeypatch):
     # a nested block, odd blocks and an even block squared, minus the same
-    # under other labels: the difference is not zero as an expression, and
-    # collapses to zero with no total derivative and no product taken; so
-    # does an odd block times a copy of it under another label
+    # with the pending derivatives split: the difference is not zero as an
+    # expression, and collapses to zero with no total derivative and no
+    # product taken; so does an odd block times its split copy
     from bvcalc import jetcalc
 
     model = ghost_model()
     q, c, qd = model.jet("q"), model.jet("c"), model.jet("q", dagger=True)
-    inner = make_attach(((60, (1,)),), q * model.jet("q", (1,)))
-    e = (make_attach(((61, (2,)),), inner * c) * make_attach(((62, (1,)),), qd * q) * q
-         + inner ** 2 * make_attach(((63, (1,)),), c))
-    copy = relabel(e, {60: 5, 61: 3, 62: 9, 63: 4})
+    inner = make_attach(((0, (2,)),), q * model.jet("q", (1,)))
+    e = (make_attach(((0, (2,)),), inner * c) * make_attach(((1, (2,)),), qd * q) * q
+         + inner ** 2 * make_attach(((0, (2,)),), c))
+    copy = _split(e)
     assert not (e - copy).is_zero()
-    w = make_attach(((64, (1,)),), qd * q)
-    twice = w * relabel(w, {64: 65}) * q
+    w = make_attach(((0, (2,)),), qd * q)
+    twice = w * _split(w) * q
     assert w.parity() == 1 and not twice.is_zero()
 
     calls = []
@@ -1029,312 +1039,26 @@ def test_collapse_of_channelled_euler_is_plain_euler():
     for _ in range(50):
         e = random_homogeneous(model, rng, rng.randint(0, 1))
         for name, dagger in (("q", False), ("q", True), ("c", False)):
-            lab = 1
-            chan = euler(model, e, name, dagger, label=lab, isolate=True)
+            chan = euler(model, e, name, dagger, frozen=True, isolate=True)
             assert collapse(chan) == euler_left(model, e, name, dagger)
 
 
 def test_canonicalize_channels(m):
-    c = m.cos("q")
-    a = make_attach(((7, (2,)),), c)
-    b = make_attach(((9, (2,)),), c)
-    assert canonicalize_channels(a) == canonicalize_channels(b)
-    two = make_attach(((7, (1,)),), m.jet("q")) * make_attach(((9, (2,)),), m.jet("q"))
-    canon = canonicalize_channels(two)
-    labels = set()
-    for mono in canon.monomials():
-        for atom, _ in mono.factors():
-            labels.update(lab for lab, _ in atom.pending)
-    assert labels == {0, 1}
-    plain = m.jet("q") * m.jet("q", (1,))
-    assert canonicalize_channels(plain) == plain
-
-
-def test_channel_swap_odd_monomial_vanishes(m):
-    # a monomial odd under renaming its own bound channels is zero; 3 and 5
-    # have tied signatures, 4 does not, and the swap may act inside a block
-    qd = m.jet("q", dagger=True)
-    w1 = make_attach(((3, (2,)),), qd)
-    w2 = make_attach(((5, (2,)),), qd)
-    w3 = make_attach(((4, (1,)),), m.jet("q"))
-    nested = make_attach(((4, (2,)),), w1 * w2 * m.jet("q"))
-    for mono in (w1 * w2, w1 * w2 * w3, nested):
-        assert not mono.is_zero()
-        assert canonicalize_channels(mono).is_zero()
-        assert _reference_canonical(mono).is_zero()
-
-
-def _reference_canonical(e):
-    """The definition, by brute force: try all k! bijections of a monomial's
-    labels onto 0..k-1 and keep the least result; a monomial that some
-    bijection maps to minus itself vanishes."""
-    out = Expr.zero()
-    for mono in e.monomials():
-        labels = sorted(_monomial_labels(mono))
-        images = [relabel_monomial(mono, dict(zip(labels, perm)))
-                  for perm in itertools.permutations(range(len(labels)))]
-        distinct = set(images)
-        if any(-x in distinct for x in distinct):
-            continue
-        out = out + min(images, key=Expr.key)
-    return out
-
-
-@functools.lru_cache(maxsize=None)
-def _nested_blocks():
-    """The densities of [[S,X]] and [[X,S]], X = [[S,[[S,O]]]], every bracket
-    a raw product of Euler images: up to 6 labels, and monomials equal up to
-    renaming their labels, some of them zero by the vanishing rule."""
-    model, s, x = raw_nested_densities(2)
-    return [reference_schouten_density(model, s, x), reference_schouten_density(model, x, s)]
-
-
-@functools.lru_cache(maxsize=None)
-def _small_nested_monomials():
-    """Single monomials of the nested blocks with at most 5 labels."""
-    return [Expr({k: mono}) for b in _nested_blocks()
-            for k, mono in b.terms.items() if len(_monomial_labels(mono)) <= 5]
-
-
-@functools.lru_cache(maxsize=None)
-def _canonical_nested_block(i):
-    return canonicalize_channels(_nested_blocks()[i])
-
-
-@settings(max_examples=12, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_canonicalize_channels_ignores_label_names(seed):
-    rng = random.Random(seed)
-    i = rng.randrange(len(_nested_blocks()))
-    b = _nested_blocks()[i]
-    labels = sorted(collect_channel_labels(b))
-    renamed = relabel(b, dict(zip(labels, rng.sample(range(100, 1000), len(labels)))))
-    assert renamed != b
-    assert repr(canonicalize_channels(renamed)) == repr(_canonical_nested_block(i))
-
-
-def test_canonicalize_channels_agrees_with_reference():
-    monos = _small_nested_monomials()
-    canon = [canonicalize_channels(x) for x in monos]
-    ref = [_reference_canonical(x) for x in monos]
-    assert [c.is_zero() for c in canon] == [r.is_zero() for r in ref]
-    assert any(r.is_zero() for r in ref) and not all(r.is_zero() for r in ref)
-
-    def classes(forms):
-        found = {}
-        for i, f in enumerate(forms):
-            found.setdefault(f.key(), []).append(i)
-        return sorted(found.values())
-
-    assert classes(canon) == classes(ref)
-    assert len(classes(ref)) < len(monos)  # some pairs are equivalent
-
-
-def _per_monomial_canonical(e):
-    out = Expr.zero()
-    for k, mono in e.terms.items():
-        out = out + canonicalize_channels(Expr({k: mono}))
-    return out
-
-
-def test_canonicalize_channels_is_per_monomial():
-    # renamed blocks are shared within one call; sharing must not carry one
-    # monomial's renaming or sign over to another monomial
-    for b in _nested_blocks():
-        assert canonicalize_channels(b) == _per_monomial_canonical(b)
-
-
-def test_canonicalize_channels_shares_nested_blocks_across_monomials(m):
-    q, qx, qxx = m.jet("q"), m.jet("q", (1,)), m.jet("q", (2,))
-    qd = m.jet("q", dagger=True)
-    # B carries labels 2 (outer) and 1 (nested); beside W (label 3) they are
-    # renamed 2->0, 1->2, alone 2->0, 1->1
-    B = make_attach(((2, (1,)),), make_attach(((1, (1,)),), q) * qx)
-    W = make_attach(((3, (2,)),), q)
-    # inside N the odd blocks labelled 4 and 3 are renamed 1 and 2, which
-    # swaps their order: N's inner costs a sign, in both monomials alike
-    N = make_attach(((5, (1,)),), make_attach(((4, (1,)),), qd)
-                    * make_attach(((3, (1,)),), qd * q) * q)
-    for e in (B * W + B * qxx, N * qx + N * qxx):
-        assert len(e.terms) == 2
-        canon = canonicalize_channels(e)
-        assert canon == _per_monomial_canonical(e)
-        # the brute-force form is invariant under renaming, signs included
-        assert _reference_canonical(canon) == _reference_canonical(e)
-    canon = canonicalize_channels(N * qx)
-    assert canon == relabel(N * qx, {5: 0, 4: 1, 3: 2})
-    assert canon.lead_coefficient() == -(N * qx).lead_coefficient()
-
-
-def test_canonicalize_channels_from_an_offset():
-    # canonical labels from ``first`` on: the form from 0, every label moved
-    # up by ``first`` (a shift keeps every comparison of labels)
-    for i, b in enumerate(_nested_blocks()):
-        canon = _canonical_nested_block(i)
-        shift = {lab: lab + 10 for lab in collect_channel_labels(canon)}
-        assert canonicalize_channels(b, 10) == relabel(canon, shift)
-        assert canonicalize_channels(canon, 10) == relabel(canon, shift)
-
-
-def test_canonicalize_channels_renames_untied_labels_into_signature_order(m):
-    q = m.jet("q")
-    # label 0 sits on the second derivative, 1 on the first: the signature
-    # order is 1, 0, so the labels are swapped although they are 0 and 1
-    e = make_attach(((0, (2,)),), q) * make_attach(((1, (1,)),), q)
-    swapped = make_attach(((1, (2,)),), q) * make_attach(((0, (1,)),), q)
-    assert canonicalize_channels(e) == swapped
-    assert canonicalize_channels(swapped) == swapped
-    # labels first, first+1 in signature order are kept, and others are not
-    at5 = relabel(swapped, {0: 5, 1: 6})
-    assert canonicalize_channels(at5, 5) == at5
-    assert canonicalize_channels(swapped, 5) == at5
-    assert canonicalize_channels(e, 5) == at5
-
-
-def test_tied_labels_already_in_range_are_still_searched(m):
-    # labels 0 and 1 tie and already run 0, 1: the swap maps the odd product
-    # to minus itself, so it vanishes from any offset, and the even product
-    # of the same blocks is kept
-    qd = m.jet("q", dagger=True)
-    for first in (0, 3):
-        w1 = make_attach(((first, (2,)),), qd)
-        w2 = make_attach(((first + 1, (2,)),), qd)
-        assert canonicalize_channels(w1 * w2, first).is_zero()
-        assert canonicalize_channels(w1 * w1 * w2 * w2, first) == w1 * w1 * w2 * w2
-
-
-def _tie_cases(m):
-    """Labelled monomials around the fixed-tie rule: ties fixed by one block,
-    ties across equal blocks, labels that occur twice, nested blocks."""
-    q, qx = m.jet("q"), m.jet("q", (1,))
-    qd = m.jet("q", dagger=True)
-    one, two = (1,), (2,)
-    out = []
-    for inner in (q, qd, q * qd):
-        # two or three labels at one multi-index in one block, alone, beside
-        # a block of their own signature, or nested in another block
-        pair = make_attach(((0, one), (1, one)), inner)
-        triple = make_attach(((0, one), (1, one), (2, one)), inner)
-        out += [pair * qx, triple, pair * make_attach(((2, two),), inner),
-                triple * make_attach(((3, one), (4, one)), q * qx),
-                make_attach(((5, two),), pair * q), make_attach(((5, one),), triple * qx)]
-    for inner in (q, qd):
-        # equal blocks on different labels: even ones are kept, odd ones vanish
-        w = [make_attach(((lab, two),), inner) for lab in (0, 1, 2)]
-        out += [w[0] * w[1], w[0] * w[1] * w[2], make_attach(((3, one),), w[0] * w[1] * q)]
-    # a label that occurs twice: tied to a label whose copies sit in other
-    # blocks, before or after the block they share; and under an exponent
-    for shared, apart in ((one, two), (two, one)):
-        a = make_attach(((0, shared), (1, shared)), qd)
-        out.append(a * make_attach(((0, apart),), qd) * make_attach(((1, apart),), qd))
-    w0, w1 = make_attach(((0, two),), qd), make_attach(((1, two),), qd)
-    out += [make_attach(((0, one), (1, one)), w0 * w1 * q) * qx,
-            make_attach(((0, one), (1, one)), q * q) * make_attach(((0, one), (1, one)), q * q),
-            make_attach(((2, one),), make_attach(((0, one), (1, one)), q) * q) * qx]
-    b = make_attach(((0, one),), q)
-    out.append(make_attach(((1, one),), b * q) * make_attach(((2, one),), b * qx))
-    return out
-
-
-def test_canonical_forms_agree_with_the_enumerating_reference(m):
-    # the one-renaming branch for fixed ties gives the enumerated form byte
-    # for byte, term order included, from any first label and with memos
-    # shared across the calls of one pass
-    rng = random.Random(8)
-    cases = list(_nested_blocks())
-    for e in _tie_cases(m):
-        labels = sorted(collect_channel_labels(e))
-        cases.append(e)
-        cases.append(relabel(e, dict(zip(labels, rng.sample(range(12), len(labels))))))
-    vanish = [e for e in cases if reference_canonicalize_channels(e).is_zero()]
-    assert len(vanish) >= 6 and len(vanish) < len(cases) - 20
-    for first in (0, 1, 5):
-        memos, ref_memos = ({}, {}, {}), ({}, {}, {})
-        for e in cases:
-            assert repr(canonicalize_channels(e, first, memos)) == \
-                repr(reference_canonicalize_channels(e, first, ref_memos))
-
-
-def test_fixed_ties_take_one_renaming(monkeypatch):
-    # a monomial whose tied labels are all fixed by their block is renamed
-    # at most once; nested blocks are renamed inside that one call
-    calls = []
-    depth = [0]
-    rename = jetcalc._rename_monomial
-
-    def counting(mono, mapping, memo):
-        if not depth[0]:
-            calls.append(mono)
-        depth[0] += 1
-        try:
-            return rename(mono, mapping, memo)
-        finally:
-            depth[0] -= 1
-
-    fixed = []
-    for b in _nested_blocks():
-        for mono in b.monomials():
-            sigs, homes = label_signatures(mono)
-            ranked = sorted(sigs, key=sigs.get)
-            ties = [(x, y) for x, y in zip(ranked, ranked[1:]) if sigs[x] == sigs[y]]
-            if ties and all(homes[x] is homes[y] for x, y in ties):
-                fixed.append(mono)
-    assert len(fixed) >= 10
-    monkeypatch.setattr(jetcalc, "_rename_monomial", counting)
-    for mono in fixed:
-        calls.clear()
-        canonicalize_channels(Expr({(mono.even, mono.odd): mono}))
-        assert len(calls) <= 1
-
-
-def _count_searches(monkeypatch):
-    """Patch ``jetcalc._tie_groups`` to count the monomials it sees (those
-    with a tie across two homes, or a label met twice) and, among them,
-    those it leaves to the search; the searched groups are recorded with
-    the homes of their labels."""
-    counts = {"tied": 0, "zero": 0, "searched": []}
-    tie_groups = jetcalc._tie_groups
-
-    def counting(found):
-        groups = tie_groups(found)
-        counts["tied"] += 1
-        if groups is None:
-            counts["zero"] += 1
-        elif any(len(g) > 1 for g in groups):
-            homes = {lab: home for lab, _, home in found}
-            counts["searched"].append([[homes[lab] for lab in g] for g in groups if len(g) > 1])
-        return groups
-
-    monkeypatch.setattr(jetcalc, "_tie_groups", counting)
-    return counts
-
-
-def test_engine_monomials_name_each_label_once():
-    # the premise of the flat sort: brackets, Laplacians and Euler images
-    # tag each pending derivative with a label of its own
-    outputs = []
-    for model in (scalar_model(), ghost_model(), plane_model()):
-        ops = labelled_operands(model, 5)
-        for name in ("x", "y", "z"):
-            e = ops[name]
-            labels = dict.fromkeys([v for pair in model.pairs() for v in pair], label_after(e))
-            outputs += [e, laplacian_density(model, e), *eulers(model, e, labels, True).values()]
-    _, S, X = nested_brackets(2)
-    for F in (X, schouten(S, X), schouten(X, S), laplacian(X)):
-        outputs += [b for blocks in F.terms for b in blocks]
-    labelled = 0
-    for e in outputs:
-        for mono in e.monomials():
-            labels = [lab for lab, _, _ in _sorted_occurrences(mono, {}, {})]
-            assert len(set(labels)) == len(labels), mono
-            labelled += bool(labels)
-    assert labelled > 1000
+    # blocks are anonymous: a label is only a name, so blocks written with
+    # other labels are one block, and canonicalize_channels, kept for
+    # callers of the public API, returns its argument
+    q, c = m.jet("q"), m.cos("q")
+    assert make_attach(((7, (2,)),), c) == make_attach(((9, (2,)),), c)
+    two = make_attach(((7, (1,)),), q) * make_attach(((9, (2,)),), q)
+    assert two == make_attach(((0, (2,)),), q) * make_attach(((1, (1,)),), q)
+    for e in (two, q * m.jet("q", (1,)), Expr.zero()):
+        assert canonicalize_channels(e) is e
 
 
 def _swap_cases(m):
-    """Monomials whose ties are swaps of top-level blocks of exponent 1 that
-    hold one label each, equal up to it: even ones beside plain factors and
-    other blocks, odd ones, which vanish."""
+    """Factor lists whose product holds one block twice, beside plain
+    factors and other blocks, or inside a block: written with labels of
+    their own, the equal blocks are one atom, odd or even."""
     q, qx = m.jet("q"), m.jet("q", (1,))
     qd, qdx = m.jet("q", dagger=True), m.jet("q", (1,), dagger=True)
     one, two = (1,), (2,)
@@ -1342,95 +1066,108 @@ def _swap_cases(m):
     for inner in (q, q * qx, qd, qd * q, qd * qdx):
         w = [make_attach(((lab, two),), inner) for lab in (3, 0, 4)]
         other = make_attach(((1, one),), inner)
-        out += [w[0] * w[1], w[0] * w[1] * w[2] * qx, w[0] * w[1] * other,
-                w[0] * w[1] * make_attach(((2, one),), q * qx) * qd]
+        out += [[w[0], w[1]], [w[0], w[1], w[2], qx], [w[0], w[1], other],
+                [w[0], w[1], make_attach(((2, one),), q * qx), qd]]
     return out
 
 
-def test_block_swaps_are_symmetries_not_searched(m, monkeypatch):
-    # interchangeable even blocks keep the sorted order as their one
-    # renaming, and odd ones give zero, as the enumeration finds
+def _product(factors):
+    out = Expr.scalar(1)
+    for f in factors:
+        out = out * f
+    return out
+
+
+def test_channel_swap_odd_monomial_vanishes(m):
+    # two equal odd blocks are one odd atom twice, so their product is zero
+    # as it is built, alone, beside other blocks or inside a block; two
+    # equal even blocks are its square.  Collapse agrees with the product of
+    # the collapsed factors, in which an odd factor twice is zero too
+    qd = m.jet("q", dagger=True)
+    w1, w2 = make_attach(((3, (2,)),), qd), make_attach(((5, (2,)),), qd)
+    w3 = make_attach(((4, (1,)),), m.jet("q"))
+    assert w1 == w2 and w1.parity() == 1
+    for e in (w1 * w2, w1 * w2 * w3, make_attach(((4, (2,)),), w1 * w2 * m.jet("q"))):
+        assert e.is_zero()
+    zero = square = 0
+    for factors in _swap_cases(m):
+        e = _product(factors)
+        twice = factors[0]
+        assert twice == factors[1]
+        if twice.parity():
+            assert e.is_zero()
+            zero += 1
+        else:
+            ((a, k),) = [(a, k) for a, k in next(iter(e.monomials())).even
+                         if Expr.from_atom(a) == twice]
+            assert k >= 2
+            square += 1
+        assert collapse(e) == _product([collapse(f) for f in factors])
+    assert (zero, square) == (8, 12)
+
+
+@functools.lru_cache(maxsize=None)
+def _nested_blocks():
+    """The densities of [[S,X]] and [[X,S]], X = [[S,[[S,O]]]]."""
+    _, S, X = nested_brackets(2)
+    return [b for F in (schouten(S, X), schouten(X, S)) for blocks in F.terms for b in blocks]
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_canonicalize_channels_ignores_label_names(seed):
+    # the printer names each monomial's channels 0, 1, ...; the text read
+    # back with its labels renamed by any bijection is the same block
+    rng = random.Random(seed)
+    b = _nested_blocks()[rng.randrange(len(_nested_blocks()))]
+    text = format_expr(b)
+    labels = sorted({int(x) for x in _LABEL.findall(text)})
+    names = dict(zip(labels, rng.sample(range(100, 1000), len(labels))))
+    renamed = _LABEL.sub(lambda mt: str(names[int(mt.group(1))]), text)
+    assert renamed != text
+    assert parse_expr(renamed, scalar_model()) == b
+
+
+def test_engine_monomials_name_each_label_once():
+    # brackets, Laplacians and Euler images of frozen operands, nested: the
+    # printer names the channels of every monomial 0, 1, ... once each, in
+    # print order, and the text reads back to the monomial
+    outputs = []
+    for model in (scalar_model(), ghost_model(), plane_model()):
+        ops = labelled_operands(model, 5)
+        for name in ("x", "y", "z"):
+            e = ops[name]
+            frozen = dict.fromkeys([v for pair in model.pairs() for v in pair], True)
+            outputs += [(model, x) for x in (e, laplacian_density(model, e),
+                                             *eulers(model, e, frozen, True).values())]
+    m, S, X = nested_brackets(2)
+    for F in (X, schouten(S, X), schouten(X, S), laplacian(X)):
+        outputs += [(m, b) for blocks in F.terms for b in blocks]
+    labelled = 0
+    for model, e in outputs:
+        for k, mono in e.terms.items():
+            one = Expr({k: mono})
+            text = format_expr(one)
+            labels = [int(x) for x in _LABEL.findall(text)]
+            assert labels == list(range(len(labels))), text
+            assert parse_expr(text, model) == one, text
+            labelled += bool(labels)
+    assert labelled > 800
+
+
+def test_block_swaps_are_symmetries_not_searched(m):
+    # a product that holds one block twice is built as that block squared,
+    # or as zero when it is odd, from its factors in any order, at the
+    # Koszul sign of the order: no order is searched
     rng = random.Random(30)
-    cases = []
-    for e in _swap_cases(m):
-        labels = sorted(collect_channel_labels(e))
-        cases += [e, relabel(e, dict(zip(labels, rng.sample(range(9), len(labels)))))]
-    zero = [e for e in cases if reference_canonicalize_channels(e).is_zero()]
-    assert 10 <= len(zero) < len(cases) - 10
-    counts = _count_searches(monkeypatch)
-    for first in (0, 2):
-        for e in cases:
-            assert repr(canonicalize_channels(e, first)) == \
-                repr(reference_canonicalize_channels(e, first))
-    assert counts["tied"] == 2 * len(cases) and counts["zero"] == 2 * len(zero)
-    assert counts["searched"] == []
-
-
-def _lookalike_cases(m):
-    """Ties across blocks equal up to their labels that are no swaps of
-    single-label blocks: blocks that also hold a nested label, blocks with
-    two labels each, as frz[0:x1,4:x1x1](dag q)*frz[1:x1,2:x1x1](dag q)."""
-    q, qx = m.jet("q"), m.jet("q", (1,))
-    qd = m.jet("q", dagger=True)
-    one, two = (1,), (2,)
-    out = []
-    for inner in (q, qd):
-        nest = [make_attach(((lab, one),), make_attach(((lab + 2, one),), inner) * qx)
-                for lab in (0, 1)]
-        out += [nest[0] * nest[1], nest[0] * nest[1] * q]
-        out += [make_attach(((0, one), (4, two)), inner) * make_attach(((1, one), (2, two)), inner),
-                make_attach(((0, one), (3, two)), inner) * make_attach(((1, one), (2, two)), inner)
-                * make_attach(((5, one),), inner * q)]
-    return out
-
-
-def test_lookalike_ties_are_searched_and_agree_with_the_reference(m, monkeypatch):
-    rng = random.Random(31)
-    cases = []
-    for e in _lookalike_cases(m):
-        labels = sorted(collect_channel_labels(e))
-        cases += [e, relabel(e, dict(zip(labels, rng.sample(range(12), len(labels)))))]
-    counts = _count_searches(monkeypatch)
-    for e in cases:
-        assert repr(canonicalize_channels(e)) == repr(reference_canonicalize_channels(e))
-    assert len(counts["searched"]) == len(cases)
-    assert any(reference_canonicalize_channels(e).is_zero() for e in cases)
-
-
-def test_a_repeated_label_is_searched_by_signatures(m, monkeypatch):
-    # hand-built: label 0 tags a derivative in two blocks, so no single
-    # occurrence ranks it; its signature is both occurrences, and a label
-    # met twice is its own home
-    q, qx = m.jet("q"), m.jet("q", (1,))
-    qd = m.jet("q", dagger=True)
-    one = (1,)
-    e = make_attach(((0, one),), q) * make_attach(((0, one), (1, one)), qx) \
-        * make_attach(((2, one),), q) * make_attach(((2, one), (3, one)), qx)
-    sigs, homes = label_signatures(next(iter(e.monomials())))
-    assert len(sigs[0]) == 2 and homes[0] == 0 and homes[1] is not homes[3]
-    counts = _count_searches(monkeypatch)
-    renamed = relabel(e, {0: 3, 1: 2, 2: 1, 3: 0})
-    for x in (e, e * qd, renamed):
-        assert repr(canonicalize_channels(x)) == repr(reference_canonicalize_channels(x))
-    assert len(counts["searched"]) == 3
-    assert canonicalize_channels(renamed) == canonicalize_channels(e)
-
-
-def test_only_ties_across_multi_label_blocks_are_searched(monkeypatch):
-    # the image passes and the structural comparison of [[S,X]] and [[X,S]]
-    # for 36 observables, as in the nested-brackets benchmark: 250 monomials
-    # hold a tie across two homes, each searched before the swap rule; 193
-    # are swaps of odd blocks and vanish, and the 57 searched have their
-    # searched ties across blocks of several labels
-    from bvcalc.cohomology import functional_equal
-    counts = _count_searches(monkeypatch)
-    for i in range(36):
-        _, S, X = nested_brackets(2, 20240808 + i)
-        assert functional_equal(schouten(S, X), schouten(X, S), "structural")
-    assert (counts["tied"], counts["zero"], len(counts["searched"])) == (250, 193, 57)
-    for groups in counts["searched"]:
-        for homes in groups:
-            assert all(type(h) is Attach and len(h.labels) > 1 for h in homes)
+    for factors in _swap_cases(m):
+        e = _product(factors)
+        order = list(range(len(factors)))
+        for _ in range(3):
+            rng.shuffle(order)
+            odd = [i for i in order if factors[i].parity()]
+            swaps = sum(a > b for j, a in enumerate(odd) for b in odd[j + 1:])
+            assert _product([factors[i] for i in order]) == e.scale((-1) ** swaps)
 
 
 # -- iterated variations ----------------------------------------------------
@@ -1454,9 +1191,10 @@ def test_single_variation_agrees_with_euler(m):
 
 
 def test_iterated_variation_labels_are_local(m):
-    # each step takes one more than the largest label so far, so the raw
-    # results of two identical calls are equal, and a plain density's
-    # variations carry the labels 0, 1, ...
+    # a variation names no channel, so the results of two identical calls
+    # are equal, and each step adds at most one pending derivative to a
+    # monomial: printed, a plain density's variations name at most one
+    # channel per step, and a step on a density with a block one more
     qd = m.jet("q", dagger=True)
     f = qd * m.jet("q") * m.jet("q", (2,)) + m.sin("q") * m.jet("q", (1,)) * qd
     shifts = [("q", False), ("q", True), ("q", False)]
@@ -1464,11 +1202,15 @@ def test_iterated_variation_labels_are_local(m):
     again, _ = iterated_variation_geometric(m, f, shifts)
     assert not first.is_zero()
     assert first == again
-    assert collect_channel_labels(first) <= {0, 1, 2}
-    # a labelled density's steps start past its own labels
+    assert 1 <= _most_labels(first) <= 3
     w = make_attach(((7, (1,)),), m.jet("q") * m.jet("q")) * m.jet("q", (2,)) * m.jet("q")
     out, _ = iterated_variation_geometric(m, w, [("q", False)], include_shifts=False)
-    assert collect_channel_labels(out) == {7, 8}
+    assert _most_labels(out) == 2
+
+
+def _most_labels(e) -> int:
+    """The most channel labels the printer names in one monomial of ``e``."""
+    return max(len(_LABEL.findall(format_expr(Expr({k: mono})))) for k, mono in e.terms.items())
 
 
 def test_geometric_variations_graded_commute(m):
@@ -1480,7 +1222,7 @@ def test_geometric_variations_graded_commute(m):
         g_ab, _ = iterated_variation_geometric(m, d, [a, b], include_shifts=False)
         g_ba, _ = iterated_variation_geometric(m, d, [b, a], include_shifts=False)
         sign = (-1) ** (m.parity(*a) * m.parity(*b))
-        assert canonicalize_channels(g_ab) == canonicalize_channels(g_ba.scale(sign))
+        assert g_ab == g_ba.scale(sign)
 
 
 def test_model_validation():

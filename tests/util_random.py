@@ -6,11 +6,9 @@ from fractions import Fraction
 
 from bvcalc import BvModel, Expr, bv
 from bvcalc.coeff import Coefficient
-from bvcalc.algebra import (_ONE, Attach, Trig, _add_monomial, _add_products, _from_raw,
-                            _sum_scaled, collect_channel_labels, make_attach)
+from bvcalc.algebra import _ONE, Attach, Trig, _add_products, _sum_scaled, make_attach
 from bvcalc.cohomology import Functional, _accumulate, _graded_sort
-from bvcalc.jetcalc import (GEOMETRIC, NAIVE, _check_mode, _rename_monomial,
-                            _sorted_occurrences, canonicalize_channels, collapse, euler, eulers)
+from bvcalc.jetcalc import GEOMETRIC, NAIVE, _check_mode, collapse, euler, eulers
 
 
 def scalar_model() -> BvModel:
@@ -264,138 +262,23 @@ def _erased_atom(a, memo):
         found = _erased_monomial(next(iter(a.inner.monomials())), memo)
         if found is not None:
             sign, inner = found
-            found = sign, (3, tuple(sorted(idx for _, idx in a.pending)), inner)
+            found = sign, (3, a.pending, inner)
         memo[a] = found
     return memo[a]
 
 
-def relabel(e, mapping):
-    """``e`` with its channel labels renamed by ``mapping``, each monomial
-    normalised anew."""
-    out = Expr.zero()
-    for mono in e.monomials():
-        out = out + relabel_monomial(mono, mapping)
-    return out
-
-
-def relabel_monomial(m, mapping):
-    """A monomial renamed by ``mapping`` and normalised anew by `_from_raw`."""
-    return _from_raw([_relabel_factors(m.coeff, m.factors(), mapping)])
-
-
-def _relabel_factors(coeff, factors, mapping):
-    """Rename channel labels in a factor list.  Renaming can reorder the odd
-    factors inside a nested block; the sign this costs is pulled out of the
-    block (which keeps a unit coefficient) into ``coeff``."""
-    out = []
-    for a, k in factors:
-        if isinstance(a, Attach):
-            pending = tuple((mapping[lab], idx) for lab, idx in a.pending)
-            inner = a.inner
-            if any(isinstance(b, Attach) for b in inner.atoms()):
-                inner = _from_raw(
-                    [_relabel_factors(mm.coeff, mm.factors(), mapping)
-                     for mm in inner.monomials()])
-                if inner.lead_coefficient() == -1:
-                    inner = -inner
-                    if k & 1:
-                        coeff = -coeff
-            a = Attach(pending, inner)
-        out.append((a, k))
-    return coeff, tuple(out)
-
-
-def label_signatures(m, erased=None, occurrences=None):
-    """(signatures, homes) of the channel labels of ``m``, read off the one
-    sorted occurrence list of ``jetcalc._sorted_occurrences``: a label's
-    signature is the sorted list of its occurrences, its home that of its one
-    occurrence, and a label met twice is its own home."""
-    sigs, homes = {}, {}
-    found = _sorted_occurrences(m, {} if erased is None else erased,
-                                {} if occurrences is None else occurrences)
-    for lab, occurrence, home in found:
-        sigs.setdefault(lab, []).append(occurrence)
-        homes[lab] = lab if lab in homes else home
-    return sigs, homes
-
-
-def reference_canonicalize_channels(e: Expr, first: int = 0, memos=None) -> Expr:
-    """``canonicalize_channels`` by enumeration: every permutation of every
-    group of labels with equal signatures is tried, fixed ties included, and
-    the least renamed monomial is kept; a monomial that some renaming maps to
-    minus itself vanishes.  With no ties the signature order is the one
-    renaming, skipped when it is the identity."""
-    erased, occurrences, renamed = memos if memos is not None else ({}, {}, {})
-    acc = {}
-    for m in e.monomials():
-        sigs = label_signatures(m, erased, occurrences)[0]
-        if not sigs:
-            _add_monomial(acc, (m.even, m.odd), m)
-            continue
-        ranked = sorted(sigs, key=sigs.get)
-        groups = [tuple(g) for _, g in itertools.groupby(ranked, key=sigs.get)]
-        if len(groups) == len(ranked):
-            if any(lab != i for i, lab in enumerate(ranked, first)):
-                m = _rename_monomial(m, {lab: i for i, lab in enumerate(ranked, first)},
-                                     renamed)
-            _add_monomial(acc, (m.even, m.odd), m)
-            continue
-        best = best_key = None
-        seen = {}
-        for choice in itertools.product(*(itertools.permutations(g) for g in groups)):
-            mapping = {lab: i for i, lab in enumerate(itertools.chain.from_iterable(choice), first)}
-            candidate = _rename_monomial(m, mapping, renamed)
-            mk = (candidate.even, candidate.odd)
-            if seen.setdefault(mk, candidate.coeff) != candidate.coeff:
-                break
-            if best is None or mk < best_key:
-                best, best_key = candidate, mk
-        else:
-            _add_monomial(acc, best_key, best)
-    return Expr(acc) if acc else Expr.zero()
-
-
-def reference_schouten_density(model, f, g):
-    """The geometric density of [[f, g]] as the raw products of the Euler
-    images of f and g, with nothing merged up to renaming labels.  g's labels
-    are first shifted past f's, since the two may share the labels of one
-    ancestor, and the two new labels lie past both."""
-    f_labels = collect_channel_labels(f)
-    shift = max(f_labels) + 1 if f_labels else 0
-    g = relabel(g, {lab: lab + shift for lab in collect_channel_labels(g)})
-    top = max(f_labels | collect_channel_labels(g), default=-1) + 1
-    pairs = list(model.pairs())
-    er = right_images(model, f, top)
-    el = eulers(model, g, {v: top + 1 for pair in pairs for v in pair}, isolate=True)
-    out = Expr.zero()
-    for ev, od in pairs:
-        out = out + er[ev] * el[od] - er[od] * el[ev]
-    return out
-
-
-def right_images(model, e, label):
+def right_images(model, e, frozen):
     """The right isolated Euler images of ``e`` by every variable of
-    ``model``, one public ``euler`` call per variable, all at ``label``."""
-    return {v: euler(model, e, *v, side="right", label=label, isolate=True)
+    ``model``, one public ``euler`` call per variable, all ``frozen`` or
+    none."""
+    return {v: euler(model, e, *v, side="right", frozen=frozen, isolate=True)
             for pair in model.pairs() for v in pair}
 
 
-def raw_nested_densities(depth: int, seed: int = 20240808):
-    """The model and the densities s of S and x of X as in ``nested_brackets``,
-    every bracket of X taken by ``reference_schouten_density``, so that X
-    keeps every monomial that differs from another only by its labels."""
-    m, S, O = nested_brackets(0, seed)
-    ((s,),), ((x,),) = S.terms, O.terms
-    for _ in range(depth):
-        x = reference_schouten_density(m, s, x)
-    return m, s, x
-
-
 # -- the bracket density with its images taken afresh --------------------------
-# Both operands walked in every call, f from the right and g from the left, and
-# a labelled operand's images put in canonical label form in every call: the
-# reference for ``bv.schouten_density``, which keeps a labelled block's images
-# on the block and takes only left images.
+# Both operands walked in every call, f from the right and g from the left:
+# the reference for ``bv.schouten_density``, which keeps the images of an
+# operand that holds a block on it and takes only left images.
 
 _MINUS_ONE = Coefficient.of(-1)
 
@@ -414,43 +297,24 @@ def reference_bracket_density(model, f, g, mode=GEOMETRIC):
 
 def reference_bracket_images(model, f, g, mode=GEOMETRIC):
     """The conjugate pairs of the model, the right Euler images er of f and
-    the left Euler images el of g.  In geometric mode f's variations are
-    recorded against the new label max(labels of f) + 1 (0 for a plain f)
-    and g's against max(labels of g) + 1 (a for a plain g); a labelled
-    operand's images are put in canonical label form, f's from 0 and g's
-    from a, where a is one more than the number of labels of f."""
+    the left Euler images el of g, frozen in geometric mode and taken of the
+    collapsed operands in naive mode."""
     _check_mode(mode)
     if mode == NAIVE:
         f, g = collapse(f), collapse(g)
-        f_own = g_own = ()
-        l1 = l2 = None
-    else:
-        f_own, g_own = collect_channel_labels(f), collect_channel_labels(g)
-        a = len(f_own) + 1
-        l1 = max(f_own) + 1 if f_own else 0
-        l2 = max(g_own) + 1 if g_own else a
+    frozen = mode == GEOMETRIC
     pairs = list(model.pairs())
-    er = right_images(model, f, l1)
-    el = eulers(model, g, {v: l2 for pair in pairs for v in pair}, isolate=True)
-    if f_own:
-        er = reference_canonical_images(er, 0)
-    if g_own:
-        el = reference_canonical_images(el, a)
+    er = right_images(model, f, frozen)
+    el = eulers(model, g, {v: frozen for pair in pairs for v in pair}, isolate=True)
     return pairs, er, el
-
-
-def reference_canonical_images(images: dict, first: int) -> dict:
-    """Each Euler image in canonical label form from ``first`` on, in one pass
-    that shares the canonicaliser's memos."""
-    memos = ({}, {}, {})
-    return {v: canonicalize_channels(e, first, memos) for v, e in images.items()}
 
 
 def labelled_operands(model, seed: int) -> dict:
     """Seeded bracket operands {name: density} in ``model``: plain densities
     p0 (even, with sin/cos factors when the model has an even field), e
-    (even) and p1 (odd); the labelled brackets x = [[p1, p0]] (even) and
-    y = [[p0, e]] (odd); and z = [[x, y]] (even), whose blocks nest.  Every
+    (even) and p1 (odd); the brackets x = [[p1, p0]] (even) and
+    y = [[p0, e]] (odd), which hold frozen blocks; and z = [[x, y]] (even),
+    whose blocks nest.  Every
     bracket is taken by ``reference_bracket_density``."""
     from bvcalc.models import random_density
     rng = random.Random(seed)
