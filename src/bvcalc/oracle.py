@@ -11,7 +11,7 @@ resolves every frequency.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .algebra import Attach, BaseVar, Expr, JetVar, Trig
 from .cohomology import Functional
@@ -119,8 +119,12 @@ def _merge_sign(m1: int, m2: int) -> int:
 # trig-polynomial sections
 
 # one term: (coefficient, factors) with factors a tuple of per-coordinate
-# (kind, frequency) where kind is 'sin' | 'cos' | 'one'
-TrigTerm = Tuple[GrassmannNumber, Tuple[Tuple[str, int], ...]]
+# (kind, frequency) where kind is 'sin' | 'cos' | 'one'.  The alias serves
+# annotations only: built at import, it would sit in typing's process-wide
+# cache and keep GrassmannNumber, and through it every module of this
+# import, alive after bvcalc is imported afresh.
+if TYPE_CHECKING:
+    TrigTerm = Tuple[GrassmannNumber, Tuple[Tuple[str, int], ...]]
 
 
 class SectionSpec:

@@ -1,8 +1,12 @@
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import bvcalc
 from bvcalc import Expr
 from bvcalc.cohomology import Functional
 from bvcalc.jetcalc import total_derivative
@@ -166,3 +170,29 @@ def test_sign_oracle_finite_difference(m):
         assert abs(val - fd) <= 1e-4 * scale
         swapped = evaluate(schouten(Gf, Ff), s, 64).body()
         assert abs(swapped + fd) <= 1e-4 * scale
+
+
+_REIMPORT = """
+import gc, importlib, sys, weakref
+import bvcalc
+old = [weakref.ref(m) for name, m in sys.modules.items() if name.partition(".")[0] == "bvcalc"]
+old += [weakref.ref(c) for c in (bvcalc.GrassmannNumber, bvcalc.Expr, bvcalc.Functional)]
+del bvcalc
+for name in [n for n in sys.modules if n.partition(".")[0] == "bvcalc"]:
+    del sys.modules[name]
+importlib.import_module("bvcalc")
+gc.collect()
+sys.exit(sum(r() is not None for r in old))
+"""
+
+
+def test_a_fresh_import_lets_the_previous_one_go():
+    # nothing of one import of bvcalc may sit in a process-wide cache: a
+    # subscripted typing alias built at import (typing caches those) kept
+    # GrassmannNumber, and through it every module of that import, alive
+    # when bvcalc was imported afresh, as the benchmark's set-ups do
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bvcalc.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", _REIMPORT], env=env, timeout=60)
+    assert done.returncode == 0, f"{done.returncode} objects of the first import are alive"
+
