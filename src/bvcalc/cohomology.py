@@ -166,19 +166,15 @@ class Functional:
         return hash(frozenset((b, c) for b, c in self.terms.items()))
 
     def collapse(self) -> "Functional":
-        return self._map_blocks(collapse)
-
-    def canonicalize(self) -> "Functional":
-        """The functional itself: its blocks are anonymous, so it is already
-        in the one form that renaming channel labels used to reach; kept for
-        callers of the public API."""
-        return self
-
-    def _map_blocks(self, f) -> "Functional":
         acc = {}
         for blocks, c in self.terms.items():
-            _add_blocks(acc, tuple(f(b) for b in blocks), c)
+            _add_blocks(acc, tuple(collapse(b) for b in blocks), c)
         return Functional(self.model, acc)
+
+    def canonicalize(self) -> "Functional":
+        """The functional itself: its blocks are anonymous, so it has one
+        form whatever labels its blocks were written with."""
+        return self
 
     def __repr__(self):
         return "".join(functional_text(self))

@@ -21,7 +21,7 @@ expansion into a class's plain factors by the canonical product, and
 expands each block class once per call.
 Blocks are anonymous (``algebra.Attach``): a frozen variation makes new
 blocks and extends the pending set of those it enters, and never reads or
-names a channel, so no walk allocates, checks or renames labels.
+names a channel.
 The partials branch of a jet variable is its monomial with one copy of that
 factor removed, and a wrapped branch's home plains, already a canonical unit
 monomial, become the inner of the new block as they are.  Every other
@@ -695,9 +695,8 @@ class _Classes:
 
 
 def canonicalize_channels(e: Expr, first: int = 0) -> Expr:
-    """``e`` itself.  Blocks are anonymous, so every expression is already
-    in the one form that renaming channel labels used to reach; kept for
-    callers of the public API."""
+    """``e`` itself: blocks are anonymous, so an expression has one form
+    whatever labels its blocks were written with."""
     return e
 
 

@@ -1,6 +1,5 @@
 import collections
 import functools
-import itertools
 import random
 import re
 
@@ -44,7 +43,6 @@ from util_random import (
     random_expr,
     random_homogeneous,
     random_monomial,
-    reference_bracket_density,
     scalar_model,
 )
 
@@ -1002,11 +1000,13 @@ def test_collapse_of_relabelled_copies_agrees_with_the_reference(model):
         assert seen[kind] >= 5, (kind, seen)
 
 
-def test_copies_with_split_derivatives_cancel_before_any_expansion(monkeypatch):
-    # a nested block, odd blocks and an even block squared, minus the same
-    # with the pending derivatives split: the difference is not zero as an
-    # expression, and collapses to zero with no total derivative and no
-    # product taken; so does an odd block times its split copy
+def test_copies_equal_up_to_labels_cancel_before_any_expansion(monkeypatch):
+    # a nested block, odd blocks and an even block squared: a copy written
+    # under other labels is the expression itself, so the difference is
+    # zero as built; a copy with its pending derivatives split is another
+    # expression, and the difference collapses to zero with no total
+    # derivative and no product taken; so does an odd block times its split
+    # copy
     from bvcalc import jetcalc
 
     model = ghost_model()
@@ -1014,6 +1014,8 @@ def test_copies_with_split_derivatives_cancel_before_any_expansion(monkeypatch):
     inner = make_attach(((0, (2,)),), q * model.jet("q", (1,)))
     e = (make_attach(((0, (2,)),), inner * c) * make_attach(((1, (2,)),), qd * q) * q
          + inner ** 2 * make_attach(((0, (2,)),), c))
+    text = format_expr(e)
+    assert (e - parse_expr(_LABEL.sub(lambda mt: str(int(mt.group(1)) + 5), text), model)).is_zero()
     copy = _split(e)
     assert not (e - copy).is_zero()
     w = make_attach(((0, (2,)),), qd * q)

@@ -1,6 +1,5 @@
 """Seeded random generators shared by the test modules."""
 
-import itertools
 import random
 from fractions import Fraction
 
