@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from operator import itemgetter
 
 from bvcalc import BvModel, Expr, bv
 from bvcalc.coeff import Coefficient
@@ -163,8 +164,8 @@ def reference_random_density(
 def nested_brackets(depth: int, seed: int = 20240808):
     """The scalar model, an odd action S and X = [[S,[[S,...[[S,O]]]]]] with
     ``depth`` brackets around O = random_functional(m, 1, 1, 0, seed).  Each
-    bracket adds up to two channel labels, so [[S,X]] carries up to
-    2 * depth + 2 labels per monomial."""
+    bracket adds up to two channels, so [[S,X]] carries up to 2 * depth + 2
+    channels per monomial."""
     from bvcalc.bv import schouten
     from bvcalc.cohomology import Functional
     from bvcalc.models import random_functional
@@ -198,19 +199,11 @@ def erase_labels(x):
         erased = [(_erased_expr(b, memo), b.parity()) for b in blocks]
         if any(not key for key, _ in erased):
             continue
-        graded = _graded_sort(erased, _FIRST, _SECOND)
+        graded = _graded_sort(erased, itemgetter(0), itemgetter(1))
         if graded is not None:
             sign, erased = graded
             _accumulate(acc, tuple(key for key, _ in erased), c if sign > 0 else -c)
     return sorted((blocks, c.key()) for blocks, c in acc.items())
-
-
-def _FIRST(pair):
-    return pair[0]
-
-
-def _SECOND(pair):
-    return pair[1]
 
 
 def _erased_expr(e, memo):
