@@ -25,8 +25,9 @@ atoms of its inner monomial alone, so two blocks built apart from equal
 parts are one atom, and a product of two equal odd blocks is zero and of two
 equal even blocks a square, as for any atom.  A term map ``Expr.terms`` is
 keyed by each monomial's own ``(even, odd)`` tuples of atoms, which hash in
-one shallow pass and sort as the nested keys do; Expr equality and hashing read these term maps too, and so do the
-triviality images of the class basis.  Values derived from an interned atom
+one shallow pass and sort as the nested keys do; Expr equality and hashing
+read these term maps too, and so do the triviality images of the class
+basis.  Values derived from an interned atom
 or an immutable expression are kept on it once found: a JetVar's shifts
 (``JetVar.shifts``), an Attach block's nested key, built on first read, an
 expression's key, hash, parity, ghost number and walk index
