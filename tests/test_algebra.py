@@ -179,6 +179,20 @@ def test_attach_merge_by_parity(m):
     assert (odd_w * odd_w).is_zero()
 
 
+def test_duplicate_channel_label_rejected(m):
+    # a label only names a block as it is written: the engine keeps no
+    # label, so one named twice in a block's spec is refused where labels
+    # are read, and make_attach keeps the two pending derivatives of the
+    # one block, whatever their names
+    from bvcalc.grammar import ParseError, parse_expr
+    inner = m.jet("q")
+    with pytest.raises(ParseError, match="channel label 3 named twice"):
+        parse_expr("frz[3:x1; 3:x1 x1](q)", m)
+    block = make_attach(((3, (1,)), (3, (2,))), inner)
+    assert block == make_attach(((0, (2,)), (1, (1,))), inner)
+    assert block == parse_expr("frz[0:x1; 1:x1 x1](q)", m)
+
+
 def test_attach_of_constant_rules(m):
     assert make_attach(((3, (2,)),), Expr.scalar(5)).is_zero()
     assert make_attach((), Expr.scalar(5)) == Expr.scalar(5)

@@ -1,5 +1,6 @@
 import collections
 import functools
+import itertools
 import random
 import re
 
@@ -18,7 +19,7 @@ from bvcalc.algebra import (
 )
 from bvcalc.bv import laplacian, laplacian_density, schouten
 from bvcalc.coeff import Coefficient
-from bvcalc.grammar import format_expr, parse_expr
+from bvcalc.grammar import ParseError, format_expr, parse_expr
 from bvcalc.models import build_scalar_example
 from bvcalc.jetcalc import (
     canonicalize_channels,
@@ -36,6 +37,7 @@ from bvcalc.jetcalc import (
 )
 
 from util_random import (
+    erase_labels,
     ghost_model,
     labelled_operands,
     nested_brackets,
@@ -1170,6 +1172,156 @@ def test_block_swaps_are_symmetries_not_searched(m):
             odd = [i for i in order if factors[i].parity()]
             swaps = sum(a > b for j, a in enumerate(odd) for b in odd[j + 1:])
             assert _product([factors[i] for i in order]) == e.scale((-1) ** swaps)
+
+
+def _relabelled_text(text, names):
+    """``text`` with each printed channel label ``l`` renamed ``names(l)``."""
+    return _LABEL.sub(lambda mt: str(names(int(mt.group(1)))), text)
+
+
+@functools.lru_cache(maxsize=None)
+def _small_nested_monomials():
+    """Single monomials of the nested blocks naming at most 4 channels."""
+    return [one for b in _nested_blocks() for one in (Expr({k: mono}) for k, mono in b.terms.items())
+            if len(_LABEL.findall(format_expr(one))) <= 4]
+
+
+def test_canonicalize_channels_agrees_with_reference():
+    # the definition, by brute force: all k! bijections of a monomial's
+    # printed labels read back to the monomial itself, never to minus it;
+    # and equal monomials are those of equal label-erased key (erase_labels,
+    # which reads no label), so renaming leaves nothing to normalise
+    monos = _small_nested_monomials()
+    assert len(monos) >= 40
+    m = scalar_model()
+    for x in monos:
+        assert canonicalize_channels(x) is x
+        text = format_expr(x)
+        labels = sorted({int(t) for t in _LABEL.findall(text)})
+        assert labels == list(range(len(labels)))
+        for perm in itertools.permutations(labels):
+            assert parse_expr(_relabelled_text(text, perm.__getitem__), m) == x, text
+
+    def classes(key):
+        found = {}
+        for i, x in enumerate(monos):
+            found.setdefault(key(x), []).append(i)
+        return sorted(found.values())
+
+    assert classes(Expr.key) == classes(erase_labels)
+    assert len(classes(Expr.key)) < len(monos)  # some monomials are equal
+
+
+def test_canonicalize_channels_from_an_offset():
+    # labels are names from any first label: each nested block read back
+    # with every printed label raised by 10 is the block, and
+    # canonicalize_channels from 10 returns it as it is
+    m = scalar_model()
+    for b in _nested_blocks():
+        text = format_expr(b)
+        raised = _relabelled_text(text, lambda lab: lab + 10)
+        assert raised != text
+        assert parse_expr(raised, m) == b
+        assert canonicalize_channels(b, 10) is b
+
+
+def test_canonicalize_channels_is_per_monomial():
+    # a label names a channel within its monomial only: the printer names
+    # each monomial's channels from 0, and the sum of the monomials' texts,
+    # one label in many monomials, reads back to the whole block
+    m = scalar_model()
+    for b in _nested_blocks():
+        texts = [format_expr(Expr({k: mono})) for k, mono in b.terms.items()]
+        assert sum(t.startswith("frz[0:") or "*frz[0:" in t for t in texts) == len(texts)
+        assert parse_expr(" + ".join(f"({t})" for t in texts), m) == b
+        assert canonicalize_channels(b) is b
+
+
+def test_canonicalize_channels_renames_untied_labels_into_signature_order(m):
+    q = m.jet("q")
+    # label 0 sits on the second derivative, 1 on the first: a block keeps
+    # no label, so the product is the one with the labels swapped, or raised
+    # to 5 and 6, and the printer names its channels 0, 1 in print order
+    e = make_attach(((0, (2,)),), q) * make_attach(((1, (1,)),), q)
+    swapped = make_attach(((1, (2,)),), q) * make_attach(((0, (1,)),), q)
+    at5 = make_attach(((5, (2,)),), q) * make_attach(((6, (1,)),), q)
+    assert e == swapped == at5
+    text = format_expr(e)
+    assert _LABEL.findall(text) == ["0", "1"]
+    assert format_expr(swapped) == format_expr(at5) == text
+    assert parse_expr(_relabelled_text(text, lambda lab: 6 - lab), m) == e
+    for x in (e, swapped, at5):
+        assert canonicalize_channels(x, 5) is x
+
+
+def test_canonicalize_channels_shares_nested_blocks_across_monomials(m):
+    q, qx, qxx = m.jet("q"), m.jet("q", (1,)), m.jet("q", (2,))
+    qd = m.jet("q", dagger=True)
+    # B and N built again with other labels are the same interned atoms,
+    # and one atom serves both monomials of a sum
+    B = make_attach(((2, (1,)),), make_attach(((1, (1,)),), q) * qx)
+    B2 = make_attach(((0, (1,)),), make_attach(((7, (1,)),), q) * qx)
+    W = make_attach(((3, (2,)),), q)
+    # inside N the odd blocks written with labels 4, 3 or 3, 4 are one pair
+    # of atoms in one order, so no labelling costs N a sign
+    N = make_attach(((5, (1,)),), make_attach(((4, (1,)),), qd)
+                    * make_attach(((3, (1,)),), qd * q) * q)
+    N2 = make_attach(((0, (1,)),), make_attach(((3, (1,)),), qd)
+                     * make_attach(((4, (1,)),), qd * q) * q)
+    for block, again, e in ((B, B2, B * W + B2 * qxx), (N, N2, N * qx + N2 * qxx)):
+        (atom,) = block.atoms()
+        (atom2,) = again.atoms()
+        assert atom is atom2 and block == again
+        assert len(e.terms) == 2
+        for mono in e.monomials():
+            assert sum(a is atom for a, _ in mono.factors()) == 1
+        assert canonicalize_channels(e) is e
+    assert (N * qx).lead_coefficient() == N.lead_coefficient() == N2.lead_coefficient()
+    assert _attach_atoms(N * qx, set()) == _attach_atoms(N2 * qx, set())
+
+
+def test_tied_labels_already_in_range_are_still_searched(m):
+    # labels first and first + 1 on equal blocks: nothing is searched, the
+    # blocks are one atom, so the odd product vanishes as it is built, from
+    # any first label, and the even product is the block's square
+    qd, q = m.jet("q", dagger=True), m.jet("q")
+    for first in (0, 3):
+        w1 = make_attach(((first, (2,)),), qd)
+        w2 = make_attach(((first + 1, (2,)),), qd)
+        assert w1 == w2
+        assert (w1 * w2).is_zero()
+        assert canonicalize_channels(w1 * w2, first).is_zero()
+        v1 = make_attach(((first, (2,)),), q)
+        v2 = make_attach(((first + 1, (2,)),), q)
+        assert not (v1 * v2).is_zero()
+        assert v1 * v2 == v1 * v1
+        assert canonicalize_channels(v1 * v1 * v2 * v2, first) == v1 * v1 * v1 * v1
+
+
+def test_a_repeated_label_is_searched_by_signatures(m):
+    # hand-built: label 0 names a derivative in two blocks.  make_attach
+    # keeps no label, so the blocks are distinct channels and nothing is
+    # searched: any renaming builds the same product, the printer names one
+    # label per channel, and the text with label 0 named twice, which would
+    # link the blocks, is refused
+    q, qx = m.jet("q"), m.jet("q", (1,))
+    qd = m.jet("q", dagger=True)
+    one = (1,)
+
+    def build(a, b, c, d):
+        return make_attach(((a, one),), q) * make_attach(((a, one), (b, one)), qx) \
+            * make_attach(((c, one),), q) * make_attach(((c, one), (d, one)), qx) * qd
+
+    e = build(0, 1, 2, 3)
+    assert build(3, 2, 1, 0) == build(0, 0, 0, 0) == e
+    assert e == (make_attach(((0, one),), q) * make_attach(((0, one), (1, one)), qx)) ** 2 * qd
+    assert canonicalize_channels(e) is e
+    text = format_expr(e)
+    labels = [int(t) for t in _LABEL.findall(text)]
+    assert labels == list(range(len(labels)))
+    assert parse_expr(text, m) == e
+    with pytest.raises(ParseError, match="channel label 0 named twice"):
+        parse_expr("frz[0:x1](q)*frz[0:x1; 1:x1](q_x)", m)
 
 
 # -- iterated variations ----------------------------------------------------
