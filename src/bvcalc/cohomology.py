@@ -114,6 +114,8 @@ class Functional:
     # -- algebra ----------------------------------------------------------
 
     def __add__(self, other):
+        if not isinstance(other, Functional):
+            return NotImplemented
         _check_model(self, other)
         acc = dict(self.terms)
         for blocks, c in other.terms.items():
@@ -133,7 +135,7 @@ class Functional:
         return Functional(self.model, {b: c0 * c for b, c in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Coefficient)):
+        if not isinstance(other, Functional):
             return self.scale(other)
         _check_model(self, other)
         acc = {}
@@ -143,9 +145,7 @@ class Functional:
         return Functional(self.model, acc)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Coefficient)):
-            return self.scale(other)
-        return NotImplemented
+        return self.scale(other)
 
     def __pow__(self, n: int):
         if n < 0:

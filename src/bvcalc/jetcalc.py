@@ -15,10 +15,9 @@ Total derivatives, collapse and the partial-derivative walk take canonical
 monomials and file canonical ones.  The total derivative of a jet variable
 replaces one copy of it by its shift, put in its sorted place and read from
 the atom's own table once it has been interned (``_shift``); collapse
-sums the monomials by their classes first (a block's class knows only the
-sum of its pending multi-indices), then multiplies each block class's
-expansion into a class's plain factors by the canonical product, and
-expands each block class once per call.
+multiplies each monomial's blocks' expansions into its plain factors by the
+canonical product, and expands each interned block once per call, as
+D^sigma of its inner's collapse (sigma the sum of its pending multi-indices).
 Blocks are anonymous (``algebra.Attach``): a frozen variation makes new
 blocks and extends the pending set of those it enters, and never reads or
 names a channel.
@@ -410,18 +409,14 @@ def _wrap_branch(acc, coeff, even, odd, pend):
     The branch is ``coeff`` times the atoms ``even``/``odd`` of a canonical
     monomial, and ``pend`` is a multi-index sigma or None.  Home plains
     (everything that is not an Attach atom) are gathered into a new Attach
-    carrying ``pend``.  Attach keys sort last, so the kept blocks end each
-    side and the home plains before them are already a canonical unit
-    monomial: the block is found by them directly.  The kept odd blocks are
+    carrying ``pend``.  The kept blocks end each side (``_blocks_start``),
+    so the home plains before them are already a canonical unit monomial:
+    the block is found by them directly.  The kept odd blocks are
     moved in front of the home odd plains, at a Koszul sign, and multiplied
     by the new block in one canonical product, which squares it, or drops
     the branch when it is odd, if a kept block is the same block.
     """
-    i, j = len(even), len(odd)
-    while i and type(even[i - 1][0]) is Attach:
-        i -= 1
-    while j and type(odd[j - 1]) is Attach:
-        j -= 1
+    i, j = _blocks_start(even, odd)
     if not i and not j:
         if pend is None:  # a bare block of nothing is 1
             _add_monomial(acc, (even, odd), Monomial(coeff, even, odd))
@@ -430,6 +425,18 @@ def _wrap_branch(acc, coeff, even, odd, pend):
     block_even, block_odd = ((), (block,)) if block.parity else (((block, 1),), ())
     flips = j * (len(odd) - j)
     _add_product(acc, -coeff if flips & 1 else coeff, even[i:], odd[j:], block_even, block_odd)
+
+
+def _blocks_start(even, odd):
+    """Where the blocks of the canonical atoms ``even``/``odd`` start, as
+    (even position, odd position): Attach keys sort last, so the blocks end
+    each side."""
+    i, j = len(even), len(odd)
+    while i and type(even[i - 1][0]) is Attach:
+        i -= 1
+    while j and type(odd[j - 1]) is Attach:
+        j -= 1
+    return i, j
 
 
 def partial(e: Expr, v: JetVar, side: str = "left") -> Expr:
@@ -548,146 +555,57 @@ def collapse(e: Expr) -> Expr:
     """Expand every pending channel derivative into genuine total derivatives,
     innermost first; the result carries no Attach atoms.
 
-    Collapse identifies the channels, so a block's collapse depends only on
-    the sum of its pending multi-indices and its inner, and a monomial's on
-    its class (``_Classes``).  The coefficients are summed per class first,
-    so monomials of one class merge or cancel before any block is
-    expanded.  Each surviving class is then expanded once, its
-    plain atoms times its blocks' expansions by the canonical product, and
-    each block class once per call, as D^sigma of its inner class's
-    expansion."""
+    Collapse identifies the channels, so a block collapses to D^sigma of its
+    inner's collapse, sigma the sum of its pending multi-indices.  Each
+    monomial is its plain atoms times its blocks' expansions, multiplied in
+    by the canonical product in the monomial's own order (``_add_collapsed``),
+    and each interned block is expanded once per call (``_expand_block``)."""
     if not e.has_attach():
         return e
-    classes = _Classes()
-    sums = {}
-    for m in e.terms.values():
-        found = classes.of_monomial(m)
-        if found is None:
-            continue
-        flip, key = found
-        c = -m.coeff if flip else m.coeff
-        prev = sums.get(key)
-        sums[key] = c if prev is None else prev + c
+    expansions = {}  # Attach atom -> its expansion, for this call only
     acc = {}
-    for key, c in sums.items():
-        if not c.is_zero():
-            classes.expand(acc, c, key)
+    for m in e.terms.values():
+        _add_collapsed(acc, m.coeff, m.even, m.odd, expansions)
     return Expr(acc) if acc else Expr.zero()
 
 
-class _Classes:
-    """The classes of one ``collapse`` call.
+def _add_collapsed(acc: dict, coeff: Coefficient, even, odd, expansions: dict) -> None:
+    """Add ``coeff`` times the collapse of the canonical atoms ``even``/``odd``
+    into the term map ``acc``: the plain atoms times the expansion of each
+    block, one at a time, by the canonical product, the even blocks repeated
+    by their exponents and then the odd blocks in order.  Even blocks
+    commute with everything and each odd block follows every plain odd atom
+    and the odd blocks before it, as in the monomial, so no sign arises."""
+    i, j = _blocks_start(even, odd)
+    blocks = [a for a, k in even[i:] for _ in range(k)] + list(odd[j:])
+    if not blocks:
+        _add_monomial(acc, (even, odd), Monomial(coeff, even, odd))
+        return
+    terms = [(coeff, even[:i], odd[:j])]
+    last = len(blocks) - 1
+    for n, a in enumerate(blocks):
+        branches = expansions.get(a)
+        if branches is None:
+            branches = expansions[a] = _expand_block(a, expansions)
+        out = acc if n == last else {}
+        for tc, te, to in terms:
+            for dc, de, do in branches:
+                _add_product(out, tc * dc, te, to, de, do)
+        if n < last:
+            terms = [(mm.coeff, mm.even, mm.odd) for mm in out.values()]
 
-    A monomial's class key is ``(even, odd, blocks)``: its plain even and
-    odd atoms as they are, then the class numbers of its blocks, those of
-    its even blocks sorted and each repeated by its exponent, followed by
-    those of its odd blocks in increasing order, with the Koszul sign of
-    putting them there.  A block's class is numbered in the order first met
-    by its key ``(sigma, inner)``: its summed pending multi-index and the
-    class key of its unit inner monomial.  A block has its class's parity,
-    so an odd class met twice in one monomial makes it zero.  ``found`` maps
-    each Attach atom met to (class number, flip) or None, ``numbers`` each
-    block key to its class number, ``keys`` each class number to its key,
-    and ``expansions`` each class number to its expansion as canonical
-    branches ``(coefficient, even, odd)``, made on first use."""
 
-    __slots__ = ("found", "numbers", "keys", "expansions")
-
-    def __init__(self):
-        self.found, self.numbers, self.keys, self.expansions = {}, {}, [], {}
-
-    def of_monomial(self, m: Monomial):
-        """(flip, class key) of the canonical monomial ``m``, or None when it
-        collapses to zero: ``m`` collapses to (-1)^flip times its coefficient
-        times the expansion of its class.  Attach keys sort last, so the
-        blocks end each side."""
-        even, odd = m.even, m.odd
-        j = len(even)
-        while j and type(even[j - 1][0]) is Attach:
-            j -= 1
-        i = len(odd)
-        while i and type(odd[i - 1]) is Attach:
-            i -= 1
-        if j == len(even) and i == len(odd):
-            return 0, (even, odd, ())
-        flip = 0
-        blocks = []
-        for a, k in even[j:]:
-            found = self.of_block(a)
-            if found is None:
-                return None
-            c, f = found
-            flip ^= f & k
-            blocks += [c] * k
-        blocks.sort()
-        n = len(blocks)
-        for a in odd[i:]:
-            found = self.of_block(a)
-            if found is None:
-                return None
-            c, f = found
-            # put c in its place, passing the odd classes after it
-            p = len(blocks)
-            while p > n and blocks[p - 1] > c:
-                p -= 1
-            if p > n and blocks[p - 1] == c:
-                return None  # an odd class squared
-            flip ^= f ^ ((len(blocks) - p) & 1)
-            blocks.insert(p, c)
-        return flip, (even[:j], odd[:i], tuple(blocks))
-
-    def of_block(self, a: Attach):
-        """(class number, flip) of the block ``a``, or None when it collapses
-        to zero: ``a`` collapses to (-1)^flip times its class's expansion."""
-        try:
-            return self.found[a]
-        except KeyError:
-            pass
-        found = self.of_monomial(next(iter(a.inner.terms.values())))
-        if found is not None:
-            flip, inner = found
-            key = (tuple(map(sum, zip(*a.pending))), inner)
-            c = self.numbers.get(key)
-            if c is None:
-                c = self.numbers[key] = len(self.keys)
-                self.keys.append(key)
-            found = c, flip
-        self.found[a] = found
-        return found
-
-    def expand(self, acc: dict, coeff: Coefficient, key) -> None:
-        """Add ``coeff`` times the expansion of the class ``key`` into the
-        term map ``acc``: its plain atoms times the expansion of each block
-        class, one at a time, by the canonical product.  An odd class
-        follows every plain odd atom and the classes before it, as in the
-        key, so no sign arises."""
-        even, odd, blocks = key
-        if not blocks:
-            _add_monomial(acc, (even, odd), Monomial(coeff, even, odd))
-            return
-        terms = [(coeff, even, odd)]
-        last = len(blocks) - 1
-        for i, c in enumerate(blocks):
-            branches = self.expansions.get(c)
-            if branches is None:
-                branches = self.expansions[c] = self.expand_block(c)
-            out = acc if i == last else {}
-            for tc, te, to in terms:
-                for dc, de, do in branches:
-                    _add_product(out, tc * dc, te, to, de, do)
-            if i < last:
-                terms = [(mm.coeff, mm.even, mm.odd) for mm in out.values()]
-
-    def expand_block(self, c: int) -> tuple:
-        """The expansion of the block class ``c``: D^sigma of its inner
-        class's expansion, as canonical branches."""
-        sigma, inner = self.keys[c]
-        acc = {}
-        self.expand(acc, _ONE, inner)
-        h = Expr(acc)
-        if sigma:
-            h = total_derivative_multi(h, sigma)
-        return tuple([(m.coeff, m.even, m.odd) for m in h.terms.values()])
+def _expand_block(a: Attach, expansions: dict) -> tuple:
+    """The expansion of the block ``a``, D^sigma of the collapse of its unit
+    inner monomial for sigma its summed pending multi-index, as canonical
+    branches ``(coefficient, even, odd)``."""
+    acc = {}
+    ((even, odd),) = a.inner.terms
+    _add_collapsed(acc, _ONE, even, odd, expansions)
+    h = Expr(acc)
+    if a.pending:
+        h = total_derivative_multi(h, tuple(map(sum, zip(*a.pending))))
+    return tuple([(m.coeff, m.even, m.odd) for m in h.terms.values()])
 
 
 # ---------------------------------------------------------------------------

@@ -154,6 +154,23 @@ def test_model_mismatch_rejected(m):
         functional_equal(F, G)
 
 
+def test_functionals_scale_by_any_exact_scalar(m):
+    # as an Expr does: a Fraction scales from either side, an inexact
+    # scalar is refused by Coefficient.of, and a sum with a scalar is no
+    # sum of functionals
+    F = Functional.from_density(m, m.jet("q") * m.jet("q", (1,)))
+    half = F.scale(Coefficient.of(1) / Coefficient.of(2))
+    assert F * Fraction(1, 2) == Fraction(1, 2) * F == half != F
+    assert F * 3 == 3 * F == F.scale(3)
+    assert F * Coefficient.hbar() == F.scale(Coefficient.hbar())
+    for bad in (lambda: F * 2.5, lambda: 2.5 * F):
+        with pytest.raises(TypeError, match="exact rational"):
+            bad()
+    for bad in (lambda: F + 1, lambda: 1 + F, lambda: F - 1):
+        with pytest.raises(TypeError):
+            bad()
+
+
 def test_odd_block_squares_to_zero(m):
     qd = m.jet("q", dagger=True)
     F = Functional.from_density(m, qd * m.jet("q"))

@@ -861,10 +861,9 @@ def _attach_atoms(e, found):
 def test_collapse_expands_each_distinct_block_once(model, monkeypatch):
     # four blocks (even and odd, nested, with exponents up to 3) and their
     # copies with the pending derivatives split (``_split``), shared by many
-    # monomials with different coefficients: collapse expands each block
-    # class once per call, a block and its copy sharing one expansion, and
-    # agrees with collapsing the monomials one at a time and with the
-    # reference
+    # monomials with different coefficients: collapse expands each distinct
+    # block it reaches once per call, nested ones included, and agrees with
+    # collapsing the monomials one at a time and with the reference
     from bvcalc import jetcalc
 
     rng = random.Random(31)
@@ -890,15 +889,16 @@ def test_collapse_expands_each_distinct_block_once(model, monkeypatch):
     assert len(_attach_atoms(e, set())) == 8
 
     calls = []
-    expand = jetcalc._Classes.expand_block
+    expand = jetcalc._expand_block
 
-    def counted(self, c):
-        calls.append(self.keys[c])
-        return expand(self, c)
+    def counted(a, expansions):
+        calls.append(a)
+        return expand(a, expansions)
 
-    monkeypatch.setattr(jetcalc._Classes, "expand_block", counted)
+    monkeypatch.setattr(jetcalc, "_expand_block", counted)
     whole = collapse(e)
-    assert len(calls) == len(set(calls)) == 4
+    assert len(calls) == len(set(calls)) == 8
+    assert set(calls) == _attach_atoms(e, set())
     one_at_a_time = Expr.zero()
     for k, mono in e.terms.items():
         one_at_a_time = one_at_a_time + collapse(Expr({k: mono}))
@@ -911,9 +911,9 @@ _LABEL = re.compile(r"(?:(?<=frz\[)|(?<=; ))(\d+)(?=:)")  # a printed channel la
 
 def _split(e):
     """``e`` with the pending derivatives of every block, nested ones
-    included, split into first-order ones: each block keeps its class under
-    collapse, and one pending a derivative of order two or more becomes
-    another atom."""
+    included, split into first-order ones: each block keeps its collapse,
+    and one pending a derivative of order two or more becomes another
+    atom."""
     out = Expr.zero()
     for mono in e.monomials():
         term = Expr.scalar(mono.coeff)
@@ -950,7 +950,7 @@ def _relabelled_copies(model, rng):
     bijection, its pending derivatives split (``_split``) or not, and with
     a random sign; and the kinds of block it was built with.  Beside
     ``random_expr``'s blocks, the expression may hold a block nested twice
-    (squared when even); a block times its split copy: its class squared
+    (squared when even); a block times its split copy: its collapse squared
     when even, twice when odd; and two odd blocks pending the same
     derivative, alone and inside a block pending two derivatives."""
     e = random_expr(model, rng, with_attach=True)
@@ -989,9 +989,9 @@ def _relabelled_copies(model, rng):
                          ids=["scalar", "ghost", "plane"])
 def test_collapse_of_relabelled_copies_agrees_with_the_reference(model):
     # copies read back under other labels are the expression itself, and
-    # those with their pending derivatives split fall into one class and
-    # merge or cancel there; the result is the collapse of their sum by its
-    # definition
+    # those with their pending derivatives split hold other blocks, which
+    # collapse alike and merge or cancel once expanded; the result is the
+    # collapse of their sum by its definition
     rng = random.Random(37)
     seen = collections.Counter()
     for case in range(60):
@@ -1006,9 +1006,9 @@ def test_copies_equal_up_to_labels_cancel_before_any_expansion(monkeypatch):
     # a nested block, odd blocks and an even block squared: a copy written
     # under other labels is the expression itself, so the difference is
     # zero as built; a copy with its pending derivatives split is another
-    # expression, and the difference collapses to zero with no total
-    # derivative and no product taken; so does an odd block times its split
-    # copy
+    # expression, whose blocks are other atoms, and the difference collapses
+    # to zero; so does an odd block times its split copy, the odd expansion
+    # of one times that of the other
     from bvcalc import jetcalc
 
     model = ghost_model()
@@ -1032,9 +1032,28 @@ def test_copies_equal_up_to_labels_cancel_before_any_expansion(monkeypatch):
         monkeypatch.setattr(jetcalc, name, counted)
     assert collapse(e - copy).is_zero()
     assert collapse(twice).is_zero()
-    assert calls == []
+    calls.clear()
     assert collapse(e) == collapse(copy) != Expr.zero()
     assert "total_derivative" in calls and "_add_product" in calls
+
+
+def test_collapse_of_the_omega_blocks_agrees_with_the_reference():
+    # the geometric omega row is the one suite whose collapse meets frozen
+    # monomials: at the draws of seed 41, every block of its master-equation
+    # obstruction Q = -i*hbar*Delta S + 1/2 [[S,S]] collapses as the
+    # product of its collapsed factors
+    from bvcalc import bv
+    from bvcalc.cli import _draw
+
+    model = BvModel(1, [("q", 0)])
+    frozen = 0
+    for case in range(5):
+        O, S = _draw("omega", model, 41 * 10_000 + case, 2)
+        Q = bv._qme(laplacian(S, bv.GEOMETRIC), schouten(S, S, bv.GEOMETRIC))
+        for b in Q.blocks():
+            frozen += b.has_attach()
+            assert collapse(b).key() == _reference_collapse(b).key(), case
+    assert frozen >= 5
 
 
 def test_collapse_of_channelled_euler_is_plain_euler():
