@@ -10,8 +10,8 @@ summed out (see ``schouten`` and ``laplacian``).  A first argument of
 several blocks takes the densities [[B_i, C_j]] as they stand, not through
 skew-symmetry, so the ``skew`` suite tests skew-symmetry rather than
 restating it.  An operand that holds a frozen block keeps the Euler images
-its first bracket made; a block bracketed with itself in naive mode is
-walked once.  The quantum layer combines the two into the differential
+its first bracket made; a block bracketed with itself is walked once, in
+either mode.  The quantum layer combines the two into the differential
 Omega = -i*hbar*Delta + [S, .].
 
 Sign conventions (fixed constants of the construction): the two couplings
@@ -56,12 +56,12 @@ def schouten_density(model: BvModel, f: Expr, g: Expr, mode: str = GEOMETRIC) ->
     holds its square, or is zero when that block is odd: each variation acts
     at its own copy of the base, so two equal blocks are interchangeable.
 
-    In naive mode the images are plain, so they graded-commute: for g is f
-    the two terms of a pair agree for even f and cancel for odd f, and f is
-    walked once for 2 sum el[ev] * el[od] (Henneaux & Teitelboim,
-    Quantization of Gauge Systems, 1992), or not at all."""
+    Canonical products graded-commute, frozen blocks included, so in either
+    mode for g is f the two terms of a pair agree for even f and cancel for
+    odd f: f is walked once for 2 sum el[ev] * el[od] (Henneaux &
+    Teitelboim, Quantization of Gauge Systems, 1992), or not at all."""
     _check_mode(mode)
-    fold = mode == NAIVE and g is f
+    fold = g is f
     if mode == NAIVE:
         f, g = collapse(f), collapse(g)
     odd = f.parity()  # raises on heterogeneous f
@@ -386,8 +386,8 @@ def check_master_equation(S: Functional, mode: str = GEOMETRIC) -> Report:
     1992).  ``data`` holds the obstruction, the exact Delta(S) ("delta"),
     the collapsed [[S, S]] ("bracket") and that CME verdict ("cme").  The
     geometric bracket of operands without frozen blocks collapses to the
-    naive one, so such an S takes the naive bracket, whose self-pairs are
-    folded (``schouten_density``)."""
+    naive one, so such an S takes the naive bracket, which builds no
+    frozen block."""
     # collapse is linear, so the obstruction is formed from the collapsed
     # pieces that the summary lines print
     delta = laplacian(S, mode)

@@ -147,6 +147,8 @@ class Coefficient:
         if type(other) is not Coefficient:
             if type(other) is int and not other:
                 return self
+            if not isinstance(other, Rational):
+                return NotImplemented  # left to the other operand's method
             other = Coefficient.of(other)
         a = self._int
         if a is not None:
@@ -188,6 +190,8 @@ class Coefficient:
 
     def __mul__(self, other):
         if type(other) is not Coefficient:
+            if not isinstance(other, Rational):
+                return NotImplemented  # left to the other operand's method
             other = Coefficient.of(other)
         a = self._int
         if a is not None:

@@ -2,7 +2,8 @@
 
 Provides the bundle declaration (BvModel), total derivatives, one walk for the
 graded left partial derivatives by any set of variables at once (each
-monomial visited once, branches filed by variable and multi-index), the
+monomial visited once, each branch filed under the interned jet atom q_sigma
+it differentiates by, and read out by variable and multi-index), the
 Euler operators of those variables (total derivatives expanded by Horner's
 scheme, one coordinate at a time, or kept pending on a frozen block),
 collapse of pending derivatives, and the naive/geometric iterated
@@ -13,11 +14,12 @@ The walk and ``eulers`` take left partials only: the public ``partial`` and
 
 Total derivatives, collapse and the partial-derivative walk take canonical
 monomials and file canonical ones.  The total derivative of a jet variable
-replaces one copy of it by its shift, put in its sorted place and read from
-the atom's own table once it has been interned (``_shift``); collapse
-multiplies each monomial's blocks' expansions into its plain factors by the
-canonical product, and expands each interned block once per call, as
-D^sigma of its inner's collapse (sigma the sum of its pending multi-indices).
+replaces one copy of it by its shift in one pass, the shift put in its
+sorted place and read from the atom's own table once it has been interned
+(``_shift``); collapse multiplies each monomial's blocks' expansions into
+its plain factors by the canonical product, and expands each interned block
+once per call, as D^sigma of its inner's collapse (sigma the sum of its
+pending multi-indices).
 Blocks are anonymous (``algebra.Attach``): a frozen variation makes new
 blocks and extends the pending set of those it enters, and never reads or
 names a channel.
@@ -180,10 +182,21 @@ def _add_total_derivative(acc: dict, e: Expr, direction: int, negate: bool = Fal
             if t is BaseVar and a.coord != direction:
                 continue
             c = coeff * k if k > 1 else coeff
-            rest = even[:j] + (((a, k - 1),) if k > 1 else ()) + even[j + 1:]
+            head = even[:j] + (((a, k - 1),) if k > 1 else ())
             if t is JetVar:
-                rest = _insert_even(rest, j, _shift(a, direction))
-            if t is JetVar or t is BaseVar:
+                # one pass: the shift sorts after a, at p or merged there
+                u = _shift(a, direction)
+                key, p, n = u.key, j + 1, len(even)
+                while p < n and even[p][0].key < key:
+                    p += 1
+                if p < n and even[p][0] is u:
+                    rest = head + even[j + 1:p] + ((u, even[p][1] + 1),) + even[p + 1:]
+                else:
+                    rest = head + even[j + 1:p] + ((u, 1),) + even[p:]
+                _add_monomial(acc, (rest, odd), Monomial(c, rest, odd))
+                continue
+            rest = head + even[j + 1:]
+            if t is BaseVar:
                 _add_monomial(acc, (rest, odd), Monomial(c, rest, odd))
                 continue
             for dc, de, do in _atom_total_derivative(a, direction):
@@ -191,34 +204,20 @@ def _add_total_derivative(acc: dict, e: Expr, direction: int, negate: bool = Fal
         for j, a in enumerate(odd):
             if type(a) is JetVar:
                 u = _shift(a, direction)
-                key = u.key
-                rest = odd[:j] + odd[j + 1:]
-                p = j
-                while p < len(rest) and rest[p].key < key:
+                key, p, n = u.key, j + 1, len(odd)
+                while p < n and odd[p].key < key:
                     p += 1
-                if p < len(rest) and rest[p] is u:
+                if p < n and odd[p] is u:
                     continue  # an odd factor squared
-                rest = rest[:p] + (u,) + rest[p:]
+                rest = odd[:j] + odd[j + 1:p] + (u,) + odd[p:]
+                # the shift passes the p - j - 1 odd atoms after a
                 _add_monomial(acc, (even, rest),
-                              Monomial(-coeff if (p - j) & 1 else coeff, even, rest))
+                              Monomial(-coeff if (p - j - 1) & 1 else coeff, even, rest))
                 continue
             c = -coeff if j & 1 else coeff
             rest = odd[:j] + odd[j + 1:]
             for dc, de, do in _atom_total_derivative(a, direction):
                 _add_product(acc, c * dc, de, do, even, rest)
-
-
-def _insert_even(even, start, u: JetVar):
-    """The canonical even atoms ``even`` times one more copy of ``u``, whose
-    place is at ``start`` or after it."""
-    key = u.key
-    for j in range(start, len(even)):
-        a = even[j][0]
-        if a is u:
-            return even[:j] + ((u, even[j][1] + 1),) + even[j + 1:]
-        if key < a.key:
-            return even[:j] + ((u, 1),) + even[j:]
-    return even + ((u, 1),)
 
 
 _MINUS_ONE = Coefficient.of(-1)
@@ -274,10 +273,19 @@ def _partials(e, variables, isolate):
     """Graded left partials of ``e`` by the jet variables q_sigma of every
     variable in ``variables`` = {(field, dagger): (parity, frozen)},
     filed by variable and multi-index: ``{(field, dagger): {sigma: Expr}}``.
-    Each monomial is visited once, for all variables together; a walk by
-    one variable visits only those that ``e.var_index()``, once built,
-    lists for it or as holding a block.  Right partials are signed left
-    ones (``_right``).
+    Each monomial is visited once, for all variables together (``_walk``).
+    Right partials are signed left ones (``_right``)."""
+    filed = {}
+    for u, terms in _walk(e, variables, isolate).items():
+        filed.setdefault(u.var, {})[u.index] = Expr(terms) if terms else Expr.zero()
+    return filed
+
+
+def _walk(e, variables, isolate):
+    """The partials of ``_partials`` as term maps filed by the interned jet
+    atom q_sigma each differentiates by: ``{JetVar: term map}``.  A walk by
+    one variable visits only the monomials that ``e.var_index()``, once
+    built, lists for it or as holding a block.
 
     By a frozen variable a branch consumed at home records the pending
     derivative sigma for |sigma| > 0 on a new block of its home plains
@@ -291,9 +299,10 @@ def _partials(e, variables, isolate):
     one copy of that factor removed (``_without``), its sign known, and is
     filed as it is.  A chain-rule branch is f'(u) times that rest, and a
     dived branch dm * rest, the block's derivative dm paying the sign of the
-    odd factors before the block; both are filed by the canonical product.
+    odd factors before the block; both are filed by the canonical product,
+    a dived branch wrapped only when its rest holds a home plain.
     """
-    acc = {}  # (v, sigma) -> term map of canonical branches
+    acc = {}  # JetVar -> term map of canonical branches
     expanded = None
     dives = {}  # Attach atom -> its branches, so each block is entered once
     monomials = e.terms.values()
@@ -306,21 +315,21 @@ def _partials(e, variables, isolate):
             monomials = itertools.chain(monomials, blocks)
     for m in monomials:
         even, odd = m.even, m.odd
-        # most monomials hold none of one variable's jets: one cheap test
-        # per factor, and no index or sign bookkeeping, skips them
-        for a, _ in even:
-            if a.var in variables or type(a) is Attach:
-                break
-        else:
-            for a in odd:
+        # most monomials hold none of one variable's jets: one cheap test per
+        # factor skips them; an indexed walk visits only those that pass it
+        if found is None:
+            for a, _ in even:
                 if a.var in variables or type(a) is Attach:
                     break
             else:
-                continue
+                for a in odd:
+                    if a.var in variables or type(a) is Attach:
+                        break
+                else:
+                    continue
         n = len(even)
         for i in range(n + len(odd)):
             a, k = even[i] if i < n else (odd[i - n], 1)
-            flip = i > n and (i - n) & 1  # an odd variable's Koszul sign
             if type(a) is Attach:
                 # the pending derivative joins the block's own set, so the
                 # branch itself records none
@@ -329,25 +338,28 @@ def _partials(e, variables, isolate):
                     if expanded is None:
                         expanded = {v: (p, False) for v, (p, _) in variables.items()}
                     hits = dives[a] = []
-                    inner = _partials(a.inner, expanded, False)
-                    for v, by_index in inner.items():
-                        parity, frozen = variables[v]
-                        for sigma, d in by_index.items():
-                            pending = a.pending
-                            if frozen and any(sigma):
-                                pending = tuple(sorted(pending + (sigma,)))
-                            dived = _attach(pending, d)
-                            if not dived.is_zero():
-                                hits.append((v, parity, frozen, sigma, dived))
+                    for u, terms in _walk(a.inner, expanded, False).items():
+                        parity, frozen = variables[u.var]
+                        pending = a.pending
+                        if frozen and any(u.index):
+                            pending = tuple(sorted(pending + (u.index,)))
+                        dived = _attach(pending, Expr(terms))
+                        if dived.terms:
+                            hits.append((u, parity, frozen, dived))
                 if not hits:
                     continue
                 rest_even, rest_odd = _without(even, odd, i, k)
                 passed = max(i - n, 0)  # the odd factors before the block
                 cmult = m.coeff * k if k > 1 else m.coeff
-                for v, parity, frozen, sigma, dived in hits:
-                    c = -cmult if parity and flip else cmult
-                    wrap = isolate and frozen
-                    out = acc.setdefault((v, sigma), {})
+                # Attach keys sort last, so a rest of blocks alone starts with one
+                plains = ((rest_even and type(rest_even[0][0]) is not Attach)
+                          or (rest_odd and type(rest_odd[0]) is not Attach))
+                for u, parity, frozen, dived in hits:
+                    c = -cmult if parity and passed & 1 else cmult
+                    wrap = isolate and frozen and plains
+                    out = acc.get(u)
+                    if out is None:
+                        out = acc[u] = {}
                     for dm in dived.monomials():
                         dc = -dm.coeff if passed & len(dm.odd) & 1 else dm.coeff
                         _file_product(out, c * dc, dm.even, dm.odd, rest_even, rest_odd,
@@ -362,8 +374,11 @@ def _partials(e, variables, isolate):
             pend = sigma if frozen and any(sigma) else None
             wrap = pend is not None or (isolate and frozen)
             cmult = m.coeff * k if k > 1 else m.coeff
-            c = -cmult if parity and flip else cmult
-            out = acc.setdefault((a.var, sigma), {})
+            # an odd variable's Koszul sign: the odd factors before it
+            c = -cmult if parity and i > n and (i - n) & 1 else cmult
+            out = acc.get(u)
+            if out is None:
+                out = acc[u] = {}
             rest_even, rest_odd = _without(even, odd, i, k)
             if u is not a:
                 cc, tag = _CHAIN[a.tag]
@@ -374,10 +389,7 @@ def _partials(e, variables, isolate):
                 _wrap_branch(out, c, rest_even, rest_odd, pend)
             else:
                 _add_monomial(out, (rest_even, rest_odd), Monomial(c, rest_even, rest_odd))
-    filed = {}
-    for (v, sigma), terms in acc.items():
-        filed.setdefault(v, {})[sigma] = Expr(terms) if terms else Expr.zero()
-    return filed
+    return acc
 
 
 def _without(even, odd, i, k):
@@ -486,7 +498,7 @@ def eulers(model: BvModel, e: Expr, frozen: dict, isolate: bool = False) -> dict
     {(field, dagger): whether its derivatives stay pending}, as
     {(field, dagger): Expr} in the order of ``frozen``; each is ``euler``
     with that variable's ``frozen``, and one partial-derivative walk serves
-    them all."""
+    them all.  A frozen image of one multi-index is its partial, signed."""
     variables = {v: (model.parity(*v), f) for v, f in frozen.items()}
     terms = _partials(e, variables, isolate)
     images = {}
@@ -494,6 +506,10 @@ def eulers(model: BvModel, e: Expr, frozen: dict, isolate: bool = False) -> dict
         by_index = terms.get(v, {})
         if not f:
             images[v] = _horner(by_index, model.base_dim)
+            continue
+        if len(by_index) == 1:
+            ((sigma, term),) = by_index.items()
+            images[v] = -term if sum(sigma) & 1 else term
             continue
         acc = {}
         for sigma, term in by_index.items():

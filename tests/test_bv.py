@@ -284,8 +284,9 @@ def test_bracket_density_agrees_with_the_image_reference(model_name, mode):
     # the raw term maps, term order included, equal those of the bracket
     # that walks both operands in every call: on fresh copies, never one
     # object (the images are made), and on operands bracketed before and in
-    # the other order (the images are read); naive mode collapses the
-    # nested z into large plain densities first, and leaves it out
+    # the other order (the images are read); a self-pair is folded in
+    # either mode; naive mode collapses the nested z into large plain
+    # densities first, and leaves it out
     labelled = 0
     for model, ops, pairs in _operands(model_name):
         labelled += sum(e.has_attach() for e in ops.values())
@@ -296,9 +297,9 @@ def test_bracket_density_agrees_with_the_image_reference(model_name, mode):
             ref = _raw(reference_bracket_density(model, f, g, mode))
             assert _raw(schouten_density(model, _fresh(f), _fresh(g), mode)) == ref, (fn, gn)
             got = _raw(schouten_density(model, f, g, mode))
-            if mode == NAIVE and f is g:
-                # the naive self-pair is folded: the same terms, filed in
-                # another order
+            if f is g:
+                # the self-pair is folded: the same terms, which may be
+                # filed in another order
                 assert dict(got) == dict(ref), fn
             else:
                 assert got == ref, (fn, gn)
@@ -670,9 +671,10 @@ def test_collapse_forgets_the_mode_of_a_plain_bracket(model_name):
 
 
 def test_a_naive_self_pair_is_walked_once(monkeypatch):
-    # [[f, f]] in naive mode takes f's images once and files
+    # [[f, f]] in either mode takes f's images once and files
     # 2 sum el[ev] * el[od] for even f, and is 0 for odd f with no walk:
-    # the same term map as the unfolded bracket
+    # the same term map as the unfolded bracket; naive mode walks the
+    # collapsed f, and geometric mode f itself, blocks and all
     walked = []
 
     def counted(model, e, *args, **kwargs):
@@ -687,18 +689,39 @@ def test_a_naive_self_pair_is_walked_once(monkeypatch):
         model = MODELS[model_name]()
         for seed in range(6000, 6010):
             cases += [(model, seed, next(rf(model, p, seed).blocks())) for p in (0, 1)]
-    folded = 0
-    for model, name, f in cases:
-        walked.clear()
-        got = schouten_density(model, f, f, NAIVE)
-        ref = reference_bracket_density(model, f, f, NAIVE)
-        if f.parity():
-            assert got.is_zero() and ref.is_zero() and not walked, name
-            continue
-        assert len(walked) == 1 and walked[0] == collapse(f), name
-        assert dict(_raw(got)) == dict(_raw(ref)), name
-        folded += not got.is_zero()
-    assert folded >= 30, folded
+    folded = dict.fromkeys((NAIVE, GEOMETRIC), 0)
+    for mode in folded:
+        for model, name, f in cases:
+            walked.clear()
+            got = schouten_density(model, f, f, mode)
+            ref = reference_bracket_density(model, f, f, mode)
+            if f.parity():
+                assert got.is_zero() and ref.is_zero() and not walked, (name, mode)
+                continue
+            assert len(walked) == 1, (name, mode)
+            assert walked[0] == collapse(f) if mode == NAIVE else walked[0] is f, (name, mode)
+            assert dict(_raw(got)) == dict(_raw(ref)), (name, mode)
+            folded[mode] += not got.is_zero()
+    assert min(folded.values()) >= 30, folded
+
+
+def test_the_ym_self_bracket_walks_its_action_once(monkeypatch):
+    # the geometric [[S,S]] of su(2) Yang-Mills on a 4-dimensional base
+    # walks the one block of S once, and files the terms of the unfolded
+    # bracket
+    walked = []
+
+    def counted(model, e, *args, **kwargs):
+        walked.append(e)
+        return eulers(model, e, *args, **kwargs)
+
+    model, S = build_yang_mills_bv(LieAlgebraData.su2(), 4)
+    ((s,),) = S.terms
+    ref = reference_bracket_density(model, s, s)
+    monkeypatch.setattr(bv, "eulers", counted)
+    assert not schouten(S, S, GEOMETRIC).is_zero()
+    assert len(walked) == 1 and walked[0] is s
+    assert dict(_raw(schouten_density(model, s, s))) == dict(_raw(ref)) != {}
 
 
 def test_self_bracket_of_a_plain_action_builds_no_frozen_block(monkeypatch):
@@ -849,6 +872,25 @@ def test_virasoro_magri_d_p_squared_is_pinned(m):
     assert not functional_equal(geometric, zero(m), "collapse")
     assert schouten(P, schouten(P, H, NAIVE), NAIVE).is_zero()
     assert functional_equal(schouten(P, PH.collapse()), zero(m), "collapse")
+
+
+def test_delta_p_of_u2d_is_closed_only_once_collapsed_in_geometric_mode(m):
+    # P = int q^2 b b_x, b = dag(q), is the Hamiltonian operator
+    # u^2 D + D u^2; [[P, Delta P]] ~ 0 fails geometrically, where Delta P
+    # keeps a frozen block, and holds once Delta P is collapsed; in naive
+    # mode it holds either way.  The collapsed Delta P differs between the
+    # modes by a divergence, and is not trivial
+    P = Functional.from_density(m, parse_expr("q^2*dag(q)*dag(q)_x", m))
+    collapsed = {GEOMETRIC: "(1)*<4*q*dag(q)_x + 2*q_x*dag(q)>", NAIVE: "(1)*<2*q*dag(q)_x>"}
+    classes = []
+    for mode, text in collapsed.items():
+        dP = laplacian(P, mode)
+        assert repr(dP.collapse()) == text, mode
+        assert functional_equal(schouten(P, dP, mode), zero(m), "collapse") == (mode == NAIVE)
+        assert functional_equal(schouten(P, dP.collapse(), mode), zero(m), "collapse"), mode
+        classes.append(dP.collapse())
+    assert functional_equal(*classes, "collapse")
+    assert not functional_equal(classes[0], zero(m), "collapse")
 
 
 def test_omega_squared_of_criterion_7_is_pinned():

@@ -103,6 +103,25 @@ def test_float_rejected():
         Coefficient({0: (1.0, 0)})
 
 
+def test_a_coefficient_leaves_an_expression_operand_to_it():
+    # a sum or product with an Expr or a Functional is that operand's own:
+    # both orders agree, and a Functional, which takes no scalar summand,
+    # refuses both
+    from bvcalc.cohomology import Functional
+    from bvcalc.jetcalc import BvModel
+    m = BvModel(1, [("q", 0)])
+    e = m.jet("q") * m.jet("q", (1,), dagger=True)
+    F = Functional.from_density(m, e)
+    for c in (Coefficient.hbar(), Coefficient.imag_unit(), Coefficient.of(Fraction(1, 2))):
+        assert c * e == e * c == e.scale(c) and c + e == e + c
+        assert c * F == F * c == F.scale(c)
+        for add in (lambda: c + F, lambda: F + c):
+            with pytest.raises(TypeError, match="unsupported operand"):
+                add()
+    with pytest.raises(TypeError):
+        Coefficient.one() * 1.5
+
+
 # -- the arithmetic's own results --------------------------------------------------
 
 def _entries_are_clean(c):
