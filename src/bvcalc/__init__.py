@@ -18,12 +18,10 @@ from .algebra import (
 )
 from .jetcalc import (
     BvModel,
-    canonicalize_channels,
     collapse,
     euler,
     euler_left,
-    iterated_variation_geometric,
-    iterated_variation_naive,
+    iterated_variation,
     partial,
     total_derivative,
 )
@@ -55,12 +53,11 @@ __all__ = [
     "Functional", "GEOMETRIC", "GhostNumberError", "GrassmannNumber",
     "JetVar", "LieAlgebraData", "NAIVE", "ParityError", "ParseError",
     "SectionSpec", "Trig",
-    "build_scalar_example", "build_yang_mills_bv", "canonicalize_channels",
+    "build_scalar_example", "build_yang_mills_bv",
     "check_identity", "check_master_equation", "collapse",
     "euler", "euler_left", "evaluate", "format_expr", "functional_equal",
-    "is_trivial", "iterated_variation_geometric", "iterated_variation_naive",
-    "laplacian", "make_attach", "normalize", "omega", "parse_expr",
-    "parse_model_file", "partial", "random_functional",
+    "is_trivial", "iterated_variation", "laplacian", "make_attach", "normalize",
+    "omega", "parse_expr", "parse_model_file", "partial", "random_functional",
     "schouten", "total_derivative",
 ]
 

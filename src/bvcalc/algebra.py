@@ -23,7 +23,9 @@ by identity, and only their ``key`` (a nested tuple) orders them.  An Attach
 block is anonymous: it is found by its sorted pending multi-indices and the
 atoms of its inner monomial alone, so two blocks built apart from equal
 parts are one atom, and a product of two equal odd blocks is zero and of two
-equal even blocks a square, as for any atom.  A term map ``Expr.terms`` is
+equal even blocks a square, as for any atom.  Blocks are built from
+multi-indices alone (``make_attach``); a channel label exists only in the
+text that ``grammar`` reads and writes.  A term map ``Expr.terms`` is
 keyed by each monomial's own ``(even, odd)`` tuples of atoms, which hash in
 one shallow pass and sort as the nested keys do; Expr equality and hashing
 read these term maps too, and so do the triviality images of the class
@@ -728,19 +730,12 @@ def normalize(e: Expr) -> Expr:
 
 def make_attach(pending, inner: Expr) -> Expr:
     """Attach ``inner`` at its own base point with the pending total
-    derivatives ``pending``, (label, multi-index) pairs as a block is written
-    (``frz[l:...]``).  A label only names a channel, and every block is its
-    own channel, so only the multi-indices are kept (``_attach``)."""
-    return _attach(tuple(sorted(tuple(idx) for _, idx in pending)), inner)
-
-
-def _attach(pending: tuple, inner: Expr) -> Expr:
-    """Attach ``inner`` at its own base point with the pending total
-    derivatives of the sorted multi-indices ``pending``.  Linear in
+    derivatives of the multi-indices ``pending``, in any order.  Linear in
     ``inner``; a pending derivative of a block with no atoms is zero, a bare
     attachment of a constant is that constant, and a bare attachment of a
     lone Attach atom is the atom itself.  Each monomial's atoms go to
     ``Attach._of`` as they are."""
+    pending = tuple(sorted(map(tuple, pending)))
     acc = {}
     for k, m in inner.terms.items():
         content = m.factors()

@@ -86,11 +86,11 @@ def _images(model: BvModel, e: Expr, mode: str) -> dict:
     keeps nothing, so a long-lived action or observable holds no images."""
     variables = [v for pair in model.pairs() for v in pair]
     if not e.has_attach():
-        return eulers(model, e, dict.fromkeys(variables, mode == GEOMETRIC), isolate=True)
+        return eulers(model, e, variables, mode == GEOMETRIC, isolate=True)
     memo = getattr(e, "_images", {})
     images = memo.get(model)
     if images is None:
-        images = memo[model] = eulers(model, e, dict.fromkeys(variables, True), isolate=True)
+        images = memo[model] = eulers(model, e, variables, True, isolate=True)
         e._images = memo
     return images
 
@@ -105,7 +105,7 @@ def laplacian_density(model: BvModel, f: Expr, mode: str = GEOMETRIC) -> Expr:
         f = collapse(f)
     pairs = list(model.pairs())
     # the first (antifield) step of every pair in one walk over f
-    steps = eulers(model, f, {od: frozen for _, od in pairs})
+    steps = eulers(model, f, [od for _, od in pairs], frozen)
     acc = {}
     for ev, od in pairs:
         step = euler(model, steps[od], *ev, frozen=frozen)

@@ -171,11 +171,6 @@ class Functional:
             _add_blocks(acc, tuple(collapse(b) for b in blocks), c)
         return Functional(self.model, acc)
 
-    def canonicalize(self) -> "Functional":
-        """The functional itself: its blocks are anonymous, so it has one
-        form whatever labels its blocks were written with."""
-        return self
-
     def __repr__(self):
         return "".join(functional_text(self))
 
@@ -287,7 +282,7 @@ def _triviality_image(model: BvModel, b: Expr) -> dict:
     the field-free residue, keyed by term keys (which order as the nested
     keys do)."""
     img = {}
-    for (field, dagger), e in eulers(model, b, dict.fromkeys(model.variables())).items():
+    for (field, dagger), e in eulers(model, b, model.variables()).items():
         for k, mono in e.terms.items():
             img[("E", field, dagger, k)] = mono.coeff
     for k, mono in field_free_part(b).terms.items():

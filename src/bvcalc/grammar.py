@@ -348,7 +348,7 @@ class _Parser:
             while True:
                 label, idx, label_pos = self.pending_spec()
                 names = _disjoint(names, {label: label_pos})
-                pending.append((label, idx))
+                pending.append(idx)
                 if not self.at(";"):
                     break
                 self.next()

@@ -10,7 +10,10 @@ collapse of pending derivatives, and the naive/geometric iterated
 variations.  ``eulers`` is the one Euler entry that
 walks and sums; the iterated variations keep their shift fields outside it.
 The walk and ``eulers`` take left partials only: the public ``partial`` and
-``euler`` sign a left image into a right one (``_right``).
+``euler`` sign a left image into a right one (``_right``).  A walk is
+frozen or not as a whole (one ``frozen`` flag): its variables' derivatives
+all stay pending or are all expanded, and the inner of a block it enters is
+walked unfrozen, the derivative joining that block's pending set.
 
 Total derivatives, collapse and the partial-derivative walk take canonical
 monomials and file canonical ones.  The total derivative of a jet variable
@@ -21,8 +24,8 @@ its plain factors by the canonical product, and expands each interned block
 once per call, as D^sigma of its inner's collapse (sigma the sum of its
 pending multi-indices).
 Blocks are anonymous (``algebra.Attach``): a frozen variation makes new
-blocks and extends the pending set of those it enters, and never reads or
-names a channel.
+blocks and extends the pending set of those it enters (``make_attach``,
+from multi-indices alone), and never reads or names a channel.
 The partials branch of a jet variable is its monomial with one copy of that
 factor removed, and a wrapped branch's home plains, already a canonical unit
 monomial, become the inner of the new block as they are.  Every other
@@ -51,7 +54,7 @@ from .algebra import (
     _ONE,
     _add_monomial,
     _add_product,
-    _attach,
+    make_attach,
 )
 
 # ---------------------------------------------------------------------------
@@ -253,7 +256,7 @@ def _atom_total_derivative(a: Atom, i: int):
         d = total_derivative(a.inner, i)
         if d.is_zero():
             return ()
-        return tuple((dm.coeff, dm.even, dm.odd) for dm in _attach(a.pending, d).monomials())
+        return tuple((dm.coeff, dm.even, dm.odd) for dm in make_attach(a.pending, d).monomials())
     raise TypeError(f"unknown atom {a!r}")
 
 
@@ -269,29 +272,29 @@ def total_derivative_multi(e: Expr, index: Sequence[int]) -> Expr:
 # graded partial derivatives and the Euler operator
 
 
-def _partials(e, variables, isolate):
+def _partials(e, variables, frozen, isolate):
     """Graded left partials of ``e`` by the jet variables q_sigma of every
-    variable in ``variables`` = {(field, dagger): (parity, frozen)},
-    filed by variable and multi-index: ``{(field, dagger): {sigma: Expr}}``.
-    Each monomial is visited once, for all variables together (``_walk``).
-    Right partials are signed left ones (``_right``)."""
+    variable in ``variables`` = {(field, dagger): parity}, all frozen or
+    none, filed by variable and multi-index:
+    ``{(field, dagger): {sigma: Expr}}``.  Each monomial is visited once, for
+    all variables together (``_walk``).  Right partials are signed left ones
+    (``_right``)."""
     filed = {}
-    for u, terms in _walk(e, variables, isolate).items():
+    for u, terms in _walk(e, variables, frozen, isolate).items():
         filed.setdefault(u.var, {})[u.index] = Expr(terms) if terms else Expr.zero()
     return filed
 
 
-def _walk(e, variables, isolate):
+def _walk(e, variables, frozen, isolate):
     """The partials of ``_partials`` as term maps filed by the interned jet
     atom q_sigma each differentiates by: ``{JetVar: term map}``.  A walk by
     one variable visits only the monomials that ``e.var_index()``, once
     built, lists for it or as holding a block.
 
-    By a frozen variable a branch consumed at home records the pending
+    In a ``frozen`` walk a branch consumed at home records the pending
     derivative sigma for |sigma| > 0 on a new block of its home plains
     (``_wrap_branch``); a branch consumed inside an Attach wrapper adds it
-    to that wrapper's pending set.  ``isolate`` acts on the frozen variables
-    only.
+    to that wrapper's pending set.  ``isolate`` acts on a frozen walk only.
 
     A factor is tested by its ``var`` and whether it is an Attach; a
     monomial none of whose factors can contribute is skipped before anything
@@ -303,7 +306,6 @@ def _walk(e, variables, isolate):
     a dived branch wrapped only when its rest holds a home plain.
     """
     acc = {}  # JetVar -> term map of canonical branches
-    expanded = None
     dives = {}  # Attach atom -> its branches, so each block is entered once
     monomials = e.terms.values()
     # an index over one monomial would save nothing
@@ -335,17 +337,14 @@ def _walk(e, variables, isolate):
                 # branch itself records none
                 hits = dives.get(a)
                 if hits is None:
-                    if expanded is None:
-                        expanded = {v: (p, False) for v, (p, _) in variables.items()}
                     hits = dives[a] = []
-                    for u, terms in _walk(a.inner, expanded, False).items():
-                        parity, frozen = variables[u.var]
+                    for u, terms in _walk(a.inner, variables, False, False).items():
                         pending = a.pending
                         if frozen and any(u.index):
-                            pending = tuple(sorted(pending + (u.index,)))
-                        dived = _attach(pending, Expr(terms))
+                            pending += (u.index,)
+                        dived = make_attach(pending, Expr(terms))
                         if dived.terms:
-                            hits.append((u, parity, frozen, dived))
+                            hits.append((u, variables[u.var], dived))
                 if not hits:
                     continue
                 rest_even, rest_odd = _without(even, odd, i, k)
@@ -354,9 +353,9 @@ def _walk(e, variables, isolate):
                 # Attach keys sort last, so a rest of blocks alone starts with one
                 plains = ((rest_even and type(rest_even[0][0]) is not Attach)
                           or (rest_odd and type(rest_odd[0]) is not Attach))
-                for u, parity, frozen, dived in hits:
+                wrap = isolate and frozen and plains
+                for u, parity, dived in hits:
                     c = -cmult if parity and passed & 1 else cmult
-                    wrap = isolate and frozen and plains
                     out = acc.get(u)
                     if out is None:
                         out = acc[u] = {}
@@ -365,12 +364,11 @@ def _walk(e, variables, isolate):
                         _file_product(out, c * dc, dm.even, dm.odd, rest_even, rest_odd,
                                       None, wrap)
                 continue
-            spec = variables.get(a.var)
-            if spec is None:
+            parity = variables.get(a.var)
+            if parity is None:
                 continue
             u = a.arg if type(a) is Trig else a
             sigma = u.index
-            parity, frozen = spec
             pend = sigma if frozen and any(sigma) else None
             wrap = pend is not None or (isolate and frozen)
             cmult = m.coeff * k if k > 1 else m.coeff
@@ -457,7 +455,7 @@ def partial(e: Expr, v: JetVar, side: str = "left") -> Expr:
     _check_side(side)
     if not _holds(e, v):  # the walk would take every multi-index of v's field
         return Expr.zero()
-    d = _partials(e, {v.var: (v.parity, False)}, False).get(v.var, {}).get(v.index, Expr.zero())
+    d = _partials(e, {v.var: v.parity}, False, False).get(v.var, {}).get(v.index, Expr.zero())
     return _right(d, v.parity) if side == "right" else d
 
 
@@ -489,22 +487,23 @@ def euler(
     """
     _check_side(side)
     v = (field, dagger)
-    image = eulers(model, e, {v: frozen}, isolate)[v]
+    image = eulers(model, e, [v], frozen, isolate)[v]
     return _right(image, model.parity(*v)) if side == "right" else image
 
 
-def eulers(model: BvModel, e: Expr, frozen: dict, isolate: bool = False) -> dict:
-    """The left Euler operators of ``e`` by every variable of ``frozen`` =
-    {(field, dagger): whether its derivatives stay pending}, as
-    {(field, dagger): Expr} in the order of ``frozen``; each is ``euler``
-    with that variable's ``frozen``, and one partial-derivative walk serves
-    them all.  A frozen image of one multi-index is its partial, signed."""
-    variables = {v: (model.parity(*v), f) for v, f in frozen.items()}
-    terms = _partials(e, variables, isolate)
+def eulers(model: BvModel, e: Expr, variables, frozen: bool = False,
+           isolate: bool = False) -> dict:
+    """The left Euler operators of ``e`` by every (field, dagger) of
+    ``variables``, as {(field, dagger): Expr} in the order of ``variables``;
+    each is ``euler`` with ``frozen`` and ``isolate``, and one
+    partial-derivative walk serves them all.  A frozen image of one
+    multi-index is its partial, signed."""
+    variables = {v: model.parity(*v) for v in variables}
+    terms = _partials(e, variables, frozen, isolate)
     images = {}
-    for v, f in frozen.items():
+    for v in variables:
         by_index = terms.get(v, {})
-        if not f:
+        if not frozen:
             images[v] = _horner(by_index, model.base_dim)
             continue
         if len(by_index) == 1:
@@ -559,7 +558,9 @@ def _horner(terms: dict, n: int) -> Expr:
 
 def euler_left(model: BvModel, e: Expr, field: str, dagger: bool = False) -> Expr:
     """Variational derivative sum_sigma (-D)^sigma (d->/dq_sigma), with the
-    pending derivatives expanded immediately (naive / collapsed mode)."""
+    pending derivatives expanded immediately (naive / collapsed mode): the
+    default ``euler``.  It stays beside ``euler`` because the benchmark's
+    ``ym-su2-n4`` workload calls it (``perfbench/workloads.py``)."""
     return euler(model, e, field, dagger)
 
 
@@ -625,16 +626,6 @@ def _expand_block(a: Attach, expansions: dict) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# channel labels
-
-
-def canonicalize_channels(e: Expr, first: int = 0) -> Expr:
-    """``e`` itself: blocks are anonymous, so an expression has one form
-    whatever labels its blocks were written with."""
-    return e
-
-
-# ---------------------------------------------------------------------------
 # iterated variations
 
 
@@ -685,11 +676,3 @@ def iterated_variation(
                 e = -e
             held = sh * held
     return held * e, ext
-
-
-def iterated_variation_naive(model, f, shifts, include_shifts=True):
-    return iterated_variation(model, f, shifts, NAIVE, include_shifts)
-
-
-def iterated_variation_geometric(model, f, shifts, include_shifts=True):
-    return iterated_variation(model, f, shifts, GEOMETRIC, include_shifts)

@@ -14,7 +14,6 @@ from bvcalc.algebra import (
     JetVar,
     Trig,
     make_attach,
-    _attach,
     _from_raw,
 )
 from bvcalc.bv import laplacian, laplacian_density, schouten
@@ -22,13 +21,13 @@ from bvcalc.coeff import Coefficient
 from bvcalc.grammar import ParseError, format_expr, parse_expr
 from bvcalc.models import build_scalar_example
 from bvcalc.jetcalc import (
-    canonicalize_channels,
+    GEOMETRIC,
+    NAIVE,
     collapse,
     euler,
     euler_left,
     eulers,
-    iterated_variation_geometric,
-    iterated_variation_naive,
+    iterated_variation,
     partial,
     total_derivative,
     total_derivative_multi,
@@ -76,7 +75,7 @@ def test_total_derivatives_commute():
 
 
 def test_total_derivative_through_wrapper(m):
-    pending = ((7, (2,)),)
+    pending = ((2,),)
     w = make_attach(pending, m.cos("q"))
     lhs = total_derivative(w, 0)
     rhs = make_attach(pending, total_derivative(m.cos("q"), 0))
@@ -114,7 +113,7 @@ def _reference_total_derivative(e, i):
                 branches = [(dm.coeff, dm.factors() + du)
                             for dm in _reference_trig_chain(a).monomials()]
             else:
-                d = _attach(a.pending, _reference_total_derivative(a.inner, i))
+                d = make_attach(a.pending, _reference_total_derivative(a.inner, i))
                 branches = [(dm.coeff, dm.factors()) for dm in d.monomials()]
             head = factors[:j] + (((a, k - 1),) if k > 1 else ())
             for c, d in branches:
@@ -142,7 +141,7 @@ def test_total_derivative_agrees_with_the_raw_branch_reference(model):
 
 
 def test_total_derivative_out_of_range_raises(m):
-    block = make_attach(((3, (1,)),), m.cos("q") * m.x(0))
+    block = make_attach(((1,),), m.cos("q") * m.x(0))
     for e in (m.jet("q"), m.jet("q", (1,), dagger=True), m.sin("q"), m.exp("q"), block):
         for i in (1, -1):
             with pytest.raises(ValueError):
@@ -267,7 +266,7 @@ def test_partials_commute_with_wrappers():
     for _ in range(40):
         h = random_homogeneous(model, rng, rng.randint(0, 1))
         v = model.jet_atom("q", (1,))
-        pending = ((1, (1,)),)
+        pending = ((1,),)
         lhs = partial(make_attach(pending, h), v)
         rhs = make_attach(pending, partial(h, v))
         assert lhs == rhs
@@ -348,12 +347,12 @@ def _channelled_partial(e, v):
         sign = 1 if whole == Expr({k: mono}) else -1
         assert whole == Expr({k: mono}).scale(sign)
         dp = partial(plain, v)
-        term = _attach(pend, dp) if pend else dp
+        term = make_attach(pend, dp) if pend else dp
         for a in blocks:
             term = term * Expr.from_atom(a)
         passed = plain.parity()
         for j, a in enumerate(blocks):
-            da = _attach(tuple(sorted(a.pending + pend)), partial(a.inner, v))
+            da = make_attach(a.pending + pend, partial(a.inner, v))
             piece = plain
             for i, b in enumerate(blocks):
                 piece = piece * (da if i == j else Expr.from_atom(b))
@@ -370,7 +369,7 @@ def _random_wrapped(model, rng):
     e = random_expr(model, rng, with_attach=True)
     if rng.random() < 0.5:
         inner = random_monomial(model, rng, with_attach=True)
-        e = e + make_attach(((60, dx),), inner)
+        e = e + make_attach((dx,), inner)
     if rng.random() < 0.5:  # random_expr's sin/cos/exp take no derivatives
         tag = rng.choice(("sin", "cos", "exp"))
         e = e * Expr.from_atom(Trig(tag, model.jet_atom(model.fields[0][0], dx)))
@@ -418,25 +417,23 @@ def _euler_reference(model, e, name, dagger, side, frozen):
 @pytest.mark.parametrize("model", [ghost_model(), plane_model()], ids=["ghost", "plane"])
 def test_eulers_are_the_per_variable_euler_operators(model):
     # one walk serves every variable: each image equals its definition, with
-    # no variable frozen, every one, or a mix; the public right side of each
+    # no variable frozen, every one, or each half of the variables walked
+    # apart, one unfrozen and one frozen; the public right side of each
     # equals its definition too
     variables = list(model.variables())
-    frozen_maps = [
-        dict.fromkeys(variables, False),
-        dict.fromkeys(variables, True),
-        {v: bool(j % 2) for j, v in enumerate(variables)},
-    ]
+    walks = [(variables, False), (variables, True),
+             (variables[0::2], False), (variables[1::2], True)]
     rng = random.Random(30)
     for _ in range(25):
         e = _random_wrapped(model, rng)
-        for frozen in frozen_maps:
-            images = eulers(model, e, frozen)
-            assert list(images) == variables
-            for (name, dagger), f in frozen.items():
-                expected = _euler_reference(model, e, name, dagger, "left", f)
+        for walked, frozen in walks:
+            images = eulers(model, e, walked, frozen)
+            assert list(images) == walked
+            for name, dagger in walked:
+                expected = _euler_reference(model, e, name, dagger, "left", frozen)
                 assert images[name, dagger] == expected
-                right = euler(model, e, name, dagger, "right", f)
-                assert right == _euler_reference(model, e, name, dagger, "right", f)
+                right = euler(model, e, name, dagger, "right", frozen)
+                assert right == _euler_reference(model, e, name, dagger, "right", frozen)
 
 
 # -- the walk against a raw-branch reference ------------------------------------
@@ -476,8 +473,8 @@ def _reference_partials(e, variables, side, isolate, index=None):
                         for sigma, d in by_index.items():
                             pending = a.pending
                             if frozen and sum(sigma) > 0:
-                                pending = tuple(sorted(pending + (sigma,)))
-                            dived = _attach(pending, d)
+                                pending += (sigma,)
+                            dived = make_attach(pending, d)
                             if not dived.is_zero():
                                 hits.append((v, parity, frozen, sigma, None, dived))
                 if not hits:
@@ -515,7 +512,7 @@ def _reference_partials(e, variables, side, isolate, index=None):
 
 def _reference_wrap_branch(coeff, factors, pend, isolate):
     """One raw branch with its home plains gathered, in their order, into a
-    block made by ``_attach``; the kept factors are moved in front of
+    block made by ``make_attach``; the kept factors are moved in front of
     them one at a time, each odd one past the odd home plains before it."""
     if pend is None and not isolate:
         return [(coeff, factors)]
@@ -532,7 +529,7 @@ def _reference_wrap_branch(coeff, factors, pend, isolate):
     if not wrapped and pend is None:
         return [(coeff, tuple(kept))]
     inner = _from_raw([(Coefficient.one(), wrapped)])
-    attach = _attach((pend,) if pend is not None else (), inner)
+    attach = make_attach((pend,) if pend is not None else (), inner)
     return [(coeff * dm.coeff, tuple(kept) + dm.factors()) for dm in attach.monomials()]
 
 
@@ -591,20 +588,25 @@ def test_walk_agrees_with_the_raw_branch_reference(which):
         isolate = rng.random() < 0.5
         context = (case, frozen, side, isolate)
 
-        got = eulers(model, e, frozen, isolate)
-        assert got == _reference_eulers(model, e, frozen, "left", isolate), context
+        # one walk per flag: the variables drawn unfrozen, then those frozen
+        for f in (False, True):
+            walked = [v for v in variables if frozen[v] is f]
+            got = eulers(model, e, walked, f, isolate)
+            reference = _reference_eulers(model, e, dict.fromkeys(walked, f), "left", isolate)
+            assert got == reference, context
+
+            # partials filed by variable and multi-index
+            parities = {v: model.parity(*v) for v in walked}
+            filed = _partials(e, parities, f, isolate)
+            expected = _reference_partials(e, {v: (p, f) for v, p in parities.items()},
+                                           "left", isolate)
+            assert _nonzero(filed) == _nonzero(expected), context
         (name, dagger), f = rng.choice(sorted(frozen.items()))
         expected = _reference_eulers(model, e, {(name, dagger): f}, side, isolate)
         assert euler(model, e, name, dagger, side, f, isolate) == expected[name, dagger]
 
-        # partials filed by variable and multi-index
-        spec = {v: (model.parity(*v), f) for v, f in frozen.items()}
         sigmas = sorted(_occurring_indices(e, name, dagger)) or [(0,) * model.base_dim]
-        walked = _partials(e, spec, isolate)
-        expected = _reference_partials(e, spec, "left", isolate)
-        assert _nonzero(walked) == _nonzero(expected), context
-
-        expanded = {v: (p, False) for v, (p, _) in spec.items()}
+        expanded = {v: (model.parity(*v), False) for v in variables}
         for sigma in sigmas:
             v = model.jet_atom(name, sigma, dagger)
             for side_ in ("left", "right"):
@@ -674,11 +676,11 @@ def test_a_walk_by_one_variable_is_its_slice_of_the_walk_by_all():
     seen = 0
     for model, e in _walk_index_inputs():
         variables = list(model.variables())
+        spec = {v: model.parity(*v) for v in variables}
         for frozen, isolate in ((False, False), (True, False), (True, True)):
-            spec = {v: (model.parity(*v), frozen) for v in variables}
-            every = _nonzero(_partials(e, spec, isolate))
+            every = _nonzero(_partials(e, spec, frozen, isolate))
             for v in variables:
-                one = _nonzero(_partials(e, {v: spec[v]}, isolate))
+                one = _nonzero(_partials(e, {v: spec[v]}, frozen, isolate))
                 assert one.get(v, {}) == every.get(v, {}), (e, v, frozen, isolate)
                 seen += bool(one.get(v))
         assert len(e.terms) < 2 or e._index is not None
@@ -694,16 +696,16 @@ def test_the_walk_index_is_built_on_the_second_walk_by_one_variable():
         if len(e.terms) < 2:
             continue
         variables = list(model.variables())
-        spec = {v: (model.parity(*v), True) for v in variables}
+        spec = {v: model.parity(*v) for v in variables}
         for v in variables:
             fresh = Expr(dict(e.terms))
-            _partials(fresh, spec, True)
+            _partials(fresh, spec, True, True)
             assert not fresh._index
-            walks = [_nonzero(_partials(fresh, {v: spec[v]}, True))]
+            walks = [_nonzero(_partials(fresh, {v: spec[v]}, True, True))]
             assert not fresh._index
-            walks.append(_nonzero(_partials(fresh, {v: spec[v]}, True)))
+            walks.append(_nonzero(_partials(fresh, {v: spec[v]}, True, True)))
             assert fresh._index
-            walks.append(_nonzero(_partials(fresh, {v: spec[v]}, True)))
+            walks.append(_nonzero(_partials(fresh, {v: spec[v]}, True, True)))
             assert walks[0] == walks[1] == walks[2]
             checked += bool(walks[0])
     assert checked > 100, checked
@@ -714,7 +716,7 @@ def test_walk_edge_cases(m):
     # q-dependence is the one factor named; the kept block holds no q
     q, qxx, x = m.jet("q"), m.jet("q", (2,)), m.x(0)
     qd, qdx = m.jet("q", dagger=True), m.jet("q", (1,), dagger=True)
-    block = make_attach(((7, (1,)),), qd * qdx)
+    block = make_attach(((1,),), qd * qdx)
     cases = [
         # a pending derivative of empty home plains is 0, beside a kept block too
         (qxx, Expr.zero()),
@@ -738,13 +740,14 @@ def test_the_engine_never_calls_the_reference_normaliser(m, monkeypatch):
     assert "_from_raw" not in vars(jetcalc)
     q, qx, qd = m.jet("q"), m.jet("q", (1,)), m.jet("q", dagger=True)
     sin, cos = m.sin("q"), m.cos("q")
-    even_block = make_attach(((5, (1,)),), q * qx)
-    odd_block = make_attach(((6, (1,)),), qd * qx)
+    even_block = make_attach(((1,),), q * qx)
+    odd_block = make_attach(((1,),), qd * qx)
     densities = [sin * cos, qd * odd_block * even_block ** 2 * m.exp("q", (1,)),
                  odd_block * cos * q + even_block * sin * qd]
     derivatives = [_reference_total_derivative(e, 0) for e in densities]
     model = _WALK_MODELS["ghost"]
-    frozen = dict.fromkeys(model.variables(), True)
+    variables = list(model.variables())
+    frozen = dict.fromkeys(variables, True)
     rng = random.Random(17)
     walked = []
     for _ in range(12):
@@ -763,7 +766,7 @@ def test_the_engine_never_calls_the_reference_normaliser(m, monkeypatch):
         assert total_derivative(e, 0) == expected != Expr.zero()
     for e, side, expected in walked:
         if side == "left":
-            assert eulers(model, e, frozen, True) == expected
+            assert eulers(model, e, variables, True, True) == expected
         assert euler(model, e, "c", True, side, True, True) == expected["c", True]
     for mode in ("geometric", "naive"):
         laplacian(G, mode)
@@ -777,26 +780,26 @@ def test_euler_channelled_examples(m):
     qd = m.jet("q", dagger=True)
     f = qd * q * qxx
     e = euler(m, f, "q", False, frozen=True)
-    expected = qd * qxx + make_attach(((0, (2,)),), qd * q)
+    expected = qd * qxx + make_attach(((2,),), qd * q)
     assert e == expected
 
     # both contributions are pending derivatives of the constant 1
-    w = make_attach(((0, (2,)),), q)
+    w = make_attach(((2,),), q)
     assert euler(m, qxx + w, "q", False, frozen=True).is_zero()
 
     # a partial passing through an existing wrapper
-    w2 = make_attach(((0, (2,)),), -m.sin("q"))
+    w2 = make_attach(((2,),), -m.sin("q"))
     out = euler(m, w2, "q", False, frozen=True)
-    assert out == make_attach(((0, (2,)),), -m.cos("q"))
+    assert out == make_attach(((2,),), -m.cos("q"))
 
 
 def test_collapse_examples(m):
     q = m.jet("q")
     qx, qxx = m.jet("q", (1,)), m.jet("q", (2,))
     qd = m.jet("q", dagger=True)
-    w = make_attach(((1, (2,)),), -m.sin("q"))
+    w = make_attach(((2,),), -m.sin("q"))
     assert collapse(w) == m.sin("q") * qx * qx - m.cos("q") * qxx
-    assert collapse(make_attach(((2, (2,)),), Expr.scalar(1))).is_zero()
+    assert collapse(make_attach(((2,),), Expr.scalar(1))).is_zero()
     assert collapse(qd * qxx) == qd * qxx
     assert collapse(make_attach((), q * qx)) == q * qx
 
@@ -820,15 +823,15 @@ def _reference_collapse(e):
 
 
 def _nested_twice(model, rng):
-    """A block pending (62, sigma) around a block pending (61, sigma) around
-    a block pending (60, sigma), each beside a random monomial; squared when
-    even, so the outer Attach atom has exponent 2."""
+    """Three blocks nested, each pending a first-order derivative and
+    beside a random monomial; squared when even, so the outer Attach atom
+    has exponent 2."""
     n = model.base_dim
     blk = Expr.scalar(1)
-    for lab in (60, 61, 62):
+    for _ in range(3):
         sigma = [0] * n
         sigma[rng.randrange(n)] = 1
-        blk = make_attach(((lab, tuple(sigma)),),
+        blk = make_attach((tuple(sigma),),
                           blk * random_monomial(model, rng, degree=rng.randint(1, 2)))
     return blk * blk if blk.is_homogeneous() and blk.parity() == 0 else blk
 
@@ -870,10 +873,10 @@ def test_collapse_expands_each_distinct_block_once(model, monkeypatch):
     n = model.base_dim
     dx, ddx = (1,) + (0,) * (n - 1), (2,) + (0,) * (n - 1)
     q, c = model.jet("q"), model.jet("c")
-    inner = make_attach(((0, ddx),), q * model.jet("q", dx))
-    even = make_attach(((0, ddx),), inner * q)
-    odd = make_attach(((0, ddx),), inner * c)
-    bare_odd = make_attach(((0, ddx),), c * q)
+    inner = make_attach((ddx,), q * model.jet("q", dx))
+    even = make_attach((ddx,), inner * q)
+    odd = make_attach((ddx,), inner * c)
+    bare_odd = make_attach((ddx,), c * q)
     copies = {t: _split(t) for t in (inner, even, odd, bare_odd)}
 
     def pick(t):
@@ -922,7 +925,7 @@ def _split(e):
             if isinstance(a, Attach):
                 units = sorted(tuple(int(i == j) for j in range(len(idx)))
                                for idx in a.pending for i, n in enumerate(idx) for _ in range(n))
-                f = _attach(tuple(units), _split(a.inner))
+                f = make_attach(units, _split(a.inner))
             term = term * f ** k
         out = out + term
     return out
@@ -941,7 +944,7 @@ def _odd_block(model, rng, sigma):
     f = model.fields[0][0]
     inner = (model.jet(f, _random_index(model, rng), dagger=True)
              * model.jet(f, _random_index(model, rng)))
-    return make_attach(((0, sigma),), inner)
+    return make_attach((sigma,), inner)
 
 
 def _relabelled_copies(model, rng):
@@ -958,7 +961,7 @@ def _relabelled_copies(model, rng):
     if rng.random() < 0.5:
         sigma = _random_index(model, rng)
         pair = _odd_block(model, rng, sigma) * _odd_block(model, rng, sigma)
-        outer = make_attach(((0, sigma), (1, _random_index(model, rng))),
+        outer = make_attach((sigma, _random_index(model, rng)),
                             pair * random_monomial(model, rng, degree=1, with_trig=False))
         e = (e + pair * random_monomial(model, rng, degree=1)
              + outer * random_monomial(model, rng, degree=1))
@@ -967,7 +970,7 @@ def _relabelled_copies(model, rng):
         e = e + _nested_twice(model, rng) * random_monomial(model, rng, degree=1)
         kinds.add("nested")
     if rng.random() < 0.5:
-        w = make_attach(((0, _random_index(model, rng)),),
+        w = make_attach((_random_index(model, rng),),
                         random_monomial(model, rng, degree=rng.randint(1, 2), with_trig=False))
         e = e + w * _split(w) * random_monomial(model, rng, degree=1)
         kinds.add("odd twice" if w.parity() else "even squared")
@@ -1013,14 +1016,14 @@ def test_copies_equal_up_to_labels_cancel_before_any_expansion(monkeypatch):
 
     model = ghost_model()
     q, c, qd = model.jet("q"), model.jet("c"), model.jet("q", dagger=True)
-    inner = make_attach(((0, (2,)),), q * model.jet("q", (1,)))
-    e = (make_attach(((0, (2,)),), inner * c) * make_attach(((1, (2,)),), qd * q) * q
-         + inner ** 2 * make_attach(((0, (2,)),), c))
+    inner = make_attach(((2,),), q * model.jet("q", (1,)))
+    e = (make_attach(((2,),), inner * c) * make_attach(((2,),), qd * q) * q
+         + inner ** 2 * make_attach(((2,),), c))
     text = format_expr(e)
     assert (e - parse_expr(_LABEL.sub(lambda mt: str(int(mt.group(1)) + 5), text), model)).is_zero()
     copy = _split(e)
     assert not (e - copy).is_zero()
-    w = make_attach(((0, (2,)),), qd * q)
+    w = make_attach(((2,),), qd * q)
     twice = w * _split(w) * q
     assert w.parity() == 1 and not twice.is_zero()
 
@@ -1067,30 +1070,30 @@ def test_collapse_of_channelled_euler_is_plain_euler():
 
 
 def test_canonicalize_channels(m):
-    # blocks are anonymous: a label is only a name, so blocks written with
-    # other labels are one block, and canonicalize_channels, kept for
-    # callers of the public API, returns its argument
+    # blocks are anonymous: a label is only a name, which the parser reads
+    # and drops, so blocks written with other labels are one block, the one
+    # make_attach builds from the multi-indices alone
     q, c = m.jet("q"), m.cos("q")
-    assert make_attach(((7, (2,)),), c) == make_attach(((9, (2,)),), c)
-    two = make_attach(((7, (1,)),), q) * make_attach(((9, (2,)),), q)
-    assert two == make_attach(((0, (2,)),), q) * make_attach(((1, (1,)),), q)
-    for e in (two, q * m.jet("q", (1,)), Expr.zero()):
-        assert canonicalize_channels(e) is e
+    assert parse_expr("frz[7:x1 x1](cos(q))", m) == parse_expr("frz[9:x1 x1](cos(q))", m) \
+        == make_attach(((2,),), c)
+    two = parse_expr("frz[7:x1](q)*frz[9:x1 x1](q)", m)
+    assert two == parse_expr("frz[0:x1 x1](q)*frz[1:x1](q)", m)
+    assert two == make_attach(((1,),), q) * make_attach(((2,),), q)
 
 
 def _swap_cases(m):
     """Factor lists whose product holds one block twice, beside plain
-    factors and other blocks, or inside a block: written with labels of
-    their own, the equal blocks are one atom, odd or even."""
+    factors and other blocks, or inside a block: built apart, the equal
+    blocks are one atom, odd or even."""
     q, qx = m.jet("q"), m.jet("q", (1,))
     qd, qdx = m.jet("q", dagger=True), m.jet("q", (1,), dagger=True)
     one, two = (1,), (2,)
     out = []
     for inner in (q, q * qx, qd, qd * q, qd * qdx):
-        w = [make_attach(((lab, two),), inner) for lab in (3, 0, 4)]
-        other = make_attach(((1, one),), inner)
+        w = [make_attach((two,), inner) for _ in range(3)]
+        other = make_attach((one,), inner)
         out += [[w[0], w[1]], [w[0], w[1], w[2], qx], [w[0], w[1], other],
-                [w[0], w[1], make_attach(((2, one),), q * qx), qd]]
+                [w[0], w[1], make_attach((one,), q * qx), qd]]
     return out
 
 
@@ -1107,10 +1110,10 @@ def test_channel_swap_odd_monomial_vanishes(m):
     # equal even blocks are its square.  Collapse agrees with the product of
     # the collapsed factors, in which an odd factor twice is zero too
     qd = m.jet("q", dagger=True)
-    w1, w2 = make_attach(((3, (2,)),), qd), make_attach(((5, (2,)),), qd)
-    w3 = make_attach(((4, (1,)),), m.jet("q"))
+    w1, w2 = parse_expr("frz[3:x1 x1](dag(q))", m), parse_expr("frz[5:x1 x1](dag(q))", m)
+    w3 = make_attach(((1,),), m.jet("q"))
     assert w1 == w2 and w1.parity() == 1
-    for e in (w1 * w2, w1 * w2 * w3, make_attach(((4, (2,)),), w1 * w2 * m.jet("q"))):
+    for e in (w1 * w2, w1 * w2 * w3, make_attach(((2,),), w1 * w2 * m.jet("q"))):
         assert e.is_zero()
     zero = square = 0
     for factors in _swap_cases(m):
@@ -1160,9 +1163,9 @@ def test_engine_monomials_name_each_label_once():
         ops = labelled_operands(model, 5)
         for name in ("x", "y", "z"):
             e = ops[name]
-            frozen = dict.fromkeys([v for pair in model.pairs() for v in pair], True)
+            variables = [v for pair in model.pairs() for v in pair]
             outputs += [(model, x) for x in (e, laplacian_density(model, e),
-                                             *eulers(model, e, frozen, True).values())]
+                                             *eulers(model, e, variables, True, True).values())]
     m, S, X = nested_brackets(2)
     for F in (X, schouten(S, X), schouten(X, S), laplacian(X)):
         outputs += [(m, b) for blocks in F.terms for b in blocks]
@@ -1214,7 +1217,6 @@ def test_canonicalize_channels_agrees_with_reference():
     assert len(monos) >= 40
     m = scalar_model()
     for x in monos:
-        assert canonicalize_channels(x) is x
         text = format_expr(x)
         labels = sorted({int(t) for t in _LABEL.findall(text)})
         assert labels == list(range(len(labels)))
@@ -1233,15 +1235,13 @@ def test_canonicalize_channels_agrees_with_reference():
 
 def test_canonicalize_channels_from_an_offset():
     # labels are names from any first label: each nested block read back
-    # with every printed label raised by 10 is the block, and
-    # canonicalize_channels from 10 returns it as it is
+    # with every printed label raised by 10 is the block
     m = scalar_model()
     for b in _nested_blocks():
         text = format_expr(b)
         raised = _relabelled_text(text, lambda lab: lab + 10)
         assert raised != text
         assert parse_expr(raised, m) == b
-        assert canonicalize_channels(b, 10) is b
 
 
 def test_canonicalize_channels_is_per_monomial():
@@ -1253,7 +1253,6 @@ def test_canonicalize_channels_is_per_monomial():
         texts = [format_expr(Expr({k: mono})) for k, mono in b.terms.items()]
         assert sum(t.startswith("frz[0:") or "*frz[0:" in t for t in texts) == len(texts)
         assert parse_expr(" + ".join(f"({t})" for t in texts), m) == b
-        assert canonicalize_channels(b) is b
 
 
 def test_canonicalize_channels_renames_untied_labels_into_signature_order(m):
@@ -1261,16 +1260,14 @@ def test_canonicalize_channels_renames_untied_labels_into_signature_order(m):
     # label 0 sits on the second derivative, 1 on the first: a block keeps
     # no label, so the product is the one with the labels swapped, or raised
     # to 5 and 6, and the printer names its channels 0, 1 in print order
-    e = make_attach(((0, (2,)),), q) * make_attach(((1, (1,)),), q)
-    swapped = make_attach(((1, (2,)),), q) * make_attach(((0, (1,)),), q)
-    at5 = make_attach(((5, (2,)),), q) * make_attach(((6, (1,)),), q)
-    assert e == swapped == at5
+    e = parse_expr("frz[0:x1 x1](q)*frz[1:x1](q)", m)
+    swapped = parse_expr("frz[1:x1 x1](q)*frz[0:x1](q)", m)
+    at5 = parse_expr("frz[5:x1 x1](q)*frz[6:x1](q)", m)
+    assert e == swapped == at5 == make_attach(((2,),), q) * make_attach(((1,),), q)
     text = format_expr(e)
     assert _LABEL.findall(text) == ["0", "1"]
     assert format_expr(swapped) == format_expr(at5) == text
     assert parse_expr(_relabelled_text(text, lambda lab: 6 - lab), m) == e
-    for x in (e, swapped, at5):
-        assert canonicalize_channels(x, 5) is x
 
 
 def test_canonicalize_channels_shares_nested_blocks_across_monomials(m):
@@ -1278,15 +1275,13 @@ def test_canonicalize_channels_shares_nested_blocks_across_monomials(m):
     qd = m.jet("q", dagger=True)
     # B and N built again with other labels are the same interned atoms,
     # and one atom serves both monomials of a sum
-    B = make_attach(((2, (1,)),), make_attach(((1, (1,)),), q) * qx)
-    B2 = make_attach(((0, (1,)),), make_attach(((7, (1,)),), q) * qx)
-    W = make_attach(((3, (2,)),), q)
+    B = parse_expr("frz[2:x1](frz[1:x1](q)*q_x)", m)
+    B2 = parse_expr("frz[0:x1](frz[7:x1](q)*q_x)", m)
+    W = make_attach(((2,),), q)
     # inside N the odd blocks written with labels 4, 3 or 3, 4 are one pair
     # of atoms in one order, so no labelling costs N a sign
-    N = make_attach(((5, (1,)),), make_attach(((4, (1,)),), qd)
-                    * make_attach(((3, (1,)),), qd * q) * q)
-    N2 = make_attach(((0, (1,)),), make_attach(((3, (1,)),), qd)
-                     * make_attach(((4, (1,)),), qd * q) * q)
+    N = parse_expr("frz[5:x1](frz[4:x1](dag(q))*frz[3:x1](dag(q)*q)*q)", m)
+    N2 = parse_expr("frz[0:x1](frz[3:x1](dag(q))*frz[4:x1](dag(q)*q)*q)", m)
     for block, again, e in ((B, B2, B * W + B2 * qxx), (N, N2, N * qx + N2 * qxx)):
         (atom,) = block.atoms()
         (atom2,) = again.atoms()
@@ -1294,7 +1289,6 @@ def test_canonicalize_channels_shares_nested_blocks_across_monomials(m):
         assert len(e.terms) == 2
         for mono in e.monomials():
             assert sum(a is atom for a, _ in mono.factors()) == 1
-        assert canonicalize_channels(e) is e
     assert (N * qx).lead_coefficient() == N.lead_coefficient() == N2.lead_coefficient()
     assert _attach_atoms(N * qx, set()) == _attach_atoms(N2 * qx, set())
 
@@ -1305,36 +1299,33 @@ def test_tied_labels_already_in_range_are_still_searched(m):
     # any first label, and the even product is the block's square
     qd, q = m.jet("q", dagger=True), m.jet("q")
     for first in (0, 3):
-        w1 = make_attach(((first, (2,)),), qd)
-        w2 = make_attach(((first + 1, (2,)),), qd)
+        w1 = parse_expr(f"frz[{first}:x1 x1](dag(q))", m)
+        w2 = parse_expr(f"frz[{first + 1}:x1 x1](dag(q))", m)
         assert w1 == w2
         assert (w1 * w2).is_zero()
-        assert canonicalize_channels(w1 * w2, first).is_zero()
-        v1 = make_attach(((first, (2,)),), q)
-        v2 = make_attach(((first + 1, (2,)),), q)
+        v1 = parse_expr(f"frz[{first}:x1 x1](q)", m)
+        v2 = parse_expr(f"frz[{first + 1}:x1 x1](q)", m)
         assert not (v1 * v2).is_zero()
         assert v1 * v2 == v1 * v1
-        assert canonicalize_channels(v1 * v1 * v2 * v2, first) == v1 * v1 * v1 * v1
+        assert v1 * v1 * v2 * v2 == v1 * v1 * v1 * v1
 
 
 def test_a_repeated_label_is_searched_by_signatures(m):
-    # hand-built: label 0 names a derivative in two blocks.  make_attach
-    # keeps no label, so the blocks are distinct channels and nothing is
-    # searched: any renaming builds the same product, the printer names one
-    # label per channel, and the text with label 0 named twice, which would
-    # link the blocks, is refused
+    # hand-built from multi-indices: each block is its own channel and
+    # nothing is searched: the blocks written with any distinct labels read
+    # back to the same product, the printer names one label per channel,
+    # and the text with label 0 named twice, which would link two blocks,
+    # is refused
     q, qx = m.jet("q"), m.jet("q", (1,))
     qd = m.jet("q", dagger=True)
     one = (1,)
 
-    def build(a, b, c, d):
-        return make_attach(((a, one),), q) * make_attach(((a, one), (b, one)), qx) \
-            * make_attach(((c, one),), q) * make_attach(((c, one), (d, one)), qx) * qd
+    def build(a, b, c, d, e, f):
+        return parse_expr(f"frz[{a}:x1](q)*frz[{b}:x1; {c}:x1](q_x)"
+                          f"*frz[{d}:x1](q)*frz[{e}:x1; {f}:x1](q_x)*dag(q)", m)
 
-    e = build(0, 1, 2, 3)
-    assert build(3, 2, 1, 0) == build(0, 0, 0, 0) == e
-    assert e == (make_attach(((0, one),), q) * make_attach(((0, one), (1, one)), qx)) ** 2 * qd
-    assert canonicalize_channels(e) is e
+    e = (make_attach((one,), q) * make_attach((one, one), qx)) ** 2 * qd
+    assert build(0, 1, 2, 3, 4, 5) == build(5, 4, 3, 2, 1, 0) == e
     text = format_expr(e)
     labels = [int(t) for t in _LABEL.findall(text)]
     assert labels == list(range(len(labels)))
@@ -1348,8 +1339,8 @@ def test_a_repeated_label_is_searched_by_signatures(m):
 def test_iterated_variation_discrepancy(m):
     qx = m.jet("q", (1,))
     f = qx * qx
-    naive, ext_n = iterated_variation_naive(m, f, [("q", False), ("q", False)])
-    geo, ext_g = iterated_variation_geometric(m, f, [("q", False), ("q", False)])
+    naive, ext_n = iterated_variation(m, f, [("q", False), ("q", False)], NAIVE)
+    geo, ext_g = iterated_variation(m, f, [("q", False), ("q", False)], GEOMETRIC)
     assert naive == -(ext_n.jet("sh1", (2,)) * ext_n.jet("sh2")).scale(2)
     assert geo.is_zero()
     assert collapse(geo) != naive
@@ -1357,8 +1348,8 @@ def test_iterated_variation_discrepancy(m):
 
 def test_single_variation_agrees_with_euler(m):
     f = m.jet("q") * m.jet("q", (1,)) + m.jet("q", (2,))
-    naive, ext = iterated_variation_naive(m, f, [("q", False)])
-    geo, ext_g = iterated_variation_geometric(m, f, [("q", False)])
+    naive, ext = iterated_variation(m, f, [("q", False)], NAIVE)
+    geo, ext_g = iterated_variation(m, f, [("q", False)], GEOMETRIC)
     assert naive == ext.jet("sh1") * euler_left(ext, f, "q")
     assert collapse(geo) == naive
 
@@ -1371,13 +1362,13 @@ def test_iterated_variation_labels_are_local(m):
     qd = m.jet("q", dagger=True)
     f = qd * m.jet("q") * m.jet("q", (2,)) + m.sin("q") * m.jet("q", (1,)) * qd
     shifts = [("q", False), ("q", True), ("q", False)]
-    first, _ = iterated_variation_geometric(m, f, shifts)
-    again, _ = iterated_variation_geometric(m, f, shifts)
+    first, _ = iterated_variation(m, f, shifts, GEOMETRIC)
+    again, _ = iterated_variation(m, f, shifts, GEOMETRIC)
     assert not first.is_zero()
     assert first == again
     assert 1 <= _most_labels(first) <= 3
-    w = make_attach(((7, (1,)),), m.jet("q") * m.jet("q")) * m.jet("q", (2,)) * m.jet("q")
-    out, _ = iterated_variation_geometric(m, w, [("q", False)], include_shifts=False)
+    w = make_attach(((1,),), m.jet("q") * m.jet("q")) * m.jet("q", (2,)) * m.jet("q")
+    out, _ = iterated_variation(m, w, [("q", False)], GEOMETRIC, include_shifts=False)
     assert _most_labels(out) == 2
 
 
@@ -1392,8 +1383,8 @@ def test_geometric_variations_graded_commute(m):
         d = random_homogeneous(m, rng, rng.randint(0, 1))
         a = ("q", rng.random() < 0.5)
         b = ("q", rng.random() < 0.5)
-        g_ab, _ = iterated_variation_geometric(m, d, [a, b], include_shifts=False)
-        g_ba, _ = iterated_variation_geometric(m, d, [b, a], include_shifts=False)
+        g_ab, _ = iterated_variation(m, d, [a, b], GEOMETRIC, include_shifts=False)
+        g_ba, _ = iterated_variation(m, d, [b, a], GEOMETRIC, include_shifts=False)
         sign = (-1) ** (m.parity(*a) * m.parity(*b))
         assert g_ab == g_ba.scale(sign)
 
