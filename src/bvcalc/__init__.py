@@ -14,7 +14,6 @@ from .algebra import (
     ParityError,
     Trig,
     make_attach,
-    normalize,
 )
 from .jetcalc import (
     BvModel,
@@ -56,8 +55,8 @@ __all__ = [
     "build_scalar_example", "build_yang_mills_bv",
     "check_identity", "check_master_equation", "collapse",
     "euler", "euler_left", "evaluate", "format_expr", "functional_equal",
-    "is_trivial", "iterated_variation", "laplacian", "make_attach", "normalize",
-    "omega", "parse_expr", "parse_model_file", "partial", "random_functional",
+    "is_trivial", "iterated_variation", "laplacian", "make_attach", "omega",
+    "parse_expr", "parse_model_file", "partial", "random_functional",
     "schouten", "total_derivative",
 ]
 

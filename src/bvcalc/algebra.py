@@ -41,15 +41,17 @@ Canonical in, canonical out: a product of two canonical monomials is a
 merge of their sorted atoms (``_add_product``), sin(u) on both sides
 included, and every product of the engine is one: in ``Expr.__mul__``, in
 ``jetcalc.collapse`` and in the branches of total, partial and Euler
-derivatives.  The normaliser ``_from_raw``, which sorts an arbitrary factor
-list, is only the reference behind ``normalize``, which the tests compare
-the merges against.
+derivatives.  This module alone writes term maps: ``_add_term`` files one
+coefficient under its canonical atoms, and ``_add_scaled`` adds a multiple
+of an expression; no other module builds a Monomial.  The reference
+normaliser, which sorts an arbitrary factor list and which the tests compare
+the merges against, lives with the tests (``tests/util_random.py``).
 """
 
 from __future__ import annotations
 
 import weakref
-from typing import Iterable, Sequence, Tuple
+from typing import Tuple
 
 from .coeff import Coefficient
 
@@ -88,7 +90,10 @@ class JetVar(Atom):
     __slots__ = ("field", "dagger", "index", "gh", "shifts")
 
     def __new__(cls, field: str, dagger: bool, index: Tuple[int, ...], gh: int):
-        return cls._from_parts(field, bool(dagger), tuple(int(k) for k in index), int(gh))
+        index = tuple(int(k) for k in index)
+        if any(k < 0 for k in index):
+            raise ValueError(f"negative entry in the multi-index {index}")
+        return cls._from_parts(field, bool(dagger), index, int(gh))
 
     @classmethod
     def _from_parts(cls, field: str, dagger: bool, index: Tuple[int, ...], gh: int):
@@ -321,24 +326,22 @@ class Expr:
         if not other.terms:
             return self
         out = dict(self.terms)
-        for k, m in other.terms.items():
-            _add_monomial(out, k, m)
+        _add_scaled(out, other, _ONE)
         return Expr(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Expr({
-            k: Monomial(-m.coeff, m.even, m.odd) for k, m in self.terms.items()
-        })
+        out = {}
+        _add_scaled(out, self, _MINUS_ONE)
+        return Expr(out)
 
     def __sub__(self, other):
         other = _coerce(other)
         if not other.terms:
             return self
         out = dict(self.terms)
-        for k, m in other.terms.items():
-            _add_monomial(out, k, Monomial(-m.coeff, m.even, m.odd))
+        _add_scaled(out, other, _MINUS_ONE)
         return Expr(out)
 
     def __rsub__(self, other):
@@ -367,10 +370,9 @@ class Expr:
         c = Coefficient.of(value)
         if c.is_zero():
             return _EXPR_ZERO
-        return Expr({
-            k: Monomial(c * m.coeff, m.even, m.odd)
-            for k, m in self.terms.items()
-        })
+        out = {}
+        _add_scaled(out, self, c)
+        return Expr(out)
 
     # -- queries ----------------------------------------------------------
 
@@ -481,6 +483,7 @@ class Expr:
 
 _EXPR_ZERO = Expr({})
 _ONE = Coefficient.one()
+_MINUS_ONE = -_ONE
 
 
 def _coerce(x) -> Expr:
@@ -515,82 +518,38 @@ def _atom_gh(a: Atom) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the normalizer
+# term maps
 
 
-def _from_raw(raw: Iterable[Tuple[Coefficient, Sequence[Tuple[Atom, int]]]]) -> Expr:
-    """Build a canonical Expr from (coefficient, ordered factor list) pairs.
-
-    Factor lists may repeat atoms and carry them in any order; the Koszul sign
-    of sorting the odd factors is absorbed into the coefficient, odd squares
-    vanish, and sin(u)^2 is rewritten to 1 - cos(u)^2.
-    """
-    acc = {}
-    stack = list(raw)
-    while stack:
-        coeff, factors = stack.pop()
-        if coeff.is_zero():
-            continue
-        evens = {}
-        odds = []
-        dead = False
-        for atom, exp in factors:
-            if exp == 0:
-                continue
-            if exp < 0:
-                raise ValueError("negative atom exponent")
-            if atom.parity == 0:
-                prev = evens.get(atom)
-                evens[atom] = (atom, exp if prev is None else prev[1] + exp)
-            else:
-                if exp > 1:
-                    dead = True
-                    break
-                odds.append(atom)
-        if dead:
-            continue
-
-        # sin^2 -> 1 - cos^2 (restores canonical sin-degree <= 1)
-        sin_atom = None
-        for a, e in evens.values():
-            if e >= 2 and isinstance(a, Trig) and a.tag == "sin":
-                sin_atom = a
-                break
-        if sin_atom is not None:
-            a, e = evens[sin_atom]
-            rest = [(atom, exp) for atom, exp in evens.values() if atom is not a]
-            if e > 2:
-                rest.append((a, e - 2))
-            rest_odd = [(o, 1) for o in odds]
-            cos_atom = Trig("cos", a.arg)
-            stack.append((coeff, tuple(rest) + tuple(rest_odd)))
-            stack.append((-coeff, tuple(rest) + ((cos_atom, 2),) + tuple(rest_odd)))
-            continue
-
-        sign, odd_sorted = _sort_odd(odds)
-        if sign == 0:
-            continue
-        if sign < 0:
-            coeff = -coeff
-        even_sorted = tuple(sorted(evens.values(), key=lambda t: t[0].key))
-        odd_sorted = tuple(odd_sorted)
-        _add_monomial(acc, (even_sorted, odd_sorted), Monomial(coeff, even_sorted, odd_sorted))
-    return Expr(acc) if acc else _EXPR_ZERO
-
-
-def _add_monomial(acc: dict, k, m: Monomial) -> None:
-    """Add the canonical monomial ``m`` with term key ``k`` = (m.even, m.odd)
-    into the term map ``acc`` in place: equal atoms merge, and a zero sum is
-    dropped."""
-    prev = acc.get(k)
+def _add_term(acc: dict, key, coeff: Coefficient) -> None:
+    """Add ``coeff`` times the canonical atoms ``key`` = (even, odd) into the
+    term map ``acc`` in place: equal keys add, and a zero sum is dropped."""
+    prev = acc.get(key)
     if prev is None:
-        acc[k] = m
+        acc[key] = Monomial(coeff, key[0], key[1])
     else:
-        c = prev.coeff + m.coeff
+        c = prev.coeff + coeff
         if c.is_zero():
-            del acc[k]
+            del acc[key]
         else:
-            acc[k] = Monomial(c, prev.even, prev.odd)
+            acc[key] = Monomial(c, key[0], key[1])
+
+
+def _add_scaled(acc: dict, e: Expr, c: Coefficient) -> None:
+    """Add ``c`` times the expression ``e`` into the term map ``acc`` in
+    place.  By c = 1 a monomial new to ``acc`` is filed as it is: monomials
+    are immutable, so term maps may share them; by c = -1 each coefficient
+    is negated, which is cheaper than a product."""
+    if c is _ONE:
+        for k, m in e.terms.items():
+            if k in acc:
+                _add_term(acc, k, m.coeff)
+            else:
+                acc[k] = m
+        return
+    negate = c is _MINUS_ONE
+    for k, m in e.terms.items():
+        _add_term(acc, k, -m.coeff if negate else c * m.coeff)
 
 
 def _add_product(acc: dict, coeff: Coefficient, e1, o1, e2, o2) -> None:
@@ -649,7 +608,7 @@ def _add_product(acc: dict, coeff: Coefficient, e1, o1, e2, o2) -> None:
                                  e2[:j] + e2[j + 1:], o2)
                     cos2 = ((Trig("cos", a.arg), 2),)
                     for k, m in rests.items():
-                        _add_monomial(acc, k, m)
+                        _add_term(acc, k, m.coeff)
                         _add_product(acc, -m.coeff, m.even, m.odd, cos2, ())
                     return
                 merged.append((a, p[1] + q[1]))
@@ -671,7 +630,7 @@ def _add_product(acc: dict, coeff: Coefficient, e1, o1, e2, o2) -> None:
                     break
                 p = e1[i]
         even = tuple(merged) + e1[i:] + e2[j:]
-    _add_monomial(acc, (even, odd), Monomial(-coeff if flips & 1 else coeff, even, odd))
+    _add_term(acc, (even, odd), -coeff if flips & 1 else coeff)
 
 
 def _add_products(acc: dict, scale: Coefficient, left: Expr, right: Expr) -> None:
@@ -690,38 +649,9 @@ def _sum_scaled(pairs) -> Expr:
     acc = {}
     for e, c in pairs:
         c = Coefficient.of(c)
-        if c.is_zero():
-            continue
-        for k, m in e.terms.items():
-            _add_monomial(acc, k, Monomial(c * m.coeff, m.even, m.odd))
+        if not c.is_zero():
+            _add_scaled(acc, e, c)
     return Expr(acc)
-
-
-def _sort_odd(odds):
-    """Sort odd atoms by key; return (sign, sorted) with sign 0 on a repeat."""
-    arr = list(odds)
-    n = len(arr)
-    if n <= 1:
-        return 1, arr
-    sign = 1
-    # insertion sort counting transpositions; fine at these sizes
-    for i in range(1, n):
-        a = arr[i]
-        j = i - 1
-        while j >= 0 and arr[j].key > a.key:
-            arr[j + 1] = arr[j]
-            sign = -sign
-            j -= 1
-        arr[j + 1] = a
-    for i in range(n - 1):
-        if arr[i] is arr[i + 1]:
-            return 0, arr
-    return sign, arr
-
-
-def normalize(e: Expr) -> Expr:
-    """Re-normalize an expression (idempotent on canonical input)."""
-    return _from_raw([(m.coeff, m.factors()) for m in e.monomials()])
 
 
 # ---------------------------------------------------------------------------
@@ -734,14 +664,18 @@ def make_attach(pending, inner: Expr) -> Expr:
     ``inner``; a pending derivative of a block with no atoms is zero, a bare
     attachment of a constant is that constant, and a bare attachment of a
     lone Attach atom is the atom itself.  Each monomial's atoms go to
-    ``Attach._of`` as they are."""
+    ``Attach._of`` as they are.  A pending multi-index with a negative
+    entry, or with no nonzero entry, is a ValueError."""
     pending = tuple(sorted(map(tuple, pending)))
+    for idx in pending:
+        if not any(idx) or min(idx) < 0:
+            raise ValueError(f"pending multi-index {idx} is not a derivative")
     acc = {}
     for k, m in inner.terms.items():
         content = m.factors()
         if not content:  # a constant is kept bare, and its derivatives are 0
             if not pending:
-                _add_monomial(acc, k, m)
+                _add_term(acc, k, m.coeff)
             continue
         a = content[0][0]
         if len(content) > 1 or type(a) is not Attach or content[0][1] > 1:
@@ -751,5 +685,5 @@ def make_attach(pending, inner: Expr) -> Expr:
             (k,) = a.inner.terms
             a = Attach._of(tuple(sorted(a.pending + pending)), *k)
         even, odd = ((), (a,)) if a.parity else (((a, 1),), ())
-        _add_monomial(acc, (even, odd), Monomial(m.coeff, even, odd))
+        _add_term(acc, (even, odd), m.coeff)
     return Expr(acc) if acc else _EXPR_ZERO

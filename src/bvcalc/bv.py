@@ -34,7 +34,8 @@ from dataclasses import dataclass, field
 from typing import List
 
 from .coeff import Coefficient
-from .algebra import _ONE, Expr, ParityError, _add_monomial, _add_products, _sum_scaled
+from .algebra import (_MINUS_ONE, _ONE, Expr, ParityError, _add_products, _add_scaled,
+                      _sum_scaled)
 from .cohomology import (Functional, _add_blocks, _reduce_functional, functional_equal,
                          functional_text, is_trivial)
 from .jetcalc import GEOMETRIC, NAIVE, BvModel, _check_mode, collapse, euler, eulers
@@ -108,9 +109,7 @@ def laplacian_density(model: BvModel, f: Expr, mode: str = GEOMETRIC) -> Expr:
     steps = eulers(model, f, [od for _, od in pairs], frozen)
     acc = {}
     for ev, od in pairs:
-        step = euler(model, steps[od], *ev, frozen=frozen)
-        for k, m in step.terms.items():
-            _add_monomial(acc, k, m)
+        _add_scaled(acc, euler(model, steps[od], *ev, frozen=frozen), _ONE)
     return Expr(acc) if acc else Expr.zero()
 
 
@@ -191,7 +190,6 @@ def _density(densities: dict, model: BvModel, mode: str, *blocks) -> Expr:
 _MINUS_I_HBAR = -(Coefficient.imag_unit() * Coefficient.hbar())
 _HALF = Coefficient.of(1) / Coefficient.of(2)
 _TWO = Coefficient.of(2)
-_MINUS_ONE = Coefficient.of(-1)
 
 
 def omega(O: Functional, S: Functional, mode: str = GEOMETRIC) -> Functional:

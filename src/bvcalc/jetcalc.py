@@ -49,11 +49,12 @@ from .algebra import (
     BaseVar,
     Expr,
     JetVar,
-    Monomial,
     Trig,
+    _MINUS_ONE,
     _ONE,
-    _add_monomial,
     _add_product,
+    _add_scaled,
+    _add_term,
     make_attach,
 )
 
@@ -196,11 +197,11 @@ def _add_total_derivative(acc: dict, e: Expr, direction: int, negate: bool = Fal
                     rest = head + even[j + 1:p] + ((u, even[p][1] + 1),) + even[p + 1:]
                 else:
                     rest = head + even[j + 1:p] + ((u, 1),) + even[p:]
-                _add_monomial(acc, (rest, odd), Monomial(c, rest, odd))
+                _add_term(acc, (rest, odd), c)
                 continue
             rest = head + even[j + 1:]
             if t is BaseVar:
-                _add_monomial(acc, (rest, odd), Monomial(c, rest, odd))
+                _add_term(acc, (rest, odd), c)
                 continue
             for dc, de, do in _atom_total_derivative(a, direction):
                 _add_product(acc, c * dc, de, do, rest, odd)
@@ -214,16 +215,13 @@ def _add_total_derivative(acc: dict, e: Expr, direction: int, negate: bool = Fal
                     continue  # an odd factor squared
                 rest = odd[:j] + odd[j + 1:p] + (u,) + odd[p:]
                 # the shift passes the p - j - 1 odd atoms after a
-                _add_monomial(acc, (even, rest),
-                              Monomial(-coeff if (p - j - 1) & 1 else coeff, even, rest))
+                _add_term(acc, (even, rest), -coeff if (p - j - 1) & 1 else coeff)
                 continue
             c = -coeff if j & 1 else coeff
             rest = odd[:j] + odd[j + 1:]
             for dc, de, do in _atom_total_derivative(a, direction):
                 _add_product(acc, c * dc, de, do, even, rest)
 
-
-_MINUS_ONE = Coefficient.of(-1)
 
 # the chain rule of each function: d f(u) / du = coefficient times the
 # function named
@@ -386,7 +384,7 @@ def _walk(e, variables, frozen, isolate):
             if wrap:
                 _wrap_branch(out, c, rest_even, rest_odd, pend)
             else:
-                _add_monomial(out, (rest_even, rest_odd), Monomial(c, rest_even, rest_odd))
+                _add_term(out, (rest_even, rest_odd), c)
     return acc
 
 
@@ -429,7 +427,7 @@ def _wrap_branch(acc, coeff, even, odd, pend):
     i, j = _blocks_start(even, odd)
     if not i and not j:
         if pend is None:  # a bare block of nothing is 1
-            _add_monomial(acc, (even, odd), Monomial(coeff, even, odd))
+            _add_term(acc, (even, odd), coeff)
         return  # a pending derivative of a constant block is 0
     block = Attach._of((pend,) if pend is not None else (), even[:i], odd[:j])
     block_even, block_odd = ((), (block,)) if block.parity else (((block, 1),), ())
@@ -512,9 +510,7 @@ def eulers(model: BvModel, e: Expr, variables, frozen: bool = False,
             continue
         acc = {}
         for sigma, term in by_index.items():
-            odd = sum(sigma) & 1
-            for k, mm in term.terms.items():
-                _add_monomial(acc, k, Monomial(-mm.coeff, mm.even, mm.odd) if odd else mm)
+            _add_scaled(acc, term, _MINUS_ONE if sum(sigma) & 1 else _ONE)
         images[v] = Expr(acc) if acc else Expr.zero()
     return images
 
@@ -530,9 +526,10 @@ def _right(e: Expr, parity: int) -> Expr:
     parity p_m + p_v, so by an odd v its odd monomials change sign."""
     if not parity:
         return e
-    terms = {k: Monomial(-m.coeff, m.even, m.odd) if len(m.odd) & 1 else m
-             for k, m in e.terms.items()}
-    return Expr(terms) if terms else Expr.zero()
+    acc = {}
+    for k, m in e.terms.items():
+        _add_term(acc, k, -m.coeff if len(m.odd) & 1 else m.coeff)
+    return Expr(acc) if acc else Expr.zero()
 
 
 def _horner(terms: dict, n: int) -> Expr:
@@ -596,7 +593,7 @@ def _add_collapsed(acc: dict, coeff: Coefficient, even, odd, expansions: dict) -
     i, j = _blocks_start(even, odd)
     blocks = [a for a, k in even[i:] for _ in range(k)] + list(odd[j:])
     if not blocks:
-        _add_monomial(acc, (even, odd), Monomial(coeff, even, odd))
+        _add_term(acc, (even, odd), coeff)
         return
     terms = [(coeff, even[:i], odd[:j])]
     last = len(blocks) - 1

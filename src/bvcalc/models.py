@@ -8,7 +8,7 @@ from itertools import chain, product
 from typing import Dict, Tuple
 
 from .coeff import Coefficient
-from .algebra import Expr, JetVar, Monomial, Trig, _add_monomial, _add_product, _sum_scaled
+from .algebra import Expr, JetVar, Trig, _add_product, _add_term, _sum_scaled
 from .cohomology import Functional
 from .jetcalc import BvModel, idx_unit
 
@@ -233,15 +233,17 @@ def random_density(
         mono = _times_atoms(Coefficient.of(rng.choice([1, -1, 2, -2, 3])), atoms)
         if mono is None:
             continue
-        if mono.parity() != parity:
+        coeff, even, odd = mono
+        if len(odd) & 1 != parity:
             # append a bare odd variable of a random field to flip parity
             name = rng.choice(names)
             dagger = model.parity(name, False) == 0
             extra = JetVar._from_parts(name, dagger, (0,) * n, model.gh(name, dagger))
-            mono = _times_atoms(mono.coeff, [extra], mono.even, mono.odd)
-            if mono is None or mono.parity() != parity:
+            mono = _times_atoms(coeff, [extra], even, odd)
+            if mono is None or len(mono[2]) & 1 != parity:
                 continue
-        _add_monomial(acc, (mono.even, mono.odd), mono)
+            coeff, even, odd = mono
+        _add_term(acc, (even, odd), coeff)
         made += 1
     if acc:
         return Expr(acc)
@@ -261,7 +263,8 @@ def random_density(
 
 def _times_atoms(coeff, atoms, even=(), odd=()):
     """The monomial coeff * (even, odd) times ``atoms`` in turn, each by the
-    canonical product; None when an odd atom repeats."""
+    canonical product, as (coeff, even, odd); None when an odd atom
+    repeats."""
     for u in atoms:
         acc = {}
         if u.parity:
@@ -272,7 +275,7 @@ def _times_atoms(coeff, atoms, even=(), odd=()):
             return None
         ((even, odd), m), = acc.items()
         coeff = m.coeff
-    return Monomial(coeff, even, odd)
+    return coeff, even, odd
 
 
 def random_functional(

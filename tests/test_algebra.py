@@ -1,8 +1,12 @@
 import gc
+import importlib
+import inspect
+import pkgutil
 import random
 
 import pytest
 
+import bvcalc
 from bvcalc import BvModel, Expr, ParityError
 from bvcalc import algebra
 from bvcalc.coeff import Coefficient
@@ -14,13 +18,13 @@ from bvcalc.algebra import (
     JetVar,
     Trig,
     make_attach,
-    normalize,
     _add_product,
-    _from_raw,
 )
+from bvcalc.grammar import format_expr, parse_expr
 from bvcalc.jetcalc import _shift
 
-from util_random import ghost_model, random_expr, random_monomial, scalar_model
+from util_random import (_from_raw, ghost_model, normalize, random_expr, random_monomial,
+                         scalar_model)
 
 
 @pytest.fixture
@@ -200,6 +204,40 @@ def test_attach_of_constant_rules(m):
     assert make_attach((), w) == w
 
 
+def test_negative_and_empty_multi_indices_are_rejected(m):
+    # neither has a printed form that parses back: q_{-1} prints as q_ and
+    # a pending derivative of order 0 as frz[0:](q)
+    q = m.jet("q")
+    with pytest.raises(ValueError):
+        m.jet("q", (-1,))
+    with pytest.raises(ValueError):
+        JetVar("q", False, (1, -1), 0)
+    for pending in (((0,),), ((-1,),), ((1,), (0,)), ((2,), (-1,))):
+        for inner in (q, Expr.scalar(5), make_attach(((1,),), q)):
+            with pytest.raises(ValueError):
+                make_attach(pending, inner)
+    plane = BvModel(2, [("u", 0)])
+    with pytest.raises(ValueError):
+        make_attach(((0, 0),), plane.jet("u"))
+    for e, model in ((make_attach(((1,), (2,)), q * m.jet("q", (1,))), m),
+                     (make_attach(((1, 0),), plane.jet("u", (0, 1))), plane)):
+        assert parse_expr(format_expr(e), model) == e
+
+
+def test_only_algebra_builds_monomials():
+    # one writer for term maps: no other module binds or builds a Monomial,
+    # and the reference normaliser is not part of the library
+    for info in pkgutil.iter_modules(bvcalc.__path__):
+        if info.name == "algebra":
+            continue
+        module = importlib.import_module(f"bvcalc.{info.name}")
+        assert "Monomial" not in vars(module), info.name
+        assert "Monomial(" not in inspect.getsource(module), info.name
+    assert "normalize" not in bvcalc.__all__
+    for name in ("normalize", "_from_raw", "_sort_odd", "_add_monomial"):
+        assert not hasattr(algebra, name), name
+
+
 # ---------------------------------------------------------------------------
 # interned atoms and term keys
 
@@ -277,10 +315,10 @@ def test_block_keys_are_built_on_first_read_as_the_nested_key():
         for _ in range(60):
             e = random_expr(model, rng, with_attach=True)
             if rng.random() < 0.5:
-                # nest: blocks inside a block
-                idx = (rng.randint(0, 2),)
+                # nest: blocks inside a block, at an order-0 draw a bare one
+                order = rng.randint(0, 2)
                 rng.randint(70, 79)  # unused: keeps the rng stream, so the cases, fixed
-                e = make_attach((idx,), e)
+                e = make_attach(((order,),) if order else (), e)
             _blocks_of(e, blocks)
     fresh = [a for a in blocks if not _key_is_set(a)]
     assert len(set(fresh)) > 50

@@ -14,7 +14,6 @@ from bvcalc.algebra import (
     JetVar,
     Trig,
     make_attach,
-    _from_raw,
 )
 from bvcalc.bv import laplacian, laplacian_density, schouten
 from bvcalc.coeff import Coefficient
@@ -36,6 +35,7 @@ from bvcalc.jetcalc import (
 )
 
 from util_random import (
+    _from_raw,
     erase_labels,
     ghost_model,
     labelled_operands,
@@ -734,10 +734,10 @@ def test_walk_edge_cases(m):
         assert got == ref[("q", False)] == expected, e
 
 
-def test_the_engine_never_calls_the_reference_normaliser(m, monkeypatch):
+def test_the_engine_never_calls_the_reference_normaliser(m):
     # every product, total derivative and Euler branch is a merge of
-    # canonical monomials; _from_raw is only the reference behind normalize
-    assert "_from_raw" not in vars(jetcalc)
+    # canonical monomials; the reference normaliser lives in the tests alone
+    assert not hasattr(algebra, "_from_raw") and not hasattr(jetcalc, "_from_raw")
     q, qx, qd = m.jet("q"), m.jet("q", (1,)), m.jet("q", dagger=True)
     sin, cos = m.sin("q"), m.cos("q")
     even_block = make_attach(((1,),), q * qx)
@@ -756,11 +756,6 @@ def test_the_engine_never_calls_the_reference_normaliser(m, monkeypatch):
             walked.append((e, side, _reference_eulers(model, e, frozen, side, True)))
     assert any(isinstance(a, Attach) for e, _, _ in walked for a in e.atoms())
     _, F, G = build_scalar_example()
-
-    def refuse(raw):
-        raise AssertionError("the engine called the reference normaliser")
-
-    monkeypatch.setattr(algebra, "_from_raw", refuse)
     assert sin * sin == 1 - cos * cos
     for e, expected in zip(densities, derivatives):
         assert total_derivative(e, 0) == expected != Expr.zero()

@@ -2,11 +2,12 @@
 
 import random
 from fractions import Fraction
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 from bvcalc import BvModel, Expr, bv
 from bvcalc.coeff import Coefficient
-from bvcalc.algebra import _ONE, Attach, Trig, _add_products, _sum_scaled, make_attach
+from bvcalc.algebra import (_ONE, Attach, Trig, _add_products, _add_term, _sum_scaled,
+                            make_attach)
 from bvcalc.cohomology import Functional, _accumulate, _graded_sort
 from bvcalc.jetcalc import GEOMETRIC, NAIVE, _check_mode, collapse, euler, eulers
 
@@ -177,6 +178,57 @@ def nested_brackets(depth: int, seed: int = 20240808):
     for _ in range(depth):
         X = schouten(S, X)
     return m, S, X
+
+
+# -- the reference normaliser -------------------------------------------------
+
+
+def _from_raw(raw) -> Expr:
+    """Build a canonical Expr from (coefficient, ordered factor list) pairs:
+    the reference that the engine's canonical products are compared against.
+
+    Factor lists may repeat atoms and carry them in any order; the Koszul sign
+    of sorting the odd factors is absorbed into the coefficient, odd squares
+    vanish, and sin(u)^2 is rewritten to 1 - cos(u)^2.
+    """
+    acc = {}
+    stack = list(raw)
+    while stack:
+        coeff, factors = stack.pop()
+        if coeff.is_zero() or any(a.parity and e > 1 for a, e in factors):
+            continue  # an odd factor squared
+        evens, odds = {}, []
+        for atom, exp in factors:
+            if exp < 0:
+                raise ValueError("negative atom exponent")
+            if atom.parity:
+                odds += [atom] * exp
+            elif exp:
+                evens[atom] = evens.get(atom, 0) + exp
+        # sin^2 -> 1 - cos^2 (restores canonical sin-degree <= 1)
+        sin = next((a for a, e in evens.items()
+                    if e >= 2 and isinstance(a, Trig) and a.tag == "sin"), None)
+        if sin is not None:
+            rest = [(a, e) for a, e in evens.items() if a is not sin]
+            if evens[sin] > 2:
+                rest.append((sin, evens[sin] - 2))
+            rest_odd = [(o, 1) for o in odds]
+            stack.append((coeff, rest + rest_odd))
+            stack.append((-coeff, rest + [(Trig("cos", sin.arg), 2)] + rest_odd))
+            continue
+        graded = _graded_sort(odds, attrgetter("key"), attrgetter("parity"))
+        if graded is None:
+            continue  # an odd factor repeated
+        sign, odd = graded
+        even = tuple(sorted(evens.items(), key=lambda t: t[0].key))
+        _add_term(acc, (even, odd), coeff if sign > 0 else -coeff)
+    return Expr(acc) if acc else Expr.zero()
+
+
+def normalize(e: Expr) -> Expr:
+    """Re-normalise an expression by the reference; the identity on the
+    canonical expressions the engine builds."""
+    return _from_raw([(m.coeff, m.factors()) for m in e.monomials()])
 
 
 # -- channel labels -----------------------------------------------------------
