@@ -43,7 +43,7 @@ included, and every product of the engine is one: in ``Expr.__mul__``, in
 ``jetcalc.collapse`` and in the branches of total, partial and Euler
 derivatives.  This module alone writes term maps: ``_add_term`` files one
 coefficient under its canonical atoms, and ``_add_scaled`` adds a multiple
-of an expression; no other module builds a Monomial.  The reference
+of another term map; no other module builds a Monomial.  The reference
 normaliser, which sorts an arbitrary factor list and which the tests compare
 the merges against, lives with the tests (``tests/util_random.py``).
 """
@@ -176,7 +176,8 @@ class Attach(Atom):
     an existing block costs one lookup and no inner is built for it; its
     ``key``, (3, pending, inner key), is found the first time it is read and
     then stored on the atom, so a block that is never ordered (as no block
-    of the su(2) Yang-Mills ``[[S, S]]`` is) never pays for it.
+    of the su(2) Yang-Mills ``[[S, S]]`` is) never pays for it.  The
+    constructor checks ``pending`` as ``make_attach`` does; ``_of`` does not.
     """
 
     __slots__ = ("pending", "inner")
@@ -185,7 +186,9 @@ class Attach(Atom):
         if len(inner.terms) != 1 or next(iter(inner.terms.values())).coeff != _ONE:
             raise ValueError(f"an Attach inner is one monomial of coefficient 1, not {inner!r}")
         ((even, odd),) = inner.terms
-        return cls._of(tuple(sorted(tuple(int(k) for k in idx) for idx in pending)), even, odd)
+        pending = tuple(sorted(tuple(int(k) for k in idx) for idx in pending))
+        _check_pending(pending)
+        return cls._of(pending, even, odd)
 
     @classmethod
     def _of(cls, pending, even, odd):
@@ -326,14 +329,14 @@ class Expr:
         if not other.terms:
             return self
         out = dict(self.terms)
-        _add_scaled(out, other, _ONE)
+        _add_scaled(out, other.terms, _ONE)
         return Expr(out)
 
     __radd__ = __add__
 
     def __neg__(self):
         out = {}
-        _add_scaled(out, self, _MINUS_ONE)
+        _add_scaled(out, self.terms, _MINUS_ONE)
         return Expr(out)
 
     def __sub__(self, other):
@@ -341,7 +344,7 @@ class Expr:
         if not other.terms:
             return self
         out = dict(self.terms)
-        _add_scaled(out, other, _MINUS_ONE)
+        _add_scaled(out, other.terms, _MINUS_ONE)
         return Expr(out)
 
     def __rsub__(self, other):
@@ -371,7 +374,7 @@ class Expr:
         if c.is_zero():
             return _EXPR_ZERO
         out = {}
-        _add_scaled(out, self, c)
+        _add_scaled(out, self.terms, c)
         return Expr(out)
 
     # -- queries ----------------------------------------------------------
@@ -535,20 +538,20 @@ def _add_term(acc: dict, key, coeff: Coefficient) -> None:
             acc[key] = Monomial(c, key[0], key[1])
 
 
-def _add_scaled(acc: dict, e: Expr, c: Coefficient) -> None:
-    """Add ``c`` times the expression ``e`` into the term map ``acc`` in
+def _add_scaled(acc: dict, terms: dict, c: Coefficient) -> None:
+    """Add ``c`` times the term map ``terms`` into the term map ``acc`` in
     place.  By c = 1 a monomial new to ``acc`` is filed as it is: monomials
     are immutable, so term maps may share them; by c = -1 each coefficient
     is negated, which is cheaper than a product."""
     if c is _ONE:
-        for k, m in e.terms.items():
+        for k, m in terms.items():
             if k in acc:
                 _add_term(acc, k, m.coeff)
             else:
                 acc[k] = m
         return
     negate = c is _MINUS_ONE
-    for k, m in e.terms.items():
+    for k, m in terms.items():
         _add_term(acc, k, -m.coeff if negate else c * m.coeff)
 
 
@@ -650,7 +653,7 @@ def _sum_scaled(pairs) -> Expr:
     for e, c in pairs:
         c = Coefficient.of(c)
         if not c.is_zero():
-            _add_scaled(acc, e, c)
+            _add_scaled(acc, e.terms, c)
     return Expr(acc)
 
 
@@ -667,9 +670,7 @@ def make_attach(pending, inner: Expr) -> Expr:
     ``Attach._of`` as they are.  A pending multi-index with a negative
     entry, or with no nonzero entry, is a ValueError."""
     pending = tuple(sorted(map(tuple, pending)))
-    for idx in pending:
-        if not any(idx) or min(idx) < 0:
-            raise ValueError(f"pending multi-index {idx} is not a derivative")
+    _check_pending(pending)
     acc = {}
     for k, m in inner.terms.items():
         content = m.factors()
@@ -687,3 +688,11 @@ def make_attach(pending, inner: Expr) -> Expr:
         even, odd = ((), (a,)) if a.parity else (((a, 1),), ())
         _add_term(acc, (even, odd), m.coeff)
     return Expr(acc) if acc else _EXPR_ZERO
+
+
+def _check_pending(pending) -> None:
+    """Raise ValueError unless each multi-index of ``pending`` is a
+    derivative, with no negative entry and some nonzero one."""
+    for idx in pending:
+        if not any(idx) or min(idx) < 0:
+            raise ValueError(f"pending multi-index {idx} is not a derivative")

@@ -2,7 +2,9 @@
 
 Geometric mode keeps every variation's pending derivatives frozen on blocks,
 each at its own copy of the base (multi-base geometry); naive mode expands
-them immediately on collapsed densities.  Blocks are anonymous, so an image
+them immediately on collapsed densities.  The bracket isolates its frozen
+images after the walk (``jetcalc._isolate``), so each operand's factors live
+at their own copy of the base.  Blocks are anonymous, so an image
 of one operand and an image of the other that hold the same block multiply
 to a square, or to zero when it is odd.  Both structures extend to products
 of integral blocks as closed sums over blocks and block pairs, (1a) and (1b)
@@ -38,7 +40,7 @@ from .algebra import (_MINUS_ONE, _ONE, Expr, ParityError, _add_products, _add_s
                       _sum_scaled)
 from .cohomology import (Functional, _add_blocks, _reduce_functional, functional_equal,
                          functional_text, is_trivial)
-from .jetcalc import GEOMETRIC, NAIVE, BvModel, _check_mode, collapse, euler, eulers
+from .jetcalc import GEOMETRIC, NAIVE, BvModel, _check_mode, _isolate, collapse, euler, eulers
 
 
 # ---------------------------------------------------------------------------
@@ -80,18 +82,21 @@ def schouten_density(model: BvModel, f: Expr, g: Expr, mode: str = GEOMETRIC) ->
 
 
 def _images(model: BvModel, e: Expr, mode: str) -> dict:
-    """The left isolated Euler images of the operand ``e`` by every variable
-    of ``model``, frozen in geometric mode.  An operand that holds a block
-    (so a bracket result, geometric) is walked once per model, its images
-    kept on it (``Expr._images``, a slot unset until then); a plain operand
-    keeps nothing, so a long-lived action or observable holds no images."""
-    variables = [v for pair in model.pairs() for v in pair]
-    if not e.has_attach():
-        return eulers(model, e, variables, mode == GEOMETRIC, isolate=True)
-    memo = getattr(e, "_images", {})
-    images = memo.get(model)
-    if images is None:
-        images = memo[model] = eulers(model, e, variables, True, isolate=True)
+    """The left Euler images of the operand ``e`` by every variable of
+    ``model``: expanded in naive mode, frozen and then isolated
+    (``_isolate``) in geometric mode.  An operand that holds a block (so a
+    bracket result, geometric) is walked once per model, its images kept on
+    it (``Expr._images``, a slot unset until then); a plain operand keeps
+    nothing, so a long-lived action or observable holds no images."""
+    memo = getattr(e, "_images", {}) if e.has_attach() else None
+    if memo and model in memo:
+        return memo[model]
+    frozen = mode == GEOMETRIC
+    images = eulers(model, e, [v for pair in model.pairs() for v in pair], frozen)
+    if frozen:
+        images = {v: _isolate(image) for v, image in images.items()}
+    if memo is not None:
+        memo[model] = images
         e._images = memo
     return images
 
@@ -109,7 +114,7 @@ def laplacian_density(model: BvModel, f: Expr, mode: str = GEOMETRIC) -> Expr:
     steps = eulers(model, f, [od for _, od in pairs], frozen)
     acc = {}
     for ev, od in pairs:
-        _add_scaled(acc, euler(model, steps[od], *ev, frozen=frozen), _ONE)
+        _add_scaled(acc, euler(model, steps[od], *ev, frozen=frozen).terms, _ONE)
     return Expr(acc) if acc else Expr.zero()
 
 

@@ -1,40 +1,42 @@
 """Jet-space calculus over a declared BV field table.
 
 Provides the bundle declaration (BvModel), total derivatives, one walk for the
-graded left partial derivatives by any set of variables at once (each
-monomial visited once, each branch filed under the interned jet atom q_sigma
-it differentiates by, and read out by variable and multi-index), the
-Euler operators of those variables (total derivatives expanded by Horner's
-scheme, one coordinate at a time, or kept pending on a frozen block),
-collapse of pending derivatives, and the naive/geometric iterated
-variations.  ``eulers`` is the one Euler entry that
-walks and sums; the iterated variations keep their shift fields outside it.
-The walk and ``eulers`` take left partials only: the public ``partial`` and
-``euler`` sign a left image into a right one (``_right``).  A walk is
-frozen or not as a whole (one ``frozen`` flag): its variables' derivatives
-all stay pending or are all expanded, and the inner of a block it enters is
-walked unfrozen, the derivative joining that block's pending set.
+graded left partial derivatives by any set of variables at once (each monomial
+visited once, each branch filed under the interned jet atom q_sigma it
+differentiates by, as term maps that ``eulers`` groups by variable and
+multi-index and ``partial`` reads by that atom), the Euler operators of those
+variables (total derivatives expanded by Horner's scheme on term maps, one
+coordinate at a time, or kept pending on a frozen block), collapse of pending
+derivatives, and the naive/geometric iterated variations.  ``eulers`` is the
+one Euler entry that walks and sums; the iterated variations keep their shift
+fields outside it.  The walk and ``eulers`` take left partials only: the
+public ``partial`` and ``euler`` sign a left image into a right one
+(``_right``).  A walk is frozen or not as a whole (one ``frozen`` flag, its
+only one): its variables' derivatives all stay pending or are all expanded,
+and the inner of a block it enters is walked unfrozen, the derivative joining
+that block's pending set.  The bracket isolates its frozen images after the
+walk (``_isolate``, called by ``bv._images`` alone).
 
 Total derivatives, collapse and the partial-derivative walk take canonical
 monomials and file canonical ones.  The total derivative of a jet variable
-replaces one copy of it by its shift in one pass, the shift put in its
-sorted place and read from the atom's own table once it has been interned
-(``_shift``); collapse multiplies each monomial's blocks' expansions into
-its plain factors by the canonical product, and expands each interned block
-once per call, as D^sigma of its inner's collapse (sigma the sum of its
-pending multi-indices).
-Blocks are anonymous (``algebra.Attach``): a frozen variation makes new
-blocks and extends the pending set of those it enters (``make_attach``,
-from multi-indices alone), and never reads or names a channel.
-The partials branch of a jet variable is its monomial with one copy of that
-factor removed, and a wrapped branch's home plains, already a canonical unit
-monomial, become the inner of the new block as they are.  Every other
+replaces one copy of it by its shift in one pass, the shift put in its sorted
+place and read from the atom's own table once it has been interned
+(``_shift``); collapse multiplies each monomial's blocks' expansions into its
+plain factors by the canonical product, and expands each interned block once
+per call, as D^sigma of its inner's collapse (sigma the sum of its pending
+multi-indices).  Blocks are anonymous (``algebra.Attach``): a frozen
+variation makes new blocks and extends the pending set of those it enters
+(``make_attach``, from multi-indices alone), and never reads or names a
+channel.  The partials branch of a jet variable is its monomial with one copy
+of that factor removed, and a wrapped branch's home plains (those of a branch
+taking a pending derivative, or of an isolated monomial), already a canonical
+unit monomial, become the inner of the new block as they are.  Every other
 branch -- chain-rule (sin/cos/exp), a block's derivative, a new block among
-the kept ones -- is a derivative times the rest of its monomial, filed by
-the canonical product ``algebra._add_product``; no branch is normalised.
-From its second walk by one variable on, an expression's index lists the
-monomials that walk visits: those holding the variable and those holding a
-block (``Expr.var_index()``); any other walk visits every monomial.
+the kept ones -- is a derivative times the rest of its monomial, filed by the
+canonical product ``algebra._add_product``; no branch is normalised.  From
+its second walk by one variable on, an expression's index lists the monomials
+that walk visits: those holding the variable and those holding a block
+(``Expr.var_index()``); any other walk visits every monomial.
 """
 
 from __future__ import annotations
@@ -173,13 +175,13 @@ def total_derivative(e: Expr, direction: int) -> Expr:
     d * rest, an odd block's derivative paying the sign of the odd factors
     before it."""
     acc = {}
-    _add_total_derivative(acc, e, direction)
+    _add_total_derivative(acc, e.terms, direction)
     return Expr(acc) if acc else Expr.zero()
 
 
-def _add_total_derivative(acc: dict, e: Expr, direction: int, negate: bool = False) -> None:
-    """Add D_i e, or -D_i e when ``negate``, into the term map ``acc``."""
-    for m in e.terms.values():
+def _add_total_derivative(acc: dict, terms: dict, direction: int, negate: bool = False) -> None:
+    """Add D_i of the term map ``terms``, or -D_i when ``negate``, into ``acc``."""
+    for m in terms.values():
         even, odd, coeff = m.even, m.odd, -m.coeff if negate else m.coeff
         for j, (a, k) in enumerate(even):
             t = type(a)
@@ -270,29 +272,19 @@ def total_derivative_multi(e: Expr, index: Sequence[int]) -> Expr:
 # graded partial derivatives and the Euler operator
 
 
-def _partials(e, variables, frozen, isolate):
+def _walk(e, variables, frozen):
     """Graded left partials of ``e`` by the jet variables q_sigma of every
     variable in ``variables`` = {(field, dagger): parity}, all frozen or
-    none, filed by variable and multi-index:
-    ``{(field, dagger): {sigma: Expr}}``.  Each monomial is visited once, for
-    all variables together (``_walk``).  Right partials are signed left ones
-    (``_right``)."""
-    filed = {}
-    for u, terms in _walk(e, variables, frozen, isolate).items():
-        filed.setdefault(u.var, {})[u.index] = Expr(terms) if terms else Expr.zero()
-    return filed
-
-
-def _walk(e, variables, frozen, isolate):
-    """The partials of ``_partials`` as term maps filed by the interned jet
-    atom q_sigma each differentiates by: ``{JetVar: term map}``.  A walk by
-    one variable visits only the monomials that ``e.var_index()``, once
-    built, lists for it or as holding a block.
+    none, as term maps filed by the interned jet atom q_sigma each
+    differentiates by: ``{JetVar: term map}``.  Each monomial is visited
+    once, for all variables together; a walk by one variable visits only
+    the monomials that ``e.var_index()``, once built, lists for it or as
+    holding a block.  Right partials are signed left ones (``_right``).
 
     In a ``frozen`` walk a branch consumed at home records the pending
     derivative sigma for |sigma| > 0 on a new block of its home plains
     (``_wrap_branch``); a branch consumed inside an Attach wrapper adds it
-    to that wrapper's pending set.  ``isolate`` acts on a frozen walk only.
+    to that wrapper's pending set.
 
     A factor is tested by its ``var`` and whether it is an Attach; a
     monomial none of whose factors can contribute is skipped before anything
@@ -300,8 +292,7 @@ def _walk(e, variables, frozen, isolate):
     one copy of that factor removed (``_without``), its sign known, and is
     filed as it is.  A chain-rule branch is f'(u) times that rest, and a
     dived branch dm * rest, the block's derivative dm paying the sign of the
-    odd factors before the block; both are filed by the canonical product,
-    a dived branch wrapped only when its rest holds a home plain.
+    odd factors before the block; both are filed by the canonical product.
     """
     acc = {}  # JetVar -> term map of canonical branches
     dives = {}  # Attach atom -> its branches, so each block is entered once
@@ -336,7 +327,7 @@ def _walk(e, variables, frozen, isolate):
                 hits = dives.get(a)
                 if hits is None:
                     hits = dives[a] = []
-                    for u, terms in _walk(a.inner, variables, False, False).items():
+                    for u, terms in _walk(a.inner, variables, False).items():
                         pending = a.pending
                         if frozen and any(u.index):
                             pending += (u.index,)
@@ -348,10 +339,6 @@ def _walk(e, variables, frozen, isolate):
                 rest_even, rest_odd = _without(even, odd, i, k)
                 passed = max(i - n, 0)  # the odd factors before the block
                 cmult = m.coeff * k if k > 1 else m.coeff
-                # Attach keys sort last, so a rest of blocks alone starts with one
-                plains = ((rest_even and type(rest_even[0][0]) is not Attach)
-                          or (rest_odd and type(rest_odd[0]) is not Attach))
-                wrap = isolate and frozen and plains
                 for u, parity, dived in hits:
                     c = -cmult if parity and passed & 1 else cmult
                     out = acc.get(u)
@@ -359,8 +346,7 @@ def _walk(e, variables, frozen, isolate):
                         out = acc[u] = {}
                     for dm in dived.monomials():
                         dc = -dm.coeff if passed & len(dm.odd) & 1 else dm.coeff
-                        _file_product(out, c * dc, dm.even, dm.odd, rest_even, rest_odd,
-                                      None, wrap)
+                        _add_product(out, c * dc, dm.even, dm.odd, rest_even, rest_odd)
                 continue
             parity = variables.get(a.var)
             if parity is None:
@@ -368,7 +354,6 @@ def _walk(e, variables, frozen, isolate):
             u = a.arg if type(a) is Trig else a
             sigma = u.index
             pend = sigma if frozen and any(sigma) else None
-            wrap = pend is not None or (isolate and frozen)
             cmult = m.coeff * k if k > 1 else m.coeff
             # an odd variable's Koszul sign: the odd factors before it
             c = -cmult if parity and i > n and (i - n) & 1 else cmult
@@ -378,13 +363,16 @@ def _walk(e, variables, frozen, isolate):
             rest_even, rest_odd = _without(even, odd, i, k)
             if u is not a:
                 cc, tag = _CHAIN[a.tag]
-                _file_product(out, c * cc, ((Trig(tag, u), 1),), (), rest_even, rest_odd,
-                              pend, wrap)
-                continue
-            if wrap:
-                _wrap_branch(out, c, rest_even, rest_odd, pend)
-            else:
+                # a branch taking a pending derivative wraps each product monomial
+                product = out if pend is None else {}
+                _add_product(product, c * cc, ((Trig(tag, u), 1),), (), rest_even, rest_odd)
+                if pend is not None:
+                    for mm in product.values():
+                        _wrap_branch(out, mm.coeff, mm.even, mm.odd, pend)
+            elif pend is None:
                 _add_term(out, (rest_even, rest_odd), c)
+            else:
+                _wrap_branch(out, c, rest_even, rest_odd, pend)
     return acc
 
 
@@ -395,19 +383,6 @@ def _without(even, odd, i, k):
     if i >= n:
         return even, odd[:i - n] + odd[i - n + 1:]
     return even[:i] + (((even[i][0], k - 1),) if k > 1 else ()) + even[i + 1:], odd
-
-
-def _file_product(acc, coeff, e1, o1, e2, o2, pend, wrap):
-    """Add ``coeff`` times the product of the canonical monomials (e1, o1)
-    and (e2, o2) to the term map ``acc``, each monomial wrapped when
-    ``wrap``."""
-    if not wrap:
-        _add_product(acc, coeff, e1, o1, e2, o2)
-        return
-    product = {}
-    _add_product(product, coeff, e1, o1, e2, o2)
-    for mm in product.values():
-        _wrap_branch(acc, mm.coeff, mm.even, mm.odd, pend)
 
 
 def _wrap_branch(acc, coeff, even, odd, pend):
@@ -435,6 +410,18 @@ def _wrap_branch(acc, coeff, even, odd, pend):
     _add_product(acc, -coeff if flips & 1 else coeff, even[i:], odd[j:], block_even, block_odd)
 
 
+def _isolate(e: Expr) -> Expr:
+    """The frozen image ``e`` with each monomial's home plains gathered into
+    a bare block (``_wrap_branch`` with no pending derivative), so that in a
+    bracket each operand's factors live at their own copy of the base.
+    Wrapping is linear, so isolating a walk's sum equals isolating each of
+    its branches."""
+    acc = {}
+    for m in e.terms.values():
+        _wrap_branch(acc, m.coeff, m.even, m.odd, None)
+    return Expr(acc) if acc else Expr.zero()
+
+
 def _blocks_start(even, odd):
     """Where the blocks of the canonical atoms ``even``/``odd`` start, as
     (even position, odd position): Attach keys sort last, so the blocks end
@@ -453,7 +440,8 @@ def partial(e: Expr, v: JetVar, side: str = "left") -> Expr:
     _check_side(side)
     if not _holds(e, v):  # the walk would take every multi-index of v's field
         return Expr.zero()
-    d = _partials(e, {v.var: v.parity}, False, False).get(v.var, {}).get(v.index, Expr.zero())
+    terms = _walk(e, {v.var: v.parity}, False).get(v)
+    d = Expr(terms) if terms else Expr.zero()
     return _right(d, v.parity) if side == "right" else d
 
 
@@ -470,7 +458,6 @@ def euler(
     dagger: bool = False,
     side: str = "left",
     frozen: bool = False,
-    isolate: bool = False,
 ) -> Expr:
     """Euler operator sum_sigma (-D)^sigma d/dq_sigma (Olver, Applications of
     Lie Groups to Differential Equations, 4.1), on the given side.
@@ -480,37 +467,34 @@ def euler(
     partials Q_k by q_sigma with sigma_i = k are summed as
     Q_0 - D_i(Q_1 - D_i(Q_2 - ...)), so D_i is applied once per order of x_i
     rather than once per multi-index and order.  ``frozen`` keeps the
-    derivatives pending on blocks (geometric mode); ``isolate`` then also
-    gathers the home plains of a branch without a pending derivative.
+    derivatives pending on blocks (geometric mode).
     """
     _check_side(side)
     v = (field, dagger)
-    image = eulers(model, e, [v], frozen, isolate)[v]
+    image = eulers(model, e, [v], frozen)[v]
     return _right(image, model.parity(*v)) if side == "right" else image
 
 
-def eulers(model: BvModel, e: Expr, variables, frozen: bool = False,
-           isolate: bool = False) -> dict:
+def eulers(model: BvModel, e: Expr, variables, frozen: bool = False) -> dict:
     """The left Euler operators of ``e`` by every (field, dagger) of
     ``variables``, as {(field, dagger): Expr} in the order of ``variables``;
-    each is ``euler`` with ``frozen`` and ``isolate``, and one
-    partial-derivative walk serves them all.  A frozen image of one
-    multi-index is its partial, signed."""
+    each is ``euler`` with ``frozen``, and one partial-derivative walk
+    serves them all, its term maps grouped by variable and multi-index."""
     variables = {v: model.parity(*v) for v in variables}
-    terms = _partials(e, variables, frozen, isolate)
+    by_var = {}
+    for u, terms in _walk(e, variables, frozen).items():
+        by_var.setdefault(u.var, {})[u.index] = terms
     images = {}
     for v in variables:
-        by_index = terms.get(v, {})
+        by_index = by_var.get(v, {})
         if not frozen:
-            images[v] = _horner(by_index, model.base_dim)
-            continue
-        if len(by_index) == 1:
-            ((sigma, term),) = by_index.items()
-            images[v] = -term if sum(sigma) & 1 else term
-            continue
-        acc = {}
-        for sigma, term in by_index.items():
-            _add_scaled(acc, term, _MINUS_ONE if sum(sigma) & 1 else _ONE)
+            acc = _horner(by_index, model.base_dim)
+        elif len(by_index) == 1 and not sum(next(iter(by_index))) & 1:
+            (acc,) = by_index.values()
+        else:
+            acc = {}
+            for sigma, terms in by_index.items():
+                _add_scaled(acc, terms, _MINUS_ONE if sum(sigma) & 1 else _ONE)
         images[v] = Expr(acc) if acc else Expr.zero()
     return images
 
@@ -532,10 +516,11 @@ def _right(e: Expr, parity: int) -> Expr:
     return Expr(acc) if acc else Expr.zero()
 
 
-def _horner(terms: dict, n: int) -> Expr:
+def _horner(terms: dict, n: int) -> dict:
     """sum_sigma (-D)^sigma terms[sigma] over multi-indices of length ``n``,
-    eliminating one coordinate at a time by Horner's scheme; each step files
-    -D_i of the last straight into a copy of the next order's term map."""
+    a term map from the walk's term maps: Horner's scheme eliminates one
+    coordinate at a time, each step filing -D_i of the last straight into
+    the next order's term map, which the walk made for this call alone."""
     for i in range(n):
         groups = {}
         for sigma, term in terms.items():
@@ -546,11 +531,11 @@ def _horner(terms: dict, n: int) -> Expr:
             top = max(by_order)
             acc = by_order[top]
             for k in range(top - 1, -1, -1):
-                step = dict(by_order[k].terms) if k in by_order else {}
+                step = by_order.get(k, {})
                 _add_total_derivative(step, acc, i, negate=True)
-                acc = Expr(step) if step else Expr.zero()
+                acc = step
             terms[rest] = acc
-    return terms.get(idx_zero(n), Expr.zero())
+    return terms.get(idx_zero(n), {})
 
 
 def euler_left(model: BvModel, e: Expr, field: str, dagger: bool = False) -> Expr:

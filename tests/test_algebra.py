@@ -216,6 +216,10 @@ def test_negative_and_empty_multi_indices_are_rejected(m):
         for inner in (q, Expr.scalar(5), make_attach(((1,),), q)):
             with pytest.raises(ValueError):
                 make_attach(pending, inner)
+        # the public block constructor checks as make_attach does
+        for inner in (q, make_attach(((1,),), q)):
+            with pytest.raises(ValueError, match="is not a derivative"):
+                Attach(pending, inner)
     plane = BvModel(2, [("u", 0)])
     with pytest.raises(ValueError):
         make_attach(((0, 0),), plane.jet("u"))
@@ -252,7 +256,7 @@ def test_equal_atoms_built_apart_are_one_object(m):
     inner = m.jet("q") * m.x(0)
     again = m.x(0) * m.jet("q")
     assert inner is not again
-    assert Attach(((1,), (0,)), inner) is Attach([[0], (1,)], again)
+    assert Attach(((1,), (2,)), inner) is Attach([[2], (1,)], again)
     assert Attach(((1,),), inner) is not Attach(((2,),), inner)
     # a block is anonymous: it is built from its multi-indices alone
     ((even, odd),) = make_attach(((1,),), inner).terms
@@ -301,7 +305,7 @@ def test_public_and_internal_block_constructors_agree(m):
             if not even and not odd:
                 continue
             inner = Expr({(even, odd): algebra.Monomial(Coefficient.one(), even, odd)})
-            pending = tuple(sorted((rng.randint(0, 2),) for _ in range(rng.randint(0, 2))))
+            pending = tuple(sorted((rng.randint(1, 2),) for _ in range(rng.randint(0, 2))))
             a = Attach(pending, inner)
             assert a is Attach._of(pending, even, odd)
             assert a.inner == inner and a.pending == pending

@@ -38,6 +38,7 @@ from bvcalc.models import LieAlgebraData, build_scalar_example, build_yang_mills
 
 from util_random import (
     ghost_model,
+    isolated,
     labelled_operands,
     nested_brackets,
     plane_model,
@@ -328,9 +329,10 @@ def test_right_images_are_signed_left_images(model_name):
         variables = [v for pair in model.pairs() for v in pair]
         for name, e in ops.items():
             for frozen in (True, False):
-                left = eulers(model, e, variables, frozen, isolate=True)
+                left = eulers(model, e, variables, frozen)
                 for v, image in left.items():
-                    right = euler(model, e, *v, side="right", frozen=frozen, isolate=True)
+                    image = isolated(image, frozen)
+                    right = isolated(euler(model, e, *v, side="right", frozen=frozen), frozen)
                     sign = -1 if model.parity(*v) and not e.parity() else 1
                     assert _raw(right) == _raw(image.scale(sign)), (name, v, frozen)
 

@@ -283,10 +283,25 @@ def test_cmd_evaluate(model_file, capsys):
     assert "3.14159" in capsys.readouterr().out
 
 
-def test_cmd_usage_errors(model_file, capsys):
+def test_cmd_usage_errors(model_file, tmp_path, capsys):
     assert main(["euler", model_file, "--expr", "q +* q", "--field", "q"]) == 2
     assert main(["evaluate", model_file, "--expr", "q", "--section", "nope"]) == 2
     capsys.readouterr()
+    # a model file that cannot be read, or that does not parse, and a
+    # quadrature with too few points for the density
+    missing = str(tmp_path / "missing.model")
+    assert main(["euler", missing, "--expr", "q", "--field", "q"]) == 2
+    out, err = capsys.readouterr()
+    assert not out and "cannot read model file" in err
+    bad = tmp_path / "bad.model"
+    bad.write_text("[base]\ndim = x\n[fields]\nq ghost = 0\n")
+    assert main(["euler", str(bad), "--expr", "q", "--field", "q"]) == 2
+    out, err = capsys.readouterr()
+    assert not out and "(line 2)" in err
+    assert main(["evaluate", model_file, "--expr", "q^4", "--section", "s1",
+                 "--points", "4"]) == 2
+    out, err = capsys.readouterr()
+    assert not out and "cannot resolve" in err
     for n in ("0", "-3"):
         assert main(["check", "skew", "--cases", n, "--json"]) == 2
         out, err = capsys.readouterr()

@@ -30,14 +30,16 @@ from bvcalc.jetcalc import (
     partial,
     total_derivative,
     total_derivative_multi,
-    _partials,
+    _isolate,
     _shift,
+    _walk,
 )
 
 from util_random import (
     _from_raw,
     erase_labels,
     ghost_model,
+    isolated,
     labelled_operands,
     nested_brackets,
     plane_model,
@@ -253,11 +255,10 @@ def test_right_side_is_the_per_monomial_sign(seed, v):
         single = Expr({k: mono})
         sign = -1 if (v.parity * (mono.parity() - 1)) & 1 else 1
         right = right + partial(single, v).scale(sign)
-        channelled = channelled + euler(
-            _GHOST, single, v.field, v.dagger, frozen=True, isolate=True).scale(sign)
+        channelled = channelled + _isolate(euler(
+            _GHOST, single, v.field, v.dagger, frozen=True)).scale(sign)
     assert partial(e, v, "right") == right
-    assert euler(_GHOST, e, v.field, v.dagger, side="right", frozen=True,
-                 isolate=True) == channelled
+    assert _isolate(euler(_GHOST, e, v.field, v.dagger, side="right", frozen=True)) == channelled
 
 
 def test_partials_commute_with_wrappers():
@@ -449,8 +450,10 @@ def _reference_trig_chain(a):
 def _reference_partials(e, variables, side, isolate, index=None):
     """The partials walk built from raw factor lists: every branch is the
     monomial's factor list with one copy of a factor replaced, wrapped by
-    ``make_attach`` and normalised by ``_from_raw``.  Same arguments and
-    result as ``jetcalc._partials``."""
+    ``make_attach`` and normalised by ``_from_raw``, and with ``isolate``
+    each branch of a frozen variable has its home plains wrapped as it is
+    filed.  The result is ``{(field, dagger): {sigma: Expr}}``, as
+    ``_filed`` groups ``jetcalc._walk``."""
     raw = {}
     expanded = None
     dives = {}
@@ -549,9 +552,23 @@ def _reference_eulers(model, e, frozen, side, isolate):
     return out
 
 
+def _filed(walk, isolate=False):
+    """The term maps of ``jetcalc._walk`` as nonzero Exprs by variable and
+    multi-index, each isolated (``_isolate``) when ``isolate``."""
+    filed = {}
+    for u, terms in walk.items():
+        d = Expr(terms) if terms else Expr.zero()
+        if isolate:
+            d = _isolate(d)
+        if not d.is_zero():
+            filed.setdefault(u.var, {})[u.index] = d
+    return filed
+
+
 def _nonzero(filed):
-    return {v: {sigma: d for sigma, d in by_index.items() if not d.is_zero()}
-            for v, by_index in filed.items()}
+    nonzero = {v: {sigma: d for sigma, d in by_index.items() if not d.is_zero()}
+               for v, by_index in filed.items()}
+    return {v: by_index for v, by_index in nonzero.items() if by_index}
 
 
 # fields "s" (even) and "t" (odd) are ordinary fields, one more of each parity
@@ -578,8 +595,22 @@ def _walk_input(model, rng):
 
 @pytest.mark.parametrize("which", sorted(_WALK_MODELS))
 def test_walk_agrees_with_the_raw_branch_reference(which):
+    # the walk, and the bracket's isolation applied after it, against the
+    # reference that files and wraps every branch one at a time; isolating
+    # a frozen image is linear, so it equals wrapping each branch as it is
+    # filed
     model = _WALK_MODELS[which]
     variables = list(model.variables())
+    if which == "ghost":
+        # the home plain c meets its own kept bare block: isolated, the
+        # frozen image by q is the odd block squared
+        q, c = model.jet("q"), model.jet("c")
+        e = q * c * make_attach((), c)
+        frozen = euler(model, e, "q", frozen=True)
+        assert frozen == c * make_attach((), c) and _isolate(frozen).is_zero()
+        for isolate in (False, True):
+            ref = _reference_eulers(model, e, {("q", False): True}, "left", isolate)
+            assert isolated(frozen, isolate) == ref["q", False]
     rng = random.Random(32)
     for case in range(110):
         e = _walk_input(model, rng)
@@ -588,22 +619,25 @@ def test_walk_agrees_with_the_raw_branch_reference(which):
         isolate = rng.random() < 0.5
         context = (case, frozen, side, isolate)
 
-        # one walk per flag: the variables drawn unfrozen, then those frozen
+        # one walk per flag: the variables drawn unfrozen, then those frozen;
+        # a frozen image isolated when ``isolate``
         for f in (False, True):
             walked = [v for v in variables if frozen[v] is f]
-            got = eulers(model, e, walked, f, isolate)
+            got = {v: isolated(image, isolate and f)
+                   for v, image in eulers(model, e, walked, f).items()}
             reference = _reference_eulers(model, e, dict.fromkeys(walked, f), "left", isolate)
             assert got == reference, context
 
             # partials filed by variable and multi-index
             parities = {v: model.parity(*v) for v in walked}
-            filed = _partials(e, parities, f, isolate)
+            walk = _walk(e, parities, f)
             expected = _reference_partials(e, {v: (p, f) for v, p in parities.items()},
                                            "left", isolate)
-            assert _nonzero(filed) == _nonzero(expected), context
+            assert _filed(walk, isolate and f) == _nonzero(expected), context
         (name, dagger), f = rng.choice(sorted(frozen.items()))
         expected = _reference_eulers(model, e, {(name, dagger): f}, side, isolate)
-        assert euler(model, e, name, dagger, side, f, isolate) == expected[name, dagger]
+        got = euler(model, e, name, dagger, side, f)
+        assert isolated(got, isolate and f) == expected[name, dagger]
 
         sigmas = sorted(_occurring_indices(e, name, dagger)) or [(0,) * model.base_dim]
         expanded = {v: (model.parity(*v), False) for v in variables}
@@ -632,11 +666,16 @@ def test_the_right_side_agrees_with_the_raw_branch_reference(which):
             continue
         checked += 1
         for v in model.variables():
-            for frozen, isolate in ((False, False), (True, False), (True, True)):
-                right = euler(model, e, *v, "right", frozen, isolate)
-                expected = _reference_eulers(model, e, {v: frozen}, "right", isolate)[v]
-                assert right == expected, (case, v, frozen, isolate)
-                flipped += right != euler(model, e, *v, "left", frozen, isolate)
+            for frozen in (False, True):
+                right = euler(model, e, *v, "right", frozen)
+                expected = _reference_eulers(model, e, {v: frozen}, "right", False)[v]
+                assert right == expected, (case, v, frozen)
+                left = euler(model, e, *v, "left", frozen)
+                flipped += right != left
+            # the isolated frozen image, as the bracket takes it
+            expected = _reference_eulers(model, e, {v: True}, "right", True)[v]
+            assert _isolate(right) == expected, (case, v)
+            flipped += _isolate(right) != _isolate(left)
             by_index = _reference_partials(e, {v: (model.parity(*v), False)}, "right", False)
             for sigma, d in by_index.get(v, {}).items():
                 assert partial(e, model.jet_atom(v[0], sigma, v[1]), "right") == d, (case, v, sigma)
@@ -647,11 +686,11 @@ def test_an_unknown_side_is_refused_before_any_walk(m, monkeypatch):
     def walk(*args):
         raise AssertionError("walked")
 
-    monkeypatch.setattr(jetcalc, "_partials", walk)
+    monkeypatch.setattr(jetcalc, "_walk", walk)
     e = m.jet("q") * m.jet("q", (1,), dagger=True)
     calls = (lambda: partial(e, m.jet_atom("q"), "up"),
              lambda: euler(m, e, "q", side="up"),
-             lambda: euler(m, e, "q", True, "up", True, True))
+             lambda: euler(m, e, "q", True, "up", True))
     for call in calls:
         with pytest.raises(ValueError, match="side must be 'left' or 'right', got 'up'"):
             call()
@@ -677,11 +716,11 @@ def test_a_walk_by_one_variable_is_its_slice_of_the_walk_by_all():
     for model, e in _walk_index_inputs():
         variables = list(model.variables())
         spec = {v: model.parity(*v) for v in variables}
-        for frozen, isolate in ((False, False), (True, False), (True, True)):
-            every = _nonzero(_partials(e, spec, frozen, isolate))
+        for frozen in (False, True):
+            every = _filed(_walk(e, spec, frozen))
             for v in variables:
-                one = _nonzero(_partials(e, {v: spec[v]}, frozen, isolate))
-                assert one.get(v, {}) == every.get(v, {}), (e, v, frozen, isolate)
+                one = _filed(_walk(e, {v: spec[v]}, frozen))
+                assert one.get(v, {}) == every.get(v, {}), (e, v, frozen)
                 seen += bool(one.get(v))
         assert len(e.terms) < 2 or e._index is not None
     assert seen > 250, seen
@@ -699,20 +738,20 @@ def test_the_walk_index_is_built_on_the_second_walk_by_one_variable():
         spec = {v: model.parity(*v) for v in variables}
         for v in variables:
             fresh = Expr(dict(e.terms))
-            _partials(fresh, spec, True, True)
+            _walk(fresh, spec, True)
             assert not fresh._index
-            walks = [_nonzero(_partials(fresh, {v: spec[v]}, True, True))]
+            walks = [_filed(_walk(fresh, {v: spec[v]}, True))]
             assert not fresh._index
-            walks.append(_nonzero(_partials(fresh, {v: spec[v]}, True, True)))
+            walks.append(_filed(_walk(fresh, {v: spec[v]}, True)))
             assert fresh._index
-            walks.append(_nonzero(_partials(fresh, {v: spec[v]}, True, True)))
+            walks.append(_filed(_walk(fresh, {v: spec[v]}, True)))
             assert walks[0] == walks[1] == walks[2]
             checked += bool(walks[0])
     assert checked > 100, checked
 
 
 def test_walk_edge_cases(m):
-    # the channelled Euler operator by q with isolate, on inputs whose only
+    # the channelled Euler operator by q, isolated, on inputs whose only
     # q-dependence is the one factor named; the kept block holds no q
     q, qxx, x = m.jet("q"), m.jet("q", (2,)), m.x(0)
     qd, qdx = m.jet("q", dagger=True), m.jet("q", (1,), dagger=True)
@@ -729,7 +768,7 @@ def test_walk_edge_cases(m):
     ]
     for e, expected in cases:
         assert not e.is_zero()
-        got = euler(m, e, "q", False, frozen=True, isolate=True)
+        got = _isolate(euler(m, e, "q", False, frozen=True))
         ref = _reference_eulers(m, e, {("q", False): True}, "left", True)
         assert got == ref[("q", False)] == expected, e
 
@@ -761,8 +800,9 @@ def test_the_engine_never_calls_the_reference_normaliser(m):
         assert total_derivative(e, 0) == expected != Expr.zero()
     for e, side, expected in walked:
         if side == "left":
-            assert eulers(model, e, variables, True, True) == expected
-        assert euler(model, e, "c", True, side, True, True) == expected["c", True]
+            images = eulers(model, e, variables, True)
+            assert {v: _isolate(image) for v, image in images.items()} == expected
+        assert _isolate(euler(model, e, "c", True, side, True)) == expected["c", True]
     for mode in ("geometric", "naive"):
         laplacian(G, mode)
         assert not laplacian(schouten(F, G, mode), mode).is_zero()
@@ -1060,7 +1100,7 @@ def test_collapse_of_channelled_euler_is_plain_euler():
     for _ in range(50):
         e = random_homogeneous(model, rng, rng.randint(0, 1))
         for name, dagger in (("q", False), ("q", True), ("c", False)):
-            chan = euler(model, e, name, dagger, frozen=True, isolate=True)
+            chan = _isolate(euler(model, e, name, dagger, frozen=True))
             assert collapse(chan) == euler_left(model, e, name, dagger)
 
 
@@ -1159,8 +1199,9 @@ def test_engine_monomials_name_each_label_once():
         for name in ("x", "y", "z"):
             e = ops[name]
             variables = [v for pair in model.pairs() for v in pair]
+            images = eulers(model, e, variables, True).values()
             outputs += [(model, x) for x in (e, laplacian_density(model, e),
-                                             *eulers(model, e, variables, True, True).values())]
+                                             *map(_isolate, images))]
     m, S, X = nested_brackets(2)
     for F in (X, schouten(S, X), schouten(X, S), laplacian(X)):
         outputs += [(m, b) for blocks in F.terms for b in blocks]

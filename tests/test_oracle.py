@@ -66,9 +66,19 @@ def sin_section(m):
 
 
 def test_total_derivative_integrates_to_zero(m):
-    F = Functional.from_density(m, m.jet("q") * m.jet("q", (1,)))
-    v = evaluate(F, sin_section(m), 16)
-    assert abs(v.body()) < 1e-12
+    # a polynomial density, and a transcendental one, which the quadrature
+    # checks at twice the points
+    for density in (m.jet("q") * m.jet("q", (1,)), m.exp("q") * m.jet("q", (1,))):
+        v = evaluate(Functional.from_density(m, density), sin_section(m), 16)
+        assert abs(v.body()) < 1e-12, density
+
+
+def test_cos_of_sin_integrates_to_the_bessel_value(m):
+    # the integral of cos(sin x) over [0, 2pi) is 2pi J0(1), with J0(1) the
+    # sum of (-1)^k / (4^k (k!)^2)
+    j0 = sum((-1) ** k / (4 ** k * math.factorial(k) ** 2) for k in range(20))
+    v = evaluate(Functional.from_density(m, m.cos("q")), sin_section(m), 16)
+    assert abs(v.body() - 2 * math.pi * j0) < 1e-12
 
 
 def test_sin_squared_integral(m):
@@ -92,6 +102,10 @@ def test_insufficient_points_detected(m):
     F = Functional.from_density(m, (m.jet("q") ** 4))
     with pytest.raises(FrequencyError):
         evaluate(F, sin_section(m), 4)
+    # two points pass the frequency bound of a degree-1 density, but exp is
+    # no trigonometric polynomial: at four points the value moves
+    with pytest.raises(FrequencyError, match="not converged"):
+        evaluate(Functional.from_density(m, m.exp("q")), sin_section(m), 2)
 
 
 def test_base_coordinates_rejected(m):

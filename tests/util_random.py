@@ -9,7 +9,7 @@ from bvcalc.coeff import Coefficient
 from bvcalc.algebra import (_ONE, Attach, Trig, _add_products, _add_term, _sum_scaled,
                             make_attach)
 from bvcalc.cohomology import Functional, _accumulate, _graded_sort
-from bvcalc.jetcalc import GEOMETRIC, NAIVE, _check_mode, collapse, euler, eulers
+from bvcalc.jetcalc import GEOMETRIC, NAIVE, _check_mode, _isolate, collapse, euler, eulers
 
 
 def scalar_model() -> BvModel:
@@ -314,9 +314,15 @@ def _erased_atom(a, memo):
 def right_images(model, e, frozen):
     """The right isolated Euler images of ``e`` by every variable of
     ``model``, one public ``euler`` call per variable, all ``frozen`` or
-    none."""
-    return {v: euler(model, e, *v, side="right", frozen=frozen, isolate=True)
+    none; a frozen image is then isolated (``jetcalc._isolate``)."""
+    return {v: isolated(euler(model, e, *v, side="right", frozen=frozen), frozen)
             for pair in model.pairs() for v in pair}
+
+
+def isolated(image, frozen):
+    """A frozen Euler image with its home plains isolated, as the bracket
+    takes it; an expanded image as it is."""
+    return _isolate(image) if frozen else image
 
 
 # -- the bracket density with its images taken afresh --------------------------
@@ -349,7 +355,8 @@ def reference_bracket_images(model, f, g, mode=GEOMETRIC):
     frozen = mode == GEOMETRIC
     pairs = list(model.pairs())
     er = right_images(model, f, frozen)
-    el = eulers(model, g, [v for pair in pairs for v in pair], frozen, isolate=True)
+    el = {v: isolated(image, frozen)
+          for v, image in eulers(model, g, [v for pair in pairs for v in pair], frozen).items()}
     return pairs, er, el
 
 
