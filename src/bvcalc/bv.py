@@ -16,6 +16,12 @@ its first bracket made; a block bracketed with itself is walked once, in
 either mode.  The quantum layer combines the two into the differential
 Omega = -i*hbar*Delta + [S, .].
 
+Each verdict has one table (``_Ops``, the mode it binds): every bracket and
+Laplacian its builder takes reads each block's and block pair's density, and
+each plain operand's Euler images, from it, made once.  The table is dropped
+with the verdict, so a plain operand keeps nothing after it; a public call
+is a verdict of its own.
+
 Sign conventions (fixed constants of the construction): the two couplings
 pair as <e, dag e> = +1 and <dag e, e> = -1; normalized variations couple to
 +1.  The two surgery couplings of the Laplacian multiply to +1; the two
@@ -52,7 +58,9 @@ def schouten_density(model: BvModel, f: Expr, g: Expr, mode: str = GEOMETRIC) ->
     over the conjugate pairs (ev, od) of er[ev] * el[od] - er[od] * el[ev].
     Only left images are taken (``_images``): on a parity-homogeneous f,
     er[v] = (-1)^(p_v (p_f - 1)) el[v], a sign folded into the products, so
-    a heterogeneous f raises ParityError (g may be of any parity).
+    a heterogeneous f raises ParityError (g may be of any parity).  A
+    verdict passes its ``_Ops`` as ``mode``, and the images of plain f and
+    g are read from its table.
 
     In geometric mode each operand's variations stay pending on frozen
     blocks.  A product of an image of f and one of g that share a block
@@ -86,18 +94,24 @@ def _images(model: BvModel, e: Expr, mode: str) -> dict:
     ``model``: expanded in naive mode, frozen and then isolated
     (``_isolate``) in geometric mode.  An operand that holds a block (so a
     bracket result, geometric) is walked once per model, its images kept on
-    it (``Expr._images``, a slot unset until then); a plain operand keeps
-    nothing, so a long-lived action or observable holds no images."""
-    memo = getattr(e, "_images", {}) if e.has_attach() else None
-    if memo and model in memo:
-        return memo[model]
-    frozen = mode == GEOMETRIC
-    images = eulers(model, e, [v for pair in model.pairs() for v in pair], frozen)
-    if frozen:
-        images = {v: _isolate(image) for v, image in images.items()}
-    if memo is not None:
-        memo[model] = images
-        e._images = memo
+    it (``Expr._images``, a slot unset until then).  A plain operand is
+    walked once per verdict when ``mode`` is the verdict's ``_Ops``, its
+    images kept in that table and nowhere else, so a long-lived action or
+    observable keeps nothing once the verdict returns."""
+    held = e.has_attach()
+    if held:
+        memo, key = getattr(e, "_images", {}), model
+    else:
+        memo, key = (mode.images if type(mode) is _Ops else {}), (model, e)
+    images = memo.get(key)
+    if images is None:
+        frozen = mode == GEOMETRIC
+        images = eulers(model, e, [v for pair in model.pairs() for v in pair], frozen)
+        if frozen:
+            images = {v: _isolate(image) for v, image in images.items()}
+        memo[key] = images
+        if held:
+            e._images = memo
     return images
 
 
@@ -127,24 +141,11 @@ def schouten(F: Functional, G: Functional, mode: str = GEOMETRIC) -> Functional:
     closed sum over block pairs, with p the parity of a run of blocks:
     [[B_1...B_k, C_1...C_l]] = sum_(i,j) (-1)^((p(B) - 1) p(C_<j) + (p(C_j) - 1) p(B_>i))
                                C_<j B_<i [[B_i, C_j]] B_>i C_>j.
-    Each distinct block pair takes its density once per call, and each
-    product is filed by ``_add_blocks``, which absorbs the Koszul sign of
-    sorting its blocks.  Constants are bracket-inert."""
-    _check_mode(mode)
-    pF, _ = F.parity(), G.parity()  # raises on heterogeneous input
-    acc, densities = {}, {}
-    for bf, cf in F.terms.items():
-        before_b = _parities_before(bf)
-        for bg, cg in G.terms.items():
-            c0 = cf * cg
-            before_c = _parities_before(bg)
-            for j, C in enumerate(bg):
-                for i, B in enumerate(bf):
-                    d = _density(densities, F.model, mode, B, C)
-                    sign = ((pF - 1) * before_c[j] + (C.parity() - 1) * (pF ^ before_b[i + 1])) & 1
-                    _add_blocks(acc, bg[:j] + bf[:i] + (d,) + bf[i + 1:] + bg[j + 1:],
-                                -c0 if sign else c0)
-    return Functional(F.model, acc)
+    Each distinct block pair takes its density once per verdict (a call
+    on its own is one), and each product is filed by ``_add_blocks``, which
+    absorbs the Koszul sign of sorting its blocks.  Constants are
+    bracket-inert."""
+    return _Ops(mode).schouten(F, G)
 
 
 def laplacian(F: Functional, mode: str = GEOMETRIC) -> Functional:
@@ -154,21 +155,75 @@ def laplacian(F: Functional, mode: str = GEOMETRIC) -> Functional:
     Delta(B_1...B_k) = sum_j (-1)^p(B_<j) B_<j Delta(B_j) B_>j
         + sum_(i<j) (-1)^(p(B_<=i) + (p(B_i) - 1) p(B_i<.<j)) B_<i B_i<.<j [[B_i, B_j]] B_>j.
     Each distinct block and each distinct block pair takes its density once
-    per call."""
-    _check_mode(mode)
-    F.parity()
-    acc, densities = {}, {}
-    for blocks, c0 in F.terms.items():
-        before = _parities_before(blocks)
-        for j, B in enumerate(blocks):
-            d = _density(densities, F.model, mode, B)
-            _add_blocks(acc, blocks[:j] + (d,) + blocks[j + 1:], -c0 if before[j] else c0)
-            for i, A in enumerate(blocks[:j]):
-                d = _density(densities, F.model, mode, A, B)
-                sign = (before[i + 1] + (A.parity() - 1) * (before[j] ^ before[i + 1])) & 1
-                _add_blocks(acc, blocks[:i] + blocks[i + 1:j] + (d,) + blocks[j + 1:],
-                            -c0 if sign else c0)
-    return Functional(F.model, acc)
+    per verdict (a call on its own is one)."""
+    return _Ops(mode).laplacian(F)
+
+
+def omega(O: Functional, S: Functional, mode: str = GEOMETRIC) -> Functional:
+    """Omega(O) = -i*hbar*Delta(O) + [[S, O]]."""
+    return _Ops(mode).omega(O, S)
+
+
+class _Ops(str):
+    """The mode of one verdict, carrying its table: the bracket, Laplacian
+    and Omega taken through it (``op.schouten(F, G)``) take each block's
+    Laplacian density and each ordered block pair's bracket density
+    (``densities``), and each plain operand's Euler images (``images``,
+    read by ``_images``), once, keyed by model.  It is the mode string
+    itself, so the density functions take it where they take a mode; it is
+    dropped with the verdict, so nothing it holds outlives one."""
+
+    def __new__(cls, mode: str):
+        _check_mode(mode)
+        op = super().__new__(cls, mode)
+        op.densities, op.images = {}, {}
+        return op
+
+    def schouten(self, F: Functional, G: Functional) -> Functional:
+        pF, _ = F.parity(), G.parity()  # raises on heterogeneous input
+        acc = {}
+        for bf, cf in F.terms.items():
+            before_b = _parities_before(bf)
+            for bg, cg in G.terms.items():
+                c0 = cf * cg
+                before_c = _parities_before(bg)
+                for j, C in enumerate(bg):
+                    for i, B in enumerate(bf):
+                        d = self._density(F.model, B, C)
+                        sign = ((pF - 1) * before_c[j]
+                                + (C.parity() - 1) * (pF ^ before_b[i + 1])) & 1
+                        _add_blocks(acc, bg[:j] + bf[:i] + (d,) + bf[i + 1:] + bg[j + 1:],
+                                    -c0 if sign else c0)
+        return Functional(F.model, acc)
+
+    def laplacian(self, F: Functional) -> Functional:
+        F.parity()
+        acc = {}
+        for blocks, c0 in F.terms.items():
+            before = _parities_before(blocks)
+            for j, B in enumerate(blocks):
+                d = self._density(F.model, B)
+                _add_blocks(acc, blocks[:j] + (d,) + blocks[j + 1:], -c0 if before[j] else c0)
+                for i, A in enumerate(blocks[:j]):
+                    d = self._density(F.model, A, B)
+                    sign = (before[i + 1] + (A.parity() - 1) * (before[j] ^ before[i + 1])) & 1
+                    _add_blocks(acc, blocks[:i] + blocks[i + 1:j] + (d,) + blocks[j + 1:],
+                                -c0 if sign else c0)
+        return Functional(F.model, acc)
+
+    def omega(self, O: Functional, S: Functional) -> Functional:
+        return self.laplacian(O).scale(_MINUS_I_HBAR) + self.schouten(S, O)
+
+    def _density(self, model: BvModel, *blocks) -> Expr:
+        """The Laplacian density of one block or the bracket density of an
+        ordered pair, computed once per verdict.  (B, C) is never read as
+        (C, B) by skew-symmetry, so the ``skew`` suite tests it."""
+        key = (model,) + blocks
+        d = self.densities.get(key)
+        if d is None:
+            density = laplacian_density if len(blocks) == 1 else schouten_density
+            d = self.densities[key] = density(model, *blocks, self)
+        return d
 
 
 def _parities_before(blocks) -> list:
@@ -179,27 +234,12 @@ def _parities_before(blocks) -> list:
     return out
 
 
-def _density(densities: dict, model: BvModel, mode: str, *blocks) -> Expr:
-    """The Laplacian density of one block or the bracket density of two,
-    computed once per ``densities``, the table of one call."""
-    d = densities.get(blocks)
-    if d is None:
-        density = laplacian_density if len(blocks) == 1 else schouten_density
-        d = densities[blocks] = density(model, *blocks, mode)
-    return d
-
-
 # ---------------------------------------------------------------------------
 # quantum layer
 
 _MINUS_I_HBAR = -(Coefficient.imag_unit() * Coefficient.hbar())
 _HALF = Coefficient.of(1) / Coefficient.of(2)
 _TWO = Coefficient.of(2)
-
-
-def omega(O: Functional, S: Functional, mode: str = GEOMETRIC) -> Functional:
-    """Omega(O) = -i*hbar*Delta(O) + [[S, O]]."""
-    return laplacian(O, mode).scale(_MINUS_I_HBAR) + schouten(S, O, mode)
 
 
 def _qme(delta: Functional, bracket: Functional) -> Functional:
@@ -215,96 +255,97 @@ def _sign(exponent: int) -> int:
     return -1 if exponent & 1 else 1
 
 
-def _leibniz_1a(F, G, H, mode):
+def _leibniz_1a(F, G, H, op):
     """(1a) [[F, G*H]] = [[F,G]]*H + (-1)^((gh F - 1) gh G) G*[[F,H]]."""
     sign = _sign((F.parity() - 1) * G.parity())
-    return [(schouten(F, G * H, mode),
-             schouten(F, G, mode) * H + (G * schouten(F, H, mode)).scale(sign))]
+    return [(op.schouten(F, G * H),
+             op.schouten(F, G) * H + (G * op.schouten(F, H)).scale(sign))]
 
 
-def _laplacian_1b(F, G, mode):
+def _laplacian_1b(F, G, op):
     """(1b) Delta(F*G) = Delta(F)*G + (-1)^gh(F) [[F,G]] + (-1)^gh(F) F*Delta(G)."""
     sign = _sign(F.parity())
-    return [(laplacian(F * G, mode), laplacian(F, mode) * G
-             + (schouten(F, G, mode) + F * laplacian(G, mode)).scale(sign))]
+    return [(op.laplacian(F * G), op.laplacian(F) * G
+             + (op.schouten(F, G) + F * op.laplacian(G)).scale(sign))]
 
 
-def _derivation_1c(F, G, mode):
+def _derivation_1c(F, G, op):
     """(1c) Delta[[F,G]] = [[Delta F, G]] + (-1)^(gh F - 1) [[F, Delta G]]."""
     sign = _sign(F.parity() - 1)
-    return [(laplacian(schouten(F, G, mode), mode), schouten(laplacian(F, mode), G, mode)
-             + schouten(F, laplacian(G, mode), mode).scale(sign))]
+    return [(op.laplacian(op.schouten(F, G)), op.schouten(op.laplacian(F), G)
+             + op.schouten(F, op.laplacian(G)).scale(sign))]
 
 
-def _delta_squared_1d(F, mode):
+def _delta_squared_1d(F, op):
     """(1d) Delta^2 = 0."""
-    return [(laplacian(laplacian(F, mode), mode), Functional.zero(F.model))]
+    return [(op.laplacian(op.laplacian(F)), Functional.zero(F.model))]
 
 
-def _jacobi(F, G, H, mode):
+def _jacobi(F, G, H, op):
     """(1d) Jacobi: the cyclic sum of (-1)^((gh F-1)(gh H-1)) [[F,[[G,H]]]] is 0."""
     pF, pG, pH = F.parity(), G.parity(), H.parity()
-    cyclic = (schouten(F, schouten(G, H, mode), mode).scale(_sign((pF - 1) * (pH - 1)))
-              + schouten(G, schouten(H, F, mode), mode).scale(_sign((pF - 1) * (pG - 1)))
-              + schouten(H, schouten(F, G, mode), mode).scale(_sign((pG - 1) * (pH - 1))))
+    cyclic = (op.schouten(F, op.schouten(G, H)).scale(_sign((pF - 1) * (pH - 1)))
+              + op.schouten(G, op.schouten(H, F)).scale(_sign((pF - 1) * (pG - 1)))
+              + op.schouten(H, op.schouten(F, G)).scale(_sign((pG - 1) * (pH - 1))))
     return [(cyclic, Functional.zero(F.model))]
 
 
-def _skew(F, G, mode):
+def _skew(F, G, op):
     """[[F, G]] = -(-1)^((gh F - 1)(gh G - 1)) [[G, F]]."""
     sign = _sign((F.parity() - 1) * (G.parity() - 1))
-    return [(schouten(F, G, mode), schouten(G, F, mode).scale(-sign))]
+    return [(op.schouten(F, G), op.schouten(G, F).scale(-sign))]
 
 
-def _powers(F, G, mode):
+def _powers(F, G, op):
     """For even F: [[G, F^n]] = n [[G,F]] F^(n-1) for n = 1..4 and
     Delta(F^n) = n Delta(F) F^(n-1) + n(n-1)/2 [[F,F]] F^(n-2) for n = 2..4."""
     powers = [F ** 0]
     for _ in range(4):
         powers.append(powers[-1] * F)
-    GF, dF, FF = schouten(G, F, mode), laplacian(F, mode), schouten(F, F, mode)
-    pairs = [(schouten(G, powers[n], mode), (GF * powers[n - 1]).scale(n)) for n in (1, 2, 3, 4)]
-    pairs += [(laplacian(powers[n], mode), (dF * powers[n - 1]).scale(n)
+    GF, dF, FF = op.schouten(G, F), op.laplacian(F), op.schouten(F, F)
+    pairs = [(op.schouten(G, powers[n]), (GF * powers[n - 1]).scale(n)) for n in (1, 2, 3, 4)]
+    pairs += [(op.laplacian(powers[n]), (dF * powers[n - 1]).scale(n)
                + (FF * powers[n - 2]).scale(_HALF * (n * (n - 1)))) for n in (2, 3, 4)]
     return pairs
 
 
-def _omega_squared(O, S, mode):
+def _omega_squared(O, S, op):
     """(Omega)^2(O) = [[Q, O]] for Q = -i*hbar*Delta S + 1/2 [[S,S]]; and, when
     every block of the collapsed Q_c is trivial, [[Q_c, O]] ~ 0 (the
     collapse fixes the generating section of the field that [[Q, .]] induces)."""
-    omega2 = omega(omega(O, S, mode), S, mode)
-    Q = _qme(laplacian(S, mode), schouten(S, S, mode))
-    pairs = [(omega2, schouten(Q, O, mode))]
+    omega2 = op.omega(op.omega(O, S), S)
+    Q = _qme(op.laplacian(S), op.schouten(S, S))
+    pairs = [(omega2, op.schouten(Q, O))]
     Qc = Q.collapse()
     if all(is_trivial(S.model, b) for b in Qc.blocks()):
-        pairs.append((schouten(Qc, O, mode), Functional.zero(S.model)))
+        pairs.append((op.schouten(Qc, O), Functional.zero(S.model)))
     return pairs
 
 
-def _gauge_closure(F1, F2, S, mode):
+def _gauge_closure(F1, F2, S, op):
     """-i*hbar*([[Delta F1, F2]] + [[F1, Delta F2]]) + [[[[S,F1]],F2]]
     - [[[[S,F2]],F1]] = Omega([[F1, F2]]): gauge symmetries close."""
-    lhs = ((schouten(laplacian(F1, mode), F2, mode)
-            + schouten(F1, laplacian(F2, mode), mode)).scale(_MINUS_I_HBAR)
-           + schouten(schouten(S, F1, mode), F2, mode)
-           - schouten(schouten(S, F2, mode), F1, mode))
-    return [(lhs, omega(schouten(F1, F2, mode), S, mode))]
+    lhs = ((op.schouten(op.laplacian(F1), F2)
+            + op.schouten(F1, op.laplacian(F2))).scale(_MINUS_I_HBAR)
+           + op.schouten(op.schouten(S, F1), F2)
+           - op.schouten(op.schouten(S, F2), F1))
+    return [(lhs, op.omega(op.schouten(F1, F2), S))]
 
 
-def _cocycles(S, O, F, xi, mode):
+def _cocycles(S, O, F, xi, op):
     """Omega([[X,F]]) + [[Omega(F), X]] = [[Omega(X), F]] for an even cocycle
     X = O and an odd coboundary X = xi; a None argument is left out."""
-    omega_F = omega(F, S, mode)
-    return [(omega(schouten(X, F, mode), S, mode) + schouten(omega_F, X, mode),
-             schouten(omega(X, S, mode), F, mode)) for X in (O, xi) if X is not None]
+    omega_F = op.omega(F, S)
+    return [(op.omega(op.schouten(X, F), S) + op.schouten(omega_F, X),
+             op.schouten(op.omega(X, S), F)) for X in (O, xi) if X is not None]
 
 
 COIN = "coin"  # a parity drawn by random.Random(cs).randint(0, 1)
 
 # One row per check suite:
 # - parities: the parity each argument must have (None: either);
-# - build: the builder of its (lhs, rhs) pairs;
+# - build: the builder of its (lhs, rhs) pairs, from the arguments and the
+#   verdict's ``_Ops``, through which it takes every bracket and Laplacian;
 # - compare: the comparison that decides the verdict;
 # - records: the comparisons a passing verdict also records;
 # - draws: the arguments ``bvcalc check`` draws for its case cs, in order: a
@@ -357,12 +398,16 @@ def check_identity(name: str, args, mode: str = GEOMETRIC) -> Report:
     (None for an argument the builder may leave out).  Every pair is
     compared in order: ``data["agreed"]`` lists the outcomes, and
     ``data["discrepancy"]`` is the collapsed lhs - rhs of the first that
-    fails, its single-block terms summed into one integral."""
+    fails, its single-block terms summed into one integral.  The builder
+    takes every bracket and Laplacian through one ``_Ops``, the table of
+    this verdict, made here and dropped when it returns."""
     entry = IDENTITIES[name]
+    if len(args) != len(entry.parities):
+        raise TypeError(f"{name}: takes {len(entry.parities)} arguments, {len(args)} given")
     for i, (X, parity) in enumerate(zip(args, entry.parities), 1):
         if parity is not None and X is not None and not X.is_zero() and X.parity() != parity:
             raise ParityError(f"{name}: argument {i} must be {('even', 'odd')[parity]}")
-    pairs = entry.build(*args, mode)
+    pairs = entry.build(*args, _Ops(mode))
     agreed = [functional_equal(lhs, rhs, entry.compare) for lhs, rhs in pairs]
     passed = all(agreed)
     data = {"agreed": agreed}

@@ -22,6 +22,7 @@ from .bv import (
     GEOMETRIC,
     IDENTITIES,
     NAIVE,
+    _Ops,
     _summarize,
     check_identity,
     check_master_equation,
@@ -298,7 +299,7 @@ def _example_scalar():
     lines.append(f"[[Delta F, G]] = {repr(bracket_dFG)}")
     ok &= bracket_dFG.is_zero()
 
-    ((L, R),) = IDENTITIES["derivation-1c"].build(F, G, GEOMETRIC)
+    ((L, R),) = IDENTITIES["derivation-1c"].build(F, G, _Ops(GEOMETRIC))
     structural = functional_equal(L, R, "structural")
     cohomological = functional_equal(L, R, "collapse")
     ok &= structural and cohomological

@@ -415,10 +415,18 @@ def _isolate(e: Expr) -> Expr:
     a bare block (``_wrap_branch`` with no pending derivative), so that in a
     bracket each operand's factors live at their own copy of the base.
     Wrapping is linear, so isolating a walk's sum equals isolating each of
-    its branches."""
+    its branches.  A monomial of blocks alone wraps nothing: it is filed as
+    it is (monomials are immutable), or merged when its key is filed."""
     acc = {}
-    for m in e.terms.values():
-        _wrap_branch(acc, m.coeff, m.even, m.odd, None)
+    for k, m in e.terms.items():
+        even, odd = m.even, m.odd
+        # Attach keys sort last, so a plain factor leads a side if any does
+        if (even and type(even[0][0]) is not Attach) or (odd and type(odd[0]) is not Attach):
+            _wrap_branch(acc, m.coeff, even, odd, None)
+        elif k in acc:
+            _add_term(acc, k, m.coeff)
+        else:
+            acc[k] = m
     return Expr(acc) if acc else Expr.zero()
 
 

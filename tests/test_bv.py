@@ -1,3 +1,4 @@
+import collections
 import functools
 import gc
 import itertools
@@ -233,6 +234,12 @@ def test_a_bracket_leaves_no_block_alive():
     gc.collect()
     assert len(algebra._INTERNED) == before
     assert not any(hasattr(b, "_images") for F in (S, O) for b in F.blocks())
+    # nor does a verdict on them: its table, which holds their images, is
+    # dropped when it returns
+    assert check_identity("derivation-1c", (S, O)).passed
+    gc.collect()
+    assert len(algebra._INTERNED) == before
+    assert not any(hasattr(b, "_images") for F in (S, O) for b in F.blocks())
 
 
 def test_raw_results_do_not_depend_on_call_history():
@@ -449,13 +456,15 @@ def test_leibniz_sums_take_each_density_once(m, monkeypatch):
     # F**4 is one even block four times: one pair for the bracket, one block
     # and one pair for the Laplacian, whatever the number of terms in the sums
     calls = {"schouten_density": 0, "laplacian_density": 0}
+    taken = []
 
     def counted(name):
         density = getattr(bv, name)
 
-        def count(*args):
+        def count(model, *args):
             calls[name] += 1
-            return density(*args)
+            taken.append(args[:-1])
+            return density(model, *args)
         return count
 
     for name in calls:
@@ -467,10 +476,39 @@ def test_leibniz_sums_take_each_density_once(m, monkeypatch):
     assert calls == {"schouten_density": 1, "laplacian_density": 0}
     assert not laplacian(F ** 4).is_zero()
     assert calls == {"schouten_density": 2, "laplacian_density": 1}
-    # the powers builder takes [[G,F]], Delta F and [[F,F]] once: 13 densities
+    # a powers verdict takes [[G,F]], Delta F and [[F,F]] once each, for all
+    # of its brackets and Laplacians of powers of F
     calls.update(dict.fromkeys(calls, 0))
+    del taken[:]
     assert check_identity("powers", (F, G)).passed
-    assert sum(calls.values()) == 13
+    ((f,),), ((g,),) = F.terms, G.terms
+    assert taken == [(g, f), (f,), (f, f)]
+
+
+def test_a_verdict_takes_each_density_and_plain_image_once(m, monkeypatch):
+    # one table serves every bracket of a verdict: Jacobi walks each plain
+    # operand once, not once for each of the three brackets it enters, and
+    # (1a) takes [[F,G]] and [[F,H]] once for both of its sides
+    walked, taken = [], []
+
+    def walk(model, e, *args, **kwargs):
+        walked.append(e)
+        return eulers(model, e, *args, **kwargs)
+
+    def bracket(model, f, g, mode):
+        taken.append((f, g))
+        return schouten_density(model, f, g, mode)
+
+    monkeypatch.setattr(bv, "eulers", walk)
+    monkeypatch.setattr(bv, "schouten_density", bracket)
+    for k in range(3):
+        F, G, H = (rf(m, (k + i) % 2, 5200 + 3 * k + i, order=1) for i in range(3))
+        ((f,),), ((g,),), ((h,),) = F.terms, G.terms, H.terms
+        for suite in ("jacobi", "leibniz-1a"):
+            del walked[:], taken[:]
+            assert check_identity(suite, (F, G, H)).passed
+            assert [sum(e is b for e in walked) for b in (f, g, h)] == [1, 1, 1], (suite, k)
+        assert collections.Counter(taken) == {(f, g): 1, (f, h): 1}, k
 
 
 @pytest.mark.parametrize("model_name", ["scalar", "ghost"])
@@ -970,6 +1008,10 @@ def test_check_identity_reports_the_first_failing_pair(m, monkeypatch):
     assert rep.data["discrepancy"] == Functional.from_density(m, collapse(b) - collapse(c))
     with pytest.raises(ParityError):
         check_identity("probe", (rf(m, 1, 4003),))
+    # a wrong number of arguments is refused before anything is built
+    for args in ((A,), (A, B, A)):
+        with pytest.raises(TypeError, match=f"^skew: takes 2 arguments, {len(args)} given$"):
+            check_identity("skew", args)
 
 
 def test_power_lemmas(m):
