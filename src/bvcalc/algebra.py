@@ -32,7 +32,7 @@ read these term maps too, and so do the triviality images of the class
 basis.  Values derived from an interned atom
 or an immutable expression are kept on it once found: a JetVar's shifts
 (``JetVar.shifts``), an Attach block's nested key, built on first read, an
-expression's key, hash, parity, ghost number and walk index
+expression's key, hash, parity and walk index
 (``Expr.var_index()``, built on its second walk by one variable), and the
 Euler images of an expression that holds a block, per model
 (``bv._images``).
@@ -258,7 +258,7 @@ class GhostNumberError(ValueError):
 
 
 class Expr:
-    __slots__ = ("terms", "_key", "_hash", "_parity", "_gh", "_index", "_images")
+    __slots__ = ("terms", "_key", "_hash", "_parity", "_index", "_images")
 
     def __init__(self, terms):
         # terms: dict (even, odd) -> Monomial, keyed by the monomial's own
@@ -266,8 +266,7 @@ class Expr:
         self.terms = terms
         self._key = None
         self._hash = None
-        self._parity = -2
-        self._gh = None
+        self._parity = None
         self._index = None
 
     # -- construction ---------------------------------------------------
@@ -387,7 +386,7 @@ class Expr:
 
     def parity(self) -> int:
         """Ghost parity; raises ParityError on a heterogeneous expression."""
-        if self._parity == -2:
+        if self._parity is None:
             p = None
             witness = None
             for m in self.terms.values():
@@ -395,16 +394,10 @@ class Expr:
                 if p is None:
                     p, witness = mp, m
                 elif mp != p:
-                    self._parity = -1
                     raise ParityError(
                         f"parity-heterogeneous expression: {witness!r} vs {m!r}"
                     )
             self._parity = 0 if p is None else p
-        if self._parity == -1:
-            mons = list(self.terms.values())
-            raise ParityError(
-                f"parity-heterogeneous expression: {mons[0]!r} vs ..."
-            )
         return self._parity
 
     def is_homogeneous(self) -> bool:
@@ -416,20 +409,18 @@ class Expr:
 
     def ghost_number(self) -> int:
         """Ghost number; raises GhostNumberError when not homogeneous."""
-        if self._gh is None:
-            gh = None
-            witness = None
-            for m in self.terms.values():
-                g = _monomial_gh(m)
-                if gh is None:
-                    gh, witness = g, m
-                elif g != gh:
-                    raise GhostNumberError(
-                        f"ghost-number-heterogeneous expression: {witness!r} "
-                        f"(gh {gh}) vs {m!r} (gh {g})"
-                    )
-            self._gh = 0 if gh is None else gh
-        return self._gh
+        gh = None
+        witness = None
+        for m in self.terms.values():
+            g = _monomial_gh(m)
+            if gh is None:
+                gh, witness = g, m
+            elif g != gh:
+                raise GhostNumberError(
+                    f"ghost-number-heterogeneous expression: {witness!r} "
+                    f"(gh {gh}) vs {m!r} (gh {g})"
+                )
+        return 0 if gh is None else gh
 
     def atoms(self):
         for m in self.terms.values():

@@ -44,8 +44,8 @@ from typing import List
 from .coeff import Coefficient
 from .algebra import (_MINUS_ONE, _ONE, Expr, ParityError, _add_products, _add_scaled,
                       _sum_scaled)
-from .cohomology import (Functional, _add_blocks, _reduce_functional, functional_equal,
-                         functional_text, is_trivial)
+from .cohomology import (Functional, _add_blocks, _check_model, _reduce_functional,
+                         functional_equal, functional_text, is_trivial)
 from .jetcalc import GEOMETRIC, NAIVE, BvModel, _check_mode, _isolate, collapse, euler, eulers
 
 
@@ -180,6 +180,7 @@ class _Ops(str):
         return op
 
     def schouten(self, F: Functional, G: Functional) -> Functional:
+        _check_model(F, G)
         pF, _ = F.parity(), G.parity()  # raises on heterogeneous input
         acc = {}
         for bf, cf in F.terms.items():

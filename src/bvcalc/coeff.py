@@ -50,7 +50,7 @@ class Coefficient:
     """Element of Q(i)[hbar, hbar^-1]."""
 
     # _int: the value of a shared integer, None on every other instance
-    __slots__ = ("terms", "_hash", "_int")
+    __slots__ = ("terms", "_int")
 
     def __init__(self, terms=None):
         # terms: dict {degree: (re, im)} with zero entries dropped
@@ -62,7 +62,6 @@ class Coefficient:
                 if re or im:
                     clean[int(deg)] = (re, im)
         self.terms = clean
-        self._hash = None
         self._int = None
 
     @classmethod
@@ -86,7 +85,6 @@ class Coefficient:
         that builds one."""
         c = object.__new__(cls)
         c.terms = terms
-        c._hash = None
         c._int = None
         return c
 
@@ -129,9 +127,7 @@ class Coefficient:
         )
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self.key())
-        return self._hash
+        return hash(self.key())
 
     def __eq__(self, other):
         if not isinstance(other, Coefficient):

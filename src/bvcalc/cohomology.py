@@ -413,35 +413,25 @@ def _reduce_functional(H: Functional, mode: str) -> dict:
     basis = _ClassBasis(model)
     parities = {}
     terms = {}
-    plain_cache = {}
     classes = {}
     for blocks, c in pending:
         expansions = []
-        dead = False
         for b in blocks:
             if b.has_attach():
                 sym, lead = _block_class(classes, b)
                 c = c * lead
                 parities[sym] = b.parity()
                 expansions.append([(sym, Coefficient.one())])
-            else:
-                if b.is_zero():
-                    dead = True
-                    break
-                cached = plain_cache.get(b)
-                if cached is None:
-                    raw = basis.expand(b)
-                    cached = [(("p", i), lam) for i, lam in raw]
-                    for i, _ in raw:
-                        parities[("p", i)] = basis.rows[i][0]
-                    plain_cache[b] = cached
-                if not cached:
-                    dead = True  # trivial density: the zero functional
-                    break
-                expansions.append(cached)
-        if dead or c.is_zero():
-            continue
-        _graded_expand(terms, expansions, parities, seed=c)
+                continue
+            raw = None if b.is_zero() else basis.expand(b)
+            if not raw:
+                break  # a zero or trivial density: the zero functional
+            for i, _ in raw:
+                parities[("p", i)] = basis.rows[i][0]
+            expansions.append([(("p", i), lam) for i, lam in raw])
+        else:
+            if not c.is_zero():
+                _graded_expand(terms, expansions, parities, seed=c)
     return terms
 
 

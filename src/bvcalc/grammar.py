@@ -35,7 +35,7 @@ from typing import List, Tuple
 
 from .coeff import Coefficient
 from .algebra import Atom, Attach, BaseVar, Expr, JetVar, Trig, make_attach
-from .jetcalc import BvModel, total_derivative
+from .jetcalc import _FIELD_NAME, BvModel, total_derivative
 
 
 class ParseError(ValueError):
@@ -291,10 +291,12 @@ class _Parser:
                 raise ParseError("exponent must be an integer", pos)
             n = int(val)
             if neg:
-                # negative powers only for invertible scalars
-                if len(e.terms) != 1 or next(iter(e.monomials())).factors():
+                # negative powers only for the units c*hbar^k, c != 0
+                if len(e.terms) > 1 or any(m.factors() for m in e.monomials()):
                     raise ParseError("negative exponent on a non-scalar", pos)
-                c = next(iter(e.monomials())).coeff
+                c = e.lead_coefficient()
+                if len(c.terms) != 1:
+                    raise ParseError(f"the scalar {format_coefficient(c)} has no inverse", pos)
                 return Expr.scalar(c.inverse()) ** n, names
             return e ** n, names
         return e, names
@@ -485,6 +487,8 @@ def parse_model_file(text: str):
                 raise ParseError(
                     f"expected '<name> ghost = <int>', found {line!r}", line=lineno
                 )
+            if not _FIELD_NAME.fullmatch(m.group(1)):
+                raise ParseError(f"field name {m.group(1)!r} is reserved", line=lineno)
             fields.append((m.group(1), int(m.group(2))))
         elif current == "sections":
             m = re.fullmatch(

@@ -42,6 +42,7 @@ that walk visits: those holding the variable and those holding a block
 from __future__ import annotations
 
 import itertools
+import re
 from typing import Sequence, Tuple
 
 from .coeff import Coefficient
@@ -78,6 +79,11 @@ def idx_unit(n: int, i: int) -> Tuple[int, ...]:
 # the model
 
 
+# a field name (to match in full): a letter and letters or digits, and no word
+# that the grammar reads as a scalar, function, block, antifield or coordinate
+_FIELD_NAME = re.compile(r"(?!(?:i|hbar|sin|cos|exp|D|at|frz|dag|x\d+)$)[A-Za-z][A-Za-z0-9]*")
+
+
 class BvModel:
     """Base dimension plus an ordered table of fields with ghost numbers.
 
@@ -92,8 +98,9 @@ class BvModel:
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate field names in {names}")
         for name in names:
-            if not name.isidentifier():
-                raise ValueError(f"field name {name!r} is not an identifier")
+            if not _FIELD_NAME.fullmatch(name):
+                raise ValueError(f"field name {name!r} is reserved by the grammar or not a "
+                                 "letter followed by letters and digits")
         self.base_dim = int(base_dim)
         self.fields = tuple((name, int(gh)) for name, gh in fields)
         self._gh = {name: gh for name, gh in self.fields}
@@ -286,18 +293,19 @@ def _walk(e, variables, frozen):
     (``_wrap_branch``); a branch consumed inside an Attach wrapper adds it
     to that wrapper's pending set.
 
-    A factor is tested by its ``var`` and whether it is an Attach; a
-    monomial none of whose factors can contribute is skipped before anything
-    is built.  The branch of a jet variable is the canonical monomial with
-    one copy of that factor removed (``_without``), its sign known, and is
-    filed as it is.  A chain-rule branch is f'(u) times that rest, and a
-    dived branch dm * rest, the block's derivative dm paying the sign of the
-    odd factors before the block; both are filed by the canonical product.
+    Each factor is tested once, as an Attach or by its ``var``, and nothing
+    is built for one that cannot contribute.  The branch of a jet variable
+    is the canonical monomial with one copy of that factor removed
+    (``_without``), its sign known, and is filed as it is.  A chain-rule
+    branch is f'(u) times that rest, and a dived branch dm * rest, the
+    block's derivative dm paying the sign of the odd factors before the
+    block; both are filed by the canonical product.
     """
     acc = {}  # JetVar -> term map of canonical branches
     dives = {}  # Attach atom -> its branches, so each block is entered once
     monomials = e.terms.values()
-    # an index over one monomial would save nothing
+    # most monomials hold none of one variable's jets: an indexed walk skips
+    # them unread, any other tests their factors; one monomial needs no index
     found = e.var_index() if len(variables) == 1 and len(e.terms) > 1 else None
     if found is not None:
         holding, blocks = found
@@ -306,18 +314,6 @@ def _walk(e, variables, frozen):
             monomials = itertools.chain(monomials, blocks)
     for m in monomials:
         even, odd = m.even, m.odd
-        # most monomials hold none of one variable's jets: one cheap test per
-        # factor skips them; an indexed walk visits only those that pass it
-        if found is None:
-            for a, _ in even:
-                if a.var in variables or type(a) is Attach:
-                    break
-            else:
-                for a in odd:
-                    if a.var in variables or type(a) is Attach:
-                        break
-                else:
-                    continue
         n = len(even)
         for i in range(n + len(odd)):
             a, k = even[i] if i < n else (odd[i - n], 1)
@@ -497,8 +493,6 @@ def eulers(model: BvModel, e: Expr, variables, frozen: bool = False) -> dict:
         by_index = by_var.get(v, {})
         if not frozen:
             acc = _horner(by_index, model.base_dim)
-        elif len(by_index) == 1 and not sum(next(iter(by_index))) & 1:
-            (acc,) = by_index.values()
         else:
             acc = {}
             for sigma, terms in by_index.items():

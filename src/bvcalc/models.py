@@ -8,7 +8,7 @@ from itertools import chain, product
 from typing import Dict, Tuple
 
 from .coeff import Coefficient
-from .algebra import Expr, JetVar, Trig, _add_product, _add_term, _sum_scaled
+from .algebra import Expr, JetVar, _add_product, _add_term, _sum_scaled
 from .cohomology import Functional
 from .jetcalc import BvModel, idx_unit
 
@@ -197,7 +197,6 @@ def random_density(
     max_degree: int,
     parity: int,
     rng: random.Random,
-    with_trig: bool = False,
 ) -> Expr:
     """Seeded random parity-homogeneous polynomial density.
 
@@ -224,12 +223,6 @@ def random_density(
             for _ in range(order):
                 idx[rng.randrange(n)] += 1
             atoms.append(JetVar._from_parts(name, dagger, tuple(idx), model.gh(name, dagger)))
-        if with_trig and rng.random() < 0.4:
-            even_choices = [nm for nm in names if model.parity(nm) == 0]
-            if even_choices:
-                nm = rng.choice(even_choices)
-                tag = rng.choice(("sin", "cos"))
-                atoms.append(Trig(tag, model.jet_atom(nm)))
         mono = _times_atoms(Coefficient.of(rng.choice([1, -1, 2, -2, 3])), atoms)
         if mono is None:
             continue

@@ -366,7 +366,7 @@ def test_atoms_hash_and_compare_by_identity():
 def test_intern_table_lets_dead_atoms_go():
     gc.collect()
     before = len(algebra._INTERNED)
-    model = BvModel(2, [("interned", 0), ("interned_ghost", 1)])
+    model = BvModel(2, [("interned", 0), ("internedghost", 1)])
     rng = random.Random(41)
     exprs = [random_expr(model, rng, with_attach=True) for _ in range(30)]
     assert len(algebra._INTERNED) > before

@@ -298,6 +298,15 @@ def test_cmd_usage_errors(model_file, tmp_path, capsys):
     assert main(["euler", str(bad), "--expr", "q", "--field", "q"]) == 2
     out, err = capsys.readouterr()
     assert not out and "(line 2)" in err
+    bad.write_text("[base]\ndim = 1\n[fields]\ni ghost = 0\n")
+    assert main(["euler", str(bad), "--expr", "q", "--field", "q"]) == 2
+    out, err = capsys.readouterr()
+    assert not out and "reserved" in err and "(line 4)" in err
+    # a negative power of a scalar that has no inverse
+    for text, shown in (("(1+hbar)^-1", "1 + hbar"), ("0^-1", "0")):
+        assert main(["euler", model_file, "--expr", text, "--field", "q"]) == 2
+        out, err = capsys.readouterr()
+        assert not out and f"the scalar {shown} has no inverse" in err
     assert main(["evaluate", model_file, "--expr", "q^4", "--section", "s1",
                  "--points", "4"]) == 2
     out, err = capsys.readouterr()

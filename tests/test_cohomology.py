@@ -18,7 +18,7 @@ from bvcalc.cohomology import (
     is_trivial,
 )
 from bvcalc.jetcalc import collapse, euler_left, eulers, total_derivative
-from bvcalc.bv import schouten, laplacian
+from bvcalc.bv import laplacian, omega, schouten
 
 from util_random import nested_brackets, plane_model, random_homogeneous, scalar_model
 
@@ -157,6 +157,17 @@ def test_model_mismatch_rejected(m):
     G = Functional.from_density(other, other.jet("q"))
     with pytest.raises(ValueError):
         functional_equal(F, G)
+    # the bracket of two models' functionals is refused as their sum is, in
+    # either order and through Omega, whether the models share a field or not
+    p = bvcalc.BvModel(1, [("p", 0)])
+    H = Functional.from_density(p, p.jet("p") * p.jet("p"))
+    square = Functional.from_density(m, m.jet("q") * m.jet("q"))
+    for a, b in ((square, G * G), (square, H), (H, F)):
+        for call in (schouten, omega):
+            with pytest.raises(ValueError, match="different models"):
+                call(a, b)
+            with pytest.raises(ValueError, match="different models"):
+                call(b, a)
 
 
 def test_functionals_scale_by_any_exact_scalar(m):
@@ -351,6 +362,17 @@ def test_merged_reduction_matches_the_blockwise_reference(m):
                 assert functional_equal(lhs, rhs, mode) == expected, (trial, mode)
                 outcomes.add((mode, expected))
     assert outcomes == {(mode, v) for mode in ("structural", "collapse") for v in (True, False)}
+    # one plain block in several nonzero product terms is expanded in each
+    a, b, c, h = (random_homogeneous(m, rng, p) for p in (0, 1, 0, 0))
+    A, B, C = (Functional.from_density(m, d) for d in (a, b, c))
+    A2 = Functional.from_density(m, a + total_derivative(h, 0))
+    F = A * B + A * C + A * A * B
+    for mode in ("structural", "collapse"):
+        for G, expected in ((A2 * B + A * C + A * A2 * B, True),
+                            (A * B + (A * C).scale(2) + A * A * B, False),
+                            (A * B + A2 * C + A * A * B, True), (A * B + A * B, False)):
+            assert _blockwise_equal(F, G, mode) == expected, mode
+            assert functional_equal(F, G, mode) == expected, mode
 
 
 def test_singles_trivial_modulo_a_divergence(m):

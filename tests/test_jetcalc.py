@@ -17,7 +17,7 @@ from bvcalc.algebra import (
 )
 from bvcalc.bv import laplacian, laplacian_density, schouten
 from bvcalc.coeff import Coefficient
-from bvcalc.grammar import ParseError, format_expr, parse_expr
+from bvcalc.grammar import ParseError, format_expr, parse_expr, parse_model_file
 from bvcalc.models import build_scalar_example
 from bvcalc.jetcalc import (
     GEOMETRIC,
@@ -1430,5 +1430,15 @@ def test_model_validation():
         BvModel(0, [("q", 0)])
     with pytest.raises(ValueError):
         BvModel(1, [("q", 0), ("q", 1)])
-    with pytest.raises(ValueError):
-        BvModel(1, [("not a name", 0)])
+    # each name below is one the grammar cannot read back as a field
+    for name in ("not a name", "q_x", "\u03c6", "1q", "", "i", "hbar", "sin", "cos",
+                 "exp", "D", "at", "frz", "dag", "x1", "x0", "x12"):
+        with pytest.raises(ValueError):
+            BvModel(1, [(name, 0)])
+        with pytest.raises(ParseError, match=r"\(line 4\)"):
+            parse_model_file(f"[base]\ndim = 1\n[fields]\n{name} ghost = 0\n")
+    # names that only look like reserved words print and parse back
+    m = BvModel(1, [("x", 0), ("xi", 0), ("ii", 1), ("Dq", 0), ("at2", 0)])
+    e = m.jet("x") * m.jet("x", (1,)) * m.jet("xi", (2,)) * m.jet("Dq") \
+        * m.jet("ii", (1,), dagger=True) * m.jet("at2") * m.x(0)
+    assert parse_expr(format_expr(e), m) == e

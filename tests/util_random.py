@@ -84,10 +84,13 @@ def random_expr(model, rng, terms=None, max_order=2, with_trig=True,
 
 def random_homogeneous(model, rng, parity, max_order=2, degree=3,
                        with_trig=False) -> Expr:
-    """Parity-homogeneous density with at least one jet factor per monomial."""
+    """Parity-homogeneous density with at least one jet factor per monomial;
+    with ``with_trig`` some monomials also hold a sin or cos factor."""
     from bvcalc.models import random_density
-    return random_density(model, max_order, degree, parity, rng,
-                          with_trig=with_trig)
+    if with_trig:
+        return reference_random_density(model, max_order, degree, parity, rng,
+                                        with_trig=True)
+    return random_density(model, max_order, degree, parity, rng)
 
 
 def reference_random_density(
@@ -101,7 +104,9 @@ def reference_random_density(
     """``models.random_density`` as it was built from Exprs: each drawn
     factor a one-atom Expr, each monomial their product taken one factor at
     a time, and the density the sum of the monomials.  It draws from ``rng``
-    in the same sequence."""
+    in the same sequence.  With ``with_trig`` a monomial may also take a
+    sin or cos factor of an even field, drawn after its jet factors, which
+    ``random_density`` never draws."""
     n = model.base_dim
     names = [name for name, _ in model.fields]
     monos = []
@@ -369,7 +374,7 @@ def labelled_operands(model, seed: int) -> dict:
     bracket is taken by ``reference_bracket_density``."""
     from bvcalc.models import random_density
     rng = random.Random(seed)
-    p0 = random_density(model, 2, 3, 0, rng, with_trig=True)
+    p0 = reference_random_density(model, 2, 3, 0, rng, with_trig=True)
     e = random_density(model, 2, 3, 0, rng)
     p1 = random_density(model, 2, 3, 1, rng)
     x = reference_bracket_density(model, p1, p0)
