@@ -42,8 +42,10 @@ merge of their sorted atoms (``_add_product``), sin(u) on both sides
 included, and every product of the engine is one: in ``Expr.__mul__``, in
 ``jetcalc.collapse`` and in the branches of total, partial and Euler
 derivatives.  This module alone writes term maps: ``_add_term`` files one
-coefficient under its canonical atoms, and ``_add_scaled`` adds a multiple
-of another term map; no other module builds a Monomial.  The reference
+coefficient under its canonical atoms, ``_add_scaled`` adds a multiple of
+another term map, and ``_sum_scaled`` is the one writer of a linear
+combination of expressions (``+``, ``-`` and ``scale`` are each one call to
+it); no other module builds a Monomial.  The reference
 normaliser, which sorts an arbitrary factor list and which the tests compare
 the merges against, lives with the tests (``tests/util_random.py``).
 """
@@ -177,18 +179,21 @@ class Attach(Atom):
     ``key``, (3, pending, inner key), is found the first time it is read and
     then stored on the atom, so a block that is never ordered (as no block
     of the su(2) Yang-Mills ``[[S, S]]`` is) never pays for it.  The
-    constructor checks ``pending`` as ``make_attach`` does; ``_of`` does not.
+    constructor is ``make_attach`` of one block: a lone block's pending
+    derivatives join it, and an inner that gives anything but one block of
+    coefficient 1 (a constant, a sum) is a ValueError.  ``_of`` checks
+    nothing.
     """
 
     __slots__ = ("pending", "inner")
 
     def __new__(cls, pending, inner: "Expr"):
-        if len(inner.terms) != 1 or next(iter(inner.terms.values())).coeff != _ONE:
+        terms = make_attach([tuple(int(k) for k in idx) for idx in pending], inner).terms
+        if (len(terms) != 1 or ((), ()) in terms
+                or next(iter(terms.values())).coeff != _ONE):
             raise ValueError(f"an Attach inner is one monomial of coefficient 1, not {inner!r}")
-        ((even, odd),) = inner.terms
-        pending = tuple(sorted(tuple(int(k) for k in idx) for idx in pending))
-        _check_pending(pending)
-        return cls._of(pending, even, odd)
+        ((even, odd),) = terms
+        return odd[0] if odd else even[0][0]
 
     @classmethod
     def _of(cls, pending, even, odd):
@@ -322,39 +327,22 @@ class Expr:
     # -- ring operations --------------------------------------------------
 
     def __add__(self, other):
-        other = _coerce(other)
-        if not self.terms:
-            return other
-        if not other.terms:
-            return self
-        out = dict(self.terms)
-        _add_scaled(out, other.terms, _ONE)
-        return Expr(out)
+        return _sum_scaled(((self, _ONE), (_coerce(other), _ONE)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = {}
-        _add_scaled(out, self.terms, _MINUS_ONE)
-        return Expr(out)
+        return _sum_scaled(((self, _MINUS_ONE),))
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if not other.terms:
-            return self
-        out = dict(self.terms)
-        _add_scaled(out, other.terms, _MINUS_ONE)
-        return Expr(out)
+        return _sum_scaled(((self, _ONE), (_coerce(other), _MINUS_ONE)))
 
     def __rsub__(self, other):
-        return _coerce(other) + (-self)
+        return _sum_scaled(((_coerce(other), _ONE), (self, _MINUS_ONE)))
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if not self.terms or not other.terms:
-            return _EXPR_ZERO
         acc = {}
-        _add_products(acc, _ONE, self, other)
+        _add_products(acc, _ONE, self, _coerce(other))
         return Expr(acc) if acc else _EXPR_ZERO
 
     def __rmul__(self, other):
@@ -369,12 +357,7 @@ class Expr:
         return out
 
     def scale(self, value) -> "Expr":
-        c = Coefficient.of(value)
-        if c.is_zero():
-            return _EXPR_ZERO
-        out = {}
-        _add_scaled(out, self.terms, c)
-        return Expr(out)
+        return _sum_scaled(((self, value),))
 
     # -- queries ----------------------------------------------------------
 
@@ -532,8 +515,9 @@ def _add_term(acc: dict, key, coeff: Coefficient) -> None:
 def _add_scaled(acc: dict, terms: dict, c: Coefficient) -> None:
     """Add ``c`` times the term map ``terms`` into the term map ``acc`` in
     place.  By c = 1 a monomial new to ``acc`` is filed as it is: monomials
-    are immutable, so term maps may share them; by c = -1 each coefficient
-    is negated, which is cheaper than a product."""
+    are immutable, so term maps may share them; by any other c each
+    coefficient is multiplied, which for a shared integer c, -1 included,
+    is one integer product."""
     if c is _ONE:
         for k, m in terms.items():
             if k in acc:
@@ -541,9 +525,8 @@ def _add_scaled(acc: dict, terms: dict, c: Coefficient) -> None:
             else:
                 acc[k] = m
         return
-    negate = c is _MINUS_ONE
     for k, m in terms.items():
-        _add_term(acc, k, -m.coeff if negate else c * m.coeff)
+        _add_term(acc, k, c * m.coeff)
 
 
 def _add_product(acc: dict, coeff: Coefficient, e1, o1, e2, o2) -> None:
@@ -645,7 +628,7 @@ def _sum_scaled(pairs) -> Expr:
         c = Coefficient.of(c)
         if not c.is_zero():
             _add_scaled(acc, e.terms, c)
-    return Expr(acc)
+    return Expr(acc) if acc else _EXPR_ZERO
 
 
 # ---------------------------------------------------------------------------

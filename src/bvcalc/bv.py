@@ -42,8 +42,7 @@ from dataclasses import dataclass, field
 from typing import List
 
 from .coeff import Coefficient
-from .algebra import (_MINUS_ONE, _ONE, Expr, ParityError, _add_products, _add_scaled,
-                      _sum_scaled)
+from .algebra import _MINUS_ONE, _ONE, Expr, ParityError, _add_products, _sum_scaled
 from .cohomology import (Functional, _add_blocks, _check_model, _reduce_functional,
                          functional_equal, functional_text, is_trivial)
 from .jetcalc import GEOMETRIC, NAIVE, BvModel, _check_mode, _isolate, collapse, euler, eulers
@@ -126,10 +125,7 @@ def laplacian_density(model: BvModel, f: Expr, mode: str = GEOMETRIC) -> Expr:
     pairs = list(model.pairs())
     # the first (antifield) step of every pair in one walk over f
     steps = eulers(model, f, [od for _, od in pairs], frozen)
-    acc = {}
-    for ev, od in pairs:
-        _add_scaled(acc, euler(model, steps[od], *ev, frozen=frozen).terms, _ONE)
-    return Expr(acc) if acc else Expr.zero()
+    return _sum_scaled((euler(model, steps[od], *ev, frozen=frozen), _ONE) for ev, od in pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +209,7 @@ class _Ops(str):
         return Functional(F.model, acc)
 
     def omega(self, O: Functional, S: Functional) -> Functional:
+        _check_model(O, S)
         return self.laplacian(O).scale(_MINUS_I_HBAR) + self.schouten(S, O)
 
     def _density(self, model: BvModel, *blocks) -> Expr:

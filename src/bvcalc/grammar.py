@@ -457,10 +457,13 @@ def parse_expr(text: str, model) -> Expr:
 
 def parse_model_file(text: str):
     """Parse a model file; returns (BvModel, sections) where sections maps a
-    section name to {(field, dagger): raw trig-polynomial string}."""
+    section name to {(field, dagger): raw trig-polynomial string}.  A field
+    is declared once, and a section gives a declared field, or its dag, at
+    most once; a breach is a ParseError at its line."""
     base_dim = None
     fields = []
     sections = {}
+    named = {}  # each field a section names, at the first line naming it
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -489,6 +492,8 @@ def parse_model_file(text: str):
                 )
             if not _FIELD_NAME.fullmatch(m.group(1)):
                 raise ParseError(f"field name {m.group(1)!r} is reserved", line=lineno)
+            if any(name == m.group(1) for name, _ in fields):
+                raise ParseError(f"field {m.group(1)!r} declared twice", line=lineno)
             fields.append((m.group(1), int(m.group(2))))
         elif current == "sections":
             m = re.fullmatch(
@@ -505,11 +510,19 @@ def parse_model_file(text: str):
                 key = (m.group(3), True)
             else:
                 key = (m.group(2), False)
-            sections.setdefault(sec, {})[key] = m.group(4).strip()
+            given = sections.setdefault(sec, {})
+            if key in given:
+                raise ParseError(f"section {sec!r} gives {m.group(2)} twice", line=lineno)
+            given[key] = m.group(4).strip()
+            named.setdefault(key[0], lineno)
         else:
             raise ParseError(f"content outside any section: {line!r}", line=lineno)
     if base_dim is None:
         raise ParseError("missing [base] section with 'dim = n'", line=0)
     if not fields:
         raise ParseError("missing [fields] section", line=0)
+    declared = {name for name, _ in fields}
+    for name, lineno in named.items():
+        if name not in declared:
+            raise ParseError(f"a section names the undeclared field {name!r}", line=lineno)
     return BvModel(base_dim, fields), sections

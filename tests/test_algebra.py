@@ -173,6 +173,18 @@ def test_is_zero_examples(m):
     s, c = m.sin("q"), m.cos("q")
     assert (s * s - Expr.scalar(1) + c * c).is_zero()
     assert not qx.is_zero()
+    # every sum, difference, negation and scaling is one linear combination,
+    # with no shortcut for a zero operand or a unit scalar
+    rng = random.Random(40)
+    for model in (m, ghost_model()):
+        for _ in range(30):
+            e = random_expr(model, rng, with_attach=True)
+            negated = {k: -mono.coeff for k, mono in e.terms.items()}
+            assert e + 0 == 0 + e == e - 0 == -(-e) == e.scale(1) == e
+            assert 0 - e == -e == e.scale(-1)
+            assert {k: mono.coeff for k, mono in (-e).terms.items()} == negated
+            for zero in (e - e, e * 0, 0 * e, e.scale(0), e + (-e)):
+                assert zero.is_zero() and zero == Expr.zero()
 
 
 def test_attach_merge_by_parity(m):
@@ -288,10 +300,15 @@ def _blocks_of(e: Expr, out: list) -> list:
 
 
 def test_attach_rejects_an_inner_that_is_not_one_unit_monomial(m):
+    # a constant inner is refused too: a bare one is that constant and a
+    # pending derivative of one is zero, so its block would print as text
+    # that parses back to something else (at(1), frz[0:x1](1))
     q, qx = m.jet("q"), m.jet("q", (1,))
-    for inner in (q + qx, q.scale(2), q.scale(-1), Expr.zero()):
-        with pytest.raises(ValueError):
-            Attach(((1,),), inner)
+    for pending in (((1,),), ()):
+        for inner in (q + qx, q.scale(2), q.scale(-1), Expr.zero(), Expr.scalar(1),
+                      Expr.scalar(5)):
+            with pytest.raises(ValueError, match="one monomial of coefficient 1"):
+                Attach(pending, inner)
 
 
 def test_public_and_internal_block_constructors_agree(m):
@@ -310,6 +327,16 @@ def test_public_and_internal_block_constructors_agree(m):
             assert a is Attach._of(pending, even, odd)
             assert a.inner == inner and a.pending == pending
             assert a.parity == inner.parity()
+            # a lone block as the inner: its pending derivatives join the
+            # new ones, as make_attach joins them, and a bare one is itself
+            lone = Expr.from_atom(a)
+            assert Expr.from_atom(Attach(pending, lone)) == make_attach(pending, lone)
+            assert Attach((), lone) is a
+    # each block the constructor builds prints as text that parses back to it
+    for pending, text, printed in (((), "at(q)", "at(q)"),
+                                   (((1,),), "frz[0:x1](q)", "frz[0:x1; 1:x1](q)")):
+        block = Expr.from_atom(Attach(pending, parse_expr(text, m)))
+        assert format_expr(block) == printed and parse_expr(printed, m) == block
 
 
 def test_block_keys_are_built_on_first_read_as_the_nested_key():

@@ -125,6 +125,22 @@ def test_model_file_parsing():
         parse_model_file("[unknown]\n")
     with pytest.raises(ParseError):
         parse_model_file("[base]\ndim = 1\n")  # missing fields
+    # a field declared twice, and a section that names an undeclared field,
+    # its dag, or one variable twice, are refused at their line
+    header = "[base]\ndim = 1\n[fields]\nq ghost = 0\n"
+    for tail, line, message in (
+            ("q ghost = 0\n", 5, "field 'q' declared twice"),
+            ("[sections]\ns: p = sin(x1)\n", 6, "undeclared field 'p'"),
+            ("[sections]\nt: dag(p) = g1*sin(x1)\n", 6, "undeclared field 'p'"),
+            ("[sections]\ns: q = sin(x1)\ns: q = 2*sin(x1)\n", 7, "gives q twice"),
+            ("[sections]\ns: dag(q) = 1\ns: dag(q) = 2\n", 7, r"gives dag\(q\) twice")):
+        with pytest.raises(ParseError, match=rf"{message} \(line {line}\)$"):
+            parse_model_file(header + tail)
+    # a section may come before the fields it names, and two sections may
+    # each give one variable
+    _, sections = parse_model_file(
+        "[base]\ndim = 1\n[sections]\na: q = 1\nb: q = 2\n[fields]\nq ghost = 0\n")
+    assert sections == {"a": {("q", False): "1"}, "b": {("q", False): "2"}}
 
 
 # -- commands -------------------------------------------------------------------
@@ -302,6 +318,14 @@ def test_cmd_usage_errors(model_file, tmp_path, capsys):
     assert main(["euler", str(bad), "--expr", "q", "--field", "q"]) == 2
     out, err = capsys.readouterr()
     assert not out and "reserved" in err and "(line 4)" in err
+    bad.write_text("[base]\ndim = 1\n[fields]\nq ghost = 0\n[sections]\ns: p = sin(x1)\n")
+    assert main(["evaluate", str(bad), "--expr", "q^2", "--section", "s"]) == 2
+    out, err = capsys.readouterr()
+    assert not out and "undeclared field 'p' (line 6)" in err
+    bad.write_text("[base]\ndim = 1\n[fields]\nq ghost = 0\nq ghost = 0\n")
+    assert main(["euler", str(bad), "--expr", "q", "--field", "q"]) == 2
+    out, err = capsys.readouterr()
+    assert not out and "declared twice (line 5)" in err
     # a negative power of a scalar that has no inverse
     for text, shown in (("(1+hbar)^-1", "1 + hbar"), ("0^-1", "0")):
         assert main(["euler", model_file, "--expr", text, "--field", "q"]) == 2

@@ -151,7 +151,7 @@ def test_synonym_blocks_kept_structurally(m):
     assert functional_equal(dG, Functional.zero(model), "collapse")
 
 
-def test_model_mismatch_rejected(m):
+def test_model_mismatch_rejected(m, monkeypatch):
     other = scalar_model()
     F = Functional.from_density(m, m.jet("q"))
     G = Functional.from_density(other, other.jet("q"))
@@ -168,6 +168,17 @@ def test_model_mismatch_rejected(m):
                 call(a, b)
             with pytest.raises(ValueError, match="different models"):
                 call(b, a)
+    # Omega refuses before it takes any Laplacian
+    taken = []
+    density = bvcalc.bv.laplacian_density
+    monkeypatch.setattr(bvcalc.bv, "laplacian_density",
+                        lambda *args: taken.append(args) or density(*args))
+    for a, b in ((square, H), (H, square), (square, G * G)):
+        with pytest.raises(ValueError, match="different models"):
+            omega(a, b)
+    assert not taken
+    omega(square, square)
+    assert taken
 
 
 def test_functionals_scale_by_any_exact_scalar(m):
