@@ -18,24 +18,23 @@ equal atom content are merged, and zero coefficients are dropped.  The zero
 expression is the empty sum.  All operations return canonical expressions;
 Expr values are immutable.
 
-Atoms are interned: equal live atoms are one object, so they hash and compare
-by identity, and only their ``key`` (a nested tuple) orders them.  An Attach
-block is anonymous: it is found by its sorted pending multi-indices and the
-atoms of its inner monomial alone, so two blocks built apart from equal
-parts are one atom, and a product of two equal odd blocks is zero and of two
-equal even blocks a square, as for any atom.  Blocks are built from
-multi-indices alone (``make_attach``); a channel label exists only in the
-text that ``grammar`` reads and writes.  A term map ``Expr.terms`` is
-keyed by each monomial's own ``(even, odd)`` tuples of atoms, which hash in
-one shallow pass and sort as the nested keys do; Expr equality and hashing
-read these term maps too, and so do the triviality images of the class
-basis.  Values derived from an interned atom
-or an immutable expression are kept on it once found: a JetVar's shifts
+Atoms are interned for the life of the import: equal atoms are one object,
+so they hash and compare by identity, and only their ``key`` (a nested
+tuple) orders them.  An Attach block is anonymous: it is found by its sorted
+pending multi-indices and the atoms of its inner monomial alone, so two
+blocks built apart from equal parts are one atom, and a product of two equal
+odd blocks is zero and of two equal even blocks a square, as for any atom.
+Blocks are built from multi-indices alone (``make_attach``); a channel label
+exists only in the text that ``grammar`` reads and writes.  A term map
+``Expr.terms`` is keyed by each monomial's own ``(even, odd)`` tuples of
+atoms, which hash in one shallow pass and sort as the nested keys do; Expr
+equality and hashing read these term maps too, and so do the triviality
+images of the class basis.  Values derived from an interned atom or an
+immutable expression are kept on it once found: a JetVar's shifts
 (``JetVar.shifts``), an Attach block's nested key, built on first read, an
-expression's key, hash, parity and walk index
-(``Expr.var_index()``, built on its second walk by one variable), and the
-Euler images of an expression that holds a block, per model
-(``bv._images``).
+expression's key, hash, parity and walk index (``Expr.var_index()``, built
+on its second walk by one variable), and the Euler images of an expression
+that holds a block, per model (``bv._images``).
 
 Canonical in, canonical out: a product of two canonical monomials is a
 merge of their sorted atoms (``_add_product``), sin(u) on both sides
@@ -52,7 +51,6 @@ the merges against, lives with the tests (``tests/util_random.py``).
 
 from __future__ import annotations
 
-import weakref
 from typing import Tuple
 
 from .coeff import Coefficient
@@ -61,23 +59,24 @@ from .coeff import Coefficient
 # atoms
 
 
-# Every live atom, by what makes it that atom: equal atoms are built once and
+# Every atom built, by what makes it that atom: equal atoms are built once and
 # shared (hash-consing, Filliâtre & Conchon, "Type-safe modular
 # hash-consing", 2006), so atoms hash and compare by identity, in C.  An
-# entry lasts as long as its atom.
-_INTERNED = weakref.WeakValueDictionary()
+# entry lasts as long as this import: each block and its key are built once
+# per process, and later verdicts find them.
+_INTERNED = {}
 
 
 class Atom:
     """An interned factor.  ``key`` is a nested tuple that orders atoms and
-    leaves the program in ``Expr.key()``; two live atoms with equal keys are
+    leaves the program in ``Expr.key()``; two atoms with equal keys are
     the same object (given one ghost number per field name).  ``var`` is the
     variable (field, dagger) that a JetVar is a jet of, or that a Trig takes
     its argument from, set once when the atom is interned; it is None for a
     BaseVar and an Attach, so a derivative walk tests a factor with one
     attribute read."""
 
-    __slots__ = ("key", "parity", "var", "__weakref__")
+    __slots__ = ("key", "parity", "var")
 
     def __lt__(self, other):
         return self.key < other.key

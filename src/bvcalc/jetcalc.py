@@ -386,7 +386,8 @@ def _wrap_branch(acc, coeff, even, odd, pend):
     with its home plains wrapped.
 
     The branch is ``coeff`` times the atoms ``even``/``odd`` of a canonical
-    monomial, and ``pend`` is a multi-index sigma or None.  Home plains
+    monomial, and ``pend`` is a multi-index sigma, or None from
+    ``_isolate``, which passes only a branch with a home plain.  Home plains
     (everything that is not an Attach atom) are gathered into a new Attach
     carrying ``pend``.  The kept blocks end each side (``_blocks_start``),
     so the home plains before them are already a canonical unit monomial:
@@ -397,8 +398,6 @@ def _wrap_branch(acc, coeff, even, odd, pend):
     """
     i, j = _blocks_start(even, odd)
     if not i and not j:
-        if pend is None:  # a bare block of nothing is 1
-            _add_term(acc, (even, odd), coeff)
         return  # a pending derivative of a constant block is 0
     block = Attach._of((pend,) if pend is not None else (), even[:i], odd[:j])
     block_even, block_odd = ((), (block,)) if block.parity else (((block, 1),), ())

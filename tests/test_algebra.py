@@ -1,8 +1,10 @@
-import gc
 import importlib
 import inspect
+import os
 import pkgutil
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -340,9 +342,12 @@ def test_public_and_internal_block_constructors_agree(m):
 
 
 def test_block_keys_are_built_on_first_read_as_the_nested_key():
+    # atoms outlive the tests that build them: fields no other test names
+    # give blocks whose keys nothing has read yet
     rng = random.Random(17)
     blocks = []
-    for model in (scalar_model(), ghost_model()):
+    for model in (BvModel(1, [("keyless", 0)]),
+                  BvModel(1, [("keyless", 0), ("keylessghost", 1)])):
         for _ in range(60):
             e = random_expr(model, rng, with_attach=True)
             if rng.random() < 0.5:
@@ -360,7 +365,9 @@ def test_block_keys_are_built_on_first_read_as_the_nested_key():
     assert sorted(set(blocks)) == sorted(set(blocks), key=expected.__getitem__)
 
 
-def test_the_ym_bracket_and_its_collapse_read_no_block_key():
+def _ym_blocks_made_and_keyed():
+    """How many blocks su(2) Yang-Mills ``[[S, S]]`` at n = 4 interns, and
+    how many of them have their key set once it is collapsed."""
     from bvcalc.bv import schouten
     from bvcalc.models import LieAlgebraData, build_yang_mills_bv
     old = {a for a in algebra._INTERNED.values() if type(a) is Attach}
@@ -369,8 +376,22 @@ def test_the_ym_bracket_and_its_collapse_read_no_block_key():
     collapsed = SS.collapse()
     assert not any(b.has_attach() for b in collapsed.blocks())
     made = {a for b in SS.blocks() for a in _blocks_of(b, []) if a not in old}
-    assert len(made) > 500
-    assert not any(_key_is_set(a) for a in made)
+    return len(made), sum(_key_is_set(a) for a in made)
+
+
+def test_the_ym_bracket_and_its_collapse_read_no_block_key():
+    # in a fresh interpreter: atoms live as long as the import, so in this
+    # one earlier tests may have interned these blocks and read their keys
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bvcalc.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests]))
+    script = "import test_algebra as t; print(*t._ym_blocks_made_and_keyed())"
+    done = subprocess.run([sys.executable, "-c", script], env=env, timeout=120,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    made, keyed = map(int, done.stdout.split())
+    assert made > 500
+    assert keyed == 0
 
 
 def test_a_ghost_number_is_part_of_a_jet_variable():
@@ -390,16 +411,23 @@ def test_atoms_hash_and_compare_by_identity():
     assert sorted([BaseVar(2), BaseVar(0), BaseVar(1)]) == [BaseVar(0), BaseVar(1), BaseVar(2)]
 
 
-def test_intern_table_lets_dead_atoms_go():
-    gc.collect()
-    before = len(algebra._INTERNED)
-    model = BvModel(2, [("interned", 0), ("internedghost", 1)])
-    rng = random.Random(41)
-    exprs = [random_expr(model, rng, with_attach=True) for _ in range(30)]
-    assert len(algebra._INTERNED) > before
-    del exprs, model
-    gc.collect()
-    assert len(algebra._INTERNED) == before
+def test_a_second_pass_of_the_suites_interns_no_atom():
+    # atoms live as long as the import: the same cases again find every
+    # block, jet variable and function atom that the first pass built
+    from bvcalc.cli import run_suite
+
+    def one_pass():
+        for suite in ("leibniz-1a", "laplacian-1b", "derivation-1c",
+                      "delta-squared-1d", "jacobi", "skew"):
+            assert run_suite(suite, 20, 7, 2)[0]
+        assert run_suite("derivation-1c", 1, 7, 2, scalar_pair=True)[0]
+
+    one_pass()
+    first = dict(algebra._INTERNED)
+    assert {type(a) for a in first.values()} >= {JetVar, Trig, Attach}
+    one_pass()
+    assert algebra._INTERNED.keys() == first.keys()
+    assert all(algebra._INTERNED[k] is a for k, a in first.items())
 
 
 def _term_key_cases():

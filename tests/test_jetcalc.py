@@ -648,6 +648,15 @@ def test_walk_agrees_with_the_raw_branch_reference(which):
                 assert partial(e, v, side_) == ref.get((name, dagger), {}).get(sigma, Expr.zero()), context
 
 
+def test_isolation_merges_a_wrapped_monomial_into_a_block_filed_before(m):
+    # isolation is linear: q*B isolates to at(q)*B, and the blocks-only
+    # monomial at(q)*B after it is added to that term
+    q = m.jet("q")
+    B, at_q = make_attach(((1,),), q), make_attach((), q)
+    e = q * B + at_q * B
+    assert [type(mono.even[0][0]) for mono in e.monomials()] == [JetVar, Attach]
+    assert _isolate(e) == (at_q * B).scale(2)
+
 
 @pytest.mark.parametrize("which", sorted(_WALK_MODELS))
 def test_the_right_side_agrees_with_the_raw_branch_reference(which):

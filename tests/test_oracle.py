@@ -189,9 +189,16 @@ def test_sign_oracle_finite_difference(m):
 _REIMPORT = """
 import gc, importlib, sys, weakref
 import bvcalc
+from bvcalc import algebra
+from bvcalc.bv import schouten
+from bvcalc.models import LieAlgebraData, build_yang_mills_bv
+S = build_yang_mills_bv(LieAlgebraData.su2(), 2)[1]
+schouten(S, S).collapse()
+assert any(type(a) is algebra.Attach for a in algebra._INTERNED.values())
 old = [weakref.ref(m) for name, m in sys.modules.items() if name.partition(".")[0] == "bvcalc"]
-old += [weakref.ref(c) for c in (bvcalc.GrassmannNumber, bvcalc.Expr, bvcalc.Functional)]
-del bvcalc
+old += [weakref.ref(c) for c in (bvcalc.GrassmannNumber, bvcalc.Expr, bvcalc.Functional,
+                                 algebra.JetVar, algebra.Attach)]
+del bvcalc, algebra, schouten, LieAlgebraData, build_yang_mills_bv, S
 for name in [n for n in sys.modules if n.partition(".")[0] == "bvcalc"]:
     del sys.modules[name]
 importlib.import_module("bvcalc")
@@ -204,7 +211,8 @@ def test_a_fresh_import_lets_the_previous_one_go():
     # nothing of one import of bvcalc may sit in a process-wide cache: a
     # subscripted typing alias built at import (typing caches those) kept
     # GrassmannNumber, and through it every module of that import, alive
-    # when bvcalc was imported afresh, as the benchmark's set-ups do
+    # when bvcalc was imported afresh, as the benchmark's set-ups do; the
+    # intern table, filled here by a bracket, goes with its import
     src = os.path.dirname(os.path.dirname(os.path.abspath(bvcalc.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run([sys.executable, "-c", _REIMPORT], env=env, timeout=60)
