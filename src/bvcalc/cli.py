@@ -36,7 +36,7 @@ from .models import (
     build_yang_mills_bv,
     random_functional,
 )
-from .oracle import FrequencyError, GrassmannNumber, SectionSpec, evaluate
+from .oracle import GrassmannNumber, SectionSpec, evaluate
 
 SUITES = tuple(IDENTITIES)
 
@@ -117,12 +117,7 @@ def cmd_evaluate(args) -> int:
         print(f"bvcalc: no section {args.section!r} in model file", file=sys.stderr)
         return 2
     spec = _build_section(model, sections[args.section])
-    F = Functional.from_density(model, e)
-    try:
-        value = evaluate(F, spec, args.points)
-    except FrequencyError as exc:
-        print(f"bvcalc: {exc}", file=sys.stderr)
-        return 2
+    value = evaluate(Functional.from_density(model, e), spec)
     print(f"integral value: {value!r}")
     return 0
 
@@ -137,7 +132,8 @@ def _build_section(model, raw: dict) -> SectionSpec:
 def _parse_trig_poly(model, text: str):
     """Parse 'c * sin(k x1) * cos(m x2) + ...' with float or g<k> coefficients."""
     terms = []
-    for chunk in re.split(r"(?=[+-])", text.replace(" ", "")):
+    # a term starts at a sign, but not at the sign of an exponent (2e-3)
+    for chunk in re.split(r"(?<![eE])(?=[+-])", text.replace(" ", "")):
         if not chunk or chunk in "+-":
             continue
         sign = -1.0 if chunk.startswith("-") else 1.0
@@ -403,7 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("model")
     pv.add_argument("--expr", required=True)
     pv.add_argument("--section", required=True)
-    pv.add_argument("--points", type=int, default=32)
     pv.set_defaults(func=cmd_evaluate)
     return p
 

@@ -1,15 +1,23 @@
 """Independent numeric cross-check: evaluate functionals at explicit sections.
 
 Even field components are trigonometric polynomials on the periodic box
-[0, 2pi)^n; odd components carry coefficients in a finite Grassmann algebra.
-Jet variables are substituted by exact symbolic derivatives of the section,
-monomials evaluated in Grassmann arithmetic, and the result integrated by the
-trapezoidal rule, which is exact for trigonometric polynomials once the grid
-resolves every frequency.
+[0, 2pi)^n; odd components carry coefficients in a Grassmann algebra on as
+many generators as the section names.  Jet variables are substituted by
+exact symbolic derivatives of the section, monomials evaluated in Grassmann
+arithmetic, and the result integrated by the trapezoidal rule on a grid the
+oracle picks itself.  A polynomial density of degree d, shifted along a
+density of degree b, restricts to a trigonometric polynomial of top
+frequency at most d*max(b, 1)*K at a section of top frequency K; the rule
+is exact once the grid exceeds that frequency, and the oracle takes twice
+it, 2*d*max(b, 1)*K points per coordinate.  A density with sin, cos or exp
+of a field is no trigonometric polynomial, but it is analytic and periodic,
+where the rule converges exponentially (Trefethen & Weideman, SIAM Review
+56, 2014): its grid doubles until two successive values agree.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
@@ -17,11 +25,19 @@ from .algebra import Attach, BaseVar, Expr, JetVar, Trig
 from .cohomology import Functional
 from .jetcalc import BvModel, collapse, total_derivative_multi
 
-MAX_GENERATORS = 8
+# the first grid of a transcendental density: cos and exp of a section of
+# amplitude up to 10 agree with their doubled grid there, so such a density
+# costs two quadratures
+TRANSCENDENTAL_POINTS = 32
+# 32 points doubled four times is 512 per coordinate: cos(a*sin(x)), whose
+# error falls fast once the grid passes a points, settles up to a = 200 and
+# exp(a*sin(x)) further; a density that moves beyond that is refused, not
+# integrated on ever larger grids
+MAX_DOUBLINGS = 4
 
 
 class GrassmannNumber:
-    """Element of the exterior algebra on up to 8 generators over floats.
+    """Element of the exterior algebra on finitely many generators over floats.
 
     Coefficients are keyed by subsets of generators encoded as bitmasks."""
 
@@ -31,8 +47,6 @@ class GrassmannNumber:
         self.coeffs = {}
         if coeffs:
             for mask, val in coeffs.items():
-                if mask >= (1 << MAX_GENERATORS):
-                    raise ValueError(f"more than {MAX_GENERATORS} Grassmann generators")
                 if val != 0.0:
                     self.coeffs[int(mask)] = float(val)
 
@@ -42,7 +56,7 @@ class GrassmannNumber:
 
     @staticmethod
     def generator(k: int) -> "GrassmannNumber":
-        if not 0 <= k < MAX_GENERATORS:
+        if k < 0:
             raise ValueError(f"generator index {k} out of range")
         return GrassmannNumber({1 << k: 1.0})
 
@@ -93,7 +107,7 @@ class GrassmannNumber:
         parts = []
         for m in sorted(self.coeffs):
             v = self.coeffs[m]
-            gens = "*".join(f"g{k + 1}" for k in range(MAX_GENERATORS) if m >> k & 1)
+            gens = "*".join(f"g{k + 1}" for k in range(m.bit_length()) if m >> k & 1)
             parts.append(f"{v:+.6g}" + (f"*{gens}" if gens else ""))
         return " ".join(parts)
 
@@ -107,11 +121,12 @@ def _as_grassmann(x) -> GrassmannNumber:
 def _merge_sign(m1: int, m2: int) -> int:
     """Koszul sign of merging two disjoint sorted generator sets."""
     sign = 1
-    for k in range(MAX_GENERATORS):
-        if m2 >> k & 1:
-            higher = m1 >> (k + 1)
-            if bin(higher).count("1") & 1:
-                sign = -sign
+    while m2:
+        # the generators of m1 above the lowest one of m2
+        higher = m1 >> (m2 & -m2).bit_length()
+        if bin(higher).count("1") & 1:
+            sign = -sign
+        m2 &= m2 - 1
     return sign
 
 
@@ -240,7 +255,6 @@ def evaluate_density(
     model: BvModel,
     density: Expr,
     section: SectionSpec,
-    points: int,
     shift=None,
 ) -> GrassmannNumber:
     """Integral of a wrapper-free density over [0, 2pi)^n at the section.
@@ -248,91 +262,70 @@ def evaluate_density(
     ``shift`` optionally perturbs one even field: a triple (field, eps,
     shift_density) replaces every jet of the field by its section value plus
     eps times the matching total derivative of the shift density restricted
-    to the section."""
-    maxdeg = _density_degree(density)
-    bound = 2 * maxdeg * max(section.max_frequency(), 1)
-    if points < max(bound, 2):
-        raise FrequencyError(
-            f"{points} quadrature points cannot resolve the restricted "
-            f"density (needs at least {max(bound, 2)})"
-        )
-    if _has_trig(density):
-        a = _quadrature(model, density, section, points, shift)
-        b = _quadrature(model, density, section, 2 * points, shift)
-        if (a - b).max_abs() > 1e-9 * (1.0 + a.max_abs()):
-            raise FrequencyError(
-                "quadrature not converged for transcendental density; "
-                "increase the point count"
-            )
-        return b
-    return _quadrature(model, density, section, points, shift)
+    to the section.  The grid is the one the module docstring states; an
+    integral past the float range, or one that does not settle, raises
+    FrequencyError."""
+    degree = max(_density_degree(density), 1)
+    if shift is not None:
+        degree *= max(_density_degree(shift[2]), 1)
+    points = 2 * degree * max(section.max_frequency(), 1)
+    if not (_has_trig(density) or shift is not None and _has_trig(shift[2])):
+        return _finite(_quadrature(model, density, section, points, shift))
+    points = max(points, TRANSCENDENTAL_POINTS)
+    a = _finite(_quadrature(model, density, section, points, shift))
+    for _ in range(MAX_DOUBLINGS):
+        points *= 2
+        b = _finite(_quadrature(model, density, section, points, shift))
+        if (a - b).max_abs() <= 1e-9 * (1.0 + a.max_abs()):
+            return b
+        a = b
+    raise FrequencyError(
+        f"the quadrature of the density does not settle within {points} "
+        f"points per coordinate"
+    )
+
+
+def _finite(value: GrassmannNumber) -> GrassmannNumber:
+    if not all(math.isfinite(v) for v in value.coeffs.values()):
+        raise FrequencyError("the density's integral at the section is not finite")
+    return value
 
 
 def _quadrature(model, density, section, points, shift) -> GrassmannNumber:
-    n = model.base_dim
-    # precompute symbolic derivatives of section components per jet variable
-    jets = {}
-    for m in density.monomials():
-        for a, _ in m.even:
-            _collect_jets(a, jets)
-        for a in m.odd:
-            _collect_jets(a, jets)
-    derived = {}
-    for (field, dagger, index) in jets:
-        derived[(field, dagger, index)] = section.derivative((field, dagger), index)
-    shift_derived = {}
-    if shift is not None:
-        sfield, eps, sdens = shift
-        for (field, dagger, index) in jets:
-            if field == sfield and not dagger:
-                shift_derived[(field, dagger, index)] = total_derivative_multi(
-                    sdens, index
-                )
-
-    total = GrassmannNumber()
+    derived = {}   # jet key -> the section's derivative, as trig terms
+    shifted = {}   # multi-index -> total derivative of the shift density
+    sfield, eps, sdens = shift or (None, None, None)
     grid = [2.0 * math.pi * k / points for k in range(points)]
-    for point_index in range(points ** n):
-        rem = point_index
-        x = []
-        for _ in range(n):
-            x.append(grid[rem % points])
-            rem //= points
+    total = GrassmannNumber()
+    for point in itertools.product(grid, repeat=model.base_dim):
+        x = point[::-1]
         cache = {}
         base_cache = {}
 
         def base_jet_value(field, dagger, index):
             key = (field, dagger, index)
             if key not in base_cache:
-                terms = derived.get(key)
-                if terms is None:
-                    terms = section.derivative((field, dagger), index)
-                    derived[key] = terms
-                base_cache[key] = section.value(terms, x)
+                if key not in derived:
+                    derived[key] = section.derivative((field, dagger), index)
+                base_cache[key] = section.value(derived[key], x)
             return base_cache[key]
 
         def jet_value(field, dagger, index):
             key = (field, dagger, index)
             if key not in cache:
                 val = base_jet_value(field, dagger, index)
-                if key in shift_derived:
-                    _, eps, _ = shift
+                if field == sfield and not dagger:
+                    if index not in shifted:
+                        shifted[index] = total_derivative_multi(sdens, index)
                     val = val + eps * _eval_density_at(
-                        model, shift_derived[key], base_jet_value, x
+                        model, shifted[index], base_jet_value, x
                     )
                 cache[key] = val
             return cache[key]
 
         total = total + _eval_density_at(model, density, jet_value, x)
-    vol = (2.0 * math.pi / points) ** n
+    vol = (2.0 * math.pi / points) ** model.base_dim
     return total.scale(vol)
-
-
-def _collect_jets(a, jets: dict):
-    if isinstance(a, JetVar):
-        jets[(a.field, a.dagger, a.index)] = True
-    elif isinstance(a, Trig):
-        u = a.arg
-        jets[(u.field, u.dagger, u.index)] = True
 
 
 def _eval_density_at(model, density: Expr, jet_value, x) -> GrassmannNumber:
@@ -359,12 +352,10 @@ def _eval_atom(a, jet_value, x) -> GrassmannNumber:
         u = jet_value(a.arg.field, a.arg.dagger, a.arg.index)
         if any(m for m in u.coeffs if m):
             raise ValueError("transcendental function of a Grassmann-valued section")
-        v = u.body()
-        if a.tag == "sin":
-            return GrassmannNumber.scalar(math.sin(v))
-        if a.tag == "cos":
-            return GrassmannNumber.scalar(math.cos(v))
-        return GrassmannNumber.scalar(math.exp(v))
+        try:
+            return GrassmannNumber.scalar(getattr(math, a.tag)(u.body()))
+        except OverflowError:
+            raise FrequencyError(f"{a.tag} overflows at the section") from None
     if isinstance(a, BaseVar):
         raise FrequencyError("explicit base coordinates are outside the oracle class")
     raise TypeError(f"unknown atom {a!r}")
@@ -373,7 +364,6 @@ def _eval_atom(a, jet_value, x) -> GrassmannNumber:
 def evaluate(
     F: Functional,
     section: SectionSpec,
-    points: int,
     shift=None,
 ) -> GrassmannNumber:
     """Value of a functional at a section: densities are collapsed, each
@@ -387,8 +377,7 @@ def evaluate(
             raise ValueError("cannot numerically evaluate a complex coefficient")
         val = GrassmannNumber.scalar(c.real)
         for b in blocks:
-            val = val * evaluate_density(model, collapse(b), section, points,
-                                         shift=shift)
+            val = val * evaluate_density(model, collapse(b), section, shift=shift)
             if not val.coeffs:
                 break
         total = total + val

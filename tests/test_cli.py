@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 import re
 
@@ -293,18 +294,28 @@ def test_cmd_example_scalar(capsys):
 
 
 def test_cmd_evaluate(model_file, capsys):
-    rc = main(["evaluate", model_file, "--expr", "q^2", "--section", "s1",
-               "--points", "16"])
+    rc = main(["evaluate", model_file, "--expr", "q^2", "--section", "s1"])
     assert rc == 0
     assert "3.14159" in capsys.readouterr().out
+
+
+def test_section_coefficients_in_scientific_notation(tmp_path, capsys):
+    # the sign of an exponent does not start a term
+    path = tmp_path / "sci.model"
+    path.write_text("[base]\ndim = 1\n[fields]\nq ghost = 0\n[sections]\n"
+                    "s: q = 2e-3*sin(x1)\nt: q = 1.5E+1*sin(x1) - 2e-3*cos(x1)\n")
+    assert main(["evaluate", str(path), "--expr", "q^2", "--section", "s"]) == 0
+    assert capsys.readouterr().out == "integral value: +1.25664e-05\n"
+    assert main(["evaluate", str(path), "--expr", "q^2", "--section", "t"]) == 0
+    value = float(capsys.readouterr().out.split(":")[1])
+    assert abs(value - (15.0 ** 2 + 2e-3 ** 2) * math.pi) < 1e-3
 
 
 def test_cmd_usage_errors(model_file, tmp_path, capsys):
     assert main(["euler", model_file, "--expr", "q +* q", "--field", "q"]) == 2
     assert main(["evaluate", model_file, "--expr", "q", "--section", "nope"]) == 2
     capsys.readouterr()
-    # a model file that cannot be read, or that does not parse, and a
-    # quadrature with too few points for the density
+    # a model file that cannot be read, or that does not parse
     missing = str(tmp_path / "missing.model")
     assert main(["euler", missing, "--expr", "q", "--field", "q"]) == 2
     out, err = capsys.readouterr()
@@ -331,10 +342,11 @@ def test_cmd_usage_errors(model_file, tmp_path, capsys):
         assert main(["euler", model_file, "--expr", text, "--field", "q"]) == 2
         out, err = capsys.readouterr()
         assert not out and f"the scalar {shown} has no inverse" in err
-    assert main(["evaluate", model_file, "--expr", "q^4", "--section", "s1",
-                 "--points", "4"]) == 2
+    # a transcendental density whose value leaves the float range
+    bad.write_text("[base]\ndim = 1\n[fields]\nq ghost = 0\n[sections]\ns: q = 1000*sin(x1)\n")
+    assert main(["evaluate", str(bad), "--expr", "exp(q)", "--section", "s"]) == 2
     out, err = capsys.readouterr()
-    assert not out and "cannot resolve" in err
+    assert not out and err == "bvcalc: exp overflows at the section\n"
     for n in ("0", "-3"):
         assert main(["check", "skew", "--cases", n, "--json"]) == 2
         out, err = capsys.readouterr()

@@ -54,9 +54,15 @@ def test_associativity_random():
         assert ((a * b) * c - a * (b * c)).max_abs() < 1e-12
 
 
-def test_generator_cap():
+def test_generators_past_eight():
+    # the algebra takes any number of generators; only a negative index is
+    # no generator
+    assert (g(8) * g(20) + g(20) * g(8)).max_abs() == 0.0
+    assert (g(8) * g(8)).max_abs() == 0.0 and (g(20) * g(20)).max_abs() == 0.0
+    assert (g(8) * g(20)).coeffs == {1 << 8 | 1 << 20: 1.0}
+    assert repr(g(20) * g(8)) == "-1*g9*g21"
     with pytest.raises(ValueError):
-        GrassmannNumber.generator(8)
+        GrassmannNumber.generator(-1)
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -66,10 +72,10 @@ def sin_section(m):
 
 
 def test_total_derivative_integrates_to_zero(m):
-    # a polynomial density, and a transcendental one, which the quadrature
-    # checks at twice the points
+    # a polynomial density, and a transcendental one, whose grid doubles
+    # until its value settles
     for density in (m.jet("q") * m.jet("q", (1,)), m.exp("q") * m.jet("q", (1,))):
-        v = evaluate(Functional.from_density(m, density), sin_section(m), 16)
+        v = evaluate(Functional.from_density(m, density), sin_section(m))
         assert abs(v.body()) < 1e-12, density
 
 
@@ -77,13 +83,13 @@ def test_cos_of_sin_integrates_to_the_bessel_value(m):
     # the integral of cos(sin x) over [0, 2pi) is 2pi J0(1), with J0(1) the
     # sum of (-1)^k / (4^k (k!)^2)
     j0 = sum((-1) ** k / (4 ** k * math.factorial(k) ** 2) for k in range(20))
-    v = evaluate(Functional.from_density(m, m.cos("q")), sin_section(m), 16)
+    v = evaluate(Functional.from_density(m, m.cos("q")), sin_section(m))
     assert abs(v.body() - 2 * math.pi * j0) < 1e-12
 
 
 def test_sin_squared_integral(m):
     F = Functional.from_density(m, m.jet("q") * m.jet("q"))
-    v = evaluate(F, sin_section(m), 16)
+    v = evaluate(F, sin_section(m))
     assert abs(v.body() - math.pi) < 1e-12
 
 
@@ -93,25 +99,41 @@ def test_grassmann_valued_integral(m):
         ("q", True): [(g(0), (("sin", 1),))],
     })
     F = Functional.from_density(m, m.jet("q", dagger=True) * m.jet("q", (1,)))
-    v = evaluate(F, s, 16)
+    v = evaluate(F, s)
     expected = GrassmannNumber({1: -math.pi})
     assert (v - expected).max_abs() < 1e-12
 
 
-def test_insufficient_points_detected(m):
-    F = Functional.from_density(m, (m.jet("q") ** 4))
-    with pytest.raises(FrequencyError):
-        evaluate(F, sin_section(m), 4)
-    # two points pass the frequency bound of a degree-1 density, but exp is
-    # no trigonometric polynomial: at four points the value moves
-    with pytest.raises(FrequencyError, match="not converged"):
-        evaluate(Functional.from_density(m, m.exp("q")), sin_section(m), 2)
+def test_the_grid_counts_the_shift(m):
+    # q^2 shifted along q^3 is a polynomial of degree 6 in sin(x): a grid of
+    # 4 points, enough for q^2 alone, reads the finite difference as 2pi;
+    # its derivative at eps = 0 is the integral of 2 q * q^3 = 2 sin(x)^4
+    F = Functional.from_density(m, m.jet("q") ** 2)
+    B = m.jet("q") ** 3
+    eps = 1e-4
+    plus = evaluate(F, sin_section(m), shift=("q", eps, B)).body()
+    minus = evaluate(F, sin_section(m), shift=("q", -eps, B)).body()
+    assert abs((plus - minus) / (2 * eps) - 3 * math.pi / 2) < 1e-6
+
+
+def test_an_unbounded_or_unsettled_quadrature_is_refused(m):
+    def at(amplitude):
+        return SectionSpec(m, {("q", False): [(amplitude, (("sin", 1),))]})
+    # exp(1000) is past the float range
+    with pytest.raises(FrequencyError, match="exp overflows"):
+        evaluate(Functional.from_density(m, m.exp("q")), at(1000.0))
+    # exp(400) is not, but its square is
+    with pytest.raises(FrequencyError, match="not finite"):
+        evaluate(Functional.from_density(m, m.exp("q") ** 2), at(400.0))
+    # cos(1000 sin x) needs a grid of about 1000 points
+    with pytest.raises(FrequencyError, match="does not settle within 512 points"):
+        evaluate(Functional.from_density(m, m.cos("q")), at(1000.0))
 
 
 def test_base_coordinates_rejected(m):
     F = Functional.from_density(m, m.x(0) * m.jet("q"))
     with pytest.raises(FrequencyError):
-        evaluate(F, sin_section(m), 16)
+        evaluate(F, sin_section(m))
 
 
 def random_section(m, rng, odd_gen):
@@ -139,8 +161,8 @@ def test_synonym_consistency(m):
         h2 = h + total_derivative(r, 0)
         for j in range(2):
             s = random_section(m, rng, odd_gen=j)
-            v1 = evaluate(Functional.from_density(m, h), s, 64)
-            v2 = evaluate(Functional.from_density(m, h2), s, 64)
+            v1 = evaluate(Functional.from_density(m, h), s)
+            v2 = evaluate(Functional.from_density(m, h2), s)
             assert (v1 - v2).max_abs() < 1e-9
 
 
@@ -152,8 +174,8 @@ def test_product_evaluation_is_grassmann_product(m):
         F = Functional.from_density(m, a)
         G = Functional.from_density(m, b)
         s = random_section(m, rng, odd_gen=0)
-        lhs = evaluate(F * G, s, 64)
-        rhs = evaluate(F, s, 64) * evaluate(G, s, 64)
+        lhs = evaluate(F * G, s)
+        rhs = evaluate(F, s) * evaluate(G, s)
         assert (lhs - rhs).max_abs() < 1e-9
 
 
@@ -176,13 +198,13 @@ def test_sign_oracle_finite_difference(m):
         Ff = Functional.from_density(m, f0)
         Gf = Functional.from_density(m, m.jet("q", dagger=True) * B)
         s = SectionSpec(m, {("q", False): [(0.7, (("sin", 1),)), (0.3, (("cos", 2),))]})
-        val = evaluate(schouten(Ff, Gf), s, 64).body()
-        plus = evaluate(Ff, s, 64, shift=("q", eps, B)).body()
-        minus = evaluate(Ff, s, 64, shift=("q", -eps, B)).body()
+        val = evaluate(schouten(Ff, Gf), s).body()
+        plus = evaluate(Ff, s, shift=("q", eps, B)).body()
+        minus = evaluate(Ff, s, shift=("q", -eps, B)).body()
         fd = (plus - minus) / (2 * eps)
         scale = max(1.0, abs(fd))
         assert abs(val - fd) <= 1e-4 * scale
-        swapped = evaluate(schouten(Gf, Ff), s, 64).body()
+        swapped = evaluate(schouten(Gf, Ff), s).body()
         assert abs(swapped + fd) <= 1e-4 * scale
 
 
