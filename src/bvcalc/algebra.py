@@ -34,7 +34,7 @@ immutable expression are kept on it once found: a JetVar's shifts
 (``JetVar.shifts``), an Attach block's nested key, built on first read, an
 expression's key, hash, parity and walk index (``Expr.var_index()``, built
 on its second walk by one variable), and the Euler images of an expression
-that holds a block, per model (``bv._images``).
+that a bracket took as an operand, per model and mode (``bv._images``).
 
 Canonical in, canonical out: a product of two canonical monomials is a
 merge of their sorted atoms (``_add_product``), sin(u) on both sides

@@ -11,16 +11,15 @@ of integral blocks as closed sums over blocks and block pairs, (1a) and (1b)
 summed out (see ``schouten`` and ``laplacian``).  A first argument of
 several blocks takes the densities [[B_i, C_j]] as they stand, not through
 skew-symmetry, so the ``skew`` suite tests skew-symmetry rather than
-restating it.  An operand that holds a frozen block keeps the Euler images
-its first bracket made; a block bracketed with itself is walked once, in
-either mode.  The quantum layer combines the two into the differential
-Omega = -i*hbar*Delta + [S, .].
+restating it.  Every operand, plain or holding a frozen block, keeps the
+Euler images its first bracket made in each mode, for its whole life; a
+block bracketed with itself is walked once, in either mode.  The quantum
+layer combines the two into the differential Omega = -i*hbar*Delta + [S, .].
 
 Each verdict has one table (``_Ops``, the mode it binds): every bracket and
-Laplacian its builder takes reads each block's and block pair's density, and
-each plain operand's Euler images, from it, made once.  The table is dropped
-with the verdict, so a plain operand keeps nothing after it; a public call
-is a verdict of its own.
+Laplacian its builder takes reads each block's and block pair's density from
+it, made once.  The table is dropped with the verdict; a public call is a
+verdict of its own.
 
 Sign conventions (fixed constants of the construction): the two couplings
 pair as <e, dag e> = +1 and <dag e, e> = -1; normalized variations couple to
@@ -58,8 +57,7 @@ def schouten_density(model: BvModel, f: Expr, g: Expr, mode: str = GEOMETRIC) ->
     Only left images are taken (``_images``): on a parity-homogeneous f,
     er[v] = (-1)^(p_v (p_f - 1)) el[v], a sign folded into the products, so
     a heterogeneous f raises ParityError (g may be of any parity).  A
-    verdict passes its ``_Ops`` as ``mode``, and the images of plain f and
-    g are read from its table.
+    verdict passes its ``_Ops`` as ``mode``.
 
     In geometric mode each operand's variations stay pending on frozen
     blocks.  A product of an image of f and one of g that share a block
@@ -91,26 +89,20 @@ def schouten_density(model: BvModel, f: Expr, g: Expr, mode: str = GEOMETRIC) ->
 def _images(model: BvModel, e: Expr, mode: str) -> dict:
     """The left Euler images of the operand ``e`` by every variable of
     ``model``: expanded in naive mode, frozen and then isolated
-    (``_isolate``) in geometric mode.  An operand that holds a block (so a
-    bracket result, geometric) is walked once per model, its images kept on
-    it (``Expr._images``, a slot unset until then).  A plain operand is
-    walked once per verdict when ``mode`` is the verdict's ``_Ops``, its
-    images kept in that table and nowhere else, so a long-lived action or
-    observable keeps nothing once the verdict returns."""
-    held = e.has_attach()
-    if held:
-        memo, key = getattr(e, "_images", {}), model
-    else:
-        memo, key = (mode.images if type(mode) is _Ops else {}), (model, e)
-    images = memo.get(key)
+    (``_isolate``) in geometric mode.  Every operand, plain or holding a
+    block, is walked once per model and mode for its whole life, its images
+    kept on it (``Expr._images``, a slot unset until then, keyed by
+    ``(model, frozen)``), so a long-lived action or observable is walked
+    once in each mode, however many brackets and verdicts it enters."""
+    frozen = mode == GEOMETRIC
+    memo = getattr(e, "_images", {})
+    images = memo.get((model, frozen))
     if images is None:
-        frozen = mode == GEOMETRIC
         images = eulers(model, e, [v for pair in model.pairs() for v in pair], frozen)
         if frozen:
             images = {v: _isolate(image) for v, image in images.items()}
-        memo[key] = images
-        if held:
-            e._images = memo
+        memo[model, frozen] = images
+        e._images = memo
     return images
 
 
@@ -164,15 +156,15 @@ class _Ops(str):
     """The mode of one verdict, carrying its table: the bracket, Laplacian
     and Omega taken through it (``op.schouten(F, G)``) take each block's
     Laplacian density and each ordered block pair's bracket density
-    (``densities``), and each plain operand's Euler images (``images``,
-    read by ``_images``), once, keyed by model.  It is the mode string
-    itself, so the density functions take it where they take a mode; it is
-    dropped with the verdict, so nothing it holds outlives one."""
+    (``densities``) once, keyed by model.  It is the mode string itself, so
+    the density functions take it where they take a mode; it is dropped
+    with the verdict, so no density outlives one (the operands' Euler
+    images live on the operands, ``_images``)."""
 
     def __new__(cls, mode: str):
         _check_mode(mode)
         op = super().__new__(cls, mode)
-        op.densities, op.images = {}, {}
+        op.densities = {}
         return op
 
     def schouten(self, F: Functional, G: Functional) -> Functional:

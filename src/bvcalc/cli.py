@@ -87,25 +87,20 @@ def _print_functional(F: Functional, do_collapse: bool):
 def cmd_euler(args) -> int:
     model, _ = _load_model(args.model)
     e = parse_expr(args.expr, model)
-    result = euler(model, e, args.field, args.dagger, side=args.side)
-    print(format_expr(result))
+    print(format_expr(euler(model, e, args.field, args.dagger, side=args.side)))
     return 0
 
 
 def cmd_schouten(args) -> int:
     model, _ = _load_model(args.model)
-    f = parse_expr(args.f, model)
-    g = parse_expr(args.g, model)
-    F = Functional.from_density(model, f)
-    G = Functional.from_density(model, g)
+    F, G = (Functional.from_density(model, parse_expr(t, model)) for t in (args.f, args.g))
     _print_functional(schouten(F, G, args.mode), args.collapse)
     return 0
 
 
 def cmd_laplacian(args) -> int:
     model, _ = _load_model(args.model)
-    e = parse_expr(args.expr, model)
-    F = Functional.from_density(model, e)
+    F = Functional.from_density(model, parse_expr(args.expr, model))
     _print_functional(laplacian(F, args.mode), args.collapse)
     return 0
 
@@ -116,30 +111,25 @@ def cmd_evaluate(args) -> int:
     if args.section not in sections:
         print(f"bvcalc: no section {args.section!r} in model file", file=sys.stderr)
         return 2
-    spec = _build_section(model, sections[args.section])
+    spec = SectionSpec(model, {key: _parse_trig_poly(model, text)
+                               for key, text in sections[args.section].items()})
     value = evaluate(Functional.from_density(model, e), spec)
     print(f"integral value: {value!r}")
     return 0
 
 
-def _build_section(model, raw: dict) -> SectionSpec:
-    components = {}
-    for key, text in raw.items():
-        components[key] = _parse_trig_poly(model, text)
-    return SectionSpec(model, components)
-
-
 def _parse_trig_poly(model, text: str):
-    """Parse 'c * sin(k x1) * cos(m x2) + ...' with float or g<k> coefficients."""
+    """Parse 'c * sin(k x1) * cos(m x2) + ...' with float or g<k> coefficients.
+    Factors of one coordinate multiply by product to sum, so a term may
+    become several; cos(0 x) is 1, and sin(0 x) drops its term."""
     terms = []
     # a term starts at a sign, but not at the sign of an exponent (2e-3)
     for chunk in re.split(r"(?<![eE])(?=[+-])", text.replace(" ", "")):
         if not chunk or chunk in "+-":
             continue
-        sign = -1.0 if chunk.startswith("-") else 1.0
+        coeff = GrassmannNumber.scalar(-1.0 if chunk.startswith("-") else 1.0)
         chunk = chunk.lstrip("+-")
-        coeff = GrassmannNumber.scalar(sign)
-        factors = [("one", 0)] * model.base_dim
+        products = [(1.0, (("one", 0),) * model.base_dim)]  # (scale, factors)
         for factor in chunk.split("*"):
             if not factor:
                 continue
@@ -149,7 +139,9 @@ def _parse_trig_poly(model, text: str):
                 coord = int(m.group(3)) - 1
                 if not 0 <= coord < model.base_dim:
                     raise ParseError(f"coordinate x{coord + 1} out of range")
-                factors[coord] = (m.group(1), freq)
+                products = [(s * t, fs[:coord] + (f,) + fs[coord + 1:])
+                            for s, fs in products
+                            for t, f in _trig_product(fs[coord], m.group(1), freq)]
                 continue
             m = re.fullmatch(r"g(\d+)", factor)
             if m:
@@ -159,8 +151,24 @@ def _parse_trig_poly(model, text: str):
                 coeff = coeff.scale(float(Fraction(factor)))
             except ValueError:
                 raise ParseError(f"bad section factor {factor!r}")
-        terms.append((coeff, tuple(factors)))
+        terms += [(coeff.scale(s), fs) for s, fs in products]
     return terms
+
+
+def _trig_product(factor, kind: str, freq: int):
+    """The factor (k, f) of one coordinate times kind(freq x), as (scale,
+    factor) pairs by product to sum: sin a sin b = (cos(a - b) - cos(a + b))/2,
+    cos a cos b = (cos(a - b) + cos(a + b))/2, sin a cos b = (sin(a + b) +
+    sin(a - b))/2; sin(-a) = -sin a, cos(0) is 1 and sin(0) is left out."""
+    k, f = factor
+    if k == "one":
+        pairs = [(1.0, kind, freq)]
+    elif k == kind:
+        pairs = [(0.5, "cos", f - freq), (0.5 if k == "cos" else -0.5, "cos", f + freq)]
+    else:
+        pairs = [(0.5, "sin", f + freq), (0.5, "sin", f - freq if k == "sin" else freq - f)]
+    return [(-t if k == "sin" and f < 0 else t, (k, abs(f)) if f else ("one", 0))
+            for t, k, f in pairs if f or k == "cos"]
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,19 @@ def m():
     return scalar_model()
 
 
+@pytest.fixture
+def walked(monkeypatch):
+    """The operand of every Euler walk that ``bv`` makes, in order."""
+    operands = []
+
+    def counted(model, e, *args, **kwargs):
+        operands.append(e)
+        return eulers(model, e, *args, **kwargs)
+
+    monkeypatch.setattr(bv, "eulers", counted)
+    return operands
+
+
 def rf(model, parity, seed, order=2, degree=3, blocks=1):
     return random_functional(model, order, degree, parity, seed, n_blocks=blocks)
 
@@ -213,24 +226,26 @@ def test_a_block_in_both_images_is_squared_or_vanishes(m, inner):
     assert collapse(bracket) == expected != Expr.zero()
 
 
-def test_a_bracket_keeps_no_images_on_its_plain_operands():
-    # images are kept only on an operand that holds a block: once [[S,X]],
-    # [[X,S]] and X = [[S,[[S,O]]]] are gone, the long-lived S and O hold
-    # no images
+def test_a_plain_operand_keeps_its_images_for_its_life(walked):
+    # images are kept on every operand, plain or holding a block: the
+    # long-lived S and O are walked once for X = [[S,[[S,O]]]], [[S,X]] and
+    # [[X,S]], not again by a second round, and a verdict on them reads the
+    # same images
     m, S, _ = nested_brackets(0)
-    O = random_functional(m, 2, 3, 0, 77)  # shares no block with cached operands
+    O = random_functional(m, 2, 3, 0, 77)
+    plain = [b for F in (S, O) for b in F.blocks()]
 
     def bracket():
         X = schouten(S, schouten(S, O))
         lhs, rhs = schouten(S, X), schouten(X, S)
         return functional_equal(lhs, rhs, "structural")
 
-    assert bracket()
-    assert not any(hasattr(b, "_images") for F in (S, O) for b in F.blocks())
-    # nor does a verdict on them: its table, which holds their images, is
-    # dropped when it returns
+    assert bracket() and bracket()
+    assert [sum(e is b for e in walked) for b in plain] == [1, 1]
+    assert all(list(b._images) == [(m, True)] for b in plain)
+    kept = [b._images[m, True] for b in plain]
     assert check_identity("derivation-1c", (S, O)).passed
-    assert not any(hasattr(b, "_images") for F in (S, O) for b in F.blocks())
+    assert all(b._images[m, True] is k for b, k in zip(plain, kept))
 
 
 def test_raw_results_do_not_depend_on_call_history():
@@ -335,27 +350,30 @@ def test_right_images_are_signed_left_images(model_name):
                     assert _raw(right) == _raw(image.scale(sign)), (name, v, frozen)
 
 
-def test_one_walk_of_a_labelled_block_serves_both_brackets(monkeypatch):
+def test_one_walk_of_a_labelled_block_serves_both_brackets(walked):
     # X = [[S,[[S,O]]]] is walked once for [[S,X]] and [[X,S]] together
-    walked = []
-
-    def counted(model, e, *args, **kwargs):
-        walked.append(e)
-        return eulers(model, e, *args, **kwargs)
-
-    monkeypatch.setattr(bv, "eulers", counted)
     model, S, X = nested_brackets(2)
     ((x,),) = X.terms
     assert x.has_attach()
     assert not schouten(S, X).is_zero() and not schouten(X, S).is_zero()
     assert sum(e is x for e in walked) == 1
-    assert list(x._images) == [model]
+    assert list(x._images) == [(model, True)]
 
 
-def test_a_plain_block_keeps_no_images():
-    _, S = build_yang_mills_bv(LieAlgebraData.su2(), 2)
+def test_a_plain_block_keeps_its_images_per_mode():
+    # the plain Yang-Mills action keeps its frozen images from [[S,S]] and
+    # its expanded ones from the naive bracket of the master equation, and
+    # a second round reads both
+    model, S = build_yang_mills_bv(LieAlgebraData.su2(), 2)
+    ((s,),) = S.terms
     assert not schouten(S, S).is_zero()
-    assert not any(hasattr(b, "_images") for b in S.blocks())
+    assert check_master_equation(S).passed
+    kept = dict(s._images)
+    assert list(kept) == [(model, True), (model, False)]
+    assert not schouten(S, S).is_zero()
+    assert check_master_equation(S).passed
+    assert s._images.keys() == kept.keys()
+    assert all(s._images[k] is kept[k] for k in kept)
 
 
 def test_a_labelled_block_keeps_images_per_model():
@@ -365,8 +383,9 @@ def test_a_labelled_block_keeps_images_per_model():
     for m_ in (model, wider, model):
         assert _raw(schouten_density(m_, s, x)) == _raw(reference_bracket_density(m_, s, x))
         assert _raw(schouten_density(m_, x, s)) == _raw(reference_bracket_density(m_, x, s))
-    assert list(x._images) == [model, wider]
-    assert len(x._images[wider]) == len(x._images[model]) + 2
+    for e in (s, x):
+        assert list(e._images) == [(model, True), (wider, True)]
+        assert len(e._images[wider, True]) == len(e._images[model, True]) + 2
 
 
 def test_a_heterogeneous_first_operand_is_refused(m):
@@ -381,6 +400,39 @@ def test_a_heterogeneous_first_operand_is_refused(m):
             schouten_density(m, het, s)
         assert not hasattr(het, "_images")
         assert _raw(schouten_density(m, s, het)) == _raw(reference_bracket_density(m, s, het))
+
+
+@pytest.mark.parametrize("model_name", list(MODELS))
+def test_a_plain_operand_keeps_images_per_mode(model_name):
+    # one plain operand object bracketed in geometric, naive and again
+    # geometric mode gives the reference's raw term maps each time: its
+    # frozen and its expanded images are kept apart
+    model = MODELS[model_name]()
+    ops = labelled_operands(model, 3)
+    f, g = ops["p1"], ops["p0"]
+    for mode in (GEOMETRIC, NAIVE, GEOMETRIC):
+        for a, b in ((f, g), (g, f)):
+            ref = _raw(reference_bracket_density(model, a, b, mode))
+            assert _raw(schouten_density(model, a, b, mode)) == ref, mode
+    for e in (f, g):
+        assert list(e._images) == [(model, True), (model, False)]
+
+
+def test_a_fixed_action_is_walked_once_per_mode_across_verdicts(m, walked):
+    # 20 gauge-closure verdicts on one KdV action walk it once in each mode
+    S = _kdv_hamiltonian(m)
+    ((s,),) = S.terms
+    for walks, mode in enumerate((GEOMETRIC, NAIVE), 1):
+        for i in range(20):
+            F1, F2 = rf(m, 1, 2600 + i, order=1), rf(m, 1, 2700 + i, order=1)
+            assert check_identity("gauge-closure", (F1, F2, S), mode).passed
+        assert sum(e is s for e in walked) == walks, mode
+    assert list(s._images) == [(m, True), (m, False)]
+    # a heterogeneous first operand is refused before it is walked
+    het = _density(rf(m, 0, 2800)) + _density(rf(m, 1, 2801))
+    with pytest.raises(ParityError, match="parity-heterogeneous expression"):
+        schouten_density(m, het, s)
+    assert not hasattr(het, "_images") and not any(e is het for e in walked)
 
 
 def test_self_bracket_of_odd_functional_vanishes(m):
@@ -476,27 +528,25 @@ def test_leibniz_sums_take_each_density_once(m, monkeypatch):
     assert taken == [(g, f), (f,), (f, f)]
 
 
-def test_a_verdict_takes_each_density_and_plain_image_once(m, monkeypatch):
-    # one table serves every bracket of a verdict: Jacobi walks each plain
-    # operand once, not once for each of the three brackets it enters, and
-    # (1a) takes [[F,G]] and [[F,H]] once for both of its sides
-    walked, taken = [], []
-
-    def walk(model, e, *args, **kwargs):
-        walked.append(e)
-        return eulers(model, e, *args, **kwargs)
+def test_a_verdict_takes_each_density_and_plain_image_once(m, walked, monkeypatch):
+    # each plain operand is walked once for its life: Jacobi walks it once,
+    # not once for each of the three brackets it enters, and a later (1a)
+    # verdict on the same operands reads the kept images; one table serves
+    # every bracket of a verdict, so (1a) takes [[F,G]] and [[F,H]] once for
+    # both of its sides
+    taken = []
 
     def bracket(model, f, g, mode):
         taken.append((f, g))
         return schouten_density(model, f, g, mode)
 
-    monkeypatch.setattr(bv, "eulers", walk)
     monkeypatch.setattr(bv, "schouten_density", bracket)
     for k in range(3):
         F, G, H = (rf(m, (k + i) % 2, 5200 + 3 * k + i, order=1) for i in range(3))
         ((f,),), ((g,),), ((h,),) = F.terms, G.terms, H.terms
+        del walked[:]
         for suite in ("jacobi", "leibniz-1a"):
-            del walked[:], taken[:]
+            del taken[:]
             assert check_identity(suite, (F, G, H)).passed
             assert [sum(e is b for e in walked) for b in (f, g, h)] == [1, 1, 1], (suite, k)
         assert collections.Counter(taken) == {(f, g): 1, (f, h): 1}, k
@@ -695,18 +745,11 @@ def test_collapse_forgets_the_mode_of_a_plain_bracket(model_name):
                         (seed, pf, pg, blocks)
 
 
-def test_a_naive_self_pair_is_walked_once(monkeypatch):
+def test_a_naive_self_pair_is_walked_once(walked):
     # [[f, f]] in either mode takes f's images once and files
     # 2 sum el[ev] * el[od] for even f, and is 0 for odd f with no walk:
     # the same term map as the unfolded bracket; naive mode walks the
     # collapsed f, and geometric mode f itself, blocks and all
-    walked = []
-
-    def counted(model, e, *args, **kwargs):
-        walked.append(e)
-        return eulers(model, e, *args, **kwargs)
-
-    monkeypatch.setattr(bv, "eulers", counted)
     cases = []
     for model_name in MODELS:
         for model, ops, _ in _operands(model_name):
@@ -730,20 +773,13 @@ def test_a_naive_self_pair_is_walked_once(monkeypatch):
     assert min(folded.values()) >= 30, folded
 
 
-def test_the_ym_self_bracket_walks_its_action_once(monkeypatch):
+def test_the_ym_self_bracket_walks_its_action_once(walked):
     # the geometric [[S,S]] of su(2) Yang-Mills on a 4-dimensional base
     # walks the one block of S once, and files the terms of the unfolded
     # bracket
-    walked = []
-
-    def counted(model, e, *args, **kwargs):
-        walked.append(e)
-        return eulers(model, e, *args, **kwargs)
-
     model, S = build_yang_mills_bv(LieAlgebraData.su2(), 4)
     ((s,),) = S.terms
     ref = reference_bracket_density(model, s, s)
-    monkeypatch.setattr(bv, "eulers", counted)
     assert not schouten(S, S, GEOMETRIC).is_zero()
     assert len(walked) == 1 and walked[0] is s
     assert dict(_raw(schouten_density(model, s, s))) == dict(_raw(ref)) != {}

@@ -311,6 +311,25 @@ def test_section_coefficients_in_scientific_notation(tmp_path, capsys):
     assert abs(value - (15.0 ** 2 + 2e-3 ** 2) * math.pi) < 1e-3
 
 
+def test_section_factors_of_one_coordinate_multiply(tmp_path, capsys):
+    # two factors of x1 multiply by product to sum: sin^2 and cos^2
+    # integrate to pi, sin*cos and cos(x1)*cos(2x1) to 0; cos(0x1) is 1 and
+    # sin(0x1) drops its term
+    sections = {"ss": "sin(x1)*sin(x1)", "cc": "cos(x1)*cos(x1)", "sc": "sin(x1)*cos(x1)",
+                "c12": "cos(x1)*cos(2x1)", "zero": "sin(x1)*cos(0x1) + 5*sin(0x1)"}
+    path = tmp_path / "products.model"
+    path.write_text("[base]\ndim = 1\n[fields]\nq ghost = 0\n[sections]\n"
+                    + "".join(f"{name}: q = {text}\n" for name, text in sections.items()))
+    values = {}
+    for name in sections:
+        assert main(["evaluate", str(path), "--expr", "q", "--section", name]) == 0
+        values[name] = float(capsys.readouterr().out.split(":")[1])
+    expected = {"ss": math.pi, "cc": math.pi, "sc": 0.0, "c12": 0.0, "zero": 0.0}
+    assert all(abs(values[k] - v) < 1e-5 for k, v in expected.items()), values
+    assert main(["evaluate", str(path), "--expr", "q^2", "--section", "zero"]) == 0
+    assert capsys.readouterr().out == "integral value: +3.14159\n"
+
+
 def test_cmd_usage_errors(model_file, tmp_path, capsys):
     assert main(["euler", model_file, "--expr", "q +* q", "--field", "q"]) == 2
     assert main(["evaluate", model_file, "--expr", "q", "--section", "nope"]) == 2
