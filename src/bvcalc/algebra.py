@@ -32,9 +32,9 @@ equality and hashing read these term maps too, and so do the triviality
 images of the class basis.  Values derived from an interned atom or an
 immutable expression are kept on it once found: a JetVar's shifts
 (``JetVar.shifts``), an Attach block's nested key, built on first read, an
-expression's key, hash, parity and walk index (``Expr.var_index()``, built
-on its second walk by one variable), and the Euler images of an expression
-that a bracket took as an operand, per model and mode (``bv._images``).
+expression's key, hash and parity, and its Euler images by every variable
+of a model, per model and mode, once a bracket or an expanded ``euler``
+has taken them (``jetcalc.images``).
 
 Canonical in, canonical out: a product of two canonical monomials is a
 merge of their sorted atoms (``_add_product``), sin(u) on both sides
@@ -262,7 +262,7 @@ class GhostNumberError(ValueError):
 
 
 class Expr:
-    __slots__ = ("terms", "_key", "_hash", "_parity", "_index", "_images")
+    __slots__ = ("terms", "_key", "_hash", "_parity", "_images")
 
     def __init__(self, terms):
         # terms: dict (even, odd) -> Monomial, keyed by the monomial's own
@@ -271,7 +271,6 @@ class Expr:
         self._key = None
         self._hash = None
         self._parity = None
-        self._index = None
 
     # -- construction ---------------------------------------------------
 
@@ -376,9 +375,8 @@ class Expr:
                 if p is None:
                     p, witness = mp, m
                 elif mp != p:
-                    raise ParityError(
-                        f"parity-heterogeneous expression: {witness!r} vs {m!r}"
-                    )
+                    raise ParityError(f"parity-heterogeneous expression: "
+                                      f"{_written(witness)} vs {_written(m)}")
             self._parity = 0 if p is None else p
         return self._parity
 
@@ -399,8 +397,8 @@ class Expr:
                 gh, witness = g, m
             elif g != gh:
                 raise GhostNumberError(
-                    f"ghost-number-heterogeneous expression: {witness!r} "
-                    f"(gh {gh}) vs {m!r} (gh {g})"
+                    f"ghost-number-heterogeneous expression: {_written(witness)} "
+                    f"(gh {gh}) vs {_written(m)} (gh {g})"
                 )
         return 0 if gh is None else gh
 
@@ -418,32 +416,6 @@ class Expr:
                     m.odd and type(m.odd[-1]) is Attach):
                 return True
         return False
-
-    def var_index(self):
-        """``(holding, blocks)``, or None the first time it is asked for:
-        ``holding`` maps each variable (an ``Atom.var``) to the monomials
-        without an Attach factor that hold it, and ``blocks`` lists the
-        monomials that hold an Attach block, whose inner may hold any
-        variable; both in term order.  A walk by one variable visits only
-        these monomials.  Most expressions are walked by one variable once,
-        by a scan, so the index is built on the second request and kept."""
-        if self._index is None:
-            self._index = False
-            return None
-        if self._index is False:
-            holding, blocks = {}, []
-            for m in self.terms.values():
-                if (m.even and type(m.even[-1][0]) is Attach) or (
-                        m.odd and type(m.odd[-1]) is Attach):
-                    blocks.append(m)
-                    continue
-                for a, _ in m.factors():
-                    held = holding.setdefault(a.var, [])
-                    if not held or held[-1] is not m:  # one entry per monomial
-                        held.append(m)
-            holding.pop(None, None)  # base coordinates
-            self._index = holding, blocks
-        return self._index
 
     def lead_coefficient(self) -> Coefficient:
         """Coefficient of the canonically least monomial (zero for 0)."""
@@ -466,6 +438,11 @@ def _coerce(x) -> Expr:
     if isinstance(x, Expr):
         return x
     return Expr.scalar(x)
+
+
+def _written(m: Monomial) -> str:
+    """The monomial ``m`` as the grammar writes it, for an error message."""
+    return repr(Expr({(m.even, m.odd): m}))
 
 
 def _monomial_gh(m: Monomial) -> int:

@@ -2,18 +2,19 @@
 
 Geometric mode keeps every variation's pending derivatives frozen on blocks,
 each at its own copy of the base (multi-base geometry); naive mode expands
-them immediately on collapsed densities.  The bracket isolates its frozen
-images after the walk (``jetcalc._isolate``), so each operand's factors live
-at their own copy of the base.  Blocks are anonymous, so an image
+them immediately on collapsed densities.  The bracket takes each operand's
+Euler images from ``jetcalc.images``, which isolates frozen ones after the
+walk, so each operand's factors live at their own copy of the base, and
+keeps them on the operand.  Blocks are anonymous, so an image
 of one operand and an image of the other that hold the same block multiply
 to a square, or to zero when it is odd.  Both structures extend to products
 of integral blocks as closed sums over blocks and block pairs, (1a) and (1b)
 summed out (see ``schouten`` and ``laplacian``).  A first argument of
 several blocks takes the densities [[B_i, C_j]] as they stand, not through
 skew-symmetry, so the ``skew`` suite tests skew-symmetry rather than
-restating it.  Every operand, plain or holding a frozen block, keeps the
-Euler images its first bracket made in each mode, for its whole life; a
-block bracketed with itself is walked once, in either mode.  The quantum
+restating it.  Every operand, plain or holding a frozen block, is walked
+once per model and mode for its whole life; a block bracketed with itself
+is walked once, in either mode.  The quantum
 layer combines the two into the differential Omega = -i*hbar*Delta + [S, .].
 
 Each verdict has one table (``_Ops``, the mode it binds): every bracket and
@@ -44,7 +45,7 @@ from .coeff import Coefficient
 from .algebra import _MINUS_ONE, _ONE, Expr, ParityError, _add_products, _sum_scaled
 from .cohomology import (Functional, _add_blocks, _check_model, _reduce_functional,
                          functional_equal, functional_text, is_trivial)
-from .jetcalc import GEOMETRIC, NAIVE, BvModel, _check_mode, _isolate, collapse, euler, eulers
+from .jetcalc import GEOMETRIC, NAIVE, BvModel, _check_mode, collapse, eulers, images
 
 
 # ---------------------------------------------------------------------------
@@ -54,10 +55,10 @@ from .jetcalc import GEOMETRIC, NAIVE, BvModel, _check_mode, _isolate, collapse,
 def schouten_density(model: BvModel, f: Expr, g: Expr, mode: str = GEOMETRIC) -> Expr:
     """Density of [[F, G]] for integral blocks with densities f, g: the sum
     over the conjugate pairs (ev, od) of er[ev] * el[od] - er[od] * el[ev].
-    Only left images are taken (``_images``): on a parity-homogeneous f,
-    er[v] = (-1)^(p_v (p_f - 1)) el[v], a sign folded into the products, so
-    a heterogeneous f raises ParityError (g may be of any parity).  A
-    verdict passes its ``_Ops`` as ``mode``.
+    Only left images are taken (``jetcalc.images``, kept on each operand):
+    on a parity-homogeneous f, er[v] = (-1)^(p_v (p_f - 1)) el[v], a sign
+    folded into the products, so a heterogeneous f raises ParityError (g
+    may be of any parity).  A verdict passes its ``_Ops`` as ``mode``.
 
     In geometric mode each operand's variations stay pending on frozen
     blocks.  A product of an image of f and one of g that share a block
@@ -75,8 +76,9 @@ def schouten_density(model: BvModel, f: Expr, g: Expr, mode: str = GEOMETRIC) ->
     odd = f.parity()  # raises on heterogeneous f
     if fold and odd:
         return Expr.zero()
-    ef = _images(model, f, mode)
-    eg = ef if fold else _images(model, g, mode)
+    frozen = mode == GEOMETRIC
+    ef = images(model, f, frozen)
+    eg = ef if fold else images(model, g, frozen)
     lead, sign = (_TWO if fold else _ONE), (_MINUS_ONE if odd else _ONE)
     acc = {}
     for ev, od in model.pairs():
@@ -84,26 +86,6 @@ def schouten_density(model: BvModel, f: Expr, g: Expr, mode: str = GEOMETRIC) ->
         if not fold:
             _add_products(acc, sign, ef[od], eg[ev])
     return Expr(acc) if acc else Expr.zero()
-
-
-def _images(model: BvModel, e: Expr, mode: str) -> dict:
-    """The left Euler images of the operand ``e`` by every variable of
-    ``model``: expanded in naive mode, frozen and then isolated
-    (``_isolate``) in geometric mode.  Every operand, plain or holding a
-    block, is walked once per model and mode for its whole life, its images
-    kept on it (``Expr._images``, a slot unset until then, keyed by
-    ``(model, frozen)``), so a long-lived action or observable is walked
-    once in each mode, however many brackets and verdicts it enters."""
-    frozen = mode == GEOMETRIC
-    memo = getattr(e, "_images", {})
-    images = memo.get((model, frozen))
-    if images is None:
-        images = eulers(model, e, [v for pair in model.pairs() for v in pair], frozen)
-        if frozen:
-            images = {v: _isolate(image) for v, image in images.items()}
-        memo[model, frozen] = images
-        e._images = memo
-    return images
 
 
 def laplacian_density(model: BvModel, f: Expr, mode: str = GEOMETRIC) -> Expr:
@@ -117,7 +99,8 @@ def laplacian_density(model: BvModel, f: Expr, mode: str = GEOMETRIC) -> Expr:
     pairs = list(model.pairs())
     # the first (antifield) step of every pair in one walk over f
     steps = eulers(model, f, [od for _, od in pairs], frozen)
-    return _sum_scaled((euler(model, steps[od], *ev, frozen=frozen), _ONE) for ev, od in pairs)
+    # each step is a temporary: it is walked by its field alone
+    return _sum_scaled((eulers(model, steps[od], [ev], frozen)[ev], _ONE) for ev, od in pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +142,7 @@ class _Ops(str):
     (``densities``) once, keyed by model.  It is the mode string itself, so
     the density functions take it where they take a mode; it is dropped
     with the verdict, so no density outlives one (the operands' Euler
-    images live on the operands, ``_images``)."""
+    images live on the operands, ``jetcalc.images``)."""
 
     def __new__(cls, mode: str):
         _check_mode(mode)

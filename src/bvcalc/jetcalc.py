@@ -14,8 +14,10 @@ public ``partial`` and ``euler`` sign a left image into a right one
 (``_right``).  A walk is frozen or not as a whole (one ``frozen`` flag, its
 only one): its variables' derivatives all stay pending or are all expanded,
 and the inner of a block it enters is walked unfrozen, the derivative joining
-that block's pending set.  The bracket isolates its frozen images after the
-walk (``_isolate``, called by ``bv._images`` alone).
+that block's pending set.  ``images`` is the one memo of the walk: it keeps an
+operand's left Euler images by every variable of a model on the operand,
+expanded, or frozen and then isolated (``_isolate``, called by it alone), and
+the bracket and the unfrozen ``euler`` read them there.
 
 Total derivatives, collapse and the partial-derivative walk take canonical
 monomials and file canonical ones.  The total derivative of a jet variable
@@ -33,15 +35,12 @@ taking a pending derivative, or of an isolated monomial), already a canonical
 unit monomial, become the inner of the new block as they are.  Every other
 branch -- chain-rule (sin/cos/exp), a block's derivative, a new block among
 the kept ones -- is a derivative times the rest of its monomial, filed by the
-canonical product ``algebra._add_product``; no branch is normalised.  From
-its second walk by one variable on, an expression's index lists the monomials
-that walk visits: those holding the variable and those holding a block
-(``Expr.var_index()``); any other walk visits every monomial.
+canonical product ``algebra._add_product``; no branch is normalised.  Every
+walk visits every monomial.
 """
 
 from __future__ import annotations
 
-import itertools
 import re
 from typing import Sequence, Tuple
 
@@ -284,9 +283,8 @@ def _walk(e, variables, frozen):
     variable in ``variables`` = {(field, dagger): parity}, all frozen or
     none, as term maps filed by the interned jet atom q_sigma each
     differentiates by: ``{JetVar: term map}``.  Each monomial is visited
-    once, for all variables together; a walk by one variable visits only
-    the monomials that ``e.var_index()``, once built, lists for it or as
-    holding a block.  Right partials are signed left ones (``_right``).
+    once, for all variables together, however few they are.  Right partials
+    are signed left ones (``_right``).
 
     In a ``frozen`` walk a branch consumed at home records the pending
     derivative sigma for |sigma| > 0 on a new block of its home plains
@@ -303,16 +301,7 @@ def _walk(e, variables, frozen):
     """
     acc = {}  # JetVar -> term map of canonical branches
     dives = {}  # Attach atom -> its branches, so each block is entered once
-    monomials = e.terms.values()
-    # most monomials hold none of one variable's jets: an indexed walk skips
-    # them unread, any other tests their factors; one monomial needs no index
-    found = e.var_index() if len(variables) == 1 and len(e.terms) > 1 else None
-    if found is not None:
-        holding, blocks = found
-        monomials = holding.get(next(iter(variables)), ())
-        if blocks:
-            monomials = itertools.chain(monomials, blocks)
-    for m in monomials:
+    for m in e.terms.values():
         even, odd = m.even, m.odd
         n = len(even)
         for i in range(n + len(odd)):
@@ -471,11 +460,16 @@ def euler(
     Q_0 - D_i(Q_1 - D_i(Q_2 - ...)), so D_i is applied once per order of x_i
     rather than once per multi-index and order.  ``frozen`` keeps the
     derivatives pending on blocks (geometric mode).
+
+    An expanded image is read from ``e``'s images by every variable of
+    ``model`` (``images``), so ``e`` is walked once per model; a frozen one
+    is a walk by ``field`` alone.
     """
     _check_side(side)
+    parity = model.parity(field, dagger)  # raises on an unknown field
     v = (field, dagger)
-    image = eulers(model, e, [v], frozen)[v]
-    return _right(image, model.parity(*v)) if side == "right" else image
+    image = eulers(model, e, [v], True)[v] if frozen else images(model, e, False)[v]
+    return _right(image, parity) if side == "right" else image
 
 
 def eulers(model: BvModel, e: Expr, variables, frozen: bool = False) -> dict:
@@ -487,7 +481,7 @@ def eulers(model: BvModel, e: Expr, variables, frozen: bool = False) -> dict:
     by_var = {}
     for u, terms in _walk(e, variables, frozen).items():
         by_var.setdefault(u.var, {})[u.index] = terms
-    images = {}
+    out = {}
     for v in variables:
         by_index = by_var.get(v, {})
         if not frozen:
@@ -496,8 +490,28 @@ def eulers(model: BvModel, e: Expr, variables, frozen: bool = False) -> dict:
             acc = {}
             for sigma, terms in by_index.items():
                 _add_scaled(acc, terms, _MINUS_ONE if sum(sigma) & 1 else _ONE)
-        images[v] = Expr(acc) if acc else Expr.zero()
-    return images
+        out[v] = Expr(acc) if acc else Expr.zero()
+    return out
+
+
+def images(model: BvModel, e: Expr, frozen: bool) -> dict:
+    """The left Euler images of ``e`` by every variable of ``model``:
+    expanded, or frozen and then isolated (``_isolate``) when ``frozen``.
+    They are kept on ``e`` (``Expr._images``, a slot unset until then,
+    keyed by ``(model, frozen)``) for its whole life, so a long-lived
+    operand is walked once per model and mode, however many brackets,
+    verdicts and ``euler`` calls read it.  The zero expression, one object
+    shared by every caller, keeps nothing."""
+    memo = getattr(e, "_images", {})
+    found = memo.get((model, frozen))
+    if found is None:
+        found = eulers(model, e, [v for pair in model.pairs() for v in pair], frozen)
+        if frozen:
+            found = {v: _isolate(image) for v, image in found.items()}
+        if e.terms:
+            memo[model, frozen] = found
+            e._images = memo
+    return found
 
 
 def _check_side(side: str):
@@ -648,7 +662,9 @@ def iterated_variation(
     ext = model.extend(aux) if include_shifts else model
     e, held = f, Expr.scalar(1)
     for k, (field, dagger) in enumerate(shifts, start=1):
-        e = euler(ext, e, field, dagger, frozen=mode == GEOMETRIC)
+        # each step's image is a temporary: it is walked by its shift alone
+        v = (field, dagger)
+        e = eulers(ext, e, [v], mode == GEOMETRIC)[v]
         if not include_shifts:
             continue
         sh = ext.jet(f"sh{k}")

@@ -157,13 +157,14 @@ def test_parity_and_ghost_numbers():
 
 def test_parity_error_names_monomials(m):
     mixed = m.jet("q") + m.jet("q", dagger=True)
-    with pytest.raises(ParityError):
+    with pytest.raises(ParityError, match=r"^parity-heterogeneous expression: q vs dag\(q\)$"):
         mixed.parity()
 
 
 def test_ghost_heterogeneous_rejected(m):
-    mixed = m.jet("q", dagger=True) + m.jet("q")
-    with pytest.raises(GhostNumberError):
+    mixed = m.jet("q", dagger=True) + m.jet("q", (1,)).scale(2)
+    with pytest.raises(GhostNumberError, match=r"^ghost-number-heterogeneous expression: "
+                                               r"dag\(q\) \(gh -1\) vs 2\*q_x \(gh 0\)$"):
         mixed.ghost_number()
 
 

@@ -10,8 +10,8 @@ from bvcalc import Expr
 from bvcalc.coeff import Coefficient
 from bvcalc.algebra import ParityError, make_attach
 from bvcalc.cohomology import Functional, functional_equal
-from bvcalc.jetcalc import collapse, euler, eulers
-from bvcalc import bv
+from bvcalc.jetcalc import collapse, euler, eulers, iterated_variation
+from bvcalc import bv, jetcalc
 from bvcalc.bv import (
     GEOMETRIC,
     IDENTITIES,
@@ -59,14 +59,17 @@ def m():
 
 @pytest.fixture
 def walked(monkeypatch):
-    """The operand of every Euler walk that ``bv`` makes, in order."""
+    """The operand of every Euler walk that ``jetcalc.images`` makes, in
+    order: counted at the ``jetcalc.eulers`` binding it calls, which the
+    references of ``util_random`` do not call (they bind ``eulers`` apart),
+    nor do ``bv``'s Laplacian steps."""
     operands = []
 
     def counted(model, e, *args, **kwargs):
         operands.append(e)
         return eulers(model, e, *args, **kwargs)
 
-    monkeypatch.setattr(bv, "eulers", counted)
+    monkeypatch.setattr(jetcalc, "eulers", counted)
     return operands
 
 
@@ -433,6 +436,46 @@ def test_a_fixed_action_is_walked_once_per_mode_across_verdicts(m, walked):
     with pytest.raises(ParityError, match="parity-heterogeneous expression"):
         schouten_density(m, het, s)
     assert not hasattr(het, "_images") and not any(e is het for e in walked)
+
+
+def test_the_shared_zero_keeps_no_images(m):
+    # Expr.zero() is one object for every caller: bracketing it, in either
+    # slot and mode, or taking its expanded Euler image keeps nothing on it
+    zero, q = Expr.zero(), m.jet("q")
+    for mode in (GEOMETRIC, NAIVE):
+        assert schouten_density(m, zero, q, mode).is_zero()
+        assert schouten_density(m, q, zero, mode).is_zero()
+    assert euler(m, zero, "q").is_zero() and euler(m, zero, "q", True, "right").is_zero()
+    assert not hasattr(Expr.zero(), "_images")
+
+
+@pytest.mark.parametrize("model_name", ["scalar", "ghost"])
+def test_naive_steps_walk_their_temporaries_by_one_variable(model_name, monkeypatch):
+    # the second step of the naive Laplacian and each step of an iterated
+    # variation walk the image of the step before, a temporary, by the one
+    # variable that step takes, and keep no images on it
+    model = MODELS[model_name]()
+    walks = []
+
+    def counted(model, e, variables, *args):
+        walks.append((e, list(variables)))
+        return eulers(model, e, variables, *args)
+
+    monkeypatch.setattr(bv, "eulers", counted)
+    monkeypatch.setattr(jetcalc, "eulers", counted)
+    f = parse_expr("dag(q)*q*q_xx" + (" + dag(c)_x*c*q" if model_name == "ghost" else ""), model)
+    pairs = list(model.pairs())
+    assert not laplacian_density(model, f, NAIVE).is_zero()
+    (first, by), *steps = walks
+    assert first is f and by == [od for _, od in pairs]
+    assert [vs for _, vs in steps] == [[ev] for ev, _ in pairs]
+    assert not any(hasattr(e, "_images") for e, _ in steps)
+    shifts = [("q", True), ("q", False)]
+    for mode in (NAIVE, GEOMETRIC):
+        del walks[:]
+        assert not iterated_variation(model, f, shifts, mode)[0].is_zero()
+        assert [vs for _, vs in walks] == [[v] for v in shifts]
+        assert walks[0][0] is f and not hasattr(walks[1][0], "_images")
 
 
 def test_self_bracket_of_odd_functional_vanishes(m):

@@ -388,6 +388,13 @@ def test_cmd_euler_unknown_field_is_a_usage_error(model_file, capsys):
     assert capsys.readouterr().err == "bvcalc: unknown field 'r' (column 5)\n"
 
 
+def test_a_heterogeneous_operand_is_named_as_written(model_file, capsys):
+    # a usage error that names both witnesses in the grammar's own text
+    assert main(["schouten", model_file, "--f", "q+dag(q)", "--g", "q"]) == 2
+    out, err = capsys.readouterr()
+    assert not out and err == "bvcalc: parity-heterogeneous expression: q vs dag(q)\n"
+
+
 def test_bvcalc_seed_env(model_file, monkeypatch, capsys):
     # the effective seed of a check without --seed is BVCALC_SEED's
     monkeypatch.setenv("BVCALC_SEED", "21")

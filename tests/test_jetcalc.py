@@ -704,7 +704,7 @@ def test_an_unknown_side_is_refused_before_any_walk(m, monkeypatch):
         with pytest.raises(ValueError, match="side must be 'left' or 'right', got 'up'"):
             call()
 
-def _walk_index_inputs():
+def _walk_inputs():
     for model in (ghost_model(), plane_model()):
         rng = random.Random(4100 + model.base_dim)
         for _ in range(30):
@@ -718,11 +718,10 @@ def _walk_index_inputs():
 
 
 def test_a_walk_by_one_variable_is_its_slice_of_the_walk_by_all():
-    # a walk by one variable visits only the monomials that the expression's
-    # index lists for it, and those holding a block; it files what the walk
-    # by every variable files for that variable
+    # a walk by one variable visits every monomial, as the walk by every
+    # variable does, and files what that walk files for its variable
     seen = 0
-    for model, e in _walk_index_inputs():
+    for model, e in _walk_inputs():
         variables = list(model.variables())
         spec = {v: model.parity(*v) for v in variables}
         for frozen in (False, True):
@@ -731,32 +730,38 @@ def test_a_walk_by_one_variable_is_its_slice_of_the_walk_by_all():
                 one = _filed(_walk(e, {v: spec[v]}, frozen))
                 assert one.get(v, {}) == every.get(v, {}), (e, v, frozen)
                 seen += bool(one.get(v))
-        assert len(e.terms) < 2 or e._index is not None
     assert seen > 250, seen
 
 
-def test_the_walk_index_is_built_on_the_second_walk_by_one_variable():
-    # the first walk by one variable scans every monomial and leaves no
-    # index, as a walk by several variables does; the second builds it;
-    # every walk files the same partials
+def test_the_walk_index_is_built_on_the_second_walk_by_one_variable(monkeypatch):
+    # no walk index is kept: an expanded euler by every variable in turn
+    # walks its operand once per model, whose images by every variable
+    # ``jetcalc.images`` keeps on it, and each left and right image equals
+    # a fresh walk by that variable alone, signed for the right side on
+    # its odd monomials by an odd variable
+    walked = []
+
+    def counted(model, e, *args):
+        walked.append(e)
+        return eulers(model, e, *args)
+
+    monkeypatch.setattr(jetcalc, "eulers", counted)
     checked = 0
-    for model, e in _walk_index_inputs():
-        if len(e.terms) < 2:
-            continue
-        variables = list(model.variables())
-        spec = {v: model.parity(*v) for v in variables}
-        for v in variables:
-            fresh = Expr(dict(e.terms))
-            _walk(fresh, spec, True)
-            assert not fresh._index
-            walks = [_filed(_walk(fresh, {v: spec[v]}, True))]
-            assert not fresh._index
-            walks.append(_filed(_walk(fresh, {v: spec[v]}, True)))
-            assert fresh._index
-            walks.append(_filed(_walk(fresh, {v: spec[v]}, True)))
-            assert walks[0] == walks[1] == walks[2]
-            checked += bool(walks[0])
-    assert checked > 100, checked
+    for model, e in _walk_inputs():
+        e = Expr(dict(e.terms))
+        wider = model.extend([("w", 1)])
+        for m_ in (model, wider, model):
+            for v in m_.variables():
+                # the test module's own binding: a fresh walk, not counted
+                fresh = eulers(m_, e, [v])[v]
+                odd = Expr({k: mono for k, mono in fresh.terms.items() if len(mono.odd) & 1})
+                signed = fresh - odd.scale(2) if m_.parity(*v) else fresh
+                assert euler(m_, e, *v) == fresh, (e, v)
+                assert euler(m_, e, *v, side="right") == signed, (e, v)
+                checked += not fresh.is_zero()
+        assert sum(w is e for w in walked) == 2
+        assert list(e._images) == [(model, False), (wider, False)]
+    assert checked > 250, checked
 
 
 def test_walk_edge_cases(m):

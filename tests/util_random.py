@@ -9,7 +9,7 @@ from bvcalc.coeff import Coefficient
 from bvcalc.algebra import (_ONE, Attach, Trig, _add_products, _add_term, _sum_scaled,
                             make_attach)
 from bvcalc.cohomology import Functional, _accumulate, _graded_sort
-from bvcalc.jetcalc import GEOMETRIC, NAIVE, _check_mode, _isolate, collapse, euler, eulers
+from bvcalc.jetcalc import GEOMETRIC, NAIVE, _check_mode, _isolate, _right, collapse, eulers
 
 
 def scalar_model() -> BvModel:
@@ -318,9 +318,12 @@ def _erased_atom(a, memo):
 
 def right_images(model, e, frozen):
     """The right isolated Euler images of ``e`` by every variable of
-    ``model``, one public ``euler`` call per variable, all ``frozen`` or
-    none; a frozen image is then isolated (``jetcalc._isolate``)."""
-    return {v: isolated(euler(model, e, *v, side="right", frozen=frozen), frozen)
+    ``model``, one walk by each variable alone (``eulers``, which keeps
+    nothing on ``e``, so the reference never reads the images that
+    ``jetcalc.images`` keeps) signed into a right image (``jetcalc._right``,
+    as ``euler`` signs it), all ``frozen`` or none; a frozen image is then
+    isolated (``jetcalc._isolate``)."""
+    return {v: isolated(_right(eulers(model, e, [v], frozen)[v], model.parity(*v)), frozen)
             for pair in model.pairs() for v in pair}
 
 
