@@ -31,10 +31,11 @@ atoms, which hash in one shallow pass and sort as the nested keys do; Expr
 equality and hashing read these term maps too, and so do the triviality
 images of the class basis.  Values derived from an interned atom or an
 immutable expression are kept on it once found: a JetVar's shifts
-(``JetVar.shifts``), an Attach block's nested key, built on first read, an
-expression's key, hash and parity, and its Euler images by every variable
-of a model, per model and mode, once a bracket or an expanded ``euler``
-has taken them (``jetcalc.images``).
+(``JetVar.shifts``), an Attach block's nested key, built on first read, and
+its partial-derivative branches, found when a walk first enters it
+(``Attach.branches``), an expression's key, hash and parity, and its Euler
+images by every variable of a model, per model and mode, once a bracket or
+an expanded ``euler`` has taken them (``jetcalc.images``).
 
 Canonical in, canonical out: a product of two canonical monomials is a
 merge of their sorted atoms (``_add_product``), sin(u) on both sides
@@ -177,14 +178,19 @@ class Attach(Atom):
     an existing block costs one lookup and no inner is built for it; its
     ``key``, (3, pending, inner key), is found the first time it is read and
     then stored on the atom, so a block that is never ordered (as no block
-    of the su(2) Yang-Mills ``[[S, S]]`` is) never pays for it.  The
+    of the su(2) Yang-Mills ``[[S, S]]`` is) never pays for it.
+    ``branches`` is None until a partial-derivative walk first enters the
+    block; then it holds, per walk flag (unfrozen, frozen), the block's
+    partials by every jet variable of its inner (``jetcalc._branches``,
+    its one writer), so each block is entered once per flag and process,
+    and a block that no walk enters holds nothing.  The
     constructor is ``make_attach`` of one block: a lone block's pending
     derivatives join it, and an inner that gives anything but one block of
     coefficient 1 (a constant, a sum) is a ValueError.  ``_of`` checks
     nothing.
     """
 
-    __slots__ = ("pending", "inner")
+    __slots__ = ("pending", "inner", "branches")
 
     def __new__(cls, pending, inner: "Expr"):
         terms = make_attach([tuple(int(k) for k in idx) for idx in pending], inner).terms
@@ -206,6 +212,7 @@ class Attach(Atom):
             a.inner = Expr({(even, odd): Monomial(_ONE, even, odd)})
             a.parity = len(odd) & 1
             a.var = None
+            a.branches = None
         return a
 
     def __getattr__(self, name):

@@ -29,7 +29,7 @@ from .bv import (
     laplacian,
     schouten,
 )
-from .grammar import ParseError, format_coefficient, format_expr, parse_expr, parse_model_file
+from .grammar import ParseError, _read_model_file, format_coefficient, format_expr, parse_expr
 from .models import (
     LieAlgebraData,
     build_scalar_example,
@@ -62,7 +62,7 @@ def _load_model(path: str):
         print(f"bvcalc: cannot read model file: {exc}", file=sys.stderr)
         raise SystemExit(2)
     try:
-        return parse_model_file(text)
+        return _read_model_file(text)
     except ParseError as exc:
         print(f"bvcalc: {path}: {exc}", file=sys.stderr)
         raise SystemExit(2)
@@ -85,43 +85,44 @@ def _print_functional(F: Functional, do_collapse: bool):
 
 
 def cmd_euler(args) -> int:
-    model, _ = _load_model(args.model)
+    model, _, _ = _load_model(args.model)
     e = parse_expr(args.expr, model)
     print(format_expr(euler(model, e, args.field, args.dagger, side=args.side)))
     return 0
 
 
 def cmd_schouten(args) -> int:
-    model, _ = _load_model(args.model)
+    model, _, _ = _load_model(args.model)
     F, G = (Functional.from_density(model, parse_expr(t, model)) for t in (args.f, args.g))
     _print_functional(schouten(F, G, args.mode), args.collapse)
     return 0
 
 
 def cmd_laplacian(args) -> int:
-    model, _ = _load_model(args.model)
+    model, _, _ = _load_model(args.model)
     F = Functional.from_density(model, parse_expr(args.expr, model))
     _print_functional(laplacian(F, args.mode), args.collapse)
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    model, sections = _load_model(args.model)
+    model, sections, lines = _load_model(args.model)
     e = parse_expr(args.expr, model)
     if args.section not in sections:
         print(f"bvcalc: no section {args.section!r} in model file", file=sys.stderr)
         return 2
-    spec = SectionSpec(model, {key: _parse_trig_poly(model, text)
+    spec = SectionSpec(model, {key: _parse_trig_poly(model, text, lines[args.section, key])
                                for key, text in sections[args.section].items()})
     value = evaluate(Functional.from_density(model, e), spec)
     print(f"integral value: {value!r}")
     return 0
 
 
-def _parse_trig_poly(model, text: str):
+def _parse_trig_poly(model, text: str, line: int):
     """Parse 'c * sin(k x1) * cos(m x2) + ...' with float or g<k> coefficients.
     Factors of one coordinate multiply by product to sum, so a term may
-    become several; cos(0 x) is 1, and sin(0 x) drops its term."""
+    become several; cos(0 x) is 1, and sin(0 x) drops its term.  A
+    ParseError names the model file ``line`` the text was given on."""
     terms = []
     # a term starts at a sign, but not at the sign of an exponent (2e-3)
     for chunk in re.split(r"(?<![eE])(?=[+-])", text.replace(" ", "")):
@@ -138,7 +139,7 @@ def _parse_trig_poly(model, text: str):
                 freq = int(m.group(2)) if m.group(2) else 1
                 coord = int(m.group(3)) - 1
                 if not 0 <= coord < model.base_dim:
-                    raise ParseError(f"coordinate x{coord + 1} out of range")
+                    raise ParseError(f"coordinate x{coord + 1} out of range", line=line)
                 products = [(s * t, fs[:coord] + (f,) + fs[coord + 1:])
                             for s, fs in products
                             for t, f in _trig_product(fs[coord], m.group(1), freq)]
@@ -150,7 +151,9 @@ def _parse_trig_poly(model, text: str):
             try:
                 coeff = coeff.scale(float(Fraction(factor)))
             except ValueError:
-                raise ParseError(f"bad section factor {factor!r}")
+                raise ParseError(f"bad section factor {factor!r}", line=line)
+            except ZeroDivisionError:
+                raise ParseError(f"division by zero in {factor}", line=line)
         terms += [(coeff.scale(s), fs) for s, fs in products]
     return terms
 

@@ -306,6 +306,8 @@ class _Parser:
         if kind == "num":
             if "/" in val:
                 a, b = val.split("/")
+                if not int(b):
+                    raise ParseError(f"division by zero in {val}", pos)
                 return Expr.scalar(Fraction(int(a), int(b))), {}
             return Expr.scalar(int(val)), {}
         if val == "(":
@@ -460,10 +462,18 @@ def parse_model_file(text: str):
     section name to {(field, dagger): raw trig-polynomial string}.  A field
     is declared once, and a section gives a declared field, or its dag, at
     most once; a breach is a ParseError at its line."""
+    model, sections, _ = _read_model_file(text)
+    return model, sections
+
+
+def _read_model_file(text: str):
+    """``parse_model_file`` and the line of each section entry, as
+    {(section, (field, dagger)): line}, so that the reader of an entry's
+    trig polynomial can name its line."""
     base_dim = None
     fields = []
     sections = {}
-    named = {}  # each field a section names, at the first line naming it
+    lines = {}
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -514,7 +524,7 @@ def parse_model_file(text: str):
             if key in given:
                 raise ParseError(f"section {sec!r} gives {m.group(2)} twice", line=lineno)
             given[key] = m.group(4).strip()
-            named.setdefault(key[0], lineno)
+            lines[sec, key] = lineno
         else:
             raise ParseError(f"content outside any section: {line!r}", line=lineno)
     if base_dim is None:
@@ -522,7 +532,7 @@ def parse_model_file(text: str):
     if not fields:
         raise ParseError("missing [fields] section", line=0)
     declared = {name for name, _ in fields}
-    for name, lineno in named.items():
+    for (_, (name, _)), lineno in lines.items():  # in the order of the file
         if name not in declared:
             raise ParseError(f"a section names the undeclared field {name!r}", line=lineno)
-    return BvModel(base_dim, fields), sections
+    return BvModel(base_dim, fields), sections, lines

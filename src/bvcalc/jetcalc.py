@@ -14,10 +14,15 @@ public ``partial`` and ``euler`` sign a left image into a right one
 (``_right``).  A walk is frozen or not as a whole (one ``frozen`` flag, its
 only one): its variables' derivatives all stay pending or are all expanded,
 and the inner of a block it enters is walked unfrozen, the derivative joining
-that block's pending set.  ``images`` is the one memo of the walk: it keeps an
-operand's left Euler images by every variable of a model on the operand,
-expanded, or frozen and then isolated (``_isolate``, called by it alone), and
-the bracket and the unfrozen ``euler`` read them there.
+that block's pending set.  The walk keeps two things, each on the object it
+derives from.  A block keeps its branches: the first walk with a given flag
+that enters it walks its inner by every variable of that inner, nested
+blocks included, and files the result on the block (``_branches``, the one
+writer of ``Attach.branches``), so each block is entered once per flag and
+process and a later walk reads the branches of its own variables.
+``images`` keeps an operand's left Euler images by every variable of a model
+on the operand, expanded, or frozen and then isolated (``_isolate``, called
+by it alone), and the bracket and the unfrozen ``euler`` read them there.
 
 Total derivatives, collapse and the partial-derivative walk take canonical
 monomials and file canonical ones.  The total derivative of a jet variable
@@ -297,10 +302,13 @@ def _walk(e, variables, frozen):
     (``_without``), its sign known, and is filed as it is.  A chain-rule
     branch is f'(u) times that rest, and a dived branch dm * rest, the
     block's derivative dm paying the sign of the odd factors before the
-    block; both are filed by the canonical product.
+    block; both are filed by the canonical product.  A block's derivatives
+    are read from the block (``_branches``), which holds them by every jet
+    variable of its inner: the walk skips those whose variable it was not
+    asked for and takes the parity of the others from ``variables``; only
+    the first walk with this flag to enter the block walks its inner.
     """
     acc = {}  # JetVar -> term map of canonical branches
-    dives = {}  # Attach atom -> its branches, so each block is entered once
     for m in e.terms.values():
         even, odd = m.even, m.odd
         n = len(even)
@@ -309,22 +317,15 @@ def _walk(e, variables, frozen):
             if type(a) is Attach:
                 # the pending derivative joins the block's own set, so the
                 # branch itself records none
-                hits = dives.get(a)
-                if hits is None:
-                    hits = dives[a] = []
-                    for u, terms in _walk(a.inner, variables, False).items():
-                        pending = a.pending
-                        if frozen and any(u.index):
-                            pending += (u.index,)
-                        dived = make_attach(pending, Expr(terms))
-                        if dived.terms:
-                            hits.append((u, variables[u.var], dived))
-                if not hits:
-                    continue
-                rest_even, rest_odd = _without(even, odd, i, k)
-                passed = max(i - n, 0)  # the odd factors before the block
-                cmult = m.coeff * k if k > 1 else m.coeff
-                for u, parity, dived in hits:
+                rest_even = None
+                for u, dived in _branches(a, frozen):
+                    parity = variables.get(u.var)
+                    if parity is None:
+                        continue
+                    if rest_even is None:
+                        rest_even, rest_odd = _without(even, odd, i, k)
+                        passed = max(i - n, 0)  # the odd factors before the block
+                        cmult = m.coeff * k if k > 1 else m.coeff
                     c = -cmult if parity and passed & 1 else cmult
                     out = acc.get(u)
                     if out is None:
@@ -359,6 +360,37 @@ def _walk(e, variables, frozen):
             else:
                 _wrap_branch(out, c, rest_even, rest_odd, pend)
     return acc
+
+
+def _branches(a: Attach, frozen) -> list:
+    """The partials of the block ``a`` for a walk with ``frozen``, as
+    ``[(u, dived)]``: for every jet variable u of its inner, nested blocks
+    included, the inner's partial by u attached with a's pending set, and
+    with u's multi-index joining it when ``frozen`` and nonzero; a u whose
+    dived block is zero is left out.  The list does not depend on which
+    variables a walk asks for, so it is found once per flag, by an unfrozen
+    walk of the inner by all of them, and kept on the block
+    (``Attach.branches``, None until the block is first entered)."""
+    memo = a.branches
+    if memo is None:
+        memo = a.branches = [None, None]
+    flag = 1 if frozen else 0
+    found = memo[flag]
+    if found is None:
+        variables = {}
+        for b in a.inner.atoms():
+            if type(b) is Attach:
+                variables.update((u.var, u.parity) for u, _ in _branches(b, False))
+            elif b.var is not None:
+                variables[b.var] = b.parity  # a Trig's argument is even
+        found = []
+        for u, terms in _walk(a.inner, variables, False).items():
+            pending = a.pending + (u.index,) if frozen and any(u.index) else a.pending
+            dived = make_attach(pending, Expr(terms))
+            if dived.terms:
+                found.append((u, dived))
+        memo[flag] = found
+    return found
 
 
 def _without(even, odd, i, k):

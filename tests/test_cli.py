@@ -356,6 +356,15 @@ def test_cmd_usage_errors(model_file, tmp_path, capsys):
     assert main(["euler", str(bad), "--expr", "q", "--field", "q"]) == 2
     out, err = capsys.readouterr()
     assert not out and "declared twice (line 5)" in err
+    # a division by zero, in an expression at its column and in a section
+    # at its line
+    assert main(["laplacian", model_file, "--expr", "2/0*q"]) == 2
+    out, err = capsys.readouterr()
+    assert not out and err == "bvcalc: division by zero in 2/0 (column 1)\n"
+    bad.write_text("[base]\ndim = 1\n[fields]\nq ghost = 0\n[sections]\ns: q = 1/0*sin(x1)\n")
+    assert main(["evaluate", str(bad), "--expr", "q", "--section", "s"]) == 2
+    out, err = capsys.readouterr()
+    assert not out and err == "bvcalc: division by zero in 1/0 (line 6)\n"
     # a negative power of a scalar that has no inverse
     for text, shown in (("(1+hbar)^-1", "1 + hbar"), ("0^-1", "0")):
         assert main(["euler", model_file, "--expr", text, "--field", "q"]) == 2

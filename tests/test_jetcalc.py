@@ -787,6 +787,101 @@ def test_walk_edge_cases(m):
         assert got == ref[("q", False)] == expected, e
 
 
+# -- the branches a block keeps ---------------------------------------------
+#
+# A block keeps its partial-derivative branches (``Attach.branches``) once a
+# walk has entered it, for the life of the import, so the first walk must not
+# decide what a later walk finds.  Each case is built from field names that
+# no other test uses, so its blocks are entered here first.
+
+
+def _memo_case(tag, nested):
+    """A fresh model and a block-holding density: the fields mb<tag>p (even)
+    and mb<tag>c (odd) at home and in blocks pending derivatives, and, when
+    ``nested``, mb<tag>n (even) only in a block nested in another block's
+    inner, where no plain factor of that inner holds it."""
+    p, c, n = f"mb{tag}p", f"mb{tag}c", f"mb{tag}n"
+    model = BvModel(1, [(p, 0), (c, 1), (n, 0)])
+    jet = model.jet
+    if nested:
+        inner = jet(p) * jet(c, (1,)) * make_attach(((1,),), jet(n) * jet(n, (2,)))
+    else:
+        inner = jet(p) * jet(p, (1,)) * jet(c, (1,)) * jet(c, (2,), dagger=True)
+    odd = make_attach(((2,),), inner)
+    even = make_attach(((1,),), jet(p, (1,)) * jet(c) * jet(c, (1,)))
+    e = jet(c) * odd * jet(p, (2,)) + even * odd * jet(c, (1,)) + even ** 2 * jet(p)
+    (odd,), (even,) = odd.atoms(), even.atoms()
+    assert odd.parity and not even.parity
+    return model, e, (odd, even)
+
+
+def _memo_walks(model):
+    """Walks as (variables, frozen): by one variable or by all, either flag."""
+    every = list(model.variables())
+    return [(vs, f) for vs in (every[:1], every) for f in (False, True)]
+
+
+@pytest.mark.parametrize("nested", (False, True))
+def test_a_block_keeps_what_any_later_walk_finds(nested):
+    # every ordered pair of walks on a fresh block, by one variable or all,
+    # unfrozen or frozen: each equals the reference, which keeps nothing,
+    # whichever walk entered the block first
+    tag = 0
+    for first, later in itertools.permutations(range(4), 2):
+        tag += 1
+        model, e, blocks = _memo_case(f"{int(nested)}x{tag}", nested)
+        assert all(b.branches is None for b in blocks)
+        for k in (first, later):
+            variables, frozen = _memo_walks(model)[k]
+            got = eulers(model, e, variables, frozen)
+            expected = _reference_eulers(model, e, dict.fromkeys(variables, frozen), "left", False)
+            assert got == expected, (nested, first, later, k)
+        assert all(b.branches is not None for b in blocks)
+    # a nested block's variable reaches the outer walk through its host
+    model, e, _ = _memo_case(f"{int(nested)}y", nested)
+    n = (f"mb{int(nested)}yn", False)
+    assert eulers(model, e, [n], True)[n].is_zero() is not nested
+
+
+def test_a_second_walk_enters_no_block(monkeypatch):
+    # once a walk with each flag has entered a block, no walk of a density
+    # holding it, by any variables, walks its inner or builds a block
+    model, e, _ = _memo_case("z", True)
+    parities = {v: model.parity(*v) for v in model.variables()}
+    for f in (False, True):
+        _walk(e, parities, f)
+    walks, attached = [], []
+
+    def walk(*args):
+        walks.append(args[0])
+        return _walk(*args)
+
+    def attach(*args):
+        attached.append(args)
+        return make_attach(*args)
+
+    monkeypatch.setattr(jetcalc, "_walk", walk)
+    monkeypatch.setattr(jetcalc, "make_attach", attach)
+    interned = len(algebra._INTERNED)
+    for variables, frozen in _memo_walks(model):
+        walks.clear()
+        found = jetcalc._walk(e, {v: parities[v] for v in variables}, frozen)
+        assert walks == [e] and not attached and found, (variables, frozen)
+    assert len(algebra._INTERNED) == interned
+
+
+def test_a_block_no_walk_entered_keeps_nothing():
+    # interning a block allocates no branches; a walk fills those of the
+    # blocks it enters, and of the blocks nested in them, and no others
+    model, e, (odd, even) = _memo_case("w", True)
+    (nested,) = [a for a in odd.inner.atoms() if type(a) is Attach]
+    (other,) = make_attach(((1,),), model.jet("mbwp", (3,))).atoms()
+    assert all(b.branches is None for b in (odd, even, nested, other))
+    eulers(model, e, list(model.variables()), True)
+    assert odd.branches[1] and even.branches[1] and nested.branches[0]
+    assert odd.branches[0] is None and other.branches is None
+
+
 def test_the_engine_never_calls_the_reference_normaliser(m):
     # every product, total derivative and Euler branch is a merge of
     # canonical monomials; the reference normaliser lives in the tests alone
